@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.membership import Membership
 from repro.errors import (
@@ -36,8 +36,9 @@ from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
 from repro.sim.events import AllOf
 from repro.sim.scheduler import Simulator
+from repro.dynamo.merkle import Entry, check_buckets, entry_digests
 from repro.dynamo.node import DynamoNode
-from repro.dynamo.ring import HashRing, key_in_ranges, moved_ranges
+from repro.dynamo.ring import HashRing, RingPositions, moved_ranges, position_in_ranges
 from repro.dynamo.versions import VectorClock, VersionedValue, prune_dominated
 
 #: Exceptions one peer's failure shows up as, mid-round: no reply in time,
@@ -73,6 +74,19 @@ class GetResult:
     @property
     def conflicted(self) -> bool:
         return len(self.siblings) > 1
+
+
+def _wire_versions(
+    view: Sequence[Entry], bucket: int, buckets: int
+) -> List[Dict[str, Any]]:
+    """The SYNC_BUCKET payload for one bucket of a store view."""
+    return [
+        {"key": key, "value": version.value,
+         "clock": dict(version.clock.counters)}
+        for key, position, versions in view
+        if position % buckets == bucket
+        for version in versions
+    ]
 
 
 class DynamoCluster:
@@ -116,6 +130,10 @@ class DynamoCluster:
                 node.enable_snapshots(snapshot_cadence)
                 node.snapshotter.start()
         self.ring = HashRing(list(self.nodes), vnodes=16)
+        # Ring position of every stored key a scan has met, one memo for
+        # all nodes. Filled by the scans, never by store_version: traffic
+        # that is never scanned must not pay for an index it never reads.
+        self._positions = RingPositions()
         self.membership = Membership.of_names(self.nodes)
         # Gossip-driven membership (opt-in via attach_gossip_membership):
         # a per-node MembershipView plus its epidemic disseminator. When
@@ -312,8 +330,7 @@ class DynamoCluster:
             unresponsive: set = set()
             try:
                 for key, versions in list(node.store.items()):
-                    owners = self.ring.intended_owners(key, self.n)
-                    for owner in owners:
+                    for owner in self._owners(key):
                         if owner == node.name or owner not in self.nodes:
                             continue
                         if owner in unresponsive:
@@ -362,30 +379,23 @@ class DynamoCluster:
     # Merkle-digest anti-entropy (bucketed, message-efficient)
 
     def _register_merkle_handlers(self, node: DynamoNode) -> None:
-        from repro.dynamo.merkle import all_digests, bucket_of
-        from repro.dynamo.versions import VectorClock, VersionedValue
-
         def handle_digests(endpoint, msg):
-            serving = self.nodes[endpoint.name]
-            ranges = msg.payload.get("ranges")
-            if ranges is not None:
-                view = self._range_view(serving, ranges)
-            else:
-                view = self._shared_ownership_view(serving, msg.src)
-            return {"digests": all_digests(view, msg.payload["buckets"])}
+            view = self._view(
+                self.nodes[endpoint.name],
+                sharers={endpoint.name, msg.src},
+                ranges=msg.payload.get("ranges"),
+            )
+            return {"digests": entry_digests(view, msg.payload["buckets"])}
 
         def handle_sync_bucket(endpoint, msg):
             serving = self.nodes[endpoint.name]
-            buckets = msg.payload["buckets"]
-            bucket = msg.payload["bucket"]
-            ranges = msg.payload.get("ranges")
             # Integrate what the peer sent — only keys we should own
             # under the *current* ring, so a reshape mid-flight can
             # never plant data on a node that just lost the range.
             integrated = 0
             for entry in msg.payload["versions"]:
                 key = entry["key"]
-                if endpoint.name not in self.ring.intended_owners(key, self.n):
+                if endpoint.name not in self._owners(key):
                     continue
                 version = VersionedValue(
                     entry["value"], VectorClock(entry["clock"])
@@ -395,19 +405,12 @@ class DynamoCluster:
                 serving.store_version(key, version)
             # Reply with our versions of this bucket: within the named
             # ranges for a range-scoped transfer, else keys the peer owns.
-            peer = msg.src
-            reply = []
-            for key, versions in serving.store.items():
-                if bucket_of(key, buckets) != bucket:
-                    continue
-                if ranges is not None:
-                    if not key_in_ranges(key, ranges):
-                        continue
-                elif peer not in self.ring.intended_owners(key, self.n):
-                    continue
-                for version in versions:
-                    reply.append({"key": key, "value": version.value,
-                                  "clock": dict(version.clock.counters)})
+            bucket, buckets = msg.payload["bucket"], msg.payload["buckets"]
+            view = self._view(
+                serving, sharers={msg.src}, ranges=msg.payload.get("ranges"),
+                bucket=(bucket, buckets),
+            )
+            reply = _wire_versions(view, bucket, buckets)
             return {"versions": reply, "integrated": integrated}
 
         node.endpoint.register("DIGESTS", handle_digests)
@@ -419,36 +422,45 @@ class DynamoCluster:
         descends it) — re-shipping it moves no new information."""
         return any(v.clock.descends(clock) for v in node.versions_of(key))
 
-    def _shared_ownership_view(self, node: DynamoNode, peer: str) -> Dict[str, list]:
-        """The slice of a node's store that a Merkle comparison with
-        ``peer`` covers: keys whose intended owners include both sides —
-        the per-key-range trees real Dynamo keeps per replica pair."""
-        view = {}
-        for key, versions in node.store.items():
-            owners = self.ring.intended_owners(key, self.n)
-            if node.name in owners and peer in owners:
-                view[key] = versions
-        return view
+    def _owners(self, key: str) -> List[str]:
+        """A stored key's strict top-N owners under the current ring,
+        from its memoised position — no hashing, no ring walk."""
+        return self.ring.owners_at(self._positions[key], self.n)
 
-    def _range_view(
-        self, node: DynamoNode, ranges: Sequence[Sequence[int]]
-    ) -> Dict[str, list]:
-        """The slice of a node's store inside the given hash arcs — the
-        view a range-scoped rebalance transfer compares and ships."""
-        return {
-            key: versions
-            for key, versions in node.store.items()
-            if key_in_ranges(key, ranges)
-        }
+    def _view(
+        self,
+        node: DynamoNode,
+        *,
+        sharers: AbstractSet[str] = frozenset(),
+        ranges: Optional[Sequence[Sequence[int]]] = None,
+        bucket: Optional[Tuple[int, int]] = None,
+    ) -> List[Entry]:
+        """The slice of ``node``'s store a Merkle exchange covers, in
+        store order: the keys inside ``ranges`` for a range-scoped
+        rebalance transfer, else the keys every node in ``sharers`` is an
+        intended owner of. Both sides of a pair as sharers gives the
+        per-key-range tree real Dynamo keeps per replica pair.
+        ``bucket=(b, buckets)`` keeps digest bucket ``b`` alone, tested
+        first: it is the cheapest test and drops the most keys."""
+        positions, owners_at, view = self._positions, self.ring.owners_at, []
+        for key, versions in node.store.items():
+            position = positions[key]
+            if bucket is not None and position % bucket[1] != bucket[0]:
+                continue
+            if ranges is not None:
+                if not position_in_ranges(position, ranges):
+                    continue
+            elif not sharers.issubset(owners_at(position, self.n)):
+                continue
+            view.append((key, position, versions))
+        return view
 
     def run_merkle_round(self, buckets: int = 16) -> Generator[Any, Any, Dict[str, int]]:
         """One digest-first anti-entropy pass over every live node pair.
 
         Returns message accounting: digest exchanges vs bucket payloads —
         once converged, a round costs only the digest messages."""
-        from repro.dynamo.merkle import all_digests, bucket_of
-        from repro.dynamo.versions import VectorClock, VersionedValue
-
+        check_buckets(buckets)
         stats = {"digest_msgs": 0, "bucket_msgs": 0, "versions_moved": 0}
         names = sorted(self.nodes)
         # Same per-round isolation as run_anti_entropy_round: once a peer
@@ -484,18 +496,12 @@ class DynamoCluster:
                     continue
                 stats["digest_msgs"] += 1
                 theirs = reply["digests"]
-                shared = self._shared_ownership_view(a, b_name)
-                mine = all_digests(shared, buckets)
+                shared = self._view(a, sharers={a_name, b_name})
+                mine = entry_digests(shared, buckets)
                 for bucket in range(buckets):
                     if mine[bucket] == theirs[bucket]:
                         continue
-                    payload = []
-                    for key, versions in shared.items():
-                        if bucket_of(key, buckets) != bucket:
-                            continue
-                        for version in versions:
-                            payload.append({"key": key, "value": version.value,
-                                            "clock": dict(version.clock.counters)})
+                    payload = _wire_versions(shared, bucket, buckets)
                     try:
                         sync_reply = yield from a.endpoint.call(
                             b_name, "SYNC_BUCKET",
@@ -510,7 +516,7 @@ class DynamoCluster:
                     stats["versions_moved"] += len(payload)
                     for entry in sync_reply["versions"]:
                         key = entry["key"]
-                        if a_name not in self.ring.intended_owners(key, self.n):
+                        if a_name not in self._owners(key):
                             continue
                         a.store_version(
                             key,
@@ -554,6 +560,7 @@ class DynamoCluster:
         meanwhile quorum across R replicas, so the cluster never depends
         on the joiner alone. Returns transfer accounting.
         """
+        check_buckets(buckets)
         if node_name in self.nodes:
             raise SimulationError(f"node {node_name!r} already in the cluster")
         node = DynamoNode(self.sim, self.network, node_name)
@@ -618,6 +625,7 @@ class DynamoCluster:
         can be decommissioned too — its arcs' data survives on the other
         W-1 replicas and anti-entropy heals the copy count.
         """
+        check_buckets(buckets)
         if node_name not in self.nodes:
             raise SimulationError(f"unknown node {node_name!r}")
         if len(self.nodes) - 1 < self.n:
@@ -683,8 +691,7 @@ class DynamoCluster:
         owners lack — the long tail a range transfer can miss."""
         pushed = 0
         for key, versions in list(node.store.items()):
-            owners = self.ring.intended_owners(key, self.n)
-            for owner in owners:
+            for owner in self._owners(key):
                 if owner not in self.nodes:
                     continue
                 if not self.network.reachable(node.name, owner):
@@ -718,8 +725,6 @@ class DynamoCluster:
         DIGESTS/SYNC_BUCKET verbs anti-entropy uses, restricted to the
         moved arcs. Both sides end up holding the ranges' frontier (each
         stores only what it owns under the current ring)."""
-        from repro.dynamo.merkle import all_digests, bucket_of
-
         stats = {"versions_moved": 0, "digest_msgs": 0, "bucket_msgs": 0}
         range_payload = [[start, end] for start, end in ranges]
         try:
@@ -733,18 +738,12 @@ class DynamoCluster:
             return stats
         stats["digest_msgs"] += 1
         theirs = reply["digests"]
-        view = self._range_view(node, range_payload)
-        mine = all_digests(view, buckets)
+        view = self._view(node, ranges=range_payload)
+        mine = entry_digests(view, buckets)
         for bucket in range(buckets):
             if mine[bucket] == theirs[bucket]:
                 continue
-            payload = []
-            for key, versions in view.items():
-                if bucket_of(key, buckets) != bucket:
-                    continue
-                for version in versions:
-                    payload.append({"key": key, "value": version.value,
-                                    "clock": dict(version.clock.counters)})
+            payload = _wire_versions(view, bucket, buckets)
             try:
                 sync_reply = yield from node.endpoint.call(
                     peer, "SYNC_BUCKET",
@@ -762,7 +761,7 @@ class DynamoCluster:
             stats["versions_moved"] += sync_reply.get("integrated", 0)
             for entry in sync_reply["versions"]:
                 key = entry["key"]
-                if node.name not in self.ring.intended_owners(key, self.n):
+                if node.name not in self._owners(key):
                     continue
                 version = VersionedValue(
                     entry["value"], VectorClock(entry["clock"])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -29,6 +29,33 @@ RING_SIZE = 1 << RING_BITS
 def ring_hash(value: str) -> int:
     digest = hashlib.sha256(value.encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+class RingPositions(Dict[str, int]):
+    """Key name → ring position, hashed on first lookup and kept.
+
+    A position is a pure function of the key name, so one memo can serve
+    every replica of a cluster without leaking state between them. It
+    holds one ``int`` per distinct key ever looked up and is never
+    evicted: index it only with keys that are actually stored.
+    """
+
+    def __missing__(self, key: str) -> int:
+        position = self[key] = ring_hash(key)
+        return position
+
+
+def position_in_ranges(position: int, ranges: Iterable[Sequence[int]]) -> bool:
+    """Whether a ring position lies on any ``[start, end)`` arc. An arc
+    with ``start >= end`` runs through zero; ``start == end`` is the
+    whole ring."""
+    for start, end in ranges:
+        if start < end:
+            if start <= position < end:
+                return True
+        elif position >= start or position < end:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -60,9 +87,7 @@ class MovedRange:
         return tuple(n for n in self.old_owners if n not in new)
 
     def contains_hash(self, h: int) -> bool:
-        if self.start < self.end:
-            return self.start <= h < self.end
-        return h >= self.start or h < self.end
+        return position_in_ranges(h, ((self.start, self.end),))
 
     def contains_key(self, key: str) -> bool:
         return self.contains_hash(ring_hash(key))
@@ -70,14 +95,7 @@ class MovedRange:
 
 def key_in_ranges(key: str, ranges: Iterable[Sequence[int]]) -> bool:
     """Whether ``key`` hashes into any ``[start, end)`` wrapping arc."""
-    h = ring_hash(key)
-    for start, end in ranges:
-        if start < end:
-            if start <= h < end:
-                return True
-        elif h >= start or h < end:
-            return True
-    return False
+    return position_in_ranges(ring_hash(key), ranges)
 
 
 class HashRing:
@@ -100,6 +118,9 @@ class HashRing:
         positions.sort()
         self._positions = positions
         self._hashes = [h for h, _node in positions]
+        # n -> strict owners of every arc, indexed by bisect_right into
+        # _hashes. Built on first use, dropped by every reshape.
+        self._owner_tables: Dict[int, List[Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -119,6 +140,7 @@ class HashRing:
             index = bisect.bisect_left(self._positions, (h, name))
             self._positions.insert(index, (h, name))
             self._hashes.insert(index, h)
+        self._owner_tables = {}
 
     def remove_node(self, name: str) -> None:
         """Remove ``name``'s vnode positions in place. The departing
@@ -130,6 +152,7 @@ class HashRing:
         self.nodes.remove(name)
         self._positions = [(h, n) for h, n in self._positions if n != name]
         self._hashes = [h for h, _node in self._positions]
+        self._owner_tables = {}
 
     def clone(self) -> "HashRing":
         """An independent snapshot (for moved-range comparison)."""
@@ -138,6 +161,7 @@ class HashRing:
         ring.vnodes = self.vnodes
         ring._positions = list(self._positions)
         ring._hashes = list(self._hashes)
+        ring._owner_tables = {}
         return ring
 
     # ------------------------------------------------------------------
@@ -162,12 +186,23 @@ class HashRing:
         """
         if n < 1:
             raise SimulationError("preference list size must be >= 1")
-        return self._walk(bisect.bisect_right(self._hashes, ring_hash(key)), n, alive)
+        position = ring_hash(key)
+        if alive is None:
+            return self.owners_at(position, n)
+        return self._walk(bisect.bisect_right(self._hashes, position), n, alive)
 
     def owners_at(self, position: int, n: int) -> List[str]:
-        """The strict top-N owners for keys hashing to ``position`` —
-        the lookup :func:`moved_ranges` probes arcs with."""
-        return self._walk(bisect.bisect_right(self._hashes, position), n, None)
+        """The strict top-N owners for keys hashing to ``position``: one
+        bisect and one read of the ring state's owner table."""
+        table = self._owner_tables.get(n)
+        if table is None:
+            # One entry more than there are arcs: bisect_right returns
+            # len(_hashes) past the last vnode, which wraps to arc 0.
+            table = self._owner_tables[n] = [
+                tuple(self._walk(index, n, None))
+                for index in range(len(self._positions) + 1)
+            ]
+        return list(table[bisect.bisect_right(self._hashes, position)])
 
     def _walk(
         self, start: int, n: int, alive: Optional[Callable[[str], bool]]

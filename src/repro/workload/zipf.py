@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from array import array
 from typing import Any, Dict, Generator, Optional
 
 from repro.errors import SimulationError
@@ -55,7 +56,8 @@ class ZipfKeyGenerator:
         self.theta = theta
         self.prefix = prefix
         weights = (1.0 / (rank + 1) ** theta for rank in range(keyspace))
-        self._cumulative = list(itertools.accumulate(weights))
+        # Packed doubles: a list would hold a million float objects.
+        self._cumulative = array("d", itertools.accumulate(weights))
         self._total = self._cumulative[-1]
 
     def rank(self) -> int:

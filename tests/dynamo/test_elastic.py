@@ -40,6 +40,18 @@ def test_join_duplicate_name_rejected():
         cluster.sim.run_process(cluster.join("node0"))
 
 
+def test_reshape_without_buckets_is_rejected_before_the_ring_moves():
+    cluster = DynamoCluster(num_nodes=5, seed=31)
+    ring_before = cluster.ring.clone()
+    with pytest.raises(SimulationError, match="bucket"):
+        cluster.sim.run_process(cluster.join("node5", buckets=0))
+    with pytest.raises(SimulationError, match="bucket"):
+        cluster.sim.run_process(cluster.decommission("node0", buckets=0))
+    assert sorted(cluster.nodes) == [f"node{i}" for i in range(5)]
+    assert cluster.ring.nodes == ring_before.nodes
+    assert cluster.membership.is_alive("node0")
+
+
 def test_joined_node_serves_reads_and_writes():
     cluster = DynamoCluster(num_nodes=5, seed=32)
     client = cluster.client()

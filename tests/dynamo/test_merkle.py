@@ -1,7 +1,10 @@
 """Merkle-digest anti-entropy: convergence at digest-message cost."""
 
+import pytest
+
 from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
-from repro.dynamo.merkle import all_digests, bucket_of, frontier_digest
+from repro.dynamo.merkle import all_digests, bucket_of, entry_digests, frontier_digest
+from repro.errors import SimulationError
 from repro.sim import Timeout
 
 
@@ -32,6 +35,22 @@ def test_digest_ignores_other_buckets():
 
 def test_all_digests_length():
     assert len(all_digests({}, 8)) == 8
+
+
+@pytest.mark.parametrize("buckets", [0, -1])
+def test_no_buckets_is_rejected_not_vacuously_converged(buckets):
+    """Zero buckets used to exchange empty digest lists and report every
+    pair in agreement — and bucket_of died on a bare ZeroDivisionError."""
+    with pytest.raises(SimulationError, match="bucket"):
+        bucket_of("k", buckets)
+    with pytest.raises(SimulationError, match="bucket"):
+        all_digests({}, buckets)
+    with pytest.raises(SimulationError, match="bucket"):
+        entry_digests([], buckets)
+    cluster = DynamoCluster(num_nodes=4, seed=21)
+    with pytest.raises(SimulationError, match="bucket"):
+        cluster.sim.run_process(cluster.run_merkle_round(buckets=buckets))
+    assert cluster.sim.metrics.counter("net.sent").value == 0
 
 
 def test_merkle_round_heals_a_missed_write():

@@ -155,3 +155,77 @@ def test_moved_range_contains_hash_wraps():
     assert arc.contains_hash(4)
     assert not arc.contains_hash(5)
     assert not arc.contains_hash(RING_SIZE - 11)
+
+
+def test_position_in_ranges_is_half_open():
+    from repro.dynamo.ring import position_in_ranges
+
+    assert position_in_ranges(10, [(10, 20)])
+    assert position_in_ranges(19, [(10, 20)])
+    assert not position_in_ranges(20, [(10, 20)])
+    assert not position_in_ranges(9, [(10, 20)])
+    assert position_in_ranges(25, [(10, 20), (25, 26)])  # any arc will do
+    assert not position_in_ranges(0, [])
+
+
+def test_position_in_ranges_wraps_through_zero():
+    from repro.dynamo.ring import RING_SIZE, position_in_ranges
+
+    arc = [(RING_SIZE - 10, 5)]
+    for inside in (RING_SIZE - 10, RING_SIZE - 1, 0, 4):
+        assert position_in_ranges(inside, arc), inside
+    for outside in (5, 6, RING_SIZE - 11):
+        assert not position_in_ranges(outside, arc), outside
+    # An arc ending exactly at zero holds the top of the ring, not zero.
+    assert position_in_ranges(RING_SIZE - 1, [(RING_SIZE - 10, 0)])
+    assert not position_in_ranges(0, [(RING_SIZE - 10, 0)])
+
+
+def test_position_in_ranges_start_equals_end_is_the_whole_ring():
+    """What moved_ranges reports when every arc coalesces into one."""
+    from repro.dynamo.ring import RING_SIZE, position_in_ranges
+
+    for position in (0, 6, 7, 8, RING_SIZE - 1):
+        assert position_in_ranges(position, [(7, 7)])
+        assert position_in_ranges(position, [(0, 0)])
+
+
+def test_key_and_moved_range_tests_share_the_position_helper():
+    from repro.dynamo.ring import (
+        MovedRange,
+        key_in_ranges,
+        position_in_ranges,
+        ring_hash,
+    )
+
+    arcs = [(3_000_000_000, 500_000_000), (1_000_000_000, 1_500_000_000)]
+    moved = [MovedRange(start, end, ("a",), ("b",)) for start, end in arcs]
+    hits = 0
+    for i in range(200):
+        key = f"key-{i}"
+        expected = position_in_ranges(ring_hash(key), arcs)
+        assert key_in_ranges(key, arcs) == expected
+        assert any(arc.contains_key(key) for arc in moved) == expected
+        hits += expected
+    assert 0 < hits < 200
+
+
+def test_strict_owners_follow_the_ring_through_reshapes():
+    """The owner table answers for the current ring state only."""
+    ring = HashRing(["a", "b", "c"], vnodes=8)
+    keys = [f"key-{i}" for i in range(100)]
+    assert all("d" not in ring.intended_owners(key, 3) for key in keys)
+    ring.add_node("d")
+    fresh = HashRing(["a", "b", "c", "d"], vnodes=8)
+    assert [ring.intended_owners(k, 3) for k in keys] == [
+        fresh.intended_owners(k, 3) for k in keys
+    ]
+    ring.remove_node("a")
+    assert all("a" not in ring.intended_owners(key, 3) for key in keys)
+
+
+def test_strict_owner_lists_are_the_callers_to_mutate():
+    ring = HashRing(["a", "b", "c"], vnodes=8)
+    first = ring.intended_owners("k", 2)
+    first.append("intruder")
+    assert ring.intended_owners("k", 2) == first[:2]
