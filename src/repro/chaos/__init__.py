@@ -25,14 +25,11 @@ from repro.chaos.plan import (
     WanCutEpisode,
 )
 from repro.chaos.game_day import GameDayScenario, GameDaySpec
+from repro.chaos.harness import ChaosReport
 from repro.chaos.mixed_txn import MixedTxnScenario
 from repro.chaos.rejoin import RejoinScenario
 from repro.chaos.retrystorm import RetryStormScenario
-from repro.chaos.scenarios import (
-    BankClearingScenario,
-    CartDynamoScenario,
-    ChaosReport,
-)
+from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
 
 # Imported lazily so `python -m repro.chaos.runner` does not import the
 # runner module twice (once via the package, once via runpy).

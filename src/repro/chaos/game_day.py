@@ -29,10 +29,11 @@ healed east ships its stale tail — the §5.1 lost update, at WAN scale.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, Optional, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import AckedWrites, Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor, escrow_non_negative
 from repro.chaos.plan import (
     ChaosPlan,
@@ -42,9 +43,9 @@ from repro.chaos.plan import (
     LinkFaultEpisode,
     WanCutEpisode,
 )
-from repro.chaos.scenarios import ChaosReport
+from repro.chaos.splitbrain import DeposedPrimaryDrama
 from repro.core.escrow import EscrowAccount
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
+from repro.dynamo.cluster import DynamoCluster
 from repro.errors import (
     CrashedError,
     SimulationError,
@@ -59,12 +60,8 @@ from repro.failover import (
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import ExponentialLatency, FixedLatency
 from repro.net.network import LinkConfig
-from repro.net.rpc import RpcError
 from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
-from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,11 @@ class GameDaySpec:
         return ChaosPlan(self.compound + extra.episodes)
 
 
-class GameDayScenario:
+class GameDayScenario(DeposedPrimaryDrama, Scenario):
     """Detector × fencing policy under the compound multi-DC fault."""
 
     name = "game-day"
+    metrics = "chaos.gameday"
 
     SITES = ("dc-east", "dc-west", "dc-south")
 
@@ -153,7 +151,6 @@ class GameDayScenario:
         self.endpoint_count = 0
         self.detection_latency: Optional[float] = None
         self.lost_acked_writes = 0
-        self.lost_updates = 0
         self.converged_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -185,14 +182,9 @@ class GameDayScenario:
             ),
         )
 
-    def spec(self, **overrides: Any) -> GameDaySpec:
-        """Compound timeline + sampled extras. The extras stay mild (no
-        crashes, no flat partitions: store durability and at least one
-        reachable quorum path are what keep the invariants sound) and may
-        include a sampled WAN cut on the pairs the scripted cut spares."""
-        params: Dict[str, Any] = dict(
+    def spec_defaults(self) -> Dict[str, Any]:
+        return dict(
             nodes=self.node_names() + ("east", "west"),
-            horizon=self.horizon,
             max_crashes=0,
             max_partitions=0,
             max_link_faults=1,
@@ -203,9 +195,14 @@ class GameDayScenario:
             site_pairs=(("dc-east", "dc-south"), ("dc-west", "dc-south")),
             max_wan_cuts=1,
         )
-        params.update(overrides)
+
+    def spec(self, **overrides: Any) -> GameDaySpec:
+        """Compound timeline + sampled extras. The extras stay mild (no
+        crashes, no flat partitions: store durability and at least one
+        reachable quorum path are what keep the invariants sound) and may
+        include a sampled WAN cut on the pairs the scripted cut spares."""
         return GameDaySpec(
-            compound=self.compound_episodes(), base=ChaosSpec(**params)
+            compound=self.compound_episodes(), base=super().spec(**overrides)
         )
 
     def _build_topology(self) -> Topology:
@@ -220,9 +217,7 @@ class GameDayScenario:
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim
+    def build(self, sim: Simulator) -> ChaosTargets:
         topology = self._build_topology()
         network = TopologyNetwork(
             sim,
@@ -243,7 +238,6 @@ class GameDayScenario:
             sim=sim,
             network=network,
         )
-        self._system = system
         topology.place("east", "dc-east")
         topology.place_all(("west", "lsclient"), "dc-west")
 
@@ -256,13 +250,18 @@ class GameDayScenario:
         self._failover = failover
         topology.place(failover.monitor_name, "dc-west")
         failover.start()
+        self._stage(system)
 
         # Quorum writers live in the third DC: the scripted cut severs
         # dc-east<->dc-west only, so every key keeps a reachable quorum
         # path and "no acked write lost" stays a claim about the system,
         # not about the plan.
-        writers = [cluster.client(f"gd-writer{i}") for i in (1, 2)]
-        topology.place_all((w.name for w in writers), "dc-south")
+        self._writers = [cluster.client(f"gd-writer{i}") for i in (1, 2)]
+        topology.place_all((w.name for w in self._writers), "dc-south")
+        self._writes = AckedWrites(
+            cluster, "chaos.gameday", lost="missing from the ring",
+            unconverged="owners never agreed after repair rounds",
+        )
 
         escrow = EscrowAccount(
             sim, self.escrow_initial, minimum=0.0, name="gameday.escrow"
@@ -270,103 +269,56 @@ class GameDayScenario:
         self._escrow = escrow
         self._escrow_committed = 0.0
 
-        engine = ChaosEngine(
-            ChaosTargets(
-                sim,
-                network=network,
-                disks={
-                    "east.disk": system.sites["east"].disk,
-                    "west.disk": system.sites["west"].disk,
-                },
-            )
+        return ChaosTargets(
+            sim,
+            network=network,
+            disks={
+                "east.disk": system.sites["east"].disk,
+                "west.disk": system.sites["west"].disk,
+            },
         )
-        engine.install(plan)
 
-        self._post_acks: Dict[str, str] = {}
-        self._last_epoch = system.epoch
-        self._writer_seq = itertools.count(1)
-        acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {"lost": [], "converged_at": None}
-
-        monitor = InvariantMonitor(sim)
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register("epoch-monotonic", self._check_epoch_monotonic)
         monitor.register("escrow-conserved", self._check_escrow_conserved)
-        monitor.register("escrow-bounds", escrow_non_negative(escrow))
+        monitor.register("escrow-bounds", escrow_non_negative(self._escrow))
         monitor.register("no-lost-update", self._check_no_lost_update,
                          when="quiesce")
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
-            when="quiesce",
-        )
-        monitor.register(
-            "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after repair rounds"
-            ),
-            when="quiesce",
-        )
-        monitor.start(self.cadence, self.horizon)
+        self._writes.invariants(monitor)
 
+    def drive(self, sim: Simulator) -> None:
         sim.spawn(self._informed_writer(), name="chaos.gameday.informed")
         sim.spawn(self._stale_writer(), name="chaos.gameday.stale")
-        for writer in writers:
-            sim.spawn(
-                self._dynamo_writer(writer, acked),
-                name=f"chaos.gameday.{writer.name}",
+        for writer in self._writers:
+            # Unique-key puts from the third DC, keyed per writer.
+            self._writes.spawn_writer(
+                writer, f"chaos.gameday.{writer.name}",
+                self.put_interval, self.horizon, key_prefix=f"{writer.name}-",
             )
+        self.endpoint_count = len(self._cluster.network._mailboxes)
 
-        self.endpoint_count = len(network._mailboxes)
-        sim.run(until=self.horizon)
-
-        # Quiesce: restore the fabric, then repair the ring until every
-        # acked key's owners agree (bounded rounds — at this scale the
-        # budget is part of the claim).
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
+        """Repair the ring until every acked key's owners agree (bounded
+        rounds — at this scale the budget is part of the claim)."""
         sim.run(until=self.horizon + self.drain)
         # Stop the perpetual processes (heartbeats, detector poll) so the
         # repair rounds below can drain the event heap; the shippers are
         # event-driven and go idle once the healed tails land.
-        failover.stop()
-        quiesce_start = sim.now
-        for _ in range(self.repair_rounds):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_anti_entropy_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.gameday.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
-        monitor.check_now("quiesce")
-
-        self.converged_at = results["converged_at"]
-        self.lost_acked_writes = len(results["lost"])
-        if results["lost"]:
-            sim.metrics.inc(
-                "chaos.gameday.lost_acked_writes", len(results["lost"])
-            )
-        detector = failover.detector
-        convicted_at = detector.conviction_time("east")
-        self.detection_latency = (
-            convicted_at - self.cut_start if convicted_at is not None else None
+        self._failover.stop()
+        self._writes.repair(
+            self.repair_rounds, self._cluster.run_anti_entropy_round
         )
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
+    def finish(self, sim: Simulator) -> None:
+        self.converged_at = self._writes.converged_at
+        self.lost_acked_writes = len(self._writes.lost)
+        if self._writes.lost:
+            sim.metrics.inc(
+                "chaos.gameday.lost_acked_writes", len(self._writes.lost)
+            )
+        convicted_at = self._failover.detector.conviction_time("east")
+        self.detection_latency = (
+            convicted_at - self.cut_start if convicted_at is not None else None
         )
 
     def _make_detector(
@@ -383,9 +335,6 @@ class GameDayScenario:
     # ------------------------------------------------------------------
     # Log-ship writers (the split-brain pattern, now under a WAN cut)
 
-    def _key(self, seq: int) -> str:
-        return f"k{seq % self.num_keys}"
-
     def _informed_writer(self) -> Generator[Any, Any, None]:
         """Always reaches the currently serving site; every write debits
         the escrow account (reserve -> submit -> commit, abort on
@@ -395,11 +344,8 @@ class GameDayScenario:
         system = self._system
         escrow = self._escrow
         rng = sim.rng.stream("chaos.gameday.informed")
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.cut_end:
-                return
-            yield Timeout(think)
+        for pause in pacing(sim, rng, self.write_interval, 0.5, self.cut_end):
+            yield pause
             seq = next(self._writer_seq)
             key, value = self._key(seq), f"v{seq}"
             txn = f"gd-esc-{seq}"
@@ -416,88 +362,8 @@ class GameDayScenario:
             if system.failover_time is not None:
                 self._post_acks[key] = value
 
-    def _stale_writer(self) -> Generator[Any, Any, None]:
-        """Bound to east; keeps writing there through the cut and past the
-        takeover. Fencing eventually hands it StaleEpochError and it
-        fails over; without fencing nobody ever tells it."""
-        sim = self._sim
-        system = self._system
-        rng = sim.rng.stream("chaos.gameday.stale")
-        deposed = False
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"s{seq}"
-            if deposed:
-                yield from system.submit({key: value})
-                if system.failover_time is not None:
-                    self._post_acks[key] = value
-                continue
-            try:
-                yield from system.submit_to("east", {key: value})
-            except StaleEpochError:
-                deposed = True
-                sim.metrics.inc("chaos.gameday.stale_rejected")
-                continue
-            except TimeoutError_:
-                continue
-            if system.failover_time is not None:
-                sim.metrics.inc("chaos.gameday.stale_acks")
-
-    # ------------------------------------------------------------------
-    # Dynamo writers
-
-    def _dynamo_writer(
-        self, client: Any, acked: Dict[str, int]
-    ) -> Generator[Any, Any, None]:
-        """Unique-key puts from the third DC: each acknowledged write is
-        its own fact — 'lost' has no merge ambiguity to hide behind."""
-        sim = self._sim
-        rng = sim.rng.stream(f"chaos.gameday.{client.name}")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"{client.name}-w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
-                sim.metrics.inc("chaos.gameday.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.gameday.acked_puts")
-
-    @staticmethod
-    def _missing_writes(
-        cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing
-
     # ------------------------------------------------------------------
     # Invariants
-
-    def _check_epoch_monotonic(self) -> Optional[str]:
-        epoch = self._system.epoch
-        if epoch < self._last_epoch:
-            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
-        self._last_epoch = epoch
-        return None
 
     def _check_escrow_conserved(self) -> Optional[str]:
         """The account's committed value equals the opening balance plus
@@ -508,25 +374,5 @@ class GameDayScenario:
             return (
                 f"escrow value {self._escrow.value} != opening "
                 f"{self.escrow_initial} + committed {self._escrow_committed}"
-            )
-        return None
-
-    def _check_no_lost_update(self) -> Optional[str]:
-        """Every write acked by the post-takeover regime still holds its
-        value at the serving primary at quiesce. The deposed east's
-        healed tail overwriting one is the §5.1 lost update."""
-        state = self._system.primary.state
-        lost = [
-            (key, value, state.get(key))
-            for key, value in sorted(self._post_acks.items())
-            if state.get(key) != value
-        ]
-        if lost:
-            self.lost_updates = len(lost)
-            self._sim.metrics.inc("chaos.gameday.lost_updates", len(lost))
-            key, value, found = lost[0]
-            return (
-                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
-                f"overwritten by {found!r})"
             )
         return None

@@ -1,0 +1,270 @@
+"""The scenario harness: what every chaos scenario shares, written once.
+
+A scenario is the unit the :class:`~repro.chaos.runner.ChaosRunner`
+sweeps: ``run(seed, plan)`` builds a fresh simulator, installs the plan
+through the :class:`~repro.chaos.engine.ChaosEngine`, drives a seeded
+workload, restores the world at the horizon (heal, repair, restart),
+forces convergence, and reports every invariant violation. Everything is
+a pure function of (seed, plan), so a failing report replays exactly.
+
+:class:`Scenario` owns that sequence; a concrete scenario fills in five
+hooks (``build``, ``invariants``, ``drive``, ``quiesce``, ``finish``) and
+its sampling bounds. Beside it: :class:`Crashable`, the idempotent
+crash/restart adapter every chaos target goes through; :func:`pacing`,
+the seeded think times of a workload loop; and :class:`AckedWrites`, the
+"no acked write lost" oracle for a Dynamo ring.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.invariants import InvariantMonitor, Violation
+from repro.chaos.plan import ChaosPlan, ChaosSpec
+from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
+from repro.errors import CrashedError, SimulationError, TimeoutError_
+from repro.net.rpc import RpcError
+from repro.sim.events import Timeout
+from repro.sim.scheduler import Simulator
+
+
+@dataclass(frozen=True)
+class ChaosReport:
+    """What one (seed, plan) run produced."""
+
+    scenario: str
+    seed: int
+    plan: ChaosPlan
+    violations: Tuple[Violation, ...]
+    counters: Dict[str, float]
+    end_time: float
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.violations)
+
+
+class Crashable:
+    """Idempotent crash/restart adapter — the one shape a chaos target
+    has. A plan may crash a node that is already down, and
+    ``engine.restore()`` restarts every target whether or not it fell;
+    the adapter calls through once per real transition, handing ``crash``
+    the cause and counting ``restarts``."""
+
+    def __init__(
+        self, crash: Callable[[str], Any], restart: Callable[[], Any]
+    ) -> None:
+        self._crash = crash
+        self._restart = restart
+        self.up = True
+        self.restarts = 0
+
+    def crash(self, cause: str = "injected") -> None:
+        if not self.up:
+            return
+        self.up = False
+        self._crash(cause)
+
+    def restart(self) -> None:
+        if self.up:
+            return
+        self.up = True
+        self.restarts += 1
+        self._restart()
+
+
+class Scenario:
+    """A workload + targets + invariants under one plan: subclasses set
+    ``name`` and ``horizon``, give their sampling bounds, and fill in the
+    hooks that :meth:`run` calls in a fixed order."""
+
+    name: str
+    horizon: float
+    #: Sim-seconds between continuous invariant checks. None: the
+    #: scenario's invariants only mean something once the world has
+    #: healed, so the monitor checks at quiesce alone.
+    cadence: Optional[float] = None
+
+    def spec_defaults(self) -> Dict[str, Any]:
+        """Keyword arguments of this scenario's default :class:`ChaosSpec`
+        (``horizon`` is supplied)."""
+        raise NotImplementedError
+
+    def spec(self, **overrides: Any) -> Any:
+        """The default sampling bounds for this scenario's sweeps."""
+        defaults = {"horizon": self.horizon, **self.spec_defaults()}
+        return ChaosSpec(**{**defaults, **overrides})
+
+    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
+        sim = Simulator(seed=seed, trace_capacity=50000)
+        self._sim = sim  # exposed for trace inspection (golden tests)
+        engine = ChaosEngine(self.build(sim))
+        engine.install(plan)
+        monitor = InvariantMonitor(sim)
+        self.invariants(monitor)
+        if self.cadence is not None:
+            monitor.start(self.cadence, self.horizon)
+        self.drive(sim)
+        sim.run(until=self.horizon)
+
+        # Quiesce: restore the world, force convergence, final check.
+        engine.restore()
+        self.quiesce(sim)
+        monitor.check_now("quiesce")
+        self.finish(sim)
+        return ChaosReport(
+            scenario=self.name, seed=seed, plan=plan,
+            violations=tuple(monitor.violations),
+            counters=sim.metrics.counters(), end_time=sim.now,
+        )
+
+    # -- hooks, in call order --------------------------------------------
+
+    def build(self, sim: Simulator) -> ChaosTargets:
+        """Construct the system under test on ``sim``; return what the
+        plan may act on."""
+        raise NotImplementedError
+
+    def invariants(self, monitor: InvariantMonitor) -> None:
+        """Register the scenario's invariants (registration order is
+        check order)."""
+        raise NotImplementedError
+
+    def drive(self, sim: Simulator) -> None:
+        """Spawn the workload processes that run until the horizon."""
+        raise NotImplementedError
+
+    def quiesce(self, sim: Simulator) -> None:
+        """After ``engine.restore()``: drain, repair, and compute whatever
+        the quiesce-only invariants read."""
+        raise NotImplementedError
+
+    def finish(self, sim: Simulator) -> None:
+        """After the final check: stop perpetual processes and publish
+        per-run results on the scenario (optional)."""
+
+
+def pacing(
+    sim: Simulator, rng: Any, interval: float, spread: float, until: float
+) -> Generator[Timeout, None, None]:
+    """Seeded think times for a workload loop — ``for pause in
+    pacing(...): yield pause`` — each ``interval`` × (1 ± ``spread``),
+    ending when the next pause would cross ``until``."""
+    while True:
+        delay = interval * rng.uniform(1 - spread, 1 + spread)
+        if sim.now + delay > until:
+            return
+        yield Timeout(delay)
+
+
+# ----------------------------------------------------------------------
+# The acked-write oracle for a Dynamo ring
+
+#: What a Dynamo client call raises when the write was *not* acknowledged.
+PUT_ERRORS = (
+    QuorumUnavailable, TimeoutError_, RpcError, CrashedError, SimulationError,
+)
+
+
+class AckedWrites:
+    """Unique-key writers, repair-until-converged, and the
+    ``no-acked-write-lost`` / ``ring-reconverges`` audit for one ring.
+
+    ``metrics`` prefixes the counters and the ``time_to_converged``
+    histogram (``chaos.rejoin`` → ``chaos.rejoin.acked_puts``). ``lost``
+    words the violation detail, which is part of its ``signature``, so
+    each scenario keeps its own. ``unconverged`` words the
+    ``ring-reconverges`` detail; left None, the scenario makes no such
+    claim: it is not registered and :meth:`repair` runs every round.
+    """
+
+    def __init__(
+        self, cluster: DynamoCluster, metrics: str, lost: str,
+        unconverged: Optional[str] = None,
+    ) -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.metrics = metrics
+        self.lost_detail = lost
+        self.unconverged = unconverged
+        self.acked: Dict[str, int] = {}
+        self.lost: List[Tuple[str, int]] = []
+        self.converged_at: Optional[float] = None
+
+    def spawn_writer(
+        self, client: Any, name: str, interval: float, horizon: float,
+        key_prefix: str = "",
+    ) -> None:
+        """Start process ``name`` (also its rng stream): unique-key puts
+        ``<key_prefix>w<n>`` until ``horizon``. Every acknowledged write
+        is its own fact, so 'lost' has no merge ambiguity to hide behind."""
+        sim = self.sim
+
+        def puts() -> Generator[Any, Any, None]:
+            rng = sim.rng.stream(name)
+            seq = 0
+            for pause in pacing(sim, rng, interval, 0.3, horizon):
+                yield pause
+                seq += 1
+                key, value = f"{key_prefix}w{seq}", seq
+                try:
+                    yield from client.put(key, value)
+                except PUT_ERRORS:
+                    sim.metrics.inc(f"{self.metrics}.failed_puts")
+                    continue
+                self.acked[key] = value
+                sim.metrics.inc(f"{self.metrics}.acked_puts")
+
+        sim.spawn(puts(), name=name)
+
+    def invariants(self, monitor: InvariantMonitor) -> None:
+        monitor.register(
+            "no-acked-write-lost",
+            lambda: (
+                f"{len(self.lost)} acked writes {self.lost_detail}, "
+                f"first: {self.lost[:5]}"
+                if self.lost else None
+            ),
+            when="quiesce",
+        )
+        if self.unconverged is not None:
+            monitor.register(
+                "ring-reconverges",
+                lambda: (
+                    None if self.converged_at is not None else self.unconverged
+                ),
+                when="quiesce",
+            )
+
+    def repair(
+        self, rounds: int, repair_round: Callable[[], Generator],
+        since: Optional[float] = None,
+    ) -> None:
+        """Quiesce-time repair, then the audit: up to ``rounds`` of hinted
+        handoff + ``repair_round`` (the cluster's Merkle or full
+        anti-entropy round) until every acked key's *current* owners
+        agree, timing convergence from ``since`` (default: now). Leaves
+        ``lost`` holding the acked writes whose value no live node has."""
+        sim, cluster = self.sim, self.cluster
+        since = sim.now if since is None else since
+        for _ in range(rounds):
+            sim.run_process(cluster.run_handoff_round())
+            sim.run_process(repair_round())
+            if self.unconverged is not None and all(
+                cluster.converged_on(key) for key in self.acked
+            ):
+                self.converged_at = sim.now
+                sim.metrics.observe(
+                    f"{self.metrics}.time_to_converged", sim.now - since
+                )
+                break
+        live = [n for n in cluster.nodes.values() if cluster.alive(n.name)]
+        self.lost = [
+            (key, value)
+            for key, value in self.acked.items()
+            if not any(
+                v.value == value for node in live for v in node.versions_of(key)
+            )
+        ]

@@ -24,79 +24,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import AckedWrites, Crashable, Scenario
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
 from repro.cluster.gossip_membership import ALIVE, views_converged
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
-)
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
 
-_WORKLOAD_ERRORS = (
-    QuorumUnavailable, TimeoutError_, RpcError, CrashedError, SimulationError,
-)
 
-
-class _GossipingNode:
-    """Idempotent crash/restart adapter: a crashed node serves nothing
-    and *computes* nothing — its membership gossip loop stops with it
-    (a corpse spreads no rumors, and suspects nobody)."""
-
-    def __init__(
-        self, cluster: DynamoCluster, name: str, horizon: float
-    ) -> None:
-        self.cluster = cluster
-        self.name = name
-        self.horizon = horizon
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.cluster.crash(self.name)
-        self.cluster.membership_gossips[self.name].stop()
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.cluster.restart(self.name)
-        # Resumes only if the horizon is still ahead; the quiesce-time
-        # restarts from engine.restore() fall through (the scenario
-        # drives convergence rounds explicitly then).
-        self.cluster.membership_gossips[self.name].run(self.horizon)
-
-
-class _CrashableClient:
-    """Idempotent crash/restart over a bare client endpoint."""
-
-    def __init__(self, client: Any) -> None:
-        self.client = client
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.client.endpoint.stop(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.client.endpoint.restart()
-
-
-class MembershipDivergenceScenario:
+class MembershipDivergenceScenario(Scenario):
     """Gossiped membership views diverging — and reconverging — under
     partitions, lossy links, and crash/restart."""
 
@@ -133,15 +72,14 @@ class MembershipDivergenceScenario:
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
 
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Partitions are the interesting weather here (they split the
         rumor mill itself); lossy links flap individual probes, and one
         crash/restart exercises the dead-verdict path. At most one node
         is down at a time so W=2 quorums stay satisfiable and 'no acked
         write lost' is a fair claim."""
-        params: Dict[str, Any] = dict(
+        return dict(
             nodes=self.node_names() + ("writer", "zipf"),
-            horizon=self.horizon,
             min_crashes=0, max_crashes=1,
             max_partitions=2,
             max_link_faults=2,
@@ -149,15 +87,12 @@ class MembershipDivergenceScenario:
             min_episode=2.0 * self.suspicion_timeout,
             max_episode=0.25 * self.horizon,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim  # exposed for trace inspection
+    def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(num_nodes=self.num_nodes, sim=sim)
+        self._cluster = cluster
         cluster.attach_gossip_membership(
             period=self.gossip_period,
             fanout=self.fanout,
@@ -167,30 +102,49 @@ class MembershipDivergenceScenario:
         # Each coordinator routes by a *different* node's local view —
         # divergence between those two views is load-bearing, not
         # cosmetic.
-        writer = cluster.client("writer", view_of="node0")
-        zipf_client = cluster.client("zipf", view_of="node1")
-
-        targets: Dict[str, Any] = {
-            name: _GossipingNode(cluster, name, self.horizon)
-            for name in cluster.nodes
-        }
-        targets["writer"] = _CrashableClient(writer)
-        targets["zipf"] = _CrashableClient(zipf_client)
-        engine = ChaosEngine(
-            ChaosTargets(sim, network=cluster.network, nodes=targets)
+        self._writer = cluster.client("writer", view_of="node0")
+        self._zipf_client = cluster.client("zipf", view_of="node1")
+        # Unique-key puts routed by one node's (possibly stale) view —
+        # every ack is a durability promise made while the truth was in
+        # dispute. No ring-reconverges claim: the repair rounds all run.
+        self._writes = AckedWrites(
+            cluster, "chaos.mship", lost="unreadable after heal"
         )
-        engine.install(plan)
+        self._views_converged_at: Optional[float] = None
+        self._stuck: List[Tuple[str, str, str]] = []
 
-        acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {
-            "lost": [], "stuck": [], "converged_at": None,
-            "divergent_samples": 0,
-        }
-        monitor = InvariantMonitor(sim)
+        targets = {name: self._gossiping_node(name) for name in cluster.nodes}
+        for client in (self._writer, self._zipf_client):
+            targets[client.name] = Crashable(
+                client.endpoint.stop, client.endpoint.restart
+            )
+        return ChaosTargets(sim, network=cluster.network, nodes=targets)
+
+    def _gossiping_node(self, name: str) -> Crashable:
+        """A crashed node serves nothing and *computes* nothing — its
+        membership gossip loop stops with it (a corpse spreads no rumors,
+        and suspects nobody)."""
+        cluster = self._cluster
+        gossip = cluster.membership_gossips[name]
+
+        def go_dark(_cause: str) -> None:
+            cluster.crash(name)
+            gossip.stop()
+
+        def rejoin() -> None:
+            cluster.restart(name)
+            # Resumes only if the horizon is still ahead; the quiesce-time
+            # restarts from engine.restore() fall through (the scenario
+            # drives convergence rounds explicitly then).
+            gossip.run(self.horizon)
+
+        return Crashable(go_dark, rejoin)
+
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register(
             "views-converge-after-heal",
             lambda: (
-                None if results["converged_at"] is not None
+                None if self._views_converged_at is not None
                 else "views never reached entry-for-entry agreement "
                      "after the heal"
             ),
@@ -199,46 +153,39 @@ class MembershipDivergenceScenario:
         monitor.register(
             "refuted-suspicion-never-sticks",
             lambda: (
-                f"{len(results['stuck'])} live nodes still believed "
-                f"dead/left somewhere, first: {results['stuck'][:5]}"
-                if results["stuck"] else None
+                f"{len(self._stuck)} live nodes still believed "
+                f"dead/left somewhere, first: {self._stuck[:5]}"
+                if self._stuck else None
             ),
             when="quiesce",
         )
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes unreadable after "
-                f"heal, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
-            when="quiesce",
-        )
+        self._writes.invariants(monitor)
 
+    def drive(self, sim: Simulator) -> None:
         zipf_keys = ZipfKeyGenerator(
             sim.rng.stream("chaos.mship.zipf"),
             keyspace=self.zipf_keyspace, theta=0.99, prefix="mk",
         )
-        sim.spawn(
-            self._writer(sim, writer, acked), name="chaos.mship.writer"
+        self._writes.spawn_writer(
+            self._writer, "chaos.mship.writer", self.put_interval, self.horizon
         )
         sim.spawn(
             zipf_open_loop(
-                sim, zipf_client, zipf_keys, rate=self.zipf_rate,
+                sim, self._zipf_client, zipf_keys, rate=self.zipf_rate,
                 until=self.horizon, stream="chaos.mship.zipf.arrivals",
             ),
             name="chaos.mship.zipf",
         )
         sim.spawn(
-            self._divergence_sampler(sim, cluster, results),
+            self._divergence_sampler(sim, self._cluster),
             name="chaos.mship.sampler",
         )
-        sim.run(until=self.horizon)
 
-        # Quiesce: heal everything, then drive forced full push-pull
-        # rounds until every view agrees (epidemic spread is O(log n)
-        # rounds; the bound below is generous, not load-bearing).
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
+        """Drive forced full push-pull rounds until every view agrees
+        (epidemic spread is O(log n) rounds; the bound below is generous,
+        not load-bearing), then repair and audit the acked writes."""
+        cluster = self._cluster
         sim.run()  # drain in-flight requests and suspicion timers
         quiesce_start = sim.now
         for _ in range(self.num_nodes + 6):
@@ -250,59 +197,20 @@ class MembershipDivergenceScenario:
                         )
                     )
             if views_converged(list(cluster.views.values())):
-                results["converged_at"] = sim.now
+                self._views_converged_at = sim.now
+                sim.metrics.observe(
+                    "chaos.mship.time_to_view_converged",
+                    sim.now - quiesce_start,
+                )
                 break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.mship.time_to_view_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["stuck"] = self._stuck_suspicions(cluster)
-
-        # Repair rounds so hinted and rerouted writes land home, then
-        # audit every acked write.
-        for _ in range(self.num_nodes + 2):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_merkle_round())
-        results["lost"] = self._missing_writes(cluster, acked)
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        self._stuck = self._stuck_suspicions(cluster)
+        # Repair rounds so hinted and rerouted writes land home.
+        self._writes.repair(self.num_nodes + 2, cluster.run_merkle_round)
 
     # ------------------------------------------------------------------
 
-    def _writer(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts routed by one node's (possibly stale) view —
-        every ack is a durability promise made while the truth was in
-        dispute."""
-        rng = sim.rng.stream("chaos.mship.writer")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except _WORKLOAD_ERRORS:
-                sim.metrics.inc("chaos.mship.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.mship.acked_puts")
-
     def _divergence_sampler(
-        self, sim: Simulator, cluster: DynamoCluster, results: Dict[str, Any]
+        self, sim: Simulator, cluster: DynamoCluster
     ) -> Generator:
         """Cadence sampling of how split the opinions are: the count of
         ticks on which live nodes' views disagreed (the divergence
@@ -315,7 +223,6 @@ class MembershipDivergenceScenario:
                 if cluster.alive(name)
             ]
             if not views_converged(live_views):
-                results["divergent_samples"] += 1
                 sim.metrics.inc("chaos.mship.divergent_ticks")
 
     def _stuck_suspicions(
@@ -334,18 +241,3 @@ class MembershipDivergenceScenario:
                 if status != ALIVE:
                     stuck.append((viewer, name, status))
         return stuck
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

@@ -35,19 +35,17 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
 from repro.core.operation import Operation
 from repro.errors import SimulationError
 from repro.resources import FungiblePool
-from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.txn import MixedTxnSystem, ResourceMachine
 
 
-class MixedTxnScenario:
+class MixedTxnScenario(Scenario):
     """Weak guesses vs strong order under a mid-stream fabric partition."""
 
     name = "mixed-txn"
@@ -87,23 +85,19 @@ class MixedTxnScenario:
     def node_names(self) -> Tuple[str, ...]:
         return ("txn0", "txn1", "txn2")
 
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Sampled chaos rides on top of the scripted partition (which is
         the story): link faults only, so a sampled partition never
         overwrites the scripted groups."""
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names(), horizon=self.horizon,
+        return dict(
+            nodes=self.node_names(),
             max_crashes=0, max_partitions=0, max_link_faults=2,
             min_episode=1.0, max_episode=4.0, fault_loss=0.2,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim
+    def build(self, sim: Simulator) -> ChaosTargets:
         #: "seats" is the tight escrow the drama happens on; "annex" is
         #: the reserve-free category the strong overwrites land on, so
         #: capacity on "seats" only ever grows and over-grant is always a
@@ -128,35 +122,24 @@ class MixedTxnScenario:
 
         sim.schedule_at(self.partition_start, self._cut_fabric)
         sim.schedule_at(self.partition_end, system.network.heal)
+        return ChaosTargets(sim, network=system.network)
 
-        engine = ChaosEngine(ChaosTargets(sim, network=system.network))
-        engine.install(plan)
-
-        monitor = InvariantMonitor(sim)
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register("apology-pairs-reorder", self._check_apology_pairing)
         monitor.register("strong-order-preserved", self._check_strong_order)
         monitor.register("escrow-conservation", self._check_escrow,
                          when="quiesce")
-        monitor.start(self.cadence, self.horizon)
 
+    def drive(self, sim: Simulator) -> None:
         for name in self.node_names():
             sim.spawn(self._client(name), name=f"chaos.mixed_txn.{name}")
-        sim.run(until=self.horizon)
 
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
         sim.run(until=self.horizon + self.drain)
         self._settle_fulfillment()
-        monitor.check_now("quiesce")
-        system.stop()
 
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+    def finish(self, sim: Simulator) -> None:
+        self._system.stop()
 
     # ------------------------------------------------------------------
 
@@ -181,11 +164,8 @@ class MixedTxnScenario:
         rng = sim.rng.stream(f"chaos.mixed_txn.client.{replica}")
         seq = itertools.count(1)
         open_reserves: List[str] = []
-        while True:
-            think = self.submit_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
+        for pause in pacing(sim, rng, self.submit_interval, 0.5, self.horizon):
+            yield pause
             n = next(seq)
             if rng.uniform(0.0, 1.0) < self.weak_fraction:
                 roll = rng.uniform(0.0, 1.0)

@@ -15,7 +15,7 @@ plans) or sampled from a :class:`ChaosSpec` by seed (sweeps).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -23,6 +23,24 @@ from repro.errors import SimulationError
 
 # ----------------------------------------------------------------------
 # Episodes
+#
+# Each kind knows how to print itself (``describe``) and how to shrink
+# (``narrowed``: smaller variants of itself, most aggressive first, no
+# narrower than ``min_window`` — what the runner's shrinker tries once
+# dropping whole episodes stops reproducing).
+
+
+class _Window:
+    """Shrinking for episodes that span [start, end]: cut the window to
+    its first half while it is wider than two minimum windows."""
+
+    _end_field = "end"
+
+    def narrowed(self, min_window: float) -> Tuple[Any, ...]:
+        width = self.end - self.start
+        if width > 2 * min_window:
+            return (replace(self, **{self._end_field: self.start + width / 2}),)
+        return ()
 
 
 @dataclass(frozen=True)
@@ -50,9 +68,17 @@ class CrashEpisode:
     def end(self) -> float:
         return self.back_at if self.back_at is not None else self.at
 
+    def describe(self) -> str:
+        back = f", back {self.back_at:g}" if self.back_at is not None else ", stays down"
+        return f"crash      {self.node} @ {self.at:g}{back}"
+
+    def narrowed(self, min_window: float) -> Tuple["CrashEpisode", ...]:
+        # Stays-down is simpler than crash-and-restart.
+        return (replace(self, back_at=None),) if self.back_at is not None else ()
+
 
 @dataclass(frozen=True)
-class PartitionEpisode:
+class PartitionEpisode(_Window):
     """The network splits into ``groups`` from ``start`` to ``end``."""
 
     start: float
@@ -70,9 +96,13 @@ class PartitionEpisode:
         if not self.groups:
             raise SimulationError("partition episode needs at least one group")
 
+    def describe(self) -> str:
+        groups = " | ".join("{" + ",".join(g) + "}" for g in self.groups)
+        return f"partition  [{self.start:g}, {self.end:g}] {groups}"
+
 
 @dataclass(frozen=True)
-class LinkFaultEpisode:
+class LinkFaultEpisode(_Window):
     """Messages are dropped/duplicated/delayed from ``start`` to ``end``.
 
     ``src``/``dst`` of None apply the fault to every endpoint.
@@ -96,12 +126,22 @@ class LinkFaultEpisode:
         if self.loss == self.duplicate == self.extra_delay == 0.0:
             raise SimulationError("link fault episode does nothing")
 
+    def describe(self) -> str:
+        where = f"{self.src or '*'}->{self.dst or '*'}"
+        return (
+            f"link fault [{self.start:g}, {self.end:g}] {where} "
+            f"loss={self.loss:g} dup={self.duplicate:g} "
+            f"delay+={self.extra_delay:g}"
+        )
+
 
 @dataclass(frozen=True)
-class DiskFaultEpisode:
+class DiskFaultEpisode(_Window):
     """``disk`` fails hard (``slow_factor`` None) or degrades by
     ``slow_factor``× from ``at`` until ``repair_at`` (None = until
     quiesce)."""
+
+    _end_field = "repair_at"  # never repaired = zero width: not narrowed
 
     disk: str
     at: float
@@ -126,9 +166,20 @@ class DiskFaultEpisode:
     def end(self) -> float:
         return self.repair_at if self.repair_at is not None else self.at
 
+    def describe(self) -> str:
+        what = (
+            f"slow x{self.slow_factor:g}" if self.slow_factor is not None
+            else "fail"
+        )
+        repair = (
+            f", repair {self.repair_at:g}" if self.repair_at is not None
+            else ", stays broken"
+        )
+        return f"disk {what:>10} {self.disk} @ {self.at:g}{repair}"
+
 
 @dataclass(frozen=True)
-class WanCutEpisode:
+class WanCutEpisode(_Window):
     """The WAN between two *sites* is cut (loss=1.0) or degraded from
     ``start`` to ``end`` — one episode partitions whole datacenters at
     once. Needs a topology-aware network target."""
@@ -146,6 +197,12 @@ class WanCutEpisode:
             raise SimulationError(f"WAN cut needs two sites, got {self.site_a!r}")
         if not 0.0 < self.loss <= 1.0:
             raise SimulationError(f"bad WAN cut loss {self.loss}")
+
+    def describe(self) -> str:
+        return (
+            f"wan cut    [{self.start:g}, {self.end:g}] "
+            f"{self.site_a}<->{self.site_b} loss={self.loss:g}"
+        )
 
 
 Episode = Union[
@@ -238,41 +295,10 @@ class ChaosPlan:
         """One line per episode, in start order."""
         if not self.episodes:
             return "(empty plan)"
-        lines = []
-        for episode in sorted(self.episodes, key=lambda e: e.start):
-            if isinstance(episode, CrashEpisode):
-                back = f", back {episode.back_at:g}" if episode.back_at is not None else ", stays down"
-                lines.append(f"crash      {episode.node} @ {episode.at:g}{back}")
-            elif isinstance(episode, PartitionEpisode):
-                groups = " | ".join("{" + ",".join(g) + "}" for g in episode.groups)
-                lines.append(
-                    f"partition  [{episode.start:g}, {episode.end:g}] {groups}"
-                )
-            elif isinstance(episode, LinkFaultEpisode):
-                where = f"{episode.src or '*'}->{episode.dst or '*'}"
-                lines.append(
-                    f"link fault [{episode.start:g}, {episode.end:g}] {where} "
-                    f"loss={episode.loss:g} dup={episode.duplicate:g} "
-                    f"delay+={episode.extra_delay:g}"
-                )
-            elif isinstance(episode, WanCutEpisode):
-                lines.append(
-                    f"wan cut    [{episode.start:g}, {episode.end:g}] "
-                    f"{episode.site_a}<->{episode.site_b} loss={episode.loss:g}"
-                )
-            else:
-                what = (
-                    f"slow x{episode.slow_factor:g}"
-                    if episode.slow_factor is not None
-                    else "fail"
-                )
-                repair = (
-                    f", repair {episode.repair_at:g}"
-                    if episode.repair_at is not None
-                    else ", stays broken"
-                )
-                lines.append(f"disk {what:>10} {episode.disk} @ {episode.at:g}{repair}")
-        return "\n".join(lines)
+        return "\n".join(
+            episode.describe()
+            for episode in sorted(self.episodes, key=lambda e: e.start)
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (for pinning minimal failing plans)."""

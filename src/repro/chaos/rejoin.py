@@ -19,51 +19,18 @@ re-converges** — with ``time_to_converged`` measured from quiesce start.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import AckedWrites, Crashable, Scenario
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
-)
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 
 
-class _ColdNode:
-    """Idempotent crash/restart adapter using the *cold* path: crash loses
-    the store, restart seeds from the snapshot (spawned — rejoin takes
-    disk time)."""
-
-    def __init__(self, sim: Simulator, cluster: DynamoCluster, name: str) -> None:
-        self.sim = sim
-        self.cluster = cluster
-        self.name = name
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.cluster.cold_crash(self.name)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.sim.spawn(
-            self.cluster.cold_restart(self.name),
-            name=f"chaos.rejoin.restart.{self.name}",
-        )
-
-
-class RejoinScenario:
+class RejoinScenario(Scenario):
     """Unique-key writers against a ring under rolling cold restarts."""
 
     name = "rejoin"
@@ -98,126 +65,73 @@ class RejoinScenario:
     def victim_count(self) -> int:
         return max(1, math.ceil(self.crash_fraction * self.num_nodes))
 
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Message chaos only: the rolling cold-crash cycle is the
         scenario's own (seeded) schedule, so repair always completes
         between losses — sampled simultaneous crashes would make 'no
         acked write lost' unsatisfiable by design, not by bug."""
-        params: Dict[str, Any] = dict(
+        return dict(
             nodes=self.node_names() + ("writer",),
-            horizon=self.horizon,
             min_crashes=0, max_crashes=0,
             max_partitions=0,
             max_link_faults=2,
             fault_loss=0.15,
             min_episode=0.5, max_episode=0.2 * self.horizon,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim  # exposed for trace inspection (golden tests)
+    def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(
             num_nodes=self.num_nodes, sim=sim,
             snapshot_cadence=self.snapshot_cadence,
         )
-        client = cluster.client("writer")
-
-        # Node targets cold-crash and spawn their own rejoin, so even a
-        # hand-written plan with crash episodes exercises the cold path.
+        self._cluster = cluster
+        self._client = cluster.client("writer")
+        self._writes = AckedWrites(
+            cluster, "chaos.rejoin", lost="missing from the ring",
+            unconverged="owners never agreed after repair rounds",
+        )
+        # Node targets cold-crash and spawn their own rejoin (it takes
+        # disk time), so even a hand-written plan with crash episodes
+        # exercises the cold path: crash loses the store, restart seeds
+        # from the snapshot.
         targets = {
-            name: _ColdNode(sim, cluster, name) for name in self.node_names()
+            name: Crashable(
+                lambda _cause, n=name: cluster.cold_crash(n),
+                lambda n=name: sim.spawn(
+                    cluster.cold_restart(n), name=f"chaos.rejoin.restart.{n}"
+                ),
+            )
+            for name in self.node_names()
         }
-        engine = ChaosEngine(
-            ChaosTargets(sim, network=cluster.network, nodes=targets)
-        )
-        engine.install(plan)
+        return ChaosTargets(sim, network=cluster.network, nodes=targets)
 
-        acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {"lost": [], "converged_at": None}
-        monitor = InvariantMonitor(sim)
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
-            when="quiesce",
-        )
-        monitor.register(
-            "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after repair rounds"
-            ),
-            when="quiesce",
-        )
+    def invariants(self, monitor: InvariantMonitor) -> None:
+        self._writes.invariants(monitor)
 
-        sim.spawn(self._workload(sim, client, acked), name="chaos.rejoin.workload")
+    def drive(self, sim: Simulator) -> None:
+        self._writes.spawn_writer(
+            self._client, "chaos.rejoin.workload", self.put_interval, self.horizon
+        )
         sim.spawn(
-            self._rolling_restarts(sim, cluster), name="chaos.rejoin.cycle"
+            self._rolling_restarts(sim, self._cluster), name="chaos.rejoin.cycle"
         )
-        sim.run(until=self.horizon)
 
-        # Quiesce: restore the fabric, bring back anyone still down, then
-        # repair until every acked key's owners agree — timing it.
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
+        """Bring back anyone still down, then repair until every acked
+        key's owners agree — timed from before the stragglers rejoin."""
+        cluster = self._cluster
         sim.run()  # drain spawned rejoin processes before checking who's up
         quiesce_start = sim.now
         for name in self.node_names():
             if not cluster.alive(name):
                 sim.run_process(cluster.cold_restart(name))
-        for _ in range(self.num_nodes + 2):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_merkle_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.rejoin.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
+        self._writes.repair(
+            self.num_nodes + 2, cluster.run_merkle_round, since=quiesce_start
         )
 
     # ------------------------------------------------------------------
-
-    def _workload(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts: every acknowledged write is its own fact, so
-        'lost' has no merge ambiguity to hide behind."""
-        rng = sim.rng.stream("chaos.rejoin.workload")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
-                sim.metrics.inc("chaos.rejoin.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.rejoin.acked_puts")
 
     def _rolling_restarts(
         self, sim: Simulator, cluster: DynamoCluster
@@ -244,18 +158,3 @@ class RejoinScenario:
             yield from cluster.run_handoff_round()
             yield from cluster.run_merkle_round()
             yield Timeout(0.5)
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

@@ -31,10 +31,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, Optional, Set, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import Crashable, Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
 from repro.errors import (
     BreakerOpenError,
     CrashedError,
@@ -55,35 +54,7 @@ from repro.sim.scheduler import Simulator
 from repro.sim.sync import Lock
 
 
-class _CrashableServer:
-    """Crash/restart adapter for the storm's server (idempotent).
-
-    A crash kills the endpoint (which fail-fasts every in-flight
-    handler) and abandons the serialization lock — in-memory state dies
-    with the process, so the restart gets a fresh lock and a new
-    incarnation number (the scenario's at-most-once claims are
-    per-incarnation, exactly like the volatile dedup cache)."""
-
-    def __init__(self, scenario: "RetryStormScenario") -> None:
-        self.scenario = scenario
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.scenario._server.stop(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.scenario._incarnation += 1
-        self.scenario._lock = Lock(self.scenario._sim, name="retrystorm.server")
-        self.scenario._server.restart()
-
-
-class RetryStormScenario:
+class RetryStormScenario(Scenario):
     """Fixed-timer reissue vs the resilience stack, same slow server."""
 
     name = "retry-storm"
@@ -122,25 +93,18 @@ class RetryStormScenario:
         self.deadline = deadline
         self.cadence = cadence
 
-    def node_names(self) -> Tuple[str, ...]:
-        return ("server",)
-
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Sweep bounds: short server outages and mild link faults on
         top of the intrinsic slow window (no partitions — one server)."""
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names(), horizon=self.horizon,
+        return dict(
+            nodes=("server",),
             max_crashes=1, max_partitions=0, max_link_faults=1,
             min_episode=1.0, max_episode=4.0, fault_loss=0.1,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim
+    def build(self, sim: Simulator) -> ChaosTargets:
         network = Network(sim)
         network.default_link = LinkConfig(latency=FixedLatency(0.001))
 
@@ -166,49 +130,48 @@ class RetryStormScenario:
             backoff="exponential", base_delay=0.1, multiplier=2.0,
             max_delay=1.0, jitter=0.3, deadline=self.deadline,
         )
-        clients = []
+        self._clients = []
         for index in range(self.num_clients):
             client = RpcClient(network, f"c{index}")
             if self.policy == "resilient":
                 client.use_breaker(BreakerConfig(
                     failure_threshold=5, recovery_time=0.5, half_open_probes=2,
                 ))
-            clients.append(client)
+            self._clients.append(client)
 
-        engine = ChaosEngine(ChaosTargets(
-            sim, network=network, nodes={"server": _CrashableServer(self)},
-        ))
-        engine.install(plan)
+        return ChaosTargets(
+            sim, network=network,
+            nodes={"server": Crashable(server.stop, self._restart_server)},
+        )
 
-        monitor = InvariantMonitor(sim)
+    def _restart_server(self) -> None:
+        """A crash kills the endpoint (which fail-fasts every in-flight
+        handler) and abandons the serialization lock — in-memory state
+        dies with the process, so the restart gets a fresh lock and a new
+        incarnation number (the scenario's at-most-once claims are
+        per-incarnation, exactly like the volatile dedup cache)."""
+        self._incarnation += 1
+        self._lock = Lock(self._sim, name="retrystorm.server")
+        self._server.restart()
+
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register("acked-implies-executed", self._check_acked_executed)
         monitor.register("at-most-once-per-incarnation", self._check_at_most_once)
         if self.policy == "resilient":
             monitor.register("bounded-inflight", self._check_bounded_inflight)
-        monitor.start(self.cadence, self.horizon)
 
-        for index, client in enumerate(clients):
+    def drive(self, sim: Simulator) -> None:
+        for index, client in enumerate(self._clients):
             sim.spawn(
                 self._client_loop(sim, client, index),
                 name=f"chaos.retrystorm.c{index}",
             )
-        sim.run(until=self.horizon)
 
-        engine.restore()
-        # Quiesce: let the server drain whatever the storm left queued —
-        # the naive backlog is the metastability being measured, so give
-        # it bounded (not unbounded) drain time before the final check.
+    def quiesce(self, sim: Simulator) -> None:
+        """Let the server drain whatever the storm left queued — the
+        naive backlog is the metastability being measured, so give it
+        bounded (not unbounded) drain time before the final check."""
         sim.run(until=self.horizon + 5.0)
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
 
     # ------------------------------------------------------------------
     # Server
@@ -253,11 +216,8 @@ class RetryStormScenario:
 
     def _client_loop(self, sim: Simulator, client: RpcClient, index: int) -> Generator:
         rng = sim.rng.stream(f"chaos.retrystorm.client.{index}")
-        while True:
-            think = self.think_time * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
+        for pause in pacing(sim, rng, self.think_time, 0.5, self.horizon):
+            yield pause
             req_no = next(self._req_counter)
             if self.policy == "naive":
                 yield from self._issue_naive(sim, client, req_no)

@@ -20,29 +20,19 @@ quiesce, with ``time_to_converged`` measured.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Tuple
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import AckedWrites, Scenario
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
-)
-from repro.net.rpc import RpcError
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
 
-_WORKLOAD_ERRORS = (
-    QuorumUnavailable, TimeoutError_, RpcError, CrashedError, SimulationError,
-)
 
-
-class RingRebalanceScenario:
+class RingRebalanceScenario(Scenario):
     """Elastic-ring reshaping under zipf load and message chaos."""
 
     name = "ring_rebalance"
@@ -71,135 +61,64 @@ class RingRebalanceScenario:
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
 
-    def joiner_names(self) -> Tuple[str, ...]:
-        return ("joiner0", "joiner1")
-
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Message chaos only: the join/decommission schedule is the
         scenario's own (seeded) timeline — sampled crashes on top would
         make 'no acked write lost' unsatisfiable by design when the
         leaver's replicas are simultaneously dark."""
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names() + self.joiner_names() + ("writer", "zipf"),
-            horizon=self.horizon,
+        return dict(
+            nodes=self.node_names() + ("joiner0", "joiner1", "writer", "zipf"),
             min_crashes=0, max_crashes=0,
             max_partitions=0,
             max_link_faults=2,
             fault_loss=0.15,
             min_episode=0.5, max_episode=0.2 * self.horizon,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim  # exposed for trace inspection
+    def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(num_nodes=self.num_nodes, sim=sim)
-        writer = cluster.client("writer")
-        zipf_client = cluster.client("zipf")
-
-        engine = ChaosEngine(ChaosTargets(sim, network=cluster.network))
-        engine.install(plan)
-
-        acked: Dict[str, int] = {}
-        results: Dict[str, Any] = {
-            "lost": [], "converged_at": None, "reshapes": 0,
-        }
-        monitor = InvariantMonitor(sim)
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(results['lost'])} acked writes missing from the "
-                f"reshaped ring, first: {results['lost'][:5]}"
-                if results["lost"] else None
-            ),
-            when="quiesce",
+        self._cluster = cluster
+        self._writer = cluster.client("writer")
+        self._zipf_client = cluster.client("zipf")
+        self._writes = AckedWrites(
+            cluster, "chaos.rebalance", lost="missing from the reshaped ring",
+            unconverged="owners never agreed after the reshape + repair rounds",
         )
-        monitor.register(
-            "ring-reconverges",
-            lambda: (
-                None if results["converged_at"] is not None
-                else "owners never agreed after the reshape + repair rounds"
-            ),
-            when="quiesce",
-        )
+        return ChaosTargets(sim, network=cluster.network)
 
+    def invariants(self, monitor: InvariantMonitor) -> None:
+        self._writes.invariants(monitor)
+
+    def drive(self, sim: Simulator) -> None:
         zipf_keys = ZipfKeyGenerator(
             sim.rng.stream("chaos.rebalance.zipf"),
             keyspace=self.zipf_keyspace, theta=0.99, prefix="zk",
         )
-        sim.spawn(
-            self._writer(sim, writer, acked), name="chaos.rebalance.writer"
+        self._writes.spawn_writer(
+            self._writer, "chaos.rebalance.writer", self.put_interval, self.horizon
         )
         sim.spawn(
             zipf_open_loop(
-                sim, zipf_client, zipf_keys, rate=self.zipf_rate,
+                sim, self._zipf_client, zipf_keys, rate=self.zipf_rate,
                 until=self.horizon, stream="chaos.rebalance.zipf.arrivals",
             ),
             name="chaos.rebalance.zipf",
         )
         sim.spawn(
-            self._reshape(sim, cluster, results), name="chaos.rebalance.reshape"
+            self._reshape(sim, self._cluster), name="chaos.rebalance.reshape"
         )
-        sim.run(until=self.horizon)
 
-        # Quiesce: heal the fabric, then repair until every acked key's
-        # (current!) owners agree — timing it.
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
+        """Repair until every acked key's (current!) owners agree —
+        timing it."""
         sim.run()  # drain in-flight reshapes and requests
-        quiesce_start = sim.now
-        for _ in range(self.num_nodes + 4):
-            sim.run_process(cluster.run_handoff_round())
-            sim.run_process(cluster.run_merkle_round())
-            if all(cluster.converged_on(key) for key in acked):
-                results["converged_at"] = sim.now
-                break
-        if results["converged_at"] is not None:
-            sim.metrics.observe(
-                "chaos.rebalance.time_to_converged",
-                results["converged_at"] - quiesce_start,
-            )
-        results["lost"] = self._missing_writes(cluster, acked)
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+        self._writes.repair(self.num_nodes + 4, self._cluster.run_merkle_round)
 
     # ------------------------------------------------------------------
 
-    def _writer(
-        self, sim: Simulator, client: Any, acked: Dict[str, int]
-    ) -> Generator:
-        """Unique-key puts: every acknowledged write is its own fact, so
-        'lost' has no sibling-merge ambiguity to hide behind."""
-        rng = sim.rng.stream("chaos.rebalance.writer")
-        seq = 0
-        while True:
-            delay = self.put_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
-            seq += 1
-            key, value = f"w{seq}", seq
-            try:
-                yield from client.put(key, value)
-            except _WORKLOAD_ERRORS:
-                sim.metrics.inc("chaos.rebalance.failed_puts")
-                continue
-            acked[key] = value
-            sim.metrics.inc("chaos.rebalance.acked_puts")
-
-    def _reshape(
-        self, sim: Simulator, cluster: DynamoCluster, results: Dict[str, Any]
-    ) -> Generator:
+    def _reshape(self, sim: Simulator, cluster: DynamoCluster) -> Generator:
         """The seeded elasticity timeline: join, decommission, join —
         all mid-traffic, all while message chaos is live."""
         rng = sim.rng.stream("chaos.rebalance.reshape")
@@ -217,22 +136,6 @@ class RingRebalanceScenario:
                 stats = yield from cluster.join(target)
             else:
                 stats = yield from cluster.decommission(target)
-            results["reshapes"] += 1
             sim.metrics.inc(
                 "chaos.rebalance.versions_rebalanced", stats["versions_moved"]
             )
-
-    def _missing_writes(
-        self, cluster: DynamoCluster, acked: Dict[str, int]
-    ) -> List[Tuple[str, int]]:
-        """Acked writes whose value no live node in the final ring holds."""
-        missing = []
-        for key, value in acked.items():
-            present = any(
-                any(v.value == value for v in node.versions_of(key))
-                for node in cluster.nodes.values()
-                if cluster.alive(node.name)
-            )
-            if not present:
-                missing.append((key, value))
-        return missing

@@ -17,33 +17,25 @@ CLI::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
-
-from repro.chaos.plan import (
-    ChaosPlan,
-    ChaosSpec,
-    CrashEpisode,
-    DiskFaultEpisode,
-    Episode,
-    LinkFaultEpisode,
-    PartitionEpisode,
-    WanCutEpisode,
+from dataclasses import dataclass
+from functools import partial
+from typing import (
+    Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
+
+from repro.chaos.plan import ChaosPlan, ChaosSpec
 from repro.chaos.game_day import GameDayScenario
+from repro.chaos.harness import ChaosReport
 from repro.chaos.membership_divergence import MembershipDivergenceScenario
 from repro.chaos.mixed_txn import MixedTxnScenario
 from repro.chaos.rejoin import RejoinScenario
 from repro.chaos.retrystorm import RetryStormScenario
 from repro.chaos.ring_rebalance import RingRebalanceScenario
 from repro.chaos.splitbrain import SplitBrainScenario
-from repro.chaos.scenarios import (
-    BankClearingScenario,
-    CartDynamoScenario,
-    ChaosReport,
-)
+from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario
 from repro.errors import SimulationError
 from repro.parallel import parallel_map
 from repro.sim.metrics import MetricsRegistry
@@ -210,7 +202,7 @@ class ChaosRunner:
                     index += 1
             # Pass 2: narrow the survivors.
             for index, episode in enumerate(current.episodes):
-                for smaller in self._narrowings(episode):
+                for smaller in episode.narrowed(self.min_window):
                     if reproduces(current.replace_episode(index, smaller)):
                         current = current.replace_episode(index, smaller)
                         improved = True
@@ -235,28 +227,6 @@ class ChaosRunner:
             shrink_evals=evals,
         )
 
-    def _narrowings(self, episode: Episode) -> List[Episode]:
-        """Smaller variants of one episode, most aggressive first."""
-        out: List[Episode] = []
-        if isinstance(episode, CrashEpisode):
-            if episode.back_at is not None:
-                # Stays-down is simpler than crash-and-restart.
-                out.append(replace(episode, back_at=None))
-        elif isinstance(
-            episode, (PartitionEpisode, LinkFaultEpisode, WanCutEpisode)
-        ):
-            width = episode.end - episode.start
-            if width > 2 * self.min_window:
-                out.append(replace(episode, end=episode.start + width / 2))
-        elif isinstance(episode, DiskFaultEpisode):
-            if episode.repair_at is not None:
-                width = episode.repair_at - episode.at
-                if width > 2 * self.min_window:
-                    out.append(
-                        replace(episode, repair_at=episode.at + width / 2)
-                    )
-        return out
-
 
 # ----------------------------------------------------------------------
 # CLI
@@ -278,8 +248,14 @@ _SCENARIOS: dict = {
 def _build_scenario(name: str, policy: Optional[str]) -> Any:
     if name not in _SCENARIOS:
         raise SimulationError(f"unknown scenario {name!r} (have {sorted(_SCENARIOS)})")
-    kwargs = {"policy": policy} if policy else {}
-    return _SCENARIOS[name](**kwargs)
+    scenario_class = _SCENARIOS[name]
+    if not policy:
+        return scenario_class()
+    if "policy" not in inspect.signature(scenario_class).parameters:
+        raise SimulationError(
+            f"scenario {name!r} takes no policy (got --policy {policy!r})"
+        )
+    return scenario_class(policy=policy)
 
 
 def _print_failure(case: FailingCase) -> None:
@@ -292,8 +268,10 @@ def _print_failure(case: FailingCase) -> None:
     print("    plan json: " + json.dumps(case.minimal_plan.to_dict()))
 
 
-def _sweep(scenario: Any, seeds: Sequence[int]) -> SweepResult:
-    runner = ChaosRunner(scenario)
+def _sweep(
+    scenario: Any, seeds: Sequence[int], spec_overrides: Tuple = ()
+) -> SweepResult:
+    runner = ChaosRunner(scenario, spec=scenario.spec(**dict(spec_overrides)))
     result = runner.sweep(seeds)
     print(f"[{scenario.name}] policy={getattr(scenario, 'policy', '?')} "
           f"runs={result.runs} failing={len(result.failures)} "
@@ -303,8 +281,11 @@ def _sweep(scenario: Any, seeds: Sequence[int]) -> SweepResult:
     return result
 
 
-def _report_entry(scenario: Any, result: SweepResult) -> dict:
+def _report_entry(config: str, scenario: Any, result: SweepResult) -> dict:
+    """``config`` tells apart sweeps that share a scenario and a policy
+    (the two mixed-txn cuts have no ``policy`` at all)."""
     return {
+        "config": config,
         "scenario": result.scenario,
         "policy": getattr(scenario, "policy", None),
         "runs": result.runs,
@@ -331,137 +312,113 @@ def _write_report(path: str, entries: List[dict]) -> None:
     print(f"invariant report -> {path}")
 
 
+class SmokeRow(NamedTuple):
+    """One sweep of the CI gate. ``what`` names the configuration in FAIL
+    lines; ``caught`` rows must *fail* (a planted bug found, shrunk, and
+    replayed bit-for-bit) where the others must stay clean."""
+
+    label: str
+    build: Callable[[], Any]
+    what: str
+    caught: bool = False
+    max_seeds: Optional[int] = None
+    spec_overrides: Tuple[Tuple[str, Any], ...] = ()
+
+
+#: The short mixed-txn configuration: a mid-stream partition that still
+#: leaves time to stabilize.
+_SHORT_TXN = dict(horizon=16.0, partition_start=4.0, partition_end=9.0, drain=8.0)
+
+SMOKE_ROWS: Tuple[SmokeRow, ...] = (
+    SmokeRow("bank_correct", partial(BankClearingScenario, policy="correct"),
+             "correct bank policy"),
+    SmokeRow("cart_correct", partial(CartDynamoScenario, policy="correct"),
+             "correct cart policy"),
+    # Rolling cold restarts must lose no acked write under either rejoin
+    # discipline — the snapshot only changes how much crosses the wire.
+    SmokeRow("rejoin_snapshot", partial(RejoinScenario, policy="snapshot"),
+             "snapshot rejoin policy"),
+    SmokeRow("rejoin_nosnapshot", partial(RejoinScenario, policy="no-snapshot"),
+             "no-snapshot rejoin policy"),
+    # The elastic ring reshapes mid-traffic (two joins + a decommission
+    # under message chaos) and must lose no acked write and re-converge.
+    SmokeRow("ring_rebalance", RingRebalanceScenario, "elastic ring_rebalance"),
+    # Gossiped membership views diverge under partitions and flapping
+    # links, but must reconverge after heal, never let a refuted
+    # suspicion stick, and lose no acked write while opinions disagree.
+    SmokeRow("membership_divergence", MembershipDivergenceScenario,
+             "membership_divergence"),
+    # A retry storm is a goodput catastrophe, not a correctness bug:
+    # the invariants must hold under BOTH client disciplines (E13
+    # measures the goodput gap separately).
+    SmokeRow("retrystorm_resilient", partial(RetryStormScenario, policy="resilient"),
+             "resilient retry-storm policy"),
+    SmokeRow("retrystorm_naive", partial(RetryStormScenario, policy="naive"),
+             "naive retry-storm policy"),
+    # Mixed-consistency transactions: a mid-stream partition (short
+    # config) must leave every wrong guess paired with exactly one
+    # executed apology, the escrow conserved, and strong acks unmoved —
+    # both when the cut deposes the leader and when it strands a follower.
+    SmokeRow("mixed_txn_leader",
+             partial(MixedTxnScenario, cut="leader", **_SHORT_TXN),
+             "mixed-txn (leader cut)"),
+    SmokeRow("mixed_txn_minority",
+             partial(MixedTxnScenario, cut="minority", **_SHORT_TXN),
+             "mixed-txn (minority cut)"),
+    # Fenced automatic takeover survives the split-brain ambiguity...
+    SmokeRow("splitbrain_fenced", partial(SplitBrainScenario, policy="fenced"),
+             "fenced split-brain policy"),
+    # ...and the unfenced ablation must be caught losing updates, with
+    # the shrunk plan replaying exactly — like the amnesiac bank below.
+    SmokeRow("splitbrain_unfenced", partial(SplitBrainScenario, policy="unfenced"),
+             "unfenced split-brain policy", caught=True),
+    # The geo game day: 100+ processes across three DCs, WAN cut + retry
+    # storm + slow disk at once. Fenced + phi-accrual must come out with
+    # zero violations. Two seeds — each run is a full multi-DC day.
+    SmokeRow("game_day", partial(GameDayScenario, policy="fenced", detector="phi"),
+             "fenced+phi game day", max_seeds=2),
+    # The amnesia only fires on a restart, so every plan gets a crash.
+    SmokeRow("bank_amnesiac", partial(BankClearingScenario, policy="amnesiac-restart"),
+             "amnesiac-restart policy", caught=True,
+             spec_overrides=(("min_crashes", 1),)),
+)
+
+
 def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
     """The CI gate: correct policies stay clean; a broken policy is
     found, shrunk, and replays exactly."""
     failed = False
     entries: List[dict] = []
-
-    bank_scenario = BankClearingScenario(policy="correct")
-    clean = _sweep(bank_scenario, seeds)
-    entries.append(_report_entry(bank_scenario, clean))
-    if clean.failures:
-        print("FAIL: correct bank policy violated an invariant")
-        failed = True
-
-    cart_scenario = CartDynamoScenario(policy="correct")
-    cart = _sweep(cart_scenario, seeds)
-    entries.append(_report_entry(cart_scenario, cart))
-    if cart.failures:
-        print("FAIL: correct cart policy violated an invariant")
-        failed = True
-
-    # Rolling cold restarts must lose no acked write under either rejoin
-    # discipline — the snapshot only changes how much crosses the wire.
-    for rejoin_policy in ("snapshot", "no-snapshot"):
-        rejoin_scenario = RejoinScenario(policy=rejoin_policy)
-        rejoin = _sweep(rejoin_scenario, seeds)
-        entries.append(_report_entry(rejoin_scenario, rejoin))
-        if rejoin.failures:
-            print(f"FAIL: {rejoin_policy} rejoin policy violated an invariant")
+    for row in SMOKE_ROWS:
+        scenario = row.build()
+        result = _sweep(scenario, seeds[: row.max_seeds], row.spec_overrides)
+        entries.append(_report_entry(row.label, scenario, result))
+        complaints = []
+        if row.caught:
+            if not result.failures:
+                complaints.append(f"{row.what} was not caught")
+            if any(not case.replay_matches for case in result.failures):
+                complaints.append(
+                    f"a minimal plan of the {row.what} did not replay bit-for-bit"
+                )
+        elif result.failures:
+            complaints.append(f"{row.what} violated an invariant")
+        for complaint in complaints:
+            print(f"FAIL: {complaint}")
             failed = True
-
-    # The elastic ring reshapes mid-traffic (two joins + a decommission
-    # under message chaos) and must lose no acked write and re-converge.
-    rebalance_scenario = RingRebalanceScenario()
-    rebalance = _sweep(rebalance_scenario, seeds)
-    entries.append(_report_entry(rebalance_scenario, rebalance))
-    if rebalance.failures:
-        print("FAIL: elastic ring_rebalance violated an invariant")
-        failed = True
-
-    # Gossiped membership views diverge under partitions and flapping
-    # links, but must reconverge after heal, never let a refuted
-    # suspicion stick, and lose no acked write while opinions disagree.
-    mship_scenario = MembershipDivergenceScenario()
-    mship = _sweep(mship_scenario, seeds)
-    entries.append(_report_entry(mship_scenario, mship))
-    if mship.failures:
-        print("FAIL: membership_divergence violated an invariant")
-        failed = True
-
-    # A retry storm is a goodput catastrophe, not a correctness bug:
-    # the invariants must hold under BOTH client disciplines (E13
-    # measures the goodput gap separately).
-    for storm_policy in ("resilient", "naive"):
-        storm_scenario = RetryStormScenario(policy=storm_policy)
-        storm = _sweep(storm_scenario, seeds)
-        entries.append(_report_entry(storm_scenario, storm))
-        if storm.failures:
-            print(f"FAIL: {storm_policy} retry-storm policy violated an invariant")
-            failed = True
-
-    # Mixed-consistency transactions: a mid-stream partition (short
-    # config) must leave every wrong guess paired with exactly one
-    # executed apology, the escrow conserved, and strong acks unmoved —
-    # both when the cut deposes the leader and when it strands a follower.
-    for txn_cut in ("leader", "minority"):
-        txn_scenario = MixedTxnScenario(
-            cut=txn_cut, horizon=16.0, partition_start=4.0,
-            partition_end=9.0, drain=8.0,
-        )
-        txn = _sweep(txn_scenario, seeds)
-        entries.append(_report_entry(txn_scenario, txn))
-        if txn.failures:
-            print(f"FAIL: mixed-txn ({txn_cut} cut) violated an invariant")
-            failed = True
-
-    # Fenced automatic takeover survives the split-brain ambiguity...
-    fenced_scenario = SplitBrainScenario(policy="fenced")
-    fenced = _sweep(fenced_scenario, seeds)
-    entries.append(_report_entry(fenced_scenario, fenced))
-    if fenced.failures:
-        print("FAIL: fenced split-brain policy violated an invariant")
-        failed = True
-
-    # ...and the unfenced ablation must be caught losing updates, with
-    # the shrunk plan replaying exactly — like the amnesiac bank below.
-    unfenced_scenario = SplitBrainScenario(policy="unfenced")
-    unfenced = ChaosRunner(unfenced_scenario).sweep(seeds)
-    entries.append(_report_entry(unfenced_scenario, unfenced))
-    print(f"[{unfenced_scenario.name}] policy=unfenced "
-          f"runs={unfenced.runs} failing={len(unfenced.failures)} "
-          f"violation_rate={unfenced.violation_rate:.2f}")
-    for case in unfenced.failures:
-        _print_failure(case)
-    if not unfenced.failures:
-        print("FAIL: unfenced split-brain policy was not caught")
-        failed = True
-    if any(not case.replay_matches for case in unfenced.failures):
-        print("FAIL: a minimal split-brain plan did not replay bit-for-bit")
-        failed = True
-
-    # The geo game day: 100+ processes across three DCs, WAN cut + retry
-    # storm + slow disk at once. Fenced + phi-accrual must come out with
-    # zero violations. Two seeds — each run is a full multi-DC day.
-    game_day_scenario = GameDayScenario(policy="fenced", detector="phi")
-    game_day = _sweep(game_day_scenario, seeds[:2])
-    entries.append(_report_entry(game_day_scenario, game_day))
-    if game_day.failures:
-        print("FAIL: fenced+phi game day violated an invariant")
-        failed = True
-
-    broken_scenario = BankClearingScenario(policy="amnesiac-restart")
-    broken = ChaosRunner(
-        broken_scenario, spec=broken_scenario.spec(min_crashes=1)
-    ).sweep(seeds)
-    entries.append(_report_entry(broken_scenario, broken))
-    print(f"[{broken_scenario.name}] policy=amnesiac-restart "
-          f"runs={broken.runs} failing={len(broken.failures)} "
-          f"violation_rate={broken.violation_rate:.2f}")
-    for case in broken.failures:
-        _print_failure(case)
-    if not broken.failures:
-        print("FAIL: amnesiac-restart policy was not caught")
-        failed = True
-    if any(not case.replay_matches for case in broken.failures):
-        print("FAIL: a minimal plan did not replay bit-for-bit")
-        failed = True
 
     if report_path is not None:
         _write_report(report_path, entries)
     print("chaos smoke: " + ("FAIL" if failed else "ok"))
     return 1 if failed else 0
+
+
+def _seed_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        # A sweep over no seeds prints violation_rate=0.00 and exits 0.
+        raise argparse.ArgumentTypeError("a sweep needs at least 1 seed")
+    return count
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -474,8 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scenario", default="bank", choices=sorted(_SCENARIOS))
     parser.add_argument("--policy", default=None,
                         help="scenario policy (e.g. correct, amnesiac-restart, lww)")
-    parser.add_argument("--seeds", type=int, default=5,
-                        help="number of seeds to sweep (0..N-1)")
+    parser.add_argument("--seeds", type=_seed_count, default=5,
+                        help="number of seeds to sweep (0..N-1), at least 1")
     parser.add_argument("--report", default=None, metavar="FILE",
                         help="write a JSON invariant-violation report "
                              "(minimal replayable plans included)")
@@ -488,7 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scenario = _build_scenario(args.scenario, args.policy)
     result = _sweep(scenario, seeds)
     if args.report is not None:
-        _write_report(args.report, [_report_entry(scenario, result)])
+        _write_report(
+            args.report, [_report_entry(args.scenario, scenario, result)]
+        )
     return 1 if result.failures else 0
 
 

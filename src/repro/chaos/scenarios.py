@@ -1,13 +1,5 @@
-"""Chaos scenarios: a workload + targets + invariants under one plan.
-
-A scenario is the unit the :class:`~repro.chaos.runner.ChaosRunner`
-sweeps: ``run(seed, plan)`` builds a fresh simulator, installs the plan
-through the :class:`~repro.chaos.engine.ChaosEngine`, drives a seeded
-workload, restores the world at the horizon (heal, repair, restart),
-forces convergence, and reports every invariant violation. Everything is
-a pure function of (seed, plan), so a failing report replays exactly.
-
-Two scenarios ship with the repo:
+"""The two founding chaos scenarios (see :mod:`repro.chaos.harness` for
+the ``run(seed, plan)`` template they fill in):
 
 - :class:`BankClearingScenario` — §6.2 replicated check clearing over
   the gossip fabric. Its ``policy`` knob deliberately breaks the
@@ -22,89 +14,35 @@ Two scenarios ship with the repo:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.bank.account import build_account_registry, overdraft_rule
 from repro.cart.service import CartService
 from repro.cart.strategies import LwwCartStrategy, OpCartStrategy
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import PUT_ERRORS, Crashable, Scenario, pacing
 from repro.chaos.invariants import (
     InvariantMonitor,
-    Violation,
     balance_matches_entries,
     no_duplicate_debits,
     no_lost_cart_adds,
     no_money_created,
     replicas_converge,
 )
-from repro.chaos.plan import ChaosPlan, ChaosSpec
 from repro.core.antientropy import sync_all
 from repro.core.operation import Operation
 from repro.core.rules import RuleEngine
-from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
-from repro.errors import (
-    CrashedError,
-    RuleViolation,
-    SimulationError,
-    TimeoutError_,
-)
+from repro.dynamo.cluster import DynamoCluster
+from repro.errors import RuleViolation, SimulationError
 from repro.gossip.cluster import GossipCluster
-from repro.net.rpc import RpcError
-from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """What one (seed, plan) run produced."""
-
-    scenario: str
-    seed: int
-    plan: ChaosPlan
-    violations: Tuple[Violation, ...]
-    counters: Dict[str, float]
-    end_time: float
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.violations)
-
-    @property
-    def first_violation(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
 
 
 # ----------------------------------------------------------------------
 # Bank clearing over the gossip fabric
 
 
-class _GossipBranch:
-    """Crash/restart adapter for one gossip branch (idempotent, with the
-    scenario's restart-policy hook)."""
-
-    def __init__(self, scenario: "BankClearingScenario", gnode: Any) -> None:
-        self.scenario = scenario
-        self.gnode = gnode
-        self.up = True
-        self.restarts = 0
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self.gnode.crash(cause)
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self.restarts += 1
-        self.gnode.restart(until=self.scenario.horizon)
-        self.scenario._on_restart(self.gnode.replica, self.restarts)
-
-
-class BankClearingScenario:
+class BankClearingScenario(Scenario):
     """Replicated check clearing under chaos, invariants watching."""
 
     name = "bank-clearing"
@@ -136,19 +74,15 @@ class BankClearingScenario:
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"g{i}" for i in range(self.num_replicas))
 
-    def spec(self, **overrides: Any) -> ChaosSpec:
-        """The default sampling bounds for this scenario's sweeps."""
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names(), horizon=self.horizon,
+    def spec_defaults(self) -> Dict[str, Any]:
+        return dict(
+            nodes=self.node_names(),
             min_episode=1.0, max_episode=0.2 * self.horizon,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
+    def build(self, sim: Simulator) -> ChaosTargets:
         cluster = GossipCluster(
             build_account_registry(),
             num_replicas=self.num_replicas,
@@ -156,25 +90,22 @@ class BankClearingScenario:
             sim=sim,
             rules_factory=lambda: RuleEngine([overdraft_rule()]),
         )
-        replicas = [cluster.replica(name) for name in cluster.nodes]
+        self._cluster = cluster
+        self._replicas = [cluster.replica(name) for name in cluster.nodes]
         opening = Operation(
             "DEPOSIT", {"amount": self.opening},
             uniquifier="opening", origin="bank", ingress_time=0.0,
         )
-        for replica in replicas:
+        for replica in self._replicas:
             replica.integrate([opening])
         self._deposits_total = self.opening
-        self._sim = sim
-
-        branches = {
-            name: _GossipBranch(self, gnode) for name, gnode in cluster.nodes.items()
-        }
-        engine = ChaosEngine(
-            ChaosTargets(sim, network=cluster.network, nodes=branches)
+        return ChaosTargets(
+            sim, network=cluster.network,
+            nodes={name: self._branch(gnode) for name, gnode in cluster.nodes.items()},
         )
-        engine.install(plan)
 
-        monitor = InvariantMonitor(sim)
+    def invariants(self, monitor: InvariantMonitor) -> None:
+        replicas = self._replicas
         monitor.register("balance-matches-entries", balance_matches_entries(replicas))
         monitor.register(
             "conservation-of-money",
@@ -182,41 +113,37 @@ class BankClearingScenario:
         )
         monitor.register("no-duplicate-debit", no_duplicate_debits(replicas))
         monitor.register("convergence", replicas_converge(replicas), when="quiesce")
-        monitor.start(self.cadence, self.horizon)
 
-        sim.spawn(self._workload(sim, cluster), name="chaos.bank.workload")
-        for gnode in cluster.nodes.values():
+    def drive(self, sim: Simulator) -> None:
+        sim.spawn(self._workload(sim, self._cluster), name="chaos.bank.workload")
+        for gnode in self._cluster.nodes.values():
             gnode.run(self.horizon)
-        sim.run(until=self.horizon)
 
-        # Quiesce: restore the world, force convergence, final check.
-        engine.restore()
-        sync_all(replicas, rounds=len(replicas) + 1)
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
-        )
+    def quiesce(self, sim: Simulator) -> None:
+        sync_all(self._replicas, rounds=len(self._replicas) + 1)
 
     # ------------------------------------------------------------------
 
-    def _on_restart(self, replica: Any, restart_count: int) -> None:
-        """The recovery routine run when a branch comes back up."""
-        if self.policy != "amnesiac-restart":
-            return
-        # The bug: recovery "restores" the opening balance with a fresh
-        # uniquifier instead of trusting the op log — money from nothing.
-        recovery = Operation(
-            "DEPOSIT", {"amount": self.opening},
-            uniquifier=f"recovery:{replica.name}:{restart_count}",
-            origin=replica.name, ingress_time=self._sim.now,
-        )
-        replica.integrate([recovery])
+    def _branch(self, gnode: Any) -> Crashable:
+        """One gossip branch as a chaos target: its restart resumes the
+        gossip loop, then runs the recovery routine under test."""
+        replica = gnode.replica
+
+        def recover() -> None:
+            gnode.restart(until=self.horizon)
+            if self.policy != "amnesiac-restart":
+                return
+            # The bug: recovery "restores" the opening balance with a fresh
+            # uniquifier instead of trusting the op log — money from nothing.
+            recovery = Operation(
+                "DEPOSIT", {"amount": self.opening},
+                uniquifier=f"recovery:{replica.name}:{branch.restarts}",
+                origin=replica.name, ingress_time=self._sim.now,
+            )
+            replica.integrate([recovery])
+
+        branch = Crashable(gnode.crash, recover)
+        return branch
 
     def _check_uniquifier(self, check_no: int, branch: str) -> str:
         if self.policy == "branch-uniquifier":
@@ -230,11 +157,8 @@ class BankClearingScenario:
         names = list(cluster.nodes)
         next_deposit = self.deposit_interval
         check_no = 0
-        while True:
-            delay = self.check_interval * rng.uniform(0.8, 1.2)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
+        for pause in pacing(sim, rng, self.check_interval, 0.2, self.horizon):
+            yield pause
             check_no += 1
             amount = round(rng.uniform(5.0, 60.0), 2)
             branch = names[rng.randrange(len(names))]
@@ -288,29 +212,7 @@ class BankClearingScenario:
 # Shopping cart on Dynamo
 
 
-class _CrashableEndpoint:
-    """Idempotent crash/restart adapter over anything with an endpoint
-    (Dynamo node or bare client endpoint)."""
-
-    def __init__(self, crash_fn: Any, restart_fn: Any) -> None:
-        self._crash = crash_fn
-        self._restart = restart_fn
-        self.up = True
-
-    def crash(self, cause: str = "injected") -> None:
-        if not self.up:
-            return
-        self.up = False
-        self._crash()
-
-    def restart(self) -> None:
-        if self.up:
-            return
-        self.up = True
-        self._restart()
-
-
-class CartDynamoScenario:
+class CartDynamoScenario(Scenario):
     """One shopper against the Dynamo cart while the fabric misbehaves."""
 
     name = "cart-dynamo"
@@ -337,89 +239,73 @@ class CartDynamoScenario:
     def client_names(self) -> Tuple[str, ...]:
         return ("phone", "laptop")
 
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         # Clients are chaos targets too: partitions must name them or the
         # implicit remainder group would cut both shoppers off from every
         # storage node at once.
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names() + self.client_names(), horizon=self.horizon,
+        return dict(
+            nodes=self.node_names() + self.client_names(),
             max_crashes=1,  # N=3 replication survives one node at a time
             min_episode=0.5, max_episode=0.25 * self.horizon,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim  # exposed for trace inspection (golden tests)
+    def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(num_nodes=self.num_nodes, sim=sim)
+        self._cluster = cluster
         strategy = LwwCartStrategy() if self.policy == "lww" else OpCartStrategy()
         # Two devices sharing one cart (§6.1): when a partition makes
         # their writes diverge into siblings, the merge policy decides
         # whether an acknowledged add can vanish.
-        shoppers = [
+        self._shoppers = [
             CartService(cluster, strategy, client=cluster.client(device))
-            for device in ("phone", "laptop")
+            for device in self.client_names()
         ]
+        self._acked: Dict[str, int] = {}
+        self._final_view: Dict[str, int] = {}
 
-        targets: Dict[str, Any] = {
-            name: _CrashableEndpoint(node.crash, node.restart)
+        targets = {
+            name: Crashable(lambda _cause, n=node: n.crash(), node.restart)
             for name, node in cluster.nodes.items()
         }
-        for service in shoppers:
-            client = service.client
-            targets[client.name] = _CrashableEndpoint(
-                lambda c=client: c.endpoint.stop("crash"),
-                lambda c=client: c.endpoint.restart(),
+        for service in self._shoppers:
+            endpoint = service.client.endpoint
+            targets[service.client.name] = Crashable(
+                lambda _cause, e=endpoint: e.stop("crash"), endpoint.restart
             )
-        engine = ChaosEngine(ChaosTargets(sim, network=cluster.network, nodes=targets))
-        engine.install(plan)
+        return ChaosTargets(sim, network=cluster.network, nodes=targets)
 
-        acked: Dict[str, int] = {}
-        final_view: Dict[str, Dict[str, int]] = {"view": {}}
-        monitor = InvariantMonitor(sim)
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register(
             "no-lost-cart-adds",
-            no_lost_cart_adds(lambda: dict(acked), lambda: final_view["view"]),
+            no_lost_cart_adds(lambda: dict(self._acked), lambda: self._final_view),
             when="quiesce",
         )
 
-        sim.spawn(self._workload(sim, shoppers, acked), name="chaos.cart.workload")
-        sim.run(until=self.horizon)
-
-        # Quiesce: restore, deliver hints, anti-entropy, then read back.
-        engine.restore()
-        sim.run_process(cluster.run_handoff_round())
-        sim.run_process(cluster.run_anti_entropy_round())
-        final_view["view"] = sim.run_process(shoppers[0].view(self.cart_key))
-        monitor.check_now("quiesce")
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
+    def drive(self, sim: Simulator) -> None:
+        sim.spawn(
+            self._workload(sim, self._shoppers, self._acked),
+            name="chaos.cart.workload",
         )
+
+    def quiesce(self, sim: Simulator) -> None:
+        """Deliver hints, anti-entropy, then read the cart back."""
+        sim.run_process(self._cluster.run_handoff_round())
+        sim.run_process(self._cluster.run_anti_entropy_round())
+        self._final_view = sim.run_process(self._shoppers[0].view(self.cart_key))
 
     def _workload(
         self, sim: Simulator, shoppers: List[CartService], acked: Dict[str, int]
     ) -> Generator:
         rng = sim.rng.stream("chaos.cart.workload")
         item_no = 0
-        while True:
-            delay = self.add_interval * rng.uniform(0.7, 1.3)
-            if sim.now + delay > self.horizon:
-                return
-            yield Timeout(delay)
+        for pause in pacing(sim, rng, self.add_interval, 0.3, self.horizon):
+            yield pause
             item_no += 1
             item = f"item{item_no}"
             cart = shoppers[item_no % len(shoppers)]
             try:
                 yield from cart.add(self.cart_key, item)
-            except (QuorumUnavailable, TimeoutError_, RpcError,
-                    CrashedError, SimulationError):
+            except PUT_ERRORS:
                 # Not acknowledged: the shopper saw the failure, so losing
                 # this add would be an acceptable apology.
                 sim.metrics.inc("chaos.cart.failed_adds")

@@ -31,25 +31,110 @@ does not make the guess right; it makes the wrong guess safe.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
-from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.engine import ChaosTargets
+from repro.chaos.harness import Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
-from repro.chaos.plan import ChaosPlan, ChaosSpec
-from repro.chaos.scenarios import ChaosReport
 from repro.errors import SimulationError, StaleEpochError, TimeoutError_
 from repro.failover import FixedTimeoutDetector, LogshipFailover
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
 from repro.net.network import NetFault
-from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 
 
-class SplitBrainScenario:
+class DeposedPrimaryDrama:
+    """The deposed-primary half of the story, shared with the game day
+    (which stages it under a WAN cut): a writer bound to the old primary
+    and the two invariants that judge what its writes did. The host
+    scenario supplies ``metrics`` (its counter prefix), ``num_keys``,
+    ``write_interval`` and ``horizon``, and calls :meth:`_stage` from
+    ``build`` once the system exists."""
+
+    metrics: str
+    #: Post-takeover acks found overwritten at quiesce (0 until a run).
+    lost_updates = 0
+
+    def _stage(self, system: LogShippingSystem) -> None:
+        self._system = system
+        #: key -> last value acked by the *current regime* after takeover.
+        self._post_acks: Dict[str, str] = {}
+        self._last_epoch = system.epoch
+        self._writer_seq = itertools.count(1)
+        self.lost_updates = 0
+
+    def _key(self, seq: int) -> str:
+        return f"k{seq % self.num_keys}"
+
+    def _stale_writer(self) -> Generator[Any, Any, None]:
+        """A client bound to east — it keeps writing there through the
+        partition and past the takeover, because nobody told it. Under
+        fencing it eventually gets :class:`StaleEpochError` and fails
+        over to the serving site; without fencing it is never told at
+        all."""
+        sim = self._sim
+        system = self._system
+        rng = sim.rng.stream(f"{self.metrics}.stale")
+        deposed = False
+        for pause in pacing(sim, rng, self.write_interval, 0.5, self.horizon):
+            yield pause
+            seq = next(self._writer_seq)
+            key, value = self._key(seq), f"s{seq}"
+            if deposed:
+                yield from system.submit({key: value})
+                if system.failover_time is not None:
+                    self._post_acks[key] = value
+                continue
+            try:
+                yield from system.submit_to("east", {key: value})
+            except StaleEpochError:
+                deposed = True
+                sim.metrics.inc(f"{self.metrics}.stale_rejected")
+                continue
+            except TimeoutError_:
+                continue
+            if system.failover_time is not None:
+                # East acked a write after it was deposed — the client
+                # walks away believing it committed.
+                sim.metrics.inc(f"{self.metrics}.stale_acks")
+
+    def _check_epoch_monotonic(self) -> Optional[str]:
+        """Fencing tokens totally order regimes: the system epoch never
+        moves backwards."""
+        epoch = self._system.epoch
+        if epoch < self._last_epoch:
+            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
+        self._last_epoch = epoch
+        return None
+
+    def _check_no_lost_update(self) -> Optional[str]:
+        """Every write acked by the post-takeover regime must still hold
+        its value at the serving primary once everything settles. A
+        deposed primary's resurrected tail overwriting one is the §5.1
+        lost update this scenario exists to catch."""
+        state = self._system.primary.state
+        lost = [
+            (key, value, state.get(key))
+            for key, value in sorted(self._post_acks.items())
+            if state.get(key) != value
+        ]
+        if lost:
+            self.lost_updates = len(lost)
+            self._sim.metrics.inc(f"{self.metrics}.lost_updates", len(lost))
+            key, value, found = lost[0]
+            return (
+                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
+                f"overwritten by {found!r})"
+            )
+        return None
+
+
+class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
     """Fenced vs unfenced automatic takeover under a primary partition."""
 
     name = "split-brain"
+    metrics = "chaos.splitbrain"
 
     def __init__(
         self,
@@ -86,33 +171,25 @@ class SplitBrainScenario:
         self.detection_latency: Optional[float] = None
         self.false_takeover = False
 
-    def node_names(self) -> Tuple[str, ...]:
-        return ("east", "west")
-
-    def spec(self, **overrides: Any) -> ChaosSpec:
+    def spec_defaults(self) -> Dict[str, Any]:
         """Sweep bounds: mild extra link faults on top of the intrinsic
         partition (which *is* the story — no sampled crashes or
         partitions, so shrinking converges on the scripted ambiguity)."""
-        params: Dict[str, Any] = dict(
-            nodes=self.node_names(), horizon=self.horizon,
+        return dict(
+            nodes=("east", "west"),
             max_crashes=0, max_partitions=0, max_link_faults=1,
             min_episode=1.0, max_episode=4.0, fault_loss=0.1,
         )
-        params.update(overrides)
-        return ChaosSpec(**params)
 
     # ------------------------------------------------------------------
 
-    def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
-        sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim
+    def build(self, sim: Simulator) -> ChaosTargets:
         system = LogShippingSystem(
             mode=ShipMode.ASYNC,
             ship_interval=self.ship_interval,
             wan_latency=FixedLatency(0.01),
             sim=sim,
         )
-        self._system = system
         failover = LogshipFailover(
             system,
             fenced=(self.policy == "fenced"),
@@ -124,11 +201,7 @@ class SplitBrainScenario:
         )
         self._failover = failover
         failover.start()
-
-        #: key -> last value acked by the *current regime* after takeover.
-        self._post_acks: Dict[str, str] = {}
-        self._last_epoch = system.epoch
-        self._writer_seq = itertools.count(1)
+        self._stage(system)
 
         if self.heartbeat_loss > 0.0:
             # The tradeoff sweep's knob: heartbeats (and only traffic from
@@ -142,40 +215,27 @@ class SplitBrainScenario:
         if self.partition_start is not None:
             sim.schedule_at(self.partition_start, self._cut, system)
             sim.schedule_at(self.partition_end, system.network.heal)
+        return ChaosTargets(sim, network=system.network)
 
-        engine = ChaosEngine(ChaosTargets(sim, network=system.network))
-        engine.install(plan)
-
-        monitor = InvariantMonitor(sim)
+    def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register("epoch-monotonic", self._check_epoch_monotonic)
         monitor.register("no-lost-update", self._check_no_lost_update,
                          when="quiesce")
-        monitor.start(self.cadence, self.horizon)
 
+    def drive(self, sim: Simulator) -> None:
         sim.spawn(self._informed_writer(), name="chaos.splitbrain.informed")
         sim.spawn(self._stale_writer(), name="chaos.splitbrain.stale")
-        sim.run(until=self.horizon)
 
-        engine.restore()
+    def quiesce(self, sim: Simulator) -> None:
         sim.run(until=self.horizon + self.drain)
-        monitor.check_now("quiesce")
-        failover.stop()
 
-        detector = failover.detector
-        convicted_at = detector.conviction_time("east")
+    def finish(self, sim: Simulator) -> None:
+        self._failover.stop()
+        convicted_at = self._failover.detector.conviction_time("east")
         if convicted_at is not None and self.partition_start is not None:
             self.detection_latency = convicted_at - self.partition_start
         self.false_takeover = (
             convicted_at is not None and self.partition_start is None
-        )
-
-        return ChaosReport(
-            scenario=self.name,
-            seed=seed,
-            plan=plan,
-            violations=tuple(monitor.violations),
-            counters=sim.metrics.counters(),
-            end_time=sim.now,
         )
 
     # ------------------------------------------------------------------
@@ -193,9 +253,6 @@ class SplitBrainScenario:
     # ------------------------------------------------------------------
     # Writers
 
-    def _key(self, seq: int) -> str:
-        return f"k{seq % self.num_keys}"
-
     def _informed_writer(self) -> Generator[Any, Any, None]:
         """A client that always reaches the *currently serving* site (it
         learns about takeovers instantly — the best case). Stops at the
@@ -207,81 +264,11 @@ class SplitBrainScenario:
             self.partition_end if self.partition_start is not None
             else self.horizon
         )
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > stop_at:
-                return
-            yield Timeout(think)
+        for pause in pacing(sim, rng, self.write_interval, 0.5, stop_at):
+            yield pause
             seq = next(self._writer_seq)
             key, value = self._key(seq), f"v{seq}"
             yield from system.submit({key: value})
             sim.metrics.inc("chaos.splitbrain.informed_acks")
             if system.failover_time is not None:
                 self._post_acks[key] = value
-
-    def _stale_writer(self) -> Generator[Any, Any, None]:
-        """A client bound to east — it keeps writing there through the
-        partition and past the takeover, because nobody told it. Under
-        fencing it eventually gets :class:`StaleEpochError` and fails
-        over to the serving site; without fencing it is never told at
-        all."""
-        sim = self._sim
-        system = self._system
-        rng = sim.rng.stream("chaos.splitbrain.stale")
-        deposed = False
-        while True:
-            think = self.write_interval * rng.uniform(0.5, 1.5)
-            if sim.now + think > self.horizon:
-                return
-            yield Timeout(think)
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"s{seq}"
-            if deposed:
-                yield from system.submit({key: value})
-                if system.failover_time is not None:
-                    self._post_acks[key] = value
-                continue
-            try:
-                yield from system.submit_to("east", {key: value})
-            except StaleEpochError:
-                deposed = True
-                sim.metrics.inc("chaos.splitbrain.stale_rejected")
-                continue
-            except TimeoutError_:
-                continue
-            if system.failover_time is not None:
-                # East acked a write after it was deposed — the client
-                # walks away believing it committed.
-                sim.metrics.inc("chaos.splitbrain.stale_acks")
-
-    # ------------------------------------------------------------------
-    # Invariants
-
-    def _check_epoch_monotonic(self) -> Optional[str]:
-        """Fencing tokens totally order regimes: the system epoch never
-        moves backwards."""
-        epoch = self._system.epoch
-        if epoch < self._last_epoch:
-            return f"epoch went backwards: {self._last_epoch} -> {epoch}"
-        self._last_epoch = epoch
-        return None
-
-    def _check_no_lost_update(self) -> Optional[str]:
-        """Every write acked by the post-takeover regime must still hold
-        its value at the serving primary once everything settles. A
-        deposed primary's resurrected tail overwriting one is the §5.1
-        lost update this scenario exists to catch."""
-        state = self._system.primary.state
-        lost = [
-            (key, value, state.get(key))
-            for key, value in sorted(self._post_acks.items())
-            if state.get(key) != value
-        ]
-        if lost:
-            self._sim.metrics.inc("chaos.splitbrain.lost_updates", len(lost))
-            key, value, found = lost[0]
-            return (
-                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
-                f"overwritten by {found!r})"
-            )
-        return None

@@ -9,6 +9,7 @@ from repro.chaos.plan import (
     DiskFaultEpisode,
     LinkFaultEpisode,
     PartitionEpisode,
+    WanCutEpisode,
 )
 from repro.errors import SimulationError
 
@@ -105,6 +106,39 @@ def test_describe_mentions_every_episode():
     assert "crash" in text and "partition" in text
     assert "link fault" in text and "disk" in text
     assert ChaosPlan().describe() == "(empty plan)"
+
+
+def test_describe_is_one_line_per_episode_in_start_order():
+    plan = ChaosPlan(sample_plan().episodes + (
+        WanCutEpisode(0.5, 1.5, "dc-a", "dc-b"),
+        DiskFaultEpisode("d1", 9.0),
+    ))
+    assert plan.describe().splitlines() == [
+        "wan cut    [0.5, 1.5] dc-a<->dc-b loss=1",
+        "link fault [1, 4] *->* loss=0.2 dup=0 delay+=0",
+        "crash      n1 @ 2, back 5",
+        "disk    slow x3 d0 @ 2.5, repair 7",
+        "partition  [3, 6] {n1} | {n2,n3}",
+        "disk       fail d1 @ 9, stays broken",
+    ]
+
+
+def test_narrowed_offers_each_kinds_smaller_variant():
+    """What the shrinker tries on a surviving episode: a crash stops
+    coming back; a window halves until it is two minimum windows wide."""
+    assert CrashEpisode("n1", 2.0, 5.0).narrowed(0.5) == (CrashEpisode("n1", 2.0),)
+    assert CrashEpisode("n1", 2.0).narrowed(0.5) == ()
+    groups = (("n1",), ("n2",))
+    assert PartitionEpisode(3.0, 6.0, groups).narrowed(0.5) == (
+        PartitionEpisode(3.0, 4.5, groups),)
+    assert PartitionEpisode(3.0, 4.0, groups).narrowed(0.5) == ()
+    assert LinkFaultEpisode(1.0, 4.0, loss=0.2).narrowed(0.5) == (
+        LinkFaultEpisode(1.0, 2.5, loss=0.2),)
+    assert WanCutEpisode(2.0, 8.0, "a", "b").narrowed(0.5) == (
+        WanCutEpisode(2.0, 5.0, "a", "b"),)
+    assert DiskFaultEpisode("d0", 2.0, 7.0, slow_factor=3.0).narrowed(0.5) == (
+        DiskFaultEpisode("d0", 2.0, 4.5, slow_factor=3.0),)
+    assert DiskFaultEpisode("d0", 2.0).narrowed(0.5) == ()  # never repaired
 
 
 def test_dict_roundtrip_preserves_plan():

@@ -15,6 +15,7 @@ from repro.chaos import (
     ChaosRunner,
 )
 from repro.chaos.plan import CrashEpisode
+from repro.errors import SimulationError
 
 
 def test_correct_policy_survives_sweep():
@@ -117,3 +118,21 @@ def test_smoke_cli_entrypoint():
     assert main(["--scenario", "bank", "--seeds", "2"]) == 0
     assert main(["--scenario", "bank", "--policy", "branch-uniquifier",
                  "--seeds", "1"]) == 1
+
+
+def test_cli_rejects_a_policy_for_a_scenario_that_takes_none():
+    from repro.chaos.runner import main
+
+    with pytest.raises(SimulationError, match="'mixed-txn' takes no policy"):
+        main(["--scenario", "mixed-txn", "--policy", "leader", "--seeds", "1"])
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_rejects_a_sweep_of_no_seeds(count, capsys):
+    """`--seeds 0` used to print violation_rate=0.00 and exit 0."""
+    from repro.chaos.runner import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", "bank", "--seeds", count])
+    assert exit_info.value.code == 2
+    assert "at least 1 seed" in capsys.readouterr().err
