@@ -127,6 +127,8 @@ class Network:
             self._links[(dst, src)] = config
 
     def link(self, src: str, dst: str) -> LinkConfig:
+        if not self._links:
+            return self.default_link
         return self._links.get((src, dst), self.default_link)
 
     # ------------------------------------------------------------------
@@ -176,9 +178,11 @@ class Network:
 
     def reachable(self, src: str, dst: str) -> bool:
         """Can a message travel src -> dst right now?"""
-        if src in self._detached or dst in self._detached:
+        detached = self._detached
+        if detached and (src in detached or dst in detached):
             return False
-        if src not in self._mailboxes or dst not in self._mailboxes:
+        mailboxes = self._mailboxes
+        if src not in mailboxes or dst not in mailboxes:
             return False
         if self._groups is None:
             return True

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Callable, Dict, Generator, Optional, Set
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.errors import (
     BreakerOpenError,
@@ -52,7 +52,8 @@ from repro.resilience.admission import Admission, AdmissionConfig, AdmissionCont
 from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.deadline import stamp
 from repro.resilience.retry import RetryPolicy
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import Event
+from repro.sim.process import Process
 from repro.sim.scheduler import register_fresh_run_hook
 
 _uniq_counter = itertools.count(1)
@@ -117,7 +118,9 @@ class Endpoint:
         self._pending: Dict[int, Event] = {}
         self._replies_by_uniquifier: Dict[str, Message] = {}
         self._inflight: Dict[str, list] = {}  # uniquifier -> queued duplicate msgs
-        self._handler_procs: Set[Any] = set()  # in-flight per-request processes
+        #: In-flight per-request processes by their ``done`` event, in
+        #: dispatch order (the order a crash interrupts them in).
+        self._handler_procs: Dict[Event, Process] = {}
         self._proc = None
         self._breakers: Optional[BreakerBoard] = None
         self._admission: Optional[AdmissionControl] = None
@@ -201,8 +204,8 @@ class Endpoint:
         calls, and forget all volatile state including the dedup cache."""
         if self._proc is not None:
             self._proc.interrupt(cause)
-        handler_procs, self._handler_procs = self._handler_procs, set()
-        for proc in handler_procs:
+        handler_procs, self._handler_procs = self._handler_procs, {}
+        for proc in handler_procs.values():
             proc.interrupt(cause)
         if self.network.is_attached(self.name):
             self.network.detach(self.name)
@@ -240,9 +243,20 @@ class Endpoint:
 
     def _settle_reply(self, msg: Message) -> None:
         event = self._pending.pop(msg.reply_to, None)
-        if event is not None and not event.triggered:
+        if event is not None:
             event.trigger(msg)
-        # Unmatched replies (late duplicates after a retry won) are dropped.
+        # Unmatched replies (late duplicates after a retry won, or after
+        # the attempt's timer expired) are dropped.
+
+    def _expire(self, msg_id: int) -> None:
+        """An attempt's timer ran out: if its reply has not come, stop
+        expecting one and wake the caller empty-handed."""
+        event = self._pending.pop(msg_id, None)
+        if event is not None:
+            event.trigger(None)
+
+    def _handler_finished(self, done: Event) -> None:
+        self._handler_procs.pop(done, None)
 
     def _dispatch(self, msg: Message) -> None:
         uniquifier = msg.payload.get("uniquifier")
@@ -290,10 +304,10 @@ class Endpoint:
             self.network.send(msg.reply("ERROR", error=f"no handler for {msg.kind}"))
             return
         proc = self.sim.spawn(
-            self._run_handler(handler, msg), name=f"rpc:{self.name}:{msg.kind}"
+            self._run_handler(handler, msg), name=("rpc:%s:%s", self.name, msg.kind)
         )
-        self._handler_procs.add(proc)
-        proc.done.add_callback(lambda _event, p=proc: self._handler_procs.discard(p))
+        self._handler_procs[proc.done] = proc
+        proc.done.add_callback(self._handler_finished)
 
     def _run_handler(self, handler: Callable[..., Any], msg: Message) -> Generator[Any, Any, None]:
         try:
@@ -387,13 +401,14 @@ class Endpoint:
                     )
                 remaining_budget = min(policy.timeout, remaining_budget)
             msg = Message(src=self.name, dst=dst, kind=kind, payload=dict(request_payload))
-            reply_event = self.sim.event(name=f"reply:{msg.msg_id}")
-            self._pending[msg.msg_id] = reply_event
+            msg_id = msg.msg_id
+            # One event per attempt: settled with the reply by the serve
+            # loop, or with None by the attempt's timer, whichever is first.
+            self._pending[msg_id] = outcome = Event(self.sim, ("reply:%d", msg_id))
             self.network.send(msg)
-            timer = self.sim.timeout_event(remaining_budget)
-            results = yield AnyOf([reply_event, timer])
-            if reply_event in results:
-                reply: Message = reply_event.value
+            self.sim.schedule(remaining_budget, self._expire, msg_id)
+            reply: Optional[Message] = yield outcome
+            if reply is not None:
                 if reply.kind == "BUSY":
                     # Server-side load shedding: the destination is alive
                     # but over its watermark. Retriable, and a failure in
@@ -411,7 +426,6 @@ class Endpoint:
                 if reply.kind == "ERROR":
                     raise RpcError("ERROR", reply.payload.get("error", ""))
                 return reply.payload
-            self._pending.pop(msg.msg_id, None)
             if breaker is not None:
                 breaker.record_failure()
             self.sim.metrics.inc(f"rpc.{self.name}.retries")
@@ -426,7 +440,7 @@ class Endpoint:
     def _sleep(self, delay: float) -> Generator[Any, Any, None]:
         """Backoff pause that survives being mixed into AnyOf-driven
         callers: a plain timer event with this call as the only waiter."""
-        yield self.sim.timeout_event(delay, name=f"backoff:{self.name}")
+        yield self.sim.timeout_event(delay, name=("backoff:%s", self.name))
 
     def cast(self, dst: str, kind: str, payload: Optional[Dict[str, Any]] = None) -> bool:
         """Fire-and-forget send. Consults the circuit breaker (state

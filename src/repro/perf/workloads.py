@@ -11,7 +11,7 @@ The five-plus workloads cover the kernel's load-bearing paths:
 - ``sched_churn``   — pure scheduler: future timers plus the zero-delay
                       cascade every process resume generates.
 - ``rpc_ping``      — request/reply storm over the Network (mailboxes,
-                      AnyOf timers, spawn-per-request).
+                      per-attempt timers, spawn-per-request).
 - ``cart_mix``      — the §6.1 Dynamo cart: quorum fan-outs, vector
                       clocks, sloppy quorum bookkeeping.
 - ``tandem_cadence``— the §3 DP2 pipeline: WRITE/FLUSH/COMMIT/APPLY with
@@ -117,7 +117,7 @@ def sched_churn(scale: int, trace: bool = True) -> WorkloadRun:
 
 def rpc_ping(scale: int, trace: bool = True) -> WorkloadRun:
     """RPC ping storm: 4 clients hammering one server with sequential
-    request/reply calls (spawn-per-request, AnyOf reply-or-timer)."""
+    request/reply calls (spawn-per-request, reply-or-timer per attempt)."""
     sim = Simulator(seed=2)
     sim.trace.enabled = trace
     network = Network(sim)

@@ -15,13 +15,31 @@ process yields:
 - ``yield AnyOf([...])`` — wait until any one completes; evaluates to a dict
   mapping the completed events to their values.
 - ``yield AllOf([...])`` — wait until all complete; same dict shape.
+
+Names are for error messages and ``repr`` only, so the request path never
+formats one: a name may be given as a ``(template, *args)`` tuple, which
+:func:`render_name` turns into ``template % args`` when somebody reads
+``.name``. An argument may itself be such a tuple (a process's
+``done`` event is named after the process, whose name may still be parts).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
+
+#: A ready string, or ``(template, *args)`` to be %-formatted when read.
+Name = Union[str, Tuple[Any, ...]]
+
+
+def render_name(name: Name) -> str:
+    """The string a :data:`Name` stands for."""
+    if name.__class__ is str:
+        return name
+    return name[0] % tuple(
+        render_name(arg) if arg.__class__ is tuple else arg for arg in name[1:]
+    )
 
 
 class _Pending:
@@ -37,14 +55,20 @@ PENDING = _Pending()
 class Event:
     """A one-shot waitable with an optional value or failure exception."""
 
-    __slots__ = ("sim", "name", "_value", "_exc", "_callbacks")
+    # ``_callbacks`` is the event's whole state machine: a list while the
+    # event is pending, None once it has settled.
+    __slots__ = ("sim", "_name", "_value", "_exc", "_callbacks")
 
-    def __init__(self, sim: Any, name: str = "") -> None:
+    def __init__(self, sim: Any, name: Name = "") -> None:
         self.sim = sim
-        self.name = name
+        self._name = name
         self._value: Any = PENDING
         self._exc: Optional[BaseException] = None
         self._callbacks: Optional[List[Callable[["Event"], None]]] = []
+
+    @property
+    def name(self) -> str:
+        return render_name(self._name)
 
     @property
     def triggered(self) -> bool:
@@ -54,12 +78,12 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event succeeded. Only meaningful once triggered."""
-        return self.triggered and self._exc is None
+        return self._callbacks is None and self._exc is None
 
     @property
     def value(self) -> Any:
         """The success value. Raises if the event failed or is pending."""
-        if not self.triggered:
+        if self._callbacks is not None:
             raise SimulationError(f"event {self.name!r} has no value yet")
         if self._exc is not None:
             raise self._exc
@@ -72,37 +96,39 @@ class Event:
 
     def trigger(self, value: Any = None) -> "Event":
         """Succeed the event, resuming all waiters with ``value``."""
-        self._settle(value, None)
+        callbacks = self._callbacks
+        if callbacks is None:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._value = value
+        self._callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         """Fail the event, raising ``exc`` inside all waiters."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
-        self._settle(PENDING, exc)
-        return self
-
-    def _settle(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
+        callbacks = self._callbacks
+        if callbacks is None:
             raise SimulationError(f"event {self.name!r} triggered twice")
-        self._value = value
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, None
-        assert callbacks is not None
+        self._callbacks = None
         for callback in callbacks:
             callback(self)
+        return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(self)`` when the event settles (now if settled)."""
-        if self.triggered:
+        callbacks = self._callbacks
+        if callbacks is None:
             callback(self)
         else:
-            assert self._callbacks is not None
-            self._callbacks.append(callback)
+            callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
-        if self.triggered:
+        if self._callbacks is None:
             state = "failed" if self._exc is not None else "ok"
         return f"<Event {self.name!r} {state}>"
 

@@ -30,7 +30,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Name
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.random import RngRegistry
@@ -103,22 +103,22 @@ class Simulator:
         else:
             _heappush(self._heap, (when, next(self._seq), fn, args))
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: Name = "") -> Event:
         """Create a fresh one-shot event bound to this simulator."""
-        return Event(self, name=name)
+        return Event(self, name)
 
-    def timeout_event(self, delay: float, value: Any = None, name: str = "") -> Event:
+    def timeout_event(self, delay: float, value: Any = None, name: Name = "") -> Event:
         """An event that triggers by itself after ``delay``."""
-        event = self.event(name or f"timeout@{self.now + delay:.6g}")
+        event = Event(self, name or ("timeout@%.6g", self.now + delay))
         self.schedule(delay, event.trigger, value)
         return event
 
     def spawn(
-        self, gen: Generator[Any, Any, Any], name: Optional[str] = None
+        self, gen: Generator[Any, Any, Any], name: Optional[Name] = None
     ) -> Process:
         """Start a new process from a generator; returns the process."""
         if name is None:
-            name = f"proc-{next(self._proc_seq)}"
+            name = ("proc-%d", next(self._proc_seq))
         return Process(self, gen, name)
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ class Mailbox:
 
     def get(self) -> Event:
         """An event that triggers with the next item (now, if available)."""
-        event = self.sim.event(name=f"{self.name}.get")
+        event = Event(self.sim, ("%s.get", self.name))
         if self._items:
             event.trigger(self._items.popleft())
         else:
@@ -87,7 +87,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Event that triggers when a unit is granted."""
-        event = self.sim.event(name=f"{self.name}.acquire")
+        event = Event(self.sim, ("%s.acquire", self.name))
         if self.in_use < self.capacity:
             self.in_use += 1
             event.trigger(self)

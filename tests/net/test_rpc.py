@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TimeoutError_
+from repro.errors import InterruptError, TimeoutError_
 from repro.net import Endpoint, FixedLatency, LinkConfig, Network
 from repro.net.rpc import RpcError, fresh_uniquifier
 from repro.sim import Simulator, Timeout
@@ -225,6 +225,76 @@ def test_stop_interrupts_inflight_handlers():
     sim.spawn(run())
     sim.run(until=20.0)
     assert completed == []
+
+
+def test_stop_interrupts_inflight_handlers_in_dispatch_order():
+    """A crash kills in-flight handlers in the order they were dispatched,
+    not in the address order of their process objects."""
+    sim, _net, server, client = setup_pair()
+    died = []
+
+    @server.on("slow")
+    def slow(_ep, msg):
+        try:
+            yield Timeout(100.0)
+        finally:
+            died.append(msg.payload["n"])
+        return {}
+
+    for n in range(32):
+        client.cast("server", "slow", {"n": n})
+    sim.run(until=1.0)
+    assert server.inflight_handlers == 32
+    server.stop("crash")
+    sim.run(until=2.0)
+    assert died == list(range(32))
+    assert server.inflight_handlers == 0
+
+
+def test_interrupted_caller_leaves_no_pending_entry_behind():
+    """The caller dies mid-call and the reply never comes: the attempt's
+    timer, which fires anyway, is what forgets the expected reply."""
+    sim, _net, _server, client = setup_pair(loss_probability=1.0)
+
+    def run():
+        yield from client.call("server", "x", timeout=0.5, retries=0)
+
+    caller = sim.spawn(run())
+    sim.schedule(0.1, caller.interrupt, "gone")
+    sim.run(until=0.4)
+    assert isinstance(caller.done.exception, InterruptError)
+    assert len(client._pending) == 1
+    sim.run(until=1.0)
+    assert client._pending == {}
+    # Two serve-loop starts, the caller's start, interrupt(), its throw,
+    # the timer: the clean-up costs no step of its own.
+    assert sim.steps == 6
+
+
+def test_late_and_duplicate_replies_are_dropped():
+    """Every message is delivered twice, so one call draws four replies to
+    the same request id: the first settles the call, the rest find nothing
+    pending — as does a reply that arrives after its attempt expired."""
+    sim, _net, server, client = setup_pair(duplicate_probability=1.0)
+    runs = []
+
+    @server.on("do")
+    def do(_ep, msg):
+        runs.append(sim.now)
+        yield Timeout(msg.payload["work"])
+        return {"n": len(runs)}
+
+    def run():
+        quick = yield from client.call("server", "do", {"work": 0.0})
+        # Outlives the first attempt's 0.2 s timer; the retry is parked
+        # behind the original execution and answered from it.
+        slow = yield from client.call("server", "do", {"work": 0.3}, timeout=0.2)
+        return (quick["n"], slow["n"])
+
+    assert sim.run_process(run()) == (1, 2)
+    assert len(runs) == 2
+    assert client._pending == {}
+    assert sim.metrics.counter("rpc.client.retries").value == 1
 
 
 def test_cast_fire_and_forget():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator, Timeout
+from repro.net import Endpoint, Network
+from repro.sim import AllOf, Event, Simulator, Timeout
 
 
 def test_run_is_not_reentrant():
@@ -74,3 +75,82 @@ def test_processes_named_uniquely_by_default():
     names = {sim.spawn(idle()).name for _ in range(5)}
     assert len(names) == 5
     sim.run()
+
+
+# ----------------------------------------------------------------------
+# Names are kept as parts and rendered on first read; readers see a str.
+
+
+def test_lazy_names_render_exactly_as_the_eager_ones_did():
+    sim = Simulator()
+    reply = Event(sim, ("reply:%d", 17)).trigger("first")
+    with pytest.raises(SimulationError) as twice:
+        reply.trigger("second")
+    assert str(twice.value) == "event 'reply:17' triggered twice"
+
+    with pytest.raises(SimulationError) as early:
+        _ = sim.timeout_event(1.5).value
+    assert str(early.value) == "event 'timeout@1.5' has no value yet"
+    assert sim.timeout_event(1 / 3).name == "timeout@0.333333"
+    assert sim.timeout_event(1.0, name="named").name == "named"
+
+    net = Network(sim)
+    net.attach("server")
+    assert repr(net.mailbox("server").get()) == "<Event 'net:server.get' pending>"
+
+    def slow_ping(_ep, _msg):
+        yield Timeout(1.0)
+        return {}
+
+    server = Endpoint(net, "node")
+    server.register("PING", slow_ping)
+    server.start()
+    Endpoint(net, "peer").cast("node", "PING")
+    sim.run(until=0.5)
+    (handler,) = server._handler_procs.values()
+    assert handler.name == "rpc:node:PING"
+    assert handler.done.name == "rpc:node:PING.done"
+
+
+def test_names_read_as_plain_str():
+    sim = Simulator()
+
+    def idle():
+        yield Timeout(0.1)
+
+    anonymous = sim.spawn(idle())
+    named = sim.spawn(idle(), name="worker")
+    for name in (anonymous.name, anonymous.done.name, named.name, named.done.name,
+                 sim.event("e").name, sim.event().name, sim.timeout_event(2.0).name):
+        assert type(name) is str
+    assert (anonymous.name, anonymous.done.name) == ("proc-0", "proc-0.done")
+    assert (named.name, named.done.name) == ("worker", "worker.done")
+    assert "%" not in repr(anonymous)
+    sim.run()
+
+
+def test_effect_subclasses_are_still_effects():
+    """The kernel dispatches on the exact class first; a subclass must
+    fall through to the isinstance check, not be rejected."""
+
+    class Flag(Event):
+        __slots__ = ()
+
+    class Nap(Timeout):
+        __slots__ = ()
+
+    sim = Simulator()
+    flag = Flag(sim, "flag")
+    log = []
+
+    def waiter():
+        log.append((yield flag))
+        log.append((yield Nap(2.0, value="napped")))
+        log.append((yield flag))  # settled: resumes at once
+        log.append(list((yield AllOf([flag])).values()))
+
+    proc = sim.spawn(waiter())
+    sim.schedule(1.0, flag.trigger, "raised")
+    sim.run()
+    assert log == ["raised", "napped", "raised", ["raised"]]
+    assert not proc.alive and sim.now == 3.0
