@@ -194,13 +194,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ("repro.dynamo", "repro.storage.snapshot"),
         "benchmarks/bench_a07_snapshot_recovery.py",
     ),
-    Experiment(
-        "K1", "Simulator kernel throughput",
-        "§1–§2 (infrastructure): every reproduced claim runs on the "
-        "deterministic kernel, so its throughput bounds the sweeps — "
-        "tracked via repro.perf and BENCH_sim.json, not a paper table",
-        ("repro.perf",), "benchmarks/bench_kernel_throughput.py",
-    ),
 )
 
 

@@ -5,7 +5,7 @@ seed bit-for-bit deterministic — a hard requirement for reproducing the
 paper's probabilistic claims (loss windows, violation rates) as exact
 numbers under a seed.
 
-Hot-path layout (the perf harness in :mod:`repro.perf` tracks this):
+Hot-path layout (``bench``'s ``sim.sched_us_per_event`` rung times this):
 
 - Zero-delay callbacks — process spawns, resumes, interrupts, same-time
   continuations — bypass the heap entirely and ride a FIFO *fast lane*
@@ -66,8 +66,8 @@ class Simulator:
         for hook in _fresh_run_hooks:
             hook()
         self.now: float = 0.0
-        #: Total callbacks executed over the simulator's lifetime; the perf
-        #: harness divides this by wall time for events/sec.
+        #: Total callbacks executed over the simulator's lifetime; ``bench``
+        #: reports it as a run's exact ``events`` field.
         self.steps: int = 0
         self.seed = seed
         self.rng = RngRegistry(seed)

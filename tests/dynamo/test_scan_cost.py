@@ -3,11 +3,14 @@
 Background reconciliation only works if it is cheap enough to run all the
 time (§6). These are deterministic counts, not timings: a loaded ring is
 scanned by both anti-entropy flavours while ``ring_hash`` and the strict
-ring walk are counted.
+ring walk are counted. The request path is pinned the same way at the
+bottom: messages (``net.sent``) and key hashes per GET, PUT and cart op.
 """
 
 import pytest
 
+from repro.cart.service import CartService
+from repro.cart.strategies import OpCartStrategy
 from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
 from repro.dynamo import merkle, ring
 from repro.dynamo.ring import HashRing
@@ -88,3 +91,32 @@ def test_positions_outlive_a_reshape_and_owners_do_not(counts):
     run(cluster.run_merkle_round())
     run(cluster.run_anti_entropy_round())
     assert counts == {"hashes": 16, "strict_walks": 97 + 113}
+
+
+def _cost(cluster, counts, request):
+    """Run ``request`` to completion: (messages sent, keys hashed)."""
+    sent = cluster.sim.metrics.counter("net.sent")
+    messages, hashes = sent.value, counts["hashes"]
+    cluster.sim.run_process(request)
+    return int(sent.value - messages), counts["hashes"] - hashes
+
+
+def test_quorum_get_and_put_are_six_messages_each(counts):
+    cluster = _loaded_ring(counts)
+    client = cluster.client("shopper")
+    # The coordinator asks all N=3 preference-list nodes, not just W or R
+    # of them: 3 requests + 3 replies. A PUT hashes the key twice (intended
+    # owners, then the sloppy preference list), a GET once; every replica
+    # answers the GET with the same version, so there is no read repair.
+    assert _cost(cluster, counts, client.put("k", "v")) == (6, 2)
+    assert _cost(cluster, counts, client.get("k")) == (6, 1)
+
+
+def test_cart_add_is_a_get_plus_a_put_and_view_is_a_get(counts):
+    cluster = _loaded_ring(counts)
+    cart = CartService(cluster, OpCartStrategy(), client=cluster.client("shopper"))
+    # add = GET the blob, fold the op in, PUT it back; view = one GET. Only
+    # the cart key is ever hashed, never the blob.
+    assert _cost(cluster, counts, cart.add("cart", "milk")) == (12, 3)
+    assert _cost(cluster, counts, cart.add("cart", "eggs")) == (12, 3)
+    assert _cost(cluster, counts, cart.view("cart")) == (6, 1)

@@ -13,49 +13,128 @@ process — so they are machine-independent and run unmarked.
 """
 
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from repro.net import Endpoint, Network
-from repro.perf.workloads import WORKLOADS, sched_churn
 from repro.sim import Simulator, Timeout
 from repro.sim.trace import TraceRecord
+from repro.tandem import TandemConfig, TandemSystem
 
 slow = pytest.mark.slow
 
-# events/sec floors, ~10x below measured rates on one shared CPU core
-# (sched_churn measured ~2.5M ev/s after the fast-lane kernel landed).
-_FLOORS = {
-    "sched_churn": 250_000,
-    "rpc_ping": 10_000,
-    "tandem_cadence": 8_000,
-}
 
-# Scales chosen so each timed check stays around a second even at floor.
-_SCALES = {
-    "sched_churn": 100_000,
-    "rpc_ping": 1_000,
-    "tandem_cadence": 200,
+# ----------------------------------------------------------------------
+# The three kernel workloads the floors time. Each is a pure function of
+# its scale (and a fixed seed) and returns ``Simulator.steps``.
+
+
+def sched_churn(scale):
+    """Pure scheduler churn: 64 self-perpetuating timers, each firing a
+    3-deep zero-delay cascade — the signature pattern of process resumes."""
+    sim = Simulator(seed=1)
+    state = [0]
+
+    def cont():
+        state[0] += 1
+
+    def tick():
+        state[0] += 1
+        if state[0] < scale:
+            sim.schedule(0.0, cont)
+            sim.schedule(0.0, cont)
+            sim.schedule(0.0, cont)
+            sim.schedule(0.13, tick)
+
+    for k in range(64):
+        sim.schedule(0.01 * (k + 1), tick)
+    sim.run()
+    return sim.steps
+
+
+def _echo_server(seed):
+    """A network with a started ``server`` that answers PING with its ``n``."""
+    sim = Simulator(seed=seed)
+    net = Network(sim)
+    server = Endpoint(net, "server")
+    server.register("PING", lambda _ep, msg: {"echo": msg.payload["n"]})
+    server.start()
+    return sim, net
+
+
+def _pinger(net, name, calls, echoes):
+    """One client making ``calls`` sequential PINGs to the echo server."""
+    client = Endpoint(net, name)
+    client.start()
+    for n in range(calls):
+        reply = yield from client.call("server", "PING", {"n": n})
+        echoes.append(reply["echo"])
+
+
+def rpc_ping(scale):
+    """RPC ping storm: 4 clients hammering one server with sequential
+    request/reply calls (spawn-per-request, one timer per attempt)."""
+    sim, net = _echo_server(seed=2)
+    echoes = []
+    for index in range(4):
+        sim.spawn(_pinger(net, f"client{index}", scale // 4, echoes),
+                  name=f"pinger{index}")
+    sim.run()
+    assert len(echoes) == 4 * (scale // 4)
+    return sim.steps
+
+
+def tandem_cadence(scale):
+    """Tandem DP2 checkpoint cadence: back-to-back transactions of two
+    WRITEs plus commit, exercising group commit and the ADP disk."""
+    system = TandemSystem(TandemConfig(mode="dp2", num_dps=2), seed=4)
+    sim = system.sim
+    client = system.client()
+
+    def jobs():
+        for i in range(scale):
+            txn = client.begin()
+            yield from client.write(txn, f"dp{i % 2}", f"k{i % 8}", i)
+            yield from client.write(txn, f"dp{(i + 1) % 2}", f"j{i % 8}", i)
+            yield from client.commit(txn)
+
+    sim.spawn(jobs(), name="perf.tandem")
+    sim.run()
+    return sim.steps
+
+
+# name: (workload, scale, events/sec floor). Floors are ~10x below measured
+# rates on one shared CPU core (sched_churn measured ~2.5M ev/s after the
+# fast-lane kernel landed); scales keep each timed check around a second
+# even at floor.
+_FLOORS = {
+    "sched_churn": (sched_churn, 100_000, 250_000),
+    "rpc_ping": (rpc_ping, 1_000, 10_000),
+    "tandem_cadence": (tandem_cadence, 200, 8_000),
 }
 
 
 @slow
 @pytest.mark.parametrize("name", sorted(_FLOORS))
 def test_events_per_sec_floor(name):
-    import time
-
-    workload = WORKLOADS[name]
-    scale = _SCALES[name]
-    workload.fn(scale)  # warm-up: imports, first-call caches
+    workload, scale, floor = _FLOORS[name]
+    workload(scale)  # warm-up: imports, first-call caches
     start = time.perf_counter()
-    run = workload.fn(scale)
+    events = workload(scale)
     wall = time.perf_counter() - start
-    rate = run.events / wall
-    assert rate >= _FLOORS[name], (
-        f"{name}: {rate:,.0f} ev/s under floor {_FLOORS[name]:,} "
-        f"({run.events} events in {wall:.3f}s)"
+    rate = events / wall
+    assert rate >= floor, (
+        f"{name}: {rate:,.0f} ev/s under floor {floor:,} "
+        f"({events} events in {wall:.3f}s)"
     )
+
+
+def test_sched_churn_executes_an_exact_repeatable_number_of_steps():
+    """The floor divides a constant by the clock: the same scale always
+    does the same work."""
+    assert sched_churn(100_000) == 100_072
 
 
 @slow
@@ -64,10 +143,10 @@ def test_scheduler_allocates_no_objects_per_event():
     event beyond the scheduled tuples — run a churn workload under
     tracemalloc and bound peak bytes per event."""
     tracemalloc.start()
-    run = sched_churn(20_000)
+    events = sched_churn(20_000)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    per_event = peak / run.events
+    per_event = peak / events
     # Tuples in the heap/lane plus transient frame objects; a regression
     # to unslotted records or eager formatting blows well past this.
     assert per_event < 200, f"{per_event:.0f} peak bytes/event"
@@ -116,21 +195,9 @@ _CALLS_PER_RPC = 120
 
 
 def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    server = Endpoint(net, "server")
-    server.register("PING", lambda _ep, msg: {"echo": msg.payload["n"]})
-    server.start()
-    client = Endpoint(net, "client")
-    client.start()
+    sim, net = _echo_server(seed=1)
     echoes = []
-
-    def pinger():
-        for n in range(_PINGS):
-            reply = yield from client.call("server", "PING", {"n": n})
-            echoes.append(reply["echo"])
-
-    sim.spawn(pinger())
+    sim.spawn(_pinger(net, "client", _PINGS, echoes))
     calls = 0
 
     def count(_frame, event, _arg):
