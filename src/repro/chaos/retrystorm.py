@@ -125,6 +125,9 @@ class RetryStormScenario(Scenario):
         server.start()
         self._server = server
 
+        self._naive_policy = RetryPolicy(
+            max_attempts=self.naive_retries + 1, timeout=self.naive_timeout
+        )
         self._resilient_policy = RetryPolicy(
             max_attempts=4, timeout=self.naive_timeout,
             backoff="exponential", base_delay=0.1, multiplier=2.0,
@@ -238,8 +241,7 @@ class RetryStormScenario(Scenario):
                 sim.metrics.inc("chaos.retrystorm.reissues")
             try:
                 reply = yield from client.call(
-                    "server", "WORK", payload,
-                    timeout=self.naive_timeout, retries=self.naive_retries,
+                    "server", "WORK", payload, policy=self._naive_policy,
                 )
             except (TimeoutError_, RpcError, CrashedError):
                 continue

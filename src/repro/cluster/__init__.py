@@ -5,12 +5,12 @@ functioning correctly or simply stops functioning." A :class:`Node` groups
 the volatile pieces that die together — its processes, its network
 endpoint, its in-memory buffers — behind ``crash()``/``restart()``.
 :class:`FailureInjector` drives deterministic or randomized crash
-schedules, and :class:`Membership` tracks who is currently up.
+schedules. Who is *believed* up is nobody's fact: each observer holds a
+:class:`MembershipView`, spread as rumor by :class:`MembershipGossip`.
 """
 
 from repro.cluster.node import Node
 from repro.cluster.failure import FailureInjector, CrashPlan
-from repro.cluster.membership import Membership
 from repro.cluster.gossip_membership import (
     ALIVE,
     DEAD,
@@ -32,7 +32,6 @@ __all__ = [
     "Node",
     "FailureInjector",
     "CrashPlan",
-    "Membership",
     "ALIVE",
     "SUSPECT",
     "DEAD",

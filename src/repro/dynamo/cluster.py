@@ -11,10 +11,15 @@ The ring is elastic: :meth:`DynamoCluster.join` splices a new node in
 and bootstraps exactly the key ranges it now owns from their previous
 owners (range-scoped Merkle transfer); :meth:`DynamoCluster.decommission`
 routes writes away first, then streams the leaving node's ranges to
-their new owners before it departs. Both are driven through
-:class:`repro.cluster.membership.Membership`, and every hinted-handoff
-and intended-owner check consults the *current* ring — so an acked write
-is never stranded mid-reshape.
+their new owners before it departs. Both reshape the ring first, and
+every hinted-handoff and intended-owner check consults the *current*
+ring — so an acked write is never stranded mid-reshape.
+
+Every *routing* decision — a client's preference walk, an anti-entropy
+push, a Merkle pairing — asks the observer's own view, then the fabric:
+:data:`NO_OPINION` until :meth:`DynamoCluster.attach_gossip_membership`
+gives each node a local, possibly-stale ``MembershipView``. Only the
+*driver* reads ground truth (:meth:`DynamoCluster.alive`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.cluster.membership import Membership
+from repro.cluster.gossip_membership import MembershipGossip, MembershipView
 from repro.errors import (
     CrashedError,
     QuicksandError,
@@ -89,6 +94,20 @@ def _wire_versions(
     ]
 
 
+class _NoOpinion:
+    """The view of an observer that hears no rumors (a node before
+    :meth:`DynamoCluster.attach_gossip_membership`, a client co-located
+    with no node): shared, stateless, instantly converged because it
+    believes nothing — every name is usable and reachability decides."""
+
+    @staticmethod
+    def is_usable(_name: str) -> bool:
+        return True
+
+
+NO_OPINION = _NoOpinion()
+
+
 class DynamoCluster:
     """N storage nodes on one fabric, plus client factories."""
 
@@ -134,14 +153,13 @@ class DynamoCluster:
         # all nodes. Filled by the scans, never by store_version: traffic
         # that is never scanned must not pay for an index it never reads.
         self._positions = RingPositions()
-        self.membership = Membership.of_names(self.nodes)
         # Gossip-driven membership (opt-in via attach_gossip_membership):
-        # a per-node MembershipView plus its epidemic disseminator. When
-        # attached, preference lists, anti-entropy, and clients consult
-        # each node's LOCAL view — the shared Membership above stays the
-        # omniscient oracle for experiments that are not studying this.
-        self.views: Optional[Dict[str, Any]] = None
-        self.membership_gossips: Dict[str, Any] = {}
+        # a per-node MembershipView plus its epidemic disseminator, built
+        # under the remembered settings. Anti-entropy and view_of clients
+        # consult each node's LOCAL view; without one, NO_OPINION.
+        self.views: Dict[str, MembershipView] = {}
+        self.membership_gossips: Dict[str, MembershipGossip] = {}
+        self._gossip_settings: Dict[str, Any] = {}
         self._gossip_until: Optional[float] = None
         self._client_ids = itertools.count(1)
         for node in self.nodes.values():
@@ -152,17 +170,11 @@ class DynamoCluster:
     ) -> "DynamoClient":
         """A coordinator client. ``view_of`` names a node whose local
         gossip view the client routes by (the coordinator is co-located
-        with that node, §4.2-style); None keeps the oracle-free
-        reachability-only behavior."""
-        view = None
-        if view_of is not None:
-            if self.views is None or view_of not in self.views:
-                raise SimulationError(
-                    f"no gossip membership view for {view_of!r}"
-                )
-            view = self.views[view_of]
+        with that node, §4.2-style); without one the client holds no
+        opinion and routes by reachability alone."""
         return DynamoClient(
-            self, name or f"dynclient{next(self._client_ids)}", view=view
+            self, name or f"dynclient{next(self._client_ids)}",
+            view=self.view_of(view_of) if view_of else NO_OPINION,
         )
 
     # ------------------------------------------------------------------
@@ -179,29 +191,37 @@ class DynamoCluster:
         epidemically over the nodes' own endpoints. From here on, who is
         alive is a *rumor*: detectors and failed gossip probes suspect
         into local views, refutations outrank accusations, and no node
-        can consult the cluster-object oracle on behalf of another."""
-        from repro.cluster.gossip_membership import (
-            MembershipGossip,
-            MembershipView,
-        )
-
-        if self.views is not None:
+        can consult the cluster-object oracle on behalf of another.
+        Nodes that :meth:`join` later gossip under the same settings."""
+        if self.membership_gossips:
             raise SimulationError("gossip membership already attached")
+        self._gossip_settings = {
+            "view": dict(suspicion_timeout=suspicion_timeout),
+            "gossip": dict(
+                period=period, fanout=fanout, full_sync_every=full_sync_every
+            ),
+        }
         names = list(self.nodes)
-        self.views = {}
-        for name, node in self.nodes.items():
-            view = MembershipView(
-                name, self.sim, suspicion_timeout=suspicion_timeout
-            )
-            view.seed(names)
-            self.views[name] = view
-            self.membership_gossips[name] = MembershipGossip(
-                view, endpoint=node.endpoint, period=period, fanout=fanout,
-                full_sync_every=full_sync_every,
-            )
+        for name in names:
+            self._attach_gossiper(name, names)
+
+    def _attach_gossiper(
+        self, name: str, known: Sequence[str]
+    ) -> MembershipGossip:
+        """One node's local view, seeded with the members it ``known``
+        of at birth, plus its disseminator — initial members and joiners
+        alike, under the settings :meth:`attach_gossip_membership` took."""
+        view = MembershipView(name, self.sim, **self._gossip_settings["view"])
+        view.seed(known)
+        self.views[name] = view
+        gossip = self.membership_gossips[name] = MembershipGossip(
+            view, endpoint=self.nodes[name].endpoint,
+            **self._gossip_settings["gossip"],
+        )
+        return gossip
 
     def start_membership_gossip(self, until: Optional[float] = None) -> None:
-        if self.views is None:
+        if not self.membership_gossips:
             raise SimulationError("attach_gossip_membership first")
         self._gossip_until = until
         for gossip in self.membership_gossips.values():
@@ -212,18 +232,17 @@ class DynamoCluster:
             gossip.stop()
         self._gossip_until = None
 
-    def view_of(self, name: str) -> Any:
-        if self.views is None or name not in self.views:
+    def view_of(self, name: str) -> MembershipView:
+        """``name``'s local gossip view; a domain error before
+        :meth:`attach_gossip_membership` or for an unknown node."""
+        if name not in self.views:
             raise SimulationError(f"no gossip membership view for {name!r}")
         return self.views[name]
 
     def _usable_by(self, observer: str, target: str) -> bool:
         """Liveness as ``observer`` believes it: its local gossip view
-        when one is attached (possibly stale, possibly wrong), else the
-        shared oracle."""
-        if self.views is not None and observer in self.views:
-            return self.views[observer].is_usable(target)
-        return self.alive(target)
+        (possibly stale, possibly wrong), or no opinion at all."""
+        return self.views.get(observer, NO_OPINION).is_usable(target)
 
     def _bootstrap_gossip_view(
         self, node_name: str
@@ -232,18 +251,6 @@ class DynamoCluster:
         first reachable peer, deterministically), then runs one full
         push-pull with it — after which both sides hold each other and
         the epidemic does the rest."""
-        from repro.cluster.gossip_membership import (
-            MembershipGossip,
-            MembershipView,
-        )
-
-        template = next(iter(self.views.values()), None)
-        view = MembershipView(
-            node_name, self.sim,
-            suspicion_timeout=(
-                template.suspicion_timeout if template is not None else 1.5
-            ),
-        )
         introducer = next(
             (
                 name for name in sorted(self.views)
@@ -252,56 +259,35 @@ class DynamoCluster:
             ),
             None,
         )
-        gossip = MembershipGossip(
-            view, endpoint=self.nodes[node_name].endpoint,
-            period=self._gossip_period(), fanout=self._gossip_fanout(),
+        gossip = self._attach_gossiper(
+            node_name, [] if introducer is None else [introducer]
         )
-        self.views[node_name] = view
-        self.membership_gossips[node_name] = gossip
         if introducer is not None:
-            view.seed([introducer])
             yield from gossip.round_once(force_full=True)
         if self._gossip_until is not None:
             gossip.run(self._gossip_until)
 
-    def _gossip_period(self) -> float:
-        for gossip in self.membership_gossips.values():
-            return gossip.period
-        return 0.25
-
-    def _gossip_fanout(self) -> int:
-        for gossip in self.membership_gossips.values():
-            return gossip.fanout
-        return 2
-
     def alive(self, node_name: str) -> bool:
-        return (
-            node_name in self.nodes
-            and self.membership.is_alive(node_name)
-            and self.network.is_attached(node_name)
-        )
+        """Ground truth, for the driver only (experiments, the harness,
+        hint delivery): the node exists and its endpoint is on the
+        fabric — however it was crashed. Routing asks a view instead."""
+        return node_name in self.nodes and self.network.is_attached(node_name)
 
     def crash(self, node_name: str) -> None:
         self.nodes[node_name].crash()
-        self.membership.mark_down(node_name)
 
     def restart(self, node_name: str) -> None:
         self.nodes[node_name].restart()
-        self.membership.mark_up(node_name)
 
     def cold_crash(self, node_name: str) -> int:
         """Crash a node *losing its store* (vs :meth:`crash`, which models
         the store as durable). Returns versions lost."""
-        lost = self.nodes[node_name].cold_crash()
-        self.membership.mark_down(node_name)
-        return lost
+        return self.nodes[node_name].cold_crash()
 
     def cold_restart(self, node_name: str) -> Generator[Any, Any, Dict[str, Any]]:
         """Rejoin a cold-crashed node: snapshot seed, then the caller runs
         handoff + Merkle rounds to close the remaining diff."""
-        result = yield from self.nodes[node_name].cold_restart()
-        self.membership.mark_up(node_name)
-        return result
+        return (yield from self.nodes[node_name].cold_restart())
 
     def run_handoff_round(self) -> Generator[Any, Any, int]:
         """Drive one hint-delivery pass on every node; returns total
@@ -335,9 +321,7 @@ class DynamoCluster:
                             continue
                         if owner in unresponsive:
                             continue
-                        if self.views is not None and not self._usable_by(
-                            node.name, owner
-                        ):
+                        if not self._usable_by(node.name, owner):
                             # The pusher's own view says this owner is
                             # dead or gone — it acts on its local (maybe
                             # stale) opinion; anti-entropy heals the gap
@@ -455,17 +439,91 @@ class DynamoCluster:
             view.append((key, position, versions))
         return view
 
+    def _exchange(
+        self,
+        node: DynamoNode,
+        peer: str,
+        buckets: int,
+        ranges: Optional[Sequence[Sequence[int]]] = None,
+    ) -> Generator[Any, Any, Dict[str, Any]]:
+        """One digest-first Merkle exchange with ``peer``, the pair
+        primitive under anti-entropy rounds and range transfers alike:
+        one DIGESTS call, then per divergent bucket one SYNC_BUCKET that
+        ships our side and integrates the reply (only keys we own under
+        the *current* ring). It covers the keys both ends are intended
+        owners of, or those inside ``ranges`` for a rebalance transfer.
+        A peer (or our own endpoint) failing ends it — counted, not raised.
+
+        Returns raw facts for the caller to report as it sees fit:
+        messages answered, entries ``shipped``, reply entries ``kept``
+        and how many of those were ``fresh`` (not already covered here),
+        shipped entries the peer ``integrated`` as new, ``peer_failed``.
+        """
+        facts = {"digest_msgs": 0, "bucket_msgs": 0, "shipped": 0, "kept": 0,
+                 "fresh": 0, "integrated": 0, "peer_failed": False}
+        scope = {} if ranges is None else {
+            "ranges": [[start, end] for start, end in ranges]
+        }
+        try:
+            reply = yield from node.endpoint.call(
+                peer, "DIGESTS", {"buckets": buckets, **scope},
+                policy=REPLICATION_POLICY,
+            )
+        except _PEER_ERRORS + (SimulationError,):
+            return self._peer_failed(facts)
+        facts["digest_msgs"] += 1
+        theirs = reply["digests"]
+        view = self._view(
+            node, sharers={node.name, peer}, ranges=scope.get("ranges")
+        )
+        mine = entry_digests(view, buckets)
+        for bucket in range(buckets):
+            if mine[bucket] == theirs[bucket]:
+                continue
+            payload = _wire_versions(view, bucket, buckets)
+            try:
+                sync_reply = yield from node.endpoint.call(
+                    peer, "SYNC_BUCKET",
+                    {"bucket": bucket, "buckets": buckets, **scope,
+                     "versions": payload},
+                    policy=REPLICATION_POLICY,
+                )
+            except _PEER_ERRORS + (SimulationError,):
+                return self._peer_failed(facts)
+            facts["bucket_msgs"] += 1
+            facts["shipped"] += len(payload)
+            facts["integrated"] += sync_reply["integrated"]
+            for entry in sync_reply["versions"]:
+                key = entry["key"]
+                if node.name not in self._owners(key):
+                    continue
+                version = VersionedValue(
+                    entry["value"], VectorClock(entry["clock"])
+                )
+                facts["kept"] += 1
+                if not self._holds(node, key, version.clock):
+                    facts["fresh"] += 1
+                node.store_version(key, version)
+        return facts
+
+    def _peer_failed(self, facts: Dict[str, Any]) -> Dict[str, Any]:
+        facts["peer_failed"] = True
+        self.sim.metrics.inc("dynamo.anti_entropy_errors")
+        return facts
+
     def run_merkle_round(self, buckets: int = 16) -> Generator[Any, Any, Dict[str, int]]:
         """One digest-first anti-entropy pass over every live node pair.
 
         Returns message accounting: digest exchanges vs bucket payloads —
-        once converged, a round costs only the digest messages."""
+        once converged, a round costs only the digest messages.
+        ``versions_moved`` counts wire entries, both directions."""
         check_buckets(buckets)
         stats = {"digest_msgs": 0, "bucket_msgs": 0, "versions_moved": 0}
         names = sorted(self.nodes)
         # Same per-round isolation as run_anti_entropy_round: once a peer
         # times out (a soft cut reachable() cannot see), skip its other
         # pairings this round instead of paying the timeout N more times.
+        # A failing pair must not abort the round: the rest still sync.
         unresponsive: set = set()
         for i, a_name in enumerate(names):
             for b_name in names[i + 1:]:
@@ -473,56 +531,20 @@ class DynamoCluster:
                     continue
                 if not self.alive(a_name):
                     continue
-                # The initiator judges its peer by its own local view
-                # when gossip membership is attached; the oracle otherwise.
-                if self.views is not None:
-                    if not self._usable_by(a_name, b_name):
-                        continue
-                elif not self.alive(b_name):
+                # The initiator judges its peer by its own local view,
+                # then by whether the fabric can carry the exchange.
+                if not self._usable_by(a_name, b_name):
                     continue
                 if not self.network.reachable(a_name, b_name):
                     continue
-                a = self.nodes[a_name]
-                try:
-                    reply = yield from a.endpoint.call(
-                        b_name, "DIGESTS", {"buckets": buckets},
-                        policy=REPLICATION_POLICY,
-                    )
-                except _PEER_ERRORS + (SimulationError,):
-                    # A peer (or our own endpoint) failing mid-round must
-                    # not abort the round: the remaining pairs still sync.
+                facts = yield from self._exchange(
+                    self.nodes[a_name], b_name, buckets
+                )
+                if facts["peer_failed"]:
                     unresponsive.add(b_name)
-                    self.sim.metrics.inc("dynamo.anti_entropy_errors")
-                    continue
-                stats["digest_msgs"] += 1
-                theirs = reply["digests"]
-                shared = self._view(a, sharers={a_name, b_name})
-                mine = entry_digests(shared, buckets)
-                for bucket in range(buckets):
-                    if mine[bucket] == theirs[bucket]:
-                        continue
-                    payload = _wire_versions(shared, bucket, buckets)
-                    try:
-                        sync_reply = yield from a.endpoint.call(
-                            b_name, "SYNC_BUCKET",
-                            {"bucket": bucket, "buckets": buckets, "versions": payload},
-                            policy=REPLICATION_POLICY,
-                        )
-                    except _PEER_ERRORS + (SimulationError,):
-                        unresponsive.add(b_name)
-                        self.sim.metrics.inc("dynamo.anti_entropy_errors")
-                        break
-                    stats["bucket_msgs"] += 1
-                    stats["versions_moved"] += len(payload)
-                    for entry in sync_reply["versions"]:
-                        key = entry["key"]
-                        if a_name not in self._owners(key):
-                            continue
-                        a.store_version(
-                            key,
-                            VersionedValue(entry["value"], VectorClock(entry["clock"])),
-                        )
-                        stats["versions_moved"] += 1
+                stats["digest_msgs"] += facts["digest_msgs"]
+                stats["bucket_msgs"] += facts["bucket_msgs"]
+                stats["versions_moved"] += facts["shipped"] + facts["kept"]
         self.sim.metrics.inc("dynamo.merkle_digest_msgs", stats["digest_msgs"])
         self.sim.metrics.inc("dynamo.merkle_bucket_msgs", stats["bucket_msgs"])
         return stats
@@ -552,7 +574,7 @@ class DynamoCluster:
     ) -> Generator[Any, Any, Dict[str, int]]:
         """Splice a new node into the ring and bootstrap its ranges.
 
-        The ring and membership are updated *first*, so every subsequent
+        The ring is updated *first*, so every subsequent
         PUT's intended-owner and hinted-handoff checks see the new
         topology — then the joiner pulls exactly the arcs it gained from
         their previous owners via a range-scoped Merkle transfer. Until a
@@ -571,14 +593,13 @@ class DynamoCluster:
         self.nodes[node_name] = node
         before = self.ring.clone()
         self.ring.add_node(node_name)
-        self.membership.add_name(node_name)
         moved = moved_ranges(before, self.ring, self.n)
         self.sim.metrics.inc("dynamo.ring_joins")
         self.sim.trace.emit(
             node_name, "ring.join", moved_ranges=len(moved),
             nodes=len(self.nodes),
         )
-        if self.views is not None:
+        if self.membership_gossips:
             # The join is an ``alive`` rumor, not an oracle broadcast:
             # the joiner bootstraps its view from one introducer (a full
             # push-pull, which also plants the joiner in the introducer's
@@ -617,7 +638,7 @@ class DynamoCluster:
     ) -> Generator[Any, Any, Dict[str, int]]:
         """Remove a node from the ring, streaming its ranges out first.
 
-        The ring and membership drop the node *before* the drain, so new
+        The ring drops the node *before* the drain, so new
         writes route to the arcs' successor owners while the leaver
         ships what it holds: hints first, then a range-scoped Merkle
         push of every arc that gained an owner, then a sweep for any
@@ -663,7 +684,7 @@ class DynamoCluster:
             # Straggler sweep: hints that would not deliver, stale copies
             # from older reshapes — push anything the current owners lack.
             stats["leftover_pushes"] = yield from self._drain_leftovers(node)
-        if self.views is not None and node_name in self.views:
+        if node_name in self.membership_gossips:
             # Announce the departure as a ``left`` rumor before the
             # endpoint dies: the leaver marks itself LEFT and pushes one
             # full exchange so at least one survivor carries the rumor on.
@@ -675,7 +696,6 @@ class DynamoCluster:
                 view.leave(node_name)
                 yield from gossip.round_once(force_full=True)
             gossip.stop()
-        self.membership.remove(node_name)
         node.endpoint.stop("decommissioned")
         if node.snapshotter is not None:
             node.snapshotter.stop()
@@ -725,51 +745,15 @@ class DynamoCluster:
         DIGESTS/SYNC_BUCKET verbs anti-entropy uses, restricted to the
         moved arcs. Both sides end up holding the ranges' frontier (each
         stores only what it owns under the current ring)."""
-        stats = {"versions_moved": 0, "digest_msgs": 0, "bucket_msgs": 0}
-        range_payload = [[start, end] for start, end in ranges]
-        try:
-            reply = yield from node.endpoint.call(
-                peer, "DIGESTS",
-                {"buckets": buckets, "ranges": range_payload},
-                policy=REPLICATION_POLICY,
-            )
-        except _PEER_ERRORS + (SimulationError,):
-            self.sim.metrics.inc("dynamo.anti_entropy_errors")
-            return stats
-        stats["digest_msgs"] += 1
-        theirs = reply["digests"]
-        view = self._view(node, ranges=range_payload)
-        mine = entry_digests(view, buckets)
-        for bucket in range(buckets):
-            if mine[bucket] == theirs[bucket]:
-                continue
-            payload = _wire_versions(view, bucket, buckets)
-            try:
-                sync_reply = yield from node.endpoint.call(
-                    peer, "SYNC_BUCKET",
-                    {"bucket": bucket, "buckets": buckets,
-                     "ranges": range_payload, "versions": payload},
-                    policy=REPLICATION_POLICY,
-                )
-            except _PEER_ERRORS + (SimulationError,):
-                self.sim.metrics.inc("dynamo.anti_entropy_errors")
-                break
-            stats["bucket_msgs"] += 1
+        facts = yield from self._exchange(node, peer, buckets, ranges)
+        return {
             # Count versions that changed someone's state, not wire
             # payloads: syncing the same arc with a second source ships
             # bytes but moves no new information.
-            stats["versions_moved"] += sync_reply.get("integrated", 0)
-            for entry in sync_reply["versions"]:
-                key = entry["key"]
-                if node.name not in self._owners(key):
-                    continue
-                version = VersionedValue(
-                    entry["value"], VectorClock(entry["clock"])
-                )
-                if not self._holds(node, key, version.clock):
-                    stats["versions_moved"] += 1
-                node.store_version(key, version)
-        return stats
+            "versions_moved": facts["integrated"] + facts["fresh"],
+            "digest_msgs": facts["digest_msgs"],
+            "bucket_msgs": facts["bucket_msgs"],
+        }
 
 
 class DynamoClient:
@@ -780,16 +764,15 @@ class DynamoClient:
         cluster: DynamoCluster,
         name: str,
         policy: Optional[RetryPolicy] = None,
-        view: Optional[Any] = None,
+        view: Any = NO_OPINION,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.name = name
         self.policy = policy or CLIENT_POLICY
-        # When routing by a node's gossip view, the coordinator skips
-        # peers that view holds dead/left — even if they are reachable.
-        # A stale view therefore degrades to sloppy quorum + hinted
-        # handoff, never to a stuck request.
+        # The coordinator skips peers its view holds dead/left — even if
+        # they are reachable. A stale view therefore degrades to sloppy
+        # quorum + hinted handoff, never to a stuck request.
         self.view = view
         self.endpoint = Endpoint(cluster.network, name)
         self.endpoint.start()
@@ -892,11 +875,11 @@ class DynamoClient:
 
     def _can_reach(self, node_name: str) -> bool:
         """This coordinator's failure-detector view: a node is usable if
-        it is up *and* on our side of any partition — and, when routing
-        by a gossip view, not believed dead/left by that view."""
-        if self.view is not None and not self.view.is_usable(node_name):
-            return False
-        return self.cluster.network.reachable(self.name, node_name)
+        our view does not believe it dead/left *and* it is up on our side
+        of any partition."""
+        return self.view.is_usable(node_name) and self.cluster.network.reachable(
+            self.name, node_name
+        )
 
     def _scatter(
         self, targets: List[str], verb: str, payload: Dict[str, Any]

@@ -40,7 +40,6 @@ class FailoverController:
         leases: Optional[LeaseManager] = None,
         lease_duration: float = 2.0,
         name: str = "failover",
-        view: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.detector = detector
@@ -51,35 +50,13 @@ class FailoverController:
         self.lease_duration = lease_duration
         self.name = name
         self.takeovers = 0
-        self.view = view
-        if view is None:
-            detector.on_convict(self._handle_conviction)
-        else:
-            # Gossip-membership mode: the detector only *suspects* (into
-            # the controller's own MembershipView, where the suspicion is
-            # refutable and disseminates as a rumor); takeover triggers
-            # when this controller's OWN view declares the primary dead —
-            # never from an oracle, never from someone else's opinion.
-            detector.bind_view(view)
-            view.on_change(self._handle_view_change)
-
-    def _handle_view_change(
-        self, name: str, _old: Optional[str], new: str, _incarnation: int
-    ) -> None:
-        from repro.cluster.gossip_membership import DEAD
-
-        if new != DEAD or name != self.primary_of():
-            return
-        self._take_over(name)
+        detector.on_convict(self._handle_conviction)
 
     def _handle_conviction(self, node: str, _at: float) -> None:
         if node != self.primary_of():
             # Convicting a non-primary changes membership, not leadership.
             self.sim.metrics.inc("failover.nonprimary_convictions")
             return
-        self._take_over(node)
-
-    def _take_over(self, node: str) -> None:
         new_primary = self.successor_of(node)
         lease = self.leases.grant(new_primary, self.lease_duration)
         self.takeovers += 1
@@ -116,7 +93,6 @@ class LogshipFailover:
         poll_interval: Optional[float] = None,
         lease_duration: float = 2.0,
         monitor_name: str = "failover.monitor",
-        view: Optional[Any] = None,
     ) -> None:
         self.system = system
         self.sim = system.sim
@@ -147,7 +123,6 @@ class LogshipFailover:
             promote=self._promote,
             leases=self.leases,
             lease_duration=lease_duration,
-            view=view,
         )
 
     def _handle_heartbeat(self, _ep: Endpoint, msg: Any) -> dict:

@@ -12,9 +12,9 @@ the guess honest:
   recorded as a **contradiction**: the node was alive all along, the
   takeover was a false one. ``failover.false_convictions`` is the
   measured wrong-guess rate.
-- :meth:`bind_membership` lets the detector drive a
-  :class:`~repro.cluster.membership.Membership` live view: convictions
-  mark members down, contradictions mark them back up.
+- :meth:`bind_view` lets the detector drive a local
+  :class:`~repro.cluster.gossip_membership.MembershipView`: convictions
+  suspect members, contradictions clear the suspicion.
 
 Determinism: suspicion is a pure function of arrival times and sim.now;
 the poll loop runs on fixed sim-time ticks and draws no RNG.
@@ -105,15 +105,10 @@ class FailureDetector:
     def on_contradiction(self, observer: Observer) -> None:
         self._on_contradiction.append(observer)
 
-    def bind_membership(self, membership: Any) -> None:
-        """Drive a membership live view from this detector's verdicts."""
-        self.on_convict(lambda node, _at: membership.mark_down(node))
-        self.on_contradiction(lambda node, _at: membership.mark_up(node))
-
     def bind_view(self, view: Any) -> None:
         """Emit verdicts into a local, gossiped
-        :class:`~repro.cluster.gossip_membership.MembershipView` instead
-        of mutating a shared oracle: a conviction becomes a *suspicion*
+        :class:`~repro.cluster.gossip_membership.MembershipView`, never
+        a shared oracle: a conviction becomes a *suspicion*
         (refutable, disseminated as a rumor), and a post-conviction
         heartbeat — the contradiction — clears it by advancing the
         member's incarnation past the accusation."""

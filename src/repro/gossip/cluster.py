@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
+from repro.core.antientropy import converged
 from repro.core.guesses import ApologyQueue
 from repro.core.operation import Operation, TypeRegistry
 from repro.core.replica import Replica
@@ -28,7 +29,6 @@ class GossipCluster:
         rules_factory: Optional[Callable[[], RuleEngine]] = None,
         sim: Optional[Simulator] = None,
         skip_unreachable: bool = False,
-        gossip_membership: bool = False,
     ) -> None:
         if num_replicas < 1:
             raise SimulationError("need at least one replica")
@@ -40,10 +40,6 @@ class GossipCluster:
         self.apologies = ApologyQueue()
         names = [f"g{i}" for i in range(num_replicas)]
         self.nodes: Dict[str, GossipNode] = {}
-        # With gossip_membership each node keeps a local MembershipView
-        # whose deltas piggyback on the op-gossip rounds — no node reads
-        # a shared liveness oracle.
-        self.views: Optional[Dict[str, Any]] = {} if gossip_membership else None
         for name in names:
             replica = Replica(
                 name,
@@ -52,16 +48,9 @@ class GossipCluster:
                 apologies=self.apologies,
                 clock=lambda: self.sim.now,
             )
-            view = None
-            if self.views is not None:
-                from repro.cluster.gossip_membership import MembershipView
-
-                view = MembershipView(name, self.sim)
-                view.seed(names)
-                self.views[name] = view
             self.nodes[name] = GossipNode(
                 self.network, replica, peers=names, period=period,
-                skip_unreachable=skip_unreachable, membership=view,
+                skip_unreachable=skip_unreachable,
             )
 
     # ------------------------------------------------------------------
@@ -87,9 +76,7 @@ class GossipCluster:
     # ------------------------------------------------------------------
 
     def converged(self) -> bool:
-        replicas = [node.replica for node in self.nodes.values()]
-        reference = replicas[0].ops.uniquifiers()
-        return all(r.ops.uniquifiers() == reference for r in replicas[1:])
+        return converged([node.replica for node in self.nodes.values()])
 
     def states(self) -> List:
         return [node.replica.state for node in self.nodes.values()]

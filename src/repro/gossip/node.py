@@ -50,7 +50,6 @@ class GossipNode:
         period: float = 1.0,
         policy: Optional[RetryPolicy] = None,
         skip_unreachable: bool = False,
-        membership: Optional[Any] = None,
     ) -> None:
         self.network = network
         self.sim = network.sim
@@ -59,11 +58,6 @@ class GossipNode:
         self.period = period
         self.policy = policy or GOSSIP_POLICY
         self.skip_unreachable = skip_unreachable
-        # An optional local MembershipView: its deltas piggyback on the
-        # DIGEST exchange (epidemic dissemination for free — the rumor
-        # rides the round that was happening anyway). When None, the
-        # wire payloads are bit-identical to the pre-membership node.
-        self.membership = membership
         self.endpoint = Endpoint(network, replica.name)
         self.endpoint.register("DIGEST", self._handle_digest)
         self.endpoint.register("OPS", self._handle_ops)
@@ -82,11 +76,7 @@ class GossipNode:
             wire_op(op) for op in mine if op.uniquifier not in their_uniquifiers
         ]
         wanted = list(their_uniquifiers - mine.uniquifiers())
-        reply: Dict[str, Any] = {"ops": to_send, "want": wanted}
-        if self.membership is not None and "mship" in msg.payload:
-            self.membership.merge_wire(msg.payload["mship"])
-            reply["mship"] = self.membership.deltas()
-        return reply
+        return {"ops": to_send, "want": wanted}
 
     def _handle_ops(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
         ops = [op_from_wire(entry) for entry in msg.payload["ops"]]
@@ -100,14 +90,9 @@ class GossipNode:
         """One push-pull round with a peer; returns ops moved (both ways).
         Raises on unreachable peers (callers decide whether that matters)."""
         digest = list(self.replica.ops.uniquifiers())
-        payload: Dict[str, Any] = {"have": digest}
-        if self.membership is not None:
-            payload["mship"] = self.membership.deltas()
         reply = yield from self.endpoint.call(
-            peer, "DIGEST", payload, policy=self.policy
+            peer, "DIGEST", {"have": digest}, policy=self.policy
         )
-        if self.membership is not None and "mship" in reply:
-            self.membership.merge_wire(reply["mship"])
         incoming = [op_from_wire(entry) for entry in reply["ops"]]
         self.replica.integrate(incoming)
         wanted = set(reply["want"])

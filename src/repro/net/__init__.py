@@ -24,7 +24,7 @@ from repro.net.topology import (
     TopologyNetwork,
     WanLink,
 )
-from repro.net.rpc import Endpoint, RpcClient, rpc_call
+from repro.net.rpc import Endpoint, RpcClient
 
 __all__ = [
     "Message",
@@ -43,5 +43,4 @@ __all__ = [
     "WanLink",
     "Endpoint",
     "RpcClient",
-    "rpc_call",
 ]

@@ -19,8 +19,8 @@ is delegated to :mod:`repro.resilience`:
 
 - ``call(..., policy=RetryPolicy(...))`` drives backoff, jitter, and the
   overall deadline (stamped into the payload for downstream shedding);
-  the bare ``timeout=``/``retries=`` form reproduces the historic fixed
-  discipline exactly — same timers, no RNG draws.
+  a call without one gets ``RetryPolicy()`` — four attempts on a
+  one-second timer, no pause, no RNG draws.
 - :meth:`Endpoint.use_breaker` puts a per-destination circuit breaker in
   front of ``call`` and ``cast``.
 - :meth:`Endpoint.use_admission` bounds concurrently-served handlers:
@@ -58,10 +58,8 @@ from repro.sim.scheduler import register_fresh_run_hook
 
 _uniq_counter = itertools.count(1)
 
-#: Cache of the fixed policies the legacy ``timeout=``/``retries=`` call
-#: form builds, so the hot path pays dataclass construction once per
-#: distinct (timeout, retries) pair instead of per call.
-_legacy_policies: Dict[tuple, RetryPolicy] = {}
+#: How a call that names no policy retries.
+_DEFAULT_POLICY = RetryPolicy()
 
 
 def fresh_uniquifier(prefix: str = "req") -> str:
@@ -85,14 +83,6 @@ def content_uniquifier(kind: str, payload: Dict[str, Any]) -> str:
     canonicalized."""
     body = json.dumps({"kind": kind, "payload": payload}, sort_keys=True, default=str)
     return f"md5-{hashlib.md5(body.encode()).hexdigest()}"
-
-
-def _legacy_policy(timeout: float, retries: int) -> RetryPolicy:
-    key = (timeout, retries)
-    policy = _legacy_policies.get(key)
-    if policy is None:
-        policy = _legacy_policies[key] = RetryPolicy.legacy(timeout, retries)
-    return policy
 
 
 class RpcError(Exception):
@@ -346,25 +336,23 @@ class Endpoint:
         dst: str,
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
-        timeout: float = 1.0,
-        retries: int = 3,
         policy: Optional[RetryPolicy] = None,
     ) -> Generator[Any, Any, Dict[str, Any]]:
         """Place a call; use as ``result = yield from endpoint.call(...)``.
 
-        Retries keep the same uniquifier. ``policy`` supersedes the bare
-        ``timeout``/``retries`` knobs and adds backoff, jitter, and an
-        overall deadline (stamped into the payload for downstream
-        shedding). Raises :class:`TimeoutError_` after the final retry
-        (:class:`DeadlineExceeded` when the budget ran out,
-        :class:`ServerBusyError` when every attempt was shed),
+        Retries keep the same uniquifier. ``policy`` sets attempts, the
+        per-attempt timer, backoff, jitter, and an overall deadline
+        (stamped into the payload for downstream shedding); without one
+        the call gets ``RetryPolicy()``. Raises :class:`TimeoutError_`
+        after the final retry (:class:`DeadlineExceeded` when the budget
+        ran out, :class:`ServerBusyError` when every attempt was shed),
         :class:`BreakerOpenError` when the destination's breaker is
         open, and :class:`RpcError` on a remote error reply.
         """
         if self._proc is None or not self._proc.alive:
             raise SimulationError(f"endpoint {self.name!r} is not serving; call start()")
         if policy is None:
-            policy = _legacy_policy(timeout, retries)
+            policy = _DEFAULT_POLICY
         request_payload = dict(payload or {})
         request_payload.setdefault("uniquifier", fresh_uniquifier(f"{self.name}:{kind}"))
         deadline: Optional[float] = None
@@ -462,20 +450,3 @@ class RpcClient(Endpoint):
     def __init__(self, network: Network, name: str) -> None:
         super().__init__(network, name)
         self.start()
-
-
-def rpc_call(
-    endpoint: Endpoint,
-    dst: str,
-    kind: str,
-    payload: Optional[Dict[str, Any]] = None,
-    timeout: float = 1.0,
-    retries: int = 3,
-    policy: Optional[RetryPolicy] = None,
-) -> Generator[Any, Any, Dict[str, Any]]:
-    """Free-function alias for ``endpoint.call`` (reads better in loops)."""
-    return (
-        yield from endpoint.call(
-            dst, kind, payload, timeout=timeout, retries=retries, policy=policy
-        )
-    )

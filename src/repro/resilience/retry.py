@@ -15,9 +15,9 @@ timeout adds offered load exactly when capacity dropped. A
   longer be answered in time can be shed (see
   :mod:`repro.resilience.deadline`).
 
-The default policy (:meth:`RetryPolicy.legacy`) reproduces the historic
-``Endpoint.call(timeout=, retries=)`` behaviour exactly — same timers,
-no RNG draws — so existing seeded traces are bit-for-bit unchanged.
+The default policy, ``RetryPolicy()``, is what an un-policied
+``Endpoint.call`` uses: four attempts on a one-second timer with no
+pause between them and no RNG draws.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ class RetryPolicy:
             raise SimulationError(f"non-positive deadline {self.deadline}")
 
     # ------------------------------------------------------------------
-
-    @classmethod
-    def legacy(cls, timeout: float, retries: int) -> "RetryPolicy":
-        """The historic ``Endpoint.call`` discipline: fixed per-attempt
-        timer, zero pause between attempts, no overall budget."""
-        return cls(max_attempts=retries + 1, timeout=timeout)
 
     def with_deadline(self, deadline: float) -> "RetryPolicy":
         return replace(self, deadline=deadline)

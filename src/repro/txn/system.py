@@ -57,6 +57,7 @@ from repro.gossip.node import op_from_wire, wire_op
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.patterns import OP_STRONG, OP_WEAK, classify_operation_space
+from repro.resilience import RetryPolicy
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.txn.apology import ApologyBook
@@ -471,7 +472,7 @@ class TxnReplica:
                 try:
                     reply = yield from self.endpoint.call(
                         peer, "TXN_PULL", {"epoch": epoch},
-                        timeout=self.system.rpc_timeout, retries=0,
+                        policy=self.system.rpc_policy,
                     )
                 except _RPC_FAILURES:
                     continue
@@ -533,7 +534,7 @@ class TxnReplica:
                 try:
                     reply = yield from self.endpoint.call(
                         peer, "TXN_ORDER", payload,
-                        timeout=self.system.rpc_timeout, retries=0,
+                        policy=self.system.rpc_policy,
                     )
                 except _RPC_FAILURES:
                     continue
@@ -604,7 +605,8 @@ class MixedTxnSystem:
         self.network = network or Network(sim)
         self.mint_interval = mint_interval
         self.forward_interval = forward_interval
-        self.rpc_timeout = rpc_timeout
+        # One attempt per call: the sync and order loops are the retry.
+        self.rpc_policy = RetryPolicy(max_attempts=1, timeout=rpc_timeout)
         self.sync_retry = sync_retry
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval

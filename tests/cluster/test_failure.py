@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import CrashPlan, FailureInjector, Membership, Node
+from repro.cluster import CrashPlan, FailureInjector, Node
 from repro.errors import SimulationError
 from repro.sim import Simulator
 
@@ -63,28 +63,3 @@ def test_random_schedule_validates_params():
     injector = FailureInjector(sim, nodes)
     with pytest.raises(SimulationError):
         injector.install_random("a", mttf=0.0, mttr=1.0)
-
-
-def test_membership_tracks_liveness():
-    sim, nodes = make_cluster(["a", "b", "c"])
-    membership = Membership(nodes)
-    assert membership.alive() == ["a", "b", "c"]
-    nodes["b"].crash()
-    assert membership.alive() == ["a", "c"]
-    assert not membership.is_alive("b")
-    nodes["b"].restart()
-    assert membership.is_alive("b")
-
-
-def test_membership_add_duplicate_rejected():
-    sim, nodes = make_cluster(["a"])
-    membership = Membership(nodes)
-    with pytest.raises(SimulationError):
-        membership.add(nodes["a"])
-
-
-def test_membership_unknown_node_rejected():
-    sim, nodes = make_cluster(["a"])
-    membership = Membership(nodes)
-    with pytest.raises(SimulationError):
-        membership.node("ghost")

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CrashedError, InterruptError
 from repro.cluster import Node
 from repro.net import Network
+from repro.resilience import RetryPolicy
 from repro.sim import Simulator, Timeout
 
 
@@ -84,12 +85,14 @@ def test_endpoint_stops_and_restarts_with_node():
         first = yield from client.call("server", "ping")
         node.crash()
         try:
-            yield from client.call("server", "ping", timeout=0.3, retries=1)
+            yield from client.call(
+                "server", "ping", policy=RetryPolicy(max_attempts=2, timeout=0.3)
+            )
             second = "answered"
         except Exception:
             second = "unreachable"
         node.restart()
-        third = yield from client.call("server", "ping", timeout=2.0)
+        third = yield from client.call("server", "ping", policy=RetryPolicy(timeout=2.0))
         return (first["pong"], second, third["pong"])
 
     assert sim.run_process(run()) == (True, "unreachable", True)

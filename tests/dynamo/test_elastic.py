@@ -25,7 +25,7 @@ def test_join_bootstraps_gained_ranges():
     assert stats["moved_ranges"] > 0
     assert stats["versions_moved"] > 0
     assert "node5" in cluster.nodes
-    assert cluster.membership.is_alive("node5")
+    assert cluster.alive("node5")
 
     joiner = cluster.nodes["node5"]
     for i in range(60):
@@ -49,7 +49,7 @@ def test_reshape_without_buckets_is_rejected_before_the_ring_moves():
         cluster.sim.run_process(cluster.decommission("node0", buckets=0))
     assert sorted(cluster.nodes) == [f"node{i}" for i in range(5)]
     assert cluster.ring.nodes == ring_before.nodes
-    assert cluster.membership.is_alive("node0")
+    assert cluster.alive("node0")
 
 
 def test_joined_node_serves_reads_and_writes():

@@ -93,11 +93,22 @@ def test_positions_outlive_a_reshape_and_owners_do_not(counts):
     assert counts == {"hashes": 16, "strict_walks": 97 + 113}
 
 
-def _cost(cluster, counts, request):
-    """Run ``request`` to completion: (messages sent, keys hashed)."""
+def _cost(cluster, counts, request, placed=None):
+    """Run ``request`` to completion: (messages sent, keys hashed). Each
+    message's ``(src, dst, kind, payload)`` is appended to ``placed``."""
     sent = cluster.sim.metrics.counter("net.sent")
     messages, hashes = sent.value, counts["hashes"]
+    if placed is not None:
+        send = cluster.network.send
+
+        def tapped(msg):
+            placed.append((msg.src, msg.dst, msg.kind, msg.payload))
+            return send(msg)
+
+        cluster.network.send = tapped  # shadows the method on this instance
     cluster.sim.run_process(request)
+    if placed is not None:
+        del cluster.network.send
     return int(sent.value - messages), counts["hashes"] - hashes
 
 
@@ -120,3 +131,28 @@ def test_cart_add_is_a_get_plus_a_put_and_view_is_a_get(counts):
     assert _cost(cluster, counts, cart.add("cart", "milk")) == (12, 3)
     assert _cost(cluster, counts, cart.add("cart", "eggs")) == (12, 3)
     assert _cost(cluster, counts, cart.view("cart")) == (6, 1)
+
+
+def test_an_all_alive_view_places_the_messages_no_opinion_does(counts):
+    """Routing always asks a view. One that believes everyone alive must
+    cost what holding no opinion costs: same messages, same order, same
+    bytes — for a PUT, a GET, and both again with a replica down (sloppy
+    quorum, a hint) where only reachability says so."""
+    placements = []
+    for routed_by_a_view in (False, True):
+        cluster = _loaded_ring(counts)
+        if routed_by_a_view:
+            cluster.attach_gossip_membership()
+        client = cluster.client(
+            "shopper", view_of="node0" if routed_by_a_view else None
+        )
+        placed, costs = [], []
+        costs.append(_cost(cluster, counts, client.put("k", "v"), placed))
+        costs.append(_cost(cluster, counts, client.get("k"), placed))
+        cluster.crash(cluster.ring.intended_owners("k", cluster.n)[0])
+        costs.append(_cost(cluster, counts, client.put("k", "w"), placed))
+        costs.append(_cost(cluster, counts, client.get("k"), placed))
+        assert costs[:2] == [(6, 2), (6, 1)]
+        assert any("hint_for" in payload for *_route, payload in placed)
+        placements.append((costs, placed))
+    assert placements[0] == placements[1]

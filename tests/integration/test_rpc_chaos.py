@@ -5,6 +5,7 @@ import pytest
 
 from repro.net import Endpoint, LinkConfig, Network
 from repro.net.latency import ExponentialLatency
+from repro.resilience import RetryPolicy
 from repro.sim import AllOf, Simulator
 
 
@@ -33,7 +34,7 @@ def test_hundred_calls_under_heavy_loss_execute_exactly_once():
     def one_call(i):
         result = yield from client.call(
             "server", "work", {"uniquifier": f"job-{i}"},
-            timeout=0.05, retries=60,
+            policy=RetryPolicy(max_attempts=61, timeout=0.05),
         )
         return result["done"]
 

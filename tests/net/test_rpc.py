@@ -5,6 +5,7 @@ import pytest
 from repro.errors import InterruptError, TimeoutError_
 from repro.net import Endpoint, FixedLatency, LinkConfig, Network
 from repro.net.rpc import RpcError, fresh_uniquifier
+from repro.resilience import RetryPolicy
 from repro.sim import Simulator, Timeout
 
 
@@ -41,7 +42,7 @@ def test_generator_handler_can_take_time():
         return {"done": True}
 
     def run():
-        result = yield from client.call("server", "slow", timeout=10.0)
+        result = yield from client.call("server", "slow", policy=RetryPolicy(timeout=10.0))
         return (result["done"], sim.now)
 
     done, now = sim.run_process(run())
@@ -89,7 +90,9 @@ def test_retry_after_loss_succeeds_idempotently():
         return {"ok": True}
 
     def run():
-        result = yield from client.call("server", "do", timeout=0.5, retries=20)
+        result = yield from client.call(
+            "server", "do", policy=RetryPolicy(max_attempts=21, timeout=0.5)
+        )
         return result["ok"]
 
     assert sim.run_process(run()) is True
@@ -101,12 +104,26 @@ def test_timeout_after_exhausting_retries():
 
     def run():
         try:
-            yield from client.call("server", "x", timeout=0.2, retries=2)
+            yield from client.call(
+                "server", "x", policy=RetryPolicy(max_attempts=3, timeout=0.2)
+            )
         except TimeoutError_:
             return "gave up"
 
     assert sim.run_process(run()) == "gave up"
     assert sim.metrics.counter("rpc.client.retries").value == 3
+
+
+def test_unpolicied_call_makes_four_attempts_on_a_one_second_timer():
+    sim, _net, _server, client = setup_pair(loss_probability=1.0)
+
+    def run():
+        with pytest.raises(TimeoutError_, match="after 4 attempts"):
+            yield from client.call("server", "x")
+        return sim.now
+
+    assert sim.run_process(run()) == 4.0
+    assert sim.metrics.counter("rpc.client.retries").value == 4
 
 
 def test_dedup_cache_answers_retries_without_rerun():
@@ -143,7 +160,9 @@ def test_dedup_cache_is_volatile_across_crash():
         yield from client.call("server", "do", {"uniquifier": "u-1"})
         server.stop("crash")
         server.restart()
-        yield from client.call("server", "do", {"uniquifier": "u-1"}, timeout=2.0)
+        yield from client.call(
+            "server", "do", {"uniquifier": "u-1"}, policy=RetryPolicy(timeout=2.0)
+        )
         return len(runs)
 
     assert sim.run_process(run()) == 2
@@ -159,7 +178,9 @@ def test_stop_fails_outstanding_calls():
 
     def run():
         try:
-            yield from client.call("server", "slow", timeout=5.0, retries=0)
+            yield from client.call(
+                "server", "slow", policy=RetryPolicy(max_attempts=1, timeout=5.0)
+            )
         except TimeoutError_:
             return "timed out"
 
@@ -191,7 +212,7 @@ def test_restart_is_idempotent():
         restarted = server._proc
         server.restart()                       # second restart: no-op
         assert server._proc is restarted
-        yield from client.call("server", "do", timeout=2.0)
+        yield from client.call("server", "do", policy=RetryPolicy(timeout=2.0))
         return len(calls)
 
     assert sim.run_process(run()) == 1         # exactly one serve loop answered
@@ -211,7 +232,9 @@ def test_stop_interrupts_inflight_handlers():
 
     def run():
         try:
-            yield from client.call("server", "slow", timeout=10.0, retries=0)
+            yield from client.call(
+                "server", "slow", policy=RetryPolicy(max_attempts=1, timeout=10.0)
+            )
         except Exception:
             pass
 
@@ -257,7 +280,9 @@ def test_interrupted_caller_leaves_no_pending_entry_behind():
     sim, _net, _server, client = setup_pair(loss_probability=1.0)
 
     def run():
-        yield from client.call("server", "x", timeout=0.5, retries=0)
+        yield from client.call(
+            "server", "x", policy=RetryPolicy(max_attempts=1, timeout=0.5)
+        )
 
     caller = sim.spawn(run())
     sim.schedule(0.1, caller.interrupt, "gone")
@@ -288,7 +313,9 @@ def test_late_and_duplicate_replies_are_dropped():
         quick = yield from client.call("server", "do", {"work": 0.0})
         # Outlives the first attempt's 0.2 s timer; the retry is parked
         # behind the original execution and answered from it.
-        slow = yield from client.call("server", "do", {"work": 0.3}, timeout=0.2)
+        slow = yield from client.call(
+            "server", "do", {"work": 0.3}, policy=RetryPolicy(timeout=0.2)
+        )
         return (quick["n"], slow["n"])
 
     assert sim.run_process(run()) == (1, 2)

@@ -189,7 +189,7 @@ def test_bounded_trace_memory_is_flat():
 
 _PINGS = 2_000
 #: Python + C function calls one plain RPC may cost. The allocation-free
-#: wait protocol with one event per call attempt measures 102 (CPython
+#: wait protocol with one event per call attempt measures 100 (CPython
 #: 3.11); the closure-based kernel it replaced measured 183.
 _CALLS_PER_RPC = 120
 

@@ -154,7 +154,9 @@ def _occupied_server(degraded=None):
     occupier.start()
 
     def occupy():
-        yield from occupier.call("server", "slow", timeout=20.0, retries=0)
+        yield from occupier.call(
+            "server", "slow", policy=RetryPolicy(max_attempts=1, timeout=20.0)
+        )
 
     sim.spawn(occupy())
     return sim, server, client
@@ -166,7 +168,9 @@ def test_every_attempt_busy_raises_server_busy():
     def run():
         yield Timeout(0.1)  # the occupier's request is being served
         try:
-            yield from client.call("server", "slow", timeout=1.0, retries=2)
+            yield from client.call(
+                "server", "slow", policy=RetryPolicy(max_attempts=3, timeout=1.0)
+            )
         except ServerBusyError:
             return sim.now
 
@@ -182,7 +186,9 @@ def test_degraded_hook_answers_busy_with_a_stale_guess():
 
     def run():
         yield Timeout(0.1)
-        return (yield from client.call("server", "slow", timeout=1.0, retries=0))
+        return (yield from client.call(
+            "server", "slow", policy=RetryPolicy(max_attempts=1, timeout=1.0))
+        )
 
     reply = sim.run_process(run())
     assert reply == {"value": 0, "stale": True, "degraded": True}
@@ -195,7 +201,9 @@ def test_degraded_hook_returning_none_falls_back_to_busy():
     def run():
         yield Timeout(0.1)
         try:
-            yield from client.call("server", "slow", timeout=1.0, retries=0)
+            yield from client.call(
+                "server", "slow", policy=RetryPolicy(max_attempts=1, timeout=1.0)
+            )
         except ServerBusyError:
             return "busy"
 
@@ -226,14 +234,18 @@ def test_breaker_opens_then_recloses_after_probe():
     def run():
         out = []
         try:
-            yield from client.call("server", "ping", timeout=0.1, retries=3)
+            yield from client.call(
+                "server", "ping", policy=RetryPolicy(max_attempts=4, timeout=0.1)
+            )
         except BreakerOpenError:
             # Two timeouts tripped it; the third attempt never sent.
             out.append(client.breaker_state("server"))
         out.append(client.cast("server", "note"))   # open: dropped locally
         yield Timeout(1.0)                          # cool-off elapses
         mode[0] = "fast"
-        reply = yield from client.call("server", "ping", timeout=1.0, retries=0)
+        reply = yield from client.call(
+            "server", "ping", policy=RetryPolicy(max_attempts=1, timeout=1.0)
+        )
         out.append(reply["pong"])
         out.append(client.breaker_state("server"))  # probe success reclosed it
         out.append(client.cast("server", "note"))
@@ -249,13 +261,17 @@ def test_failed_probe_reopens_the_breaker():
 
     def run():
         try:
-            yield from client.call("server", "ping", timeout=0.1, retries=3)
+            yield from client.call(
+                "server", "ping", policy=RetryPolicy(max_attempts=4, timeout=0.1)
+            )
         except BreakerOpenError:
             pass
         yield Timeout(1.0)
         try:
             # Still slow: the half-open probe times out.
-            yield from client.call("server", "ping", timeout=0.1, retries=0)
+            yield from client.call(
+                "server", "ping", policy=RetryPolicy(max_attempts=1, timeout=0.1)
+            )
         except TimeoutError_:
             pass
         return client.breaker_state("server")
@@ -276,7 +292,7 @@ def test_remote_application_errors_do_not_trip_the_breaker():
     def run():
         for _ in range(3):
             try:
-                yield from client.call("server", "boom", retries=0)
+                yield from client.call("server", "boom", policy=RetryPolicy(max_attempts=1))
             except RpcError:
                 pass
         return client.breaker_state("server")

@@ -7,15 +7,6 @@ from repro.resilience import RetryPolicy
 from repro.sim import Simulator
 
 
-def test_legacy_matches_historic_call_knobs():
-    policy = RetryPolicy.legacy(timeout=1.0, retries=3)
-    assert policy.max_attempts == 4
-    assert policy.timeout == 1.0
-    assert policy.base_delay == 0.0
-    assert policy.jitter == 0.0
-    assert policy.deadline is None
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

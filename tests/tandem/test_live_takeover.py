@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError, TransactionAborted
 from repro.net.rpc import Endpoint, RpcError
+from repro.resilience import RetryPolicy
 from repro.tandem import DPMode, TandemConfig, TandemSystem, TxnStatus
 
 
@@ -40,7 +41,7 @@ def test_deposed_primary_rejects_traffic_at_the_guard():
         with pytest.raises(RpcError):
             yield from probe.call(
                 old, "WRITE", {"txn": txn.id, "key": "x", "value": 9},
-                timeout=1.0, retries=0,
+                policy=RetryPolicy(max_attempts=1, timeout=1.0),
             )
         # The same verb at the promoted side works.
         yield from client.write(txn, "dp0", "x", 1)
