@@ -7,7 +7,7 @@ deterministic discrete-event simulator built from scratch:
 - :mod:`repro.sim` — discrete-event kernel (clock, processes, RNG, metrics).
 - :mod:`repro.net` — simulated message fabric with latency, loss, partitions.
 - :mod:`repro.storage` — simulated disks, mirrored pairs, write-ahead log.
-- :mod:`repro.cluster` — nodes, fail-fast crashes, failure schedules.
+- :mod:`repro.cluster` — gossiped membership views, the generic process pair.
 - :mod:`repro.tandem` — Tandem NonStop circa 1984 (DP1, synchronous
   per-WRITE checkpointing) and circa 1986 (DP2, log-combined checkpointing
   with group commit).

@@ -1,11 +1,12 @@
-"""Lower a :class:`~repro.chaos.plan.ChaosPlan` onto a live simulation.
+"""Install a :class:`~repro.chaos.plan.ChaosPlan` on a live simulation.
 
-The engine owns no behaviour of its own: crashes go through
-:class:`~repro.cluster.failure.FailureInjector`, partitions through
-:class:`~repro.net.partition.PartitionSchedule`, message faults through
-the :class:`~repro.net.network.Network` fault overlay, and disk faults
-through the :class:`~repro.storage.disk.Disk` hooks — one declarative
-timeline driving every per-subsystem injector.
+The engine owns no fault behaviour of its own. Each episode lowers
+itself (:meth:`ChaosPlan.lower`): it checks itself against the
+:class:`ChaosTargets` and names the calls that carry it out — a target's
+``crash``/``restart``, ``Network.partition``/``heal``, the network's fault
+overlay, the :class:`~repro.storage.disk.Disk` hooks. The engine puts
+those calls on the simulator's clock, and at quiesce undoes whatever is
+still in force.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.chaos.plan import (
-    ChaosPlan,
-    DiskFaultEpisode,
-    LinkFaultEpisode,
-    WanCutEpisode,
-)
-from repro.cluster.failure import CrashPlan, FailureInjector
+from repro.chaos.plan import ChaosPlan
 from repro.errors import SimulationError
-from repro.net.network import NetFault, Network
-from repro.net.partition import PartitionSchedule, PartitionWindow
-from repro.net.topology import SiteFault, TopologyNetwork
+from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.storage.disk import Disk
 
@@ -32,7 +25,8 @@ from repro.storage.disk import Disk
 class ChaosTargets:
     """What a plan may act on.
 
-    ``nodes`` maps name → anything with ``crash()``/``restart()``;
+    ``nodes`` maps name → anything with ``crash(cause)``/``restart()``
+    (scenarios hand in :class:`~repro.chaos.harness.Crashable`);
     ``disks`` maps name → :class:`Disk`. Both may be empty when the plan
     does not use that episode kind.
     """
@@ -49,28 +43,16 @@ class ChaosEngine:
     def __init__(self, targets: ChaosTargets) -> None:
         self.targets = targets
         self.sim = targets.sim
-        self.injector = FailureInjector(self.sim, targets.nodes)
         self.installed: Optional[ChaosPlan] = None
 
     def install(self, plan: ChaosPlan) -> None:
-        """Validate the plan against the targets and schedule everything."""
+        """Check the plan against the targets and schedule everything."""
         if self.installed is not None:
             raise SimulationError("engine already has a plan installed")
-        self._validate(plan)
-        self.injector.install(
-            [CrashPlan(e.node, e.at, e.back_at) for e in plan.crashes]
-        )
-        if plan.partitions:
-            PartitionSchedule(
-                self.targets.network,
-                [PartitionWindow(e.start, e.end, e.groups) for e in plan.partitions],
-            ).install()
-        for episode in plan.link_faults:
-            self._install_link_fault(episode)
-        for episode in plan.wan_cuts:
-            self._install_wan_cut(episode)
-        for episode in plan.disk_faults:
-            self._install_disk_fault(episode)
+        # Lowered in full before the first call is scheduled, so a plan
+        # that does not fit the targets raises with the queue untouched.
+        for when, fn, *args in plan.lower(self.targets):
+            self.sim.schedule_at(when, fn, *args)
         self.installed = plan
         self.sim.trace.emit("chaos", "plan.installed", episodes=len(plan))
 
@@ -88,75 +70,6 @@ class ChaosEngine:
         for disk in self.targets.disks.values():
             disk.repair()
             disk.clear_slowdown()
-        for name in self.targets.nodes:
-            self.injector.restart(name)
+        for node in self.targets.nodes.values():
+            node.restart()
         self.sim.trace.emit("chaos", "plan.restored")
-
-    # ------------------------------------------------------------------
-
-    def _validate(self, plan: ChaosPlan) -> None:
-        for episode in plan.crashes:
-            if episode.node not in self.targets.nodes:
-                raise SimulationError(f"plan crashes unknown node {episode.node!r}")
-        if (plan.partitions or plan.link_faults) and self.targets.network is None:
-            raise SimulationError("plan needs a network target")
-        if plan.wan_cuts:
-            network = self.targets.network
-            if not isinstance(network, TopologyNetwork):
-                raise SimulationError(
-                    "plan cuts WAN links but the network has no topology"
-                )
-            for episode in plan.wan_cuts:
-                for site in (episode.site_a, episode.site_b):
-                    if site not in network.topology.sites:
-                        raise SimulationError(
-                            f"plan cuts unknown site {site!r}"
-                        )
-        for episode in plan.disk_faults:
-            if episode.disk not in self.targets.disks:
-                raise SimulationError(f"plan faults unknown disk {episode.disk!r}")
-
-    def _install_link_fault(self, episode: LinkFaultEpisode) -> None:
-        fault = NetFault(
-            loss_probability=episode.loss,
-            duplicate_probability=episode.duplicate,
-            extra_delay=episode.extra_delay,
-            src=episode.src,
-            dst=episode.dst,
-        )
-        network = self.targets.network
-        self.sim.schedule_at(episode.start, network.inject_fault, fault)
-        self.sim.schedule_at(episode.end, network.clear_fault, fault)
-
-    def _install_wan_cut(self, episode: WanCutEpisode) -> None:
-        """Cut (or degrade) both directions of a site pair for the
-        window. Two directional :class:`SiteFault` overlays, injected and
-        cleared as a unit; ``restore()``'s ``clear_all_faults`` sweeps
-        them up if the window outlives the horizon."""
-        network = self.targets.network
-        faults = tuple(
-            SiteFault(
-                loss_probability=episode.loss,
-                topology=network.topology,
-                src_site=a,
-                dst_site=b,
-            )
-            for a, b in (
-                (episode.site_a, episode.site_b),
-                (episode.site_b, episode.site_a),
-            )
-        )
-        for fault in faults:
-            self.sim.schedule_at(episode.start, network.inject_fault, fault)
-            self.sim.schedule_at(episode.end, network.clear_fault, fault)
-
-    def _install_disk_fault(self, episode: DiskFaultEpisode) -> None:
-        disk = self.targets.disks[episode.disk]
-        if episode.slow_factor is not None:
-            self.sim.schedule_at(episode.at, disk.set_slowdown, episode.slow_factor)
-            if episode.repair_at is not None:
-                self.sim.schedule_at(episode.repair_at, disk.clear_slowdown)
-        else:
-            self.sim.schedule_at(episode.at, disk.fail)
-            if episode.repair_at is not None:
-                self.sim.schedule_at(episode.repair_at, disk.repair)

@@ -84,6 +84,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
     """Detector × fencing policy under the compound multi-DC fault."""
 
     name = "game-day"
+    policies = ("fenced", "unfenced")
     metrics = "chaos.gameday"
 
     SITES = ("dc-east", "dc-west", "dc-south")
@@ -114,8 +115,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         drain: float = 8.0,
         repair_rounds: int = 4,
     ) -> None:
-        if policy not in ("fenced", "unfenced"):
-            raise SimulationError(f"unknown game-day policy {policy!r}")
+        self.choose_policy(policy)
         if detector not in ("phi", "fixed"):
             raise SimulationError(f"unknown game-day detector {detector!r}")
         if nodes_per_site < 2:
@@ -124,7 +124,6 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
             raise SimulationError(
                 f"bad cut window [{cut_start}, {cut_end}] in horizon {horizon}"
             )
-        self.policy = policy
         self.detector = detector
         self.nodes_per_site = nodes_per_site
         self.horizon = horizon

@@ -77,15 +77,34 @@ class Crashable:
 
 class Scenario:
     """A workload + targets + invariants under one plan: subclasses set
-    ``name`` and ``horizon``, give their sampling bounds, and fill in the
-    hooks that :meth:`run` calls in a fixed order."""
+    ``name`` and ``horizon``, list their ``policies``, give their sampling
+    bounds, and fill in the hooks that :meth:`run` calls in a fixed
+    order."""
 
     name: str
     horizon: float
+    #: Every policy the scenario can run under; empty if it takes none.
+    #: ``policy`` is the one in force: a class attribute where there is
+    #: one to run under, chosen through :meth:`choose_policy` otherwise.
+    policies: Tuple[str, ...] = ()
     #: Sim-seconds between continuous invariant checks. None: the
     #: scenario's invariants only mean something once the world has
     #: healed, so the monitor checks at quiesce alone.
     cadence: Optional[float] = None
+
+    def choose_policy(self, policy: str) -> None:
+        """Run under ``policy`` — the one place a policy name is checked,
+        for a scenario's own constructor and for the CLI's ``--policy``."""
+        if not self.policies:
+            raise SimulationError(
+                f"scenario {self.name!r} takes no policy (got {policy!r})"
+            )
+        if policy not in self.policies:
+            raise SimulationError(
+                f"unknown {self.name} policy {policy!r} "
+                f"(have {', '.join(self.policies)})"
+            )
+        self.policy = policy
 
     def spec_defaults(self) -> Dict[str, Any]:
         """Keyword arguments of this scenario's default :class:`ChaosSpec`

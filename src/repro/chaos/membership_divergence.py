@@ -40,6 +40,8 @@ class MembershipDivergenceScenario(Scenario):
     partitions, lossy links, and crash/restart."""
 
     name = "membership_divergence"
+    policies = ("gossip",)
+    policy = "gossip"
 
     def __init__(
         self,
@@ -51,12 +53,7 @@ class MembershipDivergenceScenario(Scenario):
         gossip_period: float = 0.25,
         fanout: int = 2,
         suspicion_timeout: float = 1.0,
-        policy: str = "gossip",
     ) -> None:
-        if policy != "gossip":
-            raise SimulationError(
-                f"unknown membership_divergence policy {policy!r}"
-            )
         if num_nodes < 4:
             raise SimulationError("membership_divergence needs >= 4 nodes")
         self.num_nodes = num_nodes
@@ -67,7 +64,6 @@ class MembershipDivergenceScenario(Scenario):
         self.gossip_period = gossip_period
         self.fanout = fanout
         self.suspicion_timeout = suspicion_timeout
-        self.policy = policy
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))

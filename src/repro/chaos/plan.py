@@ -3,10 +3,18 @@
 The paper's thesis is that "reliable systems have always been built out
 of unreliable components"; a :class:`ChaosPlan` is the unreliable part
 made explicit. It composes crash/restart, partition/heal, message
-drop/delay/duplicate, and disk-fault episodes into a single schedule
-that lowers onto the simulator (see :mod:`repro.chaos.engine`) and —
-because every random choice comes from the master seed — replays
-bit-for-bit.
+drop/delay/duplicate, WAN-cut and disk-fault episodes into a single
+schedule and — because every random choice comes from the master seed —
+replays bit-for-bit.
+
+A fault is described once, here. Each episode kind checks its own
+fields when it is built and, in ``lower(targets)``, checks itself against
+the world it is aimed at and returns the timed actions that carry it
+out: a target's own ``crash``/``restart``, ``Network.partition``/``heal``,
+the network's fault overlay, the :class:`~repro.storage.disk.Disk` hooks.
+The :class:`~repro.chaos.engine.ChaosEngine` only schedules what
+:meth:`ChaosPlan.lower` returns; a new fault class is one more entry in
+this catalogue.
 
 Plans are either written by hand (regression tests pin minimal failing
 plans) or sampled from a :class:`ChaosSpec` by seed (sweeps).
@@ -16,18 +24,56 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
+from repro.net.network import NetFault, Network
+from repro.net.topology import SiteFault, TopologyNetwork
+
+if TYPE_CHECKING:  # the engine imports this module
+    from repro.chaos.engine import ChaosTargets
+
+#: One timed step of a lowered episode, ``(when, fn, *args)``: exactly
+#: what ``Simulator.schedule_at`` takes.
+Action = Tuple[Any, ...]
 
 
 # ----------------------------------------------------------------------
 # Episodes
 #
-# Each kind knows how to print itself (``describe``) and how to shrink
-# (``narrowed``: smaller variants of itself, most aggressive first, no
-# narrower than ``min_window`` — what the runner's shrinker tries once
-# dropping whole episodes stops reproducing).
+# Each kind knows its name in pinned JSON (``kind``), how to print itself
+# (``describe``), how to shrink (``narrowed``: smaller variants of itself,
+# most aggressive first, no narrower than ``min_window`` — what the
+# runner's shrinker tries once dropping whole episodes stops
+# reproducing), and how to happen (``lower``: check the targets, return
+# the actions; it schedules nothing, so a plan with one bad episode
+# leaves the simulator untouched).
+
+
+def _network(targets: "ChaosTargets") -> Network:
+    if targets.network is None:
+        raise SimulationError("plan needs a network target")
+    return targets.network
+
+
+def _overlay(network: Network, episode: Any, fault: NetFault) -> List[Action]:
+    """``fault`` is in force on ``network`` for the episode's window."""
+    return [
+        (episode.start, network.inject_fault, fault),
+        (episode.end, network.clear_fault, fault),
+    ]
+
+
+def _cut(network: Network, groups: Tuple[Tuple[str, ...], ...]) -> None:
+    network.partition(groups)
+    network.sim.trace.emit(
+        "net", "partition.cut", groups=[sorted(g) for g in groups]
+    )
+
+
+def _heal(network: Network) -> None:
+    network.heal()
+    network.sim.trace.emit("net", "partition.heal")
 
 
 class _Window:
@@ -47,6 +93,8 @@ class _Window:
 class CrashEpisode:
     """``node`` fail-fasts at ``at``; restarts at ``back_at`` (None = stays
     down until the run quiesces)."""
+
+    kind = "crash"
 
     node: str
     at: float
@@ -76,10 +124,22 @@ class CrashEpisode:
         # Stays-down is simpler than crash-and-restart.
         return (replace(self, back_at=None),) if self.back_at is not None else ()
 
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        """A target is anything with ``crash(cause)``/``restart()``."""
+        if self.node not in targets.nodes:
+            raise SimulationError(f"plan crashes unknown node {self.node!r}")
+        target = targets.nodes[self.node]
+        actions: List[Action] = [(self.at, target.crash, "injected")]
+        if self.back_at is not None:
+            actions.append((self.back_at, target.restart))
+        return actions
+
 
 @dataclass(frozen=True)
 class PartitionEpisode(_Window):
     """The network splits into ``groups`` from ``start`` to ``end``."""
+
+    kind = "partition"
 
     start: float
     end: float
@@ -100,6 +160,13 @@ class PartitionEpisode(_Window):
         groups = " | ".join("{" + ",".join(g) + "}" for g in self.groups)
         return f"partition  [{self.start:g}, {self.end:g}] {groups}"
 
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        network = _network(targets)
+        return [
+            (self.start, _cut, network, self.groups),
+            (self.end, _heal, network),
+        ]
+
 
 @dataclass(frozen=True)
 class LinkFaultEpisode(_Window):
@@ -107,6 +174,8 @@ class LinkFaultEpisode(_Window):
 
     ``src``/``dst`` of None apply the fault to every endpoint.
     """
+
+    kind = "link_fault"
 
     start: float
     end: float
@@ -119,12 +188,18 @@ class LinkFaultEpisode(_Window):
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise SimulationError(f"empty link fault [{self.start}, {self.end}]")
-        if not 0.0 <= self.loss <= 1.0 or not 0.0 <= self.duplicate <= 1.0:
-            raise SimulationError("fault probabilities must be in [0, 1]")
-        if self.extra_delay < 0:
-            raise SimulationError(f"negative fault delay {self.extra_delay}")
+        self._fault()  # NetFault checks the probability and delay bounds
         if self.loss == self.duplicate == self.extra_delay == 0.0:
             raise SimulationError("link fault episode does nothing")
+
+    def _fault(self) -> NetFault:
+        return NetFault(
+            loss_probability=self.loss,
+            duplicate_probability=self.duplicate,
+            extra_delay=self.extra_delay,
+            src=self.src,
+            dst=self.dst,
+        )
 
     def describe(self) -> str:
         where = f"{self.src or '*'}->{self.dst or '*'}"
@@ -134,6 +209,9 @@ class LinkFaultEpisode(_Window):
             f"delay+={self.extra_delay:g}"
         )
 
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        return _overlay(_network(targets), self, self._fault())
+
 
 @dataclass(frozen=True)
 class DiskFaultEpisode(_Window):
@@ -141,6 +219,7 @@ class DiskFaultEpisode(_Window):
     ``slow_factor``× from ``at`` until ``repair_at`` (None = until
     quiesce)."""
 
+    kind = "disk_fault"
     _end_field = "repair_at"  # never repaired = zero width: not narrowed
 
     disk: str
@@ -177,12 +256,28 @@ class DiskFaultEpisode(_Window):
         )
         return f"disk {what:>10} {self.disk} @ {self.at:g}{repair}"
 
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        if self.disk not in targets.disks:
+            raise SimulationError(f"plan faults unknown disk {self.disk!r}")
+        disk = targets.disks[self.disk]
+        if self.slow_factor is not None:
+            actions: List[Action] = [(self.at, disk.set_slowdown, self.slow_factor)]
+            undo = disk.clear_slowdown
+        else:
+            actions = [(self.at, disk.fail)]
+            undo = disk.repair
+        if self.repair_at is not None:
+            actions.append((self.repair_at, undo))
+        return actions
+
 
 @dataclass(frozen=True)
 class WanCutEpisode(_Window):
     """The WAN between two *sites* is cut (loss=1.0) or degraded from
     ``start`` to ``end`` — one episode partitions whole datacenters at
     once. Needs a topology-aware network target."""
+
+    kind = "wan_cut"
 
     start: float
     end: float
@@ -204,26 +299,41 @@ class WanCutEpisode(_Window):
             f"{self.site_a}<->{self.site_b} loss={self.loss:g}"
         )
 
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        """Both directions of the site pair, injected and cleared as a
+        unit; ``restore()``'s ``clear_all_faults`` sweeps them up if the
+        window outlives the horizon."""
+        network = targets.network
+        if not isinstance(network, TopologyNetwork):
+            raise SimulationError(
+                "plan cuts WAN links but the network has no topology"
+            )
+        for site in (self.site_a, self.site_b):
+            if site not in network.topology.sites:
+                raise SimulationError(f"plan cuts unknown site {site!r}")
+        return [
+            action
+            for fault in SiteFault.pair(
+                network.topology, self.site_a, self.site_b, self.loss
+            )
+            for action in _overlay(network, self, fault)
+        ]
+
 
 Episode = Union[
     CrashEpisode, PartitionEpisode, LinkFaultEpisode, DiskFaultEpisode,
     WanCutEpisode,
 ]
 
+#: The catalogue, in the order :meth:`ChaosPlan.lower` takes the kinds:
+#: that order decides which of two actions at the same instant runs first.
 _EPISODE_KINDS = {
-    "crash": CrashEpisode,
-    "partition": PartitionEpisode,
-    "link_fault": LinkFaultEpisode,
-    "disk_fault": DiskFaultEpisode,
-    "wan_cut": WanCutEpisode,
+    cls.kind: cls
+    for cls in (
+        CrashEpisode, PartitionEpisode, LinkFaultEpisode, WanCutEpisode,
+        DiskFaultEpisode,
+    )
 }
-
-
-def _kind_of(episode: Episode) -> str:
-    for kind, cls in _EPISODE_KINDS.items():
-        if isinstance(episode, cls):
-            return kind
-    raise SimulationError(f"unknown episode type {type(episode).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +348,7 @@ class ChaosPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "episodes", tuple(self.episodes))
-        partitions = sorted(self.partitions, key=lambda e: e.start)
+        partitions = self._partitions_by_start()
         for earlier, later in zip(partitions, partitions[1:]):
             if later.start < earlier.end:
                 raise SimulationError(
@@ -246,27 +356,31 @@ class ChaosPlan:
                     "(the fabric models one partition at a time)"
                 )
 
-    # -- views ---------------------------------------------------------
+    def of(self, kind: str) -> Tuple[Episode, ...]:
+        """The episodes of one kind (``"crash"``, ``"partition"``, …), in
+        plan order."""
+        return tuple(e for e in self.episodes if e.kind == kind)
 
-    @property
-    def crashes(self) -> Tuple[CrashEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, CrashEpisode))
+    def _partitions_by_start(self) -> List[PartitionEpisode]:
+        return sorted(self.of("partition"), key=lambda e: e.start)
 
-    @property
-    def partitions(self) -> Tuple[PartitionEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, PartitionEpisode))
-
-    @property
-    def link_faults(self) -> Tuple[LinkFaultEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, LinkFaultEpisode))
-
-    @property
-    def disk_faults(self) -> Tuple[DiskFaultEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, DiskFaultEpisode))
-
-    @property
-    def wan_cuts(self) -> Tuple[WanCutEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, WanCutEpisode))
+    def lower(self, targets: "ChaosTargets") -> List[Action]:
+        """Every episode's timed actions against ``targets``, in the order
+        they are to be scheduled: kind by kind as the catalogue lists
+        them, plan order within a kind. Raises before returning anything
+        if any episode does not fit the targets."""
+        actions: List[Action] = []
+        for kind in _EPISODE_KINDS:
+            # Partitions go by start instead: where two share a boundary
+            # the earlier one's heal must be queued ahead of the later
+            # one's cut, or it would undo it.
+            episodes = (
+                self._partitions_by_start() if kind == "partition"
+                else self.of(kind)
+            )
+            for episode in episodes:
+                actions.extend(episode.lower(targets))
+        return actions
 
     @property
     def horizon(self) -> float:
@@ -302,32 +416,45 @@ class ChaosPlan:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (for pinning minimal failing plans)."""
-        out: List[Dict[str, Any]] = []
-        for episode in self.episodes:
-            entry = {"kind": _kind_of(episode)}
-            entry.update(
+        return {
+            "episodes": [
                 {
-                    key: value
-                    for key, value in episode.__dict__.items()
-                    if value is not None
+                    "kind": episode.kind,
+                    **{
+                        key: value
+                        for key, value in episode.__dict__.items()
+                        if value is not None
+                    },
                 }
-            )
-            if isinstance(episode, PartitionEpisode):
-                entry["groups"] = [list(group) for group in episode.groups]
-            out.append(entry)
-        return {"episodes": out}
+                for episode in self.episodes
+            ]
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosPlan":
+        """The inverse of :meth:`to_dict`. The input is whatever a user
+        pasted back from a ``plan json:`` line, so every way it can be
+        malformed is a :class:`SimulationError` naming the entry."""
+        entries = data.get("episodes") if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise SimulationError("plan json has no 'episodes' list")
         episodes: List[Episode] = []
-        for entry in data["episodes"]:
-            entry = dict(entry)
-            kind = entry.pop("kind")
-            if kind not in _EPISODE_KINDS:
-                raise SimulationError(f"unknown episode kind {kind!r}")
-            if kind == "partition":
-                entry["groups"] = tuple(tuple(g) for g in entry["groups"])
-            episodes.append(_EPISODE_KINDS[kind](**entry))
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "kind" not in entry:
+                raise SimulationError(f"episode {index} has no 'kind': {entry!r}")
+            fields = dict(entry)
+            kind = fields.pop("kind")
+            if not isinstance(kind, str) or kind not in _EPISODE_KINDS:
+                raise SimulationError(
+                    f"episode {index}: unknown kind {kind!r} "
+                    f"(have {', '.join(_EPISODE_KINDS)})"
+                )
+            try:
+                episodes.append(_EPISODE_KINDS[kind](**fields))
+            except (TypeError, SimulationError) as error:
+                # TypeError: a field the kind does not have, one it needs
+                # and did not get, or a value of the wrong type.
+                raise SimulationError(f"episode {index} ({kind}): {error}") from None
         return cls(tuple(episodes))
 
 

@@ -19,7 +19,7 @@ re-converges** — with ``time_to_converged`` measured from quiesce start.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Crashable, Scenario
@@ -34,30 +34,23 @@ class RejoinScenario(Scenario):
     """Unique-key writers against a ring under rolling cold restarts."""
 
     name = "rejoin"
+    policies = ("snapshot", "no-snapshot")
+    horizon = 20.0
+    put_interval = 0.15
+    outage = 2.0  # mean sim-seconds a victim stays down
+    snapshot_cadence = 1.0  # under the snapshot policy; the other takes none
 
     def __init__(
         self,
         num_nodes: int = 10,
-        horizon: float = 20.0,
-        put_interval: float = 0.15,
         crash_fraction: float = 0.2,
-        outage: float = 2.0,
-        snapshot_cadence: Optional[float] = 1.0,
         policy: str = "snapshot",
     ) -> None:
-        if policy not in ("snapshot", "no-snapshot"):
-            raise SimulationError(f"unknown rejoin policy {policy!r}")
+        self.choose_policy(policy)
         if not 0.0 < crash_fraction <= 0.5:
             raise SimulationError(f"crash fraction {crash_fraction} not in (0, 0.5]")
         self.num_nodes = num_nodes
-        self.horizon = horizon
-        self.put_interval = put_interval
         self.crash_fraction = crash_fraction
-        self.outage = outage
-        self.policy = policy
-        self.snapshot_cadence = (
-            snapshot_cadence if policy == "snapshot" else None
-        )
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
@@ -84,7 +77,9 @@ class RejoinScenario(Scenario):
     def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(
             num_nodes=self.num_nodes, sim=sim,
-            snapshot_cadence=self.snapshot_cadence,
+            snapshot_cadence=(
+                self.snapshot_cadence if self.policy == "snapshot" else None
+            ),
         )
         self._cluster = cluster
         self._client = cluster.client("writer")

@@ -34,12 +34,7 @@ from typing import Any, Dict, Generator, Optional, Set, Tuple
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import Crashable, Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
-from repro.errors import (
-    BreakerOpenError,
-    CrashedError,
-    SimulationError,
-    TimeoutError_,
-)
+from repro.errors import BreakerOpenError, CrashedError, TimeoutError_
 from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig, Network
 from repro.net.rpc import Endpoint, RpcClient, RpcError
@@ -58,6 +53,7 @@ class RetryStormScenario(Scenario):
     """Fixed-timer reissue vs the resilience stack, same slow server."""
 
     name = "retry-storm"
+    policies = ("resilient", "naive")
 
     def __init__(
         self,
@@ -76,9 +72,7 @@ class RetryStormScenario(Scenario):
         deadline: float = 2.0,
         cadence: float = 1.0,
     ) -> None:
-        if policy not in ("naive", "resilient"):
-            raise SimulationError(f"unknown retry-storm policy {policy!r}")
-        self.policy = policy
+        self.choose_policy(policy)
         self.num_clients = num_clients
         self.horizon = horizon
         self.slow_start = slow_start

@@ -36,27 +36,18 @@ class RingRebalanceScenario(Scenario):
     """Elastic-ring reshaping under zipf load and message chaos."""
 
     name = "ring_rebalance"
+    policies = ("elastic",)
+    policy = "elastic"
+    horizon = 16.0
+    put_interval = 0.12
+    zipf_rate = 30.0
+    zipf_keyspace = 5_000
 
-    def __init__(
-        self,
-        num_nodes: int = 8,
-        horizon: float = 16.0,
-        put_interval: float = 0.12,
-        zipf_rate: float = 30.0,
-        zipf_keyspace: int = 5_000,
-        policy: str = "elastic",
-    ) -> None:
-        if policy != "elastic":
-            raise SimulationError(f"unknown ring_rebalance policy {policy!r}")
+    def __init__(self, num_nodes: int = 8) -> None:
         if num_nodes < 5:
             raise SimulationError("ring_rebalance needs >= 5 nodes (N=3 "
                                   "must survive a decommission)")
         self.num_nodes = num_nodes
-        self.horizon = horizon
-        self.put_interval = put_interval
-        self.zipf_rate = zipf_rate
-        self.zipf_keyspace = zipf_keyspace
-        self.policy = policy
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))

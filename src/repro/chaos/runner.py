@@ -17,7 +17,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -248,14 +247,10 @@ _SCENARIOS: dict = {
 def _build_scenario(name: str, policy: Optional[str]) -> Any:
     if name not in _SCENARIOS:
         raise SimulationError(f"unknown scenario {name!r} (have {sorted(_SCENARIOS)})")
-    scenario_class = _SCENARIOS[name]
-    if not policy:
-        return scenario_class()
-    if "policy" not in inspect.signature(scenario_class).parameters:
-        raise SimulationError(
-            f"scenario {name!r} takes no policy (got --policy {policy!r})"
-        )
-    return scenario_class(policy=policy)
+    scenario = _SCENARIOS[name]()
+    if policy:
+        scenario.choose_policy(policy)
+    return scenario
 
 
 def _print_failure(case: FailingCase) -> None:

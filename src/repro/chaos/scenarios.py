@@ -33,7 +33,7 @@ from repro.core.antientropy import sync_all
 from repro.core.operation import Operation
 from repro.core.rules import RuleEngine
 from repro.dynamo.cluster import DynamoCluster
-from repro.errors import RuleViolation, SimulationError
+from repro.errors import RuleViolation
 from repro.gossip.cluster import GossipCluster
 from repro.sim.scheduler import Simulator
 
@@ -46,30 +46,18 @@ class BankClearingScenario(Scenario):
     """Replicated check clearing under chaos, invariants watching."""
 
     name = "bank-clearing"
+    policies = ("correct", "amnesiac-restart", "branch-uniquifier")
+    horizon = 30.0
+    cadence = 1.0
+    num_replicas = 3
+    opening = 1000.0
+    gossip_period = 0.5
+    check_interval = 1.0
+    deposit_interval = 6.0
+    dual_rate = 0.35  # share of checks presented at a second branch too
 
-    def __init__(
-        self,
-        num_replicas: int = 3,
-        horizon: float = 30.0,
-        opening: float = 1000.0,
-        gossip_period: float = 0.5,
-        check_interval: float = 1.0,
-        deposit_interval: float = 6.0,
-        dual_rate: float = 0.35,
-        cadence: float = 1.0,
-        policy: str = "correct",
-    ) -> None:
-        if policy not in ("correct", "amnesiac-restart", "branch-uniquifier"):
-            raise SimulationError(f"unknown bank policy {policy!r}")
-        self.num_replicas = num_replicas
-        self.horizon = horizon
-        self.opening = opening
-        self.gossip_period = gossip_period
-        self.check_interval = check_interval
-        self.deposit_interval = deposit_interval
-        self.dual_rate = dual_rate
-        self.cadence = cadence
-        self.policy = policy
+    def __init__(self, policy: str = "correct") -> None:
+        self.choose_policy(policy)
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"g{i}" for i in range(self.num_replicas))
@@ -216,22 +204,14 @@ class CartDynamoScenario(Scenario):
     """One shopper against the Dynamo cart while the fabric misbehaves."""
 
     name = "cart-dynamo"
+    policies = ("correct", "lww")
+    horizon = 15.0
+    num_nodes = 5
+    add_interval = 0.4
+    cart_key = "cart"
 
-    def __init__(
-        self,
-        num_nodes: int = 5,
-        horizon: float = 15.0,
-        add_interval: float = 0.4,
-        policy: str = "correct",
-        cart_key: str = "cart",
-    ) -> None:
-        if policy not in ("correct", "lww"):
-            raise SimulationError(f"unknown cart policy {policy!r}")
-        self.num_nodes = num_nodes
-        self.horizon = horizon
-        self.add_interval = add_interval
-        self.policy = policy
-        self.cart_key = cart_key
+    def __init__(self, policy: str = "correct") -> None:
+        self.choose_policy(policy)
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))

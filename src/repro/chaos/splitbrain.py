@@ -36,7 +36,7 @@ from typing import Any, Dict, Generator, Optional
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
-from repro.errors import SimulationError, StaleEpochError, TimeoutError_
+from repro.errors import StaleEpochError, TimeoutError_
 from repro.failover import FixedTimeoutDetector, LogshipFailover
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
@@ -134,6 +134,7 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
     """Fenced vs unfenced automatic takeover under a primary partition."""
 
     name = "split-brain"
+    policies = ("fenced", "unfenced")
     metrics = "chaos.splitbrain"
 
     def __init__(
@@ -152,9 +153,7 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
         cadence: float = 1.0,
         drain: float = 8.0,
     ) -> None:
-        if policy not in ("fenced", "unfenced"):
-            raise SimulationError(f"unknown split-brain policy {policy!r}")
-        self.policy = policy
+        self.choose_policy(policy)
         self.horizon = horizon
         self.partition_start = partition_start
         self.partition_end = partition_end

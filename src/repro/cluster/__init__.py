@@ -1,16 +1,16 @@
-"""Nodes and failures.
+"""Membership opinions and process pairs.
 
 The paper's failure model is fail-fast (§2.2): "a component is either
-functioning correctly or simply stops functioning." A :class:`Node` groups
-the volatile pieces that die together — its processes, its network
-endpoint, its in-memory buffers — behind ``crash()``/``restart()``.
-:class:`FailureInjector` drives deterministic or randomized crash
-schedules. Who is *believed* up is nobody's fact: each observer holds a
-:class:`MembershipView`, spread as rumor by :class:`MembershipGossip`.
+functioning correctly or simply stops functioning." Who is *believed* up
+is nobody's fact: each observer holds a :class:`MembershipView`, spread
+as rumor by :class:`MembershipGossip`. :class:`PairedAlgorithm` is §2's
+process pair, checkpointing to its backup at a :class:`CheckpointCadence`.
+
+Crashing things is not done here: each protocol node has its own
+``crash()``/``restart()``, and the one adapter that puts them behind a
+common shape for fault plans is :class:`repro.chaos.harness.Crashable`.
 """
 
-from repro.cluster.node import Node
-from repro.cluster.failure import FailureInjector, CrashPlan
 from repro.cluster.gossip_membership import (
     ALIVE,
     DEAD,
@@ -29,9 +29,6 @@ from repro.cluster.process_pair import (
 )
 
 __all__ = [
-    "Node",
-    "FailureInjector",
-    "CrashPlan",
     "ALIVE",
     "SUSPECT",
     "DEAD",

@@ -2,7 +2,8 @@
 
 Models the unreliable component boundary the paper's systems communicate
 across: links with latency distributions, message loss, duplication and
-reordering, plus network partitions with schedules. On top of the raw
+reordering, plus network partitions and transient fault overlays (when a
+cut happens is for the caller to schedule; :mod:`repro.chaos.plan` does). On top of the raw
 fabric, :mod:`repro.net.rpc` provides the §2.1 request/retry discipline —
 requests carry uniquifiers, sources retry on timer expiry, and servers are
 expected to make the work idempotent.
@@ -16,7 +17,6 @@ from repro.net.latency import (
     ExponentialLatency,
 )
 from repro.net.network import Network, LinkConfig, NetFault
-from repro.net.partition import PartitionSchedule
 from repro.net.topology import (
     Site,
     SiteFault,
@@ -35,7 +35,6 @@ __all__ = [
     "Network",
     "LinkConfig",
     "NetFault",
-    "PartitionSchedule",
     "Site",
     "SiteFault",
     "Topology",

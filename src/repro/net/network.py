@@ -12,7 +12,8 @@ Delivery pipeline for ``send``:
 4. A latency sample schedules delivery into the destination mailbox.
 
 Endpoints are :class:`~repro.sim.sync.Mailbox` instances registered by
-name; higher layers (RPC, cluster nodes) own the receive loops.
+name; the RPC layer (:class:`~repro.net.rpc.Endpoint`) owns the receive
+loops.
 """
 
 from __future__ import annotations

@@ -186,6 +186,17 @@ class SiteFault(NetFault):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    @classmethod
+    def pair(
+        cls, topology: Topology, site_a: str, site_b: str, loss: float
+    ) -> Tuple["SiteFault", "SiteFault"]:
+        """What a WAN cut is: one fault per direction of the site pair,
+        a→b first. ``loss`` below 1.0 degrades instead of severs."""
+        return tuple(
+            cls(loss_probability=loss, topology=topology, src_site=a, dst_site=b)
+            for a, b in ((site_a, site_b), (site_b, site_a))
+        )
+
 
 class TopologyNetwork(Network):
     """A network whose transit delay is routed by site placement.
@@ -241,15 +252,7 @@ class TopologyNetwork(Network):
         """Cut the WAN between two sites (both directions). ``loss`` below
         1.0 degrades instead of severs. Returns the two fault tokens;
         pass them to :meth:`heal_sites` (or ``clear_all_faults``)."""
-        faults = tuple(
-            SiteFault(
-                loss_probability=loss,
-                topology=self.topology,
-                src_site=a,
-                dst_site=b,
-            )
-            for a, b in ((site_a, site_b), (site_b, site_a))
-        )
+        faults = SiteFault.pair(self.topology, site_a, site_b, loss)
         for fault in faults:
             self.inject_fault(fault)
         self.sim.trace.emit(

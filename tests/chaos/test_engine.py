@@ -1,4 +1,4 @@
-"""ChaosEngine: lowering a plan onto the simulator's injectors."""
+"""ChaosEngine: scheduling what a plan's episodes lower themselves to."""
 
 import pytest
 
@@ -9,8 +9,10 @@ from repro.chaos.plan import (
     DiskFaultEpisode,
     LinkFaultEpisode,
     PartitionEpisode,
+    WanCutEpisode,
 )
 from repro.errors import SimulationError
+from repro.net import Site, Topology, TopologyNetwork
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.storage.disk import Disk
@@ -101,6 +103,42 @@ def test_disk_fault_episode_slowdown():
     assert disks["d0"].slow_factor == 4.0
     sim.run(until=4.0)
     assert disks["d0"].slow_factor == 1.0
+
+
+def test_wan_cut_episode_cuts_both_directions_then_heals():
+    """Two directional site faults, in force for the window — and, unlike
+    a hand-called ``cut_sites``, no ``wan.cut`` trace record (the plan is
+    already in the trace)."""
+    sim = Simulator(seed=1)
+    topology = Topology([Site("east"), Site("west")])
+    network = TopologyNetwork(sim, topology)
+    engine = ChaosEngine(ChaosTargets(sim, network=network))
+    engine.install(ChaosPlan((WanCutEpisode(1.0, 3.0, "east", "west", loss=0.5),)))
+    sim.run(until=2.0)
+    assert [
+        (f.src_site, f.dst_site, f.loss_probability) for f in network.active_faults
+    ] == [("east", "west", 0.5), ("west", "east", 0.5)]
+    sim.run(until=4.0)
+    assert not network.active_faults
+    assert sim.trace.count(kind="fault.inject") == 2
+    assert sim.trace.count(kind="wan.cut") == 0
+
+
+def test_same_instant_actions_run_kind_by_kind_in_catalogue_order():
+    """The tie-break every pinned plan relies on: crashes, then
+    partitions, then link faults, then disk faults — not plan order."""
+    sim, _net, nodes, _disks, targets = make_world(with_disk=True)
+    nodes["n0"].crash = lambda cause: sim.trace.emit("n0", "crash", cause=cause)
+    ChaosEngine(targets).install(ChaosPlan((
+        DiskFaultEpisode("d0", 1.0),
+        LinkFaultEpisode(1.0, 3.0, loss=0.5),
+        PartitionEpisode(1.0, 3.0, (("n0",), ("n1",))),
+        CrashEpisode("n0", 1.0),
+    )))
+    sim.run(until=2.0)
+    assert [r.kind for r in sim.trace.records if r.time == 1.0] == [
+        "crash", "partition.cut", "fault.inject", "disk.fail",
+    ]
 
 
 def test_engine_validates_unknown_targets():

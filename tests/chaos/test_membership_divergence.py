@@ -104,8 +104,11 @@ def test_registered_with_the_runner():
 
 
 def test_unknown_policy_is_rejected():
-    with pytest.raises(SimulationError):
-        MembershipDivergenceScenario(policy="oracle")
+    """There is one policy and so no constructor argument; the CLI's
+    ``--policy`` still has to name it."""
+    assert _build_scenario("membership-divergence", policy="gossip").policy == "gossip"
+    with pytest.raises(SimulationError, match="unknown membership_divergence policy"):
+        _build_scenario("membership-divergence", policy="oracle")
 
 
 def test_too_few_nodes_rejected():

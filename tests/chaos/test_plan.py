@@ -74,15 +74,15 @@ def test_plan_allows_boundary_sharing_partitions():
         PartitionEpisode(1.0, 5.0, (("a",), ("b",))),
         PartitionEpisode(5.0, 8.0, (("a", "b"), ("c",))),
     ))
-    assert len(plan.partitions) == 2
+    assert len(plan.of("partition")) == 2
 
 
 def test_plan_views_split_by_kind():
     plan = sample_plan()
-    assert len(plan.crashes) == 1
-    assert len(plan.partitions) == 1
-    assert len(plan.link_faults) == 1
-    assert len(plan.disk_faults) == 1
+    assert len(plan.of("crash")) == 1
+    assert len(plan.of("partition")) == 1
+    assert len(plan.of("link_fault")) == 1
+    assert len(plan.of("disk_fault")) == 1
     assert len(plan) == 4
 
 
@@ -94,11 +94,11 @@ def test_plan_horizon_is_latest_end():
 def test_without_and_replace_episode():
     plan = sample_plan()
     smaller = plan.without(0)
-    assert len(smaller) == 3 and not smaller.crashes
+    assert len(smaller) == 3 and not smaller.of("crash")
     narrowed = plan.replace_episode(1, PartitionEpisode(3.0, 4.0, (("n1",), ("n2",))))
-    assert narrowed.partitions[0].end == 4.0
+    assert narrowed.of("partition")[0].end == 4.0
     # the original is untouched (plans are immutable values)
-    assert plan.partitions[0].end == 6.0
+    assert plan.of("partition")[0].end == 6.0
 
 
 def test_describe_mentions_every_episode():
@@ -158,6 +158,50 @@ def test_from_dict_rejects_unknown_kind():
         ChaosPlan.from_dict({"episodes": [{"kind": "meteor"}]})
 
 
+def test_dict_form_is_what_the_plan_json_line_prints():
+    """``kind`` first, None fields left out, groups as JSON arrays."""
+    import json
+
+    assert json.dumps(sample_plan().to_dict()) == (
+        '{"episodes": ['
+        '{"kind": "crash", "node": "n1", "at": 2.0, "back_at": 5.0}, '
+        '{"kind": "partition", "start": 3.0, "end": 6.0, '
+        '"groups": [["n1"], ["n2", "n3"]]}, '
+        '{"kind": "link_fault", "start": 1.0, "end": 4.0, "loss": 0.2, '
+        '"duplicate": 0.0, "extra_delay": 0.0}, '
+        '{"kind": "disk_fault", "disk": "d0", "at": 2.5, "repair_at": 7.0, '
+        '"slow_factor": 3.0}]}'
+    )
+    pasted = json.loads(json.dumps(sample_plan().to_dict()))
+    assert ChaosPlan.from_dict(pasted) == sample_plan()
+
+
+# A pinned plan is pasted back in by hand: whatever is wrong with it must
+# come out as a SimulationError that says which entry, not a bare builtin.
+GOOD = {"kind": "crash", "node": "n1", "at": 2.0}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({}, "no 'episodes' list"),
+    ({"episodes": None}, "no 'episodes' list"),
+    ({"episodes": [GOOD, {"node": "n1", "at": 2.0}]}, "episode 1 has no 'kind'"),
+    ({"episodes": [GOOD, {**GOOD, "when": 3.0}]},
+     r"episode 1 \(crash\): .*unexpected keyword argument 'when'"),
+    ({"episodes": [{"kind": "partition", "start": 1.0, "end": 2.0}]},
+     r"episode 0 \(partition\): .*'groups'"),
+    ({"episodes": [GOOD, {"kind": "meteor"}]}, "episode 1: unknown kind 'meteor'"),
+    ({"episodes": [{"kind": ["crash"]}]}, "episode 0: unknown kind"),
+    ({"episodes": [{**GOOD, "back_at": 1.0}]},
+     r"episode 0 \(crash\): restart 1.0 not after crash 2.0"),
+    ({"episodes": [{**GOOD, "at": "noon"}]}, r"episode 0 \(crash\): "),
+], ids=["no-episodes", "episodes-not-a-list", "no-kind", "unknown-field",
+        "missing-field", "unknown-kind", "unhashable-kind", "invalid-episode",
+        "wrong-type"])
+def test_from_dict_names_the_entry_that_is_malformed(data, message):
+    with pytest.raises(SimulationError, match=message):
+        ChaosPlan.from_dict(data)
+
+
 # ----------------------------------------------------------------------
 # Seeded sampling
 
@@ -173,9 +217,9 @@ def test_sample_respects_crash_bounds_and_horizon():
                      min_crashes=1, max_crashes=2)
     for seed in range(20):
         plan = spec.sample(seed)
-        assert 1 <= len(plan.crashes) <= 2
+        assert 1 <= len(plan.of("crash")) <= 2
         assert plan.horizon <= 0.9 * spec.horizon + 1e-9
-        for episode in plan.crashes:
+        for episode in plan.of("crash"):
             assert episode.node in spec.nodes
 
 

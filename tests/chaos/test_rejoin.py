@@ -55,8 +55,8 @@ def test_spec_samples_no_crashes():
     scenario = RejoinScenario()
     for seed in range(5):
         plan = scenario.spec().sample(seed)
-        assert not plan.crashes
-        assert not plan.partitions
+        assert not plan.of("crash")
+        assert not plan.of("partition")
 
 
 def test_hand_written_crash_plan_uses_cold_path():

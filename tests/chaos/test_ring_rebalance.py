@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos.ring_rebalance import RingRebalanceScenario
+from repro.chaos.runner import _build_scenario
 from repro.errors import SimulationError
 
 
@@ -39,12 +40,12 @@ def test_spec_samples_message_chaos_only():
     scenario = RingRebalanceScenario()
     for seed in range(5):
         plan = scenario.spec().sample(seed)
-        assert not plan.crashes
-        assert not plan.partitions
+        assert not plan.of("crash")
+        assert not plan.of("partition")
 
 
 def test_bad_parameters_rejected():
     with pytest.raises(SimulationError):
-        RingRebalanceScenario(policy="bogus")
+        _build_scenario("ring-rebalance", policy="bogus")
     with pytest.raises(SimulationError):
         RingRebalanceScenario(num_nodes=4)

@@ -15,6 +15,7 @@ from repro.chaos import (
     ChaosRunner,
 )
 from repro.chaos.plan import CrashEpisode
+from repro.chaos.runner import _SCENARIOS, _build_scenario
 from repro.errors import SimulationError
 
 
@@ -40,7 +41,7 @@ def test_broken_policy_found_shrunk_and_replayed():
         # Shrinking produced a minimal plan: the bug needs a crash, so
         # the plan cannot be empty, and greedy dropping leaves one episode.
         assert 1 <= len(case.minimal_plan) <= len(case.plan)
-        assert case.minimal_plan.crashes, "the violation requires a crash"
+        assert case.minimal_plan.of("crash"), "the violation requires a crash"
 
         # The minimal plan still shows the *same* bug...
         assert case.minimal_violation is not None
@@ -125,6 +126,30 @@ def test_cli_rejects_a_policy_for_a_scenario_that_takes_none():
 
     with pytest.raises(SimulationError, match="'mixed-txn' takes no policy"):
         main(["--scenario", "mixed-txn", "--policy", "leader", "--seeds", "1"])
+
+
+@pytest.mark.parametrize("name", sorted(_SCENARIOS))
+def test_every_scenario_says_which_policies_it_has(name):
+    """One declaration per scenario, one check in the base class: every
+    listed policy is accepted by ``--policy``, anything else is a
+    SimulationError, and the default is one of the listed."""
+    scenario = _build_scenario(name, policy=None)
+    if name == "mixed-txn":
+        assert scenario.policies == () and not hasattr(scenario, "policy")
+    else:
+        assert scenario.policy in scenario.policies
+    for policy in scenario.policies:
+        assert _build_scenario(name, policy=policy).policy == policy
+    with pytest.raises(SimulationError, match="polic"):
+        _build_scenario(name, policy="no-such-policy")
+
+
+def test_cli_policy_is_the_constructor_policy():
+    from_cli = _build_scenario("bank", policy="amnesiac-restart")
+    direct = BankClearingScenario(policy="amnesiac-restart")
+    assert vars(from_cli) == vars(direct)
+    with pytest.raises(SimulationError, match="unknown bank-clearing policy 'bogus'"):
+        BankClearingScenario(policy="bogus")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

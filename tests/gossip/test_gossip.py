@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import BusinessRule, Operation, RuleEngine, TypeRegistry
 from repro.gossip import GossipCluster, op_from_wire, wire_op
-from repro.net.partition import PartitionSchedule, PartitionWindow
 
 
 def counter_registry():
@@ -42,10 +41,8 @@ def test_cluster_converges_over_the_fabric():
 def test_partition_blocks_then_heals():
     cluster = GossipCluster(counter_registry(), num_replicas=3, period=0.5, seed=5)
     # Cut g2 off for the first 10 seconds.
-    schedule = PartitionSchedule(
-        cluster.network, [PartitionWindow(0.0, 10.0, [["g0", "g1"], ["g2"]])]
-    )
-    schedule.install()
+    cluster.network.partition([["g0", "g1"], ["g2"]])
+    cluster.sim.schedule_at(10.0, cluster.network.heal)
     for index, name in enumerate(cluster.nodes):
         cluster.submit(name, add(index + 1))
     cluster.run(until=8.0)
