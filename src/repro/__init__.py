@@ -6,7 +6,7 @@ deterministic discrete-event simulator built from scratch:
 
 - :mod:`repro.sim` — discrete-event kernel (clock, processes, RNG, metrics).
 - :mod:`repro.net` — simulated message fabric with latency, loss, partitions.
-- :mod:`repro.storage` — simulated disks, mirrored pairs, write-ahead log.
+- :mod:`repro.storage` — simulated disks, write-ahead log, snapshots.
 - :mod:`repro.cluster` — gossiped membership views, the generic process pair.
 - :mod:`repro.tandem` — Tandem NonStop circa 1984 (DP1, synchronous
   per-WRITE checkpointing) and circa 1986 (DP2, log-combined checkpointing
@@ -45,7 +45,6 @@ from repro.errors import (
     TimeoutError_,
     RuleViolation,
     EscrowOverflow,
-    AllocationError,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "TimeoutError_",
     "RuleViolation",
     "EscrowOverflow",
-    "AllocationError",
 ]

@@ -1,7 +1,6 @@
-"""Result presentation and summary statistics for the experiment suite."""
+"""Result presentation for the experiment suite: tables and ratios."""
 
 from repro.analysis.tables import Table
-from repro.analysis.stats import summarize, ratio
-from repro.analysis.sweep import SweepPoint, monotone, sweep
+from repro.analysis.stats import ratio
 
-__all__ = ["Table", "summarize", "ratio", "SweepPoint", "monotone", "sweep"]
+__all__ = ["Table", "ratio"]

@@ -1,22 +1,8 @@
-"""Small statistical helpers over repeated-trial results."""
+"""The one statistic the bench tables share."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
-
-import numpy as np
-
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Mean, standard deviation, and a normal-approx 95% CI half-width."""
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        return {"mean": math.nan, "stdev": math.nan, "ci95": math.nan, "n": 0}
-    mean = float(np.mean(data))
-    stdev = float(np.std(data, ddof=1)) if data.size > 1 else 0.0
-    ci95 = 1.96 * stdev / math.sqrt(data.size) if data.size > 1 else 0.0
-    return {"mean": mean, "stdev": stdev, "ci95": ci95, "n": int(data.size)}
 
 
 def ratio(numerator: float, denominator: float) -> float:

@@ -47,16 +47,6 @@ class Table:
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
         return "\n".join(lines)
 
-    def render_markdown(self) -> str:
-        """The same table as GitHub-flavored markdown (for EXPERIMENTS.md
-        regeneration)."""
-        lines = [f"**{self.title}**", ""]
-        lines.append("| " + " | ".join(self.columns) + " |")
-        lines.append("|" + "|".join("---" for _ in self.columns) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
     def print(self) -> None:
         print()
         print(self.render())

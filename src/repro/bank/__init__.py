@@ -23,10 +23,8 @@ from repro.bank.account import build_account_registry, overdraft_rule, balance_o
 from repro.bank.clearing import ClearOutcome, ReplicatedBank
 from repro.bank.ledger import Statement, StatementBook
 from repro.bank.policy import CustomerStanding, DepositDesk
-from repro.bank.interbank import InterbankNetwork
 
 __all__ = [
-    "InterbankNetwork",
     "Check",
     "build_account_registry",
     "overdraft_rule",

@@ -89,6 +89,16 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
 
     SITES = ("dc-east", "dc-west", "dc-south")
 
+    storm_loss = 0.15
+    disk_slow_factor = 4.0
+    phi_threshold = 8.0
+    lan_latency = 0.0005
+    wan_floor = 0.02
+    wan_jitter = 0.005
+    wan_bandwidth = 5000.0
+    escrow_initial = 500.0
+    repair_rounds = 4
+
     def __init__(
         self,
         policy: str = "fenced",
@@ -97,23 +107,14 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         horizon: float = 30.0,
         cut_start: float = 8.0,
         cut_end: float = 16.0,
-        storm_loss: float = 0.15,
-        disk_slow_factor: float = 4.0,
         write_interval: float = 0.4,
         num_keys: int = 8,
         put_interval: float = 0.2,
         heartbeat_interval: float = 0.25,
         detect_timeout: float = 1.0,
-        phi_threshold: float = 8.0,
         ship_interval: float = 0.05,
-        lan_latency: float = 0.0005,
-        wan_floor: float = 0.02,
-        wan_jitter: float = 0.005,
-        wan_bandwidth: Optional[float] = 5000.0,
-        escrow_initial: float = 500.0,
         cadence: float = 1.0,
         drain: float = 8.0,
-        repair_rounds: int = 4,
     ) -> None:
         self.choose_policy(policy)
         if detector not in ("phi", "fixed"):
@@ -129,23 +130,14 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         self.horizon = horizon
         self.cut_start = cut_start
         self.cut_end = cut_end
-        self.storm_loss = storm_loss
-        self.disk_slow_factor = disk_slow_factor
         self.write_interval = write_interval
         self.num_keys = num_keys
         self.put_interval = put_interval
         self.heartbeat_interval = heartbeat_interval
         self.detect_timeout = detect_timeout
-        self.phi_threshold = phi_threshold
         self.ship_interval = ship_interval
-        self.lan_latency = lan_latency
-        self.wan_floor = wan_floor
-        self.wan_jitter = wan_jitter
-        self.wan_bandwidth = wan_bandwidth
-        self.escrow_initial = escrow_initial
         self.cadence = cadence
         self.drain = drain
-        self.repair_rounds = repair_rounds
         # Filled in by run(); read by E17 and the tests.
         self.endpoint_count = 0
         self.detection_latency: Optional[float] = None

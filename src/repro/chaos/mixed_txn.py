@@ -49,6 +49,7 @@ class MixedTxnScenario(Scenario):
     """Weak guesses vs strong order under a mid-stream fabric partition."""
 
     name = "mixed-txn"
+    submit_interval = 0.2
 
     def __init__(
         self,
@@ -58,7 +59,6 @@ class MixedTxnScenario(Scenario):
         partition_end: float = 16.0,
         capacity: int = 8,
         weak_fraction: float = 0.8,
-        submit_interval: float = 0.2,
         heartbeat_interval: float = 0.25,
         detect_timeout: float = 1.0,
         poll_interval: float = 0.1,
@@ -75,7 +75,6 @@ class MixedTxnScenario(Scenario):
         self.partition_end = partition_end
         self.capacity = capacity
         self.weak_fraction = weak_fraction
-        self.submit_interval = submit_interval
         self.heartbeat_interval = heartbeat_interval
         self.detect_timeout = detect_timeout
         self.poll_interval = poll_interval

@@ -55,35 +55,29 @@ class RetryStormScenario(Scenario):
     name = "retry-storm"
     policies = ("resilient", "naive")
 
+    num_clients = 8
+    slow_start = 8.0
+    slow_end = 18.0
+    naive_timeout = 0.2
+    naive_retries = 2
+    naive_reissues = 6
+    watermark = 8
+
     def __init__(
         self,
         policy: str = "resilient",
-        num_clients: int = 8,
         horizon: float = 30.0,
-        slow_start: float = 8.0,
-        slow_end: float = 18.0,
         slow_factor: float = 20.0,
         service_time: float = 0.02,
         think_time: float = 0.2,
-        naive_timeout: float = 0.2,
-        naive_retries: int = 2,
-        naive_reissues: int = 6,
-        watermark: int = 8,
         deadline: float = 2.0,
         cadence: float = 1.0,
     ) -> None:
         self.choose_policy(policy)
-        self.num_clients = num_clients
         self.horizon = horizon
-        self.slow_start = slow_start
-        self.slow_end = slow_end
         self.slow_factor = slow_factor
         self.service_time = service_time
         self.think_time = think_time
-        self.naive_timeout = naive_timeout
-        self.naive_retries = naive_retries
-        self.naive_reissues = naive_reissues
-        self.watermark = watermark
         self.deadline = deadline
         self.cadence = cadence
 

@@ -40,12 +40,6 @@ from repro.parallel import parallel_map
 from repro.sim.metrics import MetricsRegistry
 
 
-class _RunnerClock:
-    """MetricsRegistry wants a ``.now``; the runner is outside sim time."""
-
-    now = 0.0
-
-
 @dataclass(frozen=True)
 class FailingCase:
     """One seed's violation, before and after shrinking."""
@@ -95,13 +89,14 @@ class _SeedRun:
 class ChaosRunner:
     """Sweeps seeds over a scenario; shrinks and verifies failures."""
 
+    shrink_budget = 80  # scenario re-runs one shrink may spend
+    min_window = 0.5    # narrowest episode a shrink will try, sim-seconds
+
     def __init__(
         self,
         scenario: Any,
         spec: Optional[ChaosSpec] = None,
         plan: Optional[ChaosPlan] = None,
-        shrink_budget: int = 80,
-        min_window: float = 0.5,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if spec is None and plan is None:
@@ -109,9 +104,7 @@ class ChaosRunner:
         self.scenario = scenario
         self.spec = spec
         self.plan = plan
-        self.shrink_budget = shrink_budget
-        self.min_window = min_window
-        self.metrics = metrics or MetricsRegistry(_RunnerClock())
+        self.metrics = metrics or MetricsRegistry()
 
     # ------------------------------------------------------------------
 

@@ -158,23 +158,12 @@ class MembershipView:
         entry = self._entries.get(name)
         return entry.incarnation if entry is not None else -1
 
-    def is_alive(self, name: str) -> bool:
-        """Strict: believed alive right now (suspects don't count)."""
-        return self.status_of(name) == ALIVE
-
     def is_usable(self, name: str) -> bool:
         """Routable: alive or merely suspected — a suspect is still a
-        member that may well answer (the suspicion is a guess)."""
-        return self.status_of(name) in (ALIVE, SUSPECT)
-
-    def live_view(self) -> Callable[[str], bool]:
-        """The ``alive=`` predicate for ring walks: routable members.
-        An unknown name is unroutable — a joiner this view has not yet
+        member that may well answer (the suspicion is a guess). An
+        unknown name is unroutable — a joiner this view has not yet
         heard of is skipped, and hinted handoff covers the gap."""
-        return self.is_usable
-
-    def alive_names(self) -> List[str]:
-        return [n for n, e in self._entries.items() if e.status == ALIVE]
+        return self.status_of(name) in (ALIVE, SUSPECT)
 
     def usable_names(self) -> List[str]:
         return [
@@ -193,9 +182,6 @@ class MembershipView:
             name: (entry.status, entry.incarnation)
             for name, entry in self._entries.items()
         }
-
-    def agrees_with(self, other: "MembershipView") -> bool:
-        return self.entries() == other.entries()
 
     def __len__(self) -> int:
         return len(self._entries)

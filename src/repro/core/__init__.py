@@ -33,12 +33,9 @@ from repro.core.guesses import Guess, GuessLedger, Apology, ApologyQueue
 from repro.core.rules import BusinessRule, Enforcement, RuleEngine
 from repro.core.risk import AdaptiveRiskPolicy, RiskPolicy, ThresholdRiskPolicy
 from repro.core.escrow import EscrowAccount, ExclusiveAccount
-from repro.core.checkpoint import ExecutionMode, SyncOrApologize
 from repro.core.offline import OfflineSession
 
 __all__ = [
-    "ExecutionMode",
-    "SyncOrApologize",
     "OfflineSession",
     "Operation",
     "OperationType",

@@ -93,12 +93,6 @@ class Replica:
                     new_apologies.append(apology)
         return new_apologies
 
-    def sync_from(self, other: "Replica") -> int:
-        """Pull everything ``other`` knows; returns new-op count."""
-        missing = other.ops.missing_from(self.ops)
-        self.integrate(missing)
-        return len(missing)
-
     # ------------------------------------------------------------------
 
     def knows(self, uniquifier: str) -> bool:
@@ -107,11 +101,6 @@ class Replica:
     def canonical_state(self) -> Any:
         """State under the canonical order (for convergence checks)."""
         return self.ops.canonical_fold(self.registry)
-
-    def rebuild_state(self) -> Any:
-        """Re-fold state from the op set in arrival order (recovery)."""
-        self.state = self.ops.fold(self.registry)
-        return self.state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Replica {self.name} ops={len(self.ops)}>"

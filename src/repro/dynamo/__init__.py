@@ -14,7 +14,7 @@ inconsistent GET later on." The pieces:
 """
 
 from repro.dynamo.versions import VectorClock, VersionedValue
-from repro.dynamo.ring import HashRing, MovedRange, key_in_ranges, moved_ranges
+from repro.dynamo.ring import HashRing, MovedRange, moved_ranges
 from repro.dynamo.node import DynamoNode
 from repro.dynamo.cluster import DynamoCluster, DynamoClient, GetResult
 
@@ -23,7 +23,6 @@ __all__ = [
     "VersionedValue",
     "HashRing",
     "MovedRange",
-    "key_in_ranges",
     "moved_ranges",
     "DynamoNode",
     "DynamoCluster",

@@ -273,21 +273,28 @@ class DynamoCluster:
         fabric — however it was crashed. Routing asks a view instead."""
         return node_name in self.nodes and self.network.is_attached(node_name)
 
+    def _node(self, node_name: str) -> DynamoNode:
+        if node_name not in self.nodes:
+            raise SimulationError(
+                f"unknown node {node_name!r} (have {sorted(self.nodes)})"
+            )
+        return self.nodes[node_name]
+
     def crash(self, node_name: str) -> None:
-        self.nodes[node_name].crash()
+        self._node(node_name).crash()
 
     def restart(self, node_name: str) -> None:
-        self.nodes[node_name].restart()
+        self._node(node_name).restart()
 
     def cold_crash(self, node_name: str) -> int:
         """Crash a node *losing its store* (vs :meth:`crash`, which models
         the store as durable). Returns versions lost."""
-        return self.nodes[node_name].cold_crash()
+        return self._node(node_name).cold_crash()
 
     def cold_restart(self, node_name: str) -> Generator[Any, Any, Dict[str, Any]]:
         """Rejoin a cold-crashed node: snapshot seed, then the caller runs
         handoff + Merkle rounds to close the remaining diff."""
-        return (yield from self.nodes[node_name].cold_restart())
+        return (yield from self._node(node_name).cold_restart())
 
     def run_handoff_round(self) -> Generator[Any, Any, int]:
         """Drive one hint-delivery pass on every node; returns total
@@ -647,13 +654,11 @@ class DynamoCluster:
         W-1 replicas and anti-entropy heals the copy count.
         """
         check_buckets(buckets)
-        if node_name not in self.nodes:
-            raise SimulationError(f"unknown node {node_name!r}")
+        node = self._node(node_name)
         if len(self.nodes) - 1 < self.n:
             raise SimulationError(
                 f"cannot decommission below N={self.n} nodes"
             )
-        node = self.nodes[node_name]
         before = self.ring.clone()
         self.ring.remove_node(node_name)
         moved = moved_ranges(before, self.ring, self.n)

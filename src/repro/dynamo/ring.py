@@ -89,14 +89,6 @@ class MovedRange:
     def contains_hash(self, h: int) -> bool:
         return position_in_ranges(h, ((self.start, self.end),))
 
-    def contains_key(self, key: str) -> bool:
-        return self.contains_hash(ring_hash(key))
-
-
-def key_in_ranges(key: str, ranges: Iterable[Sequence[int]]) -> bool:
-    """Whether ``key`` hashes into any ``[start, end)`` wrapping arc."""
-    return position_in_ranges(ring_hash(key), ranges)
-
 
 class HashRing:
     """Consistent-hash ring over named nodes with virtual nodes."""

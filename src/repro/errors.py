@@ -105,11 +105,3 @@ class RuleViolation(QuicksandError):
 class EscrowOverflow(QuicksandError):
     """An escrow operation could push the value out of its [min, max]
     bounds in the worst case of all pending transactions."""
-
-
-class AllocationError(QuicksandError):
-    """A resource allocation could not be satisfied."""
-
-
-class ReconciliationError(QuicksandError):
-    """Sibling versions could not be merged automatically."""

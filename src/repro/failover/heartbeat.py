@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
+from repro.errors import SimulationError
 from repro.net.rpc import Endpoint
 from repro.sim.events import Timeout
 
@@ -28,6 +29,11 @@ class HeartbeatEmitter:
         jitter: float = 0.0,
         epoch_of: Optional[Callable[[], int]] = None,
     ) -> None:
+        if interval <= 0:
+            raise SimulationError(f"bad heartbeat interval {interval}")
+        # At jitter >= 1 a draw can scale the delay to zero or below.
+        if not 0.0 <= jitter < 1.0:
+            raise SimulationError(f"heartbeat jitter {jitter} outside [0, 1)")
         self.sim = endpoint.sim
         self.endpoint = endpoint
         self.monitor = monitor

@@ -6,7 +6,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.operation import Operation
 from repro.core.replica import Replica
-from repro.errors import TimeoutError_
+from repro.errors import SimulationError, TimeoutError_
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
@@ -51,6 +51,8 @@ class GossipNode:
         policy: Optional[RetryPolicy] = None,
         skip_unreachable: bool = False,
     ) -> None:
+        if period <= 0:
+            raise SimulationError(f"bad gossip period {period}")
         self.network = network
         self.sim = network.sim
         self.replica = replica

@@ -120,6 +120,13 @@ class LogShippingSystem:
     def _peer(name: str) -> str:
         return "west" if name == "east" else "east"
 
+    def _site(self, name: str) -> DatabaseReplica:
+        if name not in self.sites:
+            raise SimulationError(
+                f"unknown site {name!r} (have {sorted(self.sites)})"
+            )
+        return self.sites[name]
+
     # ------------------------------------------------------------------
     # Client operations
 
@@ -136,7 +143,7 @@ class LogShippingSystem:
         lost; without fencing the deposed site happily keeps acking."""
         txn_id = txn_id or f"txn-{next(self._txn_ids)}"
         start = self.sim.now
-        replica = self.sites[site]
+        replica = self._site(site)
         yield from replica.commit_transaction(txn_id, writes)
         if self.mode is ShipMode.SYNC:
             shipped = yield from self._ship_once(site)
@@ -335,7 +342,7 @@ class LogShippingSystem:
         re-ships from LSN 0; with one, both costs shrink to the tail.
         """
         site = site or self._peer(self.serving)
-        replica = self.sites[site]
+        replica = self._site(site)
         if site == self.serving:
             raise SimulationError(f"cannot rejoin the serving site {site!r}")
         start = self.sim.now

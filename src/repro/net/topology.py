@@ -12,8 +12,9 @@ that boundary a first-class object:
   messages queue behind each other when they arrive faster than the pipe
   drains) for one directed site pair.
 - :class:`Topology` — the placement map (endpoint → site) plus the WAN
-  link matrix. Placement is by name, so higher layers (Dynamo nodes,
-  log-ship replicas) need no changes to become geo-distributed.
+  link every site pair shares. Placement is by name, so higher layers
+  (Dynamo nodes, log-ship replicas) need no changes to become
+  geo-distributed.
 - :class:`TopologyNetwork` — a :class:`~repro.net.network.Network` whose
   transit delay is routed by placement: intra-site messages sample the
   site's LAN model, cross-site messages sample the WAN link (plus any
@@ -76,7 +77,7 @@ class WanLink:
 
 
 class Topology:
-    """Sites, endpoint placement, and the WAN link matrix."""
+    """Sites, endpoint placement, and the WAN link between them."""
 
     def __init__(
         self,
@@ -91,7 +92,6 @@ class Topology:
         if not self.sites:
             raise SimulationError("topology needs at least one site")
         self.default_wan = default_wan
-        self._wan: Dict[Tuple[str, str], WanLink] = {}
         self._placement: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -112,33 +112,17 @@ class Topology:
         (unplaced endpoints ride the flat fabric's link configs)."""
         return self._placement.get(endpoint)
 
-    def members(self, site: str) -> List[str]:
-        self._require_site(site)
-        return sorted(e for e, s in self._placement.items() if s == site)
-
     # ------------------------------------------------------------------
     # WAN links
-
-    def set_wan(
-        self, site_a: str, site_b: str, link: WanLink, symmetric: bool = True
-    ) -> None:
-        self._require_site(site_a)
-        self._require_site(site_b)
-        if site_a == site_b:
-            raise SimulationError(f"{site_a!r} is not a WAN pair")
-        self._wan[(site_a, site_b)] = link
-        if symmetric:
-            self._wan[(site_b, site_a)] = link
 
     def wan(self, src_site: str, dst_site: str) -> WanLink:
         self._require_site(src_site)
         self._require_site(dst_site)
-        link = self._wan.get((src_site, dst_site), self.default_wan)
-        if link is None:
+        if self.default_wan is None:
             raise SimulationError(
-                f"no WAN link {src_site!r} -> {dst_site!r} and no default"
+                f"no WAN link {src_site!r} -> {dst_site!r}: topology has no default"
             )
-        return link
+        return self.default_wan
 
     def site_pairs(self) -> List[Tuple[str, str]]:
         """Every unordered site pair, sorted (for sampled WAN cuts)."""

@@ -1,8 +1,7 @@
-"""A shared multiprocessing executor for embarrassingly-parallel sweeps.
+"""The multiprocessing executor for embarrassingly-parallel sweeps.
 
-Both sweep layers — :meth:`repro.chaos.runner.ChaosRunner.sweep` and
-:func:`repro.analysis.sweep.sweep` — are loops of independent seeded runs,
-each deterministic in isolation (every run constructs its own
+:meth:`repro.chaos.runner.ChaosRunner.sweep` is a loop of independent
+seeded runs, each deterministic in isolation (every run constructs its own
 :class:`~repro.sim.scheduler.Simulator`, which resets the process-global
 counters via the fresh-run hooks). That makes fan-out safe: a worker
 process produces bit-for-bit the report the parent would have, so the
@@ -18,7 +17,7 @@ only thing parallelism may change is wall time, never results.
   behind each other.
 
 Callables and items must be picklable: module-level functions or small
-callable objects, which is how both call sites use it.
+callable objects, which is how the call site uses it.
 """
 
 from __future__ import annotations

@@ -108,7 +108,10 @@ CATALOG: Tuple[Pattern, ...] = (
             "synchronous checkpoint and know."
         ),
         provides=("tunable-consistency",),
-        implemented_by="repro.core.risk.ThresholdRiskPolicy + repro.core.checkpoint",
+        implemented_by=(
+            "repro.core.risk.ThresholdRiskPolicy; "
+            "repro.bank.clearing.ReplicatedBank"
+        ),
     ),
     Pattern(
         name="fungible-bucketing",

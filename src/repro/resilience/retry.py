@@ -23,7 +23,7 @@ pause between them and no RNG draws.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import SimulationError
@@ -68,11 +68,6 @@ class RetryPolicy:
             raise SimulationError(f"jitter {self.jitter} outside [0, 1]")
         if self.deadline is not None and self.deadline <= 0:
             raise SimulationError(f"non-positive deadline {self.deadline}")
-
-    # ------------------------------------------------------------------
-
-    def with_deadline(self, deadline: float) -> "RetryPolicy":
-        return replace(self, deadline=deadline)
 
     # ------------------------------------------------------------------
 

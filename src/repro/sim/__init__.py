@@ -23,7 +23,7 @@ from repro.sim.events import Event, Timeout, AnyOf, AllOf
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.random import RngRegistry
-from repro.sim.metrics import Counter, Histogram, TimeSeries, MetricsRegistry
+from repro.sim.metrics import Counter, Histogram, MetricsRegistry
 from repro.sim.trace import TraceLog, TraceRecord
 from repro.sim.sync import Mailbox, Resource, Lock
 
@@ -40,7 +40,6 @@ __all__ = [
     "RngRegistry",
     "Counter",
     "Histogram",
-    "TimeSeries",
     "MetricsRegistry",
     "TraceLog",
     "TraceRecord",

@@ -1,4 +1,4 @@
-"""Measurement primitives for experiments: counters, histograms, series.
+"""Measurement primitives for experiments: counters and histograms.
 
 All values are recorded against *simulated* time. The experiment harness
 reads these out after a run to print the paper-shaped tables.
@@ -7,7 +7,7 @@ reads these out after a run to print the paper-shaped tables.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 class Counter:
@@ -103,45 +103,12 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4g}>"
 
 
-class TimeSeries:
-    """(time, value) samples, e.g. queue depth over the run."""
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        self.samples.append((time, value))
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self.samples[-1] if self.samples else None
-
-    def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
-        """Mean of the step function defined by the samples."""
-        if not self.samples:
-            return math.nan
-        if end_time is None:
-            end_time = self.samples[-1][0]
-        area = 0.0
-        for (t0, v0), (t1, _v1) in zip(self.samples, self.samples[1:]):
-            area += v0 * (t1 - t0)
-        last_t, last_v = self.samples[-1]
-        if end_time > last_t:
-            area += last_v * (end_time - last_t)
-        span = end_time - self.samples[0][0]
-        return area / span if span > 0 else self.samples[0][1]
-
-
 class MetricsRegistry:
     """Per-simulator registry; metric objects are created on first use."""
 
-    def __init__(self, sim: Any) -> None:
-        self._sim = sim
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
@@ -153,11 +120,6 @@ class MetricsRegistry:
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
 
-    def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
     def observe(self, name: str, value: float) -> None:
         """Shorthand: record into the histogram ``name``."""
         self.histogram(name).observe(value)
@@ -165,10 +127,6 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1.0) -> None:
         """Shorthand: bump the counter ``name``."""
         self.counter(name).inc(amount)
-
-    def sample(self, name: str, value: float) -> None:
-        """Shorthand: record (now, value) into the series ``name``."""
-        self.series(name).record(self._sim.now, value)
 
     def counters(self) -> Dict[str, float]:
         return {name: c.value for name, c in sorted(self._counters.items())}

@@ -71,7 +71,7 @@ class Simulator:
         self.steps: int = 0
         self.seed = seed
         self.rng = RngRegistry(seed)
-        self.metrics = MetricsRegistry(self)
+        self.metrics = MetricsRegistry()
         self.trace = TraceLog(self, capacity=trace_capacity)
         self._heap: List[_HeapItem] = []
         #: The zero-delay fast lane: (seq, fn, args) at the current time.

@@ -13,7 +13,7 @@ compose with ``AnyOf``/``AllOf`` and with process interrupts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -44,10 +44,6 @@ class Mailbox:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; None when empty."""
-        return self._items.popleft() if self._items else None
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -57,11 +53,6 @@ class Mailbox:
         items = list(self._items)
         self._items.clear()
         return items
-
-    def fail_waiters(self, exc: BaseException) -> None:
-        """Fail every blocked getter (crash semantics)."""
-        while self._getters:
-            self._getters.popleft().fail(exc)
 
 
 class Resource:
@@ -107,15 +98,6 @@ class Resource:
     @property
     def queue_depth(self) -> int:
         return len(self._waiters)
-
-    def using(self, body: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
-        """Run a sub-generator while holding one unit."""
-        yield self.acquire()
-        try:
-            result = yield from body
-        finally:
-            self.release()
-        return result
 
 
 class Lock(Resource):

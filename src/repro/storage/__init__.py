@@ -6,19 +6,14 @@ disk). This package models exactly that line:
 
 - :class:`Disk` — a service-timed device; whatever was written survives
   crashes of the processes using it.
-- :class:`MirroredDisk` — the Tandem mirrored-pair: writes go to both
-  sides, reads are served while at least one side is up.
 - :class:`WriteAheadLog` — LSN-stamped records with an explicit volatile
   tail; ``flush`` moves the durability horizon.
-- :class:`PageStore` — a small key/value page store with disk-timed IO.
 - :mod:`snapshot` — incremental LSN-stamped checkpoints over the WAL and
   the snapshot + tail-replay recovery path.
 """
 
 from repro.storage.disk import Disk
-from repro.storage.mirrored import MirroredDisk
 from repro.storage.wal import LogRecord, WriteAheadLog
-from repro.storage.kv import PageStore
 from repro.storage.snapshot import (
     MaterializedSnapshot,
     RecoveryResult,
@@ -31,10 +26,8 @@ from repro.storage.snapshot import (
 
 __all__ = [
     "Disk",
-    "MirroredDisk",
     "LogRecord",
     "WriteAheadLog",
-    "PageStore",
     "SnapshotRecord",
     "MaterializedSnapshot",
     "SnapshotStore",

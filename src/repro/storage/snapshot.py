@@ -36,7 +36,7 @@ from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.storage.disk import Disk
-from repro.storage.wal import LogRecord, WriteAheadLog
+from repro.storage.wal import WriteAheadLog
 
 
 # ----------------------------------------------------------------------
@@ -424,16 +424,14 @@ class RecoveryResult:
 
 
 def recover(
-    store: SnapshotStore,
-    wal: WriteAheadLog,
-    apply_record: Optional[Callable[[Dict, Dict, Set, LogRecord], Any]] = None,
+    store: SnapshotStore, wal: WriteAheadLog
 ) -> Generator[Any, Any, RecoveryResult]:
     """Load the latest snapshot, replay only the WAL tail past its LSN.
 
     With no snapshot installed this degrades to straight-line replay of
     the whole durable log — the from-scratch path this module exists to
-    retire. The default ``apply_record`` is the WRITE/COMMIT transaction
-    discipline; callers with other record kinds pass their own.
+    retire. Records are folded through the WRITE/COMMIT transaction
+    discipline of :func:`apply_txn_record`.
     """
     start = wal.sim.now
     snapshot = yield from store.materialize()
@@ -451,14 +449,11 @@ def recover(
     tail = yield from wal.read_tail(from_lsn)
     committed: List[Any] = []
     for record in tail:
-        if apply_record is not None:
-            apply_record(state, staged, applied, record)
-        else:
-            writes = apply_txn_record(
-                state, staged, applied, record.kind, record.txn_id, record.payload
-            )
-            if writes is not None:
-                committed.append(record.txn_id)
+        writes = apply_txn_record(
+            state, staged, applied, record.kind, record.txn_id, record.payload
+        )
+        if writes is not None:
+            committed.append(record.txn_id)
     duration = wal.sim.now - start
     wal.sim.metrics.inc(f"recovery.{wal.name}.runs")
     wal.sim.metrics.observe(f"recovery.{wal.name}.replayed_records", len(tail))

@@ -10,7 +10,6 @@ turns every changed already-acked result into an executable apology
 
 from repro.txn.apology import ApologyBook, TxnApology, reconcile_pools
 from repro.txn.machine import (
-    FuncMachine,
     ResourceMachine,
     TxnMachine,
     sample_resource_ops,
@@ -22,7 +21,6 @@ __all__ = [
     "TxnApology",
     "reconcile_pools",
     "TxnMachine",
-    "FuncMachine",
     "ResourceMachine",
     "sample_resource_ops",
     "LogEntry",

@@ -8,16 +8,13 @@ wrong only when the *order* changed underneath it — which is exactly the
 paper's point: the answer you gave was a memory of local state, and the
 apology is the gap between that memory and the eventual truth.
 
-Two machines ship here:
-
-- :class:`ResourceMachine` — the escrow/seat-reservation shape of §7:
-  per-category pools with weak, commutative-in-the-common-case grants
-  (``RESERVE``/``CANCEL``/``RESTOCK``) and strong, order-sensitive
-  control ops (``SET_CAPACITY``/``CLOSE``). Near the capacity boundary
-  RESERVE stops commuting — that boundary is where guesses go wrong and
-  apologies get minted.
-- :class:`FuncMachine` — arbitrary ``op_type -> fn(state, op) -> result``
-  tables for tests and small models.
+One machine ships here: :class:`ResourceMachine` — the escrow/
+seat-reservation shape of §7: per-category pools with weak,
+commutative-in-the-common-case grants (``RESERVE``/``CANCEL``/
+``RESTOCK``) and strong, order-sensitive control ops
+(``SET_CAPACITY``/``CLOSE``). Near the capacity boundary RESERVE stops
+commuting — that boundary is where guesses go wrong and apologies get
+minted.
 """
 
 from __future__ import annotations
@@ -48,26 +45,6 @@ class TxnMachine:
 
     def apply(self, state: Any, op: Operation) -> Any:
         raise NotImplementedError
-
-
-class FuncMachine(TxnMachine):
-    """A machine from a table of apply functions (tests, small models)."""
-
-    def __init__(
-        self,
-        initial: Callable[[], Any],
-        handlers: Dict[str, Callable[[Any, Operation], Any]],
-    ) -> None:
-        self._initial = initial
-        self._handlers = dict(handlers)
-
-    def initial(self) -> Any:
-        return self._initial()
-
-    def apply(self, state: Any, op: Operation) -> Any:
-        if op.op_type not in self._handlers:
-            raise SimulationError(f"unknown txn op type {op.op_type!r}")
-        return self._handlers[op.op_type](state, op)
 
 
 class ResourceMachine(TxnMachine):

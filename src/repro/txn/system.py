@@ -574,10 +574,16 @@ class MixedTxnSystem:
 
     ``classes`` (op type → :data:`~repro.patterns.classify.OP_WEAK` /
     :data:`~repro.patterns.classify.OP_STRONG`) defaults to the *measured*
-    classification of ``machine`` when it exposes ``registry()`` and
-    ``sample_ops()``-style material; pass ``profile`` or ``classes``
+    classification of ``machine``'s ``registry()`` over
+    :func:`~repro.txn.machine.sample_resource_ops`; pass ``classes``
     explicitly to override.
     """
+
+    mint_interval = 0.05
+    forward_interval = 0.05
+    # One attempt per call: the sync and order loops are the retry.
+    rpc_policy = RetryPolicy(max_attempts=1, timeout=0.3)
+    sync_retry = 0.25
 
     def __init__(
         self,
@@ -586,12 +592,7 @@ class MixedTxnSystem:
         replica_names: Sequence[str] = ("txn0", "txn1", "txn2"),
         network: Optional[Network] = None,
         classes: Optional[Dict[str, str]] = None,
-        sample_ops: Optional[Sequence[Operation]] = None,
         apology_pool: Any = None,
-        mint_interval: float = 0.05,
-        forward_interval: float = 0.05,
-        rpc_timeout: float = 0.3,
-        sync_retry: float = 0.25,
         heartbeat_interval: float = 0.25,
         detect_timeout: float = 1.0,
         poll_interval: float = 0.1,
@@ -603,11 +604,6 @@ class MixedTxnSystem:
         self.sim = sim
         self.machine = machine
         self.network = network or Network(sim)
-        self.mint_interval = mint_interval
-        self.forward_interval = forward_interval
-        # One attempt per call: the sync and order loops are the retry.
-        self.rpc_policy = RetryPolicy(max_attempts=1, timeout=rpc_timeout)
-        self.sync_retry = sync_retry
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.lease_duration = lease_duration
@@ -619,8 +615,9 @@ class MixedTxnSystem:
                 raise SimulationError(
                     "machine has no registry(); pass classes= explicitly"
                 )
-            ops = list(sample_ops) if sample_ops else sample_resource_ops()
-            self.profile = classify_operation_space(registry(), ops)
+            self.profile = classify_operation_space(
+                registry(), sample_resource_ops()
+            )
             classes = self.profile.op_classes()
         else:
             self.profile = None

@@ -1,6 +1,5 @@
 """Workload generation for the experiment suite."""
 
-from repro.workload.arrivals import poisson_arrivals, closed_loop
 from repro.workload.generators import (
     CheckStream,
     CartSessionPlan,
@@ -9,8 +8,6 @@ from repro.workload.generators import (
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
 
 __all__ = [
-    "poisson_arrivals",
-    "closed_loop",
     "CheckStream",
     "CartSessionPlan",
     "random_cart_sessions",

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import Table, ratio, summarize
+from repro.analysis import Table, ratio
 from repro.errors import SimulationError
 
 
@@ -38,31 +38,6 @@ def test_float_formatting():
     text = table.render()
     assert "1e-06" in text
     assert "1.23e+06" in text
-
-
-def test_render_markdown():
-    table = Table("T", ["a", "b"])
-    table.add_row(1, 2.5)
-    text = table.render_markdown()
-    lines = text.splitlines()
-    assert lines[0] == "**T**"
-    assert lines[2] == "| a | b |"
-    assert lines[3] == "|---|---|"
-    assert lines[4] == "| 1 | 2.5 |"
-
-
-def test_summarize_basic():
-    result = summarize([1.0, 2.0, 3.0])
-    assert result["mean"] == 2.0
-    assert result["n"] == 3
-    assert result["ci95"] > 0
-
-
-def test_summarize_empty_and_single():
-    assert math.isnan(summarize([])["mean"])
-    single = summarize([5.0])
-    assert single["mean"] == 5.0
-    assert single["ci95"] == 0.0
 
 
 def test_ratio():

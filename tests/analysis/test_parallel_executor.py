@@ -8,7 +8,6 @@ the serial path, because every unit of work builds its own Simulator
 
 import pytest
 
-from repro.analysis.sweep import sweep
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import BankClearingScenario
 from repro.parallel import parallel_map
@@ -20,16 +19,6 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"boom {value}")
-
-
-def _bank_metrics(value, seed):
-    scenario = BankClearingScenario(policy="correct")
-    report = scenario.run(seed, scenario.spec().sample(seed))
-    return {
-        "violations": len(report.violations),
-        "end_time": report.end_time,
-        "param_echo": len(value),
-    }
 
 
 def test_parallel_map_preserves_order_serial():
@@ -65,11 +54,3 @@ def test_chaos_sweep_parallel_matches_serial():
     assert (
         serial_runner.metrics.counters() == parallel_runner.metrics.counters()
     )
-
-
-def test_analysis_sweep_parallel_matches_serial():
-    serial = sweep(["a", "b"], _bank_metrics, seeds=(0, 1), processes=1)
-    parallel = sweep(["a", "b"], _bank_metrics, seeds=(0, 1), processes=2)
-    assert serial == parallel
-    assert [p.parameter for p in parallel] == ["a", "b"]
-    assert all(p.runs == 2 for p in parallel)

@@ -82,22 +82,6 @@ def test_integrate_dedups(counter_registry):
     assert a.state["total"] == 5
 
 
-def test_sync_from_pulls_missing(counter_registry):
-    a = make_replica(counter_registry, name="a")
-    b = make_replica(counter_registry, name="b")
-    a.submit(add_op(1))
-    a.submit(add_op(2))
-    assert b.sync_from(a) == 2
-    assert b.state["total"] == 3
-
-
-def test_rebuild_state(counter_registry):
-    replica = make_replica(counter_registry)
-    replica.submit(add_op(4))
-    replica.state = {"total": 9999}  # simulated corruption
-    assert replica.rebuild_state()["total"] == 4
-
-
 def test_canonical_state_matches_for_commutative(counter_registry):
     a = make_replica(counter_registry, name="a")
     ops = [add_op(i, uniquifier=f"u{i}", ingress_time=float(i)) for i in range(4)]

@@ -46,9 +46,7 @@ def test_site_and_wanlink_validation():
         Topology([])
     topology = Topology([Site("a"), Site("b")])
     with pytest.raises(SimulationError):
-        topology.set_wan("a", "a", WanLink(FixedLatency(0.1)))
-    with pytest.raises(SimulationError):
-        topology.wan("a", "b")  # no default, no explicit link
+        topology.wan("a", "b")  # no default link
 
 
 def test_site_pairs_sorted_unordered():

@@ -2,8 +2,7 @@
 
 Histogram.percentile is checked against the standard library's
 ``statistics.quantiles`` (the linear-interpolation "inclusive" method is
-the same estimator), and TimeSeries.time_weighted_mean against a
-brute-force integral of the step function.
+the same estimator).
 """
 
 import math
@@ -11,7 +10,7 @@ import statistics
 
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import Histogram, TimeSeries
+from repro.sim.metrics import Histogram
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -64,85 +63,3 @@ def test_percentile_is_bounded_and_monotone(values, q):
 
 def test_percentile_empty_is_nan():
     assert math.isnan(Histogram("h").percentile(50))
-
-
-# ----------------------------------------------------------------------
-# TimeSeries.time_weighted_mean
-
-
-def brute_force_step_mean(samples, end_time, steps=20000):
-    """Evaluate the step function on a fine grid and average it."""
-    start = samples[0][0]
-    if end_time <= start:
-        return samples[0][1]
-    total = 0.0
-    for i in range(steps):
-        t = start + (end_time - start) * (i + 0.5) / steps
-        value = samples[0][1]
-        for time, sample_value in samples:
-            if time <= t:
-                value = sample_value
-            else:
-                break
-        total += value
-    return total / steps
-
-
-@st.composite
-def sample_paths(draw):
-    # Quantize times to a 1e-6 grid: sub-ulp spans (e.g. 0.0 vs 5e-324)
-    # make area/span round through denormals, which is noise about float
-    # arithmetic, not about the step-function integral under test.
-    times = sorted(draw(st.lists(
-        st.floats(min_value=0.0, max_value=100.0,
-                  allow_nan=False, allow_infinity=False)
-        .map(lambda t: round(t, 6)),
-        min_size=2, max_size=20, unique=True,
-    )))
-    values = draw(st.lists(
-        st.floats(min_value=-100.0, max_value=100.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=len(times), max_size=len(times),
-    ))
-    tail = draw(st.floats(min_value=0.0, max_value=50.0,
-                          allow_nan=False, allow_infinity=False))
-    return list(zip(times, values)), times[-1] + tail
-
-
-@given(sample_paths())
-def test_time_weighted_mean_matches_step_integral(path):
-    samples, end_time = path
-    series = TimeSeries("s")
-    for time, value in samples:
-        series.record(time, value)
-    got = series.time_weighted_mean(end_time)
-    want = brute_force_step_mean(samples, end_time)
-    # the grid estimate carries O(1/steps) error on each step edge
-    scale = max(1.0, max(abs(v) for _t, v in samples))
-    assert math.isclose(got, want, rel_tol=0.05, abs_tol=0.05 * scale)
-
-
-@given(sample_paths(), st.floats(min_value=-50.0, max_value=50.0,
-                                 allow_nan=False, allow_infinity=False))
-def test_constant_series_mean_is_the_constant(path, constant):
-    samples, end_time = path
-    series = TimeSeries("s")
-    for time, _value in samples:
-        series.record(time, constant)
-    assert math.isclose(series.time_weighted_mean(end_time), constant,
-                        rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(sample_paths())
-def test_mean_lies_within_value_range(path):
-    samples, end_time = path
-    series = TimeSeries("s")
-    for time, value in samples:
-        series.record(time, value)
-    values = [value for _time, value in samples]
-    mean = series.time_weighted_mean(end_time)
-    assert min(values) - 1e-9 <= mean <= max(values) + 1e-9
-
-
-def test_time_weighted_mean_empty_is_nan():
-    assert math.isnan(TimeSeries("s").time_weighted_mean())

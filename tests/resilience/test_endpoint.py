@@ -143,7 +143,7 @@ def _occupied_server(degraded=None):
     sim, net, server, client = setup_pair()
     server.use_admission(AdmissionConfig(max_inflight=1))
     if degraded is not None:
-        server.register_degraded("slow", degraded)
+        server.on_degraded("slow")(degraded)  # decorator form, as README teaches
 
     @server.on("slow")
     def slow(_ep, _msg):

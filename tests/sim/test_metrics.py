@@ -3,7 +3,7 @@
 import math
 
 from repro.sim import Simulator
-from repro.sim.metrics import Histogram, TimeSeries
+from repro.sim.metrics import Histogram
 
 
 def test_counter_inc_and_reset():
@@ -67,22 +67,6 @@ def test_observe_shorthand():
     sim.metrics.observe("lat", 1.0)
     sim.metrics.observe("lat", 3.0)
     assert sim.metrics.histogram("lat").mean == 2.0
-
-
-def test_timeseries_time_weighted_mean():
-    series = TimeSeries("depth")
-    series.record(0.0, 0.0)
-    series.record(5.0, 10.0)
-    series.record(10.0, 0.0)
-    # 0 for [0,5), 10 for [5,10) -> mean 5 over [0,10]
-    assert series.time_weighted_mean(end_time=10.0) == 5.0
-
-
-def test_timeseries_sample_uses_sim_clock():
-    sim = Simulator()
-    sim.schedule(4.0, sim.metrics.sample, "q", 2.0)
-    sim.run()
-    assert sim.metrics.series("q").samples == [(4.0, 2.0)]
 
 
 def test_counters_snapshot_sorted():

@@ -66,16 +66,6 @@ def test_mailbox_waiters_served_in_order():
     assert results == [("first", "x"), ("second", "y")]
 
 
-def test_mailbox_try_get_and_len():
-    sim = Simulator()
-    box = Mailbox(sim)
-    assert box.try_get() is None
-    box.put(7)
-    assert len(box) == 1
-    assert box.try_get() == 7
-    assert len(box) == 0
-
-
 def test_mailbox_drain():
     sim = Simulator()
     box = Mailbox(sim)
@@ -83,22 +73,6 @@ def test_mailbox_drain():
     box.put(2)
     assert box.drain() == [1, 2]
     assert len(box) == 0
-
-
-def test_mailbox_fail_waiters():
-    sim = Simulator()
-    box = Mailbox(sim)
-
-    def consumer():
-        try:
-            yield box.get()
-        except RuntimeError:
-            return "failed"
-
-    proc = sim.spawn(consumer())
-    sim.schedule(1.0, box.fail_waiters, RuntimeError("crash"))
-    sim.run()
-    assert proc.done.value == "failed"
 
 
 def test_resource_serializes_beyond_capacity():
@@ -177,21 +151,3 @@ def test_lock_locked_property():
     sim.spawn(holder())
     sim.run()
     assert not lock.locked
-
-
-def test_resource_using_releases_on_error():
-    sim = Simulator()
-    resource = Resource(sim)
-
-    def body():
-        yield Timeout(1.0)
-        raise ValueError("inner failure")
-
-    def worker():
-        try:
-            yield from resource.using(body())
-        except ValueError:
-            pass
-        return resource.in_use
-
-    assert sim.run_process(worker()) == 0

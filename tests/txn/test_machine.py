@@ -6,7 +6,7 @@ import pytest
 from repro.core.operation import Operation
 from repro.errors import SimulationError
 from repro.patterns import OP_STRONG, OP_WEAK, classify_operation_space
-from repro.txn import FuncMachine, ResourceMachine, sample_resource_ops
+from repro.txn import ResourceMachine, sample_resource_ops
 
 
 def _op(kind, uniq, **args):
@@ -64,18 +64,6 @@ def test_unknown_category_and_type_rejected():
         machine.apply(state, _op("FROB", "b", category="seats"))
     with pytest.raises(SimulationError):
         ResourceMachine({})
-
-
-def test_func_machine_routes_by_type():
-    machine = FuncMachine(
-        initial=lambda: {"n": 0},
-        handlers={"ADD": lambda s, op: s.__setitem__("n", s["n"] + op.args["k"])},
-    )
-    state = machine.initial()
-    machine.apply(state, _op("ADD", "a", k=3))
-    assert state["n"] == 3
-    with pytest.raises(SimulationError):
-        machine.apply(state, _op("MUL", "b", k=2))
 
 
 def test_measured_classification_splits_weak_and_strong():
