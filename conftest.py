@@ -1,4 +1,5 @@
-"""Repo-wide pytest configuration: a per-test wall-clock cap.
+"""Repo-wide pytest configuration: a per-test wall-clock cap, and a
+derandomised Hypothesis profile.
 
 A deterministic simulator's failure mode for a bug in event wiring is an
 infinite event loop — the suite hangs instead of failing. The cap turns
@@ -7,6 +8,11 @@ installed it owns the job (configured via ``timeout`` in pyproject);
 otherwise this shim enforces the same ``timeout`` ini value with
 ``SIGALRM`` on platforms that have it, and stays out of the way
 everywhere else.
+
+The property suite is made as reproducible as the simulator it tests:
+under the ``repro`` profile Hypothesis derives its examples from each
+test's own source, not from a fresh seed per run, and keeps no example
+database — a property that is false fails on every run or on none.
 """
 
 import signal
@@ -20,6 +26,14 @@ except ImportError:
     _HAVE_PLUGIN = False
 
 _HAVE_SIGALRM = hasattr(signal, "SIGALRM")
+
+try:
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:  # only the property tests need it
+    pass
+else:
+    _hypothesis_settings.register_profile("repro", derandomize=True, database=None)
+    _hypothesis_settings.load_profile("repro")
 
 
 def pytest_addoption(parser):

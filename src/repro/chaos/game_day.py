@@ -286,7 +286,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
                 writer, f"chaos.gameday.{writer.name}",
                 self.put_interval, self.horizon, key_prefix=f"{writer.name}-",
             )
-        self.endpoint_count = len(self._cluster.network._mailboxes)
+        self.endpoint_count = self._cluster.network.endpoint_count
 
     def quiesce(self, sim: Simulator) -> None:
         """Repair the ring until every acked key's owners agree (bounded

@@ -899,7 +899,7 @@ class DynamoClient:
         procs = [
             (target, self.sim.spawn(
                 self._call_safe(target, verb, payload),
-                name=f"{self.name}.{verb}.{target}",
+                name=("%s.%s.%s", self.name, verb, target),
             ))
             for target, payload in pairs
         ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.sim.scheduler import register_fresh_run_hook
@@ -21,31 +20,39 @@ def _reset_msg_ids() -> None:
 register_fresh_run_hook(_reset_msg_ids)
 
 
-@dataclass(slots=True)
 class Message:
     """A message in flight between two named endpoints.
 
     ``kind`` is the protocol verb (e.g. ``"WRITE"``, ``"CHECKPOINT"``,
     ``"GOSSIP"``); ``payload`` is free-form protocol data. ``reply_to``
     carries the request's message id on responses so RPC can correlate.
+    ``msg_id`` is drawn at construction, in construction order.
+
+    Written by hand rather than as a dataclass: two are built per RPC,
+    and a generated ``__init__`` plus a default factory per field is
+    three calls where this is one.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    reply_to: Optional[int] = None
+    __slots__ = ("src", "dst", "kind", "payload", "msg_id", "reply_to")
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Optional[Dict[str, Any]] = None,
+        reply_to: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload: Dict[str, Any] = {} if payload is None else payload
+        self.msg_id: int = next(_msg_ids)
+        self.reply_to = reply_to
 
     def reply(self, kind: str, **payload: Any) -> "Message":
         """Build the response message for this request."""
-        return Message(
-            src=self.dst,
-            dst=self.src,
-            kind=kind,
-            payload=payload,
-            reply_to=self.msg_id,
-        )
+        return Message(self.dst, self.src, kind, payload, self.msg_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tail = f" re:{self.reply_to}" if self.reply_to else ""

@@ -9,17 +9,25 @@ Delivery pipeline for ``send``:
    partition cuts is lost, matching the fail-fast model where the network
    offers no guarantees across the cut.
 3. The link's loss/duplication probabilities are sampled.
-4. A latency sample schedules delivery into the destination mailbox.
+4. A latency sample schedules delivery to the destination's *sink*.
 
-Endpoints are :class:`~repro.sim.sync.Mailbox` instances registered by
-name; the RPC layer (:class:`~repro.net.rpc.Endpoint`) owns the receive
-loops.
+Every attached name has one sink, a callable taking the message, and
+``_deliver`` is its only caller. ``attach(name, deliver=cb)`` registers
+``cb`` — how the RPC layer (:class:`~repro.net.rpc.Endpoint`) receives: in
+the delivery step itself, with no queue and no receive loop in between.
+``attach(name)`` alone builds a :class:`~repro.sim.sync.Mailbox` and
+registers its ``put``, for a process that wants to ``yield
+mailbox.get()``.
+
+With nothing detached, nothing partitioned, no fault overlay and a
+loss-free link — every non-chaos run — ``send`` and ``_deliver`` are one
+membership test, one latency sample and one ``schedule`` each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.net.latency import FixedLatency, LatencyModel
@@ -82,6 +90,11 @@ class Network:
     def __init__(self, sim: Simulator, default_link: Optional[LinkConfig] = None) -> None:
         self.sim = sim
         self.default_link = default_link or LinkConfig()
+        #: name -> where ``_deliver`` hands its messages (kept across a
+        #: detach, so a detached name is still a *known* one).
+        self._sinks: Dict[str, Callable[[Message], None]] = {}
+        #: The names attached without a callback, and the mailbox built
+        #: for each.
         self._mailboxes: Dict[str, Mailbox] = {}
         self._links: Dict[Tuple[str, str], LinkConfig] = {}
         self._detached: Set[str] = set()
@@ -97,28 +110,48 @@ class Network:
     # ------------------------------------------------------------------
     # Topology
 
-    def attach(self, name: str) -> Mailbox:
-        """Register an endpoint; returns its mailbox. Re-attach revives a
-        detached endpoint with a fresh (empty) mailbox."""
-        if name in self._mailboxes and name not in self._detached:
+    def attach(
+        self, name: str, deliver: Optional[Callable[[Message], None]] = None
+    ) -> Optional[Mailbox]:
+        """Register an endpoint. With ``deliver``, every message for
+        ``name`` is handed to it in its delivery step; without, a fresh
+        (empty) :class:`Mailbox` is built to receive them and returned.
+        Re-attach revives a detached endpoint."""
+        if name in self._sinks and name not in self._detached:
             raise SimulationError(f"endpoint {name!r} already attached")
         self._detached.discard(name)
-        self._mailboxes[name] = Mailbox(self.sim, name=f"net:{name}")
-        return self._mailboxes[name]
+        mailbox = None
+        if deliver is None:
+            mailbox = self._mailboxes[name] = Mailbox(self.sim, name=f"net:{name}")
+            deliver = mailbox.put
+        else:
+            self._mailboxes.pop(name, None)
+        self._sinks[name] = deliver
+        return mailbox
 
     def detach(self, name: str) -> None:
-        """Take an endpoint off the network (crash). Its queued messages
-        are dropped and blocked receivers stay blocked forever (the node
-        process is expected to be interrupted separately)."""
+        """Take an endpoint off the network (crash): nothing more is
+        delivered to it. A mailbox's queued messages are dropped and
+        blocked receivers stay blocked forever (the node process is
+        expected to be interrupted separately)."""
         self._require(name)
         self._detached.add(name)
-        self._mailboxes[name].drain()
+        if name in self._mailboxes:
+            self._mailboxes[name].drain()
 
     def is_attached(self, name: str) -> bool:
-        return name in self._mailboxes and name not in self._detached
+        return name in self._sinks and name not in self._detached
+
+    @property
+    def endpoint_count(self) -> int:
+        """How many names have ever attached (detached ones included)."""
+        return len(self._sinks)
 
     def mailbox(self, name: str) -> Mailbox:
+        """The mailbox of an endpoint attached without a callback."""
         self._require(name)
+        if name not in self._mailboxes:
+            raise SimulationError(f"endpoint {name!r} receives through a callback")
         return self._mailboxes[name]
 
     def set_link(self, src: str, dst: str, config: LinkConfig, symmetric: bool = True) -> None:
@@ -126,11 +159,6 @@ class Network:
         self._links[(src, dst)] = config
         if symmetric:
             self._links[(dst, src)] = config
-
-    def link(self, src: str, dst: str) -> LinkConfig:
-        if not self._links:
-            return self.default_link
-        return self._links.get((src, dst), self.default_link)
 
     # ------------------------------------------------------------------
     # Partitions
@@ -182,8 +210,8 @@ class Network:
         detached = self._detached
         if detached and (src in detached or dst in detached):
             return False
-        mailboxes = self._mailboxes
-        if src not in mailboxes or dst not in mailboxes:
+        sinks = self._sinks
+        if src not in sinks or dst not in sinks:
             return False
         if self._groups is None:
             return True
@@ -203,60 +231,68 @@ class Network:
     def send(self, msg: Message) -> bool:
         """Inject a message. Returns True if it was put in flight (it may
         still be lost to a partition cut or crash before delivery)."""
-        if not self.reachable(msg.src, msg.dst):
+        src = msg.src
+        dst = msg.dst
+        sinks = self._sinks
+        # With nothing detached or partitioned and both names known the
+        # answer is yes, and ``reachable`` would only say so again.
+        if (
+            self._detached or self._groups is not None
+            or src not in sinks or dst not in sinks
+        ) and not self.reachable(src, dst):
             self.sim.trace.emit("net", "drop.unreachable", msg=lazy(msg))
             self.sim.metrics.inc("net.dropped")
             return False
-        config = self.link(msg.src, msg.dst)
-        # Fast path: no loss, no duplication, no fault overlay — the
-        # steady-state configuration for every non-chaos run. One latency
-        # sample, one schedule; skips the overlay scan and copy loop while
-        # drawing exactly the RNG samples the general path would (none of
-        # the probability draws short-circuit below when disabled).
+        links = self._links
+        config = links.get((src, dst), self.default_link) if links else self.default_link
         if (
             not self._faults
             and not config.loss_probability
             and not config.duplicate_probability
         ):
+            # Fast path: no loss, no duplication, no fault overlay — the
+            # steady-state configuration for every non-chaos run. One
+            # latency sample, one schedule; skips the overlay scan and copy
+            # loop while drawing exactly the RNG samples the general path
+            # would (none of its probability draws happen when disabled).
             self.sim.schedule(
                 self._transit_delay(msg, config), self._deliver, msg
             )
-            ctr = self._ctr_sent
-            if ctr is None:
-                ctr = self._ctr_sent = self.sim.metrics.counter("net.sent")
-            ctr.inc()
-            return True
-        if config.loss_probability and self._rng.random() < config.loss_probability:
-            self.sim.trace.emit("net", "drop.loss", msg=lazy(msg))
-            self.sim.metrics.inc("net.dropped")
-            return False
-        copies = 1
-        if (
-            config.duplicate_probability
-            and self._rng.random() < config.duplicate_probability
-        ):
-            copies = 2
-            self.sim.metrics.inc("net.duplicated")
-        extra_delay = 0.0
-        for fault in self._faults:
-            if not fault.applies_to(msg.src, msg.dst):
-                continue
-            if fault.loss_probability and self._rng.random() < fault.loss_probability:
-                self.sim.trace.emit("net", "drop.fault", msg=lazy(msg))
+        else:
+            if config.loss_probability and self._rng.random() < config.loss_probability:
+                self.sim.trace.emit("net", "drop.loss", msg=lazy(msg))
                 self.sim.metrics.inc("net.dropped")
-                self.sim.metrics.inc("net.fault_dropped")
                 return False
+            copies = 1
             if (
-                fault.duplicate_probability
-                and self._rng.random() < fault.duplicate_probability
+                config.duplicate_probability
+                and self._rng.random() < config.duplicate_probability
             ):
-                copies += 1
+                copies = 2
                 self.sim.metrics.inc("net.duplicated")
-            extra_delay += fault.extra_delay
-        for _ in range(copies):
-            delay = self._transit_delay(msg, config) + extra_delay
-            self.sim.schedule(delay, self._deliver, msg)
-        self.sim.metrics.inc("net.sent")
+            extra_delay = 0.0
+            for fault in self._faults:
+                if not fault.applies_to(src, dst):
+                    continue
+                if fault.loss_probability and self._rng.random() < fault.loss_probability:
+                    self.sim.trace.emit("net", "drop.fault", msg=lazy(msg))
+                    self.sim.metrics.inc("net.dropped")
+                    self.sim.metrics.inc("net.fault_dropped")
+                    return False
+                if (
+                    fault.duplicate_probability
+                    and self._rng.random() < fault.duplicate_probability
+                ):
+                    copies += 1
+                    self.sim.metrics.inc("net.duplicated")
+                extra_delay += fault.extra_delay
+            for _ in range(copies):
+                delay = self._transit_delay(msg, config) + extra_delay
+                self.sim.schedule(delay, self._deliver, msg)
+        ctr = self._ctr_sent
+        if ctr is None:
+            ctr = self._ctr_sent = self.sim.metrics.counter("net.sent")
+        ctr.value += 1.0
         return True
 
     def _transit_delay(self, msg: Message, config: LinkConfig) -> float:
@@ -269,16 +305,19 @@ class Network:
     def _deliver(self, msg: Message) -> None:
         # Re-check reachability at delivery time: a partition or crash that
         # happened while the message was in flight loses it.
-        if not self.reachable(msg.src, msg.dst):
+        # (Both names were known at send time and are never forgotten.)
+        if (self._detached or self._groups is not None) and not self.reachable(
+            msg.src, msg.dst
+        ):
             self.sim.trace.emit("net", "drop.in_flight", msg=lazy(msg))
             self.sim.metrics.inc("net.dropped")
             return
         ctr = self._ctr_delivered
         if ctr is None:
             ctr = self._ctr_delivered = self.sim.metrics.counter("net.delivered")
-        ctr.inc()
-        self._mailboxes[msg.dst].put(msg)
+        ctr.value += 1.0
+        self._sinks[msg.dst](msg)
 
     def _require(self, name: str) -> None:
-        if name not in self._mailboxes:
+        if name not in self._sinks:
             raise SimulationError(f"unknown endpoint {name!r}")

@@ -10,9 +10,19 @@ This is the paper's §2.1 in executable form:
   tolerant server system had better make this work idempotent or the
   retries would occasionally result in duplicative work."
 
-Handlers may be plain functions (fast-path, no simulated time) or
-generators (they can yield kernel effects, e.g. disk IO). Each request is
-served in its own process, so a slow handler does not block the endpoint.
+Handlers may be plain functions (no simulated time) or generators (they
+can yield kernel effects, e.g. disk IO).
+
+A message reaches its handler in two kernel steps and no queue. The
+fabric hands it to :meth:`Endpoint._receive` in its delivery step: a reply
+settles the waiting call attempt there and then; a request passes dedup
+and admission and is put on the zero-delay lane. In that next step the
+handler runs as a plain callback: a function's return value is the reply,
+sent on the spot — no process, no event. Only a handler that returns a
+generator gets a :class:`~repro.sim.process.Process`, started inside that
+same step, so a slow handler does not block the endpoint and a crash can
+interrupt it. Outstanding work lives in tables: call attempts by message
+id, parked duplicates by uniquifier, generator handlers in dispatch order.
 
 *How* a caller retries, and what a server does when it cannot keep up,
 is delegated to :mod:`repro.resilience`:
@@ -35,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import (
     BreakerOpenError,
@@ -102,18 +112,29 @@ class Endpoint:
         self.sim = network.sim
         self.name = name
         self.dedup = dedup
-        self.mailbox = network.attach(name)
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self._degraded: Dict[str, Callable[..., Any]] = {}
         self._pending: Dict[int, Event] = {}
         self._replies_by_uniquifier: Dict[str, Message] = {}
         self._inflight: Dict[str, list] = {}  # uniquifier -> queued duplicate msgs
-        #: In-flight per-request processes by their ``done`` event, in
+        #: Handlers dispatched whose lane step has not run yet.
+        self._queued = 0
+        #: Generator handlers in flight by their ``done`` event, in
         #: dispatch order (the order a crash interrupts them in).
         self._handler_procs: Dict[Event, Process] = {}
-        self._proc = None
+        #: True from start()/restart() until stop().
+        self._serving = False
+        #: Bumped by every stop(), whose cause it keeps: outdates a queued
+        #: start step, and tells a handler dispatched before the crash
+        #: that it outlived its endpoint.
+        self._generation = 0
+        self._stop_cause: Any = None
+        #: Messages delivered before the start step has run, in arrival
+        #: order; None once the endpoint is live.
+        self._held: Optional[List[Message]] = []
         self._breakers: Optional[BreakerBoard] = None
         self._admission: Optional[AdmissionControl] = None
+        network.attach(name, self._receive)
 
     # ------------------------------------------------------------------
     # Resilience configuration (all opt-in; nothing changes until set)
@@ -139,8 +160,8 @@ class Endpoint:
 
     @property
     def inflight_handlers(self) -> int:
-        """Handler processes currently serving requests."""
-        return len(self._handler_procs)
+        """Requests dispatched to a handler that has not finished."""
+        return self._queued + len(self._handler_procs)
 
     # ------------------------------------------------------------------
     # Server side
@@ -182,18 +203,25 @@ class Endpoint:
         return decorate
 
     def start(self) -> None:
-        """Begin serving. Idempotent while running."""
-        if self._proc is not None and self._proc.alive:
-            return
-        self._proc = self.sim.spawn(self._serve(), name=f"rpc:{self.name}")
+        """Begin serving, from the next kernel step on (what arrives
+        before it is handed over there, in arrival order). Idempotent
+        while running."""
+        if not self._serving:
+            self._serving = True
+            self.sim.schedule(0.0, self._go_live, self._generation)
 
     def stop(self, cause: Any = "stopped") -> None:
-        """Crash/stop the endpoint: detach from the network, kill the serve
-        loop *and* every in-flight per-request handler (fail-fast — a dead
-        node must not finish work or send replies), fail outstanding client
-        calls, and forget all volatile state including the dedup cache."""
-        if self._proc is not None:
-            self._proc.interrupt(cause)
+        """Crash/stop the endpoint: detach from the network, kill every
+        in-flight generator handler (fail-fast — a dead node must not
+        finish work or send replies; a plain handler whose step is already
+        queued still runs, and the detached fabric drops its reply), fail
+        outstanding client calls, and forget all volatile state including
+        the dedup cache."""
+        self._serving = False
+        self._generation += 1
+        self._stop_cause = cause
+        self._held = []
+        self._queued = 0
         handler_procs, self._handler_procs = self._handler_procs, {}
         for proc in handler_procs.values():
             proc.interrupt(cause)
@@ -207,36 +235,41 @@ class Endpoint:
                 event.fail(CrashedError(f"{self.name} stopped: {cause}"))
 
     def restart(self) -> None:
-        """Rejoin the network with a fresh mailbox and serve again.
-        Idempotent while serving (mirrors :meth:`start`): a double restart
-        must not leave two serve loops racing on one mailbox."""
-        attached = self.network.is_attached(self.name)
-        alive = self._proc is not None and self._proc.alive
-        if attached and alive:
-            return
-        if alive:
-            # The serve loop outlived its mailbox (crashed network-side
-            # only): it is blocked on a drained mailbox and must die
-            # before a replacement starts.
-            self._proc.interrupt("restart")
-        if not attached:
-            self.mailbox = self.network.attach(self.name)
-        self._proc = self.sim.spawn(self._serve(), name=f"rpc:{self.name}")
+        """Rejoin the network and serve again, from the next kernel step
+        on. Idempotent while serving (mirrors :meth:`start`)."""
+        if not self.network.is_attached(self.name):
+            # Also reached still serving, after a network-side-only
+            # detach: in-flight handlers carry on (the generation is
+            # stop()'s alone), arrivals are held until a new start step.
+            self._held = []
+            self.network.attach(self.name, self._receive)
+            self._serving = False
+        self.start()
 
-    def _serve(self) -> Generator[Any, Any, None]:
-        while True:
-            msg = yield self.mailbox.get()
-            if msg.reply_to is not None:
-                self._settle_reply(msg)
-            else:
-                self._dispatch(msg)
+    def _go_live(self, generation: int) -> None:
+        """The start step: hand over what arrived before it."""
+        held = self._held
+        if generation != self._generation or held is None:
+            return  # stopped before the step ran, or started twice
+        self._held = None
+        for msg in held:
+            if generation != self._generation:
+                break  # a settled reply's waiter stopped us mid-handover
+            self._receive(msg)
 
-    def _settle_reply(self, msg: Message) -> None:
-        event = self._pending.pop(msg.reply_to, None)
-        if event is not None:
-            event.trigger(msg)
-        # Unmatched replies (late duplicates after a retry won, or after
-        # the attempt's timer expired) are dropped.
+    def _receive(self, msg: Message) -> None:
+        """The fabric's sink for this name: runs in the delivery step."""
+        held = self._held
+        if held is not None:
+            held.append(msg)
+        elif msg.reply_to is None:
+            self._dispatch(msg)
+        else:
+            # Unmatched replies (late duplicates after a retry won, or
+            # after the attempt's timer expired) are dropped.
+            event = self._pending.pop(msg.reply_to, None)
+            if event is not None:
+                event.trigger(msg)
 
     def _expire(self, msg_id: int) -> None:
         """An attempt's timer ran out: if its reply has not come, stop
@@ -249,16 +282,12 @@ class Endpoint:
         self._handler_procs.pop(done, None)
 
     def _dispatch(self, msg: Message) -> None:
-        uniquifier = msg.payload.get("uniquifier")
-        if self.dedup and uniquifier is not None:
+        uniquifier = msg.payload.get("uniquifier") if self.dedup else None
+        if uniquifier is not None:
             cached = self._replies_by_uniquifier.get(uniquifier)
             if cached is not None:
-                resend = Message(
-                    src=self.name, dst=msg.src, kind=cached.kind,
-                    payload=dict(cached.payload), reply_to=msg.msg_id,
-                )
                 self.sim.metrics.inc(f"rpc.{self.name}.dedup_hits")
-                self.network.send(resend)
+                self.network.send(self._copy_of(cached, msg))
                 return
             if uniquifier in self._inflight:
                 # A duplicate arrived while the original is still being
@@ -267,7 +296,9 @@ class Endpoint:
                 self.sim.metrics.inc(f"rpc.{self.name}.dedup_hits")
                 return
         if self._admission is not None:
-            verdict = self._admission.decide(len(self._handler_procs), msg.payload)
+            verdict = self._admission.decide(
+                self._queued + len(self._handler_procs), msg.payload
+            )
             if verdict is Admission.EXPIRED:
                 # The carried deadline passed: the caller has provably
                 # given up, so a reply would be wasted work too.
@@ -287,23 +318,44 @@ class Endpoint:
                 self.sim.trace.emit(self.name, "rpc.busy", verb=msg.kind, src=msg.src)
                 self.network.send(msg.reply("BUSY", reason="overloaded"))
                 return
-        if self.dedup and uniquifier is not None:
+        if uniquifier is not None:
             self._inflight[uniquifier] = []
         handler = self._handlers.get(msg.kind)
         if handler is None:
             self.network.send(msg.reply("ERROR", error=f"no handler for {msg.kind}"))
             return
-        proc = self.sim.spawn(
-            self._run_handler(handler, msg), name=("rpc:%s:%s", self.name, msg.kind)
-        )
-        self._handler_procs[proc.done] = proc
-        proc.done.add_callback(self._handler_finished)
+        self._queued += 1
+        self.sim.schedule(0.0, self._run_handler, handler, msg, self._generation)
 
-    def _run_handler(self, handler: Callable[..., Any], msg: Message) -> Generator[Any, Any, None]:
+    def _run_handler(self, handler: Callable[..., Any], msg: Message, generation: int) -> None:
+        """The lane step a dispatched request runs in. A plain function
+        has answered by the time it returns; a generator is driven by a
+        process whose first segment runs here too."""
         try:
             result = handler(self, msg)
-            if hasattr(result, "send"):  # generator handler: drive it
-                result = yield from result
+            if hasattr(result, "send"):
+                proc = Process(
+                    self.sim, self._drive(result, msg),
+                    ("rpc:%s:%s", self.name, msg.kind), _start_now=True,
+                )
+                if generation == self._generation:
+                    self._queued -= 1
+                    self._handler_procs[proc.done] = proc
+                    proc.done.add_callback(self._handler_finished)
+                else:
+                    proc.interrupt(self._stop_cause)
+                return
+            payload = result if isinstance(result, dict) else {"result": result}
+            reply = msg.reply("OK", **payload)
+        except Exception as exc:  # noqa: BLE001 - becomes a remote error
+            reply = msg.reply("ERROR", error=str(exc))
+        if generation == self._generation:
+            self._queued -= 1
+        self._reply(msg, reply)
+
+    def _drive(self, handling: Generator[Any, Any, Any], msg: Message) -> Generator[Any, Any, None]:
+        try:
+            result = yield from handling
             payload = result if isinstance(result, dict) else {"result": result}
             reply = msg.reply("OK", **payload)
         except InterruptError:
@@ -312,21 +364,23 @@ class Endpoint:
             raise
         except Exception as exc:  # noqa: BLE001 - becomes a remote error
             reply = msg.reply("ERROR", error=str(exc))
-        uniquifier = msg.payload.get("uniquifier")
-        if self.dedup and uniquifier is not None:
+        self._reply(msg, reply)
+
+    def _reply(self, request: Message, reply: Message) -> None:
+        uniquifier = request.payload.get("uniquifier") if self.dedup else None
+        if uniquifier is not None:
             self._replies_by_uniquifier[uniquifier] = reply
         self.network.send(reply)
-        if self.dedup and uniquifier is not None:
+        if uniquifier is not None:
             # Answer any duplicates parked while we were executing.
-            for duplicate in self._inflight.pop(uniquifier, []):
-                self.network.send(
-                    Message(
-                        src=self.name, dst=duplicate.src, kind=reply.kind,
-                        payload=dict(reply.payload), reply_to=duplicate.msg_id,
-                    )
-                )
-        if False:  # pragma: no cover - makes this a generator even w/o yields
-            yield
+            for duplicate in self._inflight.pop(uniquifier, ()):
+                self.network.send(self._copy_of(reply, duplicate))
+
+    def _copy_of(self, reply: Message, request: Message) -> Message:
+        """``reply``, re-addressed as the answer to a duplicate ``request``."""
+        return Message(
+            self.name, request.src, reply.kind, dict(reply.payload), request.msg_id
+        )
 
     # ------------------------------------------------------------------
     # Client side
@@ -349,7 +403,7 @@ class Endpoint:
         :class:`BreakerOpenError` when the destination's breaker is
         open, and :class:`RpcError` on a remote error reply.
         """
-        if self._proc is None or not self._proc.alive:
+        if not self._serving:
             raise SimulationError(f"endpoint {self.name!r} is not serving; call start()")
         if policy is None:
             policy = _DEFAULT_POLICY
@@ -388,10 +442,10 @@ class Endpoint:
                         f"after {attempt} attempts"
                     )
                 remaining_budget = min(policy.timeout, remaining_budget)
-            msg = Message(src=self.name, dst=dst, kind=kind, payload=dict(request_payload))
+            msg = Message(self.name, dst, kind, dict(request_payload))
             msg_id = msg.msg_id
-            # One event per attempt: settled with the reply by the serve
-            # loop, or with None by the attempt's timer, whichever is first.
+            # One event per attempt: settled with the reply in its delivery
+            # step, or with None by the attempt's timer, whichever is first.
             self._pending[msg_id] = outcome = Event(self.sim, ("reply:%d", msg_id))
             self.network.send(msg)
             self.sim.schedule(remaining_budget, self._expire, msg_id)
@@ -440,12 +494,12 @@ class Endpoint:
                 self.sim.metrics.inc(f"resilience.breaker.{self.name}.short_circuits")
                 self.sim.trace.emit(self.name, "rpc.cast_dropped", dst=dst, verb=kind)
                 return False
-        self.network.send(Message(src=self.name, dst=dst, kind=kind, payload=dict(payload or {})))
+        self.network.send(Message(self.name, dst, kind, dict(payload or {})))
         return True
 
 
 class RpcClient(Endpoint):
-    """A client-only endpoint: starts its reply loop immediately."""
+    """A client-only endpoint: started at construction."""
 
     def __init__(self, network: Network, name: str) -> None:
         super().__init__(network, name)

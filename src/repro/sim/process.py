@@ -65,7 +65,10 @@ class Process:
 
     __slots__ = ("sim", "_name", "gen", "done", "_target", "_epoch")
 
-    def __init__(self, sim: Any, gen: Generator[Any, Any, Any], name: Name) -> None:
+    def __init__(
+        self, sim: Any, gen: Generator[Any, Any, Any], name: Name,
+        _start_now: bool = False,
+    ) -> None:
         if not hasattr(gen, "send"):
             raise SimulationError(
                 f"spawn() needs a generator, got {type(gen).__name__}; "
@@ -79,8 +82,14 @@ class Process:
         self._target: Any = None
         #: Bumped by every interrupt; outdates a pending Timeout wake-up.
         self._epoch = 0
-        # Kick off on the next kernel step at the current time.
-        sim.schedule(0.0, self._resume, None, None)
+        if _start_now:
+            # The caller is itself the kernel step this process starts in
+            # (the RPC layer, which learns that a handler is a generator
+            # only by calling it): run the first segment here.
+            self._resume(None, None)
+        else:
+            # Kick off on the next kernel step at the current time.
+            sim.schedule(0.0, self._resume, None, None)
 
     @property
     def name(self) -> str:

@@ -1,7 +1,8 @@
 """Cooperative synchronization primitives on top of the kernel.
 
 - :class:`Mailbox` — unbounded FIFO of items; ``get()`` waits when empty.
-  This is how simulated processes receive messages.
+  What ``Network.attach(name)`` hands a process that wants to block on
+  its messages (RPC endpoints take delivery directly instead).
 - :class:`Resource` — counted resource with a FIFO wait queue (a disk arm,
   a CPU); acquire/release, used with ``yield``.
 - :class:`Lock` — a Resource of capacity 1 with reentrant-free semantics.

@@ -205,7 +205,7 @@ class TxnReplica:
         op.origin = self.name
         op.ingress_time = self.sim.now
         klass = self.op_class(op)
-        done = self.sim.event(name=f"txn:{op.uniquifier}")
+        done = self.sim.event(name=("txn:%s", op.uniquifier))
         ticket = TxnTicket(
             op=op, op_class=klass, replica=self.name,
             submitted_at=self.sim.now, done=done,

@@ -141,7 +141,7 @@ def zipf_open_loop(
             break
         key = keys.key()
         is_get = rng.random() < get_fraction
-        sim.spawn(one_request(key, is_get), name=f"zipf-{started}")
+        sim.spawn(one_request(key, is_get), name=("zipf-%d", started))
         started += 1
     counters["requests"] = started
     return counters

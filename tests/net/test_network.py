@@ -51,6 +51,43 @@ def test_detach_drops_messages_and_reattach_revives():
     assert len(box) == 0  # stale message was drained on detach
 
 
+def test_attach_without_a_callback_builds_a_live_mailbox_fresh_on_reattach():
+    sim, net = make_net()
+    net.attach("a")
+    box = net.attach("b")
+    assert box is net.mailbox("b")
+    net.send(Message("a", "b", "one"))
+    sim.run()
+    assert len(box) == 1                              # delivered, not drained
+    net.detach("b")
+    fresh = net.attach("b")
+    assert fresh is not box and fresh is net.mailbox("b") and len(fresh) == 0
+
+
+def test_attach_with_a_callback_delivers_to_it_and_builds_no_mailbox():
+    sim, net = make_net(latency=FixedLatency(1.0))
+    got = []
+    net.attach("a")
+    assert net.attach("b", deliver=got.append) is None
+    with pytest.raises(SimulationError):
+        net.mailbox("b")
+    with pytest.raises(SimulationError):
+        net.attach("b", deliver=got.append)           # still one sink per name
+    first, second = Message("a", "b", "one"), Message("a", "b", "two")
+    net.send(first)
+    sim.run()
+    assert got == [first] and sim.now == 1.0          # in the delivery step
+    net.send(second)
+    net.detach("b")
+    sim.run()
+    assert got == [first]                             # lost in flight
+    assert net.endpoint_count == 2                    # detached, not forgotten
+    net.attach("b")                                   # a name may change sink
+    net.send(second)
+    sim.run()
+    assert got == [first] and net.mailbox("b").drain() == [second]
+
+
 def test_loss_probability_one_drops_everything():
     sim, net = make_net(loss_probability=1.0)
     net.attach("a")

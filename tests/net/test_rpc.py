@@ -193,8 +193,8 @@ def test_stop_fails_outstanding_calls():
 
 
 def test_restart_is_idempotent():
-    """A double restart must not leave two serve loops racing on one
-    mailbox: restarting a serving endpoint is a no-op."""
+    """A double restart must not serve twice: restarting a serving
+    endpoint is a no-op that queues no second start step."""
     sim, _net, server, client = setup_pair()
     calls = []
 
@@ -204,18 +204,18 @@ def test_restart_is_idempotent():
         return {}
 
     def run():
-        serving = server._proc
+        queued = sim.pending_count
         server.restart()                       # already serving: no-op
-        assert server._proc is serving
+        assert sim.pending_count == queued
         server.stop("crash")
         server.restart()
-        restarted = server._proc
+        queued = sim.pending_count
         server.restart()                       # second restart: no-op
-        assert server._proc is restarted
+        assert sim.pending_count == queued
         yield from client.call("server", "do", policy=RetryPolicy(timeout=2.0))
         return len(calls)
 
-    assert sim.run_process(run()) == 1         # exactly one serve loop answered
+    assert sim.run_process(run()) == 1         # answered exactly once
 
 
 def test_stop_interrupts_inflight_handlers():
@@ -272,6 +272,126 @@ def test_stop_interrupts_inflight_handlers_in_dispatch_order():
     sim.run(until=2.0)
     assert died == list(range(32))
     assert server.inflight_handlers == 0
+
+
+def test_requests_before_the_start_step_are_served_in_arrival_order():
+    """An attached endpoint that has not started holds what arrives; the
+    start step hands it over in arrival order — including a request
+    delivered in the very timestamp ``start()`` is called in."""
+    sim = Simulator()
+    net = Network(sim, default_link=LinkConfig(latency=FixedLatency(1.0)))
+    server = Endpoint(net, "server")
+    client = Endpoint(net, "client")
+    served = []
+    server.register("note", lambda _ep, msg: served.append((sim.now, msg.payload["n"])))
+
+    client.cast("server", "note", {"n": 0})           # arrives at t=1
+    sim.schedule(0.5, client.cast, "server", "note", {"n": 1})   # t=1.5
+    sim.schedule(1.0, client.cast, "server", "note", {"n": 2})   # t=2, ...
+    sim.schedule(2.0, server.start)                   # ... queued before start()
+    sim.schedule(1.0, client.cast, "server", "note", {"n": 3})   # t=2, after it
+    sim.run(until=1.75)
+    assert served == [] and server.inflight_handlers == 0
+    sim.run()
+    assert served == [(2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3)]
+
+
+def test_stop_before_the_start_step_serves_nothing():
+    sim, net, _server, client = setup_pair()
+    late = Endpoint(net, "late")
+    served = []
+    late.register("note", lambda _ep, _msg: served.append(1))
+    client.cast("late", "note")
+    sim.run()                                         # held: never started
+    late.start()
+    late.stop("crash")                                # the start step is stale
+    sim.run()
+    assert served == [] and late.inflight_handlers == 0
+    late.restart()
+    client.cast("late", "note")
+    sim.run()
+    assert served == [1]                              # what was held is gone
+
+
+def test_plain_handler_dispatched_before_a_same_instant_stop_still_runs():
+    """The handler's lane step is already queued when the crash lands: it
+    runs (as the handler process's kick-off always did), the detached
+    fabric drops its reply, and nothing is left in flight."""
+    sim, net, server, client = setup_pair(latency=FixedLatency(1.0))
+    ran = []
+    server.register("do", lambda _ep, _msg: ran.append(sim.now) or {})
+    outcome = []
+
+    def run():
+        try:
+            yield from client.call("server", "do", policy=RetryPolicy(max_attempts=1))
+        except TimeoutError_:
+            outcome.append("timed out")
+
+    sim.spawn(run())
+    sim.run(until=0.5)
+    # Same timestamp as the request's delivery, one heap entry behind it:
+    # after the dispatch, before the handler's lane step.
+    sim.schedule(0.5, server.stop, "crash")
+    sim.run()
+    assert ran == [1.0]
+    assert outcome == ["timed out"]
+    assert server.inflight_handlers == 0
+    assert sim.metrics.counter("net.dropped").value == 1
+
+
+def test_generator_handler_dispatched_before_a_same_instant_stop_is_interrupted():
+    sim, _net, server, client = setup_pair(latency=FixedLatency(1.0))
+    trail = []
+
+    @server.on("slow")
+    def slow(_ep, _msg):
+        trail.append("began")
+        try:
+            yield Timeout(5.0)
+            trail.append("finished")
+        except InterruptError as exc:
+            trail.append(f"interrupted: {exc.cause}")
+            raise
+
+    client.cast("server", "slow")
+    sim.schedule(1.0, server.stop, "crash")
+    sim.run()
+    assert trail == ["began", "interrupted: crash"]
+    assert server.inflight_handlers == 0
+    assert sim.metrics.counter("net.sent").value == 1  # a dead node does not speak
+
+
+def test_restart_after_a_network_side_detach_serves_once_and_keeps_its_handlers():
+    """Only the fabric dropped the endpoint (``stop()`` never ran): a
+    ``restart()`` re-attaches without a second dispatch path, and a
+    handler in flight across it still counts, finishes and replies."""
+    sim, net, server, client = setup_pair()
+    served = []
+
+    @server.on("slow")
+    def slow(_ep, msg):
+        yield Timeout(1.0)
+        served.append(msg.payload["n"])
+        return {}
+
+    server.register("quick", lambda _ep, msg: served.append(msg.payload["n"]) or {})
+
+    def run():
+        slow_call = sim.spawn(client.call("server", "slow", {"n": 0}))
+        yield Timeout(0.5)
+        assert server.inflight_handlers == 1
+        net.detach("server")
+        server.restart()
+        server.restart()                              # serving again: no-op
+        assert server.inflight_handlers == 1
+        yield from client.call("server", "quick", {"n": 1},
+                               policy=RetryPolicy(timeout=2.0))
+        yield slow_call
+        return server.inflight_handlers
+
+    assert sim.run_process(run()) == 0
+    assert served == [1, 0]
 
 
 def test_interrupted_caller_leaves_no_pending_entry_behind():

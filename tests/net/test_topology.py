@@ -65,7 +65,7 @@ def test_unplaced_endpoints_ride_the_flat_link():
 
 def test_cut_sites_drops_cross_site_only_and_heals():
     sim, _topology, net = build()
-    boxes = {n: net._mailboxes[n] for n in ("a2", "b1")}
+    boxes = {n: net.mailbox(n) for n in ("a2", "b1")}
     faults = net.cut_sites("a", "b")
     net.send(Message("a1", "a2", "lan"))
     net.send(Message("a1", "b1", "wan"))
@@ -86,8 +86,8 @@ def test_site_fault_wildcards():
     net.send(Message("a1", "b1", "in"))
     net.send(Message("b1", "a1", "out"))
     sim.run()
-    assert len(net._mailboxes["b1"]) == 0
-    assert len(net._mailboxes["a1"]) == 1
+    assert len(net.mailbox("b1")) == 0
+    assert len(net.mailbox("a1")) == 1
 
 
 def test_site_faults_identity_equality():
@@ -102,7 +102,7 @@ def test_site_faults_identity_equality():
     net.clear_fault(f1)
     net.send(Message("a1", "b1", "ping"))
     sim.run()
-    assert len(net._mailboxes["b1"]) == 0  # f2 still standing
+    assert len(net.mailbox("b1")) == 0  # f2 still standing
 
 
 def test_bandwidth_pipe_is_per_direction():

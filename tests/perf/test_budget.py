@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 from repro.net import Endpoint, Network
-from repro.sim import Simulator, Timeout
+from repro.sim import Event, Process, Simulator, Timeout
 from repro.sim.trace import TraceRecord
 from repro.tandem import TandemConfig, TandemSystem
 
@@ -54,12 +54,12 @@ def sched_churn(scale):
     return sim.steps
 
 
-def _echo_server(seed):
+def _echo_server(seed, handler=None):
     """A network with a started ``server`` that answers PING with its ``n``."""
     sim = Simulator(seed=seed)
     net = Network(sim)
     server = Endpoint(net, "server")
-    server.register("PING", lambda _ep, msg: {"echo": msg.payload["n"]})
+    server.register("PING", handler or (lambda _ep, msg: {"echo": msg.payload["n"]}))
     server.start()
     return sim, net
 
@@ -188,22 +188,27 @@ def test_bounded_trace_memory_is_flat():
 # Request-path gates: counts, not clocks.
 
 _PINGS = 2_000
-#: Python + C function calls one plain RPC may cost. The allocation-free
-#: wait protocol with one event per call attempt measures 100 (CPython
-#: 3.11); the closure-based kernel it replaced measured 183.
-_CALLS_PER_RPC = 120
+#: Python + C function calls one plain RPC may cost. Direct delivery to
+#: the endpoint, a plain handler run as a lane callback and a hand-written
+#: ``Message`` measure 54 (CPython 3.11); the mailbox, serve-loop process
+#: and per-request process they replaced measured 100, and the
+#: closure-based kernel before that 183.
+_CALLS_PER_RPC = 64
 
 
-def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
-    sim, net = _echo_server(seed=1)
-    echoes = []
-    sim.spawn(_pinger(net, "client", _PINGS, echoes))
-    calls = 0
+def _run_counting(sim):
+    """Drain ``sim`` under a profile hook; returns how many function calls
+    (Python and C) were made, and how many of them constructed a
+    ``Process`` and an ``Event``."""
+    counts = {"calls": 0, Process.__init__.__code__: 0, Event.__init__.__code__: 0}
 
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
+    def count(frame, event, _arg):
+        if event == "call":
+            counts["calls"] += 1
+            if frame.f_code in counts:
+                counts[frame.f_code] += 1
+        elif event == "c_call":
+            counts["calls"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -211,12 +216,42 @@ def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
         sim.run()
     finally:
         sys.setprofile(previous)
+    return (counts["calls"], counts[Process.__init__.__code__],
+            counts[Event.__init__.__code__])
+
+
+def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
+    sim, net = _echo_server(seed=1)
+    echoes = []
+    sim.spawn(_pinger(net, "client", _PINGS, echoes))
+    calls, processes, events = _run_counting(sim)
     assert echoes == list(range(_PINGS))
-    # Per RPC: request delivery, handler start, reply delivery, and the
-    # attempt's (by then stale) timer. The tail is the three process
-    # starts: two serve loops and the pinger.
+    # Per RPC: request delivery, the handler's lane step, reply delivery,
+    # and the attempt's (by then stale) timer. The tail is the two
+    # endpoints' start steps and the pinger's own.
     assert sim.steps == 4 * _PINGS + 3
     assert calls / _PINGS <= _CALLS_PER_RPC, f"{calls / _PINGS:.1f} calls per RPC"
+    # A plain-function handler cannot wait, so nothing is built to wait
+    # for it: no process on the server side (the pinger's own predates
+    # the count), and the only event per call is the caller's, one per
+    # attempt — receiving a message allocates none.
+    assert processes == 0
+    assert events == _PINGS
+
+
+def test_generator_handler_costs_one_process_and_no_extra_step():
+    def echo(_ep, msg):
+        return {"echo": msg.payload["n"]}
+        yield  # a generator that never waits: it ends in its first segment
+
+    sim, net = _echo_server(seed=1, handler=echo)
+    echoes = []
+    sim.spawn(_pinger(net, "client", _PINGS, echoes))
+    _calls, processes, events = _run_counting(sim)
+    assert echoes == list(range(_PINGS))
+    assert sim.steps == 4 * _PINGS + 3
+    assert processes == _PINGS
+    assert events == 2 * _PINGS  # each process's ``done`` beside the caller's
 
 
 def test_blocked_process_holds_only_its_scheduled_wakeup():

@@ -126,7 +126,7 @@ def test_wan_bandwidth_queues_fifo():
     net.attach("a1"), net.attach("b1")
     topology.place("a1", "a")
     topology.place("b1", "b")
-    box = net._mailboxes["b1"]
+    box = net.mailbox("b1")
     for _ in range(5):
         net.send(Message("a1", "b1", "ping"))
     sim.run()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.net import Endpoint, FixedLatency, LinkConfig, Network
 from repro.resilience import (
     DEADLINE_KEY,
     Admission,
@@ -13,6 +14,7 @@ from repro.resilience import (
     remaining,
     stamp,
 )
+from repro.sim import Simulator
 
 
 class _Clock:
@@ -89,3 +91,26 @@ def test_shed_expired_can_be_disabled():
         clock, "server", AdmissionConfig(max_inflight=8, shed_expired=False)
     )
     assert control.decide(0, stamp({}, 9.0)) is Admission.ADMIT
+
+
+def test_watermark_counts_plain_handlers_dispatched_but_not_yet_run():
+    """Four requests delivered in one timestamp to ``max_inflight=2``: a
+    plain handler occupies a slot from its dispatch to its own lane step,
+    so the third and fourth are judged against two in flight and shed —
+    and the slots are free again at the next timestamp."""
+    sim = Simulator()
+    net = Network(sim, default_link=LinkConfig(latency=FixedLatency(1.0)))
+    server = Endpoint(net, "server")
+    server.use_admission(AdmissionConfig(max_inflight=2))
+    served = []
+    server.register("do", lambda _ep, msg: served.append(msg.payload["n"]))
+    server.start()
+    client = Endpoint(net, "client")
+    for n in range(4):
+        client.cast("server", "do", {"n": n})
+    sim.schedule(1.0, lambda: served.append(f"inflight={server.inflight_handlers}"))
+    sim.schedule(2.0, client.cast, "server", "do", {"n": 4})
+    sim.run()
+    assert served == ["inflight=2", 0, 1, 4]
+    assert server.inflight_handlers == 0
+    assert sim.metrics.counters()["resilience.admission.server.shed_busy"] == 2

@@ -154,3 +154,36 @@ def test_effect_subclasses_are_still_effects():
     sim.run()
     assert log == ["raised", "napped", "raised", ["raised"]]
     assert not proc.alive and sim.now == 3.0
+
+
+def test_per_request_names_are_kept_as_parts_and_render_unchanged():
+    """The three names made once per request — a zipf request's process,
+    a quorum op's per-target call, a txn ticket's ``done`` — are stored
+    unformatted and read as the text they always had."""
+    from repro.core.operation import Operation
+    from repro.dynamo import DynamoCluster
+    from repro.txn import MixedTxnSystem, ResourceMachine
+    from repro.workload import ZipfKeyGenerator, zipf_open_loop
+
+    sim = Simulator(seed=5)
+    client = DynamoCluster(num_nodes=5, sim=sim).client("zipf")
+    spawn, spawned = sim.spawn, []
+
+    def recording_spawn(gen, name=None):
+        spawned.append(spawn(gen, name=name))
+        return spawned[-1]
+
+    sim.spawn = recording_spawn
+    keys = ZipfKeyGenerator(sim.rng.stream("zipf"), keyspace=200)
+    sim.spawn(zipf_open_loop(sim, client, keys, rate=100.0, count=1), name="driver")
+    sim.run()
+    assert [(type(proc._name), proc.name) for proc in spawned[1:]] == [
+        (tuple, "zipf-0"), (tuple, "zipf.GET.node4"),
+        (tuple, "zipf.GET.node0"), (tuple, "zipf.GET.node2"),
+    ]
+
+    system = MixedTxnSystem(Simulator(seed=2), ResourceMachine({"seats": 2}))
+    ticket = system.submit(
+        "txn1", Operation("RESERVE", {"category": "seats"}, uniquifier="a")
+    )
+    assert type(ticket.done._name) is tuple and ticket.done.name == "txn:a"
