@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Protocol
 
-from repro.cart.operations import CartOp, materialize
+from repro.cart.operations import CartOp, malformed_entry, materialize_entries
 
 
 class CartStrategy(Protocol):
@@ -42,19 +42,29 @@ class OpCartStrategy:
         return []
 
     def apply(self, blob: List[Dict[str, Any]], op: CartOp) -> List[Dict[str, Any]]:
-        if any(entry["uniquifier"] == op.uniquifier for entry in blob):
-            return list(blob)
-        return list(blob) + [op.to_wire()]
+        uniquifier = op.uniquifier
+        try:
+            for entry in blob:
+                if entry["uniquifier"] == uniquifier:
+                    return list(blob)
+        except KeyError as missing:
+            raise malformed_entry(missing) from None
+        return [*blob, op.to_wire()]
 
     def merge(self, siblings: List[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
         seen: Dict[str, Dict[str, Any]] = {}
-        for sibling in siblings:
-            for entry in sibling:
-                seen.setdefault(entry["uniquifier"], entry)
+        try:
+            for sibling in siblings:
+                for entry in sibling:
+                    uniquifier = entry["uniquifier"]
+                    if uniquifier not in seen:
+                        seen[uniquifier] = entry
+        except KeyError as missing:
+            raise malformed_entry(missing) from None
         return list(seen.values())
 
     def view(self, blob: List[Dict[str, Any]]) -> Dict[str, int]:
-        return materialize(CartOp.from_wire(entry) for entry in blob)
+        return materialize_entries(blob)
 
 
 class MaterializedCartStrategy:

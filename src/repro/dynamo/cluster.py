@@ -39,7 +39,7 @@ from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig, Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
-from repro.sim.events import AllOf
+from repro.sim.events import Event
 from repro.sim.scheduler import Simulator
 from repro.dynamo.merkle import Entry, check_buckets, entry_digests
 from repro.dynamo.node import DynamoNode
@@ -321,29 +321,39 @@ class DynamoCluster:
             # skip set the node burns the retry policy's full budget per
             # key × peer and starves its *intra-site* peers of the round.
             unresponsive: set = set()
+            # owner -> may this node push to it. Nothing else runs between
+            # two of this round's yields, so a verdict holds until the
+            # next push has been waited for.
+            pushable: Dict[str, bool] = {}
             try:
                 for key, versions in list(node.store.items()):
+                    clocks = [version.clock.counters for version in versions]
                     for owner in self._owners(key):
-                        if owner == node.name or owner not in self.nodes:
-                            continue
-                        if owner in unresponsive:
-                            continue
-                        if not self._usable_by(node.name, owner):
-                            # The pusher's own view says this owner is
+                        verdict = pushable.get(owner)
+                        if verdict is None:
+                            # The pusher's own view may say this owner is
                             # dead or gone — it acts on its local (maybe
                             # stale) opinion; anti-entropy heals the gap
                             # once the rumor mill catches up.
+                            verdict = pushable[owner] = (
+                                owner != node.name
+                                and owner in self.nodes
+                                and owner not in unresponsive
+                                and self._usable_by(node.name, owner)
+                                and self.network.reachable(node.name, owner)
+                            )
+                        if not verdict:
                             continue
-                        if not self.network.reachable(node.name, owner):
-                            continue
-                        peer_clocks = {
-                            v.clock for v in self.nodes[owner].versions_of(key)
-                        }
+                        theirs = self.nodes[owner].store.get(key, ())
+                        if [held.clock.counters for held in theirs] == clocks:
+                            continue  # same frontier: nothing to push
+                        peer_clocks = [held.clock for held in theirs]
                         try:
                             for version in versions:
                                 if any(pc.descends(version.clock)
                                        for pc in peer_clocks):
                                     continue
+                                pushable.clear()
                                 yield from node.endpoint.call(
                                     owner, "PUT",
                                     {"key": key, "value": version.value,
@@ -799,41 +809,46 @@ class DynamoClient:
         targets = self.cluster.ring.preference_list(
             key, self.cluster.n, alive=self._can_reach
         )
-        responses = yield from self._scatter(targets, "GET", {"key": key})
+        payload = {"key": key}
+        responses = yield from self._scatter_pairs(
+            [(target, payload) for target in targets], "GET"
+        )
         if len(responses) < self.cluster.r:
             raise QuorumUnavailable(f"GET {key!r}: {len(responses)} < R={self.cluster.r}")
         versions: List[VersionedValue] = []
-        per_node_clocks: Dict[str, set] = {}
-        for target, payload in responses:
-            clocks = set()
-            for entry in payload["versions"]:
-                version = VersionedValue(entry["value"], VectorClock(entry["clock"]))
-                versions.append(version)
-                clocks.add(version.clock)
-            per_node_clocks[target] = clocks
+        held: List[Tuple[str, List[VectorClock]]] = []  # per reply, in reply order
+        for target, reply in responses:
+            clocks = []
+            for entry in reply["versions"]:
+                clock = VectorClock(entry["clock"])
+                versions.append(VersionedValue(entry["value"], clock))
+                clocks.append(clock)
+            held.append((target, clocks))
         siblings = prune_dominated(versions)
-        context = VectorClock()
-        for sibling in siblings:
+        context = siblings[0].clock if siblings else VectorClock()
+        for sibling in siblings[1:]:
             context = context.merge(sibling.clock)
         if len(siblings) > 1:
             self.sim.metrics.inc("dynamo.sibling_gets")
         if self.cluster.read_repair:
-            self._read_repair(key, siblings, per_node_clocks)
+            self._read_repair(key, siblings, held)
         return GetResult(siblings=siblings, context=context)
 
     def _read_repair(
         self,
         key: str,
         siblings: List[VersionedValue],
-        per_node_clocks: Dict[str, set],
+        held: List[Tuple[str, List[VectorClock]]],
     ) -> None:
         """Push the sibling frontier back to any responding node that is
         missing part of it (fire-and-forget, like Dynamo's read repair)."""
-        frontier_clocks = {sibling.clock for sibling in siblings}
-        for target, clocks in per_node_clocks.items():
-            missing = frontier_clocks - clocks
+        frontier = [sibling.clock.counters for sibling in siblings]
+        for target, clocks in held:
+            if [clock.counters for clock in clocks] == frontier:
+                continue  # holds exactly the frontier: nothing to hash
+            have = set(clocks)
             for sibling in siblings:
-                if sibling.clock in missing:
+                if sibling.clock not in have:
                     self.endpoint.cast(
                         target, "PUT",
                         {"key": key, "value": sibling.value,
@@ -860,13 +875,14 @@ class DynamoClient:
             targets = [t for t in intended if self._can_reach(t)]
         # Pair each fallback target with one of the intended owners it is
         # standing in for, so its hint can be delivered home later.
-        missing_owners = [node for node in intended if node not in targets]
-        hint_map = dict(
-            zip((t for t in targets if t not in intended), missing_owners)
-        )
+        hint_map = {} if targets == intended else dict(zip(
+            (t for t in targets if t not in intended),
+            (node for node in intended if node not in targets),
+        ))
+        wire_clock = dict(clock.counters)
         payloads = []
         for target in targets:
-            payload = {"key": key, "value": value, "clock": dict(clock.counters)}
+            payload = {"key": key, "value": value, "clock": wire_clock}
             if target in hint_map:
                 payload["hint_for"] = hint_map[target]
             payloads.append((target, payload))
@@ -886,39 +902,40 @@ class DynamoClient:
             self.name, node_name
         )
 
-    def _scatter(
-        self, targets: List[str], verb: str, payload: Dict[str, Any]
-    ) -> Generator[Any, Any, List]:
-        return (yield from self._scatter_pairs([(t, payload) for t in targets], verb))
-
     def _scatter_pairs(
         self, pairs: List, verb: str
     ) -> Generator[Any, Any, List]:
-        """Call all targets in parallel; returns (target, reply-payload)
-        for each successful reply."""
-        procs = [
-            (target, self.sim.spawn(
-                self._call_safe(target, verb, payload),
-                name=("%s.%s.%s", self.name, verb, target),
-            ))
-            for target, payload in pairs
-        ]
-        if not procs:
+        """Call all targets in parallel, one process each; returns
+        (target, reply-payload) for each successful reply once every
+        call has settled. A replica that timed out or answered with an
+        error is dropped; any other failure (our own endpoint dying
+        under us) is raised, the first in pair order."""
+        if not pairs:
             return []
-        results = yield AllOf([proc for _target, proc in procs])
-        return [
-            (target, results[proc.done])
-            for target, proc in procs
-            if results[proc.done] is not None
-        ]
+        settled = Event(self.sim, ("%s.%s.settled", self.name, verb))
+        waiting = len(pairs)
 
-    def _call_safe(
-        self, target: str, verb: str, payload: Dict[str, Any]
-    ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
-        try:
-            result = yield from self.endpoint.call(
-                target, verb, dict(payload), policy=self.policy
+        def one_settled(_done: Event) -> None:
+            nonlocal waiting
+            waiting -= 1
+            if not waiting:
+                settled.trigger()
+
+        spawn, call = self.sim.spawn, self.endpoint.call
+        calls = []
+        for target, payload in pairs:
+            proc = spawn(
+                call(target, verb, payload, policy=self.policy),
+                name=("%s.%s.%s", self.name, verb, target),
             )
-            return result
-        except (TimeoutError_, RpcError):
-            return None
+            proc.done.add_callback(one_settled)
+            calls.append((target, proc.done))
+        yield settled
+        responses = []
+        for target, done in calls:
+            failure = done.exception
+            if failure is None:
+                responses.append((target, done.value))
+            elif not isinstance(failure, (TimeoutError_, RpcError)):
+                raise failure
+        return responses

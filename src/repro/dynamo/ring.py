@@ -175,26 +175,35 @@ class HashRing:
         extending — the sloppy-quorum list. Without it, the strict
         (intended) owners. Returns fewer than ``n`` when the ring runs
         out of (live) nodes.
+
+        ``alive`` must be pure: while every strict owner is alive the
+        sloppy list *is* the strict one and is read from the owner
+        table; only a dead owner starts the walk, which asks again.
         """
         if n < 1:
             raise SimulationError("preference list size must be >= 1")
-        position = ring_hash(key)
-        if alive is None:
-            return self.owners_at(position, n)
-        return self._walk(bisect.bisect_right(self._hashes, position), n, alive)
+        index = bisect.bisect_right(self._hashes, ring_hash(key))
+        owners = (self._owner_tables.get(n) or self._build_owner_table(n))[index]
+        if alive is not None:
+            for node in owners:
+                if not alive(node):
+                    return self._walk(index, n, alive)
+        return list(owners)
 
     def owners_at(self, position: int, n: int) -> List[str]:
         """The strict top-N owners for keys hashing to ``position``: one
         bisect and one read of the ring state's owner table."""
-        table = self._owner_tables.get(n)
-        if table is None:
-            # One entry more than there are arcs: bisect_right returns
-            # len(_hashes) past the last vnode, which wraps to arc 0.
-            table = self._owner_tables[n] = [
-                tuple(self._walk(index, n, None))
-                for index in range(len(self._positions) + 1)
-            ]
+        table = self._owner_tables.get(n) or self._build_owner_table(n)
         return list(table[bisect.bisect_right(self._hashes, position)])
+
+    def _build_owner_table(self, n: int) -> List[Tuple[str, ...]]:
+        # One entry more than there are arcs: bisect_right returns
+        # len(_hashes) past the last vnode, which wraps to arc 0.
+        table = self._owner_tables[n] = [
+            tuple(self._walk(index, n, None))
+            for index in range(len(self._positions) + 1)
+        ]
+        return table
 
     def _walk(
         self, start: int, n: int, alive: Optional[Callable[[str], bool]]

@@ -8,19 +8,23 @@ and the store keeps both for the application to reconcile (§6.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 class VectorClock:
-    """An immutable-by-convention version vector."""
+    """An immutable-by-convention version vector: nothing writes
+    ``counters`` after construction, which is what lets the hash be
+    computed once (a stored clock is hashed by every anti-entropy round
+    and convergence check that meets it)."""
 
-    __slots__ = ("counters",)
+    __slots__ = ("counters", "_hash")
 
     def __init__(self, counters: Mapping[str, int] | None = None) -> None:
-        self.counters: Dict[str, int] = {
-            node: count for node, count in (counters or {}).items() if count > 0
-        }
+        self.counters: Dict[str, int] = (
+            {node: count for node, count in counters.items() if count > 0}
+            if counters else {}
+        )
+        self._hash: Optional[int] = None
 
     def increment(self, node: str) -> "VectorClock":
         """A new clock with ``node``'s counter bumped."""
@@ -37,10 +41,11 @@ class VectorClock:
 
     def descends(self, other: "VectorClock") -> bool:
         """True if self >= other pointwise (self saw everything)."""
-        return all(
-            self.counters.get(node, 0) >= count
-            for node, count in other.counters.items()
-        )
+        mine = self.counters.get
+        for node, count in other.counters.items():
+            if mine(node, 0) < count:
+                return False
+        return True
 
     def concurrent_with(self, other: "VectorClock") -> bool:
         return not self.descends(other) and not other.descends(self)
@@ -49,19 +54,40 @@ class VectorClock:
         return isinstance(other, VectorClock) and self.counters == other.counters
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.counters.items())))
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(tuple(sorted(self.counters.items())))
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ",".join(f"{n}:{c}" for n, c in sorted(self.counters.items()))
         return f"VC({inner})"
 
 
-@dataclass(frozen=True)
 class VersionedValue:
-    """A blob with its version clock."""
+    """A blob with its version clock, immutable by convention.
 
-    value: Any
-    clock: VectorClock
+    Written by hand rather than as a frozen dataclass, as ``Message`` is:
+    one is built per wire entry on every GET, PUT and sync, and a frozen
+    dataclass pays an ``object.__setattr__`` call per field.
+    """
+
+    __slots__ = ("value", "clock")
+
+    def __init__(self, value: Any, clock: VectorClock) -> None:
+        self.value = value
+        self.clock = clock
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VersionedValue:
+            return NotImplemented
+        return self.value == other.value and self.clock == other.clock
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.clock))
+
+    def __repr__(self) -> str:
+        return f"VersionedValue(value={self.value!r}, clock={self.clock!r})"
 
 
 def prune_dominated(versions: Iterable[VersionedValue]) -> List[VersionedValue]:
@@ -72,12 +98,16 @@ def prune_dominated(versions: Iterable[VersionedValue]) -> List[VersionedValue]:
     """
     frontier: List[VersionedValue] = []
     for candidate in versions:
-        if any(existing.clock.descends(candidate.clock) for existing in frontier):
-            continue  # dominated (or an exact duplicate clock)
-        frontier = [
-            existing
-            for existing in frontier
-            if not candidate.clock.descends(existing.clock)
-        ]
-        frontier.append(candidate)
+        clock = candidate.clock
+        for existing in frontier:
+            if existing.clock.descends(clock):
+                break  # dominated (or an exact duplicate clock)
+        else:
+            if frontier:
+                frontier = [
+                    existing
+                    for existing in frontier
+                    if not clock.descends(existing.clock)
+                ]
+            frontier.append(candidate)
     return frontier

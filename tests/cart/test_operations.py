@@ -69,3 +69,33 @@ def test_zero_quantity_change_drops_item():
         CartOp("CHANGE", "book", 0, uniquifier="b", time=2.0),
     ]
     assert materialize(ops) == {}
+
+
+def test_hand_written_op_keeps_the_dataclass_contract():
+    op = CartOp("ADD", "book", 2, uniquifier="u1", time=1.5)
+    same = CartOp(kind="ADD", item="book", quantity=2, uniquifier="u1", time=1.5)
+    assert op == same and hash(op) == hash(same) and len({op, same}) == 1
+    assert op != CartOp("ADD", "book", 2, uniquifier="u2", time=1.5)
+    assert op != op.to_wire()
+    assert repr(op) == (
+        "CartOp(kind='ADD', item='book', quantity=2, uniquifier='u1', time=1.5)"
+    )
+    assert not hasattr(op, "__dict__")
+    assert CartOp("DELETE", "book").quantity == 1
+    assert CartOp("DELETE", "book").uniquifier.startswith("cart-DELETE-")
+
+
+@pytest.mark.parametrize(
+    "field", ["kind", "item", "quantity", "uniquifier", "time"]
+)
+def test_from_wire_names_the_missing_field(field):
+    wire = CartOp("ADD", "book", uniquifier="u1").to_wire()
+    del wire[field]
+    with pytest.raises(SimulationError, match=f"no field '{field}'"):
+        CartOp.from_wire(wire)
+
+
+def test_from_wire_rejects_an_unknown_kind():
+    wire = dict(CartOp("ADD", "book", uniquifier="u1").to_wire(), kind="STEAL")
+    with pytest.raises(SimulationError, match="unknown cart op kind 'STEAL'"):
+        CartOp.from_wire(wire)

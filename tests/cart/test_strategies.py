@@ -1,11 +1,14 @@
 """Merge semantics per strategy: who loses adds, who resurrects deletes."""
 
+import pytest
+
 from repro.cart import (
     CartOp,
     LwwCartStrategy,
     MaterializedCartStrategy,
     OpCartStrategy,
 )
+from repro.errors import SimulationError
 
 
 def build(strategy, ops):
@@ -84,3 +87,52 @@ def test_apply_does_not_mutate_input():
         before = repr(blob)
         strategy.apply(blob, CartOp("ADD", "book", 1, uniquifier="u", time=1.0))
         assert repr(blob) == before, strategy.name
+
+
+# ----------------------------------------------------------------------
+# Malformed blobs: the strategy reads wire entries directly, so what a
+# broken one raises is a domain error that names what is wrong with it.
+
+
+def _entry(**changes):
+    wire = CartOp("ADD", "book", 1, uniquifier="u1", time=1.0).to_wire()
+    wire.update(changes)
+    return wire
+
+
+def _without(field):
+    wire = _entry()
+    del wire[field]
+    return wire
+
+
+@pytest.mark.parametrize(
+    "field", ["kind", "item", "quantity", "uniquifier", "time"]
+)
+def test_op_cart_view_names_the_missing_field(field):
+    with pytest.raises(SimulationError, match=f"no field '{field}'"):
+        OpCartStrategy().view([_entry(uniquifier="u0", time=0.5), _without(field)])
+
+
+def test_op_cart_view_rejects_an_unknown_kind():
+    with pytest.raises(SimulationError, match="unknown cart op kind 'STEAL'"):
+        OpCartStrategy().view([_entry(kind="STEAL")])
+
+
+def test_op_cart_merge_and_apply_name_the_missing_uniquifier():
+    strategy = OpCartStrategy()
+    broken = [_entry(), _without("uniquifier")]
+    with pytest.raises(SimulationError, match="no field 'uniquifier'"):
+        strategy.merge([[_entry()], broken])
+    with pytest.raises(SimulationError, match="no field 'uniquifier'"):
+        strategy.apply(broken, CartOp("ADD", "pen", uniquifier="u2"))
+
+
+def test_op_cart_apply_returns_a_new_list_either_way():
+    strategy = OpCartStrategy()
+    blob = [_entry()]
+    fresh = CartOp("ADD", "pen", uniquifier="u2", time=2.0)
+    assert strategy.apply(blob, fresh) == [_entry(), fresh.to_wire()]
+    duplicate = strategy.apply(blob, CartOp("ADD", "book", uniquifier="u1"))
+    assert duplicate == blob and duplicate is not blob
+    assert blob == [_entry()]

@@ -18,6 +18,9 @@ import tracemalloc
 
 import pytest
 
+from repro.cart import CartOp, CartService, OpCartStrategy
+from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
+from repro.dynamo.ring import ring_hash
 from repro.net import Endpoint, Network
 from repro.sim import Event, Process, Simulator, Timeout
 from repro.sim.trace import TraceRecord
@@ -196,11 +199,13 @@ _PINGS = 2_000
 _CALLS_PER_RPC = 64
 
 
-def _run_counting(sim):
+def _run_counting(sim, *functions):
     """Drain ``sim`` under a profile hook; returns how many function calls
-    (Python and C) were made, and how many of them constructed a
-    ``Process`` and an ``Event``."""
-    counts = {"calls": 0, Process.__init__.__code__: 0, Event.__init__.__code__: 0}
+    (Python and C) were made, how many of them constructed a ``Process``
+    and an ``Event``, and how many were to each of ``functions``."""
+    watched = [fn.__code__ for fn in (Process.__init__, Event.__init__) + functions]
+    counts = dict.fromkeys(watched, 0)
+    counts["calls"] = 0
 
     def count(frame, event, _arg):
         if event == "call":
@@ -216,8 +221,7 @@ def _run_counting(sim):
         sim.run()
     finally:
         sys.setprofile(previous)
-    return (counts["calls"], counts[Process.__init__.__code__],
-            counts[Event.__init__.__code__])
+    return (counts["calls"], *(counts[code] for code in watched))
 
 
 def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
@@ -252,6 +256,111 @@ def test_generator_handler_costs_one_process_and_no_extra_step():
     assert sim.steps == 4 * _PINGS + 3
     assert processes == _PINGS
     assert events == 2 * _PINGS  # each process's ``done`` beside the caller's
+
+
+# The protocol and application rung, counted the same way on a loaded
+# 8-node ring (N=3, R=W=2). A quorum op is three plain RPCs (162 calls)
+# plus its own bookkeeping; measured 289 per GET and 315 per PUT on
+# CPython 3.11 (364 and 384 while the coordinator drove a wrapper
+# generator per replica, gathered through AllOf and hashed every clock
+# it was shown), 300 per view of a 64-op blob (827 when it rebuilt a
+# CartOp per entry) and 622 per add at 64-164 ops (1 107).
+_QUORUM_OPS = 200
+_CALLS_PER_GET = 310
+_CALLS_PER_PUT = 345
+_CALLS_PER_VIEW = 420
+_CALLS_PER_ADD = 700
+
+
+def _loaded_cluster():
+    cluster = DynamoCluster(num_nodes=8, n=3, r=2, w=2, seed=20090104)
+    loaded = VectorClock({"loader": 1})
+    for i in range(_QUORUM_OPS):
+        for owner in cluster.ring.intended_owners(f"k{i}", cluster.n):
+            cluster.nodes[owner].store_version(f"k{i}", VersionedValue(i, loaded))
+    cluster.sim.run()  # every endpoint's start step
+    return cluster, loaded
+
+
+def _counted(cluster, requests, *functions):
+    """Run the ``requests`` generator to its end under the profile hook:
+    per-request (calls, steps, messages), then the raw ``_run_counting``
+    tail (processes, events, calls to each of ``functions``)."""
+    sent, steps = cluster.sim.metrics.counter("net.sent"), cluster.sim.steps
+    messages = sent.value
+    cluster.sim.spawn(requests)
+    calls, *tail = _run_counting(cluster.sim, *functions)
+    return (calls, cluster.sim.steps - steps - 1, sent.value - messages, *tail)
+
+
+@pytest.mark.parametrize("verb, budget, hashes_per_op", [
+    ("GET", _CALLS_PER_GET, 1),
+    ("PUT", _CALLS_PER_PUT, 2),  # intended owners, then the sloppy list
+])
+def test_quorum_op_costs_fifteen_steps_and_a_bounded_number_of_calls(
+    verb, budget, hashes_per_op
+):
+    cluster, loaded = _loaded_cluster()
+    client = cluster.client("shopper")
+    cluster.sim.run()
+    seen = []
+
+    def requests():
+        for i in range(_QUORUM_OPS):
+            if verb == "GET":
+                seen.extend((yield from client.get(f"k{i}")).values)
+            else:
+                yield from client.put(f"k{i}", -i, context=loaded)
+
+    calls, steps, messages, processes, events, hashes = _counted(
+        cluster, requests(), ring_hash
+    )
+    if verb == "GET":
+        assert seen == list(range(_QUORUM_OPS))
+    else:
+        assert cluster.sim.metrics.counter("dynamo.puts").value == _QUORUM_OPS
+    # Three RPCs of 4 steps, the three children's start steps.
+    assert steps == 15 * _QUORUM_OPS
+    assert messages == 6 * _QUORUM_OPS
+    assert processes == 3 * _QUORUM_OPS
+    # One per attempt, each child's ``done``, and the one they settle.
+    assert events == 7 * _QUORUM_OPS
+    assert hashes == hashes_per_op * _QUORUM_OPS
+    assert calls / _QUORUM_OPS <= budget, f"{calls / _QUORUM_OPS:.1f} calls per {verb}"
+
+
+def test_cart_ops_cost_a_bounded_number_of_calls_and_build_no_op_per_entry():
+    cluster, _loaded = _loaded_cluster()
+    cart = CartService(cluster, OpCartStrategy(), client=cluster.client("shopper"))
+    cluster.sim.run()
+
+    def adds(count):
+        for n in range(count):
+            yield from cart.add("cart", f"item{n % 7}", 1 + n % 3)
+
+    cluster.sim.run_process(adds(64))
+    views, seen = 50, []
+
+    def look():
+        for _ in range(views):
+            seen.append((yield from cart.view("cart")))
+
+    calls, steps, messages, _procs, _events, hashes, ops_built = _counted(
+        cluster, look(), ring_hash, CartOp.__init__
+    )
+    assert seen[0] == {f"item{i}": sum(1 + n % 3 for n in range(i, 64, 7))
+                       for i in range(7)}
+    assert (steps, messages, hashes) == (15 * views, 6 * views, views)
+    assert ops_built == 0
+    assert calls / views <= _CALLS_PER_VIEW, f"{calls / views:.1f} calls per view"
+
+    more = 100  # the blob grows from 64 ops to 164
+    calls, steps, messages, _procs, _events, hashes, ops_built = _counted(
+        cluster, adds(more), ring_hash, CartOp.__init__
+    )
+    assert (steps, messages, hashes) == (30 * more, 12 * more, 3 * more)
+    assert ops_built == more
+    assert calls / more <= _CALLS_PER_ADD, f"{calls / more:.1f} calls per add"
 
 
 def test_blocked_process_holds_only_its_scheduled_wakeup():

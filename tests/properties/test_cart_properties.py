@@ -57,3 +57,84 @@ def test_materialize_input_order_independent(ops, rng):
     shuffled = list(ops)
     rng.shuffle(shuffled)
     assert materialize(ops) == materialize(shuffled)
+
+
+# ----------------------------------------------------------------------
+# Differential: merge / apply / view, which read wire entries directly,
+# against the bodies they replaced — kept here as the reference. Same
+# list, in the same order, not merely the same set.
+
+wire_entries = st.fixed_dictionaries({
+    "kind": st.sampled_from(["ADD", "CHANGE", "DELETE"]),
+    "item": st.sampled_from(["book", "pen", "ink"]),
+    "quantity": st.integers(min_value=0, max_value=5),
+    # Few uniquifiers and few times: siblings overlap, and ties in time
+    # are broken by uniquifier, ties in both by position.
+    "uniquifier": st.sampled_from([f"u{i}" for i in range(8)]),
+    "time": st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+})
+sibling_sets = st.lists(st.lists(wire_entries, max_size=8), max_size=4)
+
+
+def _reference_merge(siblings):
+    seen = {}
+    for sibling in siblings:
+        for entry in sibling:
+            seen.setdefault(entry["uniquifier"], entry)
+    return list(seen.values())
+
+
+def _reference_apply(blob, op):
+    if any(entry["uniquifier"] == op.uniquifier for entry in blob):
+        return list(blob)
+    return list(blob) + [op.to_wire()]
+
+
+def _reference_materialize(ops):
+    cart = {}
+    for op in sorted(ops, key=lambda op: (op.time, op.uniquifier)):
+        if op.kind == "ADD":
+            cart[op.item] = cart.get(op.item, 0) + op.quantity
+        elif op.kind == "CHANGE":
+            cart[op.item] = op.quantity
+        elif op.kind == "DELETE":
+            cart.pop(op.item, None)
+    return {item: qty for item, qty in cart.items() if qty > 0}
+
+
+def _reference_view(blob):
+    return _reference_materialize(CartOp.from_wire(entry) for entry in blob)
+
+
+@given(sibling_sets)
+@settings(max_examples=150)
+def test_merge_matches_the_setdefault_union(siblings):
+    merged = OpCartStrategy().merge(siblings)
+    expected = _reference_merge(siblings)
+    assert merged == expected
+    assert [id(entry) for entry in merged] == [id(entry) for entry in expected]
+
+
+@given(st.lists(wire_entries, max_size=8), cart_ops, st.sampled_from(range(8)))
+@settings(max_examples=150)
+def test_apply_matches_the_any_scan(blob, op, collide_with):
+    strategy = OpCartStrategy()
+    clash = CartOp(op.kind, op.item, op.quantity, f"u{collide_with}", op.time)
+    for candidate in (op, clash):
+        before = list(blob)
+        applied = strategy.apply(blob, candidate)
+        assert applied == _reference_apply(blob, candidate)
+        assert applied is not blob and blob == before
+
+
+@given(sibling_sets)
+@settings(max_examples=150)
+def test_view_matches_materialize_over_rebuilt_ops(siblings):
+    strategy = OpCartStrategy()
+    for blob in siblings + [_reference_merge(siblings)]:
+        view = strategy.view(blob)
+        assert view == _reference_view(blob)
+        assert list(view) == list(_reference_view(blob))  # same item order
+        ops = [CartOp.from_wire(entry) for entry in blob]
+        assert materialize(ops) == view
+        assert list(materialize(iter(ops))) == list(view)

@@ -11,6 +11,8 @@ Three truths, over arbitrary join/leave sequences:
    matters.
 """
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +100,68 @@ def test_unchanged_keys_keep_all_owners(initial, script):
     for key in sample_keys[:40]:
         if not any(arc.contains_hash(ring_hash(key)) for arc in moved):
             assert before.intended_owners(key, n) == after.intended_owners(key, n)
+
+
+# ----------------------------------------------------------------------
+# Differential: the sloppy preference list, which answers from the
+# strict-owner table while every strict owner is alive, against the
+# ring walk it only falls back to otherwise.
+
+
+def _walked(ring, key, n, alive):
+    start = bisect.bisect_right(ring._hashes, ring_hash(key))
+    return ring._walk(start, n, alive)
+
+
+@given(
+    node_sets,
+    scripts,
+    st.sets(st.sampled_from(POOL), max_size=7),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=120)
+def test_sloppy_preference_list_matches_the_walk(initial, script, dead, n):
+    ring = HashRing(initial, vnodes=4)
+    asked = []
+
+    def alive(node):
+        asked.append(node)
+        return node not in dead
+
+    def check():
+        for key in sample_keys[:30]:
+            del asked[:]
+            got = ring.preference_list(key, n, alive=alive)
+            asked_once = list(asked)
+            assert got == _walked(ring, key, n, lambda node: node not in dead), key
+            assert got is not ring.preference_list(key, n, alive=alive)  # caller's own
+            strict = ring.preference_list(key, n)
+            assert strict == _walked(ring, key, n, None) == ring.intended_owners(key, n)
+            if not dead.intersection(strict):
+                # The fast path: the strict list, each owner asked once.
+                assert got == strict == asked_once
+
+    check()
+    _apply(ring, script)  # joins and leaves drop the owner tables
+    check()
+    # Every live node exactly once when fewer than n are alive.
+    living = [node for node in ring.nodes if node not in dead]
+    if len(living) < n:
+        for key in sample_keys[:10]:
+            assert sorted(ring.preference_list(key, n, alive=alive)) == sorted(living)
+
+
+def test_sloppy_preference_list_named_cases():
+    ring = HashRing(POOL, vnodes=4)
+    for key in sample_keys:
+        strict = ring.preference_list(key, 3)
+        everyone = ring.preference_list(key, 3, alive=lambda _node: True)
+        assert everyone == strict
+        for victim in strict:  # one dead: the next distinct node steps in
+            sloppy = ring.preference_list(key, 3, alive=lambda node: node != victim)
+            assert sloppy == _walked(ring, key, 3, lambda node: node != victim)
+            assert victim not in sloppy and len(sloppy) == 3
+            assert [node for node in strict if node != victim] == sloppy[:2]
+        two = set(POOL[:2])  # fewer than n alive: a short list
+        assert set(ring.preference_list(key, 3, alive=two.__contains__)) == two
+        assert ring.preference_list(key, 3, alive=lambda _node: False) == []

@@ -82,3 +82,76 @@ def test_prune_insensitive_to_input_order(clock_list):
     forward = {v.clock for v in prune_dominated(versions)}
     backward = {v.clock for v in prune_dominated(list(reversed(versions)))}
     assert forward == backward
+
+
+# ----------------------------------------------------------------------
+# Differential: each fast path against its straight-line definition.
+
+raw_counters = st.dictionaries(
+    keys=st.sampled_from(["n1", "n2", "n3", "n4"]),
+    values=st.integers(min_value=0, max_value=4),  # zeros included on purpose
+    max_size=4,
+)
+
+
+def _descends_pointwise(a, b):
+    return all(a.counters.get(node, 0) >= count for node, count in b.counters.items())
+
+
+def _prune_straight_line(versions):
+    """``prune_dominated`` as it read before it learnt to stop early."""
+    frontier = []
+    for candidate in versions:
+        if any(_descends_pointwise(kept.clock, candidate.clock) for kept in frontier):
+            continue
+        frontier = [
+            kept for kept in frontier
+            if not _descends_pointwise(candidate.clock, kept.clock)
+        ]
+        frontier.append(candidate)
+    return frontier
+
+
+@given(clocks, clocks)
+def test_descends_matches_the_pointwise_definition(a, b):
+    assert a.descends(b) == _descends_pointwise(a, b)
+    assert a.concurrent_with(b) == (
+        not _descends_pointwise(a, b) and not _descends_pointwise(b, a)
+    )
+
+
+@given(raw_counters, raw_counters)
+def test_eq_and_cached_hash_agree_with_the_nonzero_counters(x, y):
+    a, b = VectorClock(x), VectorClock(y)
+    nonzero = lambda raw: {n: c for n, c in raw.items() if c > 0}  # noqa: E731
+    assert a.counters == nonzero(x)
+    assert (a == b) == (nonzero(x) == nonzero(y))
+    if a == b:
+        assert hash(a) == hash(b)
+    first = hash(a)
+    assert hash(a) == first == hash(tuple(sorted(nonzero(x).items())))
+    # A clock that was hashed and one that was not are the same set member.
+    assert len({a, VectorClock(dict(reversed(list(x.items()))))}) == 1
+    assert VectorClock() == VectorClock({}) == VectorClock({"n1": 0})
+    assert hash(VectorClock()) == hash(VectorClock({"n1": 0}))
+
+
+@given(st.lists(clocks, max_size=9))
+@settings(max_examples=120)
+def test_prune_matches_the_straight_line_body(clock_list):
+    versions = [VersionedValue(i, clock) for i, clock in enumerate(clock_list)]
+    kept = prune_dominated(versions)
+    expected = _prune_straight_line(versions)
+    assert [id(v) for v in kept] == [id(v) for v in expected]
+    assert prune_dominated(iter(versions)) == expected  # any iterable
+    assert prune_dominated([]) == []
+
+
+def test_versioned_value_keeps_the_dataclass_contract():
+    clock = VectorClock({"n1": 1})
+    a, b = VersionedValue("v", clock), VersionedValue(value="v", clock=VectorClock({"n1": 1}))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != VersionedValue("w", clock) and a != VersionedValue("v", VectorClock())
+    assert a != ("v", clock)
+    assert repr(a) == "VersionedValue(value='v', clock=VC(n1:1))"
+    assert not hasattr(a, "__dict__")
