@@ -135,13 +135,6 @@ class CapCell:
     # ------------------------------------------------------------------
     # Truth
 
-    def true_total(self) -> float:
-        """Sum of every increment that was ever *accepted* — what a lossless
-        system must converge to."""
-        merged = OpSet(self._sites["east"].ops)
-        merged.merge(self._sites["west"].ops)
-        return sum(op.args["amount"] for op in merged)
-
     def consistent(self) -> bool:
         """Do both sites answer the same (when both can answer)?"""
         values = [self.read(name) for name in self.SITES]

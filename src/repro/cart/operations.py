@@ -38,17 +38,6 @@ class CartOp:
         self.uniquifier = uniquifier or auto_uniquifier(f"cart-{kind}")
         self.time = time
 
-    def _fields(self) -> Tuple[Any, ...]:
-        return (self.kind, self.item, self.quantity, self.uniquifier, self.time)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CartOp:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __repr__(self) -> str:
         return (
             f"CartOp(kind={self.kind!r}, item={self.item!r}, "
@@ -64,19 +53,6 @@ class CartOp:
             "uniquifier": self.uniquifier,
             "time": self.time,
         }
-
-    @staticmethod
-    def from_wire(data: Dict[str, Any]) -> "CartOp":
-        try:
-            return CartOp(
-                kind=data["kind"],
-                item=data["item"],
-                quantity=data["quantity"],
-                uniquifier=data["uniquifier"],
-                time=data["time"],
-            )
-        except KeyError as missing:
-            raise malformed_entry(missing) from None
 
 
 def malformed_entry(missing: KeyError) -> SimulationError:

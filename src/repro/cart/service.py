@@ -40,11 +40,6 @@ class CartService:
         yield from self._fold_in(cart_key, op)
         return op
 
-    def change(self, cart_key: str, item: str, quantity: int) -> Generator[Any, Any, CartOp]:
-        op = CartOp("CHANGE", item, quantity, time=self.sim.now)
-        yield from self._fold_in(cart_key, op)
-        return op
-
     def delete(self, cart_key: str, item: str) -> Generator[Any, Any, CartOp]:
         op = CartOp("DELETE", item, time=self.sim.now)
         yield from self._fold_in(cart_key, op)

@@ -62,24 +62,15 @@ class RetryStormScenario(Scenario):
     naive_retries = 2
     naive_reissues = 6
     watermark = 8
+    horizon = 30.0
+    slow_factor = 20.0
+    service_time = 0.02
+    think_time = 0.2
+    deadline = 2.0
+    cadence = 1.0
 
-    def __init__(
-        self,
-        policy: str = "resilient",
-        horizon: float = 30.0,
-        slow_factor: float = 20.0,
-        service_time: float = 0.02,
-        think_time: float = 0.2,
-        deadline: float = 2.0,
-        cadence: float = 1.0,
-    ) -> None:
+    def __init__(self, policy: str = "resilient") -> None:
         self.choose_policy(policy)
-        self.horizon = horizon
-        self.slow_factor = slow_factor
-        self.service_time = service_time
-        self.think_time = think_time
-        self.deadline = deadline
-        self.cadence = cadence
 
     def spec_defaults(self) -> Dict[str, Any]:
         """Sweep bounds: short server outages and mild link faults on

@@ -97,24 +97,15 @@ class ChaosRunner:
         scenario: Any,
         spec: Optional[ChaosSpec] = None,
         plan: Optional[ChaosPlan] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if spec is None and plan is None:
             spec = scenario.spec()
         self.scenario = scenario
         self.spec = spec
         self.plan = plan
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
-
-    def plan_for(self, seed: int) -> ChaosPlan:
-        return self.plan if self.plan is not None else self.spec.sample(seed)
-
-    def run_seed(self, seed: int) -> ChaosReport:
-        report = self.scenario.run(seed, self.plan_for(seed))
-        self._account(report)
-        return report
 
     def _account(self, report: ChaosReport) -> None:
         """Fold one report into the runner's metrics. Kept separate from

@@ -124,12 +124,14 @@ class MembershipView:
     a refutation (or any superseding rumor) moved the entry first.
     """
 
+    #: An accepted change piggybacks on ``mult·log2(n + 1)`` exchanges.
+    retransmit_mult = 3.0
+
     def __init__(
         self,
         owner: str,
         sim: Simulator,
         suspicion_timeout: float = 1.5,
-        retransmit_mult: float = 3.0,
     ) -> None:
         if suspicion_timeout <= 0:
             raise SimulationError(
@@ -138,7 +140,6 @@ class MembershipView:
         self.owner = owner
         self.sim = sim
         self.suspicion_timeout = suspicion_timeout
-        self.retransmit_mult = retransmit_mult
         self._entries: Dict[str, MemberEntry] = {}
         self._budget: Dict[str, int] = {}
         self._version = 0
@@ -293,23 +294,6 @@ class MembershipView:
         self.sim.metrics.inc("membership.suspicions_cleared")
         return self.apply(name, ALIVE, entry.incarnation + 1)
 
-    def leave(self, name: str) -> bool:
-        """A deliberate departure (decommission): terminal at this
-        incarnation; only a higher-incarnation rejoin supersedes it."""
-        entry = self._entries.get(name)
-        incarnation = entry.incarnation if entry is not None else 0
-        if name == self.owner:
-            # The owner leaving is not an accusation to refute.
-            old = entry.status if entry is not None else None
-            if entry is not None and not rumor_wins(
-                LEFT, incarnation, entry.status, entry.incarnation
-            ):
-                return False
-            entry.status = LEFT
-            self._record_change(name, old, LEFT, incarnation)
-            return True
-        return self.apply(name, LEFT, incarnation)
-
     def _schedule_expiry(self, name: str, incarnation: int, version: int) -> None:
         self.sim.schedule(
             self.suspicion_timeout, self._maybe_expire, name, incarnation, version
@@ -389,6 +373,10 @@ class MembershipGossip:
     dissemination round doubles as the failure probe.
     """
 
+    #: Most deltas one round piggybacks, hottest first.
+    delta_limit = 12
+    policy = MEMBERSHIP_POLICY
+
     def __init__(
         self,
         view: MembershipView,
@@ -397,8 +385,6 @@ class MembershipGossip:
         period: float = 0.5,
         fanout: int = 1,
         full_sync_every: int = 4,
-        delta_limit: int = 12,
-        policy: Optional[RetryPolicy] = None,
     ) -> None:
         if endpoint is None and network is None:
             raise SimulationError("membership gossip needs an endpoint or network")
@@ -413,8 +399,6 @@ class MembershipGossip:
         self.period = period
         self.fanout = fanout
         self.full_sync_every = full_sync_every
-        self.delta_limit = delta_limit
-        self.policy = policy or MEMBERSHIP_POLICY
         self._owns_endpoint = endpoint is None
         if endpoint is None:
             endpoint = Endpoint(network, view.owner)

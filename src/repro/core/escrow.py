@@ -96,13 +96,6 @@ class EscrowAccount:
         self._grant(txn_id, delta)
         return None
 
-    def try_reserve(self, txn_id: Any, delta: float) -> bool:
-        """Non-blocking reserve; False when it would have to wait."""
-        if self._queue or not self._fits(delta):
-            return False
-        self._grant(txn_id, delta)
-        return True
-
     def _grant(self, txn_id: Any, delta: float) -> None:
         if not self._fits(delta):
             raise EscrowOverflow(
@@ -132,10 +125,6 @@ class EscrowAccount:
             self._queue.append(waiter)
             yield waiter.event
         self.sim.metrics.inc(f"escrow.{self.name}.reads")
-        return self.value
-
-    def peek(self) -> float:
-        """Dirty read of the committed value (no escrow semantics)."""
         return self.value
 
     # ------------------------------------------------------------------

@@ -61,11 +61,6 @@ class ThresholdRiskPolicy(RiskPolicy):
             return 0.0
 
 
-def always(enforcement: Enforcement) -> RiskPolicy:
-    """A constant policy (all-local or all-coordinated baselines)."""
-    return RiskPolicy(lambda _op: enforcement)
-
-
 class AdaptiveRiskPolicy(RiskPolicy):
     """Manage the probabilities (§5.5, §5.6): keep the apology rate near a
     business target by sliding the coordination threshold.

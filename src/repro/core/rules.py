@@ -55,9 +55,6 @@ class RuleEngine:
     def __init__(self, rules: Optional[List[BusinessRule]] = None) -> None:
         self.rules: List[BusinessRule] = list(rules or ())
 
-    def add(self, rule: BusinessRule) -> None:
-        self.rules.append(rule)
-
     def check_submit(self, state: Any, op: Operation) -> None:
         """At ingress: LOCAL and COORDINATED rules may refuse the work.
 

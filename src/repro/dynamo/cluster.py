@@ -160,7 +160,6 @@ class DynamoCluster:
         self.views: Dict[str, MembershipView] = {}
         self.membership_gossips: Dict[str, MembershipGossip] = {}
         self._gossip_settings: Dict[str, Any] = {}
-        self._gossip_until: Optional[float] = None
         self._client_ids = itertools.count(1)
         for node in self.nodes.values():
             self._register_merkle_handlers(node)
@@ -191,8 +190,9 @@ class DynamoCluster:
         epidemically over the nodes' own endpoints. From here on, who is
         alive is a *rumor*: detectors and failed gossip probes suspect
         into local views, refutations outrank accusations, and no node
-        can consult the cluster-object oracle on behalf of another.
-        Nodes that :meth:`join` later gossip under the same settings."""
+        can consult the cluster-object oracle on behalf of another. The
+        ring is fixed from here on: :meth:`join` and :meth:`decommission`
+        refuse a gossiping cluster."""
         if self.membership_gossips:
             raise SimulationError("gossip membership already attached")
         self._gossip_settings = {
@@ -209,8 +209,8 @@ class DynamoCluster:
         self, name: str, known: Sequence[str]
     ) -> MembershipGossip:
         """One node's local view, seeded with the members it ``known``
-        of at birth, plus its disseminator — initial members and joiners
-        alike, under the settings :meth:`attach_gossip_membership` took."""
+        of at birth, plus its disseminator, under the settings
+        :meth:`attach_gossip_membership` took."""
         view = MembershipView(name, self.sim, **self._gossip_settings["view"])
         view.seed(known)
         self.views[name] = view
@@ -223,14 +223,8 @@ class DynamoCluster:
     def start_membership_gossip(self, until: Optional[float] = None) -> None:
         if not self.membership_gossips:
             raise SimulationError("attach_gossip_membership first")
-        self._gossip_until = until
         for gossip in self.membership_gossips.values():
             gossip.run(until)
-
-    def stop_membership_gossip(self) -> None:
-        for gossip in self.membership_gossips.values():
-            gossip.stop()
-        self._gossip_until = None
 
     def view_of(self, name: str) -> MembershipView:
         """``name``'s local gossip view; a domain error before
@@ -243,29 +237,6 @@ class DynamoCluster:
         """Liveness as ``observer`` believes it: its local gossip view
         (possibly stale, possibly wrong), or no opinion at all."""
         return self.views.get(observer, NO_OPINION).is_usable(target)
-
-    def _bootstrap_gossip_view(
-        self, node_name: str
-    ) -> Generator[Any, Any, None]:
-        """Seed a joiner's view: it knows itself plus one introducer (the
-        first reachable peer, deterministically), then runs one full
-        push-pull with it — after which both sides hold each other and
-        the epidemic does the rest."""
-        introducer = next(
-            (
-                name for name in sorted(self.views)
-                if self.alive(name)
-                and self.network.reachable(node_name, name)
-            ),
-            None,
-        )
-        gossip = self._attach_gossiper(
-            node_name, [] if introducer is None else [introducer]
-        )
-        if introducer is not None:
-            yield from gossip.round_once(force_full=True)
-        if self._gossip_until is not None:
-            gossip.run(self._gossip_until)
 
     def alive(self, node_name: str) -> bool:
         """Ground truth, for the driver only (experiments, the harness,
@@ -600,6 +571,10 @@ class DynamoCluster:
         on the joiner alone. Returns transfer accounting.
         """
         check_buckets(buckets)
+        if self.membership_gossips:
+            raise SimulationError(
+                f"cannot join {node_name!r}: gossip membership is attached"
+            )
         if node_name in self.nodes:
             raise SimulationError(f"node {node_name!r} already in the cluster")
         node = DynamoNode(self.sim, self.network, node_name)
@@ -616,14 +591,6 @@ class DynamoCluster:
             node_name, "ring.join", moved_ranges=len(moved),
             nodes=len(self.nodes),
         )
-        if self.membership_gossips:
-            # The join is an ``alive`` rumor, not an oracle broadcast:
-            # the joiner bootstraps its view from one introducer (a full
-            # push-pull, which also plants the joiner in the introducer's
-            # view) and epidemic spread does the rest. Until the rumor
-            # reaches a node, that node's preference walks skip the
-            # joiner and hinted handoff carries its writes.
-            yield from self._bootstrap_gossip_view(node_name)
         # Pull each gained arc from every previous owner still reachable
         # (the first source ships the bulk; Merkle digests make the rest
         # near-free once the range agrees).
@@ -664,6 +631,10 @@ class DynamoCluster:
         W-1 replicas and anti-entropy heals the copy count.
         """
         check_buckets(buckets)
+        if self.membership_gossips:
+            raise SimulationError(
+                f"cannot decommission {node_name!r}: gossip membership is attached"
+            )
         node = self._node(node_name)
         if len(self.nodes) - 1 < self.n:
             raise SimulationError(
@@ -699,18 +670,6 @@ class DynamoCluster:
             # Straggler sweep: hints that would not deliver, stale copies
             # from older reshapes — push anything the current owners lack.
             stats["leftover_pushes"] = yield from self._drain_leftovers(node)
-        if node_name in self.membership_gossips:
-            # Announce the departure as a ``left`` rumor before the
-            # endpoint dies: the leaver marks itself LEFT and pushes one
-            # full exchange so at least one survivor carries the rumor on.
-            # (A dead node can't announce; survivors' probes will have
-            # convicted it to ``dead``, which is also a stable verdict.)
-            gossip = self.membership_gossips.pop(node_name)
-            view = self.views.pop(node_name)
-            if self.alive(node_name):
-                view.leave(node_name)
-                yield from gossip.round_once(force_full=True)
-            gossip.stop()
         node.endpoint.stop("decommissioned")
         if node.snapshotter is not None:
             node.snapshotter.stop()

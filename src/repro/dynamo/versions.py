@@ -26,12 +26,6 @@ class VectorClock:
         )
         self._hash: Optional[int] = None
 
-    def increment(self, node: str) -> "VectorClock":
-        """A new clock with ``node``'s counter bumped."""
-        merged = dict(self.counters)
-        merged[node] = merged.get(node, 0) + 1
-        return VectorClock(merged)
-
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Pointwise max — the least clock descending both."""
         merged = dict(self.counters)

@@ -28,10 +28,9 @@ away:
   ``take_over`` on conviction (fenced or, for the E14 ablation,
   unfenced).
 
-Everything is seeded/deterministic on sim time: no detector process
-draws RNG unless jitter is explicitly configured, and none of it exists
-unless explicitly installed — default runs (and the golden traces) are
-byte-for-byte unchanged.
+Everything is deterministic on sim time: no detector process draws
+RNG, and none of it exists unless explicitly installed — default runs
+(and the golden traces) are byte-for-byte unchanged.
 """
 
 from repro.failover.detector import (

@@ -97,7 +97,9 @@ class LogshipFailover:
         self.system = system
         self.sim = system.sim
         self.fenced = fenced
-        self.poll_interval = poll_interval or heartbeat_interval / 2.0
+        self.poll_interval = (
+            heartbeat_interval / 2.0 if poll_interval is None else poll_interval
+        )
         self.monitor_name = monitor_name
         self.leases = LeaseManager(self.sim)
         # Epoch 1: the incumbent's regime is a granted lease too.

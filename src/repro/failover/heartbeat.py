@@ -24,22 +24,16 @@ class HeartbeatEmitter:
         self,
         endpoint: Endpoint,
         monitor: str,
-        node: Optional[str] = None,
         interval: float = 0.25,
-        jitter: float = 0.0,
         epoch_of: Optional[Callable[[], int]] = None,
     ) -> None:
         if interval <= 0:
             raise SimulationError(f"bad heartbeat interval {interval}")
-        # At jitter >= 1 a draw can scale the delay to zero or below.
-        if not 0.0 <= jitter < 1.0:
-            raise SimulationError(f"heartbeat jitter {jitter} outside [0, 1)")
         self.sim = endpoint.sim
         self.endpoint = endpoint
         self.monitor = monitor
-        self.node = node or endpoint.name
+        self.node = endpoint.name
         self.interval = interval
-        self.jitter = jitter
         self.epoch_of = epoch_of
         self._proc = None
         self._seq = 0
@@ -55,15 +49,8 @@ class HeartbeatEmitter:
             self._proc = None
 
     def _loop(self) -> Generator[Any, Any, None]:
-        rng = (
-            self.sim.rng.stream(f"failover.hb.{self.node}")
-            if self.jitter else None
-        )
         while True:
-            delay = self.interval
-            if rng is not None:
-                delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
-            yield Timeout(delay)
+            yield Timeout(self.interval)
             self._seq += 1
             self.endpoint.cast(
                 self.monitor,

@@ -67,12 +67,6 @@ class GossipCluster:
         """Ingress at one replica."""
         return self.replica(name).submit(op)
 
-    def run(self, until: float) -> None:
-        """Start every node's gossip loop and run the simulation."""
-        for node in self.nodes.values():
-            node.run(until)
-        self.sim.run(until=until)
-
     # ------------------------------------------------------------------
 
     def converged(self) -> bool:

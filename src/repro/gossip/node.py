@@ -146,11 +146,6 @@ class GossipNode:
             except (TimeoutError_, RpcError):
                 self.rounds_failed += 1
 
-    def stop(self) -> None:
-        if self._loop_proc is not None:
-            self._loop_proc.interrupt("stopped")
-        self.endpoint.stop("stopped")
-
     def crash(self, cause: str = "crash") -> None:
         """Fail fast: the replica object survives (its op set models the
         durable log); the serving endpoint and loop die."""

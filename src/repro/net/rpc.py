@@ -32,7 +32,7 @@ is delegated to :mod:`repro.resilience`:
   a call without one gets ``RetryPolicy()`` — four attempts on a
   one-second timer, no pause, no RNG draws.
 - :meth:`Endpoint.use_breaker` puts a per-destination circuit breaker in
-  front of ``call`` and ``cast``.
+  front of ``call``.
 - :meth:`Endpoint.use_admission` bounds concurrently-served handlers:
   beyond the watermark, requests are rejected with a ``BUSY`` reply —
   or answered by a degraded-mode handler (:meth:`Endpoint.on_degraded`)
@@ -141,7 +141,7 @@ class Endpoint:
 
     def use_breaker(self, config: Optional[BreakerConfig] = None) -> None:
         """Put a per-destination circuit breaker in front of this
-        endpoint's outgoing ``call``/``cast`` traffic."""
+        endpoint's outgoing ``call`` traffic."""
         self._breakers = BreakerBoard(self.sim, self.name, config or BreakerConfig())
 
     def use_admission(self, config: Optional[AdmissionConfig] = None) -> None:
@@ -480,22 +480,13 @@ class Endpoint:
         raise TimeoutError_(f"{self.name} -> {dst} {kind}: no reply after {attempts} attempts")
 
     def _sleep(self, delay: float) -> Generator[Any, Any, None]:
-        """Backoff pause that survives being mixed into AnyOf-driven
-        callers: a plain timer event with this call as the only waiter."""
+        """Backoff pause: a plain timer event with this call as the only
+        waiter."""
         yield self.sim.timeout_event(delay, name=("backoff:%s", self.name))
 
-    def cast(self, dst: str, kind: str, payload: Optional[Dict[str, Any]] = None) -> bool:
-        """Fire-and-forget send. Consults the circuit breaker (state
-        only — casts carry no feedback) and returns False when the open
-        breaker short-circuited the send."""
-        if self._breakers is not None:
-            breaker = self._breakers.for_dst(dst)
-            if not breaker.would_allow():
-                self.sim.metrics.inc(f"resilience.breaker.{self.name}.short_circuits")
-                self.sim.trace.emit(self.name, "rpc.cast_dropped", dst=dst, verb=kind)
-                return False
+    def cast(self, dst: str, kind: str, payload: Optional[Dict[str, Any]] = None) -> None:
+        """Fire-and-forget send."""
         self.network.send(Message(self.name, dst, kind, dict(payload or {})))
-        return True
 
 
 class RpcClient(Endpoint):

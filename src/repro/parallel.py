@@ -30,11 +30,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def default_processes() -> int:
-    """Worker count when the caller asks for auto (``processes=None``)."""
-    return os.cpu_count() or 1
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -48,7 +43,7 @@ def parallel_map(
     """
     items = list(items)
     if processes is None:
-        processes = default_processes()
+        processes = os.cpu_count() or 1
     processes = min(processes, len(items))
     if processes <= 1:
         return [fn(item) for item in items]

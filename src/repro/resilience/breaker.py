@@ -102,14 +102,6 @@ class CircuitBreaker:
         self.last_probe_at = self.sim.now
         return True
 
-    def would_allow(self) -> bool:
-        """State-only peek for feedback-free sends (casts): True unless
-        the breaker is open and still cooling off. Takes no probe slot
-        and never transitions — casts carry no outcome to learn from."""
-        if self.state is not BreakerState.OPEN:
-            return True
-        return self.sim.now >= self.opened_at + self.config.recovery_time
-
     def record_success(self) -> None:
         if self.state is BreakerState.HALF_OPEN:
             self.probes_inflight = max(0, self.probes_inflight - 1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 
@@ -85,9 +85,3 @@ class RetryPolicy:
                 raise SimulationError("jittered policy needs an rng stream")
             delay *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return delay
-
-    def schedule(self, rng: Optional[random.Random] = None) -> List[float]:
-        """Every backoff pause the policy can take, in order — attempt 1
-        through ``max_attempts - 1``. Pure given the rng state; tests use
-        it to assert seed-determinism of the whole schedule."""
-        return [self.backoff_delay(n, rng) for n in range(1, self.max_attempts)]

@@ -9,8 +9,8 @@ invitation to hoard. The pattern: three explicit states —
 2. ``pending`` (session-identity, bounded by a timeout)
 3. ``purchased`` (purchaser-identity)
 
-— each transition a small database transaction, plus a durable cleanup
-queue for abandoned pendings. Constructing the map with
+— each transition a small database transaction, plus a cleanup timer
+for abandoned pendings. Constructing the map with
 ``pending_timeout=None`` models the broken no-timeout variant the
 experiment's hoarding attacker exploits.
 """
@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import CrashedError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.scheduler import Simulator
 
 
@@ -55,19 +55,13 @@ class SeatMap:
         self.seats: Dict[str, _Seat] = {seat_id: _Seat() for seat_id in seat_ids}
         self.expired_holds = 0
         self.purchases = 0
-        self.up = True
-        # §7.3: cleanup requests are *durably* enqueued. Entries are
-        # (seat_id, generation, deadline); survive crashes and re-arm on
-        # restart. (Seat states themselves are transactional/durable.)
-        self._cleanup_queue: List[tuple] = []
 
     # ------------------------------------------------------------------
     # Transitions (each one "a database transaction")
 
     def hold(self, seat_id: str, session: str) -> bool:
-        """available → pending. Durably enqueues the cleanup when a
-        timeout is configured. Returns False if the seat is not available."""
-        self._require_up()
+        """available → pending. Arms the cleanup when a timeout is
+        configured. Returns False if the seat is not available."""
         seat = self._seat(seat_id)
         if seat.state is not SeatState.AVAILABLE:
             return False
@@ -75,8 +69,6 @@ class SeatMap:
         seat.session = session
         seat.generation += 1
         if self.pending_timeout is not None:
-            deadline = self.sim.now + self.pending_timeout
-            self._cleanup_queue.append((seat_id, seat.generation, deadline))
             self.sim.schedule(
                 self.pending_timeout, self._expire, seat_id, seat.generation
             )
@@ -84,7 +76,6 @@ class SeatMap:
 
     def purchase(self, seat_id: str, session: str, purchaser: str) -> bool:
         """pending → purchased, only by the holding session."""
-        self._require_up()
         seat = self._seat(seat_id)
         if seat.state is not SeatState.PENDING or seat.session != session:
             return False
@@ -95,58 +86,14 @@ class SeatMap:
         self.purchases += 1
         return True
 
-    def release(self, seat_id: str, session: str) -> bool:
-        """pending → available, voluntarily (buyer walked away cleanly)."""
-        self._require_up()
-        seat = self._seat(seat_id)
-        if seat.state is not SeatState.PENDING or seat.session != session:
-            return False
-        self._make_available(seat)
-        return True
-
     def _expire(self, seat_id: str, generation: int) -> None:
-        """The durable cleanup: a pending hold past its window is undone.
-        The generation check ignores stale timers from earlier holds; a
-        down system defers to the restart re-arm (the queue is durable)."""
-        if not self.up:
-            return
+        """The cleanup: a pending hold past its window is undone. The
+        generation check ignores stale timers from earlier holds."""
         seat = self.seats[seat_id]
         if seat.state is SeatState.PENDING and seat.generation == generation:
             self._make_available(seat)
             self.expired_holds += 1
             self.sim.metrics.inc("seats.expired_holds")
-        self._cleanup_queue = [
-            entry for entry in self._cleanup_queue
-            if entry[:2] != (seat_id, generation)
-        ]
-
-    # ------------------------------------------------------------------
-    # Failure (the ticketing database restarts; holds must still expire)
-
-    def crash(self) -> None:
-        """Fail fast. Seat states and the cleanup queue are durable (each
-        transition was a database transaction); only service stops."""
-        self.up = False
-
-    def restart(self) -> None:
-        """Come back and re-arm the durable cleanup queue: overdue holds
-        expire immediately, the rest get fresh timers for their original
-        deadlines."""
-        if self.up:
-            return
-        self.up = True
-        queue, self._cleanup_queue = self._cleanup_queue, []
-        for seat_id, generation, deadline in queue:
-            seat = self.seats[seat_id]
-            if not (seat.state is SeatState.PENDING and seat.generation == generation):
-                continue  # settled some other way before the crash
-            self._cleanup_queue.append((seat_id, generation, deadline))
-            delay = max(0.0, deadline - self.sim.now)
-            self.sim.schedule(delay, self._expire, seat_id, generation)
-
-    def _require_up(self) -> None:
-        if not self.up:
-            raise CrashedError("the seat service is down")
 
     @staticmethod
     def _make_available(seat: _Seat) -> None:

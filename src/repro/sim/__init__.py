@@ -12,14 +12,14 @@ Public surface:
 - :class:`Simulator` — the event loop and clock.
 - :class:`Process` — a running generator; yield effects to wait.
 - :class:`Event` — a one-shot waitable; also the return channel for values.
-- Effects: :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` (plus yielding
-  an :class:`Event` or :class:`Process` directly).
+- Effects: :class:`Timeout`, :class:`AllOf` (plus yielding an
+  :class:`Event` or :class:`Process` directly).
 - :class:`RngRegistry` — named, seeded random streams.
 - :mod:`repro.sim.metrics` — counters, histograms, time series.
 - :mod:`repro.sim.trace` — structured trace log.
 """
 
-from repro.sim.events import Event, Timeout, AnyOf, AllOf
+from repro.sim.events import Event, Timeout, AllOf
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.random import RngRegistry
@@ -35,7 +35,6 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "RngRegistry",
     "Counter",

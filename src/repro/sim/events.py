@@ -12,9 +12,8 @@ process yields:
 - ``yield some_event`` — wait; the yield evaluates to the event's value.
 - ``yield some_process`` — wait for the process to finish (its ``done``
   event); the yield evaluates to the process's return value.
-- ``yield AnyOf([...])`` — wait until any one completes; evaluates to a dict
-  mapping the completed events to their values.
-- ``yield AllOf([...])`` — wait until all complete; same dict shape.
+- ``yield AllOf([...])`` — wait until all complete; evaluates to a dict
+  mapping the events to their values.
 
 Names are for error messages and ``repr`` only, so the request path never
 formats one: a name may be given as a ``(template, *args)`` tuple, which
@@ -149,8 +148,8 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
-class _Condition:
-    """Shared machinery for AnyOf/AllOf composite waits."""
+class AllOf:
+    """Effect: resume when all contained events/processes settle."""
 
     __slots__ = ("events",)
 
@@ -165,11 +164,3 @@ class _Condition:
                 raise SimulationError(f"cannot wait on {item!r}")
             resolved.append(event)
         return resolved
-
-
-class AnyOf(_Condition):
-    """Effect: resume when any contained event/process settles."""
-
-
-class AllOf(_Condition):
-    """Effect: resume when all contained events/processes settle."""

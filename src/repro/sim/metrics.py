@@ -22,9 +22,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
 
@@ -88,16 +85,6 @@ class Histogram:
         # Lerp as base + frac*(delta): exact when the endpoints are equal,
         # where the two-product form can overshoot the data range by ulps.
         return data[low] + frac * (data[high] - data[low])
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "min": self.minimum,
-            "max": self.maximum,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4g}>"

@@ -16,7 +16,7 @@ The wait protocol allocates nothing per ``yield``:
 - **Target slot.** A process blocked on an :class:`Event` sits in that
   event's callback list *itself* (it is callable) and names the event in
   ``_target``; a settle that finds ``_target`` pointing elsewhere skips it.
-  ``AnyOf``/``AllOf`` put one :class:`_Composite` in the slot and in every
+  ``AllOf`` puts one :class:`_Composite` in the slot and in every
   member's list.
 - **Interrupt epoch.** A ``Timeout`` has nothing to sit in, so its wake-up
   carries the epoch it was scheduled under and is dropped if the process
@@ -31,11 +31,11 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim.events import AllOf, Event, Name, Timeout, _Condition, render_name
+from repro.sim.events import AllOf, Event, Name, Timeout, render_name
 
 
 class _Composite:
-    """One outstanding ``AnyOf``/``AllOf`` wait: the callback registered
+    """One outstanding ``AllOf`` wait: the callback registered
     on every member and the process's ``_target`` while it lasts."""
 
     __slots__ = ("proc", "events", "remaining")
@@ -153,7 +153,7 @@ class Process:
                 event = effect
             elif kind is Process:
                 event = effect.done
-            elif kind is _Condition:
+            elif kind is AllOf:
                 self._wait_composite(effect)
                 return
             else:
@@ -179,8 +179,7 @@ class Process:
         if not events:
             self.sim.schedule(0.0, _wake, self, self._epoch, {})
             return
-        need = len(events) if isinstance(effect, AllOf) else 1
-        wait = self._target = _Composite(self, events, need)
+        wait = self._target = _Composite(self, events, len(events))
         for event in events:
             event.add_callback(wait)
 
@@ -192,7 +191,7 @@ class Process:
 def _effect_kind(effect: Any) -> Optional[type]:
     """Which of the four effect kinds a subclass instance (or a composite)
     is; None for something that is not an effect at all."""
-    for kind in (Timeout, Event, Process, _Condition):
+    for kind in (Timeout, Event, Process, AllOf):
         if isinstance(effect, kind):
             return kind
     return None

@@ -30,20 +30,3 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(_derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def __call__(self, name: str) -> random.Random:
-        return self.stream(name)
-
-    # Convenience pass-throughs on a default stream -----------------------
-
-    def uniform(self, low: float, high: float, stream: str = "default") -> float:
-        return self.stream(stream).uniform(low, high)
-
-    def expovariate(self, rate: float, stream: str = "default") -> float:
-        return self.stream(stream).expovariate(rate)
-
-    def choice(self, seq, stream: str = "default"):
-        return self.stream(stream).choice(seq)
-
-    def random(self, stream: str = "default") -> float:
-        return self.stream(stream).random()

@@ -124,32 +124,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Running
 
-    def _lane_is_next(self) -> bool:
-        """Does the fast lane hold the globally next (time, seq) item?
-
-        Heap entries at the current timestamp predate any lane entry made
-        while processing that timestamp, but after an interrupted run
-        (``max_steps`` tripping mid-batch) both structures can hold items
-        at ``now`` — the shared sequence counter disambiguates.
-        """
-        if not self._lane:
-            return False
-        heap = self._heap
-        return not (heap and heap[0][0] <= self.now and heap[0][1] < self._lane[0][0])
-
-    def step(self) -> bool:
-        """Execute the next scheduled callback. Returns False if idle."""
-        if self._lane_is_next():
-            _seq, fn, args = self._lane.popleft()
-        elif self._heap:
-            when, _seq, fn, args = _heappop(self._heap)
-            self.now = when
-        else:
-            return False
-        self.steps += 1
-        fn(*args)
-        return True
-
     def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> float:
         """Run until the pending work drains, ``until`` is reached, or
         ``max_steps`` callbacks have executed. Returns the final simulated

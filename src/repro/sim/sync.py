@@ -8,7 +8,7 @@
 - :class:`Lock` — a Resource of capacity 1 with reentrant-free semantics.
 
 All waiting is expressed through :class:`~repro.sim.events.Event`, so these
-compose with ``AnyOf``/``AllOf`` and with process interrupts.
+compose with ``AllOf`` and with process interrupts.
 """
 
 from __future__ import annotations

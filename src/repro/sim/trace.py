@@ -133,10 +133,6 @@ class TraceLog:
     def count(self, kind: Optional[str] = None, actor: Optional[str] = None) -> int:
         return sum(1 for _ in self.iter(kind=kind, actor=actor))
 
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
     def tail(self, count: int) -> List[TraceRecord]:
         """The last ``count`` records (debug context for violations)."""
         if count <= 0:

@@ -75,12 +75,6 @@ class AppClient:
         self.sim.metrics.observe("tandem.commit_latency", self.sim.now - start)
         self.sim.metrics.inc("tandem.commits")
 
-    def abort(self, txn: Txn) -> Generator[Any, Any, None]:
-        """Voluntary abort."""
-        self.system.registry.mark_aborted(txn.id)
-        yield from self._abort_remote(txn)
-        self.sim.metrics.inc("tandem.aborts")
-
     # ------------------------------------------------------------------
 
     def _abort_remote(self, txn: Txn) -> Generator[Any, Any, None]:

@@ -337,39 +337,6 @@ class DiskProcessPair:
             self._ship_proc.interrupt("crash")
         self._ship_scheduled = False
         self._ship_waiters = []
-        return self._promote(old, lost_records)
-
-    def take_over(self) -> List[int]:
-        """Promote the backup WITHOUT crashing the serving side — what the
-        backup of §3 actually does when the primary merely *seems* dead.
-
-        Unlike :meth:`crash_primary`, the old side's process stays alive;
-        it is fenced by construction, because every primary-side handler
-        guards on ``endpoint.name == self.current`` (I'm-Alive by
-        identity, not by epoch arithmetic). A deposed-but-alive primary's
-        WRITE/FLUSH/APPLY traffic raises at the guard instead of mutating
-        anything. Returns the transactions aborted by the takeover.
-        """
-        old = self.current
-        lost_records = len(self._states[old].log_buffer)
-        if self._ship_proc is not None:
-            self._ship_proc.interrupt("takeover")
-        self._ship_scheduled = False
-        # The old side's FLUSH riders are waiting on a bus that will never
-        # arrive now; fail them so their transactions abort cleanly
-        # instead of hanging forever.
-        waiters, self._ship_waiters = self._ship_waiters, []
-        for target_lsn, waiter in waiters:
-            if not waiter.triggered:
-                waiter.fail(SimulationError(
-                    f"{self.name}: takeover deposed the primary before "
-                    f"lsn {target_lsn} shipped"
-                ))
-        return self._promote(old, lost_records)
-
-    def _promote(self, old: str, lost_records: int) -> List[int]:
-        """Shared takeover tail: TMF aborts (DP2), backup recovery,
-        accounting. Keeps the exact event order of the original path."""
         aborted: List[int] = []
         if self.config.mode is DPMode.DP2:
             aborted = self.registry.abort_active_dirty_at(self.name)
@@ -391,17 +358,3 @@ class DiskProcessPair:
         self.sim.metrics.inc(f"tandem.{self.name}.takeovers")
         self.sim.metrics.inc("tandem.aborted_by_takeover", len(aborted))
         return aborted
-
-    def reintegrate(self) -> None:
-        """Bring the crashed side back as the new backup, resilvered from
-        the serving side's committed image (maintenance operation)."""
-        dead = self._peer_of(self.current)
-        live_state = self._states[self.current]
-        self._states[dead] = _DPState(
-            committed=dict(live_state.committed),
-            # In-flight transactions' buffered writes must resilver too:
-            # a DP1 takeover promotes this copy and continues them.
-            pending={txn: dict(writes) for txn, writes in live_state.pending.items()},
-            shipped_lsn=live_state.shipped_lsn,
-        )
-        self._endpoints[dead].restart()

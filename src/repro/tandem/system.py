@@ -60,18 +60,9 @@ class TandemSystem:
             raise SimulationError(f"unknown DP pair {name!r}")
         return self.pairs[name]
 
-    def pair_names(self) -> List[str]:
-        return list(self.pairs)
-
     def crash_primary(self, pair_name: str) -> List[int]:
         """Crash the serving side of one pair; returns aborted txn ids."""
         return self.pair(pair_name).crash_primary()
-
-    def take_over(self, pair_name: str) -> List[int]:
-        """Promote one pair's backup without crashing the primary (a
-        suspected — possibly just slow — primary stays alive, fenced by
-        the primary guard). Returns aborted txn ids."""
-        return self.pair(pair_name).take_over()
 
     # ------------------------------------------------------------------
     # Invariant checks used by tests and experiments

@@ -12,8 +12,7 @@ is now true, and the compensation — and routes it through an
   :mod:`repro.resources`: a retracted grant releases the fulfillment
   pool's unit (``release``), an upgraded decline re-reserves one
   (``allocate``) — §7.4's cheap apology, executed;
-- anything else goes to a pluggable handler per op type, and to the
-  human ledger when no handler owns it.
+- anything else goes to the human ledger.
 
 :func:`reconcile_pools` is the replica-merge path: it turns the
 conflicts :meth:`repro.resources.FungiblePool.reconcile_with` now
@@ -24,7 +23,7 @@ apologies, so a partitioned pair of pools settles with a truthful count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.operation import Operation
 from repro.resources.fungible import FungiblePool
@@ -40,18 +39,8 @@ class TxnApology:
     told: Any             # the result the client walked away with
     actual: Any           # the result the agreed order produced
     action: str           # the compensation taken ("release", "re-reserve",
-                          # "handled:<op_type>", "human")
+                          # "human")
     time: float
-
-    def describe(self) -> str:
-        return (
-            f"{self.origin} told {self.uniquifier} ({self.op_type}) "
-            f"{self.told!r}; truth is {self.actual!r}; action={self.action}"
-        )
-
-
-#: A handler takes the apology and returns True when it compensated.
-Handler = Callable[[TxnApology], bool]
 
 
 class ApologyBook:
@@ -67,13 +56,9 @@ class ApologyBook:
         #: The fulfillment-side pool (real seats, real rooms) that acked
         #: grants were taken from; compensation releases/re-reserves here.
         self.pool = pool
-        self._handlers: Dict[str, Handler] = {}
         self.entries: List[TxnApology] = []
         self.human: List[TxnApology] = []
         self._seen: set = set()
-
-    def register_handler(self, op_type: str, handler: Handler) -> None:
-        self._handlers[op_type] = handler
 
     # ------------------------------------------------------------------
 
@@ -105,16 +90,7 @@ class ApologyBook:
         self._seen.add(op.uniquifier)
         action = self._compensate(op.uniquifier, op.op_type, told, actual)
         if not action:
-            handler = self._handlers.get(op.op_type)
-            apology = TxnApology(
-                uniquifier=op.uniquifier, op_type=op.op_type,
-                origin=origin or op.origin, told=told, actual=actual,
-                action="pending", time=self.sim.now,
-            )
-            if handler is not None and handler(apology):
-                action = f"handled:{op.op_type}"
-            else:
-                action = "human"
+            action = "human"
         apology = TxnApology(
             uniquifier=op.uniquifier, op_type=op.op_type,
             origin=origin or op.origin, told=told, actual=actual,

@@ -19,7 +19,6 @@ minted.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.operation import Operation, TypeRegistry
@@ -41,7 +40,7 @@ class TxnMachine:
 
     def copy(self, state: Any) -> Any:
         """A private copy ``apply`` may mutate freely."""
-        return copy.deepcopy(state)
+        raise NotImplementedError
 
     def apply(self, state: Any, op: Operation) -> Any:
         raise NotImplementedError

@@ -72,12 +72,6 @@ class WorkflowReplica:
             self.queue.extend(children)
         return performed
 
-    def knows(self, uniquifier: str) -> bool:
-        return uniquifier in self.records
-
-    def record_of(self, uniquifier: str) -> Optional[ExecutionRecord]:
-        return self.records.get(uniquifier)
-
 
 class WorkflowSystem:
     """Replicas plus the knowledge-sloshing between them."""

@@ -25,9 +25,8 @@ def test_single_shopper_flow(strategy):
     service = CartService(cluster, strategy)
 
     def shop():
-        yield from service.add("cart:alice", "book", 2)
+        yield from service.add("cart:alice", "book")
         yield from service.add("cart:alice", "pen")
-        yield from service.change("cart:alice", "book", 1)
         yield from service.delete("cart:alice", "pen")
         cart = yield from service.view("cart:alice")
         return cart

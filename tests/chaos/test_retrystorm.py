@@ -15,8 +15,8 @@ from repro.chaos.retrystorm import RetryStormScenario
 from repro.chaos.runner import ChaosRunner
 
 
-def run_storm(policy, seed, plan=None, **kwargs):
-    scenario = RetryStormScenario(policy=policy, **kwargs)
+def run_storm(policy, seed, plan=None):
+    scenario = RetryStormScenario(policy=policy)
     return scenario.run(seed, plan if plan is not None else ChaosPlan())
 
 

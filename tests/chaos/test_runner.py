@@ -86,10 +86,9 @@ def test_chaos_free_bug_shrinks_to_empty_plan():
 def test_fixed_plan_runner_skips_sampling():
     plan = ChaosPlan((CrashEpisode("g0", 5.0, 8.0),))
     runner = ChaosRunner(BankClearingScenario(policy="correct"), plan=plan)
-    assert runner.plan_for(0) == plan
-    assert runner.plan_for(99) == plan
-    report = runner.run_seed(0)
-    assert not report.failed
+    result = runner.sweep([0, 99])
+    assert [report.plan for report in result.reports] == [plan, plan]
+    assert not result.failures
 
 
 def test_lww_cart_loses_adds_and_op_cart_does_not():

@@ -201,7 +201,7 @@ def test_clear_suspicion_needs_something_to_clear():
 
 def test_deltas_decrement_budget_until_exhausted():
     sim = Simulator(seed=0)
-    view = MembershipView("a", sim, retransmit_mult=3.0)
+    view = MembershipView("a", sim)
     view.seed(["a", "b"])
     assert view.deltas() == []                # seeding spreads nothing
     view.apply("c", ALIVE, 0)
@@ -302,7 +302,7 @@ def test_left_member_is_not_gossiped_at():
     sim, network = make_fabric(seed=5)
     names = ["m0", "m1", "m2"]
     views, gossips = make_cluster(sim, network, names)
-    views["m0"].leave("m2")
+    views["m0"].apply("m2", LEFT, 0)
     assert "m2" not in views["m0"].member_names()
     assert views["m0"].status_of("m2") == LEFT
     # A same-incarnation alive rumor cannot resurrect the departed.

@@ -82,27 +82,22 @@ def test_worst_case_blocks_risky_reserve():
     assert account.value == 20.0
 
 
-def test_try_reserve_nonblocking():
-    sim = Simulator()
-    account = EscrowAccount(sim, initial=100.0)
-    assert account.try_reserve("t1", -80.0)
-    assert not account.try_reserve("t2", -80.0)
-    account.commit("t1")
-    assert account.try_reserve("t2", -20.0)
-
-
 def test_upper_bound_enforced():
     sim = Simulator()
     account = EscrowAccount(sim, initial=0.0, maximum=50.0)
-    assert account.try_reserve("t1", 50.0)
-    assert not account.try_reserve("t2", 1.0)
+    first = sim.spawn(account.reserve("t1", 50.0))
+    second = sim.spawn(account.reserve("t2", 1.0))
+    sim.run()
+    assert not first.alive     # fits: granted at once
+    assert second.alive        # would breach the maximum: waits
 
 
 def test_worst_case_accounting():
     sim = Simulator()
     account = EscrowAccount(sim, initial=100.0)
-    account.try_reserve("t1", -30.0)
-    account.try_reserve("t2", 20.0)
+    sim.spawn(account.reserve("t1", -30.0))
+    sim.spawn(account.reserve("t2", 20.0))
+    sim.run()
     assert account.worst_case_low == 70.0
     assert account.worst_case_high == 120.0
 

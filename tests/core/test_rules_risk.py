@@ -9,7 +9,6 @@ from repro.core import (
     RuleEngine,
     ThresholdRiskPolicy,
 )
-from repro.core.risk import always
 from repro.errors import RuleViolation
 from tests.core.conftest import add_op
 
@@ -75,8 +74,3 @@ def test_threshold_policy_custom_extractor():
 def test_threshold_policy_missing_amount_is_riskless():
     policy = ThresholdRiskPolicy(threshold=10)
     assert not policy.requires_coordination(Operation("PING", {}))
-
-
-def test_always_policy():
-    assert always(Enforcement.COORDINATED).requires_coordination(add_op(1))
-    assert not always(Enforcement.LOCAL).requires_coordination(add_op(1))

@@ -9,7 +9,9 @@ links drop everything (it times out; ``reachable()`` cannot see that) or
 every other message (DIGESTS answered, a SYNC_BUCKET lost), a peer
 crashing mid-round, or a rumor that a live peer is dead — and a
 repair script: whole-ring rounds, or a join plus a decommission, whose
-range transfers go through ``_range_sync``. The scenario is played on two
+range transfers go through ``_range_sync`` (a ring carrying the rumor
+gossips its membership, so it refuses to reshape and only the round
+is left to compare). The scenario is played on two
 clusters, one with the frozen bodies bound over the production methods;
 both must end with the same stores, returned stats, counters
 (``net.sent``, ``dynamo.*``, ``rpc.*.retries`` …), clock and ``sim.steps``.
@@ -23,6 +25,7 @@ import pytest
 from repro.cluster import DEAD
 from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
 from repro.dynamo.cluster import QuorumUnavailable
+from repro.errors import SimulationError
 from repro.net import LinkConfig
 
 from tests.dynamo import reference_merkle
@@ -83,6 +86,10 @@ def _repair(cluster, rng, script):
     if script == "whole-ring":
         return [run(cluster.run_merkle_round(buckets)) for _ in range(3)]
     leaver = rng.choice(sorted(cluster.nodes))
+    if cluster.membership_gossips:
+        with pytest.raises(SimulationError, match="gossip membership is attached"):
+            run(cluster.join("joiner", buckets))
+        return [run(cluster.run_merkle_round(buckets))]
     return [
         run(cluster.join("joiner", buckets)),
         run(cluster.decommission(leaver, buckets)),

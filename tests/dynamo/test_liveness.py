@@ -112,28 +112,18 @@ def test_gossip_lifecycle_guards():
         cluster.attach_gossip_membership()
 
 
-def test_a_joiner_inherits_every_gossip_setting():
-    cluster = DynamoCluster(num_nodes=4, seed=1)
-    cluster.attach_gossip_membership(
-        period=0.4, fanout=3, suspicion_timeout=2.5, full_sync_every=2
-    )
-    cluster.sim.run_process(cluster.join("node4"))
-    founder, joiner = (cluster.membership_gossips[n] for n in ("node0", "node4"))
-    for setting in ("period", "fanout", "full_sync_every"):
-        assert getattr(joiner, setting) == getattr(founder, setting), setting
-    assert joiner.full_sync_every == 2
-    assert cluster.views["node4"].suspicion_timeout == 2.5
-    # Bootstrapped from one introducer by a full push-pull: both know both.
-    assert cluster.views["node4"].is_usable("node0")
-    assert cluster.views["node0"].is_usable("node4")
-
-
-def test_a_leaver_announces_itself_and_drops_its_view():
+def test_joining_a_gossiping_ring_is_a_domain_error():
     cluster = DynamoCluster(num_nodes=4, seed=1)
     cluster.attach_gossip_membership()
-    cluster.sim.run_process(cluster.decommission("node3"))
-    assert "node3" not in cluster.views
-    assert "node3" not in cluster.membership_gossips
-    assert any(
-        view.status_of("node3") == "left" for view in cluster.views.values()
-    )
+    with pytest.raises(SimulationError, match="cannot join 'node4': gossip"):
+        cluster.sim.run_process(cluster.join("node4"))
+    assert sorted(cluster.nodes) == ["node0", "node1", "node2", "node3"]
+    assert sorted(cluster.views) == sorted(cluster.nodes)
+
+
+def test_decommissioning_from_a_gossiping_ring_is_a_domain_error():
+    cluster = DynamoCluster(num_nodes=4, seed=1)
+    cluster.attach_gossip_membership()
+    with pytest.raises(SimulationError, match="cannot decommission 'node3': gossip"):
+        cluster.sim.run_process(cluster.decommission("node3"))
+    assert cluster.alive("node3") and "node3" in cluster.views

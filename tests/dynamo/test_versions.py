@@ -4,13 +4,6 @@ from repro.dynamo import VectorClock, VersionedValue
 from repro.dynamo.versions import prune_dominated
 
 
-def test_increment_creates_new_clock():
-    a = VectorClock()
-    b = a.increment("n1")
-    assert a.counters == {}
-    assert b.counters == {"n1": 1}
-
-
 def test_descends_reflexive_and_ordered():
     a = VectorClock({"n1": 2})
     b = VectorClock({"n1": 1})

@@ -154,7 +154,7 @@ def test_detector_is_deterministic():
         wire_monitor(sim, network, detector)
         node = Endpoint(network, "n1")
         node.start()
-        emitter = HeartbeatEmitter(node, "monitor", interval=0.3, jitter=0.2)
+        emitter = HeartbeatEmitter(node, "monitor", interval=0.3)
         emitter.start()
         detector.start(poll_interval=0.1)
         sim.run(until=4.0)

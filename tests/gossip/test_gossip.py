@@ -18,6 +18,13 @@ def add(amount, uniq=None, at=0.0):
     return Operation("ADD", {"amount": amount}, uniquifier=uniq, ingress_time=at)
 
 
+def run(cluster, until):
+    """Start every node's gossip loop and run the simulation."""
+    for node in cluster.nodes.values():
+        node.run(until)
+    cluster.sim.run(until=until)
+
+
 def test_wire_roundtrip():
     op = add(5, uniq="u1", at=2.0)
     op.origin = "g0"
@@ -32,7 +39,7 @@ def test_cluster_converges_over_the_fabric():
     cluster = GossipCluster(counter_registry(), num_replicas=4, period=0.5, seed=3)
     for index, name in enumerate(cluster.nodes):
         cluster.submit(name, add(10 * (index + 1)))
-    cluster.run(until=20.0)
+    run(cluster, until=20.0)
     assert cluster.converged()
     assert all(state["total"] == 100 for state in cluster.states())
     assert cluster.sim.metrics.counter("gossip.net.ops_moved").value > 0
@@ -45,7 +52,7 @@ def test_partition_blocks_then_heals():
     cluster.sim.schedule_at(10.0, cluster.network.heal)
     for index, name in enumerate(cluster.nodes):
         cluster.submit(name, add(index + 1))
-    cluster.run(until=8.0)
+    run(cluster, until=8.0)
     assert not cluster.converged()
     isolated = cluster.replica("g2")
     assert isolated.state["total"] == 3  # its own op only
@@ -61,7 +68,7 @@ def test_crashed_node_catches_up_after_restart():
     cluster = GossipCluster(counter_registry(), num_replicas=3, period=0.5, seed=7)
     cluster.submit("g0", add(5))
     cluster.node("g2").crash()
-    cluster.run(until=5.0)
+    run(cluster, until=5.0)
     assert cluster.replica("g2").state.get("total", 0) == 0
     cluster.node("g2").restart(until=20.0)
     for name in ("g0", "g1"):
@@ -91,7 +98,7 @@ def test_rules_fire_over_the_network():
     )
     cluster.submit("g0", add(8, at=0.0))
     cluster.submit("g1", add(8, at=0.0))
-    cluster.run(until=10.0)
+    run(cluster, until=10.0)
     assert cluster.converged()
     assert cluster.apologies.total >= 1
     assert all(state["total"] == 16 for state in cluster.states())
@@ -101,5 +108,5 @@ def test_duplicate_submission_across_nodes_collapses():
     cluster = GossipCluster(counter_registry(), num_replicas=2, period=0.5, seed=11)
     cluster.submit("g0", add(5, uniq="shared"))
     cluster.submit("g1", add(5, uniq="shared"))  # retry landed elsewhere
-    cluster.run(until=10.0)
+    run(cluster, until=10.0)
     assert all(state["total"] == 5 for state in cluster.states())

@@ -65,10 +65,3 @@ def test_digest_handler_reports_wants():
     reply = b._handle_digest(b.endpoint, FakeMsg())
     assert [entry["uniquifier"] for entry in reply["ops"]] == ["only-b"]
     assert reply["want"] == ["only-a"]
-
-
-def test_stop_detaches_endpoint():
-    sim, a, b = make_pair()
-    a.run(until=5.0)
-    a.stop()
-    assert not a.network.is_attached("a")

@@ -18,6 +18,12 @@ def deposit(amount, uniq, at=0.0):
     return Operation("DEPOSIT", {"amount": amount}, uniquifier=uniq, ingress_time=at)
 
 
+def run(cluster, until):
+    for node in cluster.nodes.values():
+        node.run(until)
+    cluster.sim.run(until=until)
+
+
 def make_cluster(seed=13):
     return GossipCluster(
         build_account_registry(),
@@ -36,7 +42,7 @@ def test_replicated_clearing_over_the_network():
     # Both branches clear big checks while the gossip hasn't run yet.
     cluster.submit("g0", clear(600.0, 1, at=0.0))
     cluster.submit("g1", clear(600.0, 2, at=0.0))
-    cluster.run(until=10.0)
+    run(cluster, until=10.0)
     assert cluster.converged()
     balances = [state["balance"] for state in cluster.states()]
     assert abs(balances[0] - balances[1]) < 1e-6
@@ -52,7 +58,7 @@ def test_same_check_at_both_branches_debits_once_over_the_network():
     the_check = clear(100.0, 7, at=0.0)
     cluster.submit("g0", the_check)
     cluster.submit("g1", clear(100.0, 7, at=0.1))  # same check number
-    cluster.run(until=10.0)
+    run(cluster, until=10.0)
     assert cluster.converged()
     assert all(state["balance"] == 900.0 for state in cluster.states())
 
@@ -70,5 +76,5 @@ def test_local_refusal_still_works_at_each_branch():
     except RuleViolation:
         bounced = True
     assert bounced
-    cluster.run(until=5.0)
+    run(cluster, until=5.0)
     assert all(state["balance"] == 50.0 for state in cluster.states())

@@ -7,7 +7,7 @@ import pytest
 from repro.core import Replica, TypeRegistry
 from repro.dynamo import DynamoCluster
 from repro.errors import SimulationError
-from repro.failover import HeartbeatEmitter
+from repro.failover import HeartbeatEmitter, LogshipFailover
 from repro.gossip import GossipNode
 from repro.logship import LogShippingSystem
 from repro.net import Network
@@ -24,19 +24,23 @@ def _gossiper(**kwargs):
     return GossipNode(Network(Simulator()), replica, peers=["b"], **kwargs)
 
 
+def _failover(**kwargs):
+    LogshipFailover(LogShippingSystem(), **kwargs).start()
+
+
 @pytest.mark.parametrize(
     "build, name, value",
     [
         (_emitter, "interval", 0.0),    # yield Timeout(0) forever: now never moves
         (_emitter, "interval", -0.25),
-        (_emitter, "jitter", 1.0),      # a draw of -1 scales the delay to zero
-        (_emitter, "jitter", -0.1),
         (_gossiper, "period", 0.0),     # back-to-back rounds with no pause
         (_gossiper, "period", -1.0),
+        # An explicit 0 is not "unset": it must not fall back to the default.
+        (_failover, "poll_interval", 0.0),
     ],
 )
 def test_a_periodic_loop_rejects_a_period_it_would_spin_on(build, name, value):
-    with pytest.raises(SimulationError, match=f"{name} {value}"):
+    with pytest.raises(SimulationError, match=f"{name.replace('_', ' ')} {value}"):
         build(**{name: value})
 
 

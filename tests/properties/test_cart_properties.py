@@ -103,7 +103,7 @@ def _reference_materialize(ops):
 
 
 def _reference_view(blob):
-    return _reference_materialize(CartOp.from_wire(entry) for entry in blob)
+    return _reference_materialize(CartOp(**entry) for entry in blob)
 
 
 @given(sibling_sets)
@@ -135,6 +135,6 @@ def test_view_matches_materialize_over_rebuilt_ops(siblings):
         view = strategy.view(blob)
         assert view == _reference_view(blob)
         assert list(view) == list(_reference_view(blob))  # same item order
-        ops = [CartOp.from_wire(entry) for entry in blob]
+        ops = [CartOp(**entry) for entry in blob]
         assert materialize(ops) == view
         assert list(materialize(iter(ops))) == list(view)

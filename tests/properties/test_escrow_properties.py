@@ -17,10 +17,23 @@ actions = st.lists(
 )
 
 
+def reserve_if_it_fits(account, txn, delta):
+    """Grant ``delta`` to ``txn`` if the worst case admits it now, else
+    decline: a schedule never leaves a reserve waiting."""
+    if delta < 0:
+        fits = account.worst_case_low + delta >= account.minimum
+    else:
+        fits = account.worst_case_high + delta <= account.maximum
+    if fits:
+        for _wait in account.reserve(txn, delta):
+            raise AssertionError(f"a reserve that fits waited: {txn} {delta}")
+    return fits
+
+
 @given(actions)
 @settings(max_examples=80)
 def test_bounds_never_breached(schedule):
-    """Drive an account with arbitrary try_reserve/commit/abort sequences:
+    """Drive an account with arbitrary reserve/commit/abort sequences:
     the committed value must stay in [0, 200] at every step, and so must
     the worst-case envelope."""
     sim = Simulator()
@@ -29,7 +42,7 @@ def test_bounds_never_breached(schedule):
     for kind, slot, delta in schedule:
         txn = f"t{slot}"
         if kind == "reserve":
-            if account.try_reserve(txn, delta):
+            if reserve_if_it_fits(account, txn, delta):
                 live.add(txn)
         elif kind == "commit" and txn in live:
             account.commit(txn)
@@ -51,7 +64,7 @@ def test_abort_all_restores_initial(schedule):
     account = EscrowAccount(sim, initial=100.0, minimum=0.0, maximum=200.0)
     live = set()
     for kind, slot, delta in schedule:
-        if kind == "reserve" and account.try_reserve(f"t{slot}", delta):
+        if kind == "reserve" and reserve_if_it_fits(account, f"t{slot}", delta):
             live.add(f"t{slot}")
     for txn in live:
         account.abort(txn)
@@ -69,7 +82,7 @@ def test_value_equals_initial_plus_committed_deltas(schedule):
     for kind, slot, delta in schedule:
         txn = f"t{slot}"
         if kind == "reserve":
-            if account.try_reserve(txn, delta):
+            if reserve_if_it_fits(account, txn, delta):
                 pending.setdefault(txn, []).append(delta)
         elif kind == "commit" and txn in pending:
             account.commit(txn)

@@ -1,5 +1,5 @@
 """Stateful hypothesis test: the §7.3 seat invariant holds under any
-interleaving of holds, purchases, releases, and clock advances."""
+interleaving of holds, purchases, and clock advances."""
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -35,10 +35,6 @@ class SeatMachine(RuleBasedStateMachine):
         assert result == could
         if result:
             self.model_purchased.add(seat)
-
-    @rule(seat=st.sampled_from(SEATS), session=st.sampled_from(SESSIONS))
-    def release(self, seat, session):
-        self.seats.release(seat, session)
 
     @rule(dt=st.floats(min_value=0.1, max_value=100.0))
     def advance_time(self, dt):

@@ -51,13 +51,6 @@ def test_merge_commutative(a, b):
     assert a.merge(b) == b.merge(a)
 
 
-@given(clocks)
-def test_increment_strictly_descends(a):
-    bumped = a.increment("n1")
-    assert bumped.descends(a)
-    assert not a.descends(bumped)
-
-
 @given(st.lists(clocks, max_size=8))
 @settings(max_examples=60)
 def test_prune_keeps_only_maximal_frontier(clock_list):

@@ -1,0 +1,23 @@
+"""``unexecuted.txt`` stays well-formed between runs of the call audit:
+every entry names a def that exists (and is not exempt), carries a known
+category and gives a reason. Whether each listed def is really uncalled
+is what ``python tests/reach/check_executed.py`` checks; this is the
+cheap static half, so a rename cannot orphan an entry unnoticed."""
+
+from tests.reach.check_executed import CATEGORIES, audited_defs, read_list
+
+
+def test_every_entry_names_a_def_a_category_and_a_reason():
+    defs = audited_defs()
+    entries = read_list()
+    assert entries
+    for number, key, category, reason in entries:
+        where = f"unexecuted.txt:{number}"
+        assert key in defs, f"{where}: no such def {key}"
+        assert category in CATEGORIES, f"{where}: unknown category {category!r}"
+        assert reason.strip(), f"{where}: no reason"
+
+
+def test_no_entry_is_listed_twice():
+    keys = [key for _number, key, _category, _reason in read_list()]
+    assert len(keys) == len(set(keys))

@@ -60,12 +60,10 @@ def test_open_short_circuits_until_cooloff():
     clock, breaker = make_breaker(failure_threshold=1, recovery_time=2.0)
     breaker.record_failure()
     assert not breaker.allow()
-    assert not breaker.would_allow()
     clock.now = 1.999
     assert not breaker.allow()
     assert clock.counters["resilience.breaker.client.short_circuits"] == 2
     clock.now = 2.0
-    assert breaker.would_allow()
     assert breaker.allow()
     assert breaker.state is BreakerState.HALF_OPEN
 
@@ -107,16 +105,6 @@ def test_stale_success_while_open_is_ignored():
     breaker.record_success()          # late reply from before the trip
     assert breaker.state is BreakerState.OPEN
     assert not breaker.allow()
-
-
-def test_would_allow_takes_no_probe_slot():
-    clock, breaker = make_breaker(failure_threshold=1, half_open_probes=1)
-    breaker.record_failure()
-    clock.now = 10.0
-    assert breaker.would_allow() and breaker.would_allow()
-    assert breaker.state is BreakerState.OPEN         # peeking never transitions
-    assert breaker.allow()
-    assert not breaker.allow()                        # the one real slot is taken
 
 
 def test_board_is_per_destination():

@@ -34,13 +34,6 @@ def test_purchase_requires_holding_session():
     assert seats.state_of("s0") is SeatState.PENDING
 
 
-def test_release_returns_seat():
-    sim, seats = make_map()
-    seats.hold("s0", "session-1")
-    assert seats.release("s0", "session-1")
-    assert seats.state_of("s0") is SeatState.AVAILABLE
-
-
 def test_pending_expires_after_timeout():
     sim, seats = make_map(pending_timeout=60.0)
     seats.hold("s0", "session-1")

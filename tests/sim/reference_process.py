@@ -6,7 +6,7 @@ this class and under :class:`repro.sim.process.Process` and requires the
 same resumes at the same simulated times in the same number of steps. It
 depends only on the public surface of :mod:`repro.sim.events`
 (``add_callback``, ``triggered``, ``value``, ``exception``) plus
-``_Condition._as_events``, so it keeps working as the kernel changes.
+``AllOf._as_events``, so it keeps working as the kernel changes.
 
 Known limit of this model, which the differential generator respects: an
 ``interrupt()`` issued while the victim is *not* blocked in a wait (it is
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, PENDING
+from repro.sim.events import AllOf, Event, Timeout, PENDING
 
 
 class _Wait:
@@ -114,7 +114,7 @@ class Process:
             effect.add_callback(resume_event)
         elif isinstance(effect, Process):
             effect.done.add_callback(resume_event)
-        elif isinstance(effect, (AnyOf, AllOf)):
+        elif isinstance(effect, AllOf):
             try:
                 self._install_condition(effect, wait)
             except SimulationError as exc:
@@ -133,7 +133,6 @@ class Process:
         if not events:
             self.sim.schedule(0.0, lambda: wait.valid and self._resume({}, None))
             return
-        need_all = isinstance(effect, AllOf)
         state = {"settled": False, "remaining": len(events)}
 
         def finish() -> None:
@@ -153,7 +152,7 @@ class Process:
 
         def on_settle(_event: Event) -> None:
             state["remaining"] -= 1
-            if not need_all or state["remaining"] == 0:
+            if state["remaining"] == 0:
                 finish()
 
         for event in events:

@@ -1,26 +1,7 @@
 """Composite waits: failures, mixed members, interrupts mid-wait."""
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import AllOf, AnyOf, Simulator, Timeout
-
-
-def test_anyof_failure_propagates():
-    sim = Simulator()
-    bad = sim.event("bad")
-    slow = sim.timeout_event(10.0)
-
-    def fail_soon():
-        yield Timeout(1.0)
-        bad.fail(ValueError("boom"))
-
-    def racer():
-        try:
-            yield AnyOf([bad, slow])
-        except ValueError:
-            return "saw failure"
-
-    sim.spawn(fail_soon())
-    assert sim.run_process(racer()) == "saw failure"
+from repro.sim import AllOf, Simulator, Timeout
 
 
 def test_allof_failure_propagates_without_waiting_for_rest():
@@ -46,7 +27,7 @@ def test_allof_failure_propagates_without_waiting_for_rest():
     assert result in (1.0, 100.0)
 
 
-def test_anyof_mixes_events_and_processes():
+def test_allof_mixes_events_and_processes():
     sim = Simulator()
 
     def quick():
@@ -54,33 +35,33 @@ def test_anyof_mixes_events_and_processes():
         return "done"
 
     proc = sim.spawn(quick())
-    slow = sim.timeout_event(50.0)
+    slow = sim.timeout_event(50.0, value="slow")
 
-    def racer():
-        results = yield AnyOf([proc, slow])
+    def gatherer():
+        results = yield AllOf([proc, slow])
         return list(results.values())
 
-    assert sim.run_process(racer()) == ["done"]
+    assert sim.run_process(gatherer()) == ["done", "slow"]
 
 
-def test_anyof_rejects_garbage_member():
+def test_allof_rejects_garbage_member():
     sim = Simulator()
 
-    def racer():
-        yield AnyOf(["not waitable"])
+    def gatherer():
+        yield AllOf(["not waitable"])
 
-    proc = sim.spawn(racer())
+    proc = sim.spawn(gatherer())
     sim.run()
     assert isinstance(proc.done.exception, SimulationError)
 
 
-def test_interrupt_while_waiting_on_anyof():
+def test_interrupt_while_waiting_on_allof():
     sim = Simulator()
     never = sim.event("never")
 
     def waiter():
         try:
-            yield AnyOf([never])
+            yield AllOf([never])
         except InterruptError:
             return "interrupted"
 
@@ -92,17 +73,3 @@ def test_interrupt_while_waiting_on_anyof():
     never.trigger("late")
     sim.run()
     assert proc.done.value == "interrupted"
-
-
-def test_anyof_both_settle_same_instant():
-    sim = Simulator()
-    first = sim.timeout_event(5.0, value="a")
-    second = sim.timeout_event(5.0, value="b")
-
-    def racer():
-        results = yield AnyOf([first, second])
-        return sorted(v for v in results.values())
-
-    # Only the members settled at resume time are reported; at minimum one.
-    values = sim.run_process(racer())
-    assert values in (["a"], ["a", "b"])

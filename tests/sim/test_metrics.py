@@ -6,14 +6,12 @@ from repro.sim import Simulator
 from repro.sim.metrics import Histogram
 
 
-def test_counter_inc_and_reset():
+def test_counter_inc():
     sim = Simulator()
     counter = sim.metrics.counter("c")
     counter.inc()
     counter.inc(2.5)
     assert counter.value == 3.5
-    counter.reset()
-    assert counter.value == 0.0
 
 
 def test_counter_shorthand():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import AllOf, AnyOf, Simulator, Timeout
+from repro.sim import AllOf, Simulator, Timeout
 
 
 def test_timeout_advances_clock():
@@ -164,20 +164,6 @@ def test_interrupt_finished_process_is_noop():
     sim.run()
     proc.interrupt()  # must not raise
     sim.run()
-
-
-def test_anyof_resumes_on_first():
-    sim = Simulator()
-    fast = sim.timeout_event(1.0, value="fast")
-    slow = sim.timeout_event(10.0, value="slow")
-
-    def racer():
-        results = yield AnyOf([fast, slow])
-        return results
-
-    results = sim.run_process(racer())
-    assert results == {fast: "fast"}
-    assert sim.now >= 1.0
 
 
 def test_allof_waits_for_all():

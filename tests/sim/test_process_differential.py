@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import AllOf, AnyOf, Simulator, Timeout
+from repro.sim import AllOf, Simulator, Timeout
 
 from tests.sim.reference_process import Process as ReferenceProcess
 
@@ -83,11 +83,11 @@ class Machine:
             return self.events[op[1]], True
         if kind == "join":
             return self.procs[op[1] % len(self.procs)], True
-        if kind in ("anyof", "allof"):
+        if kind == "allof":
             members = [self.member(spec) for spec in op[1]]
             # A non-waitable member is reported by a queued throw, not a wait.
             waits = all(spec[0] != "bad" for spec in op[1])
-            return (AnyOf if kind == "anyof" else AllOf)(members), waits
+            return AllOf(members), waits
         if kind == "garbage":
             return "not an effect", False
         event = self.events[op[1]] if kind in ("trigger", "fail") else None
@@ -159,7 +159,6 @@ _op = st.one_of(
     st.tuples(st.just("wait"), _event_ix),
     st.tuples(st.just("wait"), _event_ix),
     st.tuples(st.just("join"), _proc_ix),
-    st.tuples(st.just("anyof"), _members),
     st.tuples(st.just("allof"), _members),
     st.tuples(st.just("garbage")),
     st.tuples(st.just("trigger"), _event_ix),

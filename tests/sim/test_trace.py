@@ -40,13 +40,6 @@ def test_capacity_bounds_records():
     assert [r.payload["i"] for r in sim.trace.find()] == [7, 8, 9]
 
 
-def test_clear():
-    sim = Simulator()
-    sim.trace.emit("a", "x")
-    sim.trace.clear()
-    assert sim.trace.count() == 0
-
-
 def test_eviction_is_counted_not_silent():
     sim = Simulator(trace_capacity=3)
     for i in range(10):
@@ -73,16 +66,6 @@ def test_disabled_emits_do_not_count_as_dropped():
     for i in range(10):
         sim.trace.emit("a", "tick", i=i)
     assert sim.trace.dropped == 0
-
-
-def test_clear_resets_dropped():
-    sim = Simulator(trace_capacity=2)
-    for i in range(5):
-        sim.trace.emit("a", "tick", i=i)
-    assert sim.trace.dropped == 3
-    sim.trace.clear()
-    assert sim.trace.dropped == 0
-    assert sim.trace.count() == 0
 
 
 def test_tail_returns_most_recent_records():

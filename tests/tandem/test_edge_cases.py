@@ -1,5 +1,5 @@
 """Tandem edge cases: empty transactions, zero timers, contention,
-reads around aborts."""
+reads around takeover aborts."""
 
 import pytest
 
@@ -45,7 +45,7 @@ def test_read_after_abort_sees_nothing():
     def job():
         txn = client.begin()
         yield from client.write(txn, "dp0", "x", 1)
-        yield from client.abort(txn)
+        system.crash_primary("dp0")  # DP2 takeover aborts the txn
         reader = client.begin()
         value = yield from client.read(reader, "dp0", "x")
         return value
@@ -60,7 +60,7 @@ def test_write_to_aborted_transaction_rejected():
     def job():
         txn = client.begin()
         yield from client.write(txn, "dp0", "x", 1)
-        yield from client.abort(txn)
+        system.crash_primary("dp0")  # DP2 takeover aborts the txn
         try:
             yield from client.write(txn, "dp0", "y", 2)
         except TransactionAborted:
@@ -103,19 +103,3 @@ def test_last_writer_wins_within_transaction():
         return value
 
     assert system.sim.run_process(job()) == 2
-
-
-def test_voluntary_abort_allowed_by_the_rules():
-    """§3.3: transactions may abort without cause — the metric exists and
-    the registry agrees."""
-    system = TandemSystem(TandemConfig(mode=DPMode.DP1, num_dps=1), seed=1)
-    client = system.client()
-
-    def job():
-        txn = client.begin()
-        yield from client.write(txn, "dp0", "x", 1)
-        yield from client.abort(txn)
-
-    system.sim.run_process(job())
-    assert system.sim.metrics.counter("tandem.aborts").value == 1
-    assert system.registry.counts()["aborted"] == 1

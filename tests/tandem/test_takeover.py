@@ -143,31 +143,6 @@ def test_write_after_takeover_goes_to_new_primary():
     assert system.sim.run_process(job()) == 7
 
 
-def test_reintegrate_restores_backup():
-    system = make_system(DPMode.DP2)
-    client = system.client()
-    pair = system.pair("dp0")
-
-    def job():
-        txn = client.begin()
-        yield from client.write(txn, "dp0", "x", 1)
-        yield from client.commit(txn)
-        system.crash_primary("dp0")
-        pair.reintegrate()
-        assert pair.backup_alive
-        # And the pair survives a second takeover.
-        txn2 = client.begin()
-        yield from client.write(txn2, "dp0", "y", 2)
-        yield from client.commit(txn2)
-        system.crash_primary("dp0")
-        reader = client.begin()
-        x = yield from client.read(reader, "dp0", "x")
-        y = yield from client.read(reader, "dp0", "y")
-        return (x, y)
-
-    assert system.sim.run_process(job()) == (1, 2)
-
-
 def test_committed_never_lost_invariant():
     for mode in (DPMode.DP1, DPMode.DP2):
         system = make_system(mode)
@@ -183,7 +158,6 @@ def test_committed_never_lost_invariant():
                     pass
                 if i == 2:
                     system.crash_primary("dp0")
-                    system.pair("dp0").reintegrate()
 
         system.sim.run_process(job())
         assert system.committed_durable()

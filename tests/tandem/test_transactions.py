@@ -65,20 +65,6 @@ def test_multi_dp_transaction(system):
     assert system.sim.run_process(job()) == (1, 2)
 
 
-def test_abort_discards_writes(system):
-    client = system.client()
-
-    def job():
-        txn = client.begin()
-        yield from client.write(txn, "dp0", "x", 5)
-        yield from client.abort(txn)
-        reader = client.begin()
-        value = yield from client.read(reader, "dp0", "x")
-        return value
-
-    assert system.sim.run_process(job()) is None
-
-
 def test_commit_reaches_adp(system):
     client = system.client()
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments import EXPERIMENTS, by_id, index, summary_table
+from tests.reach.roots import CLI, SRC, import_roots
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -60,9 +61,9 @@ def test_benches_on_disk_are_all_indexed():
 
 
 # ----------------------------------------------------------------------
-# The import guard: nothing in src/ exists only for its own test.
-
-SRC = REPO_ROOT / "src"
+# The import guard: nothing in src/ exists only for its own test. Its
+# function-level twin is tests/reach/check_executed.py; both read their
+# roots from tests/reach/roots.py.
 
 # Modules no runnable root imports, each for a stated reason.
 UNREACHED_ON_PURPOSE = {
@@ -129,12 +130,7 @@ def test_every_module_is_reached_from_something_that_runs():
     """Walk imports from everything that *runs* the system — the indexed
     benches, ``bench/``, the examples and the chaos CLI. A module none
     of them reaches reproduces no claim; delete it, or give it a caller."""
-    cli = "repro.chaos.runner"
-    roots = [REPO_ROOT / e.bench for e in EXPERIMENTS]
-    roots += sorted((REPO_ROOT / "bench").glob("*.py"))
-    roots += sorted((REPO_ROOT / "examples").glob("*.py"))
-    roots.append(_module_file(cli))
-    reached = _reached_from(roots) | {cli}
+    reached = _reached_from(import_roots()) | {CLI}
     modules = {
         ".".join(path.relative_to(SRC).with_suffix("").parts)
         for path in SRC.glob("repro/**/*.py")

@@ -31,19 +31,6 @@ def test_upgraded_decline_re_reserves():
     assert pool.holder_of("a") is not None
 
 
-def test_pluggable_handler_owns_unwired_types():
-    sim = Simulator(seed=1)
-    book = ApologyBook(sim)
-    seen = []
-    book.register_handler("SHIP", lambda ap: seen.append(ap.uniquifier) or True)
-    apology = book.emit(
-        _op("x", kind="SHIP"), told={"eta": 3}, actual={"eta": 9}
-    )
-    assert apology.action == "handled:SHIP"
-    assert seen == ["x"]
-    assert book.human == []
-
-
 def test_unhandled_apology_lands_on_the_human_ledger():
     sim = Simulator(seed=1)
     book = ApologyBook(sim)
