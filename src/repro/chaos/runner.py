@@ -161,16 +161,21 @@ class ChaosRunner:
         target = report.violations[0].signature
         evals = 0
 
-        def reproduces(candidate: ChaosPlan) -> bool:
+        def reproduces(candidate: ChaosPlan) -> Optional[ChaosReport]:
+            """The candidate's report if it still fails with the target."""
             nonlocal evals
             if evals >= self.shrink_budget:
-                return False
+                return None
             evals += 1
             self.metrics.inc("chaos.shrink.evals")
             rerun = self.scenario.run(report.seed, candidate)
-            return rerun.failed and rerun.violations[0].signature == target
+            if rerun.failed and rerun.violations[0].signature == target:
+                return rerun
+            return None
 
-        current = report.plan
+        # The plan shrunk so far, with the report of the run that showed
+        # it still fails — no plan is run twice to learn the same thing.
+        current, minimal_report = report.plan, report
         improved = True
         while improved and evals < self.shrink_budget:
             improved = False
@@ -178,35 +183,34 @@ class ChaosRunner:
             index = 0
             while index < len(current.episodes):
                 candidate = current.without(index)
-                if reproduces(candidate):
-                    current = candidate
+                rerun = reproduces(candidate)
+                if rerun is not None:
+                    current, minimal_report = candidate, rerun
                     improved = True
                 else:
                     index += 1
             # Pass 2: narrow the survivors.
             for index, episode in enumerate(current.episodes):
                 for smaller in episode.narrowed(self.min_window):
-                    if reproduces(current.replace_episode(index, smaller)):
-                        current = current.replace_episode(index, smaller)
+                    candidate = current.replace_episode(index, smaller)
+                    rerun = reproduces(candidate)
+                    if rerun is not None:
+                        current, minimal_report = candidate, rerun
                         improved = True
                         break
 
-        minimal_report = self.scenario.run(report.seed, current)
+        # An independent run of the final plan must match bit for bit.
         replay = self.scenario.run(report.seed, current)
-        replay_matches = (
-            minimal_report.failed
-            and minimal_report.violations == replay.violations
-            and minimal_report.counters == replay.counters
-            and minimal_report.violations[0].signature == target
-        )
         return FailingCase(
             seed=report.seed,
             plan=report.plan,
             violation=report.violations[0],
             minimal_plan=current,
-            minimal_violation=minimal_report.violations[0]
-            if minimal_report.failed else None,
-            replay_matches=replay_matches,
+            minimal_violation=minimal_report.violations[0],
+            replay_matches=(
+                minimal_report.violations == replay.violations
+                and minimal_report.counters == replay.counters
+            ),
             shrink_evals=evals,
         )
 

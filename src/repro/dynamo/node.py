@@ -43,8 +43,11 @@ class DynamoNode:
     # Local storage
 
     def store_version(self, key: str, version: VersionedValue) -> None:
-        existing = self.store.get(key, [])
-        self.store[key] = prune_dominated(existing + [version])
+        existing = self.store.get(key)
+        # A key's first version is its whole frontier (the preload path).
+        self.store[key] = (
+            prune_dominated(existing + [version]) if existing else [version]
+        )
         self.op_seq += 1
         if self.snapshotter is not None:
             self.snapshotter.mark_dirty()

@@ -83,6 +83,32 @@ def test_chaos_free_bug_shrinks_to_empty_plan():
     assert case.replay_matches
 
 
+class _CountingBank(BankClearingScenario):
+    """Counts every run, so a test can price a shrink."""
+
+    runs = 0
+
+    def run(self, seed, plan):
+        self.runs += 1
+        return super().run(seed, plan)
+
+
+@pytest.mark.parametrize("policy", ["amnesiac-restart", "branch-uniquifier"])
+def test_a_shrink_costs_its_evals_plus_one_replay(policy):
+    """Each plan tried runs once; the final plan is not run again, only
+    replayed once for the bit-for-bit comparison."""
+    scenario = _CountingBank(policy=policy)
+    runner = ChaosRunner(scenario, spec=scenario.spec(min_crashes=1))
+    report = scenario.run(0, runner.spec.sample(0))
+    assert report.failed
+    scenario.runs = 0
+    case = runner.shrink_case(report)
+    assert case.shrink_evals >= 1
+    assert scenario.runs == case.shrink_evals + 1
+    assert case.replay_matches
+    assert case.minimal_violation.signature == report.violations[0].signature
+
+
 def test_fixed_plan_runner_skips_sampling():
     plan = ChaosPlan((CrashEpisode("g0", 5.0, 8.0),))
     runner = ChaosRunner(BankClearingScenario(policy="correct"), plan=plan)

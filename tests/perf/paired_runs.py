@@ -23,12 +23,14 @@ per seed and workload:
 
 - the largest ``failed_op_share`` either side saw;
 - whether the exact fields (the ones ``bench_exact.json`` pins: counts,
-  simulated latencies, ``sim_digest``) agree across every run of both.
+  simulated latencies, ``sim_digest`` and the heap lap's digest) agree
+  across every run of both.
 
 ``--report-only`` re-prints from the files of an earlier invocation.
 Exit status: 1 if any verdict is ``worse``, a failure share rose or an
 exact field moved; 0 otherwise. Stdlib only; imports nothing from the
-repository, so it runs under any interpreter and against any two commits.
+repository but its sibling ``check_bench_exact``, so it runs under any
+interpreter and against any two commits.
 """
 
 import argparse
@@ -38,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from check_bench_exact import lookup
 
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
@@ -175,7 +179,7 @@ def _report(args):
             print(f"  failed_op_share  parent {shares['parent']:g}  "
                   f"change {shares['change']:g}")
             seen = {
-                tuple(json.dumps(run[workload].get(field)) for field in exact_fields)
+                tuple(json.dumps(lookup(run[workload], field)) for field in exact_fields)
                 for side in SIDES for run in runs[side]
             }
             failed |= len(seen) > 1
