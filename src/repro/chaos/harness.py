@@ -79,7 +79,8 @@ class Scenario:
     """A workload + targets + invariants under one plan: subclasses set
     ``name`` and ``horizon``, list their ``policies``, give their sampling
     bounds, and fill in the hooks that :meth:`run` calls in a fixed
-    order."""
+    order. Public attributes are the configuration (and the last run's
+    published results); what a run builds lives in private ones."""
 
     name: str
     horizon: float
@@ -105,6 +106,16 @@ class Scenario:
                 f"(have {', '.join(self.policies)})"
             )
         self.policy = policy
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """A scenario crosses to a worker process as its configuration:
+        the world its last run left behind (``_sim``, the cluster, live
+        generators) stays here. The copy is taken in one step because a
+        pool's feeder thread may pickle while this process runs it."""
+        return {
+            key: value for key, value in self.__dict__.copy().items()
+            if not key.startswith("_")
+        }
 
     def spec_defaults(self) -> Dict[str, Any]:
         """Keyword arguments of this scenario's default :class:`ChaosSpec`

@@ -12,6 +12,10 @@ CLI::
     python -m repro.chaos.runner --smoke       # CI gate: 5-seed sanity
     python -m repro.chaos.runner --scenario bank --seeds 20
     python -m repro.chaos.runner --scenario bank --policy amnesiac-restart
+
+Both fan their runs out over every CPU through :mod:`repro.parallel`
+(in this process while it is profiled, traced or under tracemalloc) and
+print the same bytes either way.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import weakref
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import (
-    Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.chaos.plan import ChaosPlan, ChaosSpec
@@ -68,22 +75,11 @@ class SweepResult:
         return len(self.failures) / len(self.reports) if self.reports else 0.0
 
 
-@dataclass(frozen=True)
-class _SeedRun:
-    """Picklable unit of sweep work: run one seed of a scenario.
-
-    Carries the scenario plus the runner's plan/spec so a worker process
-    samples exactly the plan the parent would have (``plan`` pins a fixed
-    schedule; otherwise the spec samples one from the seed).
-    """
-
-    scenario: Any
-    plan: Optional[ChaosPlan]
-    spec: Optional[ChaosSpec]
-
-    def __call__(self, seed: int) -> ChaosReport:
-        plan = self.plan if self.plan is not None else self.spec.sample(seed)
-        return self.scenario.run(seed, plan)
+def _run_seed(unit: Tuple[Any, int]) -> ChaosReport:
+    """One unit of sweep work, picklable for a worker process:
+    ``(runner, seed)``, the runner anything with ``_run(seed)``."""
+    runner, seed = unit
+    return runner._run(seed)
 
 
 class ChaosRunner:
@@ -105,7 +101,19 @@ class ChaosRunner:
         self.plan = plan
         self.metrics = MetricsRegistry()
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """A runner crosses to a worker process as what a run needs — the
+        scenario's configuration and the spec or fixed plan — never its
+        metrics, which only this process accounts into."""
+        return {"scenario": self.scenario, "spec": self.spec, "plan": self.plan}
+
     # ------------------------------------------------------------------
+
+    def _run(self, seed: int) -> ChaosReport:
+        """One seed: ``plan`` pins a fixed schedule; otherwise the spec
+        samples one from the seed (in whichever process runs it)."""
+        plan = self.plan if self.plan is not None else self.spec.sample(seed)
+        return self.scenario.run(seed, plan)
 
     def _account(self, report: ChaosReport) -> None:
         """Fold one report into the runner's metrics. Kept separate from
@@ -123,28 +131,37 @@ class ChaosRunner:
         seeds: Iterable[int],
         shrink: bool = True,
         processes: Optional[int] = 1,
+        reports: Optional[Iterable[ChaosReport]] = None,
     ) -> SweepResult:
         """Run every seed; shrink the failures.
 
         ``processes`` fans the (independent, per-seed-deterministic) runs
         out over worker processes via :func:`repro.parallel.parallel_map`
         — 1 (the default) is serial, None auto-sizes to the CPU count.
-        Reports, metrics, and failures are identical at any worker count;
-        shrinking always happens in this process, where the runner's
-        shrink budget and metrics live.
+        ``reports``, when given, are the seeds' reports in seed order,
+        already started elsewhere (:func:`smoke` runs every row through
+        one pool). Reports, metrics, and failures are identical at any
+        worker count; each report is accounted, and shrunk if it failed,
+        in this process as it arrives, where the runner's shrink budget
+        and metrics live.
         """
-        seeds = list(seeds)
-        reports = parallel_map(
-            _SeedRun(self.scenario, self.plan, self.spec), seeds, processes
-        )
+        if reports is not None:
+            return self._fold(reports, shrink)
+        units = [(self, seed) for seed in seeds]
+        with closing(parallel_map(_run_seed, units, processes)) as started:
+            return self._fold(started, shrink)
+
+    def _fold(self, reports: Iterable[ChaosReport], shrink: bool) -> SweepResult:
+        kept: List[ChaosReport] = []
         failures: List[FailingCase] = []
         for report in reports:
+            kept.append(report)
             self._account(report)
             if report.failed and shrink:
                 failures.append(self.shrink_case(report))
         return SweepResult(
             scenario=self.scenario.name,
-            reports=tuple(reports),
+            reports=tuple(kept),
             failures=tuple(failures),
         )
 
@@ -251,11 +268,18 @@ def _print_failure(case: FailingCase) -> None:
     print("    plan json: " + json.dumps(case.minimal_plan.to_dict()))
 
 
+def _runner(scenario: Any, spec_overrides: Tuple = ()) -> ChaosRunner:
+    return ChaosRunner(scenario, spec=scenario.spec(**dict(spec_overrides)))
+
+
 def _sweep(
-    scenario: Any, seeds: Sequence[int], spec_overrides: Tuple = ()
+    runner: ChaosRunner, seeds: Sequence[int],
+    reports: Optional[Iterable[ChaosReport]] = None,
 ) -> SweepResult:
-    runner = ChaosRunner(scenario, spec=scenario.spec(**dict(spec_overrides)))
-    result = runner.sweep(seeds)
+    """Sweep over every CPU (or take the reports ``smoke`` started) and
+    print the verdict."""
+    result = runner.sweep(seeds, processes=None, reports=reports)
+    scenario = runner.scenario
     print(f"[{scenario.name}] policy={getattr(scenario, 'policy', '?')} "
           f"runs={result.runs} failing={len(result.failures)} "
           f"violation_rate={result.violation_rate:.2f}")
@@ -367,28 +391,69 @@ SMOKE_ROWS: Tuple[SmokeRow, ...] = (
 )
 
 
+class _RowRunner:
+    """A smoke row's runs, as units of work carry them. In this process
+    they run on the row's runner — the one ``smoke`` sweeps, shrinks and
+    reports with, built when the row comes up — so a row shares one
+    scenario; a worker process receives only the row and builds its own.
+
+    Only ``smoke`` holds the runner, while it sweeps the row; this object
+    holds it weakly. It is built long before its row runs and has aged
+    into the collector's oldest generation by then, so a strong reference
+    from it would keep the row's scenario, and the world its runs leave
+    behind, until the next full collection."""
+
+    def __init__(self, row: SmokeRow) -> None:
+        self.row = row
+        self._runner: Optional["weakref.ref[ChaosRunner]"] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"row": self.row, "_runner": None}
+
+    def runner(self) -> ChaosRunner:
+        runner = self._runner() if self._runner is not None else None
+        if runner is None:
+            runner = _runner(self.row.build(), self.row.spec_overrides)
+            self._runner = weakref.ref(runner)
+        return runner
+
+    def _run(self, seed: int) -> ChaosReport:
+        return self.runner()._run(seed)
+
+
 def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
     """The CI gate: correct policies stay clean; a broken policy is
-    found, shrunk, and replays exactly."""
+    found, shrunk, and replays exactly.
+
+    Every run of every row goes to one process pool up front, so while
+    this process sweeps a row — accounting, shrinking, printing — the
+    workers are already running later rows. Rows are swept in order, in
+    this process, each on its own runner."""
+    row_runners = [_RowRunner(row) for row in SMOKE_ROWS]
     failed = False
     entries: List[dict] = []
-    for row in SMOKE_ROWS:
-        scenario = row.build()
-        result = _sweep(scenario, seeds[: row.max_seeds], row.spec_overrides)
-        entries.append(_report_entry(row.label, scenario, result))
-        complaints = []
-        if row.caught:
-            if not result.failures:
-                complaints.append(f"{row.what} was not caught")
-            if any(not case.replay_matches for case in result.failures):
-                complaints.append(
-                    f"a minimal plan of the {row.what} did not replay bit-for-bit"
-                )
-        elif result.failures:
-            complaints.append(f"{row.what} violated an invariant")
-        for complaint in complaints:
-            print(f"FAIL: {complaint}")
-            failed = True
+    with closing(parallel_map(_run_seed, [
+        (row_runner, seed) for row_runner in row_runners
+        for seed in seeds[: row_runner.row.max_seeds]
+    ])) as reports:
+        for row_runner in row_runners:
+            row, runner = row_runner.row, row_runner.runner()
+            row_seeds = seeds[: row.max_seeds]
+            result = _sweep(runner, row_seeds, islice(reports, len(row_seeds)))
+            entries.append(_report_entry(row.label, runner.scenario, result))
+            complaints = []
+            if row.caught:
+                if not result.failures:
+                    complaints.append(f"{row.what} was not caught")
+                if any(not case.replay_matches for case in result.failures):
+                    complaints.append(
+                        f"a minimal plan of the {row.what} did not replay bit-for-bit"
+                    )
+            elif result.failures:
+                complaints.append(f"{row.what} violated an invariant")
+            for complaint in complaints:
+                print(f"FAIL: {complaint}")
+                failed = True
 
     if report_path is not None:
         _write_report(report_path, entries)
@@ -426,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return smoke(seeds, report_path=args.report)
 
     scenario = _build_scenario(args.scenario, args.policy)
-    result = _sweep(scenario, seeds)
+    result = _sweep(_runner(scenario), seeds)
     if args.report is not None:
         _write_report(
             args.report, [_report_entry(args.scenario, scenario, result)]

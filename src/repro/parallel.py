@@ -1,61 +1,100 @@
-"""The multiprocessing executor for embarrassingly-parallel sweeps.
+"""The one fan-out primitive for embarrassingly-parallel sweeps.
 
-:meth:`repro.chaos.runner.ChaosRunner.sweep` is a loop of independent
-seeded runs, each deterministic in isolation (every run constructs its own
-:class:`~repro.sim.scheduler.Simulator`, which resets the process-global
-counters via the fresh-run hooks). That makes fan-out safe: a worker
-process produces bit-for-bit the report the parent would have, so the
-only thing parallelism may change is wall time, never results.
+A chaos run is a pure function of (seed, plan): it constructs its own
+:class:`~repro.sim.scheduler.Simulator`, whose fresh-run hooks reset every
+process-global counter, so a worker process produces bit for bit the
+report this process would have. Fanning out may change wall time, never
+results.
 
-``parallel_map`` is deliberately conservative:
+:func:`parallel_map` is ``map(fn, items)``, lazy and in item order:
 
-- order-preserving (``pool.map``, not ``imap_unordered``);
-- serial fallback whenever a pool cannot help (one item, one worker,
-  one CPU) or cannot be created (restricted environments) — callers
-  never need to care;
-- ``chunksize=1`` so long-tailed items (a shrinking run) do not convoy
-  behind each other.
+- **one pool per call, every item submitted up front.** Workers run ahead
+  while the caller is still busy with the first results, so a caller that
+  does serial work between results (the smoke gate shrinking a failure)
+  overlaps it with the rest of the sweep. Workers are forked, so they run
+  the code of this process as it stands.
+- **in this process while it is measured.** Under a profile or trace hook,
+  a ``sys.monitoring`` tool or ``tracemalloc``, every item runs here: a
+  worker's calls and allocations are invisible to those tools, and
+  profiles, heap peaks, coverage and the call audit must see every call
+  and byte. Also when a pool cannot help (one item, one worker, one CPU)
+  or cannot start (restricted environments).
+- **a dead worker raises** ``BrokenProcessPool`` rather than hanging, and
+  closing the iterator early cancels the items no worker has started.
+
+The pool machinery is imported only when a pool starts: a measured run
+never pays its megabyte of heap.
 
 Callables and items must be picklable: module-level functions or small
-callable objects, which is how the call site uses it.
+objects.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, TypeVar
+import sys
+import tracemalloc
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
+
+def _measured() -> bool:
+    """Is something in this process watching its own calls or memory?"""
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or tracemalloc.is_tracing()):
+        return True
+    # 3.12+: cProfile and coverage may hook in through sys.monitoring.
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) for tool in range(6)
+    )
+
+
 def parallel_map(
     fn: Callable[[T], R],
-    items: Sequence[T],
+    items: Iterable[T],
     processes: Optional[int] = None,
-) -> List[R]:
-    """``[fn(item) for item in items]``, possibly across processes.
+) -> Iterator[R]:
+    """``map(fn, items)`` — lazy, in item order — possibly across processes.
 
-    ``processes=None`` auto-sizes to the CPU count; ``processes<=1`` (or
-    fewer than two items, or a pool that fails to start) runs serially in
-    this process. Results are returned in item order either way.
+    ``processes=None`` sizes the pool to the CPUs this process may use;
+    ``processes<=1``, fewer than two items, a measured process or a pool
+    that fails to start run the items here instead, one per ``next``.
     """
     items = list(items)
-    if processes is None:
-        processes = os.cpu_count() or 1
-    processes = min(processes, len(items))
-    if processes <= 1:
-        return [fn(item) for item in items]
+    workers = min(_cpus() if processes is None else processes, len(items))
+    executor = None
+    if workers > 1 and not _measured():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A forked worker imports nothing again. The pool forks every
+        # worker at its first submit, before it starts a thread of its own.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        try:
+            executor = ProcessPoolExecutor(workers, mp_context=context)
+            futures = [executor.submit(fn, item) for item in items]
+        except (ImportError, OSError):  # pragma: no cover - sandboxed envs
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+            executor = None
+    if executor is None:
+        yield from map(fn, items)
+        return
     try:
-        # fork keeps the already-imported modules; spawn (the only option
-        # on some platforms) re-imports them in each worker. Both are
-        # fine for determinism — workers build fresh Simulators.
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(processes) as pool:
-            return pool.map(fn, items, chunksize=1)
-    except (OSError, ValueError):  # pragma: no cover - sandboxed envs
-        return [fn(item) for item in items]
+        for future in futures:
+            yield future.result()
+    finally:
+        # The caller stopped early, or a result raised: drop what no
+        # worker has started, and wait out what one has.
+        executor.shutdown(cancel_futures=True)
