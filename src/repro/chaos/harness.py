@@ -7,6 +7,11 @@ workload, restores the world at the horizon (heal, repair, restart),
 forces convergence, and reports every invariant violation. Everything is
 a pure function of (seed, plan), so a failing report replays exactly.
 
+The world a run builds is volatile, like a fail-fast process's memory:
+it lives exactly as long as ``run()``. The report and a scenario's
+published results are plain values; the simulator, nodes, logs and
+trace are unreachable the moment ``run()`` returns, and already freed.
+
 :class:`Scenario` owns that sequence; a concrete scenario fills in five
 hooks (``build``, ``invariants``, ``drive``, ``quiesce``, ``finish``) and
 its sampling bounds. Beside it: :class:`Crashable`, the idempotent
@@ -17,6 +22,7 @@ the seeded think times of a workload loop; and :class:`AckedWrites`, the
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -79,8 +85,9 @@ class Scenario:
     """A workload + targets + invariants under one plan: subclasses set
     ``name`` and ``horizon``, list their ``policies``, give their sampling
     bounds, and fill in the hooks that :meth:`run` calls in a fixed
-    order. Public attributes are the configuration (and the last run's
-    published results); what a run builds lives in private ones."""
+    order. Public attributes are the configuration plus the last run's
+    published results, which are plain values; what a run builds lives
+    in private ones, and :meth:`run` drops them all when it ends."""
 
     name: str
     horizon: float
@@ -109,7 +116,7 @@ class Scenario:
 
     def __getstate__(self) -> Dict[str, Any]:
         """A scenario crosses to a worker process as its configuration:
-        the world its last run left behind (``_sim``, the cluster, live
+        the world of a run in progress here (``_sim``, the cluster, live
         generators) stays here. The copy is taken in one step because a
         pool's feeder thread may pickle while this process runs it."""
         return {
@@ -128,8 +135,32 @@ class Scenario:
         return ChaosSpec(**{**defaults, **overrides})
 
     def run(self, seed: int, plan: ChaosPlan) -> ChaosReport:
+        """One run under ``plan``, and the exact lifetime of its world.
+
+        The world is one large cyclic graph. Left to the collector, it
+        would outlive a few young collections, be promoted, and wait for
+        a full collection, which a whole smoke may never trigger. So
+        automatic collection pauses for the run (every object the run
+        allocates stays young), the private attributes the run built go
+        when it returns or raises, and one young collection then frees
+        the world at a cost proportional to it, not to the process heap.
+        The caller's collector state is restored either way."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._play(seed, plan)
+        finally:
+            for key in [key for key in vars(self) if key.startswith("_")]:
+                delattr(self, key)
+            gc.collect(0)
+            if collecting:
+                gc.enable()
+
+    def _play(self, seed: int, plan: ChaosPlan) -> ChaosReport:
+        """The run itself, in a frame of its own: once it returns, only
+        the scenario's private attributes still reach the world."""
         sim = Simulator(seed=seed, trace_capacity=50000)
-        self._sim = sim  # exposed for trace inspection (golden tests)
+        self._sim = sim
         engine = ChaosEngine(self.build(sim))
         engine.install(plan)
         monitor = InvariantMonitor(sim)
@@ -173,7 +204,8 @@ class Scenario:
 
     def finish(self, sim: Simulator) -> None:
         """After the final check: stop perpetual processes and publish
-        per-run results on the scenario (optional)."""
+        per-run results on the scenario as plain values, nothing that
+        reaches the world (optional)."""
 
 
 def pacing(

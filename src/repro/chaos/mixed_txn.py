@@ -115,7 +115,7 @@ class MixedTxnScenario(Scenario):
         self._system = system
         system.start()
 
-        self.tickets: List[Any] = []
+        self._tickets: List[Any] = []
         self._strong_uniqs: set = set()
         self._committed_seen: Dict[str, List[str]] = {}
 
@@ -192,7 +192,7 @@ class MixedTxnScenario(Scenario):
                 )
                 self._strong_uniqs.add(op.uniquifier)
             ticket = system.submit(replica, op)
-            self.tickets.append(ticket)
+            self._tickets.append(ticket)
             if op.op_type == "RESERVE":
                 if ticket.guess == {"ok": True}:
                     # The app acts on the guess: a real unit is set aside.
@@ -206,7 +206,7 @@ class MixedTxnScenario(Scenario):
         """Apply the *stabilized* cancel results to the fulfillment pool
         (cancellations release real units only once they are truth, not
         on a guess — a cancel needs no apology path)."""
-        for ticket in self.tickets:
+        for ticket in self._tickets:
             if ticket.op.op_type != "CANCEL" or not ticket.stabilized:
                 continue
             if ticket.done.value == {"cancelled": True}:
@@ -248,7 +248,7 @@ class MixedTxnScenario(Scenario):
 
     def _check_escrow(self) -> Optional[str]:
         system = self._system
-        unsettled = [t.op.uniquifier for t in self.tickets if not t.stabilized]
+        unsettled = [t.op.uniquifier for t in self._tickets if not t.stabilized]
         if unsettled:
             return (
                 f"{len(unsettled)} ops never stabilized "
@@ -257,12 +257,12 @@ class MixedTxnScenario(Scenario):
         # What the clients' final answers imply the escrow holds.
         expected = {
             t.op.uniquifier
-            for t in self.tickets
+            for t in self._tickets
             if t.op.op_type == "RESERVE" and t.done.value == {"ok": True}
         }
         expected -= {
             t.op.args["target"]
-            for t in self.tickets
+            for t in self._tickets
             if t.op.op_type == "CANCEL"
             and t.done.value == {"cancelled": True}
         }

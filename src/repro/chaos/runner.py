@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import weakref
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -395,27 +394,19 @@ class _RowRunner:
     """A smoke row's runs, as units of work carry them. In this process
     they run on the row's runner — the one ``smoke`` sweeps, shrinks and
     reports with, built when the row comes up — so a row shares one
-    scenario; a worker process receives only the row and builds its own.
-
-    Only ``smoke`` holds the runner, while it sweeps the row; this object
-    holds it weakly. It is built long before its row runs and has aged
-    into the collector's oldest generation by then, so a strong reference
-    from it would keep the row's scenario, and the world its runs leave
-    behind, until the next full collection."""
+    scenario; a worker process receives only the row and builds its own."""
 
     def __init__(self, row: SmokeRow) -> None:
         self.row = row
-        self._runner: Optional["weakref.ref[ChaosRunner]"] = None
+        self._runner: Optional[ChaosRunner] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"row": self.row, "_runner": None}
 
     def runner(self) -> ChaosRunner:
-        runner = self._runner() if self._runner is not None else None
-        if runner is None:
-            runner = _runner(self.row.build(), self.row.spec_overrides)
-            self._runner = weakref.ref(runner)
-        return runner
+        if self._runner is None:
+            self._runner = _runner(self.row.build(), self.row.spec_overrides)
+        return self._runner
 
     def _run(self, seed: int) -> ChaosReport:
         return self.runner()._run(seed)

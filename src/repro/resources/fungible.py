@@ -10,8 +10,9 @@ apology cheap.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 
@@ -46,14 +47,19 @@ class ReconcileReport:
 
 
 class FungiblePool:
-    """``capacity`` interchangeable units of one category."""
+    """``capacity`` interchangeable units of one category.
+
+    Units never granted are handed out in order from a counter, then
+    released units first-in first-out: O(1) per grant, and nothing held
+    per unit the pool has never handed out."""
 
     def __init__(self, category: str, capacity: int) -> None:
         if capacity < 0:
             raise SimulationError("capacity must be non-negative")
         self.category = category
         self.capacity = capacity
-        self._free: List[int] = list(range(capacity))
+        self._fresh = 0  # units [0, _fresh) have been granted at least once
+        self._released: Deque[int] = deque()
         self._grants: Dict[str, int] = {}  # uniquifier -> unit
         self.returned_redundant = 0
 
@@ -64,9 +70,13 @@ class FungiblePool:
         same unit (idempotent). None when the pool is empty."""
         if uniquifier in self._grants:
             return self._grants[uniquifier]
-        if not self._free:
+        if self._fresh < self.capacity:
+            unit = self._fresh
+            self._fresh += 1
+        elif self._released:
+            unit = self._released.popleft()
+        else:
             return None
-        unit = self._free.pop(0)
         self._grants[uniquifier] = unit
         return unit
 
@@ -75,7 +85,7 @@ class FungiblePool:
         unit = self._grants.pop(uniquifier, None)
         if unit is None:
             return False
-        self._free.append(unit)
+        self._released.append(unit)
         return True
 
     def reconcile_with(self, other: "FungiblePool") -> ReconcileReport:
@@ -113,7 +123,7 @@ class FungiblePool:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self.capacity - self._fresh + len(self._released)
 
     @property
     def granted_count(self) -> int:

@@ -8,6 +8,7 @@ from repro.chaos.game_day import GameDayScenario, GameDaySpec
 from repro.chaos.plan import DiskFaultEpisode, LinkFaultEpisode, WanCutEpisode
 from repro.chaos.runner import ChaosRunner
 from repro.errors import SimulationError
+from tests.chaos.worlds import keep_sims
 
 
 def small(policy="fenced", detector="phi", **kw):
@@ -37,12 +38,13 @@ def test_same_seed_bit_identical_trace_and_metrics():
     plan = small().spec().sample(5)
     first = small()
     second = small()
+    first_sims, second_sims = keep_sims(first), keep_sims(second)
     r1 = first.run(5, plan)
     r2 = second.run(5, plan)
     assert r1.counters == r2.counters
     assert r1.violations == r2.violations
     assert r1.end_time == r2.end_time
-    assert render(first._sim) == render(second._sim)
+    assert render(first_sims[0]) == render(second_sims[0])
 
 
 def test_serial_sweep_matches_multiprocessing_sweep():

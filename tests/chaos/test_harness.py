@@ -1,7 +1,12 @@
 """The scenario harness: Crashable, the Scenario template's hook order,
-the acked-write oracle, and the smoke table's row order."""
+a run's world living exactly as long as the run, the acked-write
+oracle, and the smoke table's row order."""
 
+import gc
 import json
+import weakref
+
+import pytest
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Crashable, Scenario
@@ -9,6 +14,7 @@ from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan, CrashEpisode
 from repro.chaos.runner import SMOKE_ROWS, smoke
 from repro.dynamo.cluster import DynamoCluster
+from tests.chaos.worlds import keep_sims
 
 
 def test_crashable_calls_through_once_per_transition_and_counts_restarts():
@@ -64,19 +70,20 @@ class _ToyScenario(Scenario):
         self._mark("finish")
 
 
-def _steps(scenario):
+def _steps(sim):
     return [
         (record.time, record.kind)
-        for record in scenario._sim.trace.iter()
+        for record in sim.trace.iter()
         if record.actor in ("toy", "chaos")
     ]
 
 
 def test_scenario_template_calls_hooks_in_order():
     scenario = _ToyScenario(cadence=1.0)
+    sims = keep_sims(scenario)
     plan = ChaosPlan((CrashEpisode("n0", 1.5),))
     report = scenario.run(7, plan)
-    assert _steps(scenario) == [
+    assert _steps(sims[0]) == [
         (0.0, "build"),
         (0.0, "plan.installed"),
         (0.0, "invariants"),
@@ -95,10 +102,76 @@ def test_scenario_template_calls_hooks_in_order():
 
 def test_scenario_without_cadence_checks_at_quiesce_only():
     scenario = _ToyScenario(cadence=None)
+    sims = keep_sims(scenario)
     scenario.run(7, ChaosPlan())
-    assert [kind for _t, kind in _steps(scenario)].count("check") == 1
+    assert [kind for _t, kind in _steps(sims[0])].count("check") == 1
     assert scenario.spec(max_crashes=0).horizon == 3.0  # supplied by the template
     assert scenario.spec(max_crashes=0).sample(0) == ChaosPlan()
+
+
+# ----------------------------------------------------------------------
+# A run's world lives exactly as long as the run
+
+
+def _private(scenario):
+    return [key for key in vars(scenario) if key.startswith("_")]
+
+
+@pytest.mark.parametrize("row", SMOKE_ROWS, ids=lambda row: row.label)
+def test_a_runs_world_is_freed_the_moment_run_returns(row):
+    """No explicit collection here: ``run`` itself leaves nothing that
+    reaches its simulator, and frees the cycles the world is made of."""
+    scenario = row.build()
+    plan = scenario.spec(**dict(row.spec_overrides)).sample(0)
+    built = []
+    build = scenario.build
+
+    def weakly(sim):
+        built.append(weakref.ref(sim))
+        return build(sim)
+
+    scenario.build = weakly
+    scenario.run(0, plan)
+    assert len(built) == 1 and built[0]() is None
+    assert _private(scenario) == []
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RecordingToy(_ToyScenario):
+    """Records whether the collector ran automatically during the run;
+    with ``boom``, its workload raises."""
+
+    def __init__(self, boom):
+        super().__init__()
+        self.boom = boom
+        self.collecting_during_run = None
+
+    def drive(self, sim):
+        self.collecting_during_run = gc.isenabled()
+        if self.boom:
+            raise _Boom
+
+
+@pytest.mark.parametrize("boom", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, boom):
+    scenario = _RecordingToy(boom)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if boom:
+            with pytest.raises(_Boom):
+                scenario.run(7, ChaosPlan())
+        else:
+            scenario.run(7, ChaosPlan())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert scenario.collecting_during_run is False
+    assert _private(scenario) == []  # dropped on the way out either way
 
 
 def _ring_with_acked_write():

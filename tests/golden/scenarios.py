@@ -25,6 +25,7 @@ from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.tandem import TandemConfig, TandemSystem
+from tests.chaos.worlds import keep_sims
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,18 +48,18 @@ def render_counters(counters: Dict[str, float]) -> str:
 # The three frozen runs
 
 
+def _run_scenario(scenario: Any, seed: int) -> Tuple[str, str]:
+    sims = keep_sims(scenario)
+    report = scenario.run(seed, scenario.spec().sample(seed))
+    return render_trace(sims[0]), render_counters(report.counters)
+
+
 def run_bank(seed: int = 7) -> Tuple[str, str]:
-    scenario = BankClearingScenario(policy="correct")
-    plan = scenario.spec().sample(seed)
-    report = scenario.run(seed, plan)
-    return render_trace(scenario._sim), render_counters(report.counters)
+    return _run_scenario(BankClearingScenario(policy="correct"), seed)
 
 
 def run_cart(seed: int = 11) -> Tuple[str, str]:
-    scenario = CartDynamoScenario(policy="correct")
-    plan = scenario.spec().sample(seed)
-    report = scenario.run(seed, plan)
-    return render_trace(scenario._sim), render_counters(report.counters)
+    return _run_scenario(CartDynamoScenario(policy="correct"), seed)
 
 
 def run_tandem(seed: int = 3) -> Tuple[str, str]:
