@@ -14,7 +14,6 @@ common shape for fault plans is :class:`repro.chaos.harness.Crashable`.
 from repro.cluster.gossip_membership import (
     ALIVE,
     DEAD,
-    LEFT,
     SUSPECT,
     MemberEntry,
     MembershipGossip,
@@ -32,7 +31,6 @@ __all__ = [
     "ALIVE",
     "SUSPECT",
     "DEAD",
-    "LEFT",
     "MemberEntry",
     "MembershipView",
     "MembershipGossip",

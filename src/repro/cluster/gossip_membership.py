@@ -6,10 +6,10 @@ agreement, every node acts on *its own possibly-stale opinion* of who is
 alive. This module makes that opinion a first-class object:
 
 - :class:`MembershipView` is one node's local belief — an entry per
-  member ``(name, status ∈ {alive, suspect, dead, left}, incarnation)``
+  member ``(name, status ∈ {alive, suspect, dead}, incarnation)``
   merged under a deterministic precedence rule: **higher incarnation
   wins; at equal incarnation the graver status wins**
-  (``left > dead > suspect > alive``). Merging is therefore
+  (``dead > suspect > alive``). Merging is therefore
   commutative, associative, and idempotent — rumors can arrive late,
   twice, or out of order and every view still converges to the same
   answer.
@@ -69,13 +69,9 @@ from repro.sim.scheduler import Simulator
 ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
-LEFT = "left"
 
-#: Precedence at equal incarnation: the graver claim wins. ``left`` is a
-#: deliberate departure and outranks even ``dead`` — a decommissioned
-#: node must not be resurrected by a stale ``alive`` rumor of the same
-#: incarnation (a genuine rejoin mints a higher incarnation instead).
-_STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2, LEFT: 3}
+#: Precedence at equal incarnation: the graver claim wins.
+_STATUS_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2}
 
 #: What a peer's failure to answer one gossip round looks like.
 _PROBE_ERRORS = (TimeoutError_, RpcError, CrashedError, BreakerOpenError)
@@ -171,10 +167,6 @@ class MembershipView:
             n for n, e in self._entries.items()
             if e.status in (ALIVE, SUSPECT)
         ]
-
-    def member_names(self) -> List[str]:
-        """Everyone not known to have deliberately left."""
-        return [n for n, e in self._entries.items() if e.status != LEFT]
 
     def entries(self) -> Dict[str, Tuple[str, int]]:
         """``name -> (status, incarnation)`` — the convergence digest two
@@ -433,8 +425,7 @@ class MembershipGossip:
             # members on the anti-entropy cadence is what turns a heal
             # into reconvergence (cf. memberlist's gossip-to-the-dead).
             return [
-                name for name in self.view.member_names()
-                if name != self.view.owner
+                name for name in self.view.entries() if name != self.view.owner
             ]
         candidates = [
             name for name in self.view.usable_names() if name != self.view.owner

@@ -744,7 +744,7 @@ class DynamoClient:
         self.sim = cluster.sim
         self.name = name
         self.policy = policy or CLIENT_POLICY
-        # The coordinator skips peers its view holds dead/left — even if
+        # The coordinator skips peers its view holds dead — even if
         # they are reachable. A stale view therefore degrades to sloppy
         # quorum + hinted handoff, never to a stuck request.
         self.view = view
@@ -855,7 +855,7 @@ class DynamoClient:
 
     def _can_reach(self, node_name: str) -> bool:
         """This coordinator's failure-detector view: a node is usable if
-        our view does not believe it dead/left *and* it is up on our side
+        our view does not believe it dead *and* it is up on our side
         of any partition."""
         return self.view.is_usable(node_name) and self.cluster.network.reachable(
             self.name, node_name

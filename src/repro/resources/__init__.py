@@ -16,7 +16,7 @@
 
 from repro.resources.inventory import AllocationOutcome, InventorySystem
 from repro.resources.seats import SeatMap, SeatState
-from repro.resources.fungible import FungiblePool, ReconcileReport, UnitConflict
+from repro.resources.fungible import FungiblePool
 
 __all__ = [
     "AllocationOutcome",
@@ -24,6 +24,4 @@ __all__ = [
     "SeatMap",
     "SeatState",
     "FungiblePool",
-    "ReconcileReport",
-    "UnitConflict",
 ]

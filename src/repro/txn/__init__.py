@@ -8,7 +8,7 @@ turns every changed already-acked result into an executable apology
 (:mod:`repro.txn.apology`) — the paper's §5.7, as a programming model.
 """
 
-from repro.txn.apology import ApologyBook, TxnApology, reconcile_pools
+from repro.txn.apology import ApologyBook, TxnApology
 from repro.txn.machine import (
     ResourceMachine,
     TxnMachine,
@@ -19,7 +19,6 @@ from repro.txn.system import LogEntry, MixedTxnSystem, TxnReplica, TxnTicket
 __all__ = [
     "ApologyBook",
     "TxnApology",
-    "reconcile_pools",
     "TxnMachine",
     "ResourceMachine",
     "sample_resource_ops",

@@ -13,11 +13,6 @@ is now true, and the compensation — and routes it through an
   pool's unit (``release``), an upgraded decline re-reserves one
   (``allocate``) — §7.4's cheap apology, executed;
 - anything else goes to the human ledger.
-
-:func:`reconcile_pools` is the replica-merge path: it turns the
-conflicts :meth:`repro.resources.FungiblePool.reconcile_with` now
-*reports* (rather than silently merging) into the same structured
-apologies, so a partitioned pair of pools settles with a truthful count.
 """
 
 from __future__ import annotations
@@ -120,33 +115,3 @@ class ApologyBook:
 
     def uniquifiers(self) -> set:
         return {apology.uniquifier for apology in self.entries}
-
-
-def reconcile_pools(
-    ours: FungiblePool, theirs: FungiblePool, book: ApologyBook,
-    origin: str = "",
-) -> int:
-    """Merge two replica pools, apologizing for every reported conflict.
-
-    The duplicates (same uniquifier granted on both sides) come back via
-    the pool's own idempotence discipline; the *conflicts* — the same
-    physical unit promised to two different holders — each cost one
-    structured apology: our holder is released and told so. Returns the
-    number of apologies emitted.
-    """
-    report = ours.reconcile_with(theirs)
-    emitted = 0
-    for conflict in report.conflicts:
-        ours.release(conflict.ours)
-        apology = book.emit(
-            Operation(
-                "RESERVE", {"category": ours.category, "unit": conflict.unit},
-                uniquifier=conflict.ours, origin=origin,
-            ),
-            told={"ok": True},
-            actual={"ok": False},
-            origin=origin,
-        )
-        if apology is not None:
-            emitted += 1
-    return emitted

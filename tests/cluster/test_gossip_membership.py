@@ -9,7 +9,6 @@ import pytest
 from repro.cluster.gossip_membership import (
     ALIVE,
     DEAD,
-    LEFT,
     SUSPECT,
     MembershipGossip,
     MembershipView,
@@ -54,18 +53,18 @@ def test_higher_incarnation_always_wins():
 def test_equal_incarnation_graver_status_wins():
     assert rumor_wins(SUSPECT, 1, ALIVE, 1)
     assert rumor_wins(DEAD, 1, SUSPECT, 1)
-    assert rumor_wins(LEFT, 1, DEAD, 1)        # left outranks even dead
     assert not rumor_wins(ALIVE, 1, SUSPECT, 1)
     assert not rumor_wins(ALIVE, 0, ALIVE, 0)  # identical rumor is a no-op
 
 
 def test_unknown_status_is_rejected():
-    with pytest.raises(SimulationError):
-        rumor_wins("zombie", 1, ALIVE, 0)
     sim = Simulator(seed=0)
     view = MembershipView("a", sim)
-    with pytest.raises(SimulationError):
-        view.apply("b", "zombie", 0)
+    for status in ("zombie", "left"):  # nothing mints a departure any more
+        with pytest.raises(SimulationError):
+            rumor_wins(status, 1, ALIVE, 0)
+        with pytest.raises(SimulationError):
+            view.apply("b", status, 0)
     with pytest.raises(SimulationError):
         view.apply("b", ALIVE, -1)
 
@@ -76,7 +75,7 @@ def test_merge_is_order_independent_and_idempotent():
     arrive late, twice, or out of order."""
     rumors = [
         ("b", ALIVE, 0), ("b", SUSPECT, 0), ("b", ALIVE, 1),
-        ("c", DEAD, 2), ("c", ALIVE, 2), ("d", LEFT, 0), ("d", ALIVE, 0),
+        ("c", DEAD, 2), ("c", ALIVE, 2),
     ]
     outcomes = set()
     for perm in itertools.permutations(rumors):
@@ -90,7 +89,6 @@ def test_merge_is_order_independent_and_idempotent():
     entries = dict(outcomes.pop())
     assert entries["b"] == (ALIVE, 1)     # the refreshed incarnation won
     assert entries["c"] == (DEAD, 2)      # graver status at equal inc
-    assert entries["d"] == (LEFT, 0)      # left cannot be resurrected
 
 
 def test_rumor_about_unknown_name_creates_the_entry():
@@ -296,19 +294,6 @@ def test_gossip_to_the_dead_reconverges_after_symmetric_partition():
     assert views_converged(list(views.values()))
     for view in views.values():
         assert all(view.status_of(name) == ALIVE for name in names)
-
-
-def test_left_member_is_not_gossiped_at():
-    sim, network = make_fabric(seed=5)
-    names = ["m0", "m1", "m2"]
-    views, gossips = make_cluster(sim, network, names)
-    views["m0"].apply("m2", LEFT, 0)
-    assert "m2" not in views["m0"].member_names()
-    assert views["m0"].status_of("m2") == LEFT
-    # A same-incarnation alive rumor cannot resurrect the departed.
-    assert not views["m0"].apply("m2", ALIVE, 0)
-    # A genuine rejoin at a higher incarnation can.
-    assert views["m0"].apply("m2", ALIVE, 1)
 
 
 def test_desperate_round_falls_back_to_believed_dead_peers():

@@ -1,13 +1,13 @@
-"""Seeded runs whose rendered traces are frozen as golden fixtures.
+"""Seeded runs whose rendered traces and counters are golden.
 
-The fixtures under ``tests/golden/fixtures/`` were captured from the
-kernel *before* the perf overhaul (lazy trace formatting, batched drain
-loop, network fast path). Every kernel optimization must keep these runs
-bit-identical: same rendered trace lines, same final counters, same end
-time. If a fixture ever needs regenerating, that is a semantic change to
-the simulator and needs to be called out loudly in review:
-
-    PYTHONPATH=src python -m tests.golden.capture
+Each is a ``golden/<name>`` entry of the behaviour manifest
+(``tests/golden/manifest.py``), which pins the sha256 of its trace and of
+its counters. The traces were first captured from the kernel *before*
+the perf overhaul (lazy trace formatting, batched drain loop, network
+fast path), and every kernel optimization since has kept them
+bit-identical. ``fixtures/<name>.trace.txt`` is the pinned trace written
+out for reading; ``python tests/golden/manifest.py --write`` writes it,
+and only a change that moves the trace on purpose runs that.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def render_counters(counters: Dict[str, float]) -> str:
 
 
 # ----------------------------------------------------------------------
-# The three frozen runs
+# The golden runs
 
 
 def _run_scenario(scenario: Any, seed: int) -> Tuple[str, str]:
@@ -176,5 +176,6 @@ GOLDEN_RUNS = {
 }
 
 
-def fixture_paths(name: str) -> Tuple[Path, Path]:
-    return FIXTURES / f"{name}.trace.txt", FIXTURES / f"{name}.counters.json"
+def trace_path(name: str) -> Path:
+    """The golden run's trace, written out for reading."""
+    return FIXTURES / f"{name}.trace.txt"

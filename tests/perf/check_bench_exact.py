@@ -7,6 +7,10 @@ Exits 1 and names every field that differs (a workload missing from the
 run differs in all of its fields). A dotted field names a nested one:
 ``heap_lap.sim_digest`` is the digest of the quarter-scale memory lap,
 so the pins hold at a second size.
+
+The pins are the ``bench/<workload>`` entries of the behaviour manifest.
+Regenerate them only with ``python tests/golden/manifest.py --write``,
+which rewrites every pin from one run; never edit them by hand.
 """
 
 import json

@@ -1,5 +1,5 @@
 """Stateful hypothesis: the fungible pool conserves units under any
-interleaving of allocations, releases, and replica reconciliations."""
+interleaving of allocations and releases."""
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -29,10 +29,6 @@ class FungibleMachine(RuleBasedStateMachine):
     def release(self, pool_name, uniq):
         getattr(self, pool_name).release(uniq)
 
-    @rule()
-    def reconcile(self):
-        self.east.reconcile_with(self.west)
-
     @invariant()
     def units_conserved_per_pool(self):
         for pool in (self.east, self.west):
@@ -44,29 +40,8 @@ class FungibleMachine(RuleBasedStateMachine):
             units = list(pool._grants.values())
             assert len(units) == len(set(units))
 
-    @invariant()
-    def reconciled_uniquifiers_disjoint_after_reconcile(self):
-        # Not an always-invariant (pre-reconcile overlap is the §7.5
-        # scenario); checked opportunistically when grants are empty on
-        # one side.
-        if not self.east.granted_count:
-            assert set(self.east._grants) == set()
-
 
 TestFungibleMachine = FungibleMachine.TestCase
 TestFungibleMachine.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )
-
-
-def test_reconcile_always_clears_overlap():
-    """Directed: after reconcile, no uniquifier is granted on both sides."""
-    east = FungiblePool("rooms", 4)
-    west = FungiblePool("rooms", 4)
-    for uniq in ("a", "b", "c"):
-        east.allocate(uniq)
-        west.allocate(uniq)
-    east.reconcile_with(west)
-    overlap = set(east._grants) & set(west._grants)
-    assert overlap == set()
-    assert east.returned_redundant == 3

@@ -1,4 +1,4 @@
-"""Fungible pools: idempotent grants, redundant returns."""
+"""Fungible pools: idempotent grants, released units reused in order."""
 
 import random
 
@@ -30,58 +30,6 @@ def test_release_returns_unit():
     assert pool.release("g1")
     assert pool.free_count == 1
     assert not pool.release("g1")  # already released
-
-
-def test_reconcile_returns_redundant_grants():
-    """Both replicas served the same order; one unit comes back (§7.5)."""
-    east = FungiblePool("king-nonsmoking", 5)
-    west = FungiblePool("king-nonsmoking", 5)
-    east.allocate("order-1")
-    west.allocate("order-1")
-    east.allocate("order-2")  # only east
-    report = east.reconcile_with(west)
-    assert report.returned == 1
-    assert east.holder_of("order-1") is None
-    assert west.holder_of("order-1") is not None
-    assert east.holder_of("order-2") is not None
-
-
-def test_reconcile_reports_unit_conflicts_without_merging():
-    """The same physical unit promised to two different holders is
-    *reported*, not silently resolved — someone must be apologized to,
-    and the pool cannot know who."""
-    east = FungiblePool("king-nonsmoking", 2)
-    west = FungiblePool("king-nonsmoking", 2)
-    east.allocate("alice")   # unit 0 on east
-    west.allocate("bob")     # unit 0 on west: same room, different guest
-    report = east.reconcile_with(west)
-    assert report.returned == 0
-    assert not report.clean
-    assert len(report.conflicts) == 1
-    conflict = report.conflicts[0]
-    assert conflict.unit == 0
-    assert conflict.ours == "alice"
-    assert conflict.theirs == "bob"
-    # Neither grant was touched: resolution belongs to the apology path.
-    assert east.holder_of("alice") == 0
-    assert west.holder_of("bob") == 0
-
-
-def test_reconcile_duplicate_is_not_a_conflict():
-    """A duplicated uniquifier holding the same unit on both sides is the
-    §7.5 merge, never a reported conflict."""
-    east = FungiblePool("king-nonsmoking", 2)
-    west = FungiblePool("king-nonsmoking", 2)
-    east.allocate("order-1")
-    west.allocate("order-1")
-    report = east.reconcile_with(west)
-    assert report.returned == 1
-    assert report.clean
-
-
-def test_reconcile_category_mismatch_rejected():
-    with pytest.raises(SimulationError):
-        FungiblePool("rooms", 1).reconcile_with(FungiblePool("seats", 1))
 
 
 def test_negative_capacity_rejected():

@@ -1,10 +1,9 @@
-"""Executable apologies: compensation wiring, dedup, and the reconcile
-path over reported pool conflicts."""
+"""Executable apologies: compensation wiring and dedup."""
 
 from repro.core.operation import Operation
 from repro.resources import FungiblePool
 from repro.sim.scheduler import Simulator
-from repro.txn import ApologyBook, reconcile_pools
+from repro.txn import ApologyBook
 
 
 def _op(uniq, kind="RESERVE", **args):
@@ -46,22 +45,3 @@ def test_same_uniquifier_apologized_once():
     assert book.emit(_op("x"), told=1, actual=2) is not None
     assert book.emit(_op("x"), told=1, actual=2) is None
     assert book.total == 1
-
-
-def test_reconcile_pools_apologizes_per_conflict():
-    """A partition-split pool pair settles through the apology path: the
-    conflicted holder on our side is released and told so."""
-    sim = Simulator(seed=1)
-    east = FungiblePool("rooms", 2)
-    west = FungiblePool("rooms", 2)
-    east.allocate("alice")   # unit 0 east-side
-    west.allocate("bob")     # unit 0 west-side: same room, two guests
-    fulfillment = FungiblePool("rooms", 2)
-    fulfillment.allocate("alice")
-    book = ApologyBook(sim, pool=fulfillment)
-    emitted = reconcile_pools(east, west, book, origin="east")
-    assert emitted == 1
-    assert east.holder_of("alice") is None          # replica grant undone
-    assert fulfillment.holder_of("alice") is None   # real unit released
-    assert book.entries[0].action == "release"
-    assert book.uniquifiers() == {"alice"}
