@@ -36,10 +36,9 @@ def run_fixed(threshold, riskiness, rng, ops=2000):
     return apologies / ops, latency
 
 
-def run_adaptive(target, riskiness, rng, ops=2000):
+def run_adaptive(riskiness, rng, ops=2000):
     policy = AdaptiveRiskPolicy(
-        1000.0, target_apology_rate=target, adjustment_factor=1.3, window=50,
-        min_threshold=10.0, max_threshold=5000.0,
+        1000.0, adjustment_factor=1.3, min_threshold=10.0, max_threshold=5000.0,
     )
     apologies = 0
     coordinated = 0
@@ -66,7 +65,7 @@ def run_sweep():
         fixed_rate, fixed_latency = run_fixed(1000.0, riskiness, rng)
         rng = random.Random(11)
         adaptive_rate, adaptive_latency, final_threshold = run_adaptive(
-            0.02, riskiness, rng
+            riskiness, rng
         )
         rows.append((label, "fixed $1000", fixed_rate, fixed_latency, 1000.0))
         rows.append(

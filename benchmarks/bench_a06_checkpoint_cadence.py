@@ -21,8 +21,7 @@ def run_case(cadence, crash_at, seed=3, total_steps=24, **kwargs):
     network = Network(sim)
     pair = PairedAlgorithm(
         sim, network, step=idempotent_step, total_steps=total_steps,
-        initial_state={"done": []}, cadence=cadence,
-        step_duration=0.01, **kwargs,
+        initial_state={"done": []}, cadence=cadence, **kwargs,
     )
     if crash_at is not None:
         pair.crash_primary_at_step(crash_at)

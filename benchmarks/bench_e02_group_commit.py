@@ -16,7 +16,7 @@ from repro.tandem import GroupCommitter
 
 def run_point(timer, inter_arrival, arrivals=300, seed=7):
     sim = Simulator(seed=seed)
-    disk = Disk(sim, service_time=0.005, per_item_time=0.0001)
+    disk = Disk(sim)
     committer = GroupCommitter(sim, disk, timer=timer)
 
     def arrival_process():

@@ -24,7 +24,6 @@ def run_point(threshold, seed, checks=60, initial=20_000.0):
 
     rng = random.Random(seed)
     bank = ReplicatedBank(
-        num_replicas=2,
         initial_deposit=initial,
         coordination_threshold=threshold if math.isfinite(threshold) else None,
     )

@@ -20,7 +20,7 @@ from repro.workload import CheckStream
 
 def run_point(headroom, duplicate_fraction, seed, use_uniquifiers=True, checks=40):
     rng = random.Random(seed)
-    bank = ReplicatedBank(num_replicas=2, initial_deposit=headroom)
+    bank = ReplicatedBank(initial_deposit=headroom)
     stream = CheckStream(rng, low=20.0, high=200.0)
     book = StatementBook(bank.replica("branch0"))
     double_debits = 0

@@ -18,8 +18,8 @@ def run_point(theta, demand_per_replica, seed, capacity=100.0):
     rng = random.Random(seed)
     inv = InventorySystem(capacity, ["east", "west"], theta=theta)
     for i in range(demand_per_replica):
-        inv.request("east", f"e{i}", quantity=1.0)
-        inv.request("west", f"w{i}", quantity=1.0)
+        inv.request("east", f"e{i}")
+        inv.request("west", f"w{i}")
         # Occasional moments of connectivity at low probability.
         if rng.random() < 0.02:
             inv.sync("east", "west")

@@ -30,8 +30,9 @@ deterministic per seed; tradeoff curve monotone both ways.
 from repro.analysis import Table
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.splitbrain import SplitBrainScenario
+from repro.failover import HeartbeatEmitter
 
-HEARTBEAT = 0.25
+HEARTBEAT = HeartbeatEmitter.interval
 
 
 def run_policy_point(policy, seed):
@@ -66,13 +67,11 @@ def run_tradeoff_point(timeout_multiple, seed):
     under a real partition, false takeovers under lossy heartbeats with
     NO partition (any conviction there is by definition wrong)."""
     timeout = timeout_multiple * HEARTBEAT
-    latency_run = SplitBrainScenario(
-        policy="fenced", heartbeat_interval=HEARTBEAT, detect_timeout=timeout,
-    )
+    latency_run = SplitBrainScenario(policy="fenced", detect_timeout=timeout)
     latency_run.run(seed, ChaosPlan())
 
     flaky_run = SplitBrainScenario(
-        policy="fenced", heartbeat_interval=HEARTBEAT, detect_timeout=timeout,
+        policy="fenced", detect_timeout=timeout,
         partition_start=None, heartbeat_loss=0.5,
     )
     flaky_run.run(seed, ChaosPlan())

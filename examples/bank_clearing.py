@@ -14,9 +14,7 @@ from repro.bank import (
 
 def main():
     bank = ReplicatedBank(
-        num_replicas=2,
         initial_deposit=1000.0,
-        overdraft_fee=30.0,
         coordination_threshold=10_000.0,  # the $10,000 rule (§5.5)
     )
     book = StatementBook(bank.replica("branch0"))
@@ -46,7 +44,7 @@ def main():
 
     print()
     print("== the brother-in-law's check (hold policy) ==")
-    desk = DepositDesk(bank, "branch0", bounce_fee=30.0)
+    desk = DepositDesk(bank, "branch0")
     bil = Check("otherbank", "bil", 9, "you", 100.0)
     deposit_id = desk.deposit_check(bil, CustomerStanding.GOOD)
     print(f"  deposited on GOOD standing; available now: "

@@ -74,7 +74,7 @@ def available_of(state: Dict[str, Any]) -> float:
     return state["balance"] - state["held"]
 
 
-def overdraft_rule(enforcement: Enforcement = Enforcement.LOCAL) -> BusinessRule:
+def overdraft_rule() -> BusinessRule:
     """"Don't overdraw the checking account": available funds must cover
     every debit. Checked at ingress (refuse = bounce) and at integration
     (violation = apology)."""
@@ -87,6 +87,6 @@ def overdraft_rule(enforcement: Enforcement = Enforcement.LOCAL) -> BusinessRule
     return BusinessRule(
         name="overdraft",
         check=check,
-        enforcement=enforcement,
+        enforcement=Enforcement.LOCAL,
         applies_to=frozenset({"CLEAR_CHECK", "BOUNCE_DEBIT"}),
     )

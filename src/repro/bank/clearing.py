@@ -3,7 +3,7 @@
 "Imagine a replicated bank system which has two (or more) copies of my
 bank account, both of which are clearing checks." Each replica decides
 against its own knowledge (the guess). Big checks trigger the §5.5
-coordination: merge knowledge from every *reachable* replica before
+coordination: merge knowledge from every other replica before
 deciding — the synchronous checkpoint, paid for in the experiment by a
 latency charge per consulted replica. Overdrafts discovered when the
 replicas finally talk become apologies handled by the automated
@@ -13,7 +13,7 @@ overdraft-fee handler.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.bank.account import (
     available_of,
@@ -38,23 +38,17 @@ class ClearOutcome(str, enum.Enum):
 
 
 class ReplicatedBank:
-    """N replicas of one account, all clearing checks."""
+    """Two replicas of one account, both clearing checks."""
+
+    num_replicas = 2
+    overdraft_fee = 30.0
 
     def __init__(
         self,
-        num_replicas: int = 2,
         initial_deposit: float = 1000.0,
-        overdraft_fee: float = 30.0,
         coordination_threshold: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-        reachable: Optional[Callable[[str, str], bool]] = None,
     ) -> None:
-        if num_replicas < 1:
-            raise SimulationError("need at least one clearing replica")
         self.registry = build_account_registry()
-        self.overdraft_fee = overdraft_fee
-        self.clock = clock or (lambda: 0.0)
-        self.reachable = reachable or (lambda _a, _b: True)
         self.risk_policy = (
             ThresholdRiskPolicy(coordination_threshold)
             if coordination_threshold is not None
@@ -63,14 +57,13 @@ class ReplicatedBank:
         self.apologies = ApologyQueue()
         self.apologies.register_handler("overdraft", self._overdraft_handler)
         self.replicas: Dict[str, Replica] = {}
-        for i in range(num_replicas):
+        for i in range(self.num_replicas):
             name = f"branch{i}"
             self.replicas[name] = Replica(
                 name,
                 self.registry,
                 rules=RuleEngine([overdraft_rule()]),
                 apologies=self.apologies,
-                clock=self.clock,
             )
         self.coordinations = 0
         self._fee_seq = 0
@@ -99,7 +92,7 @@ class ReplicatedBank:
             {"amount": check.amount, "payee": check.payee},
             uniquifier=check.uniquifier,
             origin=branch,
-            ingress_time=self.clock(),
+            ingress_time=0.0,
         )
         if self.risk_policy is not None and self.risk_policy.requires_coordination(op):
             self._coordinate(replica)
@@ -113,7 +106,7 @@ class ReplicatedBank:
                 hold: bool = False) -> bool:
         op = Operation(
             "DEPOSIT", {"amount": amount, "hold": hold},
-            uniquifier=uniquifier, origin=branch, ingress_time=self.clock(),
+            uniquifier=uniquifier, origin=branch, ingress_time=0.0,
         )
         return self.replica(branch).submit(op)
 
@@ -122,19 +115,16 @@ class ReplicatedBank:
 
     def _coordinate(self, replica: Replica) -> None:
         """The synchronous checkpoint for a risky operation: pull every
-        reachable replica's knowledge into the deciding one first."""
+        other replica's knowledge into the deciding one first."""
         for other in self.replicas.values():
-            if other is replica:
-                continue
-            if not self.reachable(replica.name, other.name):
-                continue
-            sync_replicas(replica, other)
+            if other is not replica:
+                sync_replicas(replica, other)
         self.coordinations += 1
 
-    def reconcile(self, rounds: Optional[int] = None) -> List[Apology]:
+    def reconcile(self) -> List[Apology]:
         """Let the branches talk until knowledge converges."""
         replicas = list(self.replicas.values())
-        return sync_all(replicas, rounds=rounds or len(replicas))
+        return sync_all(replicas, rounds=len(replicas))
 
     def converged(self) -> bool:
         return converged(list(self.replicas.values()))
@@ -152,7 +142,7 @@ class ReplicatedBank:
         fee_op = Operation(
             "FEE", {"amount": self.overdraft_fee, "reason": apology.detail},
             uniquifier=f"overdraft-fee-{apology.op_uniquifier}-{self._fee_seq}",
-            origin=replica.name, ingress_time=self.clock(),
+            origin=replica.name, ingress_time=0.0,
         )
         replica.ops.add(fee_op)
         replica.state = self.registry.apply(replica.state, fee_op)

@@ -32,10 +32,11 @@ class _PendingDeposit:
 class DepositDesk:
     """Deposits third-party checks into the account at one branch."""
 
-    def __init__(self, bank: ReplicatedBank, branch: str, bounce_fee: float = 30.0) -> None:
+    bounce_fee = 30.0
+
+    def __init__(self, bank: ReplicatedBank, branch: str) -> None:
         self.bank = bank
         self.branch = branch
-        self.bounce_fee = bounce_fee
         self._pending: Dict[str, _PendingDeposit] = {}
 
     def deposit_check(self, check: Check, standing: CustomerStanding) -> str:
@@ -71,7 +72,7 @@ class DepositDesk:
                  "check": pending.check.uniquifier},
                 uniquifier=f"bounce-{deposit_id}",
                 origin=self.branch,
-                ingress_time=self.bank.clock(),
+                ingress_time=0.0,
             )
             # A bounce is never refused: integrate directly (the money is
             # owed whether or not it overdraws — that is the customer's
@@ -90,7 +91,7 @@ class DepositDesk:
             "RELEASE_HOLD", {"amount": pending.check.amount},
             uniquifier=f"release-{deposit_id}",
             origin=self.branch,
-            ingress_time=self.bank.clock(),
+            ingress_time=0.0,
         )
         replica.integrate([release])
         return release.uniquifier

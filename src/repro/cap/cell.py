@@ -29,12 +29,11 @@ class CapCell:
     """One logical counter, replicated at two sites."""
 
     SITES = ("east", "west")
+    #: The site a CP cell keeps serving from while partitioned.
+    quorum_site = "east"
 
-    def __init__(self, stance: Stance, quorum_site: str = "east") -> None:
+    def __init__(self, stance: Stance) -> None:
         self.stance = Stance(stance)
-        if quorum_site not in self.SITES:
-            raise SimulationError(f"unknown site {quorum_site!r}")
-        self.quorum_site = quorum_site
         self.partitioned = False
         self._sites: Dict[str, _Site] = {
             name: _Site(name, OpSet()) for name in self.SITES

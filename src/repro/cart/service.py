@@ -35,8 +35,8 @@ class CartService:
 
     # ------------------------------------------------------------------
 
-    def add(self, cart_key: str, item: str, quantity: int = 1) -> Generator[Any, Any, CartOp]:
-        op = CartOp("ADD", item, quantity, time=self.sim.now)
+    def add(self, cart_key: str, item: str) -> Generator[Any, Any, CartOp]:
+        op = CartOp("ADD", item, 1, time=self.sim.now)
         yield from self._fold_in(cart_key, op)
         return op
 

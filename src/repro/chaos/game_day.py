@@ -89,9 +89,18 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
 
     SITES = ("dc-east", "dc-west", "dc-south")
 
+    horizon = 30.0
+    cut_start = 8.0
+    cut_end = 16.0
+    write_interval = 0.4
+    num_keys = 8
+    put_interval = 0.2
+    detect_timeout = 1.0
+    ship_interval = 0.05
+    cadence = 1.0
+    drain = 8.0
     storm_loss = 0.15
     disk_slow_factor = 4.0
-    phi_threshold = 8.0
     lan_latency = 0.0005
     wan_floor = 0.02
     wan_jitter = 0.005
@@ -104,40 +113,14 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         policy: str = "fenced",
         detector: str = "phi",
         nodes_per_site: int = 32,
-        horizon: float = 30.0,
-        cut_start: float = 8.0,
-        cut_end: float = 16.0,
-        write_interval: float = 0.4,
-        num_keys: int = 8,
-        put_interval: float = 0.2,
-        heartbeat_interval: float = 0.25,
-        detect_timeout: float = 1.0,
-        ship_interval: float = 0.05,
-        cadence: float = 1.0,
-        drain: float = 8.0,
     ) -> None:
         self.choose_policy(policy)
         if detector not in ("phi", "fixed"):
             raise SimulationError(f"unknown game-day detector {detector!r}")
         if nodes_per_site < 2:
             raise SimulationError("game day needs >= 2 nodes per site")
-        if not 0.0 < cut_start < cut_end <= horizon:
-            raise SimulationError(
-                f"bad cut window [{cut_start}, {cut_end}] in horizon {horizon}"
-            )
         self.detector = detector
         self.nodes_per_site = nodes_per_site
-        self.horizon = horizon
-        self.cut_start = cut_start
-        self.cut_end = cut_end
-        self.write_interval = write_interval
-        self.num_keys = num_keys
-        self.put_interval = put_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.detect_timeout = detect_timeout
-        self.ship_interval = ship_interval
-        self.cadence = cadence
-        self.drain = drain
         # Filled in by run(); read by E17 and the tests.
         self.endpoint_count = 0
         self.detection_latency: Optional[float] = None
@@ -235,7 +218,6 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         failover = LogshipFailover(
             system,
             fenced=(self.policy == "fenced"),
-            heartbeat_interval=self.heartbeat_interval,
             detector=self._make_detector(sim, system),
         )
         self._failover = failover
@@ -254,9 +236,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
             unconverged="owners never agreed after repair rounds",
         )
 
-        escrow = EscrowAccount(
-            sim, self.escrow_initial, minimum=0.0, name="gameday.escrow"
-        )
+        escrow = EscrowAccount(sim, self.escrow_initial, name="gameday.escrow")
         self._escrow = escrow
         self._escrow_committed = 0.0
 
@@ -319,9 +299,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
             return FixedTimeoutDetector(
                 sim, [system.serving], timeout=self.detect_timeout
             )
-        return PhiAccrualDetector(
-            sim, [system.serving], threshold=self.phi_threshold
-        )
+        return PhiAccrualDetector(sim, [system.serving])
 
     # ------------------------------------------------------------------
     # Log-ship writers (the split-brain pattern, now under a WAN cut)

@@ -67,7 +67,7 @@ class Crashable:
         self.up = True
         self.restarts = 0
 
-    def crash(self, cause: str = "injected") -> None:
+    def crash(self, cause: str) -> None:
         if not self.up:
             return
         self.up = False

@@ -51,9 +51,11 @@ class _Registered:
 class InvariantMonitor:
     """Registers predicates; checks them at cadence and at quiesce."""
 
-    def __init__(self, sim: Simulator, context_records: int = 8) -> None:
+    #: Trace records a violation carries as its context.
+    context_records = 8
+
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.context_records = context_records
         self.violations: List[Violation] = []
         self._registered: List[_Registered] = []
         self._period: Optional[float] = None
@@ -226,13 +228,11 @@ def replicas_converge(replicas: Sequence[Any]) -> Check:
 
 def escrow_non_negative(account: Any) -> Check:
     """Escrow safety: the committed value and the pessimistic worst case
-    both stay inside the account's bounds."""
+    both stay at or above the account's floor."""
 
     def check() -> Optional[str]:
         if account.value < account.minimum - 1e-9:
             return f"{account.name}: value {account.value} below {account.minimum}"
-        if account.value > account.maximum + 1e-9:
-            return f"{account.name}: value {account.value} above {account.maximum}"
         if account.worst_case_low < account.minimum - 1e-9:
             return (
                 f"{account.name}: worst case {account.worst_case_low} "

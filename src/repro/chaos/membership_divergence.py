@@ -29,7 +29,6 @@ from repro.chaos.harness import AckedWrites, Crashable, Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.cluster.gossip_membership import ALIVE, views_converged
 from repro.dynamo.cluster import DynamoCluster
-from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
@@ -43,27 +42,12 @@ class MembershipDivergenceScenario(Scenario):
     policies = ("gossip",)
     policy = "gossip"
 
-    def __init__(
-        self,
-        num_nodes: int = 6,
-        horizon: float = 14.0,
-        put_interval: float = 0.12,
-        zipf_rate: float = 25.0,
-        zipf_keyspace: int = 4_000,
-        gossip_period: float = 0.25,
-        fanout: int = 2,
-        suspicion_timeout: float = 1.0,
-    ) -> None:
-        if num_nodes < 4:
-            raise SimulationError("membership_divergence needs >= 4 nodes")
-        self.num_nodes = num_nodes
-        self.horizon = horizon
-        self.put_interval = put_interval
-        self.zipf_rate = zipf_rate
-        self.zipf_keyspace = zipf_keyspace
-        self.gossip_period = gossip_period
-        self.fanout = fanout
-        self.suspicion_timeout = suspicion_timeout
+    num_nodes = 6
+    horizon = 14.0
+    put_interval = 0.12
+    zipf_rate = 25.0
+    zipf_keyspace = 4_000
+    suspicion_timeout = 1.0
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))
@@ -89,11 +73,7 @@ class MembershipDivergenceScenario(Scenario):
     def build(self, sim: Simulator) -> ChaosTargets:
         cluster = DynamoCluster(num_nodes=self.num_nodes, sim=sim)
         self._cluster = cluster
-        cluster.attach_gossip_membership(
-            period=self.gossip_period,
-            fanout=self.fanout,
-            suspicion_timeout=self.suspicion_timeout,
-        )
+        cluster.attach_gossip_membership(suspicion_timeout=self.suspicion_timeout)
         cluster.start_membership_gossip(until=self.horizon)
         # Each coordinator routes by a *different* node's local view —
         # divergence between those two views is load-bearing, not

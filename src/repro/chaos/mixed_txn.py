@@ -50,6 +50,9 @@ class MixedTxnScenario(Scenario):
 
     name = "mixed-txn"
     submit_interval = 0.2
+    capacity = 8
+    weak_fraction = 0.8
+    cadence = 1.0
 
     def __init__(
         self,
@@ -57,28 +60,14 @@ class MixedTxnScenario(Scenario):
         horizon: float = 30.0,
         partition_start: float = 6.0,
         partition_end: float = 16.0,
-        capacity: int = 8,
-        weak_fraction: float = 0.8,
-        heartbeat_interval: float = 0.25,
-        detect_timeout: float = 1.0,
-        poll_interval: float = 0.1,
-        cadence: float = 1.0,
         drain: float = 12.0,
     ) -> None:
         if cut not in ("leader", "minority"):
             raise SimulationError(f"unknown mixed-txn cut {cut!r}")
-        if not 0.0 <= weak_fraction <= 1.0:
-            raise SimulationError(f"bad weak fraction {weak_fraction}")
         self.cut = cut
         self.horizon = horizon
         self.partition_start = partition_start
         self.partition_end = partition_end
-        self.capacity = capacity
-        self.weak_fraction = weak_fraction
-        self.heartbeat_interval = heartbeat_interval
-        self.detect_timeout = detect_timeout
-        self.poll_interval = poll_interval
-        self.cadence = cadence
         self.drain = drain
 
     def node_names(self) -> Tuple[str, ...]:
@@ -105,13 +94,7 @@ class MixedTxnScenario(Scenario):
             {"seats": self.capacity, "annex": self.capacity}
         )
         self._fulfillment = FungiblePool("seats", 10_000)
-        system = MixedTxnSystem(
-            sim, machine,
-            apology_pool=self._fulfillment,
-            heartbeat_interval=self.heartbeat_interval,
-            detect_timeout=self.detect_timeout,
-            poll_interval=self.poll_interval,
-        )
+        system = MixedTxnSystem(sim, machine, apology_pool=self._fulfillment)
         self._system = system
         system.start()
 

@@ -583,5 +583,5 @@ class ChaosSpec:
         return (tuple(sorted(names[:cut])), tuple(sorted(names[cut:])))
 
 
-def _round(value: Optional[float], digits: int = 4) -> Optional[float]:
-    return None if value is None else round(value, digits)
+def _round(value: Optional[float]) -> Optional[float]:
+    return None if value is None else round(value, 4)

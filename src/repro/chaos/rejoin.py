@@ -25,7 +25,6 @@ from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Crashable, Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.dynamo.cluster import DynamoCluster
-from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 
@@ -39,18 +38,11 @@ class RejoinScenario(Scenario):
     put_interval = 0.15
     outage = 2.0  # mean sim-seconds a victim stays down
     snapshot_cadence = 1.0  # under the snapshot policy; the other takes none
+    num_nodes = 10
+    crash_fraction = 0.2
 
-    def __init__(
-        self,
-        num_nodes: int = 10,
-        crash_fraction: float = 0.2,
-        policy: str = "snapshot",
-    ) -> None:
+    def __init__(self, policy: str = "snapshot") -> None:
         self.choose_policy(policy)
-        if not 0.0 < crash_fraction <= 0.5:
-            raise SimulationError(f"crash fraction {crash_fraction} not in (0, 0.5]")
-        self.num_nodes = num_nodes
-        self.crash_fraction = crash_fraction
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))

@@ -26,7 +26,6 @@ from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.dynamo.cluster import DynamoCluster
-from repro.errors import SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
 from repro.workload.zipf import ZipfKeyGenerator, zipf_open_loop
@@ -42,12 +41,7 @@ class RingRebalanceScenario(Scenario):
     put_interval = 0.12
     zipf_rate = 30.0
     zipf_keyspace = 5_000
-
-    def __init__(self, num_nodes: int = 8) -> None:
-        if num_nodes < 5:
-            raise SimulationError("ring_rebalance needs >= 5 nodes (N=3 "
-                                  "must survive a decommission)")
-        self.num_nodes = num_nodes
+    num_nodes = 8
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(f"node{i}" for i in range(self.num_nodes))

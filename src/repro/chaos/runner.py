@@ -87,32 +87,23 @@ class ChaosRunner:
     shrink_budget = 80  # scenario re-runs one shrink may spend
     min_window = 0.5    # narrowest episode a shrink will try, sim-seconds
 
-    def __init__(
-        self,
-        scenario: Any,
-        spec: Optional[ChaosSpec] = None,
-        plan: Optional[ChaosPlan] = None,
-    ) -> None:
-        if spec is None and plan is None:
-            spec = scenario.spec()
+    def __init__(self, scenario: Any, spec: Optional[ChaosSpec] = None) -> None:
         self.scenario = scenario
-        self.spec = spec
-        self.plan = plan
+        self.spec = scenario.spec() if spec is None else spec
         self.metrics = MetricsRegistry()
 
     def __getstate__(self) -> Dict[str, Any]:
         """A runner crosses to a worker process as what a run needs — the
-        scenario's configuration and the spec or fixed plan — never its
-        metrics, which only this process accounts into."""
-        return {"scenario": self.scenario, "spec": self.spec, "plan": self.plan}
+        scenario's configuration and the spec — never its metrics, which
+        only this process accounts into."""
+        return {"scenario": self.scenario, "spec": self.spec}
 
     # ------------------------------------------------------------------
 
     def _run(self, seed: int) -> ChaosReport:
-        """One seed: ``plan`` pins a fixed schedule; otherwise the spec
-        samples one from the seed (in whichever process runs it)."""
-        plan = self.plan if self.plan is not None else self.spec.sample(seed)
-        return self.scenario.run(seed, plan)
+        """One seed, under the plan the spec samples from it (in whichever
+        process runs it)."""
+        return self.scenario.run(seed, self.spec.sample(seed))
 
     def _account(self, report: ChaosReport) -> None:
         """Fold one report into the runner's metrics. Kept separate from
@@ -128,7 +119,6 @@ class ChaosRunner:
     def sweep(
         self,
         seeds: Iterable[int],
-        shrink: bool = True,
         processes: Optional[int] = 1,
         reports: Optional[Iterable[ChaosReport]] = None,
     ) -> SweepResult:
@@ -145,18 +135,18 @@ class ChaosRunner:
         and metrics live.
         """
         if reports is not None:
-            return self._fold(reports, shrink)
+            return self._fold(reports)
         units = [(self, seed) for seed in seeds]
         with closing(parallel_map(_run_seed, units, processes)) as started:
-            return self._fold(started, shrink)
+            return self._fold(started)
 
-    def _fold(self, reports: Iterable[ChaosReport], shrink: bool) -> SweepResult:
+    def _fold(self, reports: Iterable[ChaosReport]) -> SweepResult:
         kept: List[ChaosReport] = []
         failures: List[FailingCase] = []
         for report in reports:
             kept.append(report)
             self._account(report)
-            if report.failed and shrink:
+            if report.failed:
                 failures.append(self.shrink_case(report))
         return SweepResult(
             scenario=self.scenario.name,
@@ -426,7 +416,7 @@ def smoke(seeds: Sequence[int], report_path: Optional[str] = None) -> int:
     with closing(parallel_map(_run_seed, [
         (row_runner, seed) for row_runner in row_runners
         for seed in seeds[: row_runner.row.max_seeds]
-    ])) as reports:
+    ], None)) as reports:
         for row_runner in row_runners:
             row, runner = row_runner.row, row_runner.runner()
             row_seeds = seeds[: row.max_seeds]

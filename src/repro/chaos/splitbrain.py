@@ -137,35 +137,26 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
     policies = ("fenced", "unfenced")
     metrics = "chaos.splitbrain"
 
+    horizon = 30.0
+    partition_end = 16.0
+    write_interval = 0.4
+    num_keys = 8
+    poll_interval = 0.1
+    ship_interval = 0.05
+    cadence = 1.0
+    drain = 8.0
+
     def __init__(
         self,
         policy: str = "fenced",
-        horizon: float = 30.0,
         partition_start: Optional[float] = 6.0,
-        partition_end: float = 16.0,
-        write_interval: float = 0.4,
-        num_keys: int = 8,
-        heartbeat_interval: float = 0.25,
         detect_timeout: float = 1.0,
-        poll_interval: float = 0.1,
-        ship_interval: float = 0.05,
         heartbeat_loss: float = 0.0,
-        cadence: float = 1.0,
-        drain: float = 8.0,
     ) -> None:
         self.choose_policy(policy)
-        self.horizon = horizon
         self.partition_start = partition_start
-        self.partition_end = partition_end
-        self.write_interval = write_interval
-        self.num_keys = num_keys
-        self.heartbeat_interval = heartbeat_interval
         self.detect_timeout = detect_timeout
-        self.poll_interval = poll_interval
-        self.ship_interval = ship_interval
         self.heartbeat_loss = heartbeat_loss
-        self.cadence = cadence
-        self.drain = drain
         # Filled in by run(); read by E14's serial sweeps.
         self.detection_latency: Optional[float] = None
         self.false_takeover = False
@@ -192,7 +183,6 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
         failover = LogshipFailover(
             system,
             fenced=(self.policy == "fenced"),
-            heartbeat_interval=self.heartbeat_interval,
             detector=FixedTimeoutDetector(
                 sim, [system.serving], timeout=self.detect_timeout
             ),

@@ -357,8 +357,8 @@ class MembershipGossip:
     membership deltas with them (verb ``MSHIP`` — registered on an
     existing endpoint when one is supplied, e.g. a Dynamo node's, so the
     rumors ride the same fabric as the data; otherwise the gossiper owns
-    a standalone endpoint). Every ``full_sync_every``-th round sends the
-    whole view instead of deltas — the anti-entropy backstop that heals
+    a standalone endpoint). Every :attr:`full_sync_every`-th round sends
+    the whole view instead of deltas — the anti-entropy backstop that heals
     arbitrarily aged views after a partition.
 
     A peer that fails to answer is **suspected** in the local view: the
@@ -367,6 +367,7 @@ class MembershipGossip:
 
     #: Most deltas one round piggybacks, hottest first.
     delta_limit = 12
+    full_sync_every = 4
     policy = MEMBERSHIP_POLICY
 
     def __init__(
@@ -376,7 +377,6 @@ class MembershipGossip:
         network: Optional[Network] = None,
         period: float = 0.5,
         fanout: int = 1,
-        full_sync_every: int = 4,
     ) -> None:
         if endpoint is None and network is None:
             raise SimulationError("membership gossip needs an endpoint or network")
@@ -384,13 +384,10 @@ class MembershipGossip:
             raise SimulationError(f"bad gossip fanout {fanout}")
         if period <= 0:
             raise SimulationError(f"bad gossip period {period}")
-        if full_sync_every < 1:
-            raise SimulationError(f"bad full-sync cadence {full_sync_every}")
         self.view = view
         self.sim = view.sim
         self.period = period
         self.fanout = fanout
-        self.full_sync_every = full_sync_every
         self._owns_endpoint = endpoint is None
         if endpoint is None:
             endpoint = Endpoint(network, view.owner)

@@ -63,6 +63,9 @@ class PairResult:
 class PairedAlgorithm:
     """Run one algorithm of ``total_steps`` idempotent steps on a pair."""
 
+    step_duration = 0.01
+    name = "pair"
+
     def __init__(
         self,
         sim: Simulator,
@@ -73,8 +76,6 @@ class PairedAlgorithm:
         cadence: CheckpointCadence = CheckpointCadence.EVERY_STEP,
         batch_size: int = 4,
         async_period: float = 0.05,
-        step_duration: float = 0.01,
-        name: str = "pair",
     ) -> None:
         if total_steps < 1:
             raise SimulationError("need at least one step")
@@ -87,16 +88,14 @@ class PairedAlgorithm:
         self.cadence = CheckpointCadence(cadence)
         self.batch_size = batch_size
         self.async_period = async_period
-        self.step_duration = step_duration
-        self.name = name
         # Backup endpoint: receives CHECKPOINT {state, next_step}.
         self.backup_state: Any = initial_state
         self.backup_next_step = 0
-        self.backup_endpoint = Endpoint(network, f"{name}.backup")
+        self.backup_endpoint = Endpoint(network, f"{self.name}.backup")
         self.backup_endpoint.register("CHECKPOINT", self._handle_checkpoint)
         self.backup_endpoint.start()
         # Primary endpoint (for symmetry of the fabric accounting).
-        self.primary_endpoint = Endpoint(network, f"{name}.primary")
+        self.primary_endpoint = Endpoint(network, f"{self.name}.primary")
         self.primary_endpoint.start()
         self.result = PairResult(
             final_state=initial_state, steps_executed=0, steps_redone=0,

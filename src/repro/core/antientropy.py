@@ -6,13 +6,12 @@ Two forms:
   replicas: each integrates what the other has that it lacks. Returns the
   apologies surfaced by the merge.
 - :class:`GossipSchedule` — installs periodic pairwise syncs on a
-  simulator, with an optional ``can_talk`` predicate so experiments can
-  model partitions/disconnection windows without a full network stack.
+  simulator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.guesses import Apology
 from repro.core.replica import Replica
@@ -48,8 +47,7 @@ def converged(replicas: Sequence[Replica]) -> bool:
 class GossipSchedule:
     """Periodic pairwise syncs on the simulator clock.
 
-    Each period, every adjacent pair (ring order) syncs — unless
-    ``can_talk(a, b)`` says they are disconnected right now. Gossip stops
+    Each period, every adjacent pair (ring order) syncs. Gossip stops
     after ``until`` (required, so the event heap drains).
     """
 
@@ -59,7 +57,6 @@ class GossipSchedule:
         replicas: Sequence[Replica],
         period: float,
         until: float,
-        can_talk: Optional[Callable[[Replica, Replica], bool]] = None,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"gossip period must be positive, got {period}")
@@ -67,10 +64,8 @@ class GossipSchedule:
         self.replicas = list(replicas)
         self.period = period
         self.until = until
-        self.can_talk = can_talk or (lambda _a, _b: True)
         self.apologies: List[Apology] = []
         self.syncs_done = 0
-        self.syncs_blocked = 0
 
     def install(self) -> None:
         when = self.period
@@ -82,9 +77,6 @@ class GossipSchedule:
         pairs = list(zip(self.replicas, self.replicas[1:] + self.replicas[:1]))
         for left, right in pairs:
             if left is right:
-                continue
-            if not self.can_talk(left, right):
-                self.syncs_blocked += 1
                 continue
             self.apologies.extend(sync_replicas(left, right))
             self.syncs_done += 1

@@ -1,8 +1,8 @@
 """Escrow locking (§5.3 sidebar).
 
 Commutative increments/decrements interleave freely as long as the
-*worst case* of all pending transactions stays inside the value's
-[minimum, maximum] bounds. Changes are operation-logged ("Transaction T1
+*worst case* of all pending transactions stays at or above the value's
+floor of zero. Changes are operation-logged ("Transaction T1
 subtracted $10"), so abort is the inverse operation, not a before-image
 restore. A READ "does not commute, is annoying, and stops other
 concurrent work": it must wait for every pending transaction to settle,
@@ -15,7 +15,6 @@ escrow buys.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -36,23 +35,15 @@ class _Waiter:
 class EscrowAccount:
     """A numeric value under escrow locking."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        initial: float,
-        minimum: float = 0.0,
-        maximum: float = math.inf,
-        name: str = "escrow",
-    ) -> None:
-        if not minimum <= initial <= maximum:
-            raise SimulationError(
-                f"initial {initial} outside bounds [{minimum}, {maximum}]"
-            )
+    #: The floor no worst case may go below.
+    minimum = 0.0
+
+    def __init__(self, sim: Simulator, initial: float, name: str = "escrow") -> None:
+        if initial < self.minimum:
+            raise SimulationError(f"initial {initial} below the floor {self.minimum}")
         self.sim = sim
         self.name = name
         self.value = initial
-        self.minimum = minimum
-        self.maximum = maximum
         self._pending: Dict[Any, List[float]] = {}
         self.operation_log: List[Tuple[Any, float]] = []
         self._queue: List[_Waiter] = []
@@ -75,9 +66,7 @@ class EscrowAccount:
         )
 
     def _fits(self, delta: float) -> bool:
-        if delta < 0:
-            return self.worst_case_low + delta >= self.minimum
-        return self.worst_case_high + delta <= self.maximum
+        return delta >= 0 or self.worst_case_low + delta >= self.minimum
 
     @property
     def pending_txns(self) -> int:
@@ -88,7 +77,7 @@ class EscrowAccount:
 
     def reserve(self, txn_id: Any, delta: float) -> Generator[Any, Any, None]:
         """Reserve ``delta`` for ``txn_id``; waits while the worst case
-        might breach the bounds (or while earlier waiters are queued)."""
+        might breach the floor (or while earlier waiters are queued)."""
         if self._queue or not self._fits(delta):
             waiter = _Waiter("reserve", txn_id, delta, self.sim.event(f"{self.name}.reserve"))
             self._queue.append(waiter)
@@ -149,15 +138,13 @@ class EscrowAccount:
 class ExclusiveAccount:
     """The serializable baseline: one transaction holds the whole account."""
 
-    def __init__(self, sim: Simulator, initial: float,
-                 minimum: float = 0.0, maximum: float = math.inf,
-                 name: str = "exclusive") -> None:
+    name = "exclusive"
+    minimum = EscrowAccount.minimum
+
+    def __init__(self, sim: Simulator, initial: float) -> None:
         self.sim = sim
-        self.name = name
         self.value = initial
-        self.minimum = minimum
-        self.maximum = maximum
-        self._lock = Lock(sim, name=f"{name}.lock")
+        self._lock = Lock(sim, name=f"{self.name}.lock")
 
     def acquire(self) -> Event:
         """Take the account lock (FIFO)."""
@@ -167,9 +154,9 @@ class ExclusiveAccount:
         self._lock.release()
 
     def add(self, delta: float) -> None:
-        """Apply a delta while holding the lock; enforces bounds."""
-        if not self.minimum <= self.value + delta <= self.maximum:
-            raise EscrowOverflow(f"{self.name}: {self.value}+{delta} out of bounds")
+        """Apply a delta while holding the lock; enforces the floor."""
+        if self.value + delta < self.minimum:
+            raise EscrowOverflow(f"{self.name}: {self.value}+{delta} below the floor")
         self.value += delta
 
     def read(self) -> float:

@@ -53,15 +53,18 @@ def _fold(registry: TypeRegistry, ops: Sequence[Operation]) -> Any:
     return state
 
 
+#: Orders the commutativity check tries: all of them for samples of
+#: size ≤ 4.
+MAX_PERMUTATIONS = 24
+
+
 def check_acid2(
-    registry: TypeRegistry,
-    sample_ops: Sequence[Operation],
-    max_permutations: int = 24,
+    registry: TypeRegistry, sample_ops: Sequence[Operation]
 ) -> Acid2Report:
     """Empirically check ACID 2.0 over a sample of operations.
 
-    Permutation checking is exhaustive up to ``max_permutations`` orders
-    (all orders for samples of size ≤ 4 by default), which is how the
+    Permutation checking is exhaustive up to :data:`MAX_PERMUTATIONS`
+    orders (all orders for samples of size ≤ 4), which is how the
     taxonomy question of §9 gets a concrete answer per operation family.
     """
     report = Acid2Report()
@@ -72,7 +75,7 @@ def check_acid2(
 
     # Commutativity: all (bounded) permutations agree.
     for index, perm in enumerate(itertools.permutations(ops)):
-        if index >= max_permutations:
+        if index >= MAX_PERMUTATIONS:
             break
         if _fold(registry, perm) != reference:
             report.commutative = False

@@ -9,7 +9,7 @@ granularity it likes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.core.operation import Operation
 from repro.core.rules import Enforcement
@@ -32,33 +32,27 @@ class ThresholdRiskPolicy(RiskPolicy):
     """The $10,000 check: coordinate when a numeric attribute of the
     operation is at or above ``threshold``; act locally below it.
 
-    ``amount_of`` extracts the at-risk quantity from the op (defaults to
-    ``op.args["amount"]``; missing/non-numeric values count as zero —
-    riskless).
+    The at-risk quantity is ``op.args["amount"]``; missing/non-numeric
+    values count as zero — riskless.
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        amount_of: Optional[Callable[[Operation], float]] = None,
-    ) -> None:
+    def __init__(self, threshold: float) -> None:
         self.threshold = threshold
-        self.amount_of = amount_of or self._default_amount
 
         def decide(op: Operation) -> Enforcement:
-            if self.amount_of(op) >= self.threshold:
+            if _amount(op) >= self.threshold:
                 return Enforcement.COORDINATED
             return Enforcement.LOCAL
 
         super().__init__(decide)
 
-    @staticmethod
-    def _default_amount(op: Operation) -> float:
-        value = op.args.get("amount", 0)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return 0.0
+
+def _amount(op: Operation) -> float:
+    value = op.args.get("amount", 0)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return 0.0
 
 
 class AdaptiveRiskPolicy(RiskPolicy):
@@ -73,32 +67,28 @@ class AdaptiveRiskPolicy(RiskPolicy):
     probabilities and possibilities" (§7.1).
     """
 
+    target_apology_rate = 0.02
+    #: Outcomes per adjustment.
+    window = 50
+
     def __init__(
         self,
         initial_threshold: float,
-        target_apology_rate: float = 0.02,
         adjustment_factor: float = 1.5,
-        window: int = 50,
         min_threshold: float = 1.0,
         max_threshold: float = 1e9,
-        amount_of: Optional[Callable[[Operation], float]] = None,
     ) -> None:
-        if not 0.0 <= target_apology_rate <= 1.0:
-            raise ValueError(f"bad target rate {target_apology_rate}")
         if adjustment_factor <= 1.0:
             raise ValueError("adjustment_factor must exceed 1")
         self.threshold = initial_threshold
-        self.target_apology_rate = target_apology_rate
         self.adjustment_factor = adjustment_factor
-        self.window = window
         self.min_threshold = min_threshold
         self.max_threshold = max_threshold
-        self.amount_of = amount_of or ThresholdRiskPolicy._default_amount
         self._recent: list = []  # True = apology, False = clean
         self.adjustments = 0
 
         def decide(op: Operation) -> Enforcement:
-            if self.amount_of(op) >= self.threshold:
+            if _amount(op) >= self.threshold:
                 return Enforcement.COORDINATED
             return Enforcement.LOCAL
 

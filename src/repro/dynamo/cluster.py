@@ -41,7 +41,7 @@ from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
 from repro.sim.events import Event
 from repro.sim.scheduler import Simulator
-from repro.dynamo.merkle import Entry, check_buckets, entry_digests
+from repro.dynamo.merkle import Entry, entry_digests
 from repro.dynamo.node import DynamoNode
 from repro.dynamo.ring import HashRing, RingPositions, moved_ranges, position_in_ranges
 from repro.dynamo.versions import VectorClock, VersionedValue, prune_dominated
@@ -111,6 +111,14 @@ NO_OPINION = _NoOpinion()
 class DynamoCluster:
     """N storage nodes on one fabric, plus client factories."""
 
+    #: Link latency of the flat fabric built when no network is given.
+    message_latency = 0.001
+    #: Digest buckets per Merkle exchange.
+    merkle_buckets = 16
+    #: What :meth:`attach_gossip_membership` gives each node's gossiper.
+    gossip_period = 0.25
+    gossip_fanout = 2
+
     def __init__(
         self,
         num_nodes: int = 5,
@@ -118,10 +126,8 @@ class DynamoCluster:
         r: int = 2,
         w: int = 2,
         seed: int = 0,
-        message_latency: float = 0.001,
         sim: Optional[Simulator] = None,
         hinted_handoff: bool = True,
-        read_repair: bool = True,
         snapshot_cadence: Optional[float] = None,
         network: Optional[Network] = None,
     ) -> None:
@@ -134,11 +140,11 @@ class DynamoCluster:
         # lets the ring share one fabric with other subsystems;
         # message_latency only shapes the fallback flat fabric.
         self.network = network or Network(
-            self.sim, default_link=LinkConfig(latency=FixedLatency(message_latency))
+            self.sim,
+            default_link=LinkConfig(latency=FixedLatency(self.message_latency)),
         )
         self.n, self.r, self.w = n, r, w
         self.hinted_handoff = hinted_handoff
-        self.read_repair = read_repair
         self.snapshot_cadence = snapshot_cadence
         self.nodes: Dict[str, DynamoNode] = {
             f"node{i}": DynamoNode(self.sim, self.network, f"node{i}")
@@ -179,27 +185,20 @@ class DynamoCluster:
     # ------------------------------------------------------------------
     # Gossip-driven membership
 
-    def attach_gossip_membership(
-        self,
-        period: float = 0.25,
-        fanout: int = 2,
-        suspicion_timeout: float = 1.5,
-        full_sync_every: int = 4,
-    ) -> None:
+    def attach_gossip_membership(self, suspicion_timeout: float = 1.5) -> None:
         """Give every node a local :class:`MembershipView` disseminated
         epidemically over the nodes' own endpoints. From here on, who is
         alive is a *rumor*: detectors and failed gossip probes suspect
         into local views, refutations outrank accusations, and no node
-        can consult the cluster-object oracle on behalf of another. The
-        ring is fixed from here on: :meth:`join` and :meth:`decommission`
-        refuse a gossiping cluster."""
+        can consult the cluster-object oracle on behalf of another. Each
+        gossiper runs every :attr:`gossip_period` to :attr:`gossip_fanout`
+        peers. The ring is fixed from here on: :meth:`join` and
+        :meth:`decommission` refuse a gossiping cluster."""
         if self.membership_gossips:
             raise SimulationError("gossip membership already attached")
         self._gossip_settings = {
             "view": dict(suspicion_timeout=suspicion_timeout),
-            "gossip": dict(
-                period=period, fanout=fanout, full_sync_every=full_sync_every
-            ),
+            "gossip": dict(period=self.gossip_period, fanout=self.gossip_fanout),
         }
         names = list(self.nodes)
         for name in names:
@@ -431,7 +430,6 @@ class DynamoCluster:
         self,
         node: DynamoNode,
         peer: str,
-        buckets: int,
         ranges: Optional[Sequence[Sequence[int]]] = None,
     ) -> Generator[Any, Any, Dict[str, Any]]:
         """One digest-first Merkle exchange with ``peer``, the pair
@@ -447,6 +445,7 @@ class DynamoCluster:
         and how many of those were ``fresh`` (not already covered here),
         shipped entries the peer ``integrated`` as new, ``peer_failed``.
         """
+        buckets = self.merkle_buckets
         facts = {"digest_msgs": 0, "bucket_msgs": 0, "shipped": 0, "kept": 0,
                  "fresh": 0, "integrated": 0, "peer_failed": False}
         scope = {} if ranges is None else {
@@ -499,13 +498,12 @@ class DynamoCluster:
         self.sim.metrics.inc("dynamo.anti_entropy_errors")
         return facts
 
-    def run_merkle_round(self, buckets: int = 16) -> Generator[Any, Any, Dict[str, int]]:
+    def run_merkle_round(self) -> Generator[Any, Any, Dict[str, int]]:
         """One digest-first anti-entropy pass over every live node pair.
 
         Returns message accounting: digest exchanges vs bucket payloads —
         once converged, a round costs only the digest messages.
         ``versions_moved`` counts wire entries, both directions."""
-        check_buckets(buckets)
         stats = {"digest_msgs": 0, "bucket_msgs": 0, "versions_moved": 0}
         names = sorted(self.nodes)
         # Same per-round isolation as run_anti_entropy_round: once a peer
@@ -525,9 +523,7 @@ class DynamoCluster:
                     continue
                 if not self.network.reachable(a_name, b_name):
                     continue
-                facts = yield from self._exchange(
-                    self.nodes[a_name], b_name, buckets
-                )
+                facts = yield from self._exchange(self.nodes[a_name], b_name)
                 if facts["peer_failed"]:
                     unresponsive.add(b_name)
                 stats["digest_msgs"] += facts["digest_msgs"]
@@ -557,9 +553,7 @@ class DynamoCluster:
     # ------------------------------------------------------------------
     # Elastic membership: join / decommission with range rebalancing
 
-    def join(
-        self, node_name: str, buckets: int = 16
-    ) -> Generator[Any, Any, Dict[str, int]]:
+    def join(self, node_name: str) -> Generator[Any, Any, Dict[str, int]]:
         """Splice a new node into the ring and bootstrap its ranges.
 
         The ring is updated *first*, so every subsequent
@@ -570,7 +564,6 @@ class DynamoCluster:
         meanwhile quorum across R replicas, so the cluster never depends
         on the joiner alone. Returns transfer accounting.
         """
-        check_buckets(buckets)
         if self.membership_gossips:
             raise SimulationError(
                 f"cannot join {node_name!r}: gossip membership is attached"
@@ -609,7 +602,7 @@ class DynamoCluster:
                 continue
             if not self.network.reachable(node_name, source):
                 continue
-            sync = yield from self._range_sync(node, source, ranges, buckets)
+            sync = yield from self._range_sync(node, source, ranges)
             for field_name in ("versions_moved", "digest_msgs", "bucket_msgs"):
                 stats[field_name] += sync[field_name]
         self.sim.metrics.inc(
@@ -617,9 +610,7 @@ class DynamoCluster:
         )
         return stats
 
-    def decommission(
-        self, node_name: str, buckets: int = 16
-    ) -> Generator[Any, Any, Dict[str, int]]:
+    def decommission(self, node_name: str) -> Generator[Any, Any, Dict[str, int]]:
         """Remove a node from the ring, streaming its ranges out first.
 
         The ring drops the node *before* the drain, so new
@@ -630,7 +621,6 @@ class DynamoCluster:
         can be decommissioned too — its arcs' data survives on the other
         W-1 replicas and anti-entropy heals the copy count.
         """
-        check_buckets(buckets)
         if self.membership_gossips:
             raise SimulationError(
                 f"cannot decommission {node_name!r}: gossip membership is attached"
@@ -664,7 +654,7 @@ class DynamoCluster:
                     continue
                 if not self.network.reachable(node_name, dest):
                     continue
-                sync = yield from self._range_sync(node, dest, ranges, buckets)
+                sync = yield from self._range_sync(node, dest, ranges)
                 for field_name in ("versions_moved", "digest_msgs", "bucket_msgs"):
                     stats[field_name] += sync[field_name]
             # Straggler sweep: hints that would not deliver, stale copies
@@ -713,13 +703,12 @@ class DynamoCluster:
         node: DynamoNode,
         peer: str,
         ranges: Sequence[Tuple[int, int]],
-        buckets: int = 16,
     ) -> Generator[Any, Any, Dict[str, int]]:
         """One range-scoped Merkle exchange with ``peer``: the same
         DIGESTS/SYNC_BUCKET verbs anti-entropy uses, restricted to the
         moved arcs. Both sides end up holding the ranges' frontier (each
         stores only what it owns under the current ring)."""
-        facts = yield from self._exchange(node, peer, buckets, ranges)
+        facts = yield from self._exchange(node, peer, ranges)
         return {
             # Count versions that changed someone's state, not wire
             # payloads: syncing the same arc with a second source ships
@@ -737,13 +726,11 @@ class DynamoClient:
         self,
         cluster: DynamoCluster,
         name: str,
-        policy: Optional[RetryPolicy] = None,
         view: Any = NO_OPINION,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.name = name
-        self.policy = policy or CLIENT_POLICY
         # The coordinator skips peers its view holds dead — even if
         # they are reachable. A stale view therefore degrades to sloppy
         # quorum + hinted handoff, never to a stuck request.
@@ -789,8 +776,7 @@ class DynamoClient:
             context = context.merge(sibling.clock)
         if len(siblings) > 1:
             self.sim.metrics.inc("dynamo.sibling_gets")
-        if self.cluster.read_repair:
-            self._read_repair(key, siblings, held)
+        self._read_repair(key, siblings, held)
         return GetResult(siblings=siblings, context=context)
 
     def _read_repair(
@@ -884,7 +870,7 @@ class DynamoClient:
         calls = []
         for target, payload in pairs:
             proc = spawn(
-                call(target, verb, payload, policy=self.policy),
+                call(target, verb, payload, policy=CLIENT_POLICY),
                 name=("%s.%s.%s", self.name, verb, target),
             )
             proc.done.add_callback(one_settled)

@@ -110,24 +110,21 @@ class DynamoNode:
     # ------------------------------------------------------------------
     # Snapshots (rejoin seeding)
 
-    def enable_snapshots(
-        self, cadence: float, max_chain: int = 8, keep_chains: Optional[int] = 2
-    ) -> Snapshotter:
+    def enable_snapshots(self, cadence: float) -> Snapshotter:
         """Checkpoint the sibling store every ``cadence`` seconds, keyed by
         the local mutation counter. A cold-crashed node seeds its rejoin
         from the latest snapshot; Merkle anti-entropy closes what the
         checkpoint missed — instead of resyncing the whole keyspace.
-        ``keep_chains`` bounds retained history: each checkpoint prunes
-        all but that many newest chains (None disables retention)."""
+        Each checkpoint prunes all but the two newest chains."""
         if self.snapshotter is None:
             self.snapshots = SnapshotStore(
                 self.sim, Disk(self.sim, name=f"{self.name}.snapdisk"),
-                name=f"{self.name}.snap", max_chain=max_chain,
+                name=f"{self.name}.snap",
             )
             self.snapshotter = Snapshotter(
                 self.sim, None, self._snapshot_capture, self.snapshots,
                 cadence=cadence, name=self.name, cursor=lambda: self.op_seq,
-                keep_chains=keep_chains,
+                keep_chains=2,
             )
         return self.snapshotter
 

@@ -83,38 +83,37 @@ class LogshipFailover:
     primary's state.
     """
 
+    lease_duration = 2.0
+    monitor_name = "failover.monitor"
+
     def __init__(
         self,
         system: Any,
         *,
         fenced: bool = True,
-        heartbeat_interval: float = 0.25,
         detector: Optional[FailureDetector] = None,
         poll_interval: Optional[float] = None,
-        lease_duration: float = 2.0,
-        monitor_name: str = "failover.monitor",
     ) -> None:
         self.system = system
         self.sim = system.sim
         self.fenced = fenced
+        heartbeat_interval = HeartbeatEmitter.interval
         self.poll_interval = (
             heartbeat_interval / 2.0 if poll_interval is None else poll_interval
         )
-        self.monitor_name = monitor_name
         self.leases = LeaseManager(self.sim)
         # Epoch 1: the incumbent's regime is a granted lease too.
-        initial = self.leases.grant(system.serving, lease_duration)
+        initial = self.leases.grant(system.serving, self.lease_duration)
         system.adopt_epoch(initial.epoch)
         self.detector = detector or FixedTimeoutDetector(
             self.sim, [system.serving], timeout=4.0 * heartbeat_interval
         )
-        self.monitor = Endpoint(system.network, monitor_name)
+        self.monitor = Endpoint(system.network, self.monitor_name)
         self.monitor.register("HEARTBEAT", self._handle_heartbeat)
         self.monitor.start()
         self.emitter = HeartbeatEmitter(
             system.primary.endpoint,
-            monitor_name,
-            interval=heartbeat_interval,
+            self.monitor_name,
             epoch_of=lambda: system.primary.epoch,
         )
         self.controller = FailoverController(
@@ -124,7 +123,7 @@ class LogshipFailover:
             successor_of=system._peer,
             promote=self._promote,
             leases=self.leases,
-            lease_duration=lease_duration,
+            lease_duration=self.lease_duration,
         )
 
     def _handle_heartbeat(self, _ep: Endpoint, msg: Any) -> dict:
@@ -132,9 +131,7 @@ class LogshipFailover:
         return {}
 
     def _promote(self, _new_primary: str, lease: Lease) -> None:
-        self.system.take_over(
-            fenced=self.fenced, epoch=lease.epoch, cause="conviction"
-        )
+        self.system.take_over(fenced=self.fenced, epoch=lease.epoch)
 
     def start(self) -> None:
         self.emitter.start()

@@ -191,30 +191,19 @@ class PhiAccrualDetector(FailureDetector):
     """Phi-accrual: suspicion from the observed inter-arrival distribution.
 
     ``phi = -log10 P(gap >= current silence)`` under a normal fit of the
-    last ``window`` inter-arrival samples; conviction when ``phi >=
-    threshold``. Until ``min_samples`` arrivals have been seen, falls
-    back to the fixed-timeout rule with ``bootstrap_timeout``.
+    last :attr:`window` inter-arrival samples; conviction when ``phi >=``
+    :attr:`threshold`. Until :attr:`min_samples` arrivals have been seen,
+    falls back to the fixed-timeout rule with :attr:`bootstrap_timeout`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        nodes: Sequence[str],
-        threshold: float = 8.0,
-        window: int = 100,
-        min_samples: int = 3,
-        bootstrap_timeout: float = 1.0,
-        min_std: float = 0.01,
-        name: str = "detector",
-    ) -> None:
-        if threshold <= 0:
-            raise SimulationError(f"bad phi threshold {threshold}")
-        super().__init__(sim, nodes, name=name)
-        self.threshold = threshold
-        self.window = window
-        self.min_samples = min_samples
-        self.bootstrap_timeout = bootstrap_timeout
-        self.min_std = min_std
+    threshold = 8.0
+    window = 100
+    min_samples = 3
+    bootstrap_timeout = 1.0
+    min_std = 0.01
+
+    def __init__(self, sim: Simulator, nodes: Sequence[str]) -> None:
+        super().__init__(sim, nodes)
         self._samples: Dict[str, Deque[float]] = {}
 
     def _observe_gap(self, node: str, gap: Optional[float]) -> None:

@@ -12,28 +12,25 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.errors import SimulationError
 from repro.net.rpc import Endpoint
 from repro.sim.events import Timeout
 
 
 class HeartbeatEmitter:
-    """Casts ``HEARTBEAT {node, seq, epoch}`` every ``interval``."""
+    """Casts ``HEARTBEAT {node, seq, epoch}`` every :attr:`interval`."""
+
+    interval = 0.25
 
     def __init__(
         self,
         endpoint: Endpoint,
         monitor: str,
-        interval: float = 0.25,
         epoch_of: Optional[Callable[[], int]] = None,
     ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"bad heartbeat interval {interval}")
         self.sim = endpoint.sim
         self.endpoint = endpoint
         self.monitor = monitor
         self.node = endpoint.name
-        self.interval = interval
         self.epoch_of = epoch_of
         self._proc = None
         self._seq = 0

@@ -19,22 +19,23 @@ from repro.sim.scheduler import Simulator
 class GossipCluster:
     """N replicas of one op space, gossiping over a shared fabric."""
 
+    message_latency = 0.005
+
     def __init__(
         self,
         registry: TypeRegistry,
         num_replicas: int = 3,
         period: float = 1.0,
         seed: int = 0,
-        message_latency: float = 0.005,
         rules_factory: Optional[Callable[[], RuleEngine]] = None,
         sim: Optional[Simulator] = None,
-        skip_unreachable: bool = False,
     ) -> None:
         if num_replicas < 1:
             raise SimulationError("need at least one replica")
         self.sim = sim or Simulator(seed=seed)
         self.network = Network(
-            self.sim, default_link=LinkConfig(latency=FixedLatency(message_latency))
+            self.sim,
+            default_link=LinkConfig(latency=FixedLatency(self.message_latency)),
         )
         self.registry = registry
         self.apologies = ApologyQueue()
@@ -49,8 +50,7 @@ class GossipCluster:
                 clock=lambda: self.sim.now,
             )
             self.nodes[name] = GossipNode(
-                self.network, replica, peers=names, period=period,
-                skip_unreachable=skip_unreachable,
+                self.network, replica, peers=names, period=period
             )
 
     # ------------------------------------------------------------------

@@ -48,8 +48,6 @@ class GossipNode:
         replica: Replica,
         peers: Sequence[str],
         period: float = 1.0,
-        policy: Optional[RetryPolicy] = None,
-        skip_unreachable: bool = False,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"bad gossip period {period}")
@@ -58,8 +56,6 @@ class GossipNode:
         self.replica = replica
         self.peers = [p for p in peers if p != replica.name]
         self.period = period
-        self.policy = policy or GOSSIP_POLICY
-        self.skip_unreachable = skip_unreachable
         self.endpoint = Endpoint(network, replica.name)
         self.endpoint.register("DIGEST", self._handle_digest)
         self.endpoint.register("OPS", self._handle_ops)
@@ -93,7 +89,7 @@ class GossipNode:
         Raises on unreachable peers (callers decide whether that matters)."""
         digest = list(self.replica.ops.uniquifiers())
         reply = yield from self.endpoint.call(
-            peer, "DIGEST", {"have": digest}, policy=self.policy
+            peer, "DIGEST", {"have": digest}, policy=GOSSIP_POLICY
         )
         incoming = [op_from_wire(entry) for entry in reply["ops"]]
         self.replica.integrate(incoming)
@@ -103,7 +99,7 @@ class GossipNode:
         ]
         if outgoing:
             yield from self.endpoint.call(
-                peer, "OPS", {"ops": outgoing}, policy=self.policy
+                peer, "OPS", {"ops": outgoing}, policy=GOSSIP_POLICY
             )
         moved = len(incoming) + len(outgoing)
         if moved:
@@ -129,18 +125,6 @@ class GossipNode:
                 continue
             peer = rng.choice(self.peers)
             self.rounds_attempted += 1
-            if self.skip_unreachable and not self.network.reachable(
-                self.replica.name, peer
-            ):
-                # Don't burn a round timing out on a peer we already know
-                # we can't reach; count the skip so convergence accounting
-                # still sees the missed exchange.
-                self.rounds_failed += 1
-                self.sim.metrics.inc("gossip.skipped_unreachable")
-                self.sim.trace.emit(
-                    self.replica.name, "gossip.skip_unreachable", peer=peer
-                )
-                continue
             try:
                 yield from self.exchange_with(peer)
             except (TimeoutError_, RpcError):

@@ -28,20 +28,10 @@ from repro.storage.wal import WriteAheadLog
 class DatabaseReplica:
     """A site in the log-shipping pair."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        name: str,
-        disk_service_time: float = 0.005,
-        disk_per_item_time: float = 0.0001,
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.disk = Disk(
-            sim, name=f"{name}.disk",
-            service_time=disk_service_time, per_item_time=disk_per_item_time,
-        )
+        self.disk = Disk(sim, name=f"{name}.disk")
         self.wal = WriteAheadLog(sim, self.disk, name=f"{name}.wal")
         self.state: Dict[Any, Any] = {}
         self.last_write_time: Dict[Any, float] = {}
@@ -175,21 +165,15 @@ class DatabaseReplica:
     # ------------------------------------------------------------------
     # Snapshots (asynchronous checkpoints over the WAL)
 
-    def enable_snapshots(self, cadence: float, max_chain: int = 8) -> Snapshotter:
+    def enable_snapshots(self, cadence: float) -> Snapshotter:
         """Checkpoint this site's applied state every ``cadence`` seconds.
 
         Snapshots land on their own disk (a separate device, so checkpoint
         IO never queues behind the log arm). The caller starts the loop.
         """
         if self.snapshotter is None:
-            snap_disk = Disk(
-                self.sim, name=f"{self.name}.snapdisk",
-                service_time=self.disk.service_time,
-                per_item_time=self.disk.per_item_time,
-            )
-            self.snapshots = SnapshotStore(
-                self.sim, snap_disk, name=f"{self.name}.snap", max_chain=max_chain
-            )
+            snap_disk = Disk(self.sim, name=f"{self.name}.snapdisk")
+            self.snapshots = SnapshotStore(self.sim, snap_disk, name=f"{self.name}.snap")
             self.snapshotter = Snapshotter(
                 self.sim, self.wal, self._snapshot_capture, self.snapshots,
                 cadence=cadence, name=self.name,

@@ -48,13 +48,14 @@ SHIP_POLICY = RetryPolicy(max_attempts=3, timeout=5.0)
 class LogShippingSystem:
     """Two symmetric sites; one serves, the other replays."""
 
+    #: Link latency of the private flat fabric, east<->west aside.
+    lan_latency = 0.0005
+
     def __init__(
         self,
         mode: ShipMode = ShipMode.ASYNC,
         ship_interval: float = 0.05,
         wan_latency: Optional[LatencyModel] = None,
-        lan_latency: float = 0.0005,
-        disk_service_time: float = 0.005,
         seed: int = 0,
         sim: Optional[Simulator] = None,
         snapshot_cadence: Optional[float] = None,
@@ -68,12 +69,10 @@ class LogShippingSystem:
             raise SimulationError("network belongs to a different simulator")
         external_network = network is not None
         self.network = network or Network(
-            self.sim, default_link=LinkConfig(latency=FixedLatency(lan_latency))
+            self.sim, default_link=LinkConfig(latency=FixedLatency(self.lan_latency))
         )
         self.sites = {
-            name: DatabaseReplica(
-                self.sim, self.network, name, disk_service_time=disk_service_time
-            )
+            name: DatabaseReplica(self.sim, self.network, name)
             for name in ("east", "west")
         }
         if not external_network:
@@ -130,18 +129,18 @@ class LogShippingSystem:
     # ------------------------------------------------------------------
     # Client operations
 
-    def submit(self, writes: Dict[Any, Any], txn_id: Optional[str] = None) -> Generator[Any, Any, str]:
+    def submit(self, writes: Dict[Any, Any]) -> Generator[Any, Any, str]:
         """Run one transaction at the serving site; returns its id once the
         client would consider it committed."""
-        result = yield from self.submit_to(self.serving, writes, txn_id)
+        result = yield from self.submit_to(self.serving, writes)
         return result
 
-    def submit_to(self, site: str, writes: Dict[Any, Any], txn_id: Optional[str] = None) -> Generator[Any, Any, str]:
+    def submit_to(self, site: str, writes: Dict[Any, Any]) -> Generator[Any, Any, str]:
         """Run one transaction at a *specific* site. This is how a client
         that still believes in a deposed primary behaves: under fencing
         the commit raises :class:`StaleEpochError` once the site learns it
         lost; without fencing the deposed site happily keeps acking."""
-        txn_id = txn_id or f"txn-{next(self._txn_ids)}"
+        txn_id = f"txn-{next(self._txn_ids)}"
         start = self.sim.now
         replica = self._site(site)
         yield from replica.commit_transaction(txn_id, writes)
@@ -266,14 +265,13 @@ class LogShippingSystem:
             proc.interrupt("failover")
             self._shipper_procs[old_name] = None
         self.sites[old_name].crash()
-        return self.take_over(fenced=True, cause="forced")
+        return self.take_over(fenced=True)
 
     def take_over(
         self,
         *,
         fenced: bool = True,
         epoch: Optional[int] = None,
-        cause: str = "conviction",
     ) -> Dict[str, Any]:
         """Promote the backup — WITHOUT touching the old primary.
 

@@ -154,11 +154,10 @@ class Network:
             raise SimulationError(f"endpoint {name!r} receives through a callback")
         return self._mailboxes[name]
 
-    def set_link(self, src: str, dst: str, config: LinkConfig, symmetric: bool = True) -> None:
-        """Override delivery behaviour for the (src, dst) link."""
+    def set_link(self, src: str, dst: str, config: LinkConfig) -> None:
+        """Override delivery behaviour for the link, both directions."""
         self._links[(src, dst)] = config
-        if symmetric:
-            self._links[(dst, src)] = config
+        self._links[(dst, src)] = config
 
     # ------------------------------------------------------------------
     # Partitions

@@ -62,7 +62,7 @@ def _measured() -> bool:
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
-    processes: Optional[int] = None,
+    processes: Optional[int],
 ) -> Iterator[R]:
     """``map(fn, items)`` — lazy, in item order — possibly across processes.
 

@@ -73,9 +73,7 @@ def _is_numeric_delta(sample: Sequence[Operation]) -> bool:
 
 
 def classify_operation_space(
-    registry: TypeRegistry,
-    sample_ops: Sequence[Operation],
-    max_permutations: int = 24,
+    registry: TypeRegistry, sample_ops: Sequence[Operation]
 ) -> OperationProfile:
     """Measure the properties of a sample workload and recommend patterns.
 
@@ -95,12 +93,12 @@ def classify_operation_space(
     per_type = {}
     numeric_types = []
     for type_name, ops in by_type.items():
-        report = check_acid2(registry, ops, max_permutations=max_permutations)
+        report = check_acid2(registry, ops)
         per_type[type_name] = report.commutative
         if report.commutative and _is_numeric_delta(ops):
             numeric_types.append(type_name)
 
-    cross_report = check_acid2(registry, list(sample_ops), max_permutations=max_permutations)
+    cross_report = check_acid2(registry, list(sample_ops))
     idempotent = cross_report.idempotent
 
     profile = OperationProfile(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.operation import Operation
 from repro.core.oplog import OpSet
@@ -60,16 +60,17 @@ class InventorySystem:
 
     # ------------------------------------------------------------------
 
-    def request(self, replica_name: str, uniquifier: str, quantity: float = 1.0) -> AllocationOutcome:
-        """One sale request at one replica, judged on local knowledge."""
+    def request(self, replica_name: str, uniquifier: str) -> AllocationOutcome:
+        """One sale request for one unit at one replica, judged on local
+        knowledge."""
         replica = self._replica(replica_name)
         if uniquifier in replica.ops:
             self.duplicates += 1
             return AllocationOutcome.DUPLICATE
-        if quantity <= self._limit(replica):
+        if self._limit(replica) >= 1.0:
             replica.ops.add(
                 Operation(
-                    "RESERVE", {"quantity": quantity},
+                    "RESERVE", {"quantity": 1.0},
                     uniquifier=uniquifier, origin=replica_name,
                 )
             )
@@ -107,9 +108,9 @@ class InventorySystem:
                 moved += 1
         return moved
 
-    def sync_all(self, rounds: Optional[int] = None) -> None:
+    def sync_all(self) -> None:
         names = list(self.replicas)
-        for _ in range(rounds or len(names)):
+        for _ in range(len(names)):
             for left, right in zip(names, names[1:] + names[:1]):
                 if left != right:
                     self.sync(left, right)

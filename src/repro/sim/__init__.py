@@ -25,11 +25,10 @@ from repro.sim.scheduler import Simulator
 from repro.sim.random import RngRegistry
 from repro.sim.metrics import Counter, Histogram, MetricsRegistry
 from repro.sim.trace import TraceLog, TraceRecord
-from repro.sim.sync import Mailbox, Resource, Lock
+from repro.sim.sync import Mailbox, Lock
 
 __all__ = [
     "Mailbox",
-    "Resource",
     "Lock",
     "Simulator",
     "Process",

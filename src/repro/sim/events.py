@@ -134,15 +134,15 @@ class Event:
 
 class Timeout:
     """Effect: sleep for ``delay`` simulated seconds, then resume with
-    ``value`` (default None)."""
+    :attr:`value`, which is None."""
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("delay",)
+    value = None
 
-    def __init__(self, delay: float, value: Any = None) -> None:
+    def __init__(self, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = float(delay)
-        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
@@ -156,7 +156,7 @@ class AllOf:
     def __init__(self, events: Iterable[Any]) -> None:
         self.events = list(events)
 
-    def _as_events(self, sim: Any) -> List[Event]:
+    def _as_events(self) -> List[Event]:
         resolved = []
         for item in self.events:
             event = getattr(item, "done", item)

@@ -147,7 +147,7 @@ class Process:
             if kind is not Timeout and kind is not Event and kind is not Process:
                 kind = _effect_kind(effect)
             if kind is Timeout:
-                self.sim.schedule(effect.delay, _wake, self, self._epoch, effect.value)
+                self.sim.schedule(effect.delay, _wake, self, self._epoch, None)
                 return
             if kind is Event:
                 event = effect
@@ -170,7 +170,7 @@ class Process:
 
     def _wait_composite(self, effect: Any) -> None:
         try:
-            events = effect._as_events(self.sim)
+            events = effect._as_events()
         except SimulationError as exc:
             # A bad member (not waitable) kills this process, not the
             # kernel's run loop.

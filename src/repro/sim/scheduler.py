@@ -107,10 +107,10 @@ class Simulator:
         """Create a fresh one-shot event bound to this simulator."""
         return Event(self, name)
 
-    def timeout_event(self, delay: float, value: Any = None, name: Name = "") -> Event:
-        """An event that triggers by itself after ``delay``."""
+    def timeout_event(self, delay: float, name: Name = "") -> Event:
+        """An event that triggers by itself, with None, after ``delay``."""
         event = Event(self, name or ("timeout@%.6g", self.now + delay))
-        self.schedule(delay, event.trigger, value)
+        self.schedule(delay, event.trigger, None)
         return event
 
     def spawn(
@@ -208,7 +208,7 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_process(self, gen: Generator[Any, Any, Any], name: Optional[str] = None,
+    def run_process(self, gen: Generator[Any, Any, Any],
                     until: Optional[float] = None) -> Any:
         """Spawn ``gen``, run the simulation, and return its result.
 
@@ -216,7 +216,7 @@ class Simulator:
         :class:`SimulationError` if the simulation drained before the
         process finished (a deadlock in the model).
         """
-        proc = self.spawn(gen, name=name)
+        proc = self.spawn(gen)
         self.run(until=until)
         if not proc.done.triggered:
             raise SimulationError(

@@ -3,9 +3,8 @@
 - :class:`Mailbox` — unbounded FIFO of items; ``get()`` waits when empty.
   What ``Network.attach(name)`` hands a process that wants to block on
   its messages (RPC endpoints take delivery directly instead).
-- :class:`Resource` — counted resource with a FIFO wait queue (a disk arm,
-  a CPU); acquire/release, used with ``yield``.
-- :class:`Lock` — a Resource of capacity 1 with reentrant-free semantics.
+- :class:`Lock` — mutual exclusion with a FIFO wait queue (a disk arm,
+  an account); acquire/release, used with ``yield``, not reentrant.
 
 All waiting is expressed through :class:`~repro.sim.events.Event`, so these
 compose with ``AllOf`` and with process interrupts.
@@ -56,57 +55,43 @@ class Mailbox:
         return items
 
 
-class Resource:
-    """Counted resource with FIFO queueing.
+class Lock:
+    """Mutual exclusion with a FIFO wait queue (a disk arm, an account).
 
     Usage inside a process::
 
-        grant = yield resource.acquire()
+        yield lock.acquire()
         try:
             ...
         finally:
-            resource.release()
+            lock.release()
     """
 
-    def __init__(self, sim: Any, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Any, name: str = "lock") -> None:
         self.sim = sim
         self.name = name
-        self.capacity = capacity
-        self.in_use = 0
+        self.locked = False
         self._waiters: Deque[Event] = deque()
 
     def acquire(self) -> Event:
-        """Event that triggers when a unit is granted."""
+        """Event that triggers when the lock is granted."""
         event = Event(self.sim, ("%s.acquire", self.name))
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if not self.locked:
+            self.locked = True
             event.trigger(self)
         else:
             self._waiters.append(event)
         return event
 
     def release(self) -> None:
-        """Return a unit; hands it straight to the next waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
+        """Free the lock; hands it straight to the next waiter if any."""
+        if not self.locked:
+            raise SimulationError(f"release() of idle lock {self.name!r}")
         if self._waiters:
             self._waiters.popleft().trigger(self)
         else:
-            self.in_use -= 1
+            self.locked = False
 
     @property
     def queue_depth(self) -> int:
         return len(self._waiters)
-
-
-class Lock(Resource):
-    """Mutual exclusion: a Resource of capacity one."""
-
-    def __init__(self, sim: Any, name: str = "lock") -> None:
-        super().__init__(sim, capacity=1, name=name)
-
-    @property
-    def locked(self) -> bool:
-        return self.in_use >= self.capacity

@@ -1,6 +1,6 @@
 """A simulated disk: one arm, service-timed requests, optional failure.
 
-Requests queue FIFO on the single arm (a :class:`Resource`), so a burst of
+Requests queue FIFO on the single arm (a :class:`~repro.sim.sync.Lock`), so a burst of
 writes sees queueing delay — this is what makes group commit (§3.2) *win*:
 one big write costs far less than many small ones.
 """
@@ -12,7 +12,7 @@ from typing import Any, Dict, Generator, Optional
 from repro.errors import CrashedError, SimulationError
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-from repro.sim.sync import Resource
+from repro.sim.sync import Lock
 
 
 class Disk:
@@ -23,22 +23,15 @@ class Disk:
     dominates, transfer is cheap — exactly the group-commit economics).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "disk",
-        service_time: float = 0.005,
-        per_item_time: float = 0.0001,
-    ) -> None:
-        if service_time < 0 or per_item_time < 0:
-            raise SimulationError("negative disk timing")
+    service_time = 0.005
+    per_item_time = 0.0001
+
+    def __init__(self, sim: Simulator, name: str = "disk") -> None:
         self.sim = sim
         self.name = name
-        self.service_time = service_time
-        self.per_item_time = per_item_time
         self.failed = False
         self.slow_factor = 1.0
-        self._arm = Resource(sim, capacity=1, name=f"{name}.arm")
+        self._arm = Lock(sim, name=f"{name}.arm")
         self._blocks: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ shape of "Asynchronous Checkpoint for Eventually Consistent Databases"
   it lands, which is fine: the tail covers the difference);
 - snapshots are **incremental**: each stores only the pages changed
   since the previous one, chained by ``base_id``; the chain compacts to
-  a fresh full snapshot when it grows past ``max_chain``;
+  a fresh full snapshot when it grows past ``SnapshotStore.max_chain``;
 - **recovery** loads the newest durable chain and replays only records
   with ``lsn > snapshot.lsn`` — time proportional to the tail, not the
   log.
@@ -113,20 +113,15 @@ class SnapshotStore:
     """
 
     MANIFEST = "snap.manifest"
+    #: Snapshots in a chain before the next one is a full compaction.
+    max_chain = 8
 
     def __init__(
-        self,
-        sim: Simulator,
-        disk: Optional[Disk] = None,
-        name: str = "snap",
-        max_chain: int = 8,
+        self, sim: Simulator, disk: Optional[Disk] = None, name: str = "snap"
     ) -> None:
-        if max_chain < 1:
-            raise SimulationError(f"snapshot chain bound {max_chain} below 1")
         self.sim = sim
         self.name = name
         self.disk = disk or Disk(sim, name=f"{name}.disk")
-        self.max_chain = max_chain
         self._next_id = 1
         #: State as of the last installed snapshot — the diffing base.
         #: Capture-side bookkeeping only; recovery never trusts it.
@@ -376,7 +371,7 @@ class Snapshotter:
         self.sim.metrics.observe(f"snapshot.{self.name}.tail_at_install", tail)
         return record
 
-    def run(self, until: Optional[float] = None) -> Generator[Any, Any, None]:
+    def run(self) -> Generator[Any, Any, None]:
         """The checkpoint loop: park until something changed, wait one
         cadence (writes arriving meanwhile are covered by the cut), then
         checkpoint. At most one snapshot per cadence."""
@@ -384,16 +379,12 @@ class Snapshotter:
             if not self._dirty:
                 self._wake = self.sim.event(f"snapshot.wake.{self.name}")
                 yield self._wake
-            if until is not None and self.sim.now + self.cadence > until:
-                return
             yield Timeout(self.cadence)
             yield from self.take()
 
-    def start(self, until: Optional[float] = None) -> Any:
+    def start(self) -> Any:
         if self._proc is None or not self._proc.alive:
-            self._proc = self.sim.spawn(
-                self.run(until), name=f"snapshot.{self.name}"
-            )
+            self._proc = self.sim.spawn(self.run(), name=f"snapshot.{self.name}")
         return self._proc
 
     def stop(self) -> None:

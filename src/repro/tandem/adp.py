@@ -21,25 +21,18 @@ from repro.tandem.registry import TmfRegistry
 class AuditDiskProcess:
     """Endpoint ``adp``: handles LOG (record batches) and COMMIT."""
 
+    name = "adp"
+
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         registry: TmfRegistry,
-        name: str = "adp",
-        disk_service_time: float = 0.005,
-        disk_per_item_time: float = 0.0001,
     ) -> None:
         self.sim = sim
-        self.name = name
         self.registry = registry
-        self.disk = Disk(
-            sim,
-            name=f"{name}.disk",
-            service_time=disk_service_time,
-            per_item_time=disk_per_item_time,
-        )
-        self.endpoint = Endpoint(network, name, dedup=False)
+        self.disk = Disk(sim, name=f"{self.name}.disk")
+        self.endpoint = Endpoint(network, self.name, dedup=False)
         self.endpoint.register("LOG", self._handle_log)
         self.endpoint.register("COMMIT", self._handle_commit)
         self.endpoint.start()

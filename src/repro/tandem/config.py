@@ -29,8 +29,6 @@ class TandemConfig:
     mode: DPMode = DPMode.DP2
     num_dps: int = 2
     message_latency: float = 0.0001  # one-way CPU-to-CPU message, seconds
-    disk_service_time: float = 0.005
-    disk_per_item_time: float = 0.0001
     group_commit_timer: float = 0.002  # DP2: how long the bus waits
     rpc_timeout: float = 0.5
     rpc_retries: int = 8

@@ -39,6 +39,7 @@ from repro.net.network import Network
 from repro.net.rpc import Endpoint
 from repro.sim.events import AllOf, Timeout
 from repro.sim.scheduler import Simulator
+from repro.tandem.adp import AuditDiskProcess
 from repro.tandem.config import DPMode, TandemConfig
 from repro.tandem.registry import TmfRegistry, TxnStatus
 
@@ -63,14 +64,12 @@ class DiskProcessPair:
         registry: TmfRegistry,
         name: str,
         config: TandemConfig,
-        adp_name: str = "adp",
     ) -> None:
         self.sim = sim
         self.network = network
         self.registry = registry
         self.name = name
         self.config = config
-        self.adp_name = adp_name
         self.primary_name = f"{name}.p"
         self.backup_name = f"{name}.b"
         self.current = self.primary_name
@@ -177,7 +176,7 @@ class DiskProcessPair:
             ]
             if records:
                 yield from endpoint.call(
-                    self.adp_name, "LOG", {"source": self.name, "records": records},
+                    AuditDiskProcess.name, "LOG", {"source": self.name, "records": records},
                     policy=self.config.call_policy(),
                 )
         else:
@@ -289,7 +288,7 @@ class DiskProcessPair:
                 legs = [
                     self.sim.spawn(
                         endpoint.call(
-                            self.adp_name, "LOG",
+                            AuditDiskProcess.name, "LOG",
                             {"source": self.name, "records": batch},
                             policy=self.config.call_policy(),
                         ),

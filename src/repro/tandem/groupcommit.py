@@ -34,13 +34,13 @@ class GroupCommitter:
         self._waiting: List[Tuple[int, Any]] = []
         self._bus_scheduled = False
 
-    def commit(self, payload: Any = None) -> Generator[Any, Any, float]:
+    def commit(self) -> Generator[Any, Any, float]:
         """Make one commit durable; returns its latency."""
         start = self.sim.now
         self._seq += 1
         seq = self._seq
         if self.timer is None:
-            yield from self.disk.write(("commit", seq), payload)
+            yield from self.disk.write(("commit", seq), None)
         else:
             done = self.sim.event(name=f"gc.{seq}")
             self._waiting.append((seq, done))

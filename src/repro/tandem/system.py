@@ -36,13 +36,7 @@ class TandemSystem:
             default_link=LinkConfig(latency=FixedLatency(self.config.message_latency)),
         )
         self.registry = TmfRegistry()
-        self.adp = AuditDiskProcess(
-            self.sim,
-            self.network,
-            self.registry,
-            disk_service_time=self.config.disk_service_time,
-            disk_per_item_time=self.config.disk_per_item_time,
-        )
+        self.adp = AuditDiskProcess(self.sim, self.network, self.registry)
         self.pairs: Dict[str, DiskProcessPair] = {
             f"dp{i}": DiskProcessPair(
                 self.sim, self.network, self.registry, f"dp{i}", self.config
@@ -51,9 +45,9 @@ class TandemSystem:
         }
         self._client_ids = itertools.count(1)
 
-    def client(self, name: Optional[str] = None) -> AppClient:
+    def client(self) -> AppClient:
         """A new application client on the fabric."""
-        return AppClient(self, name or f"app{next(self._client_ids)}")
+        return AppClient(self, f"app{next(self._client_ids)}")
 
     def pair(self, name: str) -> DiskProcessPair:
         if name not in self.pairs:

@@ -57,8 +57,7 @@ class ApologyBook:
 
     # ------------------------------------------------------------------
 
-    def _compensate(self, uniquifier: str, op_type: str,
-                    told: Any, actual: Any) -> str:
+    def _compensate(self, uniquifier: str, told: Any, actual: Any) -> str:
         """Pick and execute the compensating action."""
         if (
             self.pool is not None
@@ -83,7 +82,7 @@ class ApologyBook:
         if op.uniquifier in self._seen:
             return None
         self._seen.add(op.uniquifier)
-        action = self._compensate(op.uniquifier, op.op_type, told, actual)
+        action = self._compensate(op.uniquifier, told, actual)
         if not action:
             action = "human"
         apology = TxnApology(

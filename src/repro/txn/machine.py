@@ -19,7 +19,7 @@ minted.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.core.operation import Operation, TypeRegistry
 from repro.errors import SimulationError
@@ -159,26 +159,22 @@ class ResourceMachine(TxnMachine):
         return state[category]["capacity"]
 
 
-def sample_resource_ops(categories: Optional[Any] = None) -> list:
-    """A small sample workload over :class:`ResourceMachine` op types,
-    sized so the classifier measures the common case (ops commute away
-    from the capacity boundary; SET_CAPACITY does not commute at all)."""
-    categories = list(categories or ("seats",))
-    ops = []
-    for index, category in enumerate(categories):
-        base = index * 10
-        ops.extend([
-            Operation("RESERVE", {"category": category},
-                      uniquifier=f"sample-r{base}", ingress_time=1.0),
-            Operation("RESERVE", {"category": category},
-                      uniquifier=f"sample-r{base + 1}", ingress_time=2.0),
-            Operation("CANCEL", {"category": category, "target": f"sample-r{base}"},
-                      uniquifier=f"sample-c{base}", ingress_time=3.0),
-            Operation("RESTOCK", {"category": category, "quantity": 2},
-                      uniquifier=f"sample-k{base}", ingress_time=4.0),
-            Operation("SET_CAPACITY", {"category": category, "value": 5},
-                      uniquifier=f"sample-s{base}", ingress_time=5.0),
-            Operation("SET_CAPACITY", {"category": category, "value": 9},
-                      uniquifier=f"sample-s{base + 1}", ingress_time=6.0),
-        ])
-    return ops
+def sample_resource_ops() -> list:
+    """A small sample workload over :class:`ResourceMachine` op types on
+    one category, sized so the classifier measures the common case (ops
+    commute away from the capacity boundary; SET_CAPACITY does not commute
+    at all)."""
+    return [
+        Operation("RESERVE", {"category": "seats"},
+                  uniquifier="sample-r0", ingress_time=1.0),
+        Operation("RESERVE", {"category": "seats"},
+                  uniquifier="sample-r1", ingress_time=2.0),
+        Operation("CANCEL", {"category": "seats", "target": "sample-r0"},
+                  uniquifier="sample-c0", ingress_time=3.0),
+        Operation("RESTOCK", {"category": "seats", "quantity": 2},
+                  uniquifier="sample-k0", ingress_time=4.0),
+        Operation("SET_CAPACITY", {"category": "seats", "value": 5},
+                  uniquifier="sample-s0", ingress_time=5.0),
+        Operation("SET_CAPACITY", {"category": "seats", "value": 9},
+                  uniquifier="sample-s1", ingress_time=6.0),
+    ]

@@ -181,14 +181,14 @@ class TxnReplica:
                 self._forward_loop(), name=f"txn:{self.name}.forward"
             )
 
-    def stop(self, cause: str = "stopped") -> None:
+    def stop(self) -> None:
         for proc in (self._forward_proc, self._lead_proc):
             if proc is not None and proc.alive:
-                proc.interrupt(cause)
+                proc.interrupt("stopped")
         self._forward_proc = None
         self._lead_proc = None
         self.leading = False
-        self.endpoint.stop(cause)
+        self.endpoint.stop("stopped")
 
     # ------------------------------------------------------------------
     # Client surface
@@ -568,15 +568,14 @@ class TxnReplica:
 
 
 class MixedTxnSystem:
-    """N replicas of one :class:`~repro.txn.machine.TxnMachine`, a fenced
-    minting leader, and the apology machinery — the full mixed-consistency
-    fabric in one object.
+    """Three replicas of one :class:`~repro.txn.machine.TxnMachine`, a
+    fenced minting leader, and the apology machinery — the full
+    mixed-consistency fabric in one object.
 
     ``classes`` (op type → :data:`~repro.patterns.classify.OP_WEAK` /
-    :data:`~repro.patterns.classify.OP_STRONG`) defaults to the *measured*
+    :data:`~repro.patterns.classify.OP_STRONG`) is the *measured*
     classification of ``machine``'s ``registry()`` over
-    :func:`~repro.txn.machine.sample_resource_ops`; pass ``classes``
-    explicitly to override.
+    :func:`~repro.txn.machine.sample_resource_ops`.
     """
 
     mint_interval = 0.05
@@ -584,48 +583,26 @@ class MixedTxnSystem:
     # One attempt per call: the sync and order loops are the retry.
     rpc_policy = RetryPolicy(max_attempts=1, timeout=0.3)
     sync_retry = 0.25
+    replica_names = ("txn0", "txn1", "txn2")
+    detect_timeout = 1.0
+    poll_interval = 0.1
+    lease_duration = 5.0
+    monitor_name = "txn.monitor"
 
     def __init__(
-        self,
-        sim: Simulator,
-        machine: TxnMachine,
-        replica_names: Sequence[str] = ("txn0", "txn1", "txn2"),
-        network: Optional[Network] = None,
-        classes: Optional[Dict[str, str]] = None,
-        apology_pool: Any = None,
-        heartbeat_interval: float = 0.25,
-        detect_timeout: float = 1.0,
-        poll_interval: float = 0.1,
-        lease_duration: float = 5.0,
-        monitor_name: str = "txn.monitor",
+        self, sim: Simulator, machine: TxnMachine, apology_pool: Any = None
     ) -> None:
-        if len(replica_names) < 2:
-            raise SimulationError("MixedTxnSystem needs at least two replicas")
         self.sim = sim
         self.machine = machine
-        self.network = network or Network(sim)
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
-        self.lease_duration = lease_duration
-        self.monitor_name = monitor_name
-
-        if classes is None:
-            registry = getattr(machine, "registry", None)
-            if registry is None:
-                raise SimulationError(
-                    "machine has no registry(); pass classes= explicitly"
-                )
-            self.profile = classify_operation_space(
-                registry(), sample_resource_ops()
-            )
-            classes = self.profile.op_classes()
-        else:
-            self.profile = None
-        self.classes = dict(classes)
+        self.network = Network(sim)
+        self.profile = classify_operation_space(
+            machine.registry(), sample_resource_ops()
+        )
+        self.classes = self.profile.op_classes()
 
         self.book = ApologyBook(sim, pool=apology_pool)
-        self.quorum = len(replica_names) // 2 + 1
-        self.names = list(replica_names)
+        self.quorum = len(self.replica_names) // 2 + 1
+        self.names = list(self.replica_names)
         self.replicas: Dict[str, TxnReplica] = {
             name: TxnReplica(self, name, self.names) for name in self.names
         }
@@ -635,12 +612,12 @@ class MixedTxnSystem:
         # conviction promotes the ring successor under a fresh epoch.
         self.leases = LeaseManager(sim, name="txn.leases")
         self.detector: FailureDetector = FixedTimeoutDetector(
-            sim, [self.serving], timeout=detect_timeout, name="txn.detector"
+            sim, [self.serving], timeout=self.detect_timeout, name="txn.detector"
         )
         self.detector.on_contradiction(
             lambda node, _at: self.detector.pardon(node)
         )
-        self.monitor = Endpoint(self.network, monitor_name)
+        self.monitor = Endpoint(self.network, self.monitor_name)
         self.monitor.register("HEARTBEAT", self._handle_heartbeat)
         self.controller = FailoverController(
             sim,
@@ -649,7 +626,7 @@ class MixedTxnSystem:
             successor_of=self._successor,
             promote=self._promote,
             leases=self.leases,
-            lease_duration=lease_duration,
+            lease_duration=self.lease_duration,
             name="txn.failover",
         )
         self._emitter: Optional[HeartbeatEmitter] = None
@@ -682,7 +659,6 @@ class MixedTxnSystem:
         self._emitter = HeartbeatEmitter(
             leader.endpoint,
             self.monitor_name,
-            interval=self.heartbeat_interval,
             epoch_of=lambda: leader.epoch,
         )
         self._emitter.start()

@@ -11,7 +11,7 @@ one logical effect (and the metric counts what over-enthusiasm cost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.workflow.items import WorkItem
@@ -89,11 +89,10 @@ class WorkflowSystem:
             raise SimulationError(f"unknown workflow replica {name!r}")
         return self.replicas[name]
 
-    def submit(self, replica_name: str, item: WorkItem, drain: bool = True) -> None:
+    def submit(self, replica_name: str, item: WorkItem) -> None:
         replica = self.replica(replica_name)
         replica.submit(item)
-        if drain:
-            replica.drain()
+        replica.drain()
 
     # ------------------------------------------------------------------
     # Knowledge exchange
@@ -122,9 +121,9 @@ class WorkflowSystem:
         # Learning kills queued duplicates on the next drain.
         return moved
 
-    def sync_all(self, rounds: Optional[int] = None) -> None:
+    def sync_all(self) -> None:
         names = list(self.replicas)
-        for _ in range(rounds or len(names)):
+        for _ in range(len(names)):
             for left, right in zip(names, names[1:] + names[:1]):
                 if left != right:
                     self.sync(left, right)

@@ -8,12 +8,12 @@ from typing import Any, Dict, Optional
 from repro.errors import SimulationError
 
 
-def derive_child_uniquifier(parent_uniquifier: str, stage: str, index: int = 0) -> str:
+def derive_child_uniquifier(parent_uniquifier: str, stage: str) -> str:
     """The §5.4 footnote discipline: the child's identity is a pure
     function of the parent's and the step, never of who executed it or
     when. Two replicas that both stimulate the shipment for PO-7 derive
     the *same* shipment id, which is what lets the duplicate collapse."""
-    return f"{parent_uniquifier}/{stage}#{index}"
+    return f"{parent_uniquifier}/{stage}#0"
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,13 @@ class WorkItem:
         if not self.uniquifier:
             raise SimulationError("work items need a uniquifier at ingress")
 
-    def child(self, stage: str, payload: Optional[Dict[str, Any]] = None,
-              index: int = 0) -> "WorkItem":
-        """A stimulated follow-on item with a derived identity."""
+    def child(self, stage: str) -> "WorkItem":
+        """A stimulated follow-on item with a derived identity, carrying
+        a copy of this item's payload."""
         return WorkItem(
-            uniquifier=derive_child_uniquifier(self.uniquifier, stage, index),
+            uniquifier=derive_child_uniquifier(self.uniquifier, stage),
             stage=stage,
-            payload=dict(payload if payload is not None else self.payload),
+            payload=dict(self.payload),
             parent=self.uniquifier,
         )
 

@@ -17,32 +17,31 @@ class CheckStream:
     threshold experiment).
     """
 
+    bank = "fnb"
+    account = "acct1"
+
     def __init__(
         self,
         rng: random.Random,
-        bank: str = "fnb",
-        account: str = "acct1",
         low: float = 10.0,
         high: float = 500.0,
         big_fraction: float = 0.0,
         big_amount: float = 15_000.0,
     ) -> None:
         self.rng = rng
-        self.bank = bank
-        self.account = account
         self.low = low
         self.high = high
         self.big_fraction = big_fraction
         self.big_amount = big_amount
         self._number = 0
 
-    def next_check(self, payee: str = "payee") -> Check:
+    def next_check(self) -> Check:
         self._number += 1
         if self.big_fraction and self.rng.random() < self.big_fraction:
             amount = self.big_amount
         else:
             amount = round(self.rng.uniform(self.low, self.high), 2)
-        return Check(self.bank, self.account, self._number, payee, amount)
+        return Check(self.bank, self.account, self._number, "payee", amount)
 
 
 @dataclass
@@ -54,13 +53,14 @@ class CartSessionPlan:
 
 
 _ITEMS = ["book", "pen", "ink", "lamp", "mug", "cable", "chair", "fan"]
+#: Chance a session step deletes an item already in the cart.
+DELETE_PROBABILITY = 0.25
 
 
 def random_cart_sessions(
     rng: random.Random,
     num_sessions: int,
     steps_per_session: Tuple[int, int] = (2, 6),
-    delete_probability: float = 0.25,
 ) -> List[CartSessionPlan]:
     """Sessions mixing ADDs, CHANGEs and DELETEs over a small catalog."""
     plans = []
@@ -69,11 +69,11 @@ def random_cart_sessions(
         in_cart: List[str] = []
         for _ in range(rng.randint(*steps_per_session)):
             roll = rng.random()
-            if in_cart and roll < delete_probability:
+            if in_cart and roll < DELETE_PROBABILITY:
                 item = rng.choice(in_cart)
                 in_cart.remove(item)
                 steps.append(("DELETE", item, 0))
-            elif in_cart and roll < delete_probability + 0.2:
+            elif in_cart and roll < DELETE_PROBABILITY + 0.2:
                 steps.append(("CHANGE", rng.choice(in_cart), rng.randint(1, 4)))
             else:
                 item = rng.choice(_ITEMS)

@@ -135,7 +135,6 @@ def zipf_open_loop(
     count: Optional[int] = None,
     until: Optional[float] = None,
     stream: str = "workload.zipf",
-    on_ack: Optional[Any] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> Generator[Any, Any, Dict[str, int]]:
     """An open-loop zipf GET/PUT driver against a Dynamo client.
@@ -147,9 +146,8 @@ def zipf_open_loop(
     — the §6.1 cart discipline, no blind writes). Failed quorums are
     counted, not raised: availability under reshaping is the measurement.
 
-    ``on_ack(key, value)`` observes every acknowledged PUT (invariant
-    bookkeeping); ``stats`` (updated in place if given) counts
-    gets/puts/failures and is also the return value.
+    ``stats`` (updated in place if given) counts gets/puts/failures and
+    is also the return value.
     """
     from repro.dynamo.cluster import QuorumUnavailable
     from repro.errors import CrashedError, TimeoutError_
@@ -177,8 +175,6 @@ def zipf_open_loop(
                 value = next(put_seq)
                 yield from client.put(key, value, context=result.context)
                 counters["puts"] += 1
-                if on_ack is not None:
-                    on_ack(key, value)
         except (QuorumUnavailable, TimeoutError_, RpcError, CrashedError):
             counters["failed_gets" if is_get else "failed_puts"] += 1
 

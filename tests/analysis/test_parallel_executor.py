@@ -135,7 +135,7 @@ def test_an_unmeasured_process_fans_out():
     if sys.getprofile() is not None or sys.gettrace() is not None \
             or tracemalloc.is_tracing():
         pytest.skip("this run is measured (coverage or a profiler)")
-    pids = list(parallel_map(_pid, range(6)))
+    pids = list(parallel_map(_pid, range(6), None))
     assert len(pids) == 6
     assert any(pid != os.getpid() for pid in pids)
 
@@ -156,8 +156,8 @@ def test_chaos_sweep_parallel_matches_serial():
     serial_runner = ChaosRunner(BankClearingScenario(policy="correct"))
     parallel_runner = ChaosRunner(BankClearingScenario(policy="correct"))
 
-    serial = serial_runner.sweep(seeds, shrink=False, processes=1)
-    parallel = parallel_runner.sweep(seeds, shrink=False, processes=2)
+    serial = serial_runner.sweep(seeds, processes=1)
+    parallel = parallel_runner.sweep(seeds, processes=2)
 
     assert serial.reports == parallel.reports
     assert serial.failures == parallel.failures

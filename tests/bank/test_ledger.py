@@ -11,7 +11,7 @@ def check(number, amount):
 
 
 def test_single_statement_captures_all():
-    bank = ReplicatedBank(num_replicas=1, initial_deposit=1000.0)
+    bank = ReplicatedBank(initial_deposit=1000.0)
     bank.clear_check("branch0", check(1, 100.0))
     book = StatementBook(bank.replica("branch0"))
     statement = book.close("march")
@@ -24,7 +24,7 @@ def test_single_statement_captures_all():
 def test_late_arriving_check_lands_next_month():
     """branch1 cleared a check branch0 hadn't heard of at March close;
     it shows up on April's statement, March unmodified (§6.2)."""
-    bank = ReplicatedBank(num_replicas=2, initial_deposit=1000.0)
+    bank = ReplicatedBank(initial_deposit=1000.0)
     book = StatementBook(bank.replica("branch0"))
     bank.clear_check("branch1", check(1, 100.0))  # floating elsewhere
     march = book.close("march")
@@ -39,7 +39,7 @@ def test_late_arriving_check_lands_next_month():
 
 
 def test_every_op_on_exactly_one_statement():
-    bank = ReplicatedBank(num_replicas=2, initial_deposit=1000.0)
+    bank = ReplicatedBank(initial_deposit=1000.0)
     book = StatementBook(bank.replica("branch0"))
     for i in range(1, 6):
         branch = "branch0" if i % 2 else "branch1"
@@ -54,7 +54,7 @@ def test_every_op_on_exactly_one_statement():
 
 
 def test_duplicate_entry_detection():
-    bank = ReplicatedBank(num_replicas=1, initial_deposit=100.0)
+    bank = ReplicatedBank(initial_deposit=100.0)
     book = StatementBook(bank.replica("branch0"))
     first = book.close("m1")
     # Manufacture corruption: re-issue the same entries.
@@ -64,7 +64,7 @@ def test_duplicate_entry_detection():
 
 
 def test_empty_month():
-    bank = ReplicatedBank(num_replicas=1, initial_deposit=100.0)
+    bank = ReplicatedBank(initial_deposit=100.0)
     book = StatementBook(bank.replica("branch0"))
     book.close("m1")
     quiet = book.close("m2")

@@ -12,8 +12,8 @@ def brother_in_law_check(amount=100.0):
 
 
 def make_desk(initial=1000.0):
-    bank = ReplicatedBank(num_replicas=1, initial_deposit=initial)
-    return bank, DepositDesk(bank, "branch0", bounce_fee=30.0)
+    bank = ReplicatedBank(initial_deposit=initial)
+    return bank, DepositDesk(bank, "branch0")
 
 
 def test_good_standing_no_hold():

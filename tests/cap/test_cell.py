@@ -24,7 +24,7 @@ def test_duplicate_uniquifier_collapses():
 
 
 def test_cp_minority_refuses_during_partition():
-    cell = CapCell(Stance.CP, quorum_site="east")
+    cell = CapCell(Stance.CP)
     cell.partition()
     assert cell.increment("east", 1.0, "u1", at=1.0)   # quorum side serves
     assert not cell.increment("west", 1.0, "u2", at=1.0)
@@ -82,5 +82,3 @@ def test_bad_site_rejected():
     cell = CapCell(Stance.CP)
     with pytest.raises(SimulationError):
         cell.increment("north", 1.0, "u1")
-    with pytest.raises(SimulationError):
-        CapCell(Stance.CP, quorum_site="north")

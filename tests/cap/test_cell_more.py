@@ -4,11 +4,11 @@ from repro.cap import CapCell, Stance
 
 
 def test_cp_quorum_side_reads_during_partition():
-    cell = CapCell(Stance.CP, quorum_site="west")
-    cell.increment("east", 5.0, "u1", at=1.0)
+    cell = CapCell(Stance.CP)
+    cell.increment("west", 5.0, "u1", at=1.0)
     cell.partition()
-    assert cell.read("west") == 5.0
-    assert cell.read("east") is None
+    assert cell.read("east") == 5.0
+    assert cell.read("west") is None
 
 
 def test_lww_snapshot_read_vs_ops_read():
@@ -34,7 +34,7 @@ def test_lww_tie_breaks_deterministically():
 
 
 def test_refused_increment_not_in_accounting():
-    cell = CapCell(Stance.CP, quorum_site="east")
+    cell = CapCell(Stance.CP)
     cell.partition()
     cell.increment("west", 99.0, "refused", at=1.0)
     cell.heal()

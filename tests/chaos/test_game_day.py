@@ -6,8 +6,9 @@ import pytest
 
 from repro.chaos.game_day import GameDayScenario, GameDaySpec
 from repro.chaos.plan import DiskFaultEpisode, LinkFaultEpisode, WanCutEpisode
-from repro.chaos.runner import ChaosRunner
+from repro.chaos.runner import ChaosRunner, _run_seed
 from repro.errors import SimulationError
+from repro.parallel import parallel_map
 from tests.chaos.worlds import keep_sims
 
 
@@ -48,18 +49,15 @@ def test_same_seed_bit_identical_trace_and_metrics():
 
 
 def test_serial_sweep_matches_multiprocessing_sweep():
-    seeds = range(3)
-    serial = ChaosRunner(small(policy="unfenced")).sweep(
-        seeds, shrink=False, processes=1
-    )
-    parallel = ChaosRunner(small(policy="unfenced")).sweep(
-        seeds, shrink=False, processes=3
-    )
-    assert serial.reports == parallel.reports
+    """The runs a sweep folds, without the shrinking of every failure."""
+    units = [(ChaosRunner(small(policy="unfenced")), seed) for seed in range(3)]
+    serial = list(parallel_map(_run_seed, units, 1))
+    parallel = list(parallel_map(_run_seed, units, 3))
+    assert serial == parallel
 
 
 def test_fenced_phi_sweep_is_clean():
-    result = ChaosRunner(small()).sweep(range(3), shrink=False)
+    result = ChaosRunner(small()).sweep(range(3))
     assert not result.failures
     for report in result.reports:
         assert report.violations == ()
@@ -79,7 +77,7 @@ def test_unfenced_loses_post_takeover_writes():
 
 def test_shrinking_converges_on_compound_plan():
     scenario = small(policy="unfenced")
-    result = ChaosRunner(scenario).sweep([0], shrink=True)
+    result = ChaosRunner(scenario).sweep([0])
     assert len(result.failures) == 1
     case = result.failures[0]
     assert case.replay_matches
@@ -132,8 +130,6 @@ def test_bad_params_rejected():
         GameDayScenario(detector="oracle")
     with pytest.raises(SimulationError):
         GameDayScenario(nodes_per_site=1)
-    with pytest.raises(SimulationError):
-        GameDayScenario(cut_start=20.0, cut_end=10.0)
 
 
 def test_spec_is_picklable_and_seed_pure():

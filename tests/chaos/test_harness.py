@@ -26,7 +26,7 @@ def test_crashable_calls_through_once_per_transition_and_counts_restarts():
     target.crash("again")  # already down
     target.restart()
     target.restart()
-    target.crash()
+    target.crash("injected")
     target.restart()
     assert calls == [
         ("crash", "injected"), ("restart", 1),

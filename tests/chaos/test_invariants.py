@@ -39,7 +39,7 @@ def test_cadence_checks_run_on_schedule():
 def test_violation_is_latched_and_recorded_with_context():
     sim = Simulator(seed=0)
     sim.trace.emit("test", "before", detail="context-marker")
-    monitor = InvariantMonitor(sim, context_records=4)
+    monitor = InvariantMonitor(sim)
     monitor.register("always-broken", lambda: "it broke")
     monitor.start(period=1.0, until=5.0)
     sim.run(until=10.0)
@@ -161,7 +161,7 @@ def test_states_equivalent_tolerates_float_summation_order():
 
 def test_escrow_non_negative():
     sim = Simulator(seed=0)
-    account = EscrowAccount(sim, initial=10.0, minimum=0.0, maximum=100.0)
+    account = EscrowAccount(sim, initial=10.0)
     check = escrow_non_negative(account)
     assert check() is None
     account.value = -1.0

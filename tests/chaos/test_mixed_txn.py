@@ -114,8 +114,3 @@ def test_e18_claim_weak_beats_strong_priced_in_apologies():
 def test_unknown_cut_is_rejected():
     with pytest.raises(SimulationError):
         MixedTxnScenario(cut="diagonal")
-
-
-def test_bad_weak_fraction_is_rejected():
-    with pytest.raises(SimulationError):
-        MixedTxnScenario(weak_fraction=1.5)

@@ -47,5 +47,3 @@ def test_spec_samples_message_chaos_only():
 def test_bad_parameters_rejected():
     with pytest.raises(SimulationError):
         _build_scenario("ring-rebalance", policy="bogus")
-    with pytest.raises(SimulationError):
-        RingRebalanceScenario(num_nodes=4)

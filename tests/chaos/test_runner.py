@@ -109,9 +109,19 @@ def test_a_shrink_costs_its_evals_plus_one_replay(policy):
     assert case.minimal_violation.signature == report.violations[0].signature
 
 
+class _FixedSpec:
+    """A spec that samples the same plan at every seed."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def sample(self, _seed):
+        return self.plan
+
+
 def test_fixed_plan_runner_skips_sampling():
     plan = ChaosPlan((CrashEpisode("g0", 5.0, 8.0),))
-    runner = ChaosRunner(BankClearingScenario(policy="correct"), plan=plan)
+    runner = ChaosRunner(BankClearingScenario(policy="correct"), spec=_FixedSpec(plan))
     result = runner.sweep([0, 99])
     assert [report.plan for report in result.reports] == [plan, plan]
     assert not result.failures

@@ -359,5 +359,3 @@ def test_bad_parameters_rejected():
         MembershipGossip(view, network=network, fanout=0)
     with pytest.raises(SimulationError):
         MembershipGossip(view, network=network, period=0.0)
-    with pytest.raises(SimulationError):
-        MembershipGossip(view, network=network, full_sync_every=0)

@@ -84,7 +84,7 @@ def test_crash_with_batched_checkpointing_redoes_the_batch_tail():
 
 def test_crash_with_async_checkpointing_redoes_the_window():
     sim, pair = make_pair(cadence=CheckpointCadence.ASYNC, async_period=0.05,
-                          step_duration=0.01, total_steps=10)
+                          total_steps=10)
     pair.crash_primary_at_step(9)
     result = sim.run_process(pair.run())
     assert result.takeovers == 1

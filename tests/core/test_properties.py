@@ -41,5 +41,5 @@ def test_idempotence_via_uniquifier_dedup(counter_registry):
 def test_permutation_bound_respected(counter_registry):
     ops = [add_op(i, uniquifier=f"u{i}") for i in range(6)]
     # 6! = 720 permutations; bounded run must still terminate and pass.
-    report = check_acid2(counter_registry, ops, max_permutations=10)
+    report = check_acid2(counter_registry, ops)
     assert report.ok

@@ -63,14 +63,6 @@ def test_threshold_policy_is_the_10k_check():
     assert not policy.requires_coordination(small)
 
 
-def test_threshold_policy_custom_extractor():
-    policy = ThresholdRiskPolicy(
-        threshold=2, amount_of=lambda op: len(op.args.get("items", ()))
-    )
-    assert policy.requires_coordination(Operation("ORDER", {"items": [1, 2, 3]}))
-    assert not policy.requires_coordination(Operation("ORDER", {"items": [1]}))
-
-
 def test_threshold_policy_missing_amount_is_riskless():
     policy = ThresholdRiskPolicy(threshold=10)
     assert not policy.requires_coordination(Operation("PING", {}))

@@ -13,7 +13,7 @@ from repro.sim import Simulator, Timeout
 
 
 def test_anti_entropy_heals_a_missed_write():
-    cluster = DynamoCluster(num_nodes=5, n=3, r=1, w=1, seed=19, read_repair=False)
+    cluster = DynamoCluster(num_nodes=5, n=3, r=1, w=1, seed=19)
     client = cluster.client()
     owners = cluster.ring.intended_owners("k", 3)
 
@@ -48,7 +48,7 @@ def test_anti_entropy_idempotent_once_converged():
 
 
 def test_anti_entropy_spreads_siblings_everywhere():
-    cluster = DynamoCluster(num_nodes=5, n=3, r=2, w=2, seed=23, read_repair=False)
+    cluster = DynamoCluster(num_nodes=5, n=3, r=2, w=2, seed=23)
     alice = cluster.client("alice")
     bob = cluster.client("bob")
     owners = cluster.ring.intended_owners("k", 3)
@@ -86,7 +86,6 @@ def test_anti_entropy_survives_wan_cut_without_starving_intra_site_peers():
     )
     cluster = DynamoCluster(
         num_nodes=6, n=3, r=1, w=1, sim=sim, network=network,
-        read_repair=False,
     )
     remote = "node5"
     topology.place(remote, "b")

@@ -302,7 +302,8 @@ def test_one_named_process_per_replica_goes_through_spawn():
         yield from client.put("k", "v")
         yield from client.get("k")
 
-    cluster.sim.run_process(job(), name="job")
+    cluster.sim.spawn(job(), name="job")
+    cluster.sim.run()
     owners = _owners(cluster)
     assert [proc.name for proc in spawned] == (
         ["job"]

@@ -18,7 +18,6 @@ both must end with the same stores, returned stats, counters
 """
 
 import random
-from functools import partial
 
 import pytest
 
@@ -82,18 +81,19 @@ def _inject(cluster, rng, fault):
 
 def _repair(cluster, rng, script):
     """Run the script; every stats dict it returned, in order."""
-    run, buckets = cluster.sim.run_process, rng.choice([1, 4, 16])
+    run = cluster.sim.run_process
+    cluster.merkle_buckets = rng.choice([1, 4, 16])
     if script == "whole-ring":
-        return [run(cluster.run_merkle_round(buckets)) for _ in range(3)]
+        return [run(cluster.run_merkle_round()) for _ in range(3)]
     leaver = rng.choice(sorted(cluster.nodes))
     if cluster.membership_gossips:
         with pytest.raises(SimulationError, match="gossip membership is attached"):
-            run(cluster.join("joiner", buckets))
-        return [run(cluster.run_merkle_round(buckets))]
+            run(cluster.join("joiner"))
+        return [run(cluster.run_merkle_round())]
     return [
-        run(cluster.join("joiner", buckets)),
-        run(cluster.decommission(leaver, buckets)),
-        run(cluster.run_merkle_round(buckets)),
+        run(cluster.join("joiner")),
+        run(cluster.decommission(leaver)),
+        run(cluster.run_merkle_round()),
     ]
 
 
@@ -101,8 +101,10 @@ def _play(seed, fault, script, reference):
     rng = random.Random(f"{seed}/{fault}/{script}")
     cluster = DynamoCluster(num_nodes=6, n=3, r=2, w=2, seed=seed)
     if reference:
-        cluster.run_merkle_round = partial(reference_merkle.run_merkle_round, cluster)
-        cluster._range_sync = partial(reference_merkle._range_sync, cluster)
+        cluster.run_merkle_round = lambda: reference_merkle.run_merkle_round(
+            cluster, cluster.merkle_buckets)
+        cluster._range_sync = lambda node, peer, ranges: reference_merkle._range_sync(
+            cluster, node, peer, ranges, cluster.merkle_buckets)
     _diverge(cluster, rng)
     _inject(cluster, rng, fault)
     stats = _repair(cluster, rng, script)

@@ -32,29 +32,6 @@ def test_stale_replica_repaired_by_get():
     assert repaired >= 0  # metric exists; >0 when the stale path was hit
 
 
-def test_read_repair_can_be_disabled():
-    cluster = DynamoCluster(num_nodes=5, n=3, r=3, w=1, seed=13,
-                            read_repair=False, hinted_handoff=False)
-    client = cluster.client()
-    owners = cluster.ring.intended_owners("k", 3)
-
-    def scenario():
-        cluster.crash(owners[2])
-        yield from client.put("k", "v1")
-        cluster.restart(owners[2])
-        yield Timeout(0.05)
-        try:
-            yield from client.get("k")
-        except Exception:
-            pass
-        yield Timeout(0.05)
-        return [v.value for v in cluster.nodes[owners[2]].versions_of("k")]
-
-    values = cluster.sim.run_process(scenario())
-    assert cluster.sim.metrics.counter("dynamo.read_repairs").value == 0
-    assert values == []  # nobody healed it
-
-
 def test_read_repair_converges_siblings_to_all_replicas():
     cluster = DynamoCluster(num_nodes=5, n=3, r=3, w=3, seed=29)
     alice = cluster.client("alice")

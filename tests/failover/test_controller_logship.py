@@ -26,7 +26,6 @@ def build(fenced=True, seed=0):
     failover = LogshipFailover(
         system,
         fenced=fenced,
-        heartbeat_interval=0.25,
         detector=FixedTimeoutDetector(sim, [system.serving], timeout=1.0),
         poll_interval=0.1,
     )
@@ -107,7 +106,7 @@ def test_fenced_takeover_bounces_the_deposed_tail():
     sim.run(until=2.0)
     cut(system)
     # A client that still believes in east gets its write acked there.
-    sim.spawn(system.submit_to("east", {"k": "stale"}, txn_id="stale-1"))
+    sim.spawn(system.submit_to("east", {"k": "stale"}))
     sim.run(until=6.0)
     assert system.serving == "west"
 
@@ -116,7 +115,7 @@ def test_fenced_takeover_bounces_the_deposed_tail():
     failover.stop()
     assert sim.metrics.counter("logship.stale_epoch_rejected").value >= 1
     assert system.sites["east"].deposed
-    assert "stale-1" not in system.sites["west"].applied_txns
+    assert "txn-2" not in system.sites["west"].applied_txns
     assert system.sites["west"].state.get("k") == 1
     # The post-heal heartbeat proves the conviction was a wrong guess.
     assert sim.metrics.counter("failover.false_convictions").value == 1
@@ -128,7 +127,7 @@ def test_unfenced_takeover_lets_the_resurrection_through():
     sim.spawn(system.submit({"k": 1}))
     sim.run(until=2.0)
     cut(system)
-    sim.spawn(system.submit_to("east", {"k": "stale"}, txn_id="stale-1"))
+    sim.spawn(system.submit_to("east", {"k": "stale"}))
     sim.run(until=6.0)
     assert system.serving == "west"
     assert system.sites["west"].fenced_below == 0   # no protection taken
@@ -137,7 +136,7 @@ def test_unfenced_takeover_lets_the_resurrection_through():
     sim.run(until=14.0)
     failover.stop()
     # The deposed regime's tail ships straight in: the §5.1 hazard.
-    assert "stale-1" in system.sites["west"].applied_txns
+    assert "txn-2" in system.sites["west"].applied_txns
     assert system.sites["west"].state.get("k") == "stale"
     assert sim.metrics.counter("logship.stale_epoch_rejected").value == 0
 
@@ -188,7 +187,7 @@ def test_take_over_of_live_primary_counts_in_doubt_not_lost():
     for i in range(3):
         sim.spawn(system.submit({f"k{i}": i}))
     sim.run(until=1.0)
-    result = system.take_over(fenced=True, cause="conviction")
+    result = system.take_over(fenced=True)
     assert result["new_primary"] == "west"
     assert not system.sites["east"].crashed
     assert len(result["lost_txns"]) == 3

@@ -29,7 +29,7 @@ def make_watched_node(seed=0, timeout=1.0, suspicion_timeout=3.0):
     monitor.start()
     node = Endpoint(network, "n1")
     node.start()
-    emitter = HeartbeatEmitter(node, "monitor", interval=0.25)
+    emitter = HeartbeatEmitter(node, "monitor")
     emitter.start()
     detector.start(poll_interval=0.1)
     return sim, network, detector, view

@@ -254,7 +254,7 @@ def run(names, sink=None):
     if "smoke" in names:
         record("smoke", smoke_texts())
     pooled = [name for name in names if "/" in name and name.split("/")[0] in _KINDS]
-    for entry, texts in zip(pooled, parallel_map(entry_texts, pooled)):
+    for entry, texts in zip(pooled, parallel_map(entry_texts, pooled, None)):
         record(entry, texts)
     workloads = [name.split("/")[1] for name in names if name.startswith("bench/")]
     if workloads:

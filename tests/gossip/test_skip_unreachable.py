@@ -1,7 +1,7 @@
-"""The skip-unreachable optimization: a gossiper that already knows a
-peer is detached doesn't burn a round timing out on it — and says so."""
+"""A gossiper whose only peer is detached times out on it every round,
+and counts each such round as failed."""
 
-from repro.core import Operation, Replica, TypeRegistry
+from repro.core import Replica, TypeRegistry
 from repro.gossip import GossipNode
 from repro.net import Network
 from repro.sim import Simulator
@@ -15,12 +15,12 @@ def counter_registry():
     return registry
 
 
-def make_pair(seed=1, **kwargs):
+def make_pair(seed=1):
     sim = Simulator(seed=seed)
     net = Network(sim)
     registry = counter_registry()
-    a = GossipNode(net, Replica("a", registry), peers=["a", "b"], period=1.0, **kwargs)
-    b = GossipNode(net, Replica("b", registry), peers=["a", "b"], period=1.0, **kwargs)
+    a = GossipNode(net, Replica("a", registry), peers=["a", "b"], period=1.0)
+    b = GossipNode(net, Replica("b", registry), peers=["a", "b"], period=1.0)
     return sim, net, a, b
 
 
@@ -31,54 +31,3 @@ def test_default_still_times_out_on_detached_peer():
     sim.run(until=12.0)
     assert a.rounds_attempted > 0
     assert a.rounds_failed == a.rounds_attempted   # every round timed out
-    assert sim.metrics.counter("gossip.skipped_unreachable").value == 0
-
-
-def test_skip_unreachable_counts_instead_of_timing_out():
-    sim, net, a, b = make_pair(skip_unreachable=True)
-    b.crash()
-    a.run(until=10.0)
-    sim.run(until=12.0)
-    assert a.rounds_attempted > 0
-    assert a.rounds_failed == a.rounds_attempted
-    skipped = sim.metrics.counter("gossip.skipped_unreachable").value
-    assert skipped == a.rounds_attempted           # skipped, not attempted
-    traced = sim.trace.find(kind="gossip.skip_unreachable")
-    assert len(traced) == skipped
-    assert all(t.payload["peer"] == "b" for t in traced)
-
-
-def test_skip_unreachable_saves_simulated_time():
-    """The point of the flag: the skipping node finishes its rounds at
-    the period cadence instead of stalling on RPC timeouts."""
-    def failed_rounds(skip):
-        sim, net, a, b = make_pair(skip_unreachable=skip)
-        b.crash()
-        a.run(until=10.0)
-        sim.run(until=12.0)
-        return a.rounds_attempted
-
-    # Timing out (0.5s x 2 attempts per round) costs rounds vs skipping.
-    assert failed_rounds(skip=True) > failed_rounds(skip=False)
-
-
-def test_skip_does_not_fire_for_reachable_peers():
-    sim, net, a, b = make_pair(skip_unreachable=True)
-    a.replica.submit(Operation("ADD", {"amount": 1}, uniquifier="ua"))
-    a.run(until=5.0)
-    b.run(until=5.0)
-    sim.run(until=6.0)
-    assert sim.metrics.counter("gossip.skipped_unreachable").value == 0
-    assert b.replica.state["total"] == 1           # gossip actually happened
-
-
-def test_skipped_peer_resumes_after_restart():
-    sim, net, a, b = make_pair(skip_unreachable=True)
-    a.replica.submit(Operation("ADD", {"amount": 2}, uniquifier="ua"))
-    b.crash()
-    a.run(until=20.0)
-    sim.run(until=5.0)
-    assert sim.metrics.counter("gossip.skipped_unreachable").value > 0
-    b.restart()
-    sim.run(until=20.0)
-    assert b.replica.state["total"] == 2           # convergence resumed

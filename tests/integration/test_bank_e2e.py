@@ -18,10 +18,8 @@ from repro.workload import CheckStream
 def test_full_month_of_banking():
     sim = Simulator(seed=41)
     bank = ReplicatedBank(
-        num_replicas=2,
         initial_deposit=5_000.0,
         coordination_threshold=2_000.0,
-        clock=lambda: sim.now,
     )
     desk = DepositDesk(bank, "branch0")
     book = StatementBook(bank.replica("branch0"))

@@ -7,16 +7,11 @@ import pytest
 from repro.core import Replica, TypeRegistry
 from repro.dynamo import DynamoCluster
 from repro.errors import SimulationError
-from repro.failover import HeartbeatEmitter, LogshipFailover
+from repro.failover import LogshipFailover
 from repro.gossip import GossipNode
 from repro.logship import LogShippingSystem
 from repro.net import Network
-from repro.net.rpc import Endpoint
 from repro.sim import Simulator
-
-
-def _emitter(**kwargs):
-    return HeartbeatEmitter(Endpoint(Network(Simulator()), "n1"), "monitor", **kwargs)
 
 
 def _gossiper(**kwargs):
@@ -31,8 +26,6 @@ def _failover(**kwargs):
 @pytest.mark.parametrize(
     "build, name, value",
     [
-        (_emitter, "interval", 0.0),    # yield Timeout(0) forever: now never moves
-        (_emitter, "interval", -0.25),
         (_gossiper, "period", 0.0),     # back-to-back rounds with no pause
         (_gossiper, "period", -1.0),
         # An explicit 0 is not "unset": it must not fall back to the default.

@@ -61,7 +61,7 @@ def test_section_6_dynamo_cart_and_bank():
 
     assert cluster.sim.run_process(shop()) == {"book": 1, "pen": 1}
     # The bank clears the same check twice, once.
-    bank = ReplicatedBank(num_replicas=2, initial_deposit=500.0)
+    bank = ReplicatedBank(initial_deposit=500.0)
     check = Check("fnb", "a", 1, "p", 100.0)
     assert bank.clear_check("branch0", check) is ClearOutcome.CLEARED
     assert bank.clear_check("branch1", check) is ClearOutcome.CLEARED  # blind

@@ -47,7 +47,7 @@ def test_fenced_ship_bounces_and_teaches_the_sender():
     west = system.sites["west"]
     west.epoch = 3
     west.fence(3)                     # west belongs to regime 3
-    sim.spawn(system.submit({"k": "old"}, txn_id="t-stale"))
+    sim.spawn(system.submit({"k": "old"}))
     sim.run(until=0.5)
 
     result = sim.run_process(system._ship_once("east"), until=5.0)
@@ -55,7 +55,7 @@ def test_fenced_ship_bounces_and_teaches_the_sender():
     east = system.sites["east"]
     assert east.fenced_below == 3
     assert east.deposed
-    assert "t-stale" not in west.applied_txns
+    assert "txn-1" not in west.applied_txns
     assert sim.metrics.counter("logship.stale_epoch_rejected").value >= 1
     assert sim.metrics.counter("logship.west.fenced_batches").value == 1
 
@@ -80,11 +80,11 @@ def test_current_epoch_traffic_passes_the_fence():
     sim = system.sim
     system.adopt_epoch(4)
     system.sites["west"].fence(4)
-    sim.spawn(system.submit({"k": 1}, txn_id="t1"))
+    sim.spawn(system.submit({"k": 1}))
     sim.run(until=0.5)
     shipped = sim.run_process(system._ship_once("east"), until=5.0)
     assert shipped and shipped > 0
-    assert "t1" in system.sites["west"].applied_txns
+    assert "txn-1" in system.sites["west"].applied_txns
 
 
 def test_sync_degrades_loudly_when_peer_unreachable():
@@ -92,17 +92,17 @@ def test_sync_degrades_loudly_when_peer_unreachable():
     sim = system.sim
 
     def job():
-        yield from system.submit({"k": 1}, txn_id="t-ok")
+        yield from system.submit({"k": 1})
         system.network.detach("west")
         yield Timeout(0.01)
-        yield from system.submit({"k": 2}, txn_id="t-degraded")
+        yield from system.submit({"k": 2})
 
     sim.run_process(job(), until=10.0)
     # Both commits acked — but the second one's SYNC promise is broken,
     # and that now shows up in the metrics instead of passing silently.
     assert sim.metrics.counter("logship.acked_commits").value == 2
     assert sim.metrics.counter("logship.sync_degraded").value == 1
-    assert "t-degraded" not in system.sites["west"].applied_txns
+    assert "txn-2" not in system.sites["west"].applied_txns
     events = sim.trace.find(kind="sync_degraded")
     assert events and events[0].payload["site"] == "east"
 

@@ -18,15 +18,15 @@ def test_failover_before_any_batch_shipped_orphans_everything():
 
     def job():
         for i in range(4):
-            yield from system.submit({f"k{i}": i}, txn_id=f"t{i}")
+            yield from system.submit({f"k{i}": i})
         result = system.fail_over()
         return result
 
     result = system.sim.run_process(job())
-    assert result["lost_txns"] == ["t0", "t1", "t2", "t3"]
+    assert result["lost_txns"] == ["txn-1", "txn-2", "txn-3", "txn-4"]
     assert system.primary.state == {}           # west never saw a byte
     recovery = system.recover_orphans(policy="discard")
-    assert recovery["orphans"] == ["t0", "t1", "t2", "t3"]
+    assert recovery["orphans"] == ["txn-1", "txn-2", "txn-3", "txn-4"]
     assert system.sim.metrics.counter("logship.discarded_orphans").value == 4
 
 
@@ -35,12 +35,12 @@ def test_reapply_resurrects_the_whole_tail():
 
     def job():
         for i in range(3):
-            yield from system.submit({f"k{i}": i}, txn_id=f"t{i}")
+            yield from system.submit({f"k{i}": i})
         system.fail_over()
         return system.recover_orphans(policy="reapply")
 
     result = system.sim.run_process(job())
-    assert result["orphans"] == ["t0", "t1", "t2"]
+    assert result["orphans"] == ["txn-1", "txn-2", "txn-3"]
     assert result["clobbered_keys"] == []       # west wrote nothing meanwhile
     assert system.primary.state == {"k0": 0, "k1": 1, "k2": 2}
     assert system.sim.metrics.counter("logship.resurrected").value == 3
@@ -52,12 +52,10 @@ def test_reapply_counts_every_clobbered_key():
     system = make_system()
 
     def job():
-        yield from system.submit(
-            {"a": "old", "b": "old", "c": "old"}, txn_id="t-orphan"
-        )
+        yield from system.submit({"a": "old", "b": "old", "c": "old"})
         system.fail_over()
-        yield from system.submit({"a": "new"}, txn_id="t-new-a")
-        yield from system.submit({"b": "new"}, txn_id="t-new-b")
+        yield from system.submit({"a": "new"})
+        yield from system.submit({"b": "new"})
         return system.recover_orphans(policy="reapply")
 
     result = system.sim.run_process(job())
@@ -75,14 +73,14 @@ def test_writes_before_takeover_do_not_count_as_clobbered():
     system = make_system(ship_interval=0.05)
 
     def job():
-        yield from system.submit({"a": 1}, txn_id="t-shipped")
+        yield from system.submit({"a": 1})
         yield Timeout(1.0)                      # ships to west
-        yield from system.submit({"b": "orphan"}, txn_id="t-orphan")
+        yield from system.submit({"b": "orphan"})
         system.fail_over()
         return system.recover_orphans(policy="reapply")
 
     result = system.sim.run_process(job())
-    assert result["orphans"] == ["t-orphan"]
+    assert result["orphans"] == ["txn-2"]
     assert result["clobbered_keys"] == []
     assert system.primary.state == {"a": 1, "b": "orphan"}
 
@@ -93,15 +91,15 @@ def test_reapply_after_fenced_takeover_of_live_primary():
     system = make_system()
 
     def job():
-        yield from system.submit({"x": "old"}, txn_id="t-in-doubt")
-        system.take_over(fenced=True, cause="conviction")
-        yield from system.submit({"x": "new"}, txn_id="t-west")
+        yield from system.submit({"x": "old"})
+        system.take_over(fenced=True)
+        yield from system.submit({"x": "new"})
         result = system.recover_orphans(policy="reapply")
         yield Timeout(1.0)                      # let the fence cast land
         return result
 
     result = system.sim.run_process(job())
-    assert result["orphans"] == ["t-in-doubt"]
+    assert result["orphans"] == ["txn-1"]
     assert result["clobbered_keys"] == ["x"]
     assert system.primary.state["x"] == "old"
     assert not system.sites["east"].crashed
@@ -115,11 +113,11 @@ def test_resurrection_ships_forward_after_recovery():
     system = make_system(ship_interval=0.05)
 
     def job():
-        yield from system.submit({"a": 1}, txn_id="t-before")
+        yield from system.submit({"a": 1})
         system.fail_over()
-        yield from system.submit({"b": 2}, txn_id="t-after")
+        yield from system.submit({"b": 2})
         system.recover_orphans(policy="discard")
         yield Timeout(2.0)
 
     system.sim.run_process(job())
-    assert "t-after" in system.durable_everywhere()
+    assert "txn-2" in system.durable_everywhere()

@@ -14,7 +14,7 @@ def run_orphan_scenario(policy, post_takeover_writes=None):
     system = LogShippingSystem(ship_interval=100.0, seed=3)
 
     def job():
-        yield from system.submit({"x": "old", "z": "orphan-only"}, txn_id="t-orphan")
+        yield from system.submit({"x": "old", "z": "orphan-only"})
         system.fail_over()
         for key, value in (post_takeover_writes or {}).items():
             yield from system.submit({key: value})
@@ -27,14 +27,14 @@ def run_orphan_scenario(policy, post_takeover_writes=None):
 
 def test_discard_policy_counts_orphans():
     system, result = run_orphan_scenario("discard")
-    assert result["orphans"] == ["t-orphan"]
+    assert result["orphans"] == ["txn-1"]
     assert system.sim.metrics.counter("logship.discarded_orphans").value == 1
     assert "z" not in system.primary.state
 
 
 def test_reapply_policy_resurrects_work():
     system, result = run_orphan_scenario("reapply")
-    assert result["orphans"] == ["t-orphan"]
+    assert result["orphans"] == ["txn-1"]
     assert system.primary.state["z"] == "orphan-only"
     assert result["clobbered_keys"] == []
 

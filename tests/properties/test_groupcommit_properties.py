@@ -18,7 +18,7 @@ arrival_plans = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_every_commit_completes(gaps, timer):
     sim = Simulator(seed=1)
-    committer = GroupCommitter(sim, Disk(sim, service_time=0.005), timer=timer)
+    committer = GroupCommitter(sim, Disk(sim), timer=timer)
     done = []
 
     def arrivals():
@@ -41,7 +41,7 @@ def test_every_commit_completes(gaps, timer):
 def test_riders_conserved(gaps):
     """Total riders across all busses equals total commits."""
     sim = Simulator(seed=1)
-    committer = GroupCommitter(sim, Disk(sim, service_time=0.005), timer=0.002)
+    committer = GroupCommitter(sim, Disk(sim), timer=0.002)
 
     def arrivals():
         for gap in gaps:
@@ -61,7 +61,7 @@ def test_riders_conserved(gaps):
 def test_batching_never_does_more_disk_writes_than_car(gaps):
     def run(timer):
         sim = Simulator(seed=1)
-        disk = Disk(sim, service_time=0.005)
+        disk = Disk(sim)
         committer = GroupCommitter(sim, disk, timer=timer)
 
         def arrivals():

@@ -90,7 +90,7 @@ def test_commutative_space_arrival_fold_matches_canonical(ops):
 @settings(max_examples=40)
 def test_check_acid2_passes_for_counter_space(ops):
     registry = make_registry()
-    report = check_acid2(registry, ops, max_permutations=24)
+    report = check_acid2(registry, ops)
     assert report.ok, report.failures
 
 

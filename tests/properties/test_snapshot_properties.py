@@ -37,9 +37,8 @@ def run_story(schedule, max_chain=3):
     """
     sim = Simulator(seed=3)
     wal = WriteAheadLog(sim, Disk(sim, name="log"), name="log")
-    store = SnapshotStore(
-        sim, Disk(sim, name="snapdisk"), name="snap", max_chain=max_chain
-    )
+    store = SnapshotStore(sim, Disk(sim, name="snapdisk"), name="snap")
+    store.max_chain = max_chain
     live = {"state": {}, "staged": {}, "applied": set()}
     covered_lsns = []
 

@@ -1,26 +1,38 @@
-"""List every ``def`` in ``src/repro`` that no root calls, and hold the
-list to ``unexecuted.txt``.
+"""List every ``def`` in ``src/repro`` that no root calls, and every
+defaulted parameter no root sets, and hold both lists to
+``unexecuted.txt``.
 
     python tests/reach/check_executed.py
 
 Each root in ``roots.py`` runs in a subprocess of its own under a
 ``sys.setprofile`` hook that records the ``(co_filename,
-co_firstlineno)`` of every ``src/repro`` function entered. A ``def`` no
-root entered must be listed in ``unexecuted.txt``, one line each::
+co_firstlineno)`` of every ``src/repro`` function entered and, for one
+with defaulted parameters, which of them some call passed a value other
+than the default: neither the default object nor an equal value of the
+same type. A ``def`` no root entered, and a defaulted parameter of an
+entered ``def`` that no root set, must be listed in ``unexecuted.txt``,
+one line each::
 
     src/repro/path.py:Qualname  category  reason
+    src/repro/path.py:Qualname(param)  category  reason
 
-with ``category`` one of :data:`CATEGORIES`. Dunders, ``@property``
+with ``category`` one of :data:`CATEGORIES` for a def and of
+:data:`PARAM_CATEGORIES` for a parameter. Dunders, ``@property``
 accessors and bodies that are only ``...``, ``pass`` or ``raise
-NotImplementedError`` are exempt. Exits 1 naming every def that no root
-calls and the list leaves out, every listed def that a root now calls or
-that no longer exists, every entry with an unknown category or no
-reason, and every root that fails. Needs the ``pytest`` (with
-``pytest-benchmark``) the benches run under; nothing else outside the
-standard library.
+NotImplementedError`` are exempt as defs; a dunder's parameters are
+audited, a stub's are not, and neither is ``main(argv=None)``. The
+parameters of a def no root enters are covered by the def's own entry.
+Exits 1 naming every def or parameter the list leaves out, every listed
+one a root now calls or sets or that no longer exists, every entry with
+an unknown category or no reason, and every root that fails. Needs the
+``pytest`` (with ``pytest-benchmark``) the benches run under; nothing
+else outside the standard library.
 """
 
 import ast
+import dis
+import gc
+import inspect
 import os
 import runpy
 import subprocess
@@ -28,6 +40,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -47,6 +60,21 @@ CATEGORIES = {
     # patterns/catalog.py's implemented_by.
     "taught",
     # ROADMAP names it and the item that will call it.
+    "parked",
+}
+
+#: Why a defaulted parameter no root sets may stay a parameter rather
+#: than become the constant it always is.
+PARAM_CATEGORIES = {
+    # One of README's ```python blocks passes a value other than the default.
+    "taught",
+    # Code that may not change (bench/, the frozen reference process)
+    # passes it by keyword, or a behaviour-manifest entry outside the roots
+    # sets it.
+    "pinned",
+    # A runaway guard, or set only by a def this list files under safety.
+    "safety",
+    # ROADMAP names the item that will set it.
     "parked",
 }
 
@@ -88,34 +116,60 @@ def _exempt(node):
         _is_accessor(node) or _is_stub(node.body)
 
 
-def audited_defs():
-    """``{"src/repro/…py:Qualname": (absolute path, co_firstlineno)}`` for
-    every def that is not exempt. ``co_firstlineno`` is the first
+def _defaulted(node):
+    """The names of ``node``'s parameters that have a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+    names += [arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    if node.name == "main":
+        names = [name for name in names if name != "argv"]
+    return names
+
+
+def _walk_defs():
+    """``(relative path, absolute path, qualname, node, co_firstlineno)``
+    for every def under ``src/repro``. ``co_firstlineno`` is the first
     decorator's line when there is one, as the interpreter counts it."""
-    found = {}
     for path in sorted(SRC.glob("repro/**/*.py")):
         relative = path.relative_to(REPO).as_posix()
-
-        def visit(node, prefix):
+        stack = [(ast.parse(path.read_text()), "")]
+        while stack:
+            node, prefix = stack.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}{child.name}.")
+                    stack.append((child, f"{prefix}{child.name}."))
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}{child.name}"
-                    if not _exempt(child):
-                        line = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                        found[f"{relative}:{qualname}"] = (str(path), line)
-                    visit(child, f"{qualname}.<locals>.")
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    yield relative, str(path), qualname, child, line
+                    stack.append((child, f"{qualname}.<locals>."))
                 else:
-                    visit(child, prefix)
+                    stack.append((child, prefix))
 
-        visit(ast.parse(path.read_text()), "")
-    return found
+
+def audited_defs():
+    """``{"src/repro/…py:Qualname": (absolute path, co_firstlineno)}`` for
+    every def that is not exempt."""
+    return {f"{relative}:{qualname}": (path, line)
+            for relative, path, qualname, node, line in _walk_defs()
+            if not _exempt(node)}
+
+
+def audited_params():
+    """``{"src/repro/…py:Qualname(param)": (absolute path, co_firstlineno,
+    param)}`` for every defaulted parameter of a def that is not a stub."""
+    return {f"{relative}:{qualname}({name})": (path, line, name)
+            for relative, path, qualname, node, line in _walk_defs()
+            if not _is_stub(node.body)
+            for name in _defaulted(node)}
 
 
 def read_list(path=LISTED):
-    """``[(line number, "path:Qualname", category, reason)]`` from the
-    checked-in list; blank lines and ``#`` comments are skipped."""
+    """``[(line number, "path:Qualname" or "path:Qualname(param)",
+    category, reason)]`` from the checked-in list; blank lines and ``#``
+    comments are skipped."""
     entries = []
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -130,16 +184,92 @@ def read_list(path=LISTED):
 # One root, in a child process
 
 
+_SUSPENDS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+def _function_of(frame):
+    """The function object whose call ``frame`` is: found through the
+    qualname from the module's globals, else among the code's referrers
+    (a nested def, or an interpreter without ``co_qualname``)."""
+    code = frame.f_code
+    qualname = getattr(code, "co_qualname", "<locals>")
+    if "<locals>" not in qualname:
+        parts = qualname.split(".")
+        found = frame.f_globals.get(parts[0])
+        for part in parts[1:]:
+            found = getattr(found, "__dict__", {}).get(part)
+        found = getattr(found, "__func__", found)  # staticmethod, classmethod
+        while found is not None and getattr(found, "__code__", None) is not code:
+            found = getattr(found, "__wrapped__", None)
+        if found is not None:
+            return found
+    for referrer in gc.get_referrers(code):
+        if isinstance(referrer, types.FunctionType) and referrer.__code__ is code:
+            return referrer
+    return None
+
+
+def _watch(frame):
+    """``[last offset of the entry, {param: default}]`` for a ``src/repro``
+    function with defaulted parameters, else ``None``. A generator's
+    ``call`` event also fires on every resume, after its body may have
+    rebound a parameter, so only the event at its first ``RESUME``
+    (offset -1 before 3.11) reads the arguments."""
+    function = _function_of(frame)
+    if function is None:
+        return None
+    code = function.__code__
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = function.__defaults__ or ()
+    pending = dict(zip(positional[len(positional) - len(defaults):], defaults))
+    pending.update(function.__kwdefaults__ or {})
+    if not pending:
+        return None
+    entry = sys.maxsize
+    if code.co_flags & _SUSPENDS:
+        entry = next((op.offset for op in dis.get_instructions(code)
+                      if op.opname == "RESUME"), -1)
+    return [entry, pending]
+
+
+def _is_default(value, default):
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except Exception:
+        return False
+
+
 def _run_traced(out, argv):
     """Run ``argv`` (``-m module …`` or ``script.py …``) as ``python``
-    would, recording every ``src/repro`` code object entered, then write
-    their ``filename:firstlineno`` to ``out``."""
-    codes = {}
+    would, recording every ``src/repro`` code object entered and which of
+    its defaulted parameters any call set, then write one line per code
+    to ``out``: ``filename:firstlineno``, a tab, the set parameters."""
+    prefix = str(SRC / "repro") + os.sep
+    codes, watched, set_params = {}, {}, {}
+    unseen = object()
 
     def hook(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            codes[id(code)] = code
+        if event != "call":
+            return
+        code = frame.f_code
+        key = id(code)
+        watch = watched.get(key, unseen)
+        if watch is unseen:
+            codes[key] = code
+            watch = watched[key] = (
+                _watch(frame) if code.co_filename.startswith(prefix) else None)
+        if watch is None or frame.f_lasti > watch[0]:
+            return
+        pending = watch[1]
+        values = frame.f_locals
+        for name in [name for name, default in pending.items()
+                     if not _is_default(values.get(name, default), default)]:
+            del pending[name]
+            set_params.setdefault(key, []).append(name)
+        if not pending:
+            watched[key] = None
 
     module = argv[1] if argv[0] == "-m" else None
     if module is not None:
@@ -161,20 +291,21 @@ def _run_traced(out, argv):
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-        prefix = str(SRC / "repro") + os.sep
         with open(out, "w") as handle:
-            for code in codes.values():
+            for key, code in codes.items():
                 if code.co_filename.startswith(prefix):
-                    handle.write(f"{code.co_filename}:{code.co_firstlineno}\n")
+                    handle.write(f"{code.co_filename}:{code.co_firstlineno}\t"
+                                 f"{' '.join(sorted(set_params.get(key, ())))}\n")
     if status is None:  # sys.exit() with no argument
         return 0
     return status if isinstance(status, int) else 1
 
 
 def _entered(commands):
-    """Run every root; return the ``(filename, firstlineno)`` they entered
-    and the labels of the roots that failed."""
-    entered, failed = set(), []
+    """Run every root; return ``{(filename, firstlineno): parameters set}``
+    for every function they entered, and the labels of the roots that
+    failed."""
+    entered, failed = {}, []
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, argv) in enumerate(commands):
@@ -194,14 +325,22 @@ def _entered(commands):
                 continue
             with open(out) as handle:
                 for line in handle:
-                    filename, _, first = line.rstrip("\n").rpartition(":")
-                    entered.add((filename, int(first)))
+                    where, _, names = line.rstrip("\n").partition("\t")
+                    filename, _, first = where.rpartition(":")
+                    entered.setdefault((filename, int(first)), set()).update(names.split())
     return entered, failed
 
 
-def audit(uncalled, defs, entries):
+def never_set(entered, params):
+    """The audited parameters of entered defs that no root set."""
+    return {key for key, (path, line, name) in params.items()
+            if (path, line) in entered and name not in entered[(path, line)]}
+
+
+def audit(uncalled, defs, unset, params, entries):
     """The complaints, one line each, comparing the defs no root called
-    with the list; an empty list means the list is exact."""
+    and the parameters no root set with the list; an empty list means the
+    list is exact."""
     complaints = []
     listed = set()
     for number, key, category, reason in entries:
@@ -209,18 +348,29 @@ def audit(uncalled, defs, entries):
         if key in listed:
             complaints.append(f"{where}: listed twice")
         listed.add(key)
-        if category not in CATEGORIES:
+        is_param = key.endswith(")")
+        known = PARAM_CATEGORIES if is_param else CATEGORIES
+        if category not in known:
             complaints.append(f"{where}: unknown category {category!r} "
-                              f"(have {sorted(CATEGORIES)})")
+                              f"(have {sorted(known)})")
         if not reason.strip():
             complaints.append(f"{where}: no reason")
-        if key not in defs:
+        if is_param:
+            if key not in params:
+                complaints.append(f"{where}: no such parameter")
+            elif key not in unset:
+                complaints.append(f"{where}: a root sets it now, or enters its def "
+                                  "no more; drop the entry")
+        elif key not in defs:
             complaints.append(f"{where}: no such def")
         elif key not in uncalled:
             complaints.append(f"{where}: a root calls it now; drop the entry")
     for key in sorted(uncalled - listed):
         complaints.append(f"{key}: no root calls it and unexecuted.txt does "
                           "not list it; delete it, or list it with a category")
+    for key in sorted(unset - listed):
+        complaints.append(f"{key}: no root sets it and unexecuted.txt does not "
+                          "list it; make it a constant, or list it with a category")
     return complaints
 
 
@@ -235,14 +385,16 @@ def main(argv):
 
     started = time.perf_counter()
     entered, failed = _entered(list(commands()))
-    defs = audited_defs()
+    defs, params = audited_defs(), audited_params()
     uncalled = {key for key, where in defs.items() if where not in entered}
+    unset = never_set(entered, params)
     complaints = [f"root failed: {label}" for label in failed]
     if not failed:
-        complaints += audit(uncalled, defs, read_list())
+        complaints += audit(uncalled, defs, unset, params, read_list())
     for line in complaints:
         print(line)
-    print(f"{len(defs)} defs audited, {len(uncalled)} called by no root, "
+    print(f"{len(defs)} defs audited, {len(uncalled)} called by no root; "
+          f"{len(params)} defaulted parameters, {len(unset)} never set; "
           f"{len(complaints)} complaints ({time.perf_counter() - started:.0f} s)")
     return 1 if complaints else 0
 

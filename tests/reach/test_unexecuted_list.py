@@ -1,20 +1,39 @@
 """``unexecuted.txt`` stays well-formed between runs of the call audit:
-every entry names a def that exists (and is not exempt), carries a known
-category and gives a reason. Whether each listed def is really uncalled
-is what ``python tests/reach/check_executed.py`` checks; this is the
-cheap static half, so a rename cannot orphan an entry unnoticed."""
+every def entry names a def that exists (and is not exempt), every
+``(param)`` entry names a defaulted parameter of an audited def, and each
+carries a known category and gives a reason. Whether each listed def is
+really uncalled, and each listed parameter really never set, is what
+``python tests/reach/check_executed.py`` checks; this is the cheap static
+half, so a rename cannot orphan an entry unnoticed."""
 
-from tests.reach.check_executed import CATEGORIES, audited_defs, read_list
+from tests.reach.check_executed import (
+    CATEGORIES,
+    PARAM_CATEGORIES,
+    audited_defs,
+    audited_params,
+    read_list,
+)
 
 
 def test_every_entry_names_a_def_a_category_and_a_reason():
     defs = audited_defs()
-    entries = read_list()
+    entries = [entry for entry in read_list() if not entry[1].endswith(")")]
     assert entries
     for number, key, category, reason in entries:
         where = f"unexecuted.txt:{number}"
         assert key in defs, f"{where}: no such def {key}"
         assert category in CATEGORIES, f"{where}: unknown category {category!r}"
+        assert reason.strip(), f"{where}: no reason"
+
+
+def test_every_param_entry_names_a_defaulted_parameter_a_category_and_a_reason():
+    params = audited_params()
+    entries = [entry for entry in read_list() if entry[1].endswith(")")]
+    assert entries
+    for number, key, category, reason in entries:
+        where = f"unexecuted.txt:{number}"
+        assert key in params, f"{where}: no such defaulted parameter {key}"
+        assert category in PARAM_CATEGORIES, f"{where}: unknown category {category!r}"
         assert reason.strip(), f"{where}: no reason"
 
 

@@ -129,7 +129,7 @@ class Process:
             )
 
     def _install_condition(self, effect: Any, wait: _Wait) -> None:
-        events = effect._as_events(self.sim)
+        events = effect._as_events()
         if not events:
             self.sim.schedule(0.0, lambda: wait.valid and self._resume({}, None))
             return

@@ -35,13 +35,13 @@ def test_allof_mixes_events_and_processes():
         return "done"
 
     proc = sim.spawn(quick())
-    slow = sim.timeout_event(50.0, value="slow")
+    slow = sim.timeout_event(50.0)
 
     def gatherer():
         results = yield AllOf([proc, slow])
         return list(results.values())
 
-    assert sim.run_process(gatherer()) == ["done", "slow"]
+    assert sim.run_process(gatherer()) == ["done", None]
 
 
 def test_allof_rejects_garbage_member():

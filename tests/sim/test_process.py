@@ -24,10 +24,10 @@ def test_timeout_resumes_with_value():
     sim = Simulator()
 
     def proc():
-        got = yield Timeout(1.0, value="hello")
+        got = yield Timeout(1.0)
         return got
 
-    assert sim.run_process(proc()) == "hello"
+    assert sim.run_process(proc()) is None
 
 
 def test_wait_on_event_gets_value():
@@ -168,15 +168,15 @@ def test_interrupt_finished_process_is_noop():
 
 def test_allof_waits_for_all():
     sim = Simulator()
-    first = sim.timeout_event(1.0, value="a")
-    second = sim.timeout_event(5.0, value="b")
+    first = sim.timeout_event(1.0)
+    second = sim.timeout_event(5.0)
 
     def gatherer():
         results = yield AllOf([first, second])
         return results
 
     results = sim.run_process(gatherer())
-    assert results == {first: "a", second: "b"}
+    assert results == {first: None, second: None}
     assert sim.now == 5.0
 
 

@@ -78,7 +78,7 @@ class Machine:
         whether the process is then really blocked in a wait."""
         kind = op[0]
         if kind == "timeout":
-            return Timeout(op[1], value=f"slept {op[1]}"), True
+            return Timeout(op[1]), True
         if kind == "wait":
             return self.events[op[1]], True
         if kind == "join":
@@ -267,14 +267,14 @@ def test_stale_timeout_after_interrupt_then_new_timeout(kernel):
 
     def sleeper():
         try:
-            yield Timeout(10.0, value="first")
+            yield Timeout(10.0)
         except InterruptError:
             woke.append(("interrupt", sim.now))
-            woke.append(((yield Timeout(100.0, value="second")), sim.now))
+            woke.append(((yield Timeout(100.0)), sim.now))
 
     proc = sim.spawn(sleeper())
     sim.schedule(1.0, proc.interrupt)
     sim.run()
-    assert woke == [("interrupt", 1.0), ("second", 101.0)]
+    assert woke == [("interrupt", 1.0), (None, 101.0)]
     # start, interrupt(), its throw, the stale wake-up, the real one
     assert sim.steps == 5

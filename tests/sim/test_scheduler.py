@@ -101,9 +101,9 @@ def test_nested_schedule_from_callback():
 
 def test_timeout_event_self_triggers():
     sim = Simulator()
-    event = sim.timeout_event(4.0, value="ping")
+    event = sim.timeout_event(4.0)
     sim.run()
-    assert event.triggered and event.value == "ping"
+    assert event.triggered and event.value is None
 
 
 def test_run_process_returns_value():

@@ -1,9 +1,9 @@
-"""Mailbox / Resource / Lock semantics."""
+"""Mailbox / Lock semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Lock, Mailbox, Resource, Simulator, Timeout
+from repro.sim import Lock, Mailbox, Simulator, Timeout
 
 
 def test_mailbox_put_then_get():
@@ -77,7 +77,7 @@ def test_mailbox_drain():
 
 def test_resource_serializes_beyond_capacity():
     sim = Simulator()
-    resource = Resource(sim, capacity=1)
+    resource = Lock(sim)
     spans = []
 
     def worker(tag):
@@ -93,33 +93,16 @@ def test_resource_serializes_beyond_capacity():
     assert spans == [("a", 0.0, 10.0), ("b", 10.0, 20.0)]
 
 
-def test_resource_capacity_two_runs_in_parallel():
-    sim = Simulator()
-    resource = Resource(sim, capacity=2)
-    done_times = []
-
-    def worker():
-        yield resource.acquire()
-        yield Timeout(10.0)
-        resource.release()
-        done_times.append(sim.now)
-
-    for _ in range(2):
-        sim.spawn(worker())
-    sim.run()
-    assert done_times == [10.0, 10.0]
-
-
 def test_resource_release_idle_rejected():
     sim = Simulator()
-    resource = Resource(sim)
+    resource = Lock(sim)
     with pytest.raises(SimulationError):
         resource.release()
 
 
 def test_resource_queue_depth():
     sim = Simulator()
-    resource = Resource(sim, capacity=1)
+    resource = Lock(sim)
 
     def holder():
         yield resource.acquire()

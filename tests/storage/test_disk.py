@@ -9,7 +9,7 @@ from repro.storage import Disk
 
 def test_write_then_read_roundtrip():
     sim = Simulator()
-    disk = Disk(sim, service_time=0.01)
+    disk = Disk(sim)
 
     def run():
         yield from disk.write("k", "v")
@@ -21,18 +21,18 @@ def test_write_then_read_roundtrip():
 
 def test_write_takes_service_time():
     sim = Simulator()
-    disk = Disk(sim, service_time=0.01, per_item_time=0.001)
+    disk = Disk(sim)
 
     def run():
         yield from disk.write("k", "v")
         return sim.now
 
-    assert sim.run_process(run()) == pytest.approx(0.011)
+    assert sim.run_process(run()) == pytest.approx(Disk.service_time + Disk.per_item_time)
 
 
 def test_requests_queue_on_the_arm():
     sim = Simulator()
-    disk = Disk(sim, service_time=1.0, per_item_time=0.0)
+    disk = Disk(sim)
     finish_times = []
 
     def writer(i):
@@ -42,13 +42,14 @@ def test_requests_queue_on_the_arm():
     for i in range(3):
         sim.spawn(writer(i))
     sim.run()
-    assert finish_times == [1.0, 2.0, 3.0]
+    one = Disk.service_time + Disk.per_item_time
+    assert finish_times == pytest.approx([one, 2 * one, 3 * one])
 
 
 def test_batch_write_cheaper_than_singles():
     """One batch of N beats N individual writes — the group-commit economics."""
     sim_single = Simulator()
-    disk_single = Disk(sim_single, service_time=0.01, per_item_time=0.0001)
+    disk_single = Disk(sim_single)
 
     def singles():
         for i in range(10):
@@ -58,7 +59,7 @@ def test_batch_write_cheaper_than_singles():
     single_time = sim_single.run_process(singles())
 
     sim_batch = Simulator()
-    disk_batch = Disk(sim_batch, service_time=0.01, per_item_time=0.0001)
+    disk_batch = Disk(sim_batch)
 
     def batched():
         yield from disk_batch.write_batch({i: i for i in range(10)})

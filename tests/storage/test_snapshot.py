@@ -15,10 +15,13 @@ from repro.storage import (
 )
 
 
-def make_stack(seed=0, max_chain=8):
+def make_stack(seed=0, max_chain=SnapshotStore.max_chain):
+    """A WAL and a snapshot store; a shorter ``max_chain`` than the
+    production one compacts within a few installs."""
     sim = Simulator(seed=seed)
     wal = WriteAheadLog(sim, Disk(sim, name="log"))
-    store = SnapshotStore(sim, Disk(sim, name="snapdisk"), max_chain=max_chain)
+    store = SnapshotStore(sim, Disk(sim, name="snapdisk"))
+    store.max_chain = max_chain
     return sim, wal, store
 
 
@@ -215,7 +218,7 @@ def test_snapshotter_loop_takes_periodic_snapshots():
         return dict(live), {}
 
     snapper = Snapshotter(sim, wal, capture, store, cadence=0.5)
-    snapper.start(until=2.5)
+    snapper.start()
 
     def run():
         for i in range(4):

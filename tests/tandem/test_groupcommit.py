@@ -11,7 +11,7 @@ from repro.tandem import GroupCommitter
 
 def run_offered_load(timer, arrivals=200, inter_arrival=0.001, seed=5):
     sim = Simulator(seed=seed)
-    disk = Disk(sim, service_time=0.005, per_item_time=0.0001)
+    disk = Disk(sim)
     committer = GroupCommitter(sim, disk, timer=timer)
 
     def arrival_process():
@@ -33,7 +33,7 @@ def test_negative_timer_rejected():
 
 def test_single_commit_unbatched():
     sim = Simulator()
-    committer = GroupCommitter(sim, Disk(sim, service_time=0.005), timer=None)
+    committer = GroupCommitter(sim, Disk(sim), timer=None)
 
     def job():
         latency = yield from committer.commit()
@@ -44,7 +44,7 @@ def test_single_commit_unbatched():
 
 def test_single_commit_batched_pays_the_timer():
     sim = Simulator()
-    committer = GroupCommitter(sim, Disk(sim, service_time=0.005), timer=0.002)
+    committer = GroupCommitter(sim, Disk(sim), timer=0.002)
 
     def job():
         latency = yield from committer.commit()
@@ -55,7 +55,7 @@ def test_single_commit_batched_pays_the_timer():
 
 def test_bus_batches_concurrent_commits():
     sim = Simulator()
-    disk = Disk(sim, service_time=0.005)
+    disk = Disk(sim)
     committer = GroupCommitter(sim, disk, timer=0.002)
     for _ in range(10):
         sim.spawn(committer.commit())

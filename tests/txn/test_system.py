@@ -2,8 +2,6 @@
 strong ops wait for quorum order, partitions mint apologies, takeover is
 fenced, and everything is seed-deterministic."""
 
-import pytest
-
 from repro.core.operation import Operation
 from repro.resources import FungiblePool
 from repro.sim.scheduler import Simulator
@@ -101,7 +99,7 @@ def test_fenced_takeover_rejects_deposed_leader():
     promoted under a fresh epoch, serves strong ops, and the deposed
     leader's post-heal batches bounce off the fence."""
     sim = Simulator(seed=7)
-    system = _system(sim, capacity=4, detect_timeout=0.8)
+    system = _system(sim, capacity=4)
     sim.run(until=1.0)
     assert system.serving == "txn0"
     first_epoch = system.epoch
@@ -138,7 +136,7 @@ def test_deposed_leader_batches_bounce_off_the_fence():
     deposed regime's in-flight batches bounce, it steps down, and
     nothing it committed is lost."""
     sim = Simulator(seed=9)
-    system = _system(sim, capacity=4, detect_timeout=0.8)
+    system = _system(sim, capacity=4)
     sim.run(until=1.0)
     system.network.partition([
         {"txn0", "txn2"}, {"txn1", "txn.monitor"},
@@ -214,10 +212,3 @@ def test_unmeasured_op_type_defaults_to_strong():
     )
     assert ticket_class == "strong"
     system.stop()
-
-
-def test_two_replica_minimum_enforced():
-    sim = Simulator(seed=2)
-    with pytest.raises(Exception):
-        MixedTxnSystem(sim, ResourceMachine({"seats": 1}),
-                       replica_names=("solo",))

@@ -67,14 +67,9 @@ def test_open_loop_driver_counts_requests():
     cluster = DynamoCluster(num_nodes=5, sim=sim)
     client = cluster.client("zipf")
     keys = ZipfKeyGenerator(sim.rng.stream("zipf"), keyspace=200)
-    acked = []
     stats = {}
     sim.spawn(
-        zipf_open_loop(
-            sim, client, keys, rate=100.0, count=150,
-            on_ack=lambda key, value: acked.append((key, value)),
-            stats=stats,
-        ),
+        zipf_open_loop(sim, client, keys, rate=100.0, count=150, stats=stats),
         name="driver",
     )
     sim.run()
@@ -85,7 +80,7 @@ def test_open_loop_driver_counts_requests():
     )
     assert total == 150
     assert stats["failed_gets"] == 0 and stats["failed_puts"] == 0
-    assert len(acked) == stats["puts"] > 0
+    assert stats["puts"] > 0
 
 
 def test_open_loop_driver_validation():
