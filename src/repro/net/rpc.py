@@ -24,6 +24,11 @@ same step, so a slow handler does not block the endpoint and a crash can
 interrupt it. Outstanding work lives in tables: call attempts by message
 id, parked duplicates by uniquifier, generator handlers in dispatch order.
 
+Each attempt arms a timer, and the reply that wins cancels it (the
+caller holds the scheduler's handle in its own frame), so a plain call is
+three kernel steps — request delivery, the handler's lane step, reply
+delivery — and a won call leaves nothing parked for the timer's length.
+
 *How* a caller retries, and what a server does when it cannot keep up,
 is delegated to :mod:`repro.resilience`:
 
@@ -214,9 +219,9 @@ class Endpoint:
         """Crash/stop the endpoint: detach from the network, kill every
         in-flight generator handler (fail-fast — a dead node must not
         finish work or send replies; a plain handler whose step is already
-        queued still runs, and the detached fabric drops its reply), fail
-        outstanding client calls, and forget all volatile state including
-        the dedup cache."""
+        queued still runs, the detached fabric drops its reply, and it
+        records nothing in the dedup cache), fail outstanding client
+        calls, and forget all volatile state including the dedup cache."""
         self._serving = False
         self._generation += 1
         self._stop_cause = cause
@@ -351,7 +356,11 @@ class Endpoint:
             reply = msg.reply("ERROR", error=str(exc))
         if generation == self._generation:
             self._queued -= 1
-        self._reply(msg, reply)
+            self._reply(msg, reply)
+        else:
+            # Dispatched before a stop(): the dedup state it would record
+            # belongs to the incarnation that died.
+            self.network.send(reply)
 
     def _drive(self, handling: Generator[Any, Any, Any], msg: Message) -> Generator[Any, Any, None]:
         try:
@@ -446,11 +455,13 @@ class Endpoint:
             msg_id = msg.msg_id
             # One event per attempt: settled with the reply in its delivery
             # step, or with None by the attempt's timer, whichever is first.
+            # A reply that wins cancels the timer, so it never runs.
             self._pending[msg_id] = outcome = Event(self.sim, ("reply:%d", msg_id))
             self.network.send(msg)
-            self.sim.schedule(remaining_budget, self._expire, msg_id)
+            timer = self.sim.schedule(remaining_budget, self._expire, msg_id)
             reply: Optional[Message] = yield outcome
             if reply is not None:
+                self.sim.cancel(timer)
                 if reply.kind == "BUSY":
                     # Server-side load shedding: the destination is alive
                     # but over its watermark. Retriable, and a failure in

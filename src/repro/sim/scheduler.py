@@ -19,6 +19,17 @@ Hot-path layout (``bench``'s ``sim.sched_us_per_event`` rung times this):
 
 Both optimizations are bit-for-bit neutral; ``tests/golden`` freezes
 rendered traces from before they landed.
+
+Cancellation: a heap entry is a mutable ``[when, seq, fn, args]`` list,
+and :meth:`Simulator.schedule` hands it back as the entry's handle.
+:meth:`Simulator.cancel` turns it into a *tombstone* (``fn`` and ``args``
+set to None, so what they referenced is freed at once). ``run()`` drops a
+popped tombstone without a step and without moving the clock. Once more
+than 64 entries, and more than half the heap, are tombstones, the heap is
+filtered and re-heapified in place (asyncio's rule); the survivors' pop
+order is their unique ``(time, seq)`` order, so this is deterministic
+too. Lane callbacks are not cancellable: ``schedule`` returns None for
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import deque
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -36,7 +47,9 @@ from repro.sim.process import Process
 from repro.sim.random import RngRegistry
 from repro.sim.trace import TraceLog
 
-_HeapItem = Tuple[float, int, Callable[..., None], tuple]
+#: A heap entry, ``[when, seq, fn, args]``; ``fn`` and ``args`` are None
+#: once cancelled. The entry is its own handle.
+_HeapItem = List[Any]
 _LaneItem = Tuple[int, Callable[..., None], tuple]
 
 #: Callbacks run whenever a fresh Simulator is constructed. Modules with
@@ -49,6 +62,11 @@ _fresh_run_hooks: List[Callable[[], None]] = []
 def register_fresh_run_hook(hook: Callable[[], None]) -> None:
     """Run ``hook()`` at every :class:`Simulator` construction."""
     _fresh_run_hooks.append(hook)
+
+
+#: Compact the heap once more tombstones than this sit in it, and they
+#: are more than half of it.
+_COMPACT_MIN_TOMBSTONES = 64
 
 
 class Simulator:
@@ -74,6 +92,8 @@ class Simulator:
         self.metrics = MetricsRegistry()
         self.trace = TraceLog(self, capacity=trace_capacity)
         self._heap: List[_HeapItem] = []
+        #: How many heap entries are tombstones.
+        self._tombstones = 0
         #: The zero-delay fast lane: (seq, fn, args) at the current time.
         self._lane: Deque[_LaneItem] = deque()
         self._seq = itertools.count()
@@ -83,25 +103,58 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling primitives
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
+    def schedule(
+        self, delay: float, fn: Callable[..., None], *args: Any
+    ) -> Optional[_HeapItem]:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds. Returns the
+        entry's handle for :meth:`cancel`, or None for a zero delay (a
+        lane callback, which cannot be cancelled)."""
         if delay <= 0.0:
             if delay < 0:
                 raise SimulationError(f"negative delay: {delay}")
             self._lane.append((next(self._seq), fn, args))
-        else:
-            _heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
+            return None
+        entry = [self.now + delay, next(self._seq), fn, args]
+        _heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute simulated time ``when``."""
+    def schedule_at(
+        self, when: float, fn: Callable[..., None], *args: Any
+    ) -> Optional[_HeapItem]:
+        """Run ``fn(*args)`` at absolute simulated time ``when``. Returns a
+        handle as :meth:`schedule` does (None for ``when == now``)."""
         if when <= self.now:
             if when < self.now:
                 raise SimulationError(
                     f"cannot schedule in the past: {when} < {self.now}"
                 )
             self._lane.append((next(self._seq), fn, args))
-        else:
-            _heappush(self._heap, (when, next(self._seq), fn, args))
+            return None
+        entry = [when, next(self._seq), fn, args]
+        _heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: _HeapItem) -> None:
+        """Make a scheduled callback never run. Raises
+        :class:`SimulationError` if it was already cancelled or has run."""
+        when = handle[0]
+        if handle[2] is None:
+            raise SimulationError(f"callback at {when} cancelled twice")
+        # Every entry still waiting is at or after `now`, and every one
+        # that ran is at or before it: only a tie needs the heap searched.
+        if when < self.now or (
+            when == self.now and not any(entry is handle for entry in self._heap)
+        ):
+            raise SimulationError(f"callback at {when} cancelled after it ran")
+        handle[2] = handle[3] = None
+        self._tombstones += 1
+        heap = self._heap
+        if (self._tombstones > _COMPACT_MIN_TOMBSTONES
+                and 2 * self._tombstones > len(heap)):
+            # In place: a running run() holds this very list.
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._tombstones = 0
 
     def event(self, name: Name = "") -> Event:
         """Create a fresh one-shot event bound to this simulator."""
@@ -153,6 +206,9 @@ class Simulator:
             while lane and executed < limit:
                 if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
                     _when, _seq, fn, args = pop(heap)
+                    if fn is None:
+                        self._tombstones -= 1
+                        continue
                 else:
                     _seq, fn, args = popleft()
                 fn(*args)
@@ -162,6 +218,9 @@ class Simulator:
                 # Unbounded drain: the tightest loop, no bound checks.
                 while heap:
                     when, _seq, fn, args = pop(heap)
+                    if fn is None:
+                        self._tombstones -= 1
+                        continue
                     self.now = when
                     fn(*args)
                     # Batched same-timestamp drain. New heap entries at
@@ -170,6 +229,9 @@ class Simulator:
                     # any lane entry and run first, in seq order.
                     while heap and heap[0][0] == when:
                         _w, _seq, fn, args = pop(heap)
+                        if fn is None:
+                            self._tombstones -= 1
+                            continue
                         fn(*args)
                         executed += 1
                     executed += 1
@@ -181,15 +243,22 @@ class Simulator:
                         executed += 1
             else:
                 while heap and executed < limit:
-                    when = heap[0][0]
+                    when, _seq, fn, args = heap[0]
+                    if fn is None:
+                        pop(heap)
+                        self._tombstones -= 1
+                        continue
                     if until is not None and when > until:
                         break
-                    _when, _seq, fn, args = pop(heap)
+                    pop(heap)
                     self.now = when
                     fn(*args)
                     executed += 1
                     while heap and executed < limit and heap[0][0] == when:
                         _w, _seq, fn, args = pop(heap)
+                        if fn is None:
+                            self._tombstones -= 1
+                            continue
                         fn(*args)
                         executed += 1
                     while lane and executed < limit:
@@ -199,6 +268,9 @@ class Simulator:
         finally:
             self._running = False
             self.steps += executed
+        while heap and heap[0][2] is None:
+            pop(heap)
+            self._tombstones -= 1
         if (
             until is not None
             and self.now < until
@@ -226,8 +298,9 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of callbacks waiting in the heap and the fast lane."""
-        return len(self._heap) + len(self._lane)
+        """Number of live callbacks waiting in the heap and the fast lane
+        (tombstones not counted)."""
+        return len(self._heap) - self._tombstones + len(self._lane)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now:.6g} pending={self.pending_count}>"

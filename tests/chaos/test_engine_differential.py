@@ -130,7 +130,9 @@ class World:
         underscore, and the network argument of cut/heal."""
         sim = self.sim
         pending = [(sim.now, seq, fn, args) for seq, fn, args in sim._lane]
-        pending += sim._heap
+        # Heap entries are [when, seq, fn, args]; a cancelled one (fn None)
+        # will never run.
+        pending += [tuple(entry) for entry in sim._heap if entry[2] is not None]
         tokens = {}  # fault identity -> order of first appearance
         rendered = []
         for when, seq, fn, args in sorted(pending, key=lambda entry: entry[:2]):

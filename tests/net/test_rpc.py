@@ -340,6 +340,34 @@ def test_plain_handler_dispatched_before_a_same_instant_stop_still_runs():
     assert sim.metrics.counter("net.dropped").value == 1
 
 
+def test_a_handler_queued_across_a_same_instant_restart_leaves_no_dedup_entry():
+    """The crash forgot the dedup cache; the handler it overtook must not
+    refill it for the new incarnation, so a retry of that uniquifier
+    runs again rather than being answered from the dead one's work."""
+    sim, _net, server, client = setup_pair(latency=FixedLatency(1.0))
+    runs = []
+    server.register("do", lambda _ep, _msg: runs.append(sim.now) or {})
+
+    def crash_and_restart():
+        server.stop("crash")
+        server.restart()
+
+    client.cast("server", "do", {"uniquifier": "u-1"})
+    # After the request's delivery at 1.0, before the handler's lane step.
+    sim.schedule(1.0, crash_and_restart)
+    sim.run()
+    assert runs == [1.0]
+
+    def retry():
+        yield from client.call(
+            "server", "do", {"uniquifier": "u-1"}, policy=RetryPolicy(timeout=5.0)
+        )
+
+    sim.run_process(retry())
+    assert runs == [1.0, 3.0]
+    assert sim.metrics.counter("rpc.server.dedup_hits").value == 0
+
+
 def test_generator_handler_dispatched_before_a_same_instant_stop_is_interrupted():
     sim, _net, server, client = setup_pair(latency=FixedLatency(1.0))
     trail = []

@@ -24,7 +24,9 @@ per seed and workload:
 - the largest ``failed_op_share`` either side saw;
 - whether the exact fields (the ones ``bench_exact.json`` pins: counts,
   simulated latencies, ``sim_digest`` and the heap lap's digest) agree
-  across every run of both.
+  across every run of both, and if not, each differing field with its
+  parent -> change readings (a PR that moves simulated bytes on purpose
+  pastes these as its evidence).
 
 ``--report-only`` re-prints from the files of an earlier invocation.
 Exit status: 1 if any verdict is ``worse``, a failure share rose or an
@@ -130,6 +132,29 @@ def verdict(parent, change, lower_is_better, bound):
     return reading, won, tied, gap, spread
 
 
+def _readings(values):
+    """One side's readings of an exact field, as printed: the value when
+    every run agrees, else each distinct one."""
+    if len(values) == 1:
+        return next(iter(values))
+    return f"{len(values)} readings: " + " | ".join(sorted(values))
+
+
+def exact_differences(runs, workload, fields):
+    """``[(field, parent readings, change readings)]`` for every exact
+    field whose runs do not all agree, across both sides."""
+    differ = []
+    for field in fields:
+        readings = {
+            side: {json.dumps(lookup(run[workload], field)) for run in runs[side]}
+            for side in SIDES
+        }
+        if len(readings["parent"] | readings["change"]) > 1:
+            differ.append((field, _readings(readings["parent"]),
+                           _readings(readings["change"])))
+    return differ
+
+
 def _report(args):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     exact_fields = sorted({
@@ -178,14 +203,12 @@ def _report(args):
             failed |= shares["change"] > shares["parent"]
             print(f"  failed_op_share  parent {shares['parent']:g}  "
                   f"change {shares['change']:g}")
-            seen = {
-                tuple(json.dumps(lookup(run[workload], field)) for field in exact_fields)
-                for side in SIDES for run in runs[side]
-            }
-            failed |= len(seen) > 1
+            differ = exact_differences(runs, workload, exact_fields)
+            failed |= bool(differ)
             print(f"  exact fields ({', '.join(exact_fields)}): "
-                  + ("agree in all runs" if len(seen) == 1 else
-                     f"DIFFER - {len(seen)} distinct readings"))
+                  + (f"{len(differ)} DIFFER" if differ else "agree in all runs"))
+            for field, parent, change in differ:
+                print(f"    {field}: parent {parent} -> change {change}")
     return 1 if failed else 0
 
 

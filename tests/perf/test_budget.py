@@ -9,7 +9,8 @@ numbers are deterministic for a deterministic workload.
 
 The request-path gates at the bottom count instead of timing — function
 calls per plain RPC, kernel steps per RPC, bytes held per blocked
-process — so they are machine-independent and run unmarked.
+process or per call in flight — so they are machine-independent and run
+unmarked.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.chaos.runner import SMOKE_ROWS
 from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
 from repro.dynamo.ring import ring_hash
 from repro.net import Endpoint, Network
+from repro.resilience import RetryPolicy
 from repro.sim import Event, Process, Simulator, Timeout
 from repro.sim.trace import TraceRecord
 from repro.tandem import TandemConfig, TandemSystem
@@ -70,12 +72,12 @@ def _echo_server(seed, handler=None):
     return sim, net
 
 
-def _pinger(net, name, calls, echoes):
+def _pinger(net, name, calls, echoes, policy=None):
     """One client making ``calls`` sequential PINGs to the echo server."""
     client = Endpoint(net, name)
     client.start()
     for n in range(calls):
-        reply = yield from client.call("server", "PING", {"n": n})
+        reply = yield from client.call("server", "PING", {"n": n}, policy=policy)
         echoes.append(reply["echo"])
 
 
@@ -146,14 +148,14 @@ def test_sched_churn_executes_an_exact_repeatable_number_of_steps():
 @slow
 def test_scheduler_allocates_no_objects_per_event():
     """The kernel itself must not allocate tracked objects per executed
-    event beyond the scheduled tuples — run a churn workload under
+    event beyond the scheduled entries — run a churn workload under
     tracemalloc and bound peak bytes per event."""
     tracemalloc.start()
     events = sched_churn(20_000)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     per_event = peak / events
-    # Tuples in the heap/lane plus transient frame objects; a regression
+    # Heap and lane entries plus transient frame objects; a regression
     # to unslotted records or eager formatting blows well past this.
     assert per_event < 200, f"{per_event:.0f} peak bytes/event"
 
@@ -195,11 +197,12 @@ def test_bounded_trace_memory_is_flat():
 
 _PINGS = 2_000
 #: Python + C function calls one plain RPC may cost. Direct delivery to
-#: the endpoint, a plain handler run as a lane callback and a hand-written
-#: ``Message`` measure 54 (CPython 3.11); the mailbox, serve-loop process
-#: and per-request process they replaced measured 100, and the
+#: the endpoint, a plain handler run as a lane callback, a hand-written
+#: ``Message`` and a cancelled attempt timer measure 52.1 (CPython 3.11);
+#: with the timer left to fire as a no-op they measured 54, the mailbox,
+#: serve-loop process and per-request process before that 100, and the
 #: closure-based kernel before that 183.
-_CALLS_PER_RPC = 64
+_CALLS_PER_RPC = 56
 
 
 def _run_counting(sim, *functions):
@@ -227,16 +230,16 @@ def _run_counting(sim, *functions):
     return (counts["calls"], *(counts[code] for code in watched))
 
 
-def test_plain_rpc_costs_four_steps_and_a_bounded_number_of_calls():
+def test_plain_rpc_costs_three_steps_and_a_bounded_number_of_calls():
     sim, net = _echo_server(seed=1)
     echoes = []
     sim.spawn(_pinger(net, "client", _PINGS, echoes))
     calls, processes, events = _run_counting(sim)
     assert echoes == list(range(_PINGS))
-    # Per RPC: request delivery, the handler's lane step, reply delivery,
-    # and the attempt's (by then stale) timer. The tail is the two
+    # Per RPC: request delivery, the handler's lane step and reply
+    # delivery, which cancels the attempt's timer. The tail is the two
     # endpoints' start steps and the pinger's own.
-    assert sim.steps == 4 * _PINGS + 3
+    assert sim.steps == 3 * _PINGS + 3
     assert calls / _PINGS <= _CALLS_PER_RPC, f"{calls / _PINGS:.1f} calls per RPC"
     # A plain-function handler cannot wait, so nothing is built to wait
     # for it: no process on the server side (the pinger's own predates
@@ -256,18 +259,45 @@ def test_generator_handler_costs_one_process_and_no_extra_step():
     sim.spawn(_pinger(net, "client", _PINGS, echoes))
     _calls, processes, events = _run_counting(sim)
     assert echoes == list(range(_PINGS))
-    assert sim.steps == 4 * _PINGS + 3
+    assert sim.steps == 3 * _PINGS + 3
     assert processes == _PINGS
     assert events == 2 * _PINGS  # each process's ``done`` beside the caller's
 
 
+def _peak_of_pings(timeout):
+    """Peak traced bytes over 2 000 sequential PINGs on a ``timeout``
+    attempt timer."""
+    sim, net = _echo_server(seed=1)
+    echoes = []
+    sim.spawn(_pinger(net, "client", _PINGS, echoes, RetryPolicy(timeout=timeout)))
+    tracemalloc.start()
+    sim.run()
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert echoes == list(range(_PINGS))
+    return peak
+
+
+def test_a_won_call_holds_nothing_for_its_attempt_timer():
+    """A reply cancels its attempt's timer, so what a closed-loop client
+    holds does not grow with the timer's length: 80 kB peak at a 100 s
+    timer and 85 kB at 1 s measured, where timers left to fire as no-ops
+    peaked at 553 and 215 kB (every attempt's heap entry, argument tuple
+    and message id parked until its timer ran)."""
+    short, long_ = _peak_of_pings(1.0), _peak_of_pings(100.0)
+    assert long_ <= 1.1 * short, (
+        f"{long_ / 1e3:.0f} kB peak at a 100 s timer, {short / 1e3:.0f} kB at 1 s"
+    )
+
+
 # The protocol and application rung, counted the same way on a loaded
-# 8-node ring (N=3, R=W=2). A quorum op is three plain RPCs (162 calls)
-# plus its own bookkeeping; measured 289 per GET and 315 per PUT on
-# CPython 3.11 (364 and 384 while the coordinator drove a wrapper
-# generator per replica, gathered through AllOf and hashed every clock
-# it was shown), 300 per view of a 64-op blob (827 when it rebuilt a
-# CartOp per entry) and 622 per add at 64-164 ops (1 107).
+# 8-node ring (N=3, R=W=2). A quorum op is three plain RPCs (156 calls)
+# plus its own bookkeeping; measured 280 per GET and 309 per PUT on
+# CPython 3.11 (286 and 315 while each attempt timer fired as a no-op,
+# 364 and 384 while the coordinator drove a wrapper generator per
+# replica, gathered through AllOf and hashed every clock it was shown),
+# 295 per view of a 64-op blob (827 when it rebuilt a CartOp per entry)
+# and 610 per add at 64-164 ops (1 107).
 _QUORUM_OPS = 200
 _CALLS_PER_GET = 310
 _CALLS_PER_PUT = 345
@@ -300,7 +330,7 @@ def _counted(cluster, requests, *functions):
     ("GET", _CALLS_PER_GET, 1),
     ("PUT", _CALLS_PER_PUT, 2),  # intended owners, then the sloppy list
 ])
-def test_quorum_op_costs_fifteen_steps_and_a_bounded_number_of_calls(
+def test_quorum_op_costs_twelve_steps_and_a_bounded_number_of_calls(
     verb, budget, hashes_per_op
 ):
     cluster, loaded = _loaded_cluster()
@@ -322,8 +352,8 @@ def test_quorum_op_costs_fifteen_steps_and_a_bounded_number_of_calls(
         assert seen == list(range(_QUORUM_OPS))
     else:
         assert cluster.sim.metrics.counter("dynamo.puts").value == _QUORUM_OPS
-    # Three RPCs of 4 steps, the three children's start steps.
-    assert steps == 15 * _QUORUM_OPS
+    # Three RPCs of 3 steps, the three children's start steps.
+    assert steps == 12 * _QUORUM_OPS
     assert messages == 6 * _QUORUM_OPS
     assert processes == 3 * _QUORUM_OPS
     # One per attempt, each child's ``done``, and the one they settle.
@@ -352,7 +382,7 @@ def test_cart_ops_cost_a_bounded_number_of_calls_and_build_no_op_per_entry():
         cluster, look(), ring_hash, CartOp.__init__
     )
     assert seen[0] == {f"item{i}": len(range(i, 64, 7)) for i in range(7)}
-    assert (steps, messages, hashes) == (15 * views, 6 * views, views)
+    assert (steps, messages, hashes) == (12 * views, 6 * views, views)
     assert ops_built == 0
     assert calls / views <= _CALLS_PER_VIEW, f"{calls / views:.1f} calls per view"
 
@@ -360,7 +390,7 @@ def test_cart_ops_cost_a_bounded_number_of_calls_and_build_no_op_per_entry():
     calls, steps, messages, _procs, _events, hashes, ops_built = _counted(
         cluster, adds(more), ring_hash, CartOp.__init__
     )
-    assert (steps, messages, hashes) == (30 * more, 12 * more, 3 * more)
+    assert (steps, messages, hashes) == (24 * more, 12 * more, 3 * more)
     assert ops_built == more
     assert calls / more <= _CALLS_PER_ADD, f"{calls / more:.1f} calls per add"
 
@@ -368,8 +398,9 @@ def test_cart_ops_cost_a_bounded_number_of_calls_and_build_no_op_per_entry():
 def test_blocked_process_holds_only_its_scheduled_wakeup():
     """20 000 processes asleep in ``Timeout`` at once: what the kernel
     holds per sleeper is the heap entry and its argument tuple, nothing
-    per-wait of its own (133 bytes measured; a wait record plus two
-    closures per yield was 453)."""
+    per-wait of its own (149 bytes measured, 133 while a heap entry was a
+    tuple rather than a cancellable list; a wait record plus two closures
+    per yield was 453)."""
     sleepers = 20_000
     sim = Simulator()
     nap = Timeout(1.0)  # shared, so the body itself allocates nothing

@@ -105,3 +105,114 @@ def test_max_steps_is_a_pure_prefix(delays, max_steps):
     assert executed == full_order[:max_steps]
     sim.run()
     assert executed == full_order
+
+
+# ----------------------------------------------------------------------
+# Cancellation against a sorted-list model. A program is a list of
+# operations: schedule a batch at one delay (some of whose callbacks, when
+# they run, cancel the newest cancellable entry), cancel a slice of the
+# cancellable entries, or run with ``max_steps`` or ``until``. Batches of
+# up to 120 and slices of every stride cross the compaction threshold
+# (more than 64 tombstones, and more than half the heap) often.
+
+_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _delays, st.integers(1, 120), st.booleans()),
+        st.tuples(st.just("cancel"), st.integers(0, 8), st.integers(1, 3)),
+        st.tuples(st.just("steps"), st.integers(0, 80)),
+        st.tuples(st.just("until"), _delays),
+    ),
+    max_size=25,
+)
+
+
+def _run_against_model(program):
+    """Run ``program`` on a Simulator and on the model side by side,
+    comparing after every operation; returns whether the heap was
+    compacted at some point."""
+    sim = Simulator()
+    ran = []
+    handles = {}  # seq -> handle, for entries the simulator may cancel
+    model = []  # (when, seq, cancels, cancellable) still due to run
+    model_ran = []
+    model_now = 0.0
+    compacted = False
+
+    def fire(seq, cancels):
+        ran.append(seq)
+        handles.pop(seq, None)
+        if cancels and handles:
+            sim.cancel(handles.pop(max(handles)))
+
+    def model_cancel(seq):
+        model[:] = [entry for entry in model if entry[1] != seq]
+
+    def model_run(limit, until):
+        nonlocal model_now
+        for _ in range(limit):
+            if not model:
+                break
+            entry = min(model)
+            if until is not None and entry[0] > until:
+                break
+            model.remove(entry)
+            model_now = entry[0]
+            model_ran.append(entry[1])
+            if entry[2]:
+                live = [e[1] for e in model if e[3]]
+                if live:
+                    model_cancel(max(live))
+        if until is not None and not any(e[0] <= until for e in model):
+            model_now = max(model_now, until)
+
+    seq = 0
+    for op in program:
+        if op[0] == "schedule":
+            _tag, delay, count, cancels = op
+            for _ in range(count):
+                handle = sim.schedule(delay, fire, seq, cancels)
+                if handle is not None:
+                    handles[seq] = handle
+                model.append((model_now + delay, seq, cancels, delay > 0))
+                seq += 1
+        elif op[0] == "cancel":
+            _tag, start, stride = op
+            heap_size = len(sim._heap)
+            for victim in sorted(handles)[start::stride]:
+                sim.cancel(handles.pop(victim))
+                model_cancel(victim)
+            compacted |= len(sim._heap) < heap_size
+        elif op[0] == "steps":
+            sim.run(max_steps=op[1])
+            model_run(op[1], None)
+        else:
+            until = sim.now + op[1]
+            sim.run(until=until)
+            model_run(len(model), until)
+        assert ran == model_ran
+        assert sim.now == model_now
+        assert sim.pending_count == len(model)
+        assert sim.steps == len(ran)
+    sim.run()
+    model_run(len(model), None)
+    assert ran == model_ran
+    assert sim.pending_count == 0
+    return compacted
+
+
+@given(_programs)
+@settings(max_examples=150, deadline=None)
+def test_schedule_cancel_and_run_match_a_sorted_list_model(program):
+    _run_against_model(program)
+
+
+def test_the_model_program_crosses_the_compaction_threshold():
+    assert _run_against_model([
+        ("schedule", 1.0, 60, False),
+        ("schedule", 0.0, 5, False),
+        ("schedule", 2.5, 60, True),
+        ("steps", 3),
+        ("cancel", 2, 1),
+        ("schedule", 0.25, 10, True),
+        ("until", 1.0),
+    ])
