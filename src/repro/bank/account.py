@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.core.operation import Operation, TypeRegistry
-from repro.core.rules import BusinessRule, Enforcement
+from repro.core.rules import BusinessRule
 
 
 def _initial_account() -> Dict[str, Any]:
@@ -87,6 +87,5 @@ def overdraft_rule() -> BusinessRule:
     return BusinessRule(
         name="overdraft",
         check=check,
-        enforcement=Enforcement.LOCAL,
         applies_to=frozenset({"CLEAR_CHECK", "BOUNCE_DEBIT"}),
     )

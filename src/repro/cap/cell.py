@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.operation import Operation
@@ -21,8 +21,8 @@ class Stance(str, enum.Enum):
 class _Site:
     name: str
     ops: OpSet
-    snapshot: float = 0.0          # LWW view
-    snapshot_stamp: Tuple[float, str] = (0.0, "")
+    snapshot: float = field(default=0.0, init=False)  # LWW view
+    snapshot_stamp: Tuple[float, str] = field(default=(0.0, ""), init=False)
 
 
 class CapCell:

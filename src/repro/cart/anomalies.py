@@ -25,10 +25,10 @@ from repro.cart.operations import CartOp, materialize
 class CartAnomalies:
     """The deviation report for one cart."""
 
-    lost_items: List[str] = field(default_factory=list)
-    shorted_items: List[str] = field(default_factory=list)
-    resurrected_items: List[str] = field(default_factory=list)
-    phantom_items: List[str] = field(default_factory=list)
+    lost_items: List[str] = field(default_factory=list, init=False)
+    shorted_items: List[str] = field(default_factory=list, init=False)
+    resurrected_items: List[str] = field(default_factory=list, init=False)
+    phantom_items: List[str] = field(default_factory=list, init=False)
 
     @property
     def clean(self) -> bool:

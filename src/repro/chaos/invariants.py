@@ -12,7 +12,7 @@ it (and latched, so the first failure is the reported one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -45,7 +45,7 @@ class _Registered:
     name: str
     check: Check
     when: str  # "always" | "quiesce"
-    violated: bool = False
+    violated: bool = field(default=False, init=False)
 
 
 class InvariantMonitor:

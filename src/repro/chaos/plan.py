@@ -170,20 +170,17 @@ class PartitionEpisode(_Window):
 
 @dataclass(frozen=True)
 class LinkFaultEpisode(_Window):
-    """Messages are dropped/duplicated/delayed from ``start`` to ``end``.
-
-    ``src``/``dst`` of None apply the fault to every endpoint.
-    """
+    """Messages between every pair of endpoints are dropped/duplicated/
+    delayed from ``start`` to ``end``."""
 
     kind = "link_fault"
+    src = dst = None  # every endpoint, as the frozen reference engine reads it
 
     start: float
     end: float
     loss: float = 0.0
     duplicate: float = 0.0
     extra_delay: float = 0.0
-    src: Optional[str] = None
-    dst: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -197,14 +194,11 @@ class LinkFaultEpisode(_Window):
             loss_probability=self.loss,
             duplicate_probability=self.duplicate,
             extra_delay=self.extra_delay,
-            src=self.src,
-            dst=self.dst,
         )
 
     def describe(self) -> str:
-        where = f"{self.src or '*'}->{self.dst or '*'}"
         return (
-            f"link fault [{self.start:g}, {self.end:g}] {where} "
+            f"link fault [{self.start:g}, {self.end:g}] *->* "
             f"loss={self.loss:g} dup={self.duplicate:g} "
             f"delay+={self.extra_delay:g}"
         )
@@ -475,7 +469,6 @@ class ChaosSpec:
     disks: Tuple[str, ...] = ()
     site_pairs: Tuple[Tuple[str, str], ...] = ()
     max_wan_cuts: int = 0
-    wan_cut_loss: float = 1.0
     horizon: float = 40.0
     min_crashes: int = 0
     max_crashes: int = 2
@@ -486,7 +479,6 @@ class ChaosSpec:
     max_episode: float = 8.0
     fault_loss: float = 0.3
     fault_duplicate: float = 0.15
-    fault_extra_delay: float = 0.01
 
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
@@ -540,7 +532,7 @@ class ChaosSpec:
                     round(start, 4), round(end, 4),
                     loss=round(rng.uniform(0.0, self.fault_loss), 4),
                     duplicate=round(rng.uniform(0.0, self.fault_duplicate), 4),
-                    extra_delay=round(rng.uniform(0.0, self.fault_extra_delay), 6),
+                    extra_delay=round(rng.uniform(0.0, 0.01), 6),
                 )
             )
 
@@ -557,10 +549,7 @@ class ChaosSpec:
                 if end <= start:
                     continue
                 episodes.append(
-                    WanCutEpisode(
-                        round(start, 4), round(end, 4), site_a, site_b,
-                        loss=self.wan_cut_loss,
-                    )
+                    WanCutEpisode(round(start, 4), round(end, 4), site_a, site_b)
                 )
 
         if self.disks:

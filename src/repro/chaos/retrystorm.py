@@ -109,16 +109,14 @@ class RetryStormScenario(Scenario):
         )
         self._resilient_policy = RetryPolicy(
             max_attempts=4, timeout=self.naive_timeout,
-            backoff="exponential", base_delay=0.1, multiplier=2.0,
+            backoff="exponential", base_delay=0.1,
             max_delay=1.0, jitter=0.3, deadline=self.deadline,
         )
         self._clients = []
         for index in range(self.num_clients):
             client = RpcClient(network, f"c{index}")
             if self.policy == "resilient":
-                client.use_breaker(BreakerConfig(
-                    failure_threshold=5, recovery_time=0.5, half_open_probes=2,
-                ))
+                client.use_breaker(BreakerConfig(recovery_time=0.5, half_open_probes=2))
             self._clients.append(client)
 
         return ChaosTargets(

@@ -19,7 +19,7 @@ class Guess:
 
     key: str
     basis: str
-    outcome: str = "open"  # open | confirmed | wrong
+    outcome: str = field(default="open", init=False)  # open | confirmed | wrong
 
     @property
     def settled(self) -> bool:
@@ -67,7 +67,7 @@ class Apology:
     detail: str
     replica: str = ""
     time: float = 0.0
-    resolution: str = "pending"  # pending | automated | human
+    resolution: str = field(default="pending", init=False)  # pending | automated | human
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Apology rule={self.rule} op={self.op_uniquifier} {self.resolution}>"

@@ -17,8 +17,19 @@ import itertools
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import SimulationError
+from repro.sim.scheduler import register_fresh_run_hook
 
 _op_seq = itertools.count(1)
+
+
+def _reset_op_seq() -> None:
+    # Per simulator run, as message ids: a run's uniquifiers, and so its
+    # blobs and digests, do not depend on what ran before it.
+    global _op_seq
+    _op_seq = itertools.count(1)
+
+
+register_fresh_run_hook(_reset_op_seq)
 
 
 def auto_uniquifier(prefix: str = "op") -> str:

@@ -32,10 +32,10 @@ from repro.core.oplog import OpSet
 class Acid2Report:
     """The verdict, with counterexamples when a property fails."""
 
-    commutative: bool = True
-    associative: bool = True
-    idempotent: bool = True
-    failures: List[str] = field(default_factory=list)
+    commutative: bool = field(default=True, init=False)
+    associative: bool = field(default=True, init=False)
+    idempotent: bool = field(default=True, init=False)
+    failures: List[str] = field(default_factory=list, init=False)
 
     @property
     def ok(self) -> bool:

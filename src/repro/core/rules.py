@@ -2,8 +2,9 @@
 
 §5.2: "If a primary uses asynchronous checkpointing and applies a
 business rule on the incoming work, it is necessarily a probabilistic
-rule." A :class:`BusinessRule` is a predicate over (state, op). The
-:class:`Enforcement` mode says *when* it is checked:
+rule." A :class:`BusinessRule` is a predicate over (state, op),
+checked at ingress and again after integration. The :class:`Enforcement`
+a risk policy picks for an op says what the ingress check knows:
 
 - ``LOCAL`` — at ingress, against this replica's knowledge only. Cheap,
   available, and probabilistic: concurrent work at other replicas can
@@ -12,7 +13,6 @@ rule." A :class:`BusinessRule` is a predicate over (state, op). The
 - ``COORDINATED`` — the caller must consult global knowledge before
   ingress (see :class:`repro.core.risk.RiskPolicy` and the apps for how
   that synchronous checkpoint is paid for).
-- ``NONE`` — detect-only: never blocks, only apologizes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.errors import RuleViolation
 class Enforcement(str, enum.Enum):
     LOCAL = "local"
     COORDINATED = "coordinated"
-    NONE = "none"
 
 
 @dataclass
@@ -42,7 +41,6 @@ class BusinessRule:
 
     name: str
     check: Callable[[Any, Operation], Optional[str]]
-    enforcement: Enforcement = Enforcement.LOCAL
     applies_to: Optional[frozenset] = None
 
     def relevant(self, op: Operation) -> bool:
@@ -64,7 +62,7 @@ class RuleEngine:
         Raises :class:`RuleViolation` on refusal.
         """
         for rule in self.rules:
-            if rule.enforcement is Enforcement.NONE or not rule.relevant(op):
+            if not rule.relevant(op):
                 continue
             detail = rule.check(state, op)
             if detail is not None:

@@ -8,7 +8,8 @@ Delivery pipeline for ``send``:
    Partitions apply at *delivery* time too: a message in flight when the
    partition cuts is lost, matching the fail-fast model where the network
    offers no guarantees across the cut.
-3. The link's loss/duplication probabilities are sampled.
+3. The link's loss probability, then each fault overlay's loss and
+   duplication, are sampled.
 4. A latency sample schedules delivery to the destination's *sink*.
 
 Every attached name has one sink, a callable taking the message, and
@@ -43,15 +44,10 @@ class LinkConfig:
 
     latency: LatencyModel = field(default_factory=lambda: FixedLatency(0.001))
     loss_probability: float = 0.0
-    duplicate_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability <= 1.0:
             raise SimulationError(f"bad loss probability {self.loss_probability}")
-        if not 0.0 <= self.duplicate_probability <= 1.0:
-            raise SimulationError(
-                f"bad duplicate probability {self.duplicate_probability}"
-            )
 
 
 @dataclass
@@ -60,7 +56,7 @@ class NetFault:
 
     Injected/cleared at runtime (the chaos layer schedules the window);
     ``src``/``dst`` of None match every endpoint. Sampling happens after
-    the link's own loss/duplication, from the same ``net`` stream, so a
+    the link's own loss, from the same ``net`` stream, so a
     run replays bit-for-bit under its seed.
     """
 
@@ -244,16 +240,12 @@ class Network:
             return False
         links = self._links
         config = links.get((src, dst), self.default_link) if links else self.default_link
-        if (
-            not self._faults
-            and not config.loss_probability
-            and not config.duplicate_probability
-        ):
-            # Fast path: no loss, no duplication, no fault overlay — the
-            # steady-state configuration for every non-chaos run. One
-            # latency sample, one schedule; skips the overlay scan and copy
-            # loop while drawing exactly the RNG samples the general path
-            # would (none of its probability draws happen when disabled).
+        if not self._faults and not config.loss_probability:
+            # Fast path: no loss, no fault overlay — the steady-state
+            # configuration for every non-chaos run. One latency sample,
+            # one schedule; skips the overlay scan and copy loop while
+            # drawing exactly the RNG samples the general path would
+            # (none of its probability draws happen when disabled).
             self.sim.schedule(
                 self._transit_delay(msg, config), self._deliver, msg
             )
@@ -263,12 +255,6 @@ class Network:
                 self.sim.metrics.inc("net.dropped")
                 return False
             copies = 1
-            if (
-                config.duplicate_probability
-                and self._rng.random() < config.duplicate_probability
-            ):
-                copies = 2
-                self.sim.metrics.inc("net.duplicated")
             extra_delay = 0.0
             for fault in self._faults:
                 if not fault.applies_to(src, dst):

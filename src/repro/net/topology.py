@@ -61,19 +61,16 @@ class WanLink:
 
     ``bandwidth`` is a message rate (messages per simulated second); when
     set, the pair behaves as a FIFO pipe — each message occupies the pipe
-    for ``message_cost / bandwidth`` and later messages wait their turn.
+    for ``1 / bandwidth`` and later messages wait their turn.
     None means an uncapped link (latency only).
     """
 
     latency: LatencyModel
     bandwidth: Optional[float] = None
-    message_cost: float = 1.0
 
     def __post_init__(self) -> None:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise SimulationError(f"bad WAN bandwidth {self.bandwidth}")
-        if self.message_cost <= 0:
-            raise SimulationError(f"bad WAN message cost {self.message_cost}")
 
 
 class Topology:
@@ -217,7 +214,7 @@ class TopologyNetwork(Network):
         if link.bandwidth is not None:
             pair = (src_site, dst_site)
             now = self.sim.now
-            transmit = link.message_cost / link.bandwidth
+            transmit = 1.0 / link.bandwidth
             start = max(now, self._wan_busy.get(pair, now))
             self._wan_busy[pair] = start + transmit
             wait = start - now

@@ -32,7 +32,7 @@ class OperationProfile:
     cross_type_commutative: bool
     idempotent_via_uniquifier: bool
     numeric_types: List[str]
-    recommendations: List[Pattern] = field(default_factory=list)
+    recommendations: List[Pattern] = field(default_factory=list, init=False)
 
     @property
     def fully_commutative(self) -> bool:

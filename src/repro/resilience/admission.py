@@ -10,9 +10,9 @@ preference (Creek-style degraded reads make the first possible):
 
 :class:`AdmissionControl` makes the decision; the endpoint enforces it
 in ``_dispatch`` before any handler work is spawned. ``max_inflight``
-bounds concurrently-served handlers (the watermark); ``shed_expired``
-drops requests whose carried deadline (see
-:mod:`repro.resilience.deadline`) has lapsed. Both decisions are traced
+bounds concurrently-served handlers (the watermark), and a request whose
+carried deadline (see :mod:`repro.resilience.deadline`) has lapsed is
+dropped. Both decisions are traced
 and counted so experiments can account every shed request.
 """
 
@@ -39,7 +39,6 @@ class AdmissionConfig:
     """Load-shedding knobs for one serving endpoint."""
 
     max_inflight: int = 64     # handler processes allowed concurrently
-    shed_expired: bool = True  # drop requests whose deadline passed
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -60,11 +59,10 @@ class AdmissionControl:
         """The verdict for a request arriving with ``inflight`` handlers
         already running. Expiry is checked first: an expired request is
         shed even when there is capacity — serving it is pure waste."""
-        if self.config.shed_expired:
-            deadline = payload.get(DEADLINE_KEY)
-            if deadline is not None and self.sim.now > deadline:
-                self.sim.metrics.inc(f"resilience.admission.{self.owner}.shed_expired")
-                return Admission.EXPIRED
+        deadline = payload.get(DEADLINE_KEY)
+        if deadline is not None and self.sim.now > deadline:
+            self.sim.metrics.inc(f"resilience.admission.{self.owner}.shed_expired")
+            return Admission.EXPIRED
         if inflight >= self.config.max_inflight:
             self.sim.metrics.inc(f"resilience.admission.{self.owner}.shed_busy")
             return Admission.BUSY

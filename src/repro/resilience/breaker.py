@@ -37,20 +37,16 @@ class BreakerState(str, enum.Enum):
 class BreakerConfig:
     """Trip/recover knobs shared by every destination's breaker."""
 
-    failure_threshold: int = 5    # consecutive failures that trip it
     recovery_time: float = 1.0    # open -> half-open cool-off, sim seconds
     half_open_probes: int = 1     # concurrent calls allowed half-open
-    success_threshold: int = 1    # probe successes needed to re-close
+    failure_threshold = 5         # consecutive failures that trip it
+    success_threshold = 1         # probe successes needed to re-close
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise SimulationError("failure_threshold must be >= 1")
         if self.recovery_time <= 0:
             raise SimulationError("recovery_time must be positive")
         if self.half_open_probes < 1:
             raise SimulationError("half_open_probes must be >= 1")
-        if self.success_threshold < 1:
-            raise SimulationError("success_threshold must be >= 1")
 
 
 class CircuitBreaker:

@@ -47,11 +47,11 @@ class RetryPolicy:
     backoff: str = "fixed"        # "fixed" | "exponential"
     base_delay: float = 0.0       # pause before retry N (fixed), or the
                                   # exponential ramp's first step
-    multiplier: float = 2.0       # exponential growth per retry
     max_delay: float = 30.0       # backoff ceiling
     jitter: float = 0.0           # +/- fraction of the delay
     deadline: Optional[float] = None  # overall budget, seconds from first send
-    rng_stream: str = "resilience.retry"
+    multiplier = 2.0              # exponential growth per retry
+    rng_stream = "resilience.retry"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -62,8 +62,6 @@ class RetryPolicy:
             raise SimulationError(f"unknown backoff kind {self.backoff!r}")
         if self.base_delay < 0 or self.max_delay < 0:
             raise SimulationError("negative backoff delay")
-        if self.multiplier < 1.0:
-            raise SimulationError(f"backoff multiplier {self.multiplier} below 1.0")
         if not 0.0 <= self.jitter <= 1.0:
             raise SimulationError(f"jitter {self.jitter} outside [0, 1]")
         if self.deadline is not None and self.deadline <= 0:

@@ -18,7 +18,7 @@ experiment's hoarding attacker exploits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -33,10 +33,10 @@ class SeatState(str, enum.Enum):
 
 @dataclass
 class _Seat:
-    state: SeatState = SeatState.AVAILABLE
-    session: Optional[str] = None
-    purchaser: Optional[str] = None
-    generation: int = 0  # guards stale timeout callbacks
+    state: SeatState = field(default=SeatState.AVAILABLE, init=False)
+    session: Optional[str] = field(default=None, init=False)
+    purchaser: Optional[str] = field(default=None, init=False)
+    generation: int = field(default=0, init=False)  # guards stale timeout callbacks
 
 
 class SeatMap:

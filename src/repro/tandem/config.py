@@ -28,17 +28,15 @@ class TandemConfig:
 
     mode: DPMode = DPMode.DP2
     num_dps: int = 2
-    message_latency: float = 0.0001  # one-way CPU-to-CPU message, seconds
-    group_commit_timer: float = 0.002  # DP2: how long the bus waits
-    rpc_timeout: float = 0.5
-    rpc_retries: int = 8
+    message_latency = 0.0001  # one-way CPU-to-CPU message, seconds
+    group_commit_timer = 0.002  # DP2: how long the bus waits
+    rpc_timeout = 0.5
+    rpc_retries = 8
 
     def __post_init__(self) -> None:
         self.mode = DPMode(self.mode)
         if self.num_dps < 1:
             raise SimulationError("need at least one disk process pair")
-        if self.group_commit_timer < 0:
-            raise SimulationError("negative group commit timer")
 
     def call_policy(self, retries: Optional[int] = None) -> RetryPolicy:
         """The RPC discipline derived from the timing knobs: Tandem's

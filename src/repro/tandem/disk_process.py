@@ -48,10 +48,10 @@ from repro.tandem.registry import TmfRegistry, TxnStatus
 class _DPState:
     """One side's volatile state."""
 
-    committed: Dict[Any, Any] = field(default_factory=dict)
-    pending: Dict[int, Dict[Any, Any]] = field(default_factory=dict)
-    log_buffer: List[Dict[str, Any]] = field(default_factory=list)
-    shipped_lsn: int = 0
+    committed: Dict[Any, Any] = field(default_factory=dict, init=False)
+    pending: Dict[int, Dict[Any, Any]] = field(default_factory=dict, init=False)
+    log_buffer: List[Dict[str, Any]] = field(default_factory=list, init=False)
+    shipped_lsn: int = field(default=0, init=False)
 
 
 class DiskProcessPair:

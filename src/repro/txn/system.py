@@ -101,7 +101,7 @@ class TxnTicket:
     op_class: str
     replica: str
     submitted_at: float
-    guess: Any = None
+    guess: Any = field(default=None, init=False)
     done: Any = None
 
     @property

@@ -197,11 +197,14 @@ def _plan(seed, topology):
         nodes=NODES, disks=DISKS, horizon=HORIZON,
         site_pairs=(("dc-a", "dc-b"), ("dc-a", "dc-c"), ("dc-b", "dc-c"))
         if topology else (),
-        max_wan_cuts=2, wan_cut_loss=1.0 if seed % 4 == 1 else 0.6,
+        max_wan_cuts=2,
         max_crashes=3, max_partitions=2, max_link_faults=2, max_disk_faults=2,
         min_episode=0.5, max_episode=5.0,
     )
     episodes = list(spec.sample(seed).episodes)
+    if seed % 4 != 1:  # degraded WAN links as well as cut ones
+        episodes = [replace(e, loss=0.6) if isinstance(e, WanCutEpisode) else e
+                    for e in episodes]
     rng = random.Random(f"differential:{seed}")
     if seed % 4 == 0:
         episodes = [
@@ -216,7 +219,7 @@ def _plan(seed, topology):
         episodes += [
             CrashEpisode(rng.choice(NODES), start, end),
             CrashEpisode(rng.choice(NODES), end),  # stays down
-            LinkFaultEpisode(start, end, duplicate=0.2, src=rng.choice(NODES)),
+            LinkFaultEpisode(start, end, duplicate=0.2),
             DiskFaultEpisode(rng.choice(DISKS), start, end, slow_factor=3.0),
             DiskFaultEpisode(rng.choice(DISKS), end),
             # groups listed out of order: the cut record sorts them

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BusinessRule, Enforcement, Operation, Replica, RuleEngine
+from repro.core import BusinessRule, Operation, Replica, RuleEngine
 from repro.core.antientropy import sync_replicas
 from repro.errors import RuleViolation
 from tests.core.conftest import add_op
@@ -16,7 +16,7 @@ def cap_rule(cap):
             return f"total {state.get('total', 0)} exceeds {cap}"
         return None
 
-    return BusinessRule(name="cap", check=check, enforcement=Enforcement.LOCAL)
+    return BusinessRule(name="cap", check=check)
 
 
 def make_replica(counter_registry, name="r1", cap=None):

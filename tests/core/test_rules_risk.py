@@ -30,12 +30,6 @@ def test_submit_check_passes_clean_state():
     engine.check_submit({"total": 5}, add_op(5))
 
 
-def test_none_enforcement_never_blocks_submit():
-    rule = BusinessRule("nonneg", no_negative, enforcement=Enforcement.NONE)
-    engine = RuleEngine([rule])
-    engine.check_submit({"total": -5}, add_op(-5))  # must not raise
-
-
 def test_integrated_check_returns_violations():
     engine = RuleEngine([BusinessRule("nonneg", no_negative)])
     violations = engine.check_integrated({"total": -1}, add_op(-1))

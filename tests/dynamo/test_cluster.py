@@ -247,10 +247,11 @@ def test_coordinator_stopped_mid_get_is_a_crash_not_a_short_quorum():
 def test_a_child_that_fails_at_once_is_raised_only_after_the_others_settle():
     cluster = DynamoCluster(num_nodes=5, n=3, r=2, w=2, seed=1)
     client = cluster.client("shopper")
-    client.endpoint.use_breaker(BreakerConfig(failure_threshold=1))
+    client.endpoint.use_breaker(BreakerConfig())
     first, second, _third = _owners(cluster)
     for dst in (second, first):  # tripped out of preference order
-        client.endpoint._breakers.for_dst(dst).record_failure()
+        for _ in range(BreakerConfig.failure_threshold):
+            client.endpoint._breakers.for_dst(dst).record_failure()
 
     def job():
         with pytest.raises(BreakerOpenError) as caught:

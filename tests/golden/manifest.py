@@ -1,5 +1,5 @@
 """The behaviour manifest: what every root of the system does, pinned one
-component at a time.
+component at a time, and the call audit over the same run.
 
     python tests/golden/manifest.py              # check; exit 1 names each mismatch
     python tests/golden/manifest.py --write      # regenerate every pin from one run
@@ -7,24 +7,25 @@ component at a time.
     python tests/golden/manifest.py --diff A B   # the first diverging line per component
 
 Run from the repository root; stdlib only, no pytest, no ``PYTHONPATH``.
-The entries are worked out from the roots in ``tests/reach/roots.py``, the
-smoke gate's ``SMOKE_ROWS`` and ``GOLDEN_RUNS``:
+The entries come from the roots in ``tests/reach/roots.py``, the smoke
+gate's ``SMOKE_ROWS`` and ``GOLDEN_RUNS``: ``smoke`` (the ``--smoke``
+stdout and report), ``cli/scenario`` (one plain ``--scenario`` sweep),
+``smoke/<label>/<seed>`` and ``scenario/<name>/<seed>`` (one chaos run's
+``plan``, ``violations``, ``counters``, ``histograms`` and ``trace``, its
+``steps`` and ``end`` raw), ``golden/<name>`` (a golden run's trace, also
+written out as ``fixtures/<name>.trace.txt``, and counters),
+``example/<name>`` (stdout), ``table/<id>`` (the tables a bench renders),
+``bench/<workload>`` (the exact fields of one full-scale and one heap lap,
+pinned in ``tests/perf/bench_exact.json``) and ``bench/layers`` (the layer
+ladder's rung names). Every other component is pinned in
+``BEHAVIOUR.json`` as the sha256 of its canonical text.
 
-- ``smoke``: the chaos CLI's ``--smoke`` stdout and its ``--report`` JSON;
-- ``smoke/<label>/<seed>``: one run of a smoke row, at each seed the gate
-  sweeps, and ``scenario/<name>/<seed>``: the same for three
-  configurations the gate leaves out. Components ``plan``,
-  ``violations``, ``counters``, ``histograms`` (raw values, in creation
-  order) and ``trace``, with the run's ``steps`` and ``end`` time raw;
-- ``golden/<name>``: a golden run's ``trace`` and ``counters``. Its trace
-  is also written out, for reading, as ``fixtures/<name>.trace.txt``;
-- ``example/<name>``: what ``examples/<name>.py`` prints;
-- ``table/<id>``: the tables an indexed bench renders, its ``test_*``
-  called with a ``benchmark`` whose ``pedantic`` calls through;
-- ``bench/<workload>``: the exact fields of one full-scale lap and one
-  heap lap of each benchmark workload, spawned as ``bench`` spawns them.
-  They are pinned in ``tests/perf/bench_exact.json``, every other
-  component in ``BEHAVIOUR.json`` as the sha256 of its canonical text.
+Every entry but ``smoke/*``, ``scenario/*`` and ``golden/*`` is a root. On
+CPython 3.12 or later the roots run in this process under the call
+audit's ``sys.monitoring`` recorder (``tests/reach/check_executed.py``),
+which holds what they called and set to ``tests/reach/unexecuted.txt``,
+while the other entries run in a worker. Before 3.12 only the pins are
+checked, every entry through the pool.
 
 A refactor leaves the manifest unchanged. A change that moves behaviour on
 purpose regenerates it once with ``--write``, which names every component
@@ -37,11 +38,13 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import runpy
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -49,12 +52,22 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 sys.path[:0] = [path for path in (str(SRC), str(REPO)) if path not in sys.path]
 
+from tests.reach.check_executed import CallRecorder, report  # noqa: E402
+
+#: The call audit's recorder, when the manifest runs as a script on
+#: CPython 3.12 or later: open before the roots' modules are imported,
+#: since importing them is part of every root's run.
+RECORDER = (CallRecorder().open()
+            if __name__ == "__main__" and hasattr(sys, "monitoring") else None)
+
 from bench.inputs import DEFAULT_SEED  # noqa: E402
-from bench.runner import HEAP_SCALE, spawn_lap  # noqa: E402
+from bench.lap import run_lap  # noqa: E402
+from bench.layers import measure_all  # noqa: E402
+from bench.runner import HEAP_SCALE  # noqa: E402
 from repro.chaos.game_day import GameDayScenario  # noqa: E402
 from repro.chaos.runner import SMOKE_ROWS, main as chaos_cli  # noqa: E402
 from repro.chaos.scenarios import BankClearingScenario, CartDynamoScenario  # noqa: E402
-from repro.experiments import EXPERIMENTS, by_id  # noqa: E402
+from repro.experiments import EXPERIMENTS  # noqa: E402
 from repro.parallel import parallel_map  # noqa: E402
 from tests.chaos.worlds import keep_sims  # noqa: E402
 from tests.golden.scenarios import (  # noqa: E402
@@ -79,13 +92,19 @@ SCENARIOS = {
         GameDayScenario, policy="unfenced", detector="fixed", nodes_per_site=4),
 }
 
+#: The one plain ``--scenario`` sweep of the ``cli/scenario`` entry.
+CLI_SCENARIO = ["--scenario", "bank", "--policy", "correct", "--seeds", "1"]
+
 #: Components stored as they are, not as a digest.
 RAW = ("steps", "end")
+
+#: The entry pinned in BEHAVIOUR.json, not bench_exact.json, of its kind.
+LAYERS = "bench/layers"
 
 
 def entries():
     """Every entry a root backs, in manifest order."""
-    names = ["smoke"]
+    names = ["smoke", "cli/scenario"]
     names += [f"smoke/{row.label}/{seed}"
               for row in SMOKE_ROWS for seed in SMOKE_SEEDS[:row.max_seeds]]
     names += [f"scenario/{name}/{seed}" for name in SCENARIOS for seed in SMOKE_SEEDS]
@@ -94,7 +113,19 @@ def entries():
     # roots.indexed_benches() is the bench of every experiment.
     names += [f"table/{experiment.id}" for experiment in EXPERIMENTS]
     names += [f"bench/{workload}" for workload in roots.bench_workloads()]
+    names.append(LAYERS)
     return names
+
+
+def is_root(entry):
+    """Does the call audit count what ``entry`` calls? The smoke gate's
+    rows, the extra scenarios and the golden runs are not roots."""
+    return entry == "smoke" or entry.split("/")[0] in ("cli", "example", "table", "bench")
+
+
+def _exact(entry):
+    """Is ``entry`` pinned field by field in bench_exact.json?"""
+    return entry.startswith("bench/") and entry != LAYERS
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +134,14 @@ def entries():
 
 def _lines(lines):
     return "".join(f"{line}\n" for line in lines)
+
+
+def _printed(run, *args, **kwargs):
+    """What ``run(*args, **kwargs)`` prints."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        run(*args, **kwargs)
+    return printed.getvalue()
 
 
 def _chaos_run(build, spec_overrides, seed):
@@ -146,10 +185,11 @@ def _golden(name):
 
 
 def _example(name):
-    printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
-        runpy.run_path(str(REPO / "examples" / f"{name}.py"), run_name="__main__")
-    return {"stdout": printed.getvalue()}
+    """What ``python examples/<name>.py`` prints: its ``main()``, run
+    without standing in for ``__main__``, which a worker's tasks are
+    pickled against meanwhile."""
+    return {"stdout": _printed(lambda: runpy.run_path(
+        str(REPO / "examples" / f"{name}.py"))["main"]())}
 
 
 class _CallThrough:
@@ -161,27 +201,56 @@ class _CallThrough:
 
 
 def _table(experiment_id):
-    """What the bench prints under ``pytest -s``: each table ``show``n,
-    as ``Table.print`` prints it."""
-    module = importlib.import_module(
-        by_id(experiment_id).bench.removesuffix(".py").replace("/", "."))
+    """What the bench prints under ``pytest -s``: each table ``show``n by
+    ``Table.print``, as ``benchmarks/conftest.py`` shows it. The bench is
+    looked up here, not through ``by_id``, which no root calls."""
+    bench = next(e.bench for e in EXPERIMENTS if e.id == experiment_id)
+    module = importlib.import_module(bench.removesuffix(".py").replace("/", "."))
     shown = []
     for name, test in vars(module).items():
         if name.startswith("test_"):
             test(benchmark=_CallThrough(),
-                 show=lambda table: shown.append(f"\n{table.render()}\n\n"))
+                 show=lambda table: shown.append(_printed(table.print)))
     return {"tables": "".join(shown)}
 
 
+def _cli(_name):
+    return {"stdout": _printed(chaos_cli, CLI_SCENARIO)}
+
+
+def _bench(name):
+    """``layers``: the names of the rungs the layer ladder reports, one a
+    line. A workload: the exact fields of one timed lap at full scale and
+    one heap lap, as ``bench.runner.run_workload`` reads them off a run's
+    laps."""
+    if name == "layers":
+        return {"rungs": _lines(measure_all(DEFAULT_SEED))}
+    timed, heap = (run_lap(name, DEFAULT_SEED, scale, mode, time.time())
+                   for mode, scale in (("timed", 1.0), ("heap", HEAP_SCALE)))
+    return {
+        "ops_per_lap": timed["attempted"],
+        "failed_per_lap": timed["failed"],
+        "failed_op_share": timed["failed"] / timed["attempted"],
+        "events": timed.get("events"),
+        "sim_p50_ms": timed.get("sim_p50_ms"),
+        "sim_p99_ms": timed.get("sim_p99_ms"),
+        "sim_digest": timed["sim_digest"],
+        "heap_lap.sim_digest": heap["sim_digest"],
+    }
+
+
 _KINDS = {
-    "smoke": _smoke_row, "scenario": _scenario, "golden": _golden,
-    "example": _example, "table": _table,
+    "smoke": _smoke_row, "cli": _cli, "scenario": _scenario, "golden": _golden,
+    "example": _example, "table": _table, "bench": _bench,
 }
 
 
 def entry_texts(entry):
-    """The canonical texts of one entry's components (``RAW`` ones as
-    values). Module-level, so a worker process can run it."""
+    """The canonical texts of one entry's components (``RAW`` ones, and a
+    ``bench/<workload>``'s fields, as values). Module-level, so a worker
+    process can run it."""
+    if entry == "smoke":
+        return smoke_texts()
     kind, *args = entry.split("/")
     return _KINDS[kind](*args)
 
@@ -191,36 +260,9 @@ def smoke_texts():
     prints one more line, naming the file; the rest is ``--smoke``'s."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            chaos_cli(["--smoke", "--report", path])
+        stdout = _printed(chaos_cli, ["--smoke", "--report", path])
         report = Path(path).read_text()
-    stdout = printed.getvalue().replace(f"invariant report -> {path}\n", "")
-    return {"stdout": stdout, "report": report}
-
-
-def bench_fields(workloads):
-    """``{workload: exact fields}`` from one timed lap at full scale and one
-    heap lap, each a ``python -m bench lap`` spawned by ``bench.runner``,
-    two at a time."""
-    jobs = [(mode, workload, DEFAULT_SEED, scale) for workload in workloads
-            for mode, scale in (("timed", 1.0), ("heap", HEAP_SCALE))]
-    with ThreadPoolExecutor(2) as pool:
-        laps = list(pool.map(spawn_lap, *zip(*jobs)))
-    fields = {}
-    for workload, timed, heap in zip(workloads, laps[::2], laps[1::2]):
-        # As bench.runner.run_workload reads them off a run's laps.
-        fields[workload] = {
-            "ops_per_lap": timed["attempted"],
-            "failed_per_lap": timed["failed"],
-            "failed_op_share": timed["failed"] / timed["attempted"],
-            "events": timed.get("events"),
-            "sim_p50_ms": timed.get("sim_p50_ms"),
-            "sim_p99_ms": timed.get("sim_p99_ms"),
-            "sim_digest": timed["sim_digest"],
-            "heap_lap.sim_digest": heap["sim_digest"],
-        }
-    return fields
+    return {"stdout": stdout.replace(f"invariant report -> {path}\n", ""), "report": report}
 
 
 # ----------------------------------------------------------------------
@@ -231,38 +273,44 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(names, sink=None):
+def run(names, sink=None, recorder=None):
     """``{entry: {component: sha256 of its text, or its RAW value}}`` for
-    ``names``; a ``bench/`` entry maps to its exact fields instead.
-    ``sink(entry, component, text)`` receives every canonical text.
+    ``names``; a ``bench/<workload>`` entry maps to its exact fields
+    instead. ``sink(entry, component, text)`` receives every canonical
+    text.
 
-    The smoke runs first (its own pool), then every other in-process
-    entry through one pool, then the bench laps, in subprocesses."""
+    Without a ``recorder`` every entry runs through one pool, the longest
+    (the bench laps and the smoke) first. With an open one the roots run
+    in this process, which closes it after them, while the other entries
+    run in one spawned worker, unrecorded."""
     results = {}
 
     def record(entry, texts):
-        results[entry] = {}
+        if _exact(entry):
+            results[entry] = texts
+            texts = {"fields": _lines(f"{field}: {json.dumps(value)}"
+                                      for field, value in texts.items())}
+        else:
+            results[entry] = {component: text if component in RAW else sha256(text)
+                              for component, text in texts.items()}
         for component, text in texts.items():
-            if component in RAW:
-                results[entry][component] = text
-                text = f"{text!r}\n"
-            else:
-                results[entry][component] = sha256(text)
             if sink is not None:
-                sink(entry, component, text)
+                sink(entry, component, f"{text!r}\n" if component in RAW else text)
 
-    if "smoke" in names:
-        record("smoke", smoke_texts())
-    pooled = [name for name in names if "/" in name and name.split("/")[0] in _KINDS]
-    for entry, texts in zip(pooled, parallel_map(entry_texts, pooled, None)):
-        record(entry, texts)
-    workloads = [name.split("/")[1] for name in names if name.startswith("bench/")]
-    if workloads:
-        for workload, fields in bench_fields(workloads).items():
-            results[f"bench/{workload}"] = fields
-            if sink is not None:
-                sink(f"bench/{workload}", "fields", _lines(
-                    f"{field}: {json.dumps(value)}" for field, value in fields.items()))
+    if recorder is None:
+        names = sorted(names, key=lambda name: not name.startswith(("bench/", "smoke")))
+        for entry, texts in zip(names, parallel_map(entry_texts, names, None)):
+            record(entry, texts)
+        return results
+    rest = [name for name in names if not is_root(name)]
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        pending = [pool.submit(entry_texts, entry) for entry in rest]
+        for entry in names:
+            if is_root(entry):
+                record(entry, entry_texts(entry))
+        recorder.close()
+        for entry, future in zip(rest, pending):
+            record(entry, future.result())
     return results
 
 
@@ -277,8 +325,7 @@ def mismatches(results, pinned, exact):
     its pin."""
     lines = []
     for entry, got in results.items():
-        kind, _, name = entry.partition("/")
-        want = exact.get(name) if kind == "bench" else pinned.get(entry)
+        want = exact.get(entry.split("/")[1]) if _exact(entry) else pinned.get(entry)
         if want is None:
             lines.append(f"{entry}: not pinned")
             continue
@@ -310,9 +357,8 @@ def stale_witnesses(pinned):
 
 def write(results, golden_traces):
     """Write BEHAVIOUR.json, bench_exact.json and the trace witnesses."""
-    pinned = {name: results[name] for name in entries() if not name.startswith("bench/")}
-    exact = {name.split("/")[1]: fields for name, fields in results.items()
-             if name.startswith("bench/")}
+    pinned = {name: results[name] for name in entries() if not _exact(name)}
+    exact = {name.split("/")[1]: results[name] for name in entries() if _exact(name)}
     for pins, path in ((pinned, PINNED), (exact, BENCH_EXACT)):
         path.write_text("{\n" + ",\n".join(
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in pins.items()
@@ -397,8 +443,12 @@ def main(argv=None):
             if entry.startswith("golden/") and component == "trace":
                 golden_traces[entry.split("/")[1]] = text
 
+    if RECORDER is None:
+        print("checking the pins only: the call audit needs CPython 3.12 "
+              "or later (sys.monitoring)")
+    started = time.perf_counter()
     pinned, exact = load()
-    results = run(entries(), sink)
+    results = run(entries(), sink, RECORDER)
     moved = mismatches(results, pinned, exact)
     if args.write:
         write(results, golden_traces)
@@ -406,9 +456,14 @@ def main(argv=None):
         print(f"{len(results)} entries written, {len(moved)} components moved")
         return 0
     complaints = moved + unbacked(pinned, exact) + stale_witnesses(pinned)
+    if RECORDER is not None:
+        found, counts = report(RECORDER)
+        complaints += found
+        print(counts)
     if complaints:
         print("\n".join(complaints))
-    print(f"{len(results)} entries checked: {len(complaints)} complaints")
+    print(f"{len(results)} entries checked: {len(complaints)} complaints "
+          f"({time.perf_counter() - started:.0f} s)")
     return 1 if complaints else 0
 
 

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.net import Endpoint, LinkConfig, Network
+from repro.net import Endpoint, LinkConfig, NetFault, Network
 from repro.net.latency import ExponentialLatency
 from repro.resilience import RetryPolicy
 from repro.sim import AllOf, Simulator
@@ -16,9 +16,9 @@ def test_hundred_calls_under_heavy_loss_execute_exactly_once():
         default_link=LinkConfig(
             latency=ExponentialLatency(floor=0.001, mean_extra=0.002),
             loss_probability=0.35,
-            duplicate_probability=0.1,
         ),
     )
+    net.inject_fault(NetFault(duplicate_probability=0.1))
     server = Endpoint(net, "server", dedup=True)
     client = Endpoint(net, "client")
     server.start()
@@ -53,10 +53,11 @@ def test_hundred_calls_under_heavy_loss_execute_exactly_once():
 
 
 def test_deduplication_absorbs_network_duplicates():
-    """Even with duplicate_probability, a fire-once cast handler runs per
+    """Even with every message duplicated, a fire-once cast handler runs per
     delivered copy — but a dedup-protected request does not."""
     sim = Simulator(seed=5)
-    net = Network(sim, default_link=LinkConfig(duplicate_probability=1.0))
+    net = Network(sim)
+    net.inject_fault(NetFault(duplicate_probability=1.0))
     server = Endpoint(net, "server", dedup=True)
     client = Endpoint(net, "client")
     server.start()

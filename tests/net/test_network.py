@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.net import FixedLatency, LinkConfig, Message, Network
+from repro.net import FixedLatency, LinkConfig, Message, NetFault, Network
 from repro.sim import Simulator
 
 
@@ -110,7 +110,8 @@ def test_loss_probability_statistical():
 
 
 def test_duplication():
-    sim, net = make_net(duplicate_probability=1.0)
+    sim, net = make_net()
+    net.inject_fault(NetFault(duplicate_probability=1.0))
     net.attach("a")
     box = net.attach("b")
     net.send(Message("a", "b", "ping"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterruptError, TimeoutError_
-from repro.net import Endpoint, FixedLatency, LinkConfig, Network
+from repro.net import Endpoint, FixedLatency, LinkConfig, NetFault, Network
 from repro.net.rpc import RpcError, fresh_uniquifier
 from repro.resilience import RetryPolicy
 from repro.sim import Simulator, Timeout
@@ -448,7 +448,8 @@ def test_late_and_duplicate_replies_are_dropped():
     """Every message is delivered twice, so one call draws four replies to
     the same request id: the first settles the call, the rest find nothing
     pending — as does a reply that arrives after its attempt expired."""
-    sim, _net, server, client = setup_pair(duplicate_probability=1.0)
+    sim, net, server, client = setup_pair()
+    net.inject_fault(NetFault(duplicate_probability=1.0))
     runs = []
 
     @server.on("do")

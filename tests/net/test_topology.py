@@ -39,8 +39,6 @@ def test_site_and_wanlink_validation():
     with pytest.raises(SimulationError):
         WanLink(FixedLatency(0.1), bandwidth=0.0)
     with pytest.raises(SimulationError):
-        WanLink(FixedLatency(0.1), message_cost=-1.0)
-    with pytest.raises(SimulationError):
         Topology([Site("a"), Site("a")])
     with pytest.raises(SimulationError):
         Topology([])

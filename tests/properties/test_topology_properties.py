@@ -11,6 +11,7 @@ from repro.net import (
     FixedLatency,
     LinkConfig,
     Message,
+    NetFault,
     Network,
     Site,
     Topology,
@@ -100,17 +101,17 @@ def test_single_site_topology_bit_identical_to_flat_network(seed, sends):
         trace = "\n".join(repr(r) for r in sim.trace.records)
         return sim.now, trace, sim.metrics.counters()
 
-    link = LinkConfig(
-        latency=FixedLatency(0.01), loss_probability=0.1,
-        duplicate_probability=0.1,
-    )
+    link = LinkConfig(latency=FixedLatency(0.01), loss_probability=0.1)
 
     def flat(sim):
-        return Network(sim, default_link=link)
+        net = Network(sim, default_link=link)
+        net.inject_fault(NetFault(duplicate_probability=0.1))
+        return net
 
     def single_site(sim):
         topology = Topology([Site("solo")])  # lan=None: flat fall-through
         net = TopologyNetwork(sim, topology, default_link=link)
+        net.inject_fault(NetFault(duplicate_probability=0.1))
         topology.place_all(("p1", "p2", "p3"), "solo")
         return net
 

@@ -1,45 +1,34 @@
-"""List every ``def`` in ``src/repro`` that no root calls, and every
-defaulted parameter no root sets, and hold both lists to
+"""The call audit: every ``def`` in ``src/repro`` that no root calls, and
+every defaulted parameter or dataclass field no root sets, is listed in
 ``unexecuted.txt``.
 
-    python tests/reach/check_executed.py
-
-Each root in ``roots.py`` runs in a subprocess of its own under a
-``sys.setprofile`` hook that records the ``(co_filename,
-co_firstlineno)`` of every ``src/repro`` function entered and, for one
-with defaulted parameters, which of them some call passed a value other
-than the default: neither the default object nor an equal value of the
-same type. A ``def`` no root entered, and a defaulted parameter of an
-entered ``def`` that no root set, must be listed in ``unexecuted.txt``,
-one line each::
+``python tests/golden/manifest.py`` is the run. On CPython 3.12 or later
+it opens a :class:`CallRecorder` before it imports the roots' modules,
+closes it once the roots have run, and holds what it saw to the list with
+:func:`report`. A ``def`` no root entered, a defaulted parameter of an
+entered ``def``, and a defaulted field of a constructed ``src/repro``
+dataclass, that no root set (passed neither the default object nor an
+equal value of the same type) are each listed, one line each::
 
     src/repro/path.py:Qualname  category  reason
     src/repro/path.py:Qualname(param)  category  reason
+    src/repro/path.py:Class(field)  category  reason
 
 with ``category`` one of :data:`CATEGORIES` for a def and of
-:data:`PARAM_CATEGORIES` for a parameter. Dunders, ``@property``
-accessors and bodies that are only ``...``, ``pass`` or ``raise
-NotImplementedError`` are exempt as defs; a dunder's parameters are
-audited, a stub's are not, and neither is ``main(argv=None)``. The
-parameters of a def no root enters are covered by the def's own entry.
-Exits 1 naming every def or parameter the list leaves out, every listed
-one a root now calls or sets or that no longer exists, every entry with
-an unknown category or no reason, and every root that fails. Needs the
-``pytest`` (with ``pytest-benchmark``) the benches run under; nothing
-else outside the standard library.
+:data:`PARAM_CATEGORIES` for a parameter or a field. Dunders,
+``@property`` accessors and bodies that are only ``...``, ``pass`` or
+``raise NotImplementedError`` are exempt as defs; a dunder's parameters
+are audited, a stub's are not, and neither is ``main(argv=None)``. The
+parameters of a def no root enters are covered by the def's own entry. A
+field is keyed by the class that declares it, whichever generated
+``__init__`` passed it. The static half here (the list, the defs, the
+parameters and the fields) is stdlib only, and so is the recorder.
 """
 
 import ast
-import dis
 import gc
-import inspect
 import os
-import runpy
-import subprocess
 import sys
-import tempfile
-import threading
-import time
 import types
 from pathlib import Path
 
@@ -63,14 +52,14 @@ CATEGORIES = {
     "parked",
 }
 
-#: Why a defaulted parameter no root sets may stay a parameter rather
+#: Why a defaulted parameter or field no root sets may stay one rather
 #: than become the constant it always is.
 PARAM_CATEGORIES = {
     # One of README's ```python blocks passes a value other than the default.
     "taught",
     # Code that may not change (bench/, the frozen reference process)
-    # passes it by keyword, or a behaviour-manifest entry outside the roots
-    # sets it.
+    # passes it by keyword, a behaviour-manifest entry outside the roots
+    # sets it, or removing it would move a pinned byte.
     "pinned",
     # A runaway guard, or set only by a def this list files under safety.
     "safety",
@@ -80,7 +69,7 @@ PARAM_CATEGORIES = {
 
 
 # ----------------------------------------------------------------------
-# The defs under audit
+# The defs, parameters and fields under audit
 
 
 def _is_stub(body):
@@ -128,23 +117,37 @@ def _defaulted(node):
     return names
 
 
-def _walk_defs():
+def _init_fields(node):
+    """The defaulted ``__init__`` fields a dataclass ``node`` declares."""
+    if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+        return []
+    names = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                and "ClassVar" not in ast.unparse(stmt.annotation):
+            value = ast.unparse(stmt.value)
+            if not value.startswith("field(") or (
+                    "default" in value and "init=False" not in value):
+                names.append(stmt.target.id)
+    return names
+
+
+def _walk():
     """``(relative path, absolute path, qualname, node, co_firstlineno)``
-    for every def under ``src/repro``. ``co_firstlineno`` is the first
-    decorator's line when there is one, as the interpreter counts it."""
+    for every def and class under ``src/repro``. ``co_firstlineno`` is the
+    first decorator's line when there is one, as the interpreter counts it."""
     for path in sorted(SRC.glob("repro/**/*.py")):
         relative = path.relative_to(REPO).as_posix()
         stack = [(ast.parse(path.read_text()), "")]
         while stack:
             node, prefix = stack.pop()
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    stack.append((child, f"{prefix}{child.name}."))
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}{child.name}"
                     line = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     yield relative, str(path), qualname, child, line
-                    stack.append((child, f"{qualname}.<locals>."))
+                    inner = "." if isinstance(child, ast.ClassDef) else ".<locals>."
+                    stack.append((child, f"{qualname}{inner}"))
                 else:
                     stack.append((child, prefix))
 
@@ -153,23 +156,32 @@ def audited_defs():
     """``{"src/repro/…py:Qualname": (absolute path, co_firstlineno)}`` for
     every def that is not exempt."""
     return {f"{relative}:{qualname}": (path, line)
-            for relative, path, qualname, node, line in _walk_defs()
-            if not _exempt(node)}
+            for relative, path, qualname, node, line in _walk()
+            if not isinstance(node, ast.ClassDef) and not _exempt(node)}
 
 
 def audited_params():
-    """``{"src/repro/…py:Qualname(param)": (absolute path, co_firstlineno,
-    param)}`` for every defaulted parameter of a def that is not a stub."""
-    return {f"{relative}:{qualname}({name})": (path, line, name)
-            for relative, path, qualname, node, line in _walk_defs()
-            if not _is_stub(node.body)
+    """``{"src/repro/…py:Qualname(param)"}``: every defaulted parameter of
+    a def that is not a stub."""
+    return {f"{relative}:{qualname}({name})"
+            for relative, _path, qualname, node, _line in _walk()
+            if not isinstance(node, ast.ClassDef) and not _is_stub(node.body)
             for name in _defaulted(node)}
 
 
+def audited_fields():
+    """``{"src/repro/…py:Class(field)"}``: every defaulted ``__init__``
+    field a ``src/repro`` dataclass declares."""
+    return {f"{relative}:{qualname}({name})"
+            for relative, _path, qualname, node, _line in _walk()
+            if isinstance(node, ast.ClassDef)
+            for name in _init_fields(node)}
+
+
 def read_list(path=LISTED):
-    """``[(line number, "path:Qualname" or "path:Qualname(param)",
-    category, reason)]`` from the checked-in list; blank lines and ``#``
-    comments are skipped."""
+    """``[(line number, "path:Qualname", "path:Qualname(param)" or
+    "path:Class(field)", category, reason)]`` from the checked-in list;
+    blank lines and ``#`` comments are skipped."""
     entries = []
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -181,20 +193,16 @@ def read_list(path=LISTED):
 
 
 # ----------------------------------------------------------------------
-# One root, in a child process
-
-
-_SUSPENDS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+# The recorder
 
 
 def _function_of(frame):
     """The function object whose call ``frame`` is: found through the
     qualname from the module's globals, else among the code's referrers
-    (a nested def, or an interpreter without ``co_qualname``)."""
+    (a nested def)."""
     code = frame.f_code
-    qualname = getattr(code, "co_qualname", "<locals>")
-    if "<locals>" not in qualname:
-        parts = qualname.split(".")
+    if "<locals>" not in code.co_qualname:
+        parts = code.co_qualname.split(".")
         found = frame.f_globals.get(parts[0])
         for part in parts[1:]:
             found = getattr(found, "__dict__", {}).get(part)
@@ -209,27 +217,14 @@ def _function_of(frame):
     return None
 
 
-def _watch(frame):
-    """``[last offset of the entry, {param: default}]`` for a ``src/repro``
-    function with defaulted parameters, else ``None``. A generator's
-    ``call`` event also fires on every resume, after its body may have
-    rebound a parameter, so only the event at its first ``RESUME``
-    (offset -1 before 3.11) reads the arguments."""
-    function = _function_of(frame)
-    if function is None:
-        return None
+def _defaults(function):
+    """``{param: default}`` for ``function``'s defaulted parameters."""
     code = function.__code__
     positional = code.co_varnames[:code.co_argcount]
     defaults = function.__defaults__ or ()
     pending = dict(zip(positional[len(positional) - len(defaults):], defaults))
     pending.update(function.__kwdefaults__ or {})
-    if not pending:
-        return None
-    entry = sys.maxsize
-    if code.co_flags & _SUSPENDS:
-        entry = next((op.offset for op in dis.get_instructions(code)
-                      if op.opname == "RESUME"), -1)
-    return [entry, pending]
+    return pending
 
 
 def _is_default(value, default):
@@ -241,106 +236,94 @@ def _is_default(value, default):
         return False
 
 
-def _run_traced(out, argv):
-    """Run ``argv`` (``-m module …`` or ``script.py …``) as ``python``
-    would, recording every ``src/repro`` code object entered and which of
-    its defaulted parameters any call set, then write one line per code
-    to ``out``: ``filename:firstlineno``, a tab, the set parameters."""
-    prefix = str(SRC / "repro") + os.sep
-    codes, watched, set_params = {}, {}, {}
-    unseen = object()
+class CallRecorder:
+    """While open, a ``sys.monitoring`` (CPython ≥ 3.12) ``PY_START`` tool
+    under ``COVERAGE_ID`` records every function of ``package`` started,
+    and every defaulted parameter of one, or defaulted field of one of the
+    package's dataclasses (through a generated ``__init__``), that a call
+    reached and that a call set, as ``path:Qualname(param)`` or
+    ``path:Class(field)``. A code object with nothing left to strike is
+    ``DISABLE``d, so it costs nothing more. ``PY_START`` fires once per
+    call, not on a generator's resumes, so it reads arguments before the
+    body can rebind them."""
 
-    def hook(frame, event, _arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        key = id(code)
-        watch = watched.get(key, unseen)
-        if watch is unseen:
-            codes[key] = code
-            watch = watched[key] = (
-                _watch(frame) if code.co_filename.startswith(prefix) else None)
-        if watch is None or frame.f_lasti > watch[0]:
-            return
-        pending = watch[1]
-        values = frame.f_locals
-        for name in [name for name, default in pending.items()
-                     if not _is_default(values.get(name, default), default)]:
-            del pending[name]
-            set_params.setdefault(key, []).append(name)
-        if not pending:
-            watched[key] = None
+    def __init__(self, package=SRC / "repro"):
+        self.entered = set()     # (co_filename, co_firstlineno)
+        self.seen = set()        # parameter and field keys
+        self.set = set()
+        self._watched = {}       # code -> {name: (default, key)}
+        self._prefix = str(package) + os.sep
+        self._root = package.parents[1]
 
-    module = argv[1] if argv[0] == "-m" else None
-    if module is not None:
-        sys.argv = argv[1:]
-        sys.path[0] = os.getcwd()
-    else:
-        sys.argv = list(argv)
-        sys.path[0] = os.path.dirname(os.path.abspath(argv[0]))
-    status = 0
-    threading.setprofile(hook)
-    sys.setprofile(hook)
-    try:
-        if module is not None:
-            runpy.run_module(module, run_name="__main__", alter_sys=True)
-        else:
-            runpy.run_path(argv[0], run_name="__main__")
-    except SystemExit as exc:
-        status = exc.code
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-        with open(out, "w") as handle:
-            for key, code in codes.items():
-                if code.co_filename.startswith(prefix):
-                    handle.write(f"{code.co_filename}:{code.co_firstlineno}\t"
-                                 f"{' '.join(sorted(set_params.get(key, ())))}\n")
-    if status is None:  # sys.exit() with no argument
-        return 0
-    return status if isinstance(status, int) else 1
+    def open(self):
+        monitoring = sys.monitoring
+        tool = monitoring.COVERAGE_ID
+        if monitoring.get_tool(tool) is not None:
+            raise RuntimeError(f"sys.monitoring tool {tool} is taken by "
+                               f"{monitoring.get_tool(tool)!r}; the call audit needs it")
+        monitoring.use_tool_id(tool, "call audit")
+        monitoring.restart_events()  # what an earlier tool DISABLEd
+        monitoring.register_callback(tool, monitoring.events.PY_START, self._start)
+        monitoring.set_events(tool, monitoring.events.PY_START)
+        return self
 
+    def close(self):
+        monitoring = sys.monitoring
+        monitoring.set_events(monitoring.COVERAGE_ID, 0)
+        monitoring.register_callback(monitoring.COVERAGE_ID, monitoring.events.PY_START, None)
+        monitoring.free_tool_id(monitoring.COVERAGE_ID)
 
-def _entered(commands):
-    """Run every root; return ``{(filename, firstlineno): parameters set}``
-    for every function they entered, and the labels of the roots that
-    failed."""
-    entered, failed = {}, []
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
-    with tempfile.TemporaryDirectory() as tmp:
-        for index, (label, argv) in enumerate(commands):
-            out = os.path.join(tmp, f"{index}.calls")
-            argv = [arg.replace("{tmp}", tmp) for arg in argv]
-            started = time.perf_counter()
-            done = subprocess.run(
-                [sys.executable, __file__, "--traced", out, *argv],
-                cwd=REPO, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True,
-            )
-            print(f"  {label}: exit {done.returncode}, "
-                  f"{time.perf_counter() - started:.1f} s", flush=True)
-            if done.returncode != 0 or not os.path.exists(out):
-                failed.append(label)
-                sys.stderr.write(done.stderr[-2000:])
-                continue
-            with open(out) as handle:
-                for line in handle:
-                    where, _, names = line.rstrip("\n").partition("\t")
-                    filename, _, first = where.rpartition(":")
-                    entered.setdefault((filename, int(first)), set()).update(names.split())
-    return entered, failed
+    def _key(self, filename, qualname, name):
+        return f"{Path(filename).relative_to(self._root).as_posix()}:{qualname}({name})"
+
+    def _watch(self, code, frame):
+        """``{name: (default, key)}`` to watch for ``code``."""
+        watch = {}
+        if code.co_filename.startswith(self._prefix):
+            self.entered.add((code.co_filename, code.co_firstlineno))
+            function = _function_of(frame)
+            for name, default in (_defaults(function) if function else {}).items():
+                watch[name] = (default, self._key(code.co_filename, code.co_qualname, name))
+        elif code.co_filename == "<string>" and code.co_name == "__init__":
+            # A dataclass's generated __init__: its class is the one in the
+            # instance's MRO that owns it; a field is keyed by its declarer.
+            mro = type(frame.f_locals[code.co_varnames[0]]).__mro__
+            owner = next((cls for cls in mro if getattr(
+                cls.__dict__.get("__init__"), "__code__", None) is code), None)
+            for name, default in (_defaults(owner.__init__) if owner else {}).items():
+                declarer = next(cls for cls in owner.__mro__
+                                if name in cls.__dict__.get("__annotations__", {}))
+                module = getattr(sys.modules.get(declarer.__module__), "__file__", "")
+                if module.startswith(self._prefix):
+                    watch[name] = (default, self._key(module, declarer.__qualname__, name))
+        self.seen.update(key for _default, key in watch.values())
+        return watch
+
+    def _start(self, code, _offset):
+        frame = sys._getframe(1)
+        watch = self._watched.get(code)
+        if watch is None:
+            watch = self._watched[code] = self._watch(code, frame)
+        if watch:
+            values = frame.f_locals
+            for name, (default, key) in list(watch.items()):
+                if not _is_default(values.get(name, default), default):
+                    del watch[name]
+                    self.set.add(key)
+        if not watch:
+            return sys.monitoring.DISABLE
+        return None
 
 
-def never_set(entered, params):
-    """The audited parameters of entered defs that no root set."""
-    return {key for key, (path, line, name) in params.items()
-            if (path, line) in entered and name not in entered[(path, line)]}
+# ----------------------------------------------------------------------
+# The report
 
 
 def audit(uncalled, defs, unset, params, entries):
     """The complaints, one line each, comparing the defs no root called
-    and the parameters no root set with the list; an empty list means the
-    list is exact."""
+    and the parameters and fields no root set with the list; an empty list
+    means the list is exact. ``params`` holds every audited parameter and
+    field."""
     complaints = []
     listed = set()
     for number, key, category, reason in entries:
@@ -357,7 +340,7 @@ def audit(uncalled, defs, unset, params, entries):
             complaints.append(f"{where}: no reason")
         if is_param:
             if key not in params:
-                complaints.append(f"{where}: no such parameter")
+                complaints.append(f"{where}: no such parameter or field")
             elif key not in unset:
                 complaints.append(f"{where}: a root sets it now, or enters its def "
                                   "no more; drop the entry")
@@ -374,30 +357,15 @@ def audit(uncalled, defs, unset, params, entries):
     return complaints
 
 
-def main(argv):
-    if len(argv) > 2 and argv[1] == "--traced":
-        return _run_traced(argv[2], argv[3:])
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    sys.path[:0] = [str(SRC), str(REPO)]
-    from tests.reach.roots import commands
-
-    started = time.perf_counter()
-    entered, failed = _entered(list(commands()))
-    defs, params = audited_defs(), audited_params()
-    uncalled = {key for key, where in defs.items() if where not in entered}
-    unset = never_set(entered, params)
-    complaints = [f"root failed: {label}" for label in failed]
-    if not failed:
-        complaints += audit(uncalled, defs, unset, params, read_list())
-    for line in complaints:
-        print(line)
-    print(f"{len(defs)} defs audited, {len(uncalled)} called by no root; "
-          f"{len(params)} defaulted parameters, {len(unset)} never set; "
-          f"{len(complaints)} complaints ({time.perf_counter() - started:.0f} s)")
-    return 1 if complaints else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+def report(recorder):
+    """The complaints for what ``recorder`` saw, and a last line of counts."""
+    defs, params, fields = audited_defs(), audited_params(), audited_fields()
+    uncalled = {key for key, where in defs.items() if where not in recorder.entered}
+    audited = params | fields
+    unset = (recorder.seen - recorder.set) & audited
+    complaints = audit(uncalled, defs, unset, audited, read_list())
+    return complaints, (
+        f"{len(defs)} defs audited, {len(uncalled)} called by no root; "
+        f"{len(params)} defaulted parameters, {len(unset & params)} never set; "
+        f"{len(fields)} defaulted fields, {len(recorder.seen & fields)} "
+        f"constructed, {len(unset & fields)} never set")

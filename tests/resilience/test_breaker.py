@@ -33,9 +33,13 @@ class _Clock:
         self.events.append((args, kwargs))
 
 
-def make_breaker(**kwargs):
+def make_breaker(failure_threshold=5, success_threshold=1, **kwargs):
+    """A breaker whose config shadows the two threshold constants."""
     clock = _Clock()
-    config = BreakerConfig(**kwargs)
+    config = type("Config", (BreakerConfig,), {
+        "failure_threshold": failure_threshold,
+        "success_threshold": success_threshold,
+    })(**kwargs)
     return clock, CircuitBreaker(clock, "client", "server", config)
 
 
@@ -109,8 +113,9 @@ def test_stale_success_while_open_is_ignored():
 
 def test_board_is_per_destination():
     clock = _Clock()
-    board = BreakerBoard(clock, "client", BreakerConfig(failure_threshold=1))
-    board.for_dst("a").record_failure()
+    board = BreakerBoard(clock, "client", BreakerConfig())
+    for _ in range(BreakerConfig.failure_threshold):
+        board.for_dst("a").record_failure()
     assert board.for_dst("a").state is BreakerState.OPEN
     assert board.for_dst("b").state is BreakerState.CLOSED
     assert board.states() == {"a": BreakerState.OPEN, "b": BreakerState.CLOSED}

@@ -85,14 +85,6 @@ def test_expired_is_shed_even_with_capacity():
     assert clock.counters["resilience.admission.server.shed_expired"] == 1
 
 
-def test_shed_expired_can_be_disabled():
-    clock = _Clock(now=10.0)
-    control = AdmissionControl(
-        clock, "server", AdmissionConfig(max_inflight=8, shed_expired=False)
-    )
-    assert control.decide(0, stamp({}, 9.0)) is Admission.ADMIT
-
-
 def test_watermark_counts_plain_handlers_dispatched_but_not_yet_run():
     """Four requests delivered in one timestamp to ``max_inflight=2``: a
     plain handler occupies a slot from its dispatch to its own lane step,

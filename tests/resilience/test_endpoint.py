@@ -214,9 +214,13 @@ def test_degraded_hook_returning_none_falls_back_to_busy():
 # Circuit breaker wired into call and cast
 
 
+class _TripsOnTwo(BreakerConfig):
+    failure_threshold = 2
+
+
 def _breaker_setup():
     sim, _net, server, client = setup_pair()
-    client.use_breaker(BreakerConfig(failure_threshold=2, recovery_time=1.0))
+    client.use_breaker(_TripsOnTwo(recovery_time=1.0))
     mode = ["slow"]
 
     @server.on("ping")
@@ -279,7 +283,7 @@ def test_failed_probe_reopens_the_breaker():
 
 def test_remote_application_errors_do_not_trip_the_breaker():
     sim, _net, server, client = setup_pair()
-    client.use_breaker(BreakerConfig(failure_threshold=1))
+    client.use_breaker(_TripsOnTwo())
 
     @server.on("boom")
     def boom(_ep, _msg):

@@ -20,7 +20,7 @@ def schedule(policy, rng=None):
         {"timeout": 0.0},
         {"backoff": "quadratic"},
         {"base_delay": -1.0},
-        {"multiplier": 0.5},
+        {"max_delay": -1.0},
         {"jitter": 1.5},
         {"deadline": 0.0},
     ],
@@ -48,7 +48,7 @@ def test_fixed_backoff_is_constant():
 def test_exponential_backoff_ramps_and_caps():
     policy = RetryPolicy(
         max_attempts=6, backoff="exponential",
-        base_delay=1.0, multiplier=2.0, max_delay=5.0,
+        base_delay=1.0, max_delay=5.0,
     )
     assert schedule(policy) == [1.0, 2.0, 4.0, 5.0, 5.0]
 
@@ -62,11 +62,11 @@ def test_jitter_needs_an_rng():
 def test_jitter_stays_in_band_and_is_seed_deterministic():
     policy = RetryPolicy(
         max_attempts=8, backoff="exponential",
-        base_delay=1.0, multiplier=2.0, max_delay=8.0, jitter=0.3,
+        base_delay=1.0, max_delay=8.0, jitter=0.3,
     )
     plain = RetryPolicy(
         max_attempts=8, backoff="exponential",
-        base_delay=1.0, multiplier=2.0, max_delay=8.0,
+        base_delay=1.0, max_delay=8.0,
     )
     first = schedule(policy, Simulator(seed=11).rng.stream("resilience.retry"))
     second = schedule(policy, Simulator(seed=11).rng.stream("resilience.retry"))

@@ -22,9 +22,9 @@ def test_commit_empty_transaction():
 
 
 def test_zero_group_commit_timer():
-    system = TandemSystem(
-        TandemConfig(mode=DPMode.DP2, num_dps=1, group_commit_timer=0.0), seed=1
-    )
+    config = TandemConfig(mode=DPMode.DP2, num_dps=1)
+    config.group_commit_timer = 0.0  # a class constant, shadowed here
+    system = TandemSystem(config, seed=1)
     client = system.client()
 
     def job():

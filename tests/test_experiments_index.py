@@ -62,8 +62,9 @@ def test_benches_on_disk_are_all_indexed():
 
 # ----------------------------------------------------------------------
 # The import guard: nothing in src/ exists only for its own test. Its
-# function-level twin is tests/reach/check_executed.py; both read their
-# roots from tests/reach/roots.py.
+# function-level twin is the call audit, which tests/golden/manifest.py
+# runs over its entries for the roots (tests/reach/check_executed.py);
+# both read their roots from tests/reach/roots.py.
 
 # Modules no runnable root imports, each for a stated reason.
 UNREACHED_ON_PURPOSE = {
