@@ -15,11 +15,11 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.dynamo.ring import ring_hash
-from repro.dynamo.versions import VersionedValue
+from repro.dynamo.versions import Frontier
 from repro.errors import SimulationError
 
 #: One key of a store view: (key, ring position, sibling versions).
-Entry = Tuple[str, int, List[VersionedValue]]
+Entry = Tuple[str, int, Frontier]
 
 
 def check_buckets(buckets: int) -> None:
@@ -34,7 +34,7 @@ def bucket_of(key: str, buckets: int) -> int:
     return ring_hash(key) % buckets
 
 
-def frontier_digest(store: Dict[str, List[VersionedValue]], bucket: int,
+def frontier_digest(store: Dict[str, Frontier], bucket: int,
                     buckets: int) -> str:
     """Digest of one bucket: hashes the sorted (key, sorted clock set)
     structure. Values ride with their clocks, so clock equality is
@@ -64,7 +64,7 @@ def entry_digests(entries: Iterable[Entry], buckets: int) -> List[str]:
     return [hashlib.sha256(repr(group).encode()).hexdigest() for group in grouped]
 
 
-def all_digests(store: Dict[str, List[VersionedValue]], buckets: int) -> List[str]:
+def all_digests(store: Dict[str, Frontier], buckets: int) -> List[str]:
     """Every bucket's digest, in bucket order, hashing each key once."""
     return entry_digests(
         [(key, ring_hash(key), versions) for key, versions in store.items()],

@@ -14,7 +14,7 @@ from repro.storage.snapshot import SnapshotStore, Snapshotter
 #: Hint delivery: one retry on a half-second timer. Undelivered hints
 #: stay queued for the next pass, so the pass cadence is the backoff.
 HINT_POLICY = RetryPolicy(max_attempts=2, timeout=0.5)
-from repro.dynamo.versions import VectorClock, VersionedValue, prune_dominated
+from repro.dynamo.versions import Frontier, VectorClock, VersionedValue, prune_dominated
 
 
 class DynamoNode:
@@ -29,7 +29,7 @@ class DynamoNode:
         self.sim = sim
         self.network = network
         self.name = name
-        self.store: Dict[str, List[VersionedValue]] = {}
+        self.store: Dict[str, Frontier] = {}
         self.hints: List[Tuple[str, str, VersionedValue]] = []  # (intended, key, version)
         self.op_seq = 0  # local mutation counter: the snapshot cursor
         self.snapshots: Optional[SnapshotStore] = None
@@ -46,14 +46,15 @@ class DynamoNode:
         existing = self.store.get(key)
         # A key's first version is its whole frontier (the preload path).
         self.store[key] = (
-            prune_dominated(existing + [version]) if existing else [version]
+            tuple(prune_dominated(existing + (version,))) if existing else (version,)
         )
         self.op_seq += 1
         if self.snapshotter is not None:
             self.snapshotter.mark_dirty()
 
-    def versions_of(self, key: str) -> List[VersionedValue]:
-        return list(self.store.get(key, []))
+    def versions_of(self, key: str) -> Frontier:
+        """The stored frontier itself: a tuple, so no reader can change it."""
+        return self.store.get(key, ())
 
     # ------------------------------------------------------------------
     # Handlers
@@ -129,8 +130,8 @@ class DynamoNode:
         return self.snapshotter
 
     def _snapshot_capture(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        # Versions are immutable; copying the lists is a deep-enough copy.
-        state = {key: list(versions) for key, versions in self.store.items()}
+        # Frontiers are immutable tuples: the checkpoint shares them.
+        state = dict(self.store)
         meta = {
             "hints": list(self.hints),
             "op_seq": self.op_seq,
@@ -174,7 +175,7 @@ class DynamoNode:
         if self.snapshots is not None:
             snapshot = yield from self.snapshots.materialize()
             if snapshot is not None:
-                self.store = {k: list(v) for k, v in snapshot.state.items()}
+                self.store = dict(snapshot.state)
                 self.hints = list(snapshot.meta.get("hints", ()))
                 snapshot_seq = snapshot.meta.get("op_seq", snapshot.lsn)
                 seeded = sum(len(v) for v in self.store.values())

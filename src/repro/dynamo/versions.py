@@ -8,7 +8,7 @@ and the store keeps both for the application to reconcile (§6.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class VectorClock:
@@ -82,6 +82,12 @@ class VersionedValue:
 
     def __repr__(self) -> str:
         return f"VersionedValue(value={self.value!r}, clock={self.clock!r})"
+
+
+#: One key's sibling frontier as a replica stores it. A tuple, never
+#: changed in place: a write replaces it, so a read, a checkpoint and a
+#: restore can all hold the same one.
+Frontier = Tuple[VersionedValue, ...]
 
 
 def prune_dominated(versions: Iterable[VersionedValue]) -> List[VersionedValue]:

@@ -54,6 +54,7 @@ class Message:
         """Build the response message for this request."""
         return Message(self.dst, self.src, kind, payload, self.msg_id)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
+        # What a drop record holds (and renders) in place of the message.
         tail = f" re:{self.reply_to}" if self.reply_to else ""
         return f"<Msg#{self.msg_id} {self.src}->{self.dst} {self.kind}{tail}>"

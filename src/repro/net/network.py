@@ -12,6 +12,11 @@ Delivery pipeline for ``send``:
    duplication, are sampled.
 4. A latency sample schedules delivery to the destination's *sink*.
 
+A drop's trace record (``drop.unreachable``, ``drop.loss``,
+``drop.fault``, ``drop.in_flight``) holds the message's one-line
+``repr``, not the message: the dropped payload is freed at once,
+however long the record lives.
+
 Every attached name has one sink, a callable taking the message, and
 ``_deliver`` is its only caller. ``attach(name, deliver=cb)`` registers
 ``cb`` — how the RPC layer (:class:`~repro.net.rpc.Endpoint`) receives: in
@@ -35,7 +40,6 @@ from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Message
 from repro.sim.scheduler import Simulator
 from repro.sim.sync import Mailbox
-from repro.sim.trace import lazy
 
 
 @dataclass
@@ -235,7 +239,7 @@ class Network:
             self._detached or self._groups is not None
             or src not in sinks or dst not in sinks
         ) and not self.reachable(src, dst):
-            self.sim.trace.emit("net", "drop.unreachable", msg=lazy(msg))
+            self.sim.trace.emit("net", "drop.unreachable", msg=repr(msg))
             self.sim.metrics.inc("net.dropped")
             return False
         links = self._links
@@ -251,7 +255,7 @@ class Network:
             )
         else:
             if config.loss_probability and self._rng.random() < config.loss_probability:
-                self.sim.trace.emit("net", "drop.loss", msg=lazy(msg))
+                self.sim.trace.emit("net", "drop.loss", msg=repr(msg))
                 self.sim.metrics.inc("net.dropped")
                 return False
             copies = 1
@@ -260,7 +264,7 @@ class Network:
                 if not fault.applies_to(src, dst):
                     continue
                 if fault.loss_probability and self._rng.random() < fault.loss_probability:
-                    self.sim.trace.emit("net", "drop.fault", msg=lazy(msg))
+                    self.sim.trace.emit("net", "drop.fault", msg=repr(msg))
                     self.sim.metrics.inc("net.dropped")
                     self.sim.metrics.inc("net.fault_dropped")
                     return False
@@ -294,7 +298,7 @@ class Network:
         if (self._detached or self._groups is not None) and not self.reachable(
             msg.src, msg.dst
         ):
-            self.sim.trace.emit("net", "drop.in_flight", msg=lazy(msg))
+            self.sim.trace.emit("net", "drop.in_flight", msg=repr(msg))
             self.sim.metrics.inc("net.dropped")
             return
         ctr = self._ctr_delivered

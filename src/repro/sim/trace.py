@@ -5,12 +5,10 @@ use ``TraceLog.find`` to assert that a protocol actually did what the
 model claims (e.g. "no checkpoint message was sent before the WRITE ack
 in DP2").
 
-Formatting is *lazy*: emit sites on hot paths wrap expensive-to-render
-values in :func:`lazy` instead of calling ``str()`` eagerly. The cost of
-rendering is paid only when a record's ``payload`` is actually read —
-records that age out of the bounded deque unread never pay it at all.
-``tests/golden`` pins the rendered output bit-for-bit against fixtures
-captured before this existed.
+An emit site passes what the record should show, already rendered where
+holding the object itself would keep it alive: a dropped message is
+recorded as its one-line ``repr``, so the record never pins the payload.
+``tests/golden`` pins the rendered output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,64 +17,17 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 
-class lazy:
-    """Defer ``str(obj)`` until a trace payload is read.
-
-    The snapshot happens at read time, not emit time — callers must only
-    wrap values that are stable between emit and read (messages on drop
-    paths are; mutable accumulators are not).
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Any) -> None:
-        self.obj = obj
-
-    def render(self) -> str:
-        return str(self.obj)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        # Render like the eager string it replaces, so dict reprs of
-        # payloads are unchanged whether or not resolution happened.
-        return repr(self.render())
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, lazy):
-            return self.render() == other.render()
-        return self.render() == other
-
-    def __hash__(self) -> int:
-        return hash(self.render())
-
-
 class TraceRecord:
     """One trace entry."""
 
-    __slots__ = ("time", "actor", "kind", "_raw")
+    __slots__ = ("time", "actor", "kind", "payload")
 
     def __init__(self, time: float, actor: str, kind: str,
-                 payload: Optional[Dict[str, Any]] = None) -> None:
+                 payload: Dict[str, Any]) -> None:
         self.time = time
         self.actor = actor
         self.kind = kind
-        self._raw = payload if payload is not None else {}
-
-    @property
-    def payload(self) -> Dict[str, Any]:
-        """The payload with any :func:`lazy` values rendered to strings.
-
-        Resolution mutates ``_raw`` in place so each value renders at
-        most once, and so ``payload`` stays the same dict identity across
-        reads (tests mutate and re-read it).
-        """
-        raw = self._raw
-        for key, value in raw.items():
-            if type(value) is lazy:
-                raw[key] = value.render()
-        return raw
+        self.payload = payload
 
     def __repr__(self) -> str:
         return f"[{self.time:.6g}] {self.actor} {self.kind} {self.payload}"

@@ -1,5 +1,7 @@
 """Fabric delivery: latency, loss, duplication, partitions, crashes."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -161,6 +163,41 @@ def test_in_flight_message_lost_to_crash():
     sim.schedule(1.0, net.detach, "b")
     sim.run()
     assert len(box) == 0
+
+
+class _Blob:
+    """A megabyte of payload that a weak reference can watch."""
+
+    def __init__(self):
+        self.data = bytes(1 << 20)
+
+
+@pytest.mark.parametrize(
+    "kind", ["drop.unreachable", "drop.loss", "drop.fault", "drop.in_flight"]
+)
+def test_a_drop_record_frees_the_message_and_renders_its_header(kind):
+    sim, net = make_net(
+        latency=FixedLatency(5.0), loss_probability=float(kind == "drop.loss")
+    )
+    net.attach("a")
+    net.attach("b")
+    if kind == "drop.unreachable":
+        net.partition([["a"], ["b"]])
+    elif kind == "drop.fault":
+        net.inject_fault(NetFault(loss_probability=1.0))
+    elif kind == "drop.in_flight":
+        sim.schedule(1.0, net.partition, [["a"], ["b"]])
+    blob = _Blob()
+    freed = weakref.ref(blob)
+    msg = Message("a", "b", "PUT", {"blob": blob}, reply_to=7)
+    header = f"<Msg#{msg.msg_id} a->b PUT re:7>"
+    net.send(msg)
+    del msg, blob
+    sim.run()
+    assert freed() is None
+    [record] = sim.trace.find(kind=kind)
+    assert record.payload == {"msg": header}
+    assert repr(record) == f"[{record.time:.6g}] net {kind} {{'msg': '{header}'}}"
 
 
 def test_per_link_override():

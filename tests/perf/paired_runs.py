@@ -30,23 +30,37 @@ per seed and workload:
 
 ``--report-only`` re-prints from the files of an earlier invocation.
 Exit status: 1 if any verdict is ``worse``, a failure share rose or an
-exact field moved; 0 otherwise. Stdlib only; imports nothing from the
+exact field moved; 0 otherwise.
+
+    python tests/perf/paired_runs.py PARENT CHANGE --heap-only --seeds 20090104,777
+
+answers the heap question alone, in seconds: per seed and workload it
+runs one ``python3 -m bench lap --mode heap`` in each checkout, at the
+runner's memory-lap scale and hash seed, and prints both
+``peak_heap_mb`` readings, their exact delta and verdict, and the lap's
+``sim_digest``. tracemalloc is deterministic, so one pair is the whole
+answer. It exits 1 if the heap is worse by more than its bound or the
+digest moved. Stdlib only; imports nothing from the
 repository but its sibling ``check_bench_exact``, so it runs under any
 interpreter and against any two commits.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from check_bench_exact import lookup
 
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
+#: The scale of the runner's memory lap (``bench.runner.HEAP_SCALE``).
+HEAP_SCALE = 0.25
 
 
 def _parse(argv):
@@ -64,11 +78,15 @@ def _parse(argv):
                         help="where result files go (default: a new temp dir)")
     parser.add_argument("--report-only", action="store_true",
                         help="run nothing; report from the files in --out-dir")
+    parser.add_argument("--heap-only", action="store_true",
+                        help="one heap lap per side, seed and workload; no files")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     if args.report_only and args.out_dir is None:
         parser.error("--report-only needs --out-dir")
+    if args.report_only and args.heap_only:
+        parser.error("--heap-only runs its laps; it has nothing to re-print")
     try:
         args.seeds = [int(seed) for seed in args.seeds.split(",")]
     except ValueError:
@@ -212,8 +230,52 @@ def _report(args):
     return 1 if failed else 0
 
 
+def _heap_lap(checkout, workload, seed):
+    """One memory lap in ``checkout``, spawned as the bench runner spawns it."""
+    command = [sys.executable, "-m", "bench", "lap", "--mode", "heap",
+               "--workload", workload, "--seed", str(seed),
+               "--scale", repr(HEAP_SCALE), "--spawned-at", repr(time.time())]
+    done = subprocess.run(command, cwd=checkout, check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def heap_pair(workload, seed, parent, change, bound):
+    """Print one pair of heap laps; True if the change's peak is worse
+    than the parent's by more than ``bound`` or its digest moved."""
+    before, after = parent["peak_heap_mb"], change["peak_heap_mb"]
+    delta = after - before
+    reading = verdict([before], [after], True, bound)[0]
+    print(f"\n== {workload}  seed {seed}  heap lap at scale {HEAP_SCALE}")
+    print(f"  peak_heap_mb  parent {before:.6f}  change {after:.6f}  "
+          f"delta {delta:+.6f} MB ({delta / before:+.1%}) -> {reading}")
+    digest = parent["sim_digest"]
+    moved = change["sim_digest"] != digest
+    print("  sim_digest    " + (f"parent {digest} -> change {change['sim_digest']}"
+                                if moved else f"{digest} on both sides"))
+    return reading == "worse" or moved
+
+
+def _heap_only(args):
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_heap_mb")
+    workloads = [args.workload] if args.workload else [
+        w["name"] for w in spec["workloads"]]
+    failed = False
+    for seed in args.seeds:
+        for workload in workloads:
+            laps = {}
+            for side, checkout in zip(SIDES, (args.parent, args.change)):
+                print(f"# seed {seed} {workload}: {side}", file=sys.stderr, flush=True)
+                laps[side] = _heap_lap(checkout, workload, seed)
+            failed |= heap_pair(workload, seed, laps["parent"], laps["change"], bound)
+    return 1 if failed else 0
+
+
 def main(argv):
     args = _parse(argv)
+    if args.heap_only:
+        return _heap_only(args)
     if not args.report_only:
         if args.out_dir is None:
             args.out_dir = Path(tempfile.mkdtemp(prefix="paired-runs-"))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.cart import CartOp, CartService, OpCartStrategy
 from repro.chaos.runner import SMOKE_ROWS
-from repro.dynamo import DynamoCluster, VectorClock, VersionedValue
+from repro.dynamo import DynamoCluster, DynamoNode, VectorClock, VersionedValue
 from repro.dynamo.ring import ring_hash
 from repro.net import Endpoint, Network
 from repro.resilience import RetryPolicy
@@ -420,8 +420,10 @@ def test_blocked_process_holds_only_its_scheduled_wakeup():
 
 def test_back_to_back_chaos_runs_peak_at_one_world():
     """A chaos run's world dies with its report: three mixed-txn runs in
-    a row peak at one world (1.41 MB measured), where each dead world
-    used to wait for a full collection (1.80, 3.59, 5.37 MB)."""
+    a row peak at one world, where each dead world used to wait for a
+    full collection (1.80, 3.59, 5.37 MB). One world is 0.70 MB
+    measured; it was 1.41 MB while each drop record held the dropped
+    message, a leader's whole re-sent log suffix among them."""
     row = next(row for row in SMOKE_ROWS if row.label == "mixed_txn_minority")
     scenario = row.build()
     plan = scenario.spec().sample(0)
@@ -432,6 +434,7 @@ def test_back_to_back_chaos_runs_peak_at_one_world():
     scenario.run(0, plan)
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    assert one_world <= 0.9e6, f"{one_world / 1e6:.2f} MB for one world"
     assert peak <= 1.1 * one_world, (
         f"{peak / 1e6:.2f} MB peak over three runs, one run {one_world / 1e6:.2f} MB"
     )
@@ -439,11 +442,29 @@ def test_back_to_back_chaos_runs_peak_at_one_world():
 
 
 def test_million_key_zipf_cdf_peaks_under_its_checkpoint_budget():
-    """A hot prefix of 65 536 exact cumulative weights plus a checkpoint
-    every 16 ranks after it: 1.01 MB measured at a million keys, where
-    one double per key peaked at 8.19 MB."""
+    """A hot prefix of 8 192 exact cumulative weights plus a checkpoint
+    every 16 ranks after it: 0.57 MB measured at a million keys, where a
+    65 536-rank prefix peaked at 1.01 MB and one double per key at
+    8.19 MB."""
     tracemalloc.start()
     ZipfKeyGenerator(random.Random(1), 1_000_000, 0.99)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak <= 1.6e6, f"{peak / 1e6:.2f} MB peak building the CDF"
+    assert peak <= 0.7e6, f"{peak / 1e6:.2f} MB peak building the CDF"
+
+
+def test_a_replica_holds_a_tuple_and_a_dict_slot_per_key():
+    """Beyond the version itself, a replica's store holds one frontier
+    tuple and one dict slot per key: 64 bytes measured over 10 000
+    one-version keys, where a frontier list cost 84."""
+    keys = 10_000
+    sim = Simulator()
+    node = DynamoNode(sim, Network(sim), "n0")
+    names = [f"key{i}" for i in range(keys)]
+    versions = [VersionedValue(i, VectorClock({"n0": 1})) for i in range(keys)]
+    tracemalloc.start()
+    for name, version in zip(names, versions):
+        node.store_version(name, version)
+    held, _peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert held / keys <= 74, f"{held / keys:.0f} bytes per stored key"

@@ -8,8 +8,14 @@ with drawn clocks (dominating, dominated, duplicate or concurrent with
 what is stored), read-modify-writes that descend the whole frontier and
 cold crashes interleave freely; after every step each key's frontier,
 in order, equals the model's.
+
+A read is the stored frontier itself, an immutable tuple: nothing done
+with a read changes the store, and no later write or crash changes a
+read already handed out. The plain tests below hold checkpoints and
+rejoins to the same sharing.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -35,6 +41,10 @@ class DynamoStorageMachine(RuleBasedStateMachine):
         self.node = DynamoNode(sim, Network(sim), "n0")
         self.model = {}
         self.stores = 0
+        self.reads = []  # (read, what the model held when it was taken)
+
+    def _expected(self, key):
+        return tuple(self.model.get(key, []))
 
     def _store(self, key, version):
         self.node.store_version(key, version)
@@ -64,15 +74,26 @@ class DynamoStorageMachine(RuleBasedStateMachine):
         self.stores = 0
 
     @rule(key=st.sampled_from(KEYS))
-    def reads_are_copies(self, key):
-        self.node.versions_of(key).append(VersionedValue(-1, VectorClock()))
-        assert self.node.versions_of(key) == self.model.get(key, [])
+    def reads_cannot_change_the_store(self, key):
+        read = self.node.versions_of(key)
+        assert type(read) is tuple and read == self._expected(key)
+        stray = VersionedValue(-1, VectorClock())
+        with pytest.raises(TypeError):
+            read[:0] = [stray]
+        read += (stray,)  # a new tuple; the stored one is untouched
+        assert self.node.versions_of(key) == self._expected(key)
+        self.reads.append((self.node.versions_of(key), self._expected(key)))
 
     @invariant()
     def frontiers_match_the_model(self):
         for key in KEYS:
-            assert self.node.versions_of(key) == self.model.get(key, [])
+            assert self.node.versions_of(key) == self._expected(key)
         assert self.node.op_seq == self.stores
+
+    @invariant()
+    def earlier_reads_are_unchanged(self):
+        for read, expected in self.reads:
+            assert read == expected
 
     @invariant()
     def siblings_are_pairwise_concurrent(self):
@@ -86,3 +107,41 @@ TestDynamoStorageMachine = DynamoStorageMachine.TestCase
 TestDynamoStorageMachine.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
+
+
+def _checkpointed_node():
+    """A node whose checkpoint covers three keys, one with two siblings."""
+    sim = Simulator()
+    node = DynamoNode(sim, Network(sim), "n0")
+    node.enable_snapshots(cadence=0.5).start()
+    for i, key in enumerate(KEYS):
+        node.store_version(key, VersionedValue(i, VectorClock({"a": 1})))
+    node.store_version("k0", VersionedValue(9, VectorClock({"b": 1})))
+    sim.run(until=2.0)
+    assert node.snapshots.peek_materialize().lsn == node.op_seq
+    return sim, node
+
+
+def test_a_checkpoint_shares_the_stores_frontiers():
+    _sim, node = _checkpointed_node()
+    checkpointed = node.snapshots.peek_materialize().state
+    assert checkpointed.keys() == node.store.keys()
+    assert all(checkpointed[key] is node.store[key] for key in node.store)
+    assert len(checkpointed["k0"]) == 2
+    # A later write replaces the store's frontier; the checkpoint keeps its own.
+    before = node.store["k1"]
+    node.store_version("k1", VersionedValue(7, VectorClock({"a": 2})))
+    assert node.snapshots.peek_materialize().state["k1"] is before
+    assert node.versions_of("k1") == (VersionedValue(7, VectorClock({"a": 2})),)
+
+
+def test_cold_restart_seeds_exactly_the_snapshots_frontiers():
+    sim, node = _checkpointed_node()
+    snapshot = node.snapshots.peek_materialize().state
+    node.store_version("late", VersionedValue(5, VectorClock({"c": 1})))
+    node.store_version("k2", VersionedValue(6, VectorClock({"a": 2})))
+    node.cold_crash()
+    rejoin = sim.run_process(node.cold_restart())
+    assert node.store == snapshot and node.store is not snapshot
+    assert all(node.store[key] is snapshot[key] for key in snapshot)
+    assert rejoin["seeded_versions"] == sum(map(len, snapshot.values())) == 4

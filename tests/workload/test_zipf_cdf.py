@@ -20,7 +20,11 @@ import pytest
 from repro.workload import ZipfKeyGenerator
 from repro.workload.zipf import _BLOCK, _HOT
 
-KEYSPACES = [1, 15, 16, 17, _HOT - 1, _HOT, _HOT + 1, _HOT + 17, 3 * _HOT + 5]
+#: The prefix's edges, then the same edges of a 65 536-rank prefix: past
+#: today's prefix those are whole or short last blocks deep in the cold
+#: region.
+KEYSPACES = [1, 15, 16, 17, _HOT - 1, _HOT, _HOT + 1, _HOT + 17, 3 * _HOT + 5,
+             65535, 65536, 65537, 65553, 196613]
 THETAS = [0, 0.5, 0.99, 1, 1.3]
 DRAWS = 5000
 
