@@ -3,38 +3,35 @@
 Real key traffic is skewed: a handful of keys take most of the requests
 (the §6.1 shopping carts nobody closes). ``ZipfKeyGenerator`` draws keys
 from a seeded zipf(θ) distribution over a keyspace that can be sized to
-millions without per-draw cost growing with it — draws are O(log K) via
-an inverse-CDF bisect, and ranks are scattered over the key names so the
-hot set spreads across the ring instead of clustering on one arc.
+millions — or billions — without its set-up, memory or per-draw cost
+growing with it, and ranks are scattered over the key names so the hot
+set spreads across the ring instead of clustering on one arc.
 
-The CDF is not stored whole. The generator keeps the exact cumulative
-weights of the hottest ``_HOT`` ranks (at θ = 0.99 over a million keys
-the first 8 192 take 65 % of the draws; eight times as many would take
-only 80 %) and, past them, one checkpoint — the cumulative weight — at
-the end of every ``_BLOCK`` ranks: ``_HOT + (K − _HOT)/_BLOCK`` doubles,
-≈ 0.56 MB instead of 8 MB at K = 10⁶. A hot draw is one bisect of the
-prefix. A cold draw bisects the checkpoints, then
-rebuilds that block's cumulative weights from the checkpoint before it
-up to the drawn rank: at most ``_BLOCK`` ``pow`` calls and adds, about
-3 µs on CPython 3.11 against 0.4 µs for a hot draw. Every cumulative
-value is the same left-to-right float sum of the same ``1.0 / (rank +
-1) ** theta`` terms the full array would hold, so each draw names
-exactly the rank a bisect of the full array would.
+Draws use rejection-inversion (W. Hörmann and G. Derflinger, "Rejection-
+inversion to generate variates from monotone discrete distributions",
+*ACM TOMACS* 6(3), 1996; the algorithm of Apache Commons RNG's
+``RejectionInversionZipfSampler``). With h(x) = x^−θ and its integral
+H(x) = (x^(1−θ) − 1)/(1 − θ) (ln x at θ = 1), a uniform point u between
+H(3/2) − 1 and H(K + ½) is inverted to x = H⁻¹(u) and rounded to the
+rank k = ⌊x + ½⌋. The stretch of u that rounds to k is at least h(k)
+long; only its top h(k) is accepted, so P(k) ∝ k^−θ exactly, and a u in
+the rest (about one draw in a thousand) is drawn again. The generator
+holds four floats: no table, nothing summed over the keyspace. The
+ranks follow zipf(θ) exactly in distribution; they are not the ranks an
+inverse-CDF bisect would give for the same uniforms.
 
 ``zipf_open_loop`` layers an open (Poisson) arrival process of GETs and
 read-modify-write PUTs on a :class:`~repro.dynamo.cluster.DynamoClient`
 — the traffic shape the ring-rebalance scenarios and the ``zipf_ring``
-bench workload drive.
+bench workload drive. Every draw on this path is ``rng.random()``, the
+one ``random.Random`` method whose stream CPython keeps stable.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
-from bisect import bisect_left
-from itertools import accumulate, chain, islice, repeat, takewhile
-from operator import truediv
-from typing import Any, Dict, Generator, Iterator, Optional
+from math import exp, expm1, inf, log, log1p, nextafter
+from typing import Any, Dict, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Timeout
@@ -44,17 +41,27 @@ from repro.sim.scheduler import Simulator
 #: keyspace, so rank -> key id is a bijection that scatters the hot ranks.
 _SCATTER = 2654435761
 
-#: Ranks whose cumulative weights are kept exactly (the hot prefix).
-_HOT = 1 << 13
-#: Cold ranks per checkpoint: a cold draw rebuilds at most this many.
-_BLOCK = 16
+#: The float just above −1: ``log1p`` of −1 itself is a domain error.
+_ABOVE_MINUS_ONE = nextafter(-1.0, 0.0)
 
 
-def _weights(theta: float, start: int, stop: int) -> Iterator[float]:
-    """``1.0 / (rank + 1) ** theta`` for ranks ``start`` to ``stop - 1``,
-    mapped in C. The prefix, the checkpoints and every rebuilt block sum
-    these same terms left to right, which is what keeps draws exact."""
-    return map(truediv, repeat(1.0), map(pow, range(start + 1, stop + 1), repeat(theta)))
+def _h_integral(x: float, one_minus_theta: float) -> float:
+    """H(x) = (x^(1−θ) − 1)/(1 − θ) as ``expm1(t)/t · ln x``, with the
+    series of ``expm1(t)/t`` near t = 0, so θ = 1 gives ln x."""
+    log_x = log(x)
+    t = one_minus_theta * log_x
+    if abs(t) > 1e-8:
+        return expm1(t) / t * log_x
+    return (1.0 + t / 2.0 * (1.0 + t / 3.0 * (1.0 + t / 4.0))) * log_x
+
+
+def _h_integral_inverse(u: float, one_minus_theta: float) -> float:
+    """H⁻¹(u) = exp(``log1p(t)/t`` · u) with t = (1 − θ)·u clamped at
+    −1, and the series of ``log1p(t)/t`` near t = 0."""
+    t = max(u * one_minus_theta, _ABOVE_MINUS_ONE)
+    if abs(t) > 1e-8:
+        return exp(log1p(t) / t * u)
+    return exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - t / 4.0))) * u)
 
 
 class ZipfKeyGenerator:
@@ -74,46 +81,38 @@ class ZipfKeyGenerator:
         theta: float = 0.99,
         prefix: str = "key",
     ) -> None:
-        if keyspace < 1:
-            raise SimulationError("zipf keyspace must be >= 1")
-        if theta < 0:
-            raise SimulationError("zipf theta must be >= 0")
+        if isinstance(keyspace, bool) or not isinstance(keyspace, int) or keyspace < 1:
+            raise SimulationError(f"zipf keyspace must be an int >= 1, not {keyspace!r}")
+        if not 0 <= theta < inf:
+            raise SimulationError(f"zipf theta must be finite and >= 0, not {theta!r}")
         self.rng = rng
         self.keyspace = keyspace
         self.theta = theta
         self.prefix = prefix
-        # Packed doubles: a list would hold a float object per value.
-        # Zero weights pad the last block to full length without moving
-        # the sum, so its checkpoint is the total.
-        padding = -max(keyspace - _HOT, 0) % _BLOCK
-        cumulative = accumulate(chain(_weights(theta, 0, keyspace), repeat(0.0, padding)))
-        self._hot = array("d", islice(cumulative, _HOT))
-        self._hot_top = self._hot[-1]
-        # Checkpoint 0 is the prefix's end; the same running sum goes on,
-        # and checkpoint b is its value at the end of cold block b - 1.
-        self._checkpoints = array("d", [self._hot_top])
-        self._checkpoints.extend(islice(cumulative, _BLOCK - 1, None, _BLOCK))
-        self._total = self._checkpoints[-1]
+        one_minus_theta = self._one_minus_theta = 1.0 - theta
+        self._h_keyspace = _h_integral(keyspace + 0.5, one_minus_theta)
+        self._h_span = _h_integral(1.5, one_minus_theta) - 1.0 - self._h_keyspace
+        # A draw whose x lies at most s below its rank k is inside k's
+        # accepted stretch, so it is taken without evaluating H(k + ½).
+        self._s = 2.0 - _h_integral_inverse(
+            _h_integral(2.5, one_minus_theta) - 2.0 ** -theta, one_minus_theta
+        )
 
     def rank(self) -> int:
         """Draw a 0-based popularity rank (0 is the hottest)."""
-        target = self.rng.random() * self._total
-        if target <= self._hot_top:
-            return bisect_left(self._hot, target)
-        checkpoints = self._checkpoints
-        # The checkpoint ending the drawn block: >= 1, as the target is
-        # above checkpoint 0.
-        end = bisect_left(checkpoints, target)
-        start = _HOT + (end - 1) * _BLOCK
-        # Rebuild the block's cumulative weights from the checkpoint before
-        # it and count the values below the target, stopping at the first
-        # that is not: that count is the full CDF's bisect. The block's
-        # last value is its checkpoint, not below the target, so the count
-        # never runs past the block or (in a padded last block) the keyspace.
-        rebuilt = accumulate(
-            _weights(self.theta, start, start + _BLOCK), initial=checkpoints[end - 1]
-        )
-        return start - 1 + len(list(takewhile(target.__gt__, rebuilt)))
+        one_minus_theta = self._one_minus_theta
+        while True:
+            u = self._h_keyspace + self.rng.random() * self._h_span
+            x = _h_integral_inverse(u, one_minus_theta)
+            k = int(x + 0.5)
+            if k < 1:
+                k = 1
+            elif k > self.keyspace:
+                k = self.keyspace
+            if k - x <= self._s or u >= (
+                _h_integral(k + 0.5, one_minus_theta) - k ** -self.theta
+            ):
+                return k - 1
 
     def key_for_rank(self, rank: int) -> str:
         return f"{self.prefix}{(rank * _SCATTER) % self.keyspace}"
@@ -181,7 +180,7 @@ def zipf_open_loop(
 
     started = 0
     while count is None or started < count:
-        yield Timeout(rng.expovariate(rate))
+        yield Timeout(-log(1.0 - rng.random()) / rate)
         if until is not None and sim.now > until:
             break
         key = keys.key()

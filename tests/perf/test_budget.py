@@ -441,16 +441,35 @@ def test_back_to_back_chaos_runs_peak_at_one_world():
     assert held <= 0.05 * one_world, f"{held / 1e6:.2f} MB held after three runs"
 
 
-def test_million_key_zipf_cdf_peaks_under_its_checkpoint_budget():
-    """A hot prefix of 8 192 exact cumulative weights plus a checkpoint
-    every 16 ranks after it: 0.57 MB measured at a million keys, where a
-    65 536-rank prefix peaked at 1.01 MB and one double per key at
-    8.19 MB."""
+@pytest.mark.parametrize("keyspace", [10**6, 10**9])
+def test_building_a_zipf_generator_traces_the_same_few_bytes_at_any_keyspace(keyspace):
+    """Rejection-inversion keeps four floats, whatever the keyspace:
+    3 KB traced at a million keys and at a billion, where the CDF it
+    replaced peaked at 0.57 MB for a million."""
     tracemalloc.start()
-    ZipfKeyGenerator(random.Random(1), 1_000_000, 0.99)
+    ZipfKeyGenerator(random.Random(1), keyspace, 0.99)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak <= 0.7e6, f"{peak / 1e6:.2f} MB peak building the CDF"
+    assert peak <= 4096, f"{peak} bytes peak building a {keyspace}-key generator"
+
+
+def test_a_zipf_draw_takes_about_one_uniform():
+    """Rejection-inversion rejects a sliver of each rank's cell, so a
+    draw takes 1.001 uniforms on average (measured 1.0011 at θ = 0.99);
+    a broken squeeze or acceptance test shows here first."""
+
+    class Counting(random.Random):
+        uniforms = 0
+
+        def random(self):
+            self.uniforms += 1
+            return super().random()
+
+    rng, draws = Counting(5), 100_000
+    generator = ZipfKeyGenerator(rng, 1_000_000, 0.99)
+    for _ in range(draws):
+        generator.rank()
+    assert rng.uniforms / draws <= 1.01, f"{rng.uniforms / draws:.4f} uniforms per draw"
 
 
 def test_a_replica_holds_a_tuple_and_a_dict_slot_per_key():

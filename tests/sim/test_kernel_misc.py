@@ -166,7 +166,8 @@ def test_per_request_names_are_kept_as_parts_and_render_unchanged():
     from repro.workload import ZipfKeyGenerator, zipf_open_loop
 
     sim = Simulator(seed=5)
-    client = DynamoCluster(num_nodes=5, sim=sim).client("zipf")
+    cluster = DynamoCluster(num_nodes=5, sim=sim)
+    client = cluster.client("zipf")
     spawn, spawned = sim.spawn, []
 
     def recording_spawn(gen, name=None):
@@ -175,11 +176,13 @@ def test_per_request_names_are_kept_as_parts_and_render_unchanged():
 
     sim.spawn = recording_spawn
     keys = ZipfKeyGenerator(sim.rng.stream("zipf"), keyspace=200)
+    draw, drawn = keys.key, []
+    keys.key = lambda: drawn.append(draw()) or drawn[-1]
     sim.spawn(zipf_open_loop(sim, client, keys, rate=100.0, count=1), name="driver")
     sim.run()
+    targets = cluster.ring.preference_list(drawn[0], cluster.n)
     assert [(type(proc._name), proc.name) for proc in spawned[1:]] == [
-        (tuple, "zipf-0"), (tuple, "zipf.GET.node4"),
-        (tuple, "zipf.GET.node0"), (tuple, "zipf.GET.node2"),
+        (tuple, "zipf-0"), *((tuple, f"zipf.GET.{target}") for target in targets),
     ]
 
     system = MixedTxnSystem(Simulator(seed=2), ResourceMachine({"seats": 2}))

@@ -14,10 +14,12 @@ def _gen(seed=1, **kwargs):
 
 
 def test_bad_parameters_rejected():
-    with pytest.raises(SimulationError):
-        _gen(keyspace=0)
-    with pytest.raises(SimulationError):
-        _gen(theta=-0.1)
+    for keyspace in (0, True, False, 1000.0, "1000", None):
+        with pytest.raises(SimulationError, match="keyspace"):
+            _gen(keyspace=keyspace)
+    for theta in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SimulationError, match="theta"):
+            _gen(keyspace=1000, theta=theta)
 
 
 def test_rank_zero_is_hottest():
@@ -109,3 +111,37 @@ def test_open_loop_counts_failures_instead_of_raising():
     sim.run()
     assert stats["requests"] == 40
     assert stats["failed_gets"] + stats["failed_puts"] == 40
+
+
+class _Recording:
+    """Wraps an rng and records the name of every method called on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = set()
+
+    def __getattr__(self, name):
+        self.calls.add(name)
+        return getattr(self._rng, name)
+
+
+def test_the_zipf_path_calls_nothing_but_random():
+    """``random()`` is the one ``random.Random`` method whose stream
+    CPython keeps stable: key draws, arrival gaps and the GET/PUT coin
+    all go through it."""
+    sim = Simulator(seed=5)
+    client = DynamoCluster(num_nodes=5, sim=sim).client("zipf")
+    key_rng = _Recording(sim.rng.stream("zipf"))
+    loop_rng = _Recording(sim.rng.stream("workload.zipf"))
+    stream = sim.rng.stream
+    sim.rng.stream = lambda name: loop_rng if name == "workload.zipf" else stream(name)
+    keys = ZipfKeyGenerator(key_rng, keyspace=1000, theta=1.3)
+    stats = {}
+    sim.spawn(
+        zipf_open_loop(sim, client, keys, rate=100.0, count=200, stats=stats),
+        name="driver",
+    )
+    sim.run()
+    assert stats["requests"] == 200 and stats["puts"] > 0
+    assert key_rng.calls == {"random"}
+    assert loop_rng.calls == {"random"}
