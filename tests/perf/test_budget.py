@@ -442,7 +442,7 @@ def test_back_to_back_chaos_runs_peak_at_one_world():
 
 
 @pytest.mark.parametrize("keyspace", [10**6, 10**9])
-def test_building_a_zipf_generator_traces_the_same_few_bytes_at_any_keyspace(keyspace):
+def test_a_zipf_generator_is_built_in_a_few_bytes_at_any_keyspace(keyspace):
     """Rejection-inversion keeps four floats, whatever the keyspace:
     3 KB traced at a million keys and at a billion, where the CDF it
     replaced peaked at 0.57 MB for a million."""

@@ -1,48 +1,100 @@
-"""The zipf CDF's hot prefix and checkpoints against the full CDF.
+"""The rejection-inversion zipf sampler against the full CDF.
 
-``ZipfKeyGenerator`` keeps exact cumulative weights for the hottest
-``_HOT`` ranks and a checkpoint every ``_BLOCK`` ranks after them,
-rebuilding a cold block on each draw that lands in it. The reference
-here is the full CDF: one ``array('d')`` holding every cumulative
-weight, bisected per draw. The totals and every draw must be
-equal — not close — at keyspaces on both sides of each boundary: inside
-the first block, at a block edge, at the end of the prefix, one past it,
-and with a short last block.
+``ZipfKeyGenerator.rank`` maps a uniform ``U`` to a point u between
+H(3/2) − 1 and H(K + ½), rounds H⁻¹(u) to a rank k, and keeps the draw
+only when u lies in the top h(k) of k's cell [H(k − ½), H(k + ½)).
+Laid end to end, those accepted stretches are the full CDF: the
+accepted length below u, u's *mass*, is uniform over [0, Σ h), and the
+rank is the bisect of the full cumulative weights at that mass.
+
+The reference here builds, per keyspace and θ, every cell top H(k + ½)
+and every cumulative weight, and finds each uniform's rank by bisecting
+those tables instead of inverting H. Each uniform must draw exactly the
+reference's rank, or be drawn again exactly where the reference finds
+it in a gap between accepted stretches. The keyspaces are the block
+edges of the checkpointed CDF this sampler replaced, kept so their ids
+stay; for the sampler they are just small, odd and large keyspaces.
 """
 
 import bisect
 import itertools
 import random
 from array import array
+from math import exp, expm1, log, log1p
 
 import pytest
 
 from repro.workload import ZipfKeyGenerator
-from repro.workload.zipf import _BLOCK, _HOT
 
-#: The prefix's edges, then the same edges of a 65 536-rank prefix: past
-#: today's prefix those are whole or short last blocks deep in the cold
-#: region.
-KEYSPACES = [1, 15, 16, 17, _HOT - 1, _HOT, _HOT + 1, _HOT + 17, 3 * _HOT + 5,
+KEYSPACES = [1, 15, 16, 17, 8191, 8192, 8193, 8209, 24581,
              65535, 65536, 65537, 65553, 196613]
 THETAS = [0, 0.5, 0.99, 1, 1.3]
 DRAWS = 5000
 
 
-def full_cdf(keyspace, theta):
-    """Every cumulative weight: the CDF before checkpointing."""
-    weights = (1.0 / (rank + 1) ** theta for rank in range(keyspace))
-    return array("d", itertools.accumulate(weights))
+def h_integral(x, theta):
+    """H(x) = (x^(1−θ) − 1)/(1 − θ), ln x at θ = 1."""
+    if theta == 1:
+        return log(x)
+    return expm1((1 - theta) * log(x)) / (1 - theta)
 
 
-class _Replay:
-    """An rng that hands out a fixed sequence of ``random()`` values."""
+def h_integral_inverse(u, theta):
+    if theta == 1:
+        return exp(u)
+    return exp(log1p((1 - theta) * u) / (1 - theta))
 
-    def __init__(self, values):
-        self._values = iter(values)
+
+class FullCdf:
+    """Every cell top H(k + ½) and every cumulative weight Σ_{j≤k} j^−θ."""
+
+    def __init__(self, keyspace, theta):
+        self.keyspace, self.theta = keyspace, theta
+        self.weights = array("d", (1.0 / k ** theta for k in range(1, keyspace + 1)))
+        self.cumulative = array("d", itertools.accumulate(self.weights))
+        self.tops = array("d", (h_integral(k + 0.5, theta)
+                                for k in range(1, keyspace + 1)))
+        self.lowest = self.tops[0] - 1.0  # H(3/2) − h(1)
+        self.span = self.lowest - self.tops[-1]
+
+    def uniform_for(self, u):
+        """The ``random()`` value that the generator maps to u."""
+        return (u - self.tops[-1]) / self.span
+
+    def rank(self, value):
+        """The 0-based rank ``value`` must draw, or None for a redraw."""
+        u = self.tops[-1] + value * self.span
+        k = min(bisect.bisect_left(self.tops, u), self.keyspace - 1) + 1
+        bottom = self.tops[k - 1] - self.weights[k - 1]
+        if u < bottom:
+            return None
+        below = self.cumulative[k - 2] if k > 1 else 0.0
+        return bisect.bisect_left(self.cumulative, below + (u - bottom))
+
+
+class _DrewAgain(Exception):
+    pass
+
+
+class _Once:
+    """An rng with a single ``random()`` value: a redraw raises."""
+
+    def __init__(self, value):
+        self._values = [value]
 
     def random(self):
-        return next(self._values)
+        if not self._values:
+            raise _DrewAgain
+        return self._values.pop()
+
+
+def draw_one(generator, value):
+    """The rank ``value`` draws, or None if the generator draws again."""
+    generator.rng = _Once(value)
+    try:
+        return generator.rank()
+    except _DrewAgain:
+        return None
 
 
 @pytest.fixture(scope="module", params=KEYSPACES)
@@ -52,40 +104,52 @@ def keyspace(request):
 
 @pytest.fixture(scope="module")
 def cdfs(keyspace):
-    return {theta: full_cdf(keyspace, theta) for theta in THETAS}
+    return {theta: FullCdf(keyspace, theta) for theta in THETAS}
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_draws_equal_a_bisect_of_the_full_cdf(keyspace, cdfs, theta):
-    cumulative = cdfs[theta]
-    total = cumulative[-1]
+    cdf = cdfs[theta]
+    source = random.Random(keyspace)
+    values = [source.random() for _ in range(DRAWS)]
+    want = [cdf.rank(value) for value in values]
+    generator = ZipfKeyGenerator(None, keyspace, theta)
+    assert [draw_one(generator, value) for value in values] == want
+    # Fed the stream itself, a redraw takes the next value.
+    accepted = [rank for rank in want if rank is not None]
     generator = ZipfKeyGenerator(random.Random(keyspace), keyspace, theta)
-    assert generator._total == total
-    reference = random.Random(keyspace)
-    want = [bisect.bisect_left(cumulative, reference.random() * total)
-            for _ in range(DRAWS)]
-    assert [generator.rank() for _ in range(DRAWS)] == want
+    assert [generator.rank() for _ in accepted] == accepted
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_draws_at_block_edges_equal_the_full_cdf(keyspace, cdfs, theta):
-    """Draws aimed at each side of every block edge in range, where a
-    rebuilt block that is off by one rank or one ulp would show."""
-    cumulative = cdfs[theta]
-    total = cumulative[-1]
-    # The prefix's end and every block's end (about 500 of them), the
-    # last rank, and the ranks beside each.
-    ends = list(range(_HOT - 1, keyspace, _BLOCK))
-    ends = ends[:: max(1, len(ends) // 500)] + ends[-1:] + [0, keyspace - 1]
-    ranks = sorted({rank + step for rank in ends for step in (-1, 0, 1)}
-                   & set(range(keyspace)))
-    # Each rank's cumulative weight as a draw, and the draws an ulp away.
-    largest = 1 - 2 ** -53  # random() < 1
-    values = []
-    for rank in ranks:
-        point = cumulative[rank] / total
-        values += [min(value, largest)
-                   for value in (point * (1 - 2 ** -52), point, point * (1 + 2 ** -52))]
-    generator = ZipfKeyGenerator(_Replay(values), keyspace, theta)
-    want = [bisect.bisect_left(cumulative, value * total) for value in values]
-    assert [generator.rank() for _ in values] == want
+    """Uniforms aimed just inside both ends of a rank's accepted stretch,
+    into the gap below it and a hair under the stretch, and either side
+    of x = k − s, where the generator's cheap acceptance test hands over
+    to the exact one: a cell or a stretch off by one rank, an acceptance
+    test with slack, or a squeeze s too generous, shows here. The first
+    40 ranks, the last three and about 300 between."""
+    cdf = cdfs[theta]
+    s = 2.0 - h_integral_inverse(h_integral(2.5, theta) - 2.0 ** -theta, theta)
+    ranks = sorted(set(range(1, min(keyspace, 40) + 1))
+                   | set(range(max(1, keyspace - 2), keyspace + 1))
+                   | set(range(1, keyspace + 1, max(1, keyspace // 300))))
+    targets = []
+    for k in ranks:
+        top = cdf.tops[k - 1]
+        bottom = top - cdf.weights[k - 1]
+        margin = 2.0 ** -20 * cdf.weights[k - 1]
+        targets += [bottom + margin, top - margin]
+        if k > 1:
+            below = cdf.tops[k - 2]
+            if bottom - below > 4 * margin:
+                targets += [(below + bottom) / 2, bottom - margin / 1024]
+            squeeze = h_integral(k - s, theta)
+            targets += [squeeze - margin, squeeze + margin]
+    values = [value for value in map(cdf.uniform_for, targets) if 0.0 <= value < 1.0]
+    assert len(values) >= 2 * len(ranks) - 2
+    want = [cdf.rank(value) for value in values]
+    if theta > 0 and keyspace > 1:
+        assert None in want  # some targets do land in a gap
+    generator = ZipfKeyGenerator(None, keyspace, theta)
+    assert [draw_one(generator, value) for value in values] == want
