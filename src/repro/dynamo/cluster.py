@@ -7,6 +7,11 @@ the coordinator's entry on the context and needs W stores; when intended
 owners are unreachable the write lands on fallback nodes with a hint —
 availability over consistency, always accept the PUT.
 
+Versions travel by reference: a PUT's targets share the one
+``VersionedValue`` the client built, a GET reply is a replica's stored
+frontier tuple, a SYNC_BUCKET entry is ``{"key": …, "version": …}``, and
+every receiver stores the object it was sent.
+
 The ring is elastic: :meth:`DynamoCluster.join` splices a new node in
 and bootstraps exactly the key ranges it now owns from their previous
 owners (range-scoped Merkle transfer); :meth:`DynamoCluster.decommission`
@@ -29,12 +34,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.gossip_membership import MembershipGossip, MembershipView
-from repro.errors import (
-    CrashedError,
-    QuicksandError,
-    SimulationError,
-    TimeoutError_,
-)
+from repro.errors import CrashedError, QuicksandError, SimulationError, TimeoutError_
 from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig, Network
 from repro.net.rpc import Endpoint, RpcError
@@ -42,14 +42,9 @@ from repro.resilience import RetryPolicy
 from repro.sim.events import Event
 from repro.sim.scheduler import Simulator
 from repro.dynamo.merkle import Entry, entry_digests
-from repro.dynamo.node import DynamoNode
+from repro.dynamo.node import _PEER_ERRORS, DynamoNode
 from repro.dynamo.ring import HashRing, RingPositions, moved_ranges, position_in_ranges
-from repro.dynamo.versions import VectorClock, VersionedValue, prune_dominated
-
-#: Exceptions one peer's failure shows up as, mid-round: no reply in time,
-#: a remote error, or our own endpoint dying under us.
-_PEER_ERRORS = (TimeoutError_, RpcError, CrashedError)
-
+from repro.dynamo.versions import Frontier, VectorClock, VersionedValue, prune_dominated
 
 #: Node-to-node replication traffic (anti-entropy pushes, Merkle sync):
 #: one retry on a half-second timer — the historic fixed discipline.
@@ -84,10 +79,10 @@ class GetResult:
 def _wire_versions(
     view: Sequence[Entry], bucket: int, buckets: int
 ) -> List[Dict[str, Any]]:
-    """The SYNC_BUCKET payload for one bucket of a store view."""
+    """The SYNC_BUCKET payload for one bucket of a store view: one
+    ``{"key", "version"}`` entry per stored version, the version itself."""
     return [
-        {"key": key, "value": version.value,
-         "clock": dict(version.clock.counters)}
+        {"key": key, "version": version}
         for key, position, versions in view
         if position % buckets == bucket
         for version in versions
@@ -325,9 +320,7 @@ class DynamoCluster:
                                     continue
                                 pushable.clear()
                                 yield from node.endpoint.call(
-                                    owner, "PUT",
-                                    {"key": key, "value": version.value,
-                                     "clock": dict(version.clock.counters)},
+                                    owner, "PUT", {"key": key, "version": version},
                                     policy=REPLICATION_POLICY,
                                 )
                                 pushed += 1
@@ -368,9 +361,7 @@ class DynamoCluster:
                 key = entry["key"]
                 if endpoint.name not in self._owners(key):
                     continue
-                version = VersionedValue(
-                    entry["value"], VectorClock(entry["clock"])
-                )
+                version = entry["version"]
                 if not self._holds(serving, key, version.clock):
                     integrated += 1
                 serving.store_version(key, version)
@@ -484,9 +475,7 @@ class DynamoCluster:
                 key = entry["key"]
                 if node.name not in self._owners(key):
                     continue
-                version = VersionedValue(
-                    entry["value"], VectorClock(entry["clock"])
-                )
+                version = entry["version"]
                 facts["kept"] += 1
                 if not self._holds(node, key, version.clock):
                     facts["fresh"] += 1
@@ -688,9 +677,7 @@ class DynamoCluster:
                         if any(pc.descends(version.clock) for pc in peer_clocks):
                             continue
                         yield from node.endpoint.call(
-                            owner, "PUT",
-                            {"key": key, "value": version.value,
-                             "clock": dict(version.clock.counters)},
+                            owner, "PUT", {"key": key, "version": version},
                             policy=REPLICATION_POLICY,
                         )
                         pushed += 1
@@ -761,16 +748,11 @@ class DynamoClient:
         )
         if len(responses) < self.cluster.r:
             raise QuorumUnavailable(f"GET {key!r}: {len(responses)} < R={self.cluster.r}")
-        versions: List[VersionedValue] = []
-        held: List[Tuple[str, List[VectorClock]]] = []  # per reply, in reply order
-        for target, reply in responses:
-            clocks = []
-            for entry in reply["versions"]:
-                clock = VectorClock(entry["clock"])
-                versions.append(VersionedValue(entry["value"], clock))
-                clocks.append(clock)
-            held.append((target, clocks))
-        siblings = prune_dominated(versions)
+        # Each reply is that replica's stored frontier, shared, not copied.
+        held = [(target, reply["versions"]) for target, reply in responses]
+        siblings = prune_dominated(
+            version for _target, frontier in held for version in frontier
+        )
         context = siblings[0].clock if siblings else VectorClock()
         for sibling in siblings[1:]:
             context = context.merge(sibling.clock)
@@ -783,21 +765,19 @@ class DynamoClient:
         self,
         key: str,
         siblings: List[VersionedValue],
-        held: List[Tuple[str, List[VectorClock]]],
+        held: List[Tuple[str, Frontier]],
     ) -> None:
         """Push the sibling frontier back to any responding node that is
         missing part of it (fire-and-forget, like Dynamo's read repair)."""
         frontier = [sibling.clock.counters for sibling in siblings]
-        for target, clocks in held:
-            if [clock.counters for clock in clocks] == frontier:
+        for target, versions in held:
+            if [version.clock.counters for version in versions] == frontier:
                 continue  # holds exactly the frontier: nothing to hash
-            have = set(clocks)
+            have = {version.clock for version in versions}
             for sibling in siblings:
                 if sibling.clock not in have:
                     self.endpoint.cast(
-                        target, "PUT",
-                        {"key": key, "value": sibling.value,
-                         "clock": dict(sibling.clock.counters)},
+                        target, "PUT", {"key": key, "version": sibling},
                     )
                     self.sim.metrics.inc("dynamo.read_repairs")
 
@@ -824,10 +804,11 @@ class DynamoClient:
             (t for t in targets if t not in intended),
             (node for node in intended if node not in targets),
         ))
-        wire_clock = dict(clock.counters)
+        # One version per write: every target's payload shares it.
+        version = VersionedValue(value, clock)
         payloads = []
         for target in targets:
-            payload = {"key": key, "value": value, "clock": wire_clock}
+            payload = {"key": key, "version": version}
             if target in hint_map:
                 payload["hint_for"] = hint_map[target]
             payloads.append((target, payload))

@@ -1,20 +1,32 @@
-"""One Dynamo storage node: sibling storage plus hinted handoff."""
+"""One Dynamo storage node: sibling storage plus hinted handoff.
+
+Versions cross the fabric by reference. A PUT carries
+``{"key": …, "version": VersionedValue}`` (plus ``hint_for`` on a
+sloppy-quorum fallback), and the node stores the very object it was
+sent, so the replicas of one write share one version. A GET replies
+``{"versions": <the stored frontier tuple>}``.
+"""
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.errors import CrashedError, SimulationError, TimeoutError_
 from repro.net.network import Network
-from repro.net.rpc import Endpoint
+from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
 from repro.sim.scheduler import Simulator
 from repro.storage.disk import Disk
 from repro.storage.snapshot import SnapshotStore, Snapshotter
+from repro.dynamo.versions import Frontier, VersionedValue, prune_dominated
 
 #: Hint delivery: one retry on a half-second timer. Undelivered hints
 #: stay queued for the next pass, so the pass cadence is the backoff.
 HINT_POLICY = RetryPolicy(max_attempts=2, timeout=0.5)
-from repro.dynamo.versions import Frontier, VectorClock, VersionedValue, prune_dominated
+
+#: Exceptions one peer's failure shows up as, mid-round: no reply in time,
+#: a remote error, or our own endpoint dying under us.
+_PEER_ERRORS = (TimeoutError_, RpcError, CrashedError)
 
 
 class DynamoNode:
@@ -61,10 +73,7 @@ class DynamoNode:
 
     def _handle_put(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
         key = msg.payload["key"]
-        version = VersionedValue(
-            value=msg.payload["value"],
-            clock=VectorClock(msg.payload["clock"]),
-        )
+        version = msg.payload["version"]
         hint_for: Optional[str] = msg.payload.get("hint_for")
         if hint_for and hint_for != self.name:
             self.hints.append((hint_for, key, version))
@@ -73,20 +82,16 @@ class DynamoNode:
         return {"stored": True}
 
     def _handle_get(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
-        key = msg.payload["key"]
-        versions = self.versions_of(key)
-        return {
-            "versions": [
-                {"value": v.value, "clock": dict(v.clock.counters)} for v in versions
-            ]
-        }
+        return {"versions": self.versions_of(msg.payload["key"])}
 
     # ------------------------------------------------------------------
     # Hinted handoff
 
     def deliver_hints(self) -> Any:
         """A generator process: push each hint to its intended owner if
-        reachable; keep the rest for later. Returns delivered count."""
+        reachable; keep for later those whose owner is cut off or fails
+        (no reply, a remote error, our own endpoint dying). Anything else
+        is a bug and propagates. Returns delivered count."""
         remaining: List[Tuple[str, str, VersionedValue]] = []
         delivered = 0
         for intended, key, version in self.hints:
@@ -95,13 +100,11 @@ class DynamoNode:
                 continue
             try:
                 yield from self.endpoint.call(
-                    intended, "PUT",
-                    {"key": key, "value": version.value,
-                     "clock": dict(version.clock.counters)},
+                    intended, "PUT", {"key": key, "version": version},
                     policy=HINT_POLICY,
                 )
                 delivered += 1
-            except Exception:  # noqa: BLE001 - owner died again; retry later
+            except _PEER_ERRORS + (SimulationError,):
                 remaining.append((intended, key, version))
         self.hints = remaining
         if delivered:

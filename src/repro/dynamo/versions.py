@@ -61,9 +61,11 @@ class VectorClock:
 class VersionedValue:
     """A blob with its version clock, immutable by convention.
 
-    Written by hand rather than as a frozen dataclass, as ``Message`` is:
-    one is built per wire entry on every GET, PUT and sync, and a frozen
-    dataclass pays an ``object.__setattr__`` call per field.
+    One is built per write, by the coordinating client, and then shared:
+    the write's PUT payloads carry it to every replica, each stores that
+    object, and GET replies, repair and sync ship it on by reference.
+    Written by hand rather than as a frozen dataclass, as ``Message`` is,
+    since a frozen dataclass pays an ``object.__setattr__`` call per field.
     """
 
     __slots__ = ("value", "clock")

@@ -1,4 +1,11 @@
-"""The unit of communication on the simulated fabric."""
+"""The unit of communication on the simulated fabric.
+
+Payloads travel by reference: the fabric copies nothing on the wire, so
+a receiver holds the very objects the sender put in the payload. A
+receiver must therefore not mutate what it was sent; a protocol that
+ships immutable values (Dynamo's versions, its stored frontier tuples)
+gets the sharing for free.
+"""
 
 from __future__ import annotations
 

@@ -10,7 +10,11 @@ counters, clock and kernel steps as the production methods on the other.
 One adaptation, because the frozen peer test named the oracle the same
 commit deleted: ``self.views is not None`` reads ``self.membership_gossips``
 (is dissemination attached), and ``self.alive`` is the cluster's
-fabric-attachment truth. Everything from the DIGESTS call down is verbatim.
+fabric-attachment truth. Everything from the DIGESTS call down is verbatim,
+but for the two decodes of a SYNC_BUCKET reply entry: the production
+``_wire_versions`` now ships the stored version itself, so each reads
+``entry["version"]`` where the frozen body rebuilt it from a value and a
+clock dict.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from repro.dynamo.cluster import (
 )
 from repro.dynamo.merkle import check_buckets, entry_digests
 from repro.dynamo.node import DynamoNode
-from repro.dynamo.versions import VectorClock, VersionedValue
 from repro.errors import SimulationError
 
 
@@ -91,10 +94,7 @@ def run_merkle_round(self, buckets: int = 16) -> Generator[Any, Any, Dict[str, i
                     key = entry["key"]
                     if a_name not in self._owners(key):
                         continue
-                    a.store_version(
-                        key,
-                        VersionedValue(entry["value"], VectorClock(entry["clock"])),
-                    )
+                    a.store_version(key, entry["version"])
                     stats["versions_moved"] += 1
     self.sim.metrics.inc("dynamo.merkle_digest_msgs", stats["digest_msgs"])
     self.sim.metrics.inc("dynamo.merkle_bucket_msgs", stats["bucket_msgs"])
@@ -150,9 +150,7 @@ def _range_sync(
             key = entry["key"]
             if node.name not in self._owners(key):
                 continue
-            version = VersionedValue(
-                entry["value"], VectorClock(entry["clock"])
-            )
+            version = entry["version"]
             if not self._holds(node, key, version.clock):
                 stats["versions_moved"] += 1
             node.store_version(key, version)

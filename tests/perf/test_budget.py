@@ -292,17 +292,22 @@ def test_a_won_call_holds_nothing_for_its_attempt_timer():
 
 # The protocol and application rung, counted the same way on a loaded
 # 8-node ring (N=3, R=W=2). A quorum op is three plain RPCs (156 calls)
-# plus its own bookkeeping; measured 280 per GET and 309 per PUT on
-# CPython 3.11 (286 and 315 while each attempt timer fired as a no-op,
-# 364 and 384 while the coordinator drove a wrapper generator per
-# replica, gathered through AllOf and hashed every clock it was shown),
-# 295 per view of a 64-op blob (827 when it rebuilt a CartOp per entry)
-# and 610 per add at 64-164 ops (1 107).
+# plus its own bookkeeping. With versions crossing the fabric by
+# reference, measured on CPython 3.10/3.11 (3.12/3.13): 264 (257) per GET,
+# 298 (294) per PUT, 277 (269) per view of a 64-op blob and 581 (569) per
+# add at 64-164 ops. While every hop rebuilt each version from a value
+# and a clock dict they were 283 (271), 309 (302), 296 (283) and 611
+# (591), so each gate sits below those on every version. Earlier, on
+# 3.11 as counted then: 286 and 315 per GET and PUT while each attempt
+# timer fired as a no-op, 364 and 384 while the coordinator drove a
+# wrapper generator per replica, gathered through AllOf and hashed every
+# clock it was shown; 827 per view while it rebuilt a CartOp per entry,
+# and 1 107 per add.
 _QUORUM_OPS = 200
-_CALLS_PER_GET = 310
-_CALLS_PER_PUT = 345
-_CALLS_PER_VIEW = 420
-_CALLS_PER_ADD = 700
+_CALLS_PER_GET = 268
+_CALLS_PER_PUT = 300
+_CALLS_PER_VIEW = 280
+_CALLS_PER_ADD = 588
 
 
 def _loaded_cluster():
@@ -326,12 +331,12 @@ def _counted(cluster, requests, *functions):
     return (calls, cluster.sim.steps - steps - 1, sent.value - messages, *tail)
 
 
-@pytest.mark.parametrize("verb, budget, hashes_per_op", [
-    ("GET", _CALLS_PER_GET, 1),
-    ("PUT", _CALLS_PER_PUT, 2),  # intended owners, then the sloppy list
-])
+@pytest.mark.parametrize("verb, budget, hashes_per_op, versions_per_op", [
+    ("GET", _CALLS_PER_GET, 1, 0),
+    ("PUT", _CALLS_PER_PUT, 2, 1),  # intended owners, then the sloppy list
+], ids=["GET", "PUT"])
 def test_quorum_op_costs_twelve_steps_and_a_bounded_number_of_calls(
-    verb, budget, hashes_per_op
+    verb, budget, hashes_per_op, versions_per_op
 ):
     cluster, loaded = _loaded_cluster()
     client = cluster.client("shopper")
@@ -345,8 +350,8 @@ def test_quorum_op_costs_twelve_steps_and_a_bounded_number_of_calls(
             else:
                 yield from client.put(f"k{i}", -i, context=loaded)
 
-    calls, steps, messages, processes, events, hashes = _counted(
-        cluster, requests(), ring_hash
+    calls, steps, messages, processes, events, hashes, versions = _counted(
+        cluster, requests(), ring_hash, VersionedValue.__init__
     )
     if verb == "GET":
         assert seen == list(range(_QUORUM_OPS))
@@ -359,6 +364,9 @@ def test_quorum_op_costs_twelve_steps_and_a_bounded_number_of_calls(
     # One per attempt, each child's ``done``, and the one they settle.
     assert events == 7 * _QUORUM_OPS
     assert hashes == hashes_per_op * _QUORUM_OPS
+    # Versions cross the fabric by reference: a PUT builds its one
+    # version, the replicas store it, and a GET builds none.
+    assert versions == versions_per_op * _QUORUM_OPS
     assert calls / _QUORUM_OPS <= budget, f"{calls / _QUORUM_OPS:.1f} calls per {verb}"
 
 
@@ -487,3 +495,28 @@ def test_a_replica_holds_a_tuple_and_a_dict_slot_per_key():
     held, _peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert held / keys <= 74, f"{held / keys:.0f} bytes per stored key"
+
+
+def test_a_replicated_write_is_stored_once():
+    """Three replicas of one write hold one version: 557-589 bytes held
+    per PUT of a fresh key on CPython 3.10-3.13 (the version, its clock,
+    three frontier tuples and three store slots), where a version rebuilt
+    by each replica's handler held 1 132-1 361."""
+    cluster = DynamoCluster(num_nodes=8, n=3, r=2, w=2, seed=20090104)
+    client = cluster.client("shopper")
+    cluster.sim.run_process(client.put("warm", 0))  # first-call caches
+    writes, context = 200, VectorClock({"loader": 1})
+    keys = [f"w{i}" for i in range(writes)]
+
+    def puts():
+        for i, key in enumerate(keys):
+            yield from client.put(key, i, context=context)
+
+    tracemalloc.start()
+    cluster.sim.run_process(puts())
+    held, _peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    stored = [node.versions_of(key) for node in cluster.nodes.values()
+              for key in keys if key in node.store]
+    assert len(stored) == cluster.n * writes
+    assert held / writes <= 800, f"{held / writes:.0f} bytes held per replicated write"

@@ -13,6 +13,12 @@ A read is the stored frontier itself, an immutable tuple: nothing done
 with a read changes the store, and no later write or crash changes a
 read already handed out. The plain tests below hold checkpoints and
 rejoins to the same sharing.
+
+Versions are shared too: a replica stores the object it was sent, so
+one version may sit under several keys and in several reads at once,
+and its clock is hashed where any of them is compared (read repair,
+convergence checks). No step may change a clock once built: every
+clock whose hash is cached still hashes to its current counters.
 """
 
 import pytest
@@ -83,6 +89,14 @@ class DynamoStorageMachine(RuleBasedStateMachine):
         read += (stray,)  # a new tuple; the stored one is untouched
         assert self.node.versions_of(key) == self._expected(key)
         self.reads.append((self.node.versions_of(key), self._expected(key)))
+        for version in read:
+            hash(version.clock)  # as read repair and convergence checks do
+
+    @rule(source=st.sampled_from(KEYS), key=st.sampled_from(KEYS))
+    def store_a_version_held_elsewhere(self, source, key):
+        """A replica stores the sender's object, not a copy."""
+        for version in self.node.versions_of(source):
+            self._store(key, version)
 
     @invariant()
     def frontiers_match_the_model(self):
@@ -94,6 +108,14 @@ class DynamoStorageMachine(RuleBasedStateMachine):
     def earlier_reads_are_unchanged(self):
         for read, expected in self.reads:
             assert read == expected
+
+    @invariant()
+    def no_stored_clock_changed_after_it_was_hashed(self):
+        for versions in self.node.store.values():
+            for version in versions:
+                cached = version.clock._hash
+                if cached is not None:
+                    assert cached == hash(tuple(sorted(version.clock.counters.items())))
 
     @invariant()
     def siblings_are_pairwise_concurrent(self):
