@@ -11,7 +11,7 @@ accepts while its *local* total stays under the cap. Gossip every P.
 
 from repro.analysis import Table
 from repro.core import BusinessRule, Operation, Replica, RuleEngine, TypeRegistry
-from repro.core.antientropy import GossipSchedule
+from repro.core.antientropy import gossip_every
 from repro.errors import RuleViolation
 from repro.sim import Simulator, Timeout
 
@@ -61,15 +61,13 @@ def run_point(gossip_period, seed, cap=100, num_replicas=3, duration=50.0, rate=
 
     for index, replica in enumerate(replicas):
         sim.spawn(submitter(replica, f"load-{index}"))
-    schedule = GossipSchedule(sim, replicas, period=gossip_period, until=duration + 10 * gossip_period)
-    schedule.install()
+    gossip_every(sim, replicas, period=gossip_period, until=duration + 10 * gossip_period)
     sim.run()
     # Final truth: merge everything and count the overshoot.
     for replica in replicas[1:]:
         replicas[0].integrate(replica.ops.missing_from(replicas[0].ops))
     final_total = replicas[0].state.get("total", 0)
     overshoot = max(0, final_total - cap)
-    violations = len(schedule.apologies) + sum(r.apologies.total for r in replicas)
     return {
         "accepted": accepted["n"],
         "refused": refused["n"],

@@ -12,7 +12,7 @@ holds the same knowledge, and the time from last ingress to convergence.
 
 from repro.analysis import Table
 from repro.core import Operation, Replica, TypeRegistry
-from repro.core.antientropy import GossipSchedule, converged
+from repro.core.antientropy import converged, gossip_every
 from repro.sim import Simulator, Timeout
 
 
@@ -47,8 +47,7 @@ def run_point(gossip_period, seed, num_replicas=5, ops=60, ingress_window=30.0):
 
     sim.spawn(ingress())
     horizon = ingress_window + 100 * gossip_period
-    schedule = GossipSchedule(sim, replicas, period=gossip_period, until=horizon)
-    schedule.install()
+    gossip_every(sim, replicas, period=gossip_period, until=horizon)
     convergence_time = None
     last_ingress = ingress_window
 

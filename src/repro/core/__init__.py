@@ -27,7 +27,7 @@ Pieces:
 from repro.core.operation import Operation, OperationType, TypeRegistry
 from repro.core.oplog import OpSet
 from repro.core.replica import Replica
-from repro.core.antientropy import sync_replicas, GossipSchedule
+from repro.core.antientropy import sync_replicas, gossip_every
 from repro.core.properties import Acid2Report, check_acid2
 from repro.core.guesses import Guess, GuessLedger, Apology, ApologyQueue
 from repro.core.rules import BusinessRule, Enforcement, RuleEngine
@@ -43,7 +43,7 @@ __all__ = [
     "OpSet",
     "Replica",
     "sync_replicas",
-    "GossipSchedule",
+    "gossip_every",
     "Acid2Report",
     "check_acid2",
     "Guess",

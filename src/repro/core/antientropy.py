@@ -4,14 +4,14 @@ Two forms:
 
 - :func:`sync_replicas` — one bidirectional exchange between two
   replicas: each integrates what the other has that it lacks. Returns the
-  apologies surfaced by the merge.
-- :class:`GossipSchedule` — installs periodic pairwise syncs on a
-  simulator.
+  apologies surfaced by the merge. :func:`sync_all` runs it round a ring.
+- :func:`gossip_every` — that ring on a simulator timer. It merges
+  directly, not over the fabric: E5 and E12 count rounds, not messages.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.guesses import Apology
 from repro.core.replica import Replica
@@ -44,40 +44,19 @@ def converged(replicas: Sequence[Replica]) -> bool:
     return all(r.ops.uniquifiers() == reference for r in replicas[1:])
 
 
-class GossipSchedule:
-    """Periodic pairwise syncs on the simulator clock.
+def gossip_every(
+    sim: Simulator, replicas: Sequence[Replica], period: float, until: float
+) -> None:
+    """:func:`sync_all` every ``period`` through ``until`` (required, so the
+    heap drains). Direct merges, not messages: E5 and E12 count rounds."""
+    if period <= 0:
+        raise SimulationError(f"bad gossip period {period}")
 
-    Each period, every adjacent pair (ring order) syncs. Gossip stops
-    after ``until`` (required, so the event heap drains).
-    """
+    def gossip_round() -> None:
+        sync_all(replicas)
+        sim.metrics.inc("gossip.rounds")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        replicas: Sequence[Replica],
-        period: float,
-        until: float,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"gossip period must be positive, got {period}")
-        self.sim = sim
-        self.replicas = list(replicas)
-        self.period = period
-        self.until = until
-        self.apologies: List[Apology] = []
-        self.syncs_done = 0
-
-    def install(self) -> None:
-        when = self.period
-        while when <= self.until:
-            self.sim.schedule_at(when, self._round)
-            when += self.period
-
-    def _round(self) -> None:
-        pairs = list(zip(self.replicas, self.replicas[1:] + self.replicas[:1]))
-        for left, right in pairs:
-            if left is right:
-                continue
-            self.apologies.extend(sync_replicas(left, right))
-            self.syncs_done += 1
-        self.sim.metrics.inc("gossip.rounds")
+    when = period
+    while when <= until:
+        sim.schedule_at(when, gossip_round)
+        when += period

@@ -38,7 +38,9 @@ def auto_uniquifier(prefix: str = "op") -> str:
 
 
 class Operation:
-    """One uniquely-identified application operation."""
+    """One uniquely-identified application operation. ``origin`` and
+    ``ingress_time`` are stamped once, at ingress; a shipped op is shared
+    by every replica it reaches, never copied, and never mutated after."""
 
     __slots__ = ("uniquifier", "op_type", "args", "origin", "ingress_time")
 

@@ -14,11 +14,12 @@ Protocol (per round, initiator → peer):
    uniquifiers the peer itself is missing.
 3. ``OPS``: the initiator pushes those missing operations back.
 
+The reply and the push carry the operations themselves, by reference.
 Both sides integrate through their replicas, so business rules fire and
 apologies queue exactly as in the direct-merge model.
 """
 
-from repro.gossip.node import GossipNode, wire_op, op_from_wire
+from repro.gossip.node import GossipNode
 from repro.gossip.cluster import GossipCluster
 
-__all__ = ["GossipNode", "GossipCluster", "wire_op", "op_from_wire"]
+__all__ = ["GossipNode", "GossipCluster"]

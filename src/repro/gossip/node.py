@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, Optional, Sequence
 
-from repro.core.operation import Operation
 from repro.core.replica import Replica
 from repro.errors import SimulationError, TimeoutError_
 from repro.net.network import Network
@@ -16,27 +15,6 @@ from repro.sim.events import Timeout
 #: anyway, so the loop itself is the backoff. Matches the historic
 #: ``timeout=0.5, retries=1`` discipline exactly.
 GOSSIP_POLICY = RetryPolicy(max_attempts=2, timeout=0.5)
-
-
-def wire_op(op: Operation) -> Dict[str, Any]:
-    """Serialize an operation for the fabric."""
-    return {
-        "op_type": op.op_type,
-        "args": dict(op.args),
-        "uniquifier": op.uniquifier,
-        "origin": op.origin,
-        "ingress_time": op.ingress_time,
-    }
-
-
-def op_from_wire(data: Dict[str, Any]) -> Operation:
-    return Operation(
-        op_type=data["op_type"],
-        args=data["args"],
-        uniquifier=data["uniquifier"],
-        origin=data["origin"],
-        ingress_time=data["ingress_time"],
-    )
 
 
 class GossipNode:
@@ -70,16 +48,13 @@ class GossipNode:
     def _handle_digest(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
         their_uniquifiers = set(msg.payload["have"])
         mine = self.replica.ops
-        to_send = [
-            wire_op(op) for op in mine if op.uniquifier not in their_uniquifiers
-        ]
+        to_send = [op for op in mine if op.uniquifier not in their_uniquifiers]
         wanted = list(their_uniquifiers - mine.uniquifiers())
         return {"ops": to_send, "want": wanted}
 
     def _handle_ops(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
-        ops = [op_from_wire(entry) for entry in msg.payload["ops"]]
-        self.replica.integrate(ops)
-        return {"integrated": len(ops)}
+        self.replica.integrate(msg.payload["ops"])
+        return {}
 
     # ------------------------------------------------------------------
     # Client side
@@ -91,12 +66,10 @@ class GossipNode:
         reply = yield from self.endpoint.call(
             peer, "DIGEST", {"have": digest}, policy=GOSSIP_POLICY
         )
-        incoming = [op_from_wire(entry) for entry in reply["ops"]]
+        incoming = reply["ops"]
         self.replica.integrate(incoming)
         wanted = set(reply["want"])
-        outgoing = [
-            wire_op(op) for op in self.replica.ops if op.uniquifier in wanted
-        ]
+        outgoing = [op for op in self.replica.ops if op.uniquifier in wanted]
         if outgoing:
             yield from self.endpoint.call(
                 peer, "OPS", {"ops": outgoing}, policy=GOSSIP_POLICY

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List
 
+from repro.core.antientropy import sync_all, sync_replicas
 from repro.core.operation import Operation
 from repro.core.oplog import OpSet
 from repro.errors import SimulationError
@@ -36,6 +37,12 @@ class _ReplicaView:
     name: str
     ops: OpSet
 
+    def integrate(self, ops: Iterable[Operation]) -> list:
+        """Learn remote sales; no rules run (oversell is counted globally)."""
+        for op in ops:
+            self.ops.add(op)
+        return []
+
 
 class InventorySystem:
     """Shared inventory of ``capacity`` units, sold at N replicas."""
@@ -45,6 +52,8 @@ class InventorySystem:
             raise SimulationError("capacity must be positive")
         if not replica_names:
             raise SimulationError("need at least one replica")
+        if len(set(replica_names)) != len(replica_names):
+            raise SimulationError(f"repeated replica name in {replica_names!r}")
         if not 0.0 <= theta <= 1.0:
             raise SimulationError(f"theta must be in [0, 1], got {theta}")
         self.capacity = capacity
@@ -55,8 +64,6 @@ class InventorySystem:
         self.quota = capacity / len(replica_names)
         self.declined = 0
         self.granted = 0
-        self.duplicates = 0
-        self.redundant_returns = 0
 
     # ------------------------------------------------------------------
 
@@ -65,7 +72,6 @@ class InventorySystem:
         knowledge."""
         replica = self._replica(replica_name)
         if uniquifier in replica.ops:
-            self.duplicates += 1
             return AllocationOutcome.DUPLICATE
         if self._limit(replica) >= 1.0:
             replica.ops.add(
@@ -96,24 +102,14 @@ class InventorySystem:
     # ------------------------------------------------------------------
     # Reconciliation
 
-    def sync(self, a_name: str, b_name: str) -> int:
-        """Bidirectional exchange between two replicas; detects redundant
-        allocations for the same uniquifier made at both sides (the
-        over-zealous replicas of §7.5) and counts the returned units."""
-        a, b = self._replica(a_name), self._replica(b_name)
-        moved = 0
-        for source, target in ((a, b), (b, a)):
-            for op in source.ops.missing_from(target.ops):
-                target.ops.add(op)
-                moved += 1
-        return moved
+    def sync(self, a_name: str, b_name: str) -> None:
+        """Bidirectional exchange; a sale both sides made under one
+        uniquifier (the over-zealous replicas of §7.5) collapses to one."""
+        sync_replicas(self._replica(a_name), self._replica(b_name))
 
     def sync_all(self) -> None:
-        names = list(self.replicas)
-        for _ in range(len(names)):
-            for left, right in zip(names, names[1:] + names[:1]):
-                if left != right:
-                    self.sync(left, right)
+        replicas = list(self.replicas.values())
+        sync_all(replicas, rounds=len(replicas))
 
     # ------------------------------------------------------------------
     # Accounting

@@ -53,7 +53,6 @@ from repro.failover.controller import FailoverController
 from repro.failover.detector import FailureDetector, FixedTimeoutDetector
 from repro.failover.heartbeat import HeartbeatEmitter
 from repro.failover.lease import Lease, LeaseManager
-from repro.gossip.node import op_from_wire, wire_op
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.patterns import OP_STRONG, OP_WEAK, classify_operation_space
@@ -77,14 +76,6 @@ class LogEntry:
 
     epoch: int
     op: Optional[Operation]
-
-    def wire(self) -> Dict[str, Any]:
-        return {"e": self.epoch, "op": wire_op(self.op) if self.op else None}
-
-    @staticmethod
-    def from_wire(data: Dict[str, Any]) -> "LogEntry":
-        op = op_from_wire(data["op"]) if data["op"] else None
-        return LogEntry(epoch=data["e"], op=op)
 
 
 @dataclass
@@ -298,8 +289,8 @@ class TxnReplica:
 
     def _handle_forward(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
         if self.leading and self._synced:
-            for data in msg.payload["ops"]:
-                self._enqueue(op_from_wire(data))
+            for op in msg.payload["ops"]:
+                self._enqueue(op)
             return {"ok": True}
         return {"ok": False, "leader": self.leader_hint}
 
@@ -333,9 +324,8 @@ class TxnReplica:
                 return {"ok": False, "length": self.commit}
             return {"ok": False, "length": base - 1}
 
-        entries = [LogEntry.from_wire(data) for data in payload["entries"]]
         changed = False
-        for offset, entry in enumerate(entries):
+        for offset, entry in enumerate(payload["entries"]):
             index = base + offset
             if index < len(self.log):
                 if self.log[index].epoch == entry.epoch:
@@ -379,7 +369,7 @@ class TxnReplica:
         return {
             "epoch": self.epoch,
             "commit": self.commit,
-            "entries": [entry.wire() for entry in self.log],
+            "entries": list(self.log),
         }
 
     # ------------------------------------------------------------------
@@ -399,7 +389,7 @@ class TxnReplica:
             if target and target != self.name:
                 self.endpoint.cast(
                     target, "TXN_FORWARD",
-                    {"ops": [wire_op(op) for op in ops], "from": self.name},
+                    {"ops": ops, "from": self.name},
                 )
 
     # ------------------------------------------------------------------
@@ -426,7 +416,7 @@ class TxnReplica:
 
         best_name, best_entries, best_rank = None, None, rank(self.log)
         for peer, reply in sorted(responses.items()):
-            entries = [LogEntry.from_wire(d) for d in reply["entries"]]
+            entries = reply["entries"]
             if rank(entries) > best_rank:
                 best_name, best_entries, best_rank = peer, entries, rank(entries)
         if best_name is None:
@@ -528,7 +518,7 @@ class TxnReplica:
                     "leader": self.name,
                     "base": base,
                     "prev_epoch": self.log[base - 1].epoch if base else 0,
-                    "entries": [e.wire() for e in self.log[base:]],
+                    "entries": self.log[base:],
                     "commit": self.commit,
                 }
                 try:

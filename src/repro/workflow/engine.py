@@ -79,6 +79,8 @@ class WorkflowSystem:
     def __init__(self, replica_names: Sequence[str], stages: Dict[str, StageHandler]) -> None:
         if not replica_names:
             raise SimulationError("need at least one workflow replica")
+        if len(set(replica_names)) != len(replica_names):
+            raise SimulationError(f"repeated workflow replica name in {replica_names!r}")
         self.replicas: Dict[str, WorkflowReplica] = {
             name: WorkflowReplica(name, stages) for name in replica_names
         }

@@ -1,7 +1,7 @@
 """Anti-entropy: convergence, schedules, disconnection."""
 
 from repro.core import Replica
-from repro.core.antientropy import GossipSchedule, converged, sync_all, sync_replicas
+from repro.core.antientropy import converged, gossip_every, sync_all, sync_replicas
 from repro.sim import Simulator
 from tests.core.conftest import add_op
 
@@ -38,9 +38,8 @@ def test_gossip_schedule_converges(counter_registry):
     replicas = make_replicas(counter_registry, 4, clock=lambda: sim.now)
     for i, replica in enumerate(replicas):
         replica.submit(add_op(10 * (i + 1)))
-    schedule = GossipSchedule(sim, replicas, period=1.0, until=10.0)
-    schedule.install()
+    gossip_every(sim, replicas, period=1.0, until=10.0)
     sim.run()
     assert converged(replicas)
     assert all(r.state["total"] == 100 for r in replicas)
-    assert schedule.syncs_done > 0
+    assert sim.metrics.counter("gossip.rounds").value == 10

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BusinessRule, Operation, RuleEngine, TypeRegistry
-from repro.gossip import GossipCluster, op_from_wire, wire_op
+from repro.gossip import GossipCluster
 
 
 def counter_registry():
@@ -23,16 +23,6 @@ def run(cluster, until):
     for node in cluster.nodes.values():
         node.run(until)
     cluster.sim.run(until=until)
-
-
-def test_wire_roundtrip():
-    op = add(5, uniq="u1", at=2.0)
-    op.origin = "g0"
-    back = op_from_wire(wire_op(op))
-    assert back == op
-    assert back.args == op.args
-    assert back.origin == "g0"
-    assert back.ingress_time == 2.0
 
 
 def test_cluster_converges_over_the_fabric():

@@ -63,5 +63,5 @@ def test_digest_handler_reports_wants():
         payload = {"have": ["only-a"]}
 
     reply = b._handle_digest(b.endpoint, FakeMsg())
-    assert [entry["uniquifier"] for entry in reply["ops"]] == ["only-b"]
+    assert [op.uniquifier for op in reply["ops"]] == ["only-b"]
     assert reply["want"] == ["only-a"]

@@ -4,7 +4,7 @@ an unknown site or node names it instead of dying of a bare KeyError."""
 
 import pytest
 
-from repro.core import Replica, TypeRegistry
+from repro.core import Replica, TypeRegistry, gossip_every
 from repro.dynamo import DynamoCluster
 from repro.errors import SimulationError
 from repro.failover import LogshipFailover
@@ -19,6 +19,10 @@ def _gossiper(**kwargs):
     return GossipNode(Network(Simulator()), replica, peers=["b"], **kwargs)
 
 
+def _timed_gossip(**kwargs):
+    gossip_every(Simulator(), [], until=1.0, **kwargs)
+
+
 def _failover(**kwargs):
     LogshipFailover(LogShippingSystem(), **kwargs).start()
 
@@ -28,6 +32,7 @@ def _failover(**kwargs):
     [
         (_gossiper, "period", 0.0),     # back-to-back rounds with no pause
         (_gossiper, "period", -1.0),
+        (_timed_gossip, "period", 0.0),
         # An explicit 0 is not "unset": it must not fall back to the default.
         (_failover, "poll_interval", 0.0),
     ],

@@ -97,3 +97,10 @@ def test_unknown_replica_rejected():
     inv = InventorySystem(10, ["a"])
     with pytest.raises(SimulationError):
         inv.request("ghost", "r1")
+
+
+def test_repeated_replica_name_rejected():
+    """Two sites named "a" would silently be one site with half the
+    stock: at θ = 0 it could sell only 5 of 10 units."""
+    with pytest.raises(SimulationError, match="repeated"):
+        InventorySystem(10, ["a", "a"])

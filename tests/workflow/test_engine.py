@@ -103,6 +103,13 @@ def test_unknown_stage_raises():
         system.submit("east", WorkItem("x", "nowhere"))
 
 
+def test_repeated_replica_name_rejected():
+    """Two sites named "x" would silently collapse to one."""
+    stages, _, _ = purchase_order_stages()
+    with pytest.raises(SimulationError, match="repeated"):
+        WorkflowSystem(["x", "x"], stages)
+
+
 def test_converged_records_after_sync():
     stages, _, _ = purchase_order_stages()
     system = WorkflowSystem(["a", "b", "c"], stages)
