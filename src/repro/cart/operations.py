@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, List, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable
 
 from repro.core.operation import auto_uniquifier
 from repro.errors import SimulationError
@@ -12,8 +12,10 @@ KINDS = ("ADD", "CHANGE", "DELETE")
 
 
 class CartOp:
-    """One captured user intention, ledger-style (§6.1). Immutable by
-    convention.
+    """One captured user intention, ledger-style (§6.1). Never mutated
+    once built: the op-centric blob holds the op itself, so the session
+    that made it, the caller it returns to and every stored blob share
+    one object.
 
     Written by hand rather than as a frozen dataclass, as ``Message`` is:
     one is built per cart operation on the request path, and a frozen
@@ -45,61 +47,40 @@ class CartOp:
             f"time={self.time!r})"
         )
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "item": self.item,
-            "quantity": self.quantity,
-            "uniquifier": self.uniquifier,
-            "time": self.time,
-        }
+    def to_wire(self) -> "CartOp":
+        """The op as a blob entry: the op itself, shared. Kept because
+        ``bench/layers.py`` builds its cart probe blobs through it."""
+        return self
 
 
-def malformed_entry(missing: KeyError) -> SimulationError:
-    """The domain error for a wire entry that lacks a field."""
-    return SimulationError(f"cart op entry has no field {missing.args[0]!r}")
-
-
-def canonical_order(ops: Iterable[CartOp]) -> List[CartOp]:
-    """Deterministic order: ingress time, then uniquifier. Every replica
-    with the same op set folds to the same cart."""
-    return sorted(ops, key=attrgetter("time", "uniquifier"))
+def malformed_entry(missing: AttributeError) -> SimulationError:
+    """The domain error for a blob entry that lacks a field (a deleted
+    slot)."""
+    return SimulationError(f"cart op entry has no field {missing.name!r}")
 
 
 def materialize(ops: Iterable[CartOp]) -> Dict[str, int]:
     """Fold operations into an item → quantity map.
 
     ADD accumulates, CHANGE overwrites, DELETE removes. Applied in
-    canonical order, so the outcome is "predictable" in the §6.1 sense.
+    canonical order (ingress time, then uniquifier), so every replica with
+    the same op set folds to the same cart: the outcome is "predictable"
+    in the §6.1 sense. An op with a missing field or an unknown kind is a
+    :class:`SimulationError`.
     """
-    return _fold(map(attrgetter("kind", "item", "quantity"), canonical_order(ops)))
-
-
-def materialize_entries(blob: Iterable[Dict[str, Any]]) -> Dict[str, int]:
-    """:func:`materialize` over wire entries (what :meth:`CartOp.to_wire`
-    makes) as they sit in a blob: same order, same fold, and no
-    ``CartOp`` built per entry. A missing field or an unknown kind is a
-    :class:`SimulationError`."""
-    try:
-        return _fold(map(
-            itemgetter("kind", "item", "quantity"),
-            sorted(blob, key=itemgetter("time", "uniquifier")),
-        ))
-    except KeyError as missing:
-        raise malformed_entry(missing) from None
-
-
-def _fold(ordered: Iterable[Tuple[str, str, int]]) -> Dict[str, int]:
-    """``(kind, item, quantity)`` triples, already in canonical order."""
     cart: Dict[str, int] = {}
-    for kind, item, quantity in ordered:
-        if kind == "ADD":
-            cart[item] = (cart[item] if item in cart else 0) + quantity
-        elif kind == "CHANGE":
-            cart[item] = quantity
-        elif kind == "DELETE":
-            if item in cart:
-                del cart[item]
-        else:
-            raise SimulationError(f"unknown cart op kind {kind!r}")
+    try:
+        ordered = sorted(ops, key=attrgetter("time", "uniquifier"))
+        for kind, item, quantity in map(attrgetter("kind", "item", "quantity"), ordered):
+            if kind == "ADD":
+                cart[item] = (cart[item] if item in cart else 0) + quantity
+            elif kind == "CHANGE":
+                cart[item] = quantity
+            elif kind == "DELETE":
+                if item in cart:
+                    del cart[item]
+            else:
+                raise SimulationError(f"unknown cart op kind {kind!r}")
+    except AttributeError as missing:
+        raise malformed_entry(missing) from None
     return {item: qty for item, qty in cart.items() if qty > 0}

@@ -49,6 +49,8 @@ class CartService:
         """The cart as the shopper sees it: reconcile whatever siblings
         the GET presents, then materialize."""
         result = yield from self.client.get(cart_key)
+        if result.conflicted:
+            self.sim.metrics.inc("cart.reconciliations")
         blob = self._reconcile(result.values)
         return self.strategy.view(blob)
 
@@ -56,6 +58,10 @@ class CartService:
 
     def _fold_in(self, cart_key: str, op: CartOp) -> Generator[Any, Any, None]:
         result = yield from self.client.get(cart_key)
+        # Only siblings the GET presented need reconciling; the
+        # remembered blob is the session's own, not a sibling.
+        if result.conflicted:
+            self.sim.metrics.inc("cart.reconciliations")
         values = list(result.values)
         if cart_key in self._last_written:
             values.append(self._last_written[cart_key])
@@ -68,6 +74,4 @@ class CartService:
     def _reconcile(self, sibling_values: list) -> Any:
         if not sibling_values:
             return self.strategy.empty()
-        if len(sibling_values) > 1:
-            self.sim.metrics.inc("cart.reconciliations")
         return self.strategy.merge(sibling_values)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Protocol
 
-from repro.cart.operations import CartOp, malformed_entry, materialize_entries
+from repro.cart.operations import CartOp, malformed_entry, materialize
 
 
 class CartStrategy(Protocol):
@@ -32,39 +32,44 @@ class CartStrategy(Protocol):
 class OpCartStrategy:
     """Operation-centric: the blob is the operation log (§6.5).
 
+    A blob is a list of the :class:`CartOp`s themselves, shared with the
+    session that made them and with every other blob that holds them;
+    nothing mutates an op or a stored list, so ``apply`` and ``merge``
+    return a fresh list and copy no entry.
+
     Merge is union by uniquifier — associative, commutative, idempotent —
     so no sibling interleaving can lose or resurrect anything.
     """
 
     name = "op-centric"
 
-    def empty(self) -> List[Dict[str, Any]]:
+    def empty(self) -> List[CartOp]:
         return []
 
-    def apply(self, blob: List[Dict[str, Any]], op: CartOp) -> List[Dict[str, Any]]:
+    def apply(self, blob: List[CartOp], op: CartOp) -> List[CartOp]:
         uniquifier = op.uniquifier
         try:
             for entry in blob:
-                if entry["uniquifier"] == uniquifier:
+                if entry.uniquifier == uniquifier:
                     return list(blob)
-        except KeyError as missing:
+        except AttributeError as missing:
             raise malformed_entry(missing) from None
-        return [*blob, op.to_wire()]
+        return [*blob, op]
 
-    def merge(self, siblings: List[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
-        seen: Dict[str, Dict[str, Any]] = {}
+    def merge(self, siblings: List[List[CartOp]]) -> List[CartOp]:
+        seen: Dict[str, CartOp] = {}
         try:
             for sibling in siblings:
                 for entry in sibling:
-                    uniquifier = entry["uniquifier"]
+                    uniquifier = entry.uniquifier
                     if uniquifier not in seen:
                         seen[uniquifier] = entry
-        except KeyError as missing:
+        except AttributeError as missing:
             raise malformed_entry(missing) from None
         return list(seen.values())
 
-    def view(self, blob: List[Dict[str, Any]]) -> Dict[str, int]:
-        return materialize_entries(blob)
+    def view(self, blob: List[CartOp]) -> Dict[str, int]:
+        return materialize(blob)
 
 
 class MaterializedCartStrategy:

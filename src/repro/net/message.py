@@ -4,7 +4,8 @@ Payloads travel by reference: the fabric copies nothing on the wire, so
 a receiver holds the very objects the sender put in the payload. A
 receiver must therefore not mutate what it was sent; a protocol that
 ships immutable values (Dynamo's versions and frontiers, operations,
-the txn layer's frozen log entries) gets the sharing for free.
+the txn layer's frozen log entries, the cart's ops inside a blob) gets
+the sharing for free.
 """
 
 from __future__ import annotations

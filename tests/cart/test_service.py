@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cart import (
+    CartOp,
     CartService,
     LwwCartStrategy,
     MaterializedCartStrategy,
@@ -93,15 +94,28 @@ def test_reconciliation_counter_ticks_on_siblings():
 
     def shop():
         # Manufacture true siblings with two blind writers.
-        yield from alice.put("cart:x", [
-            {"kind": "ADD", "item": "book", "quantity": 1, "uniquifier": "a", "time": 1.0}
-        ])
-        yield from bob.put("cart:x", [
-            {"kind": "ADD", "item": "pen", "quantity": 1, "uniquifier": "b", "time": 1.0}
-        ])
+        yield from alice.put("cart:x", [CartOp("ADD", "book", 1, "a", 1.0)])
+        yield from bob.put("cart:x", [CartOp("ADD", "pen", 1, "b", 1.0)])
         cart = yield from service.view("cart:x")
         return cart
 
     cart = cluster.sim.run_process(shop())
     assert cart == {"book": 1, "pen": 1}
-    assert cluster.sim.metrics.counter("cart.reconciliations").value >= 1
+    assert cluster.sim.metrics.counter("cart.reconciliations").value == 1
+
+
+def test_a_session_reading_its_own_write_reconciles_nothing():
+    """The session's remembered blob is folded into every write, but it
+    is not a sibling: with no concurrency there is nothing to reconcile."""
+    cluster = DynamoCluster(seed=5)
+    service = CartService(cluster, OpCartStrategy())
+
+    def shop():
+        yield from service.add("cart:x", "book")
+        yield from service.add("cart:x", "pen")
+        cart = yield from service.view("cart:x")
+        return cart
+
+    assert cluster.sim.run_process(shop()) == {"book": 1, "pen": 1}
+    assert cluster.sim.metrics.counter("dynamo.sibling_gets").value == 0
+    assert cluster.sim.metrics.counter("cart.reconciliations").value == 0

@@ -90,20 +90,20 @@ def test_apply_does_not_mutate_input():
 
 
 # ----------------------------------------------------------------------
-# Malformed blobs: the strategy reads wire entries directly, so what a
-# broken one raises is a domain error that names what is wrong with it.
+# Malformed blobs: the strategy reads the ops a blob holds directly, so
+# what a broken one raises is a domain error that names what is wrong
+# with it. An op is checked when it is built, so a blob entry breaks only
+# by being changed after: a deleted slot or a reassigned kind.
 
 
-def _entry(**changes):
-    wire = CartOp("ADD", "book", 1, uniquifier="u1", time=1.0).to_wire()
-    wire.update(changes)
-    return wire
+def _entry(uniquifier="u1", time=1.0):
+    return CartOp("ADD", "book", 1, uniquifier=uniquifier, time=time)
 
 
 def _without(field):
-    wire = _entry()
-    del wire[field]
-    return wire
+    entry = _entry()
+    delattr(entry, field)
+    return entry
 
 
 @pytest.mark.parametrize(
@@ -115,8 +115,10 @@ def test_op_cart_view_names_the_missing_field(field):
 
 
 def test_op_cart_view_rejects_an_unknown_kind():
+    stolen = _entry()
+    stolen.kind = "STEAL"
     with pytest.raises(SimulationError, match="unknown cart op kind 'STEAL'"):
-        OpCartStrategy().view([_entry(kind="STEAL")])
+        OpCartStrategy().view([stolen])
 
 
 def test_op_cart_merge_and_apply_name_the_missing_uniquifier():
@@ -130,9 +132,12 @@ def test_op_cart_merge_and_apply_name_the_missing_uniquifier():
 
 def test_op_cart_apply_returns_a_new_list_either_way():
     strategy = OpCartStrategy()
-    blob = [_entry()]
+    book = _entry()
+    blob = [book]
     fresh = CartOp("ADD", "pen", uniquifier="u2", time=2.0)
-    assert strategy.apply(blob, fresh) == [_entry(), fresh.to_wire()]
+    applied = strategy.apply(blob, fresh)
+    # A CartOp has no value equality: == on these lists is identity.
+    assert applied == [book, fresh]
     duplicate = strategy.apply(blob, CartOp("ADD", "book", uniquifier="u1"))
     assert duplicate == blob and duplicate is not blob
-    assert blob == [_entry()]
+    assert blob == [book]

@@ -475,6 +475,31 @@ def test_a_gossiped_op_is_stored_once():
     assert held / ops < 500, f"{held / ops:.0f} bytes held per gossiped op"
 
 
+def test_a_cart_op_is_stored_once():
+    """400 adds over 20 warm carts on three replicas. A blob holds the
+    ``CartOp`` the session made, so what an add leaves behind is that op
+    and a slot in each cart's blob: 222 bytes held per add on CPython
+    3.12-3.13, 238 on 3.11 and 277 on 3.10, where a wire dict per op
+    beside it held 334, 348 and 436."""
+    cluster = DynamoCluster(num_nodes=3, n=3, r=2, w=2, seed=20090104)
+    cart = CartService(cluster, OpCartStrategy(), client=cluster.client("shopper"))
+    carts = [f"cart{i}" for i in range(20)]
+
+    def adds(count):
+        for n in range(count):
+            yield from cart.add(carts[n % len(carts)], f"item{n % 7}")
+
+    cluster.sim.run_process(adds(40))  # every cart stored, first-call caches
+    added = 400
+    gc.collect()
+    tracemalloc.start()
+    cluster.sim.run_process(adds(added))
+    gc.collect()
+    held, _peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert held / added < 300, f"{held / added:.0f} bytes held per cart add"
+
+
 @pytest.mark.parametrize("keyspace", [10**6, 10**9])
 def test_a_zipf_generator_is_built_in_a_few_bytes_at_any_keyspace(keyspace):
     """Rejection-inversion keeps four floats, whatever the keyspace:

@@ -60,39 +60,40 @@ def test_materialize_input_order_independent(ops, rng):
 
 
 # ----------------------------------------------------------------------
-# Differential: merge / apply / view, which read wire entries directly,
-# against the bodies they replaced — kept here as the reference. Same
-# list, in the same order, not merely the same set.
+# Differential: merge / apply / view over blobs of shared ops, against
+# plain reference bodies kept here. Same list, in the same order, holding
+# the same objects, not merely the same set.
 
-wire_entries = st.fixed_dictionaries({
-    "kind": st.sampled_from(["ADD", "CHANGE", "DELETE"]),
-    "item": st.sampled_from(["book", "pen", "ink"]),
-    "quantity": st.integers(min_value=0, max_value=5),
+blob_entries = st.builds(
+    CartOp,
+    kind=st.sampled_from(["ADD", "CHANGE", "DELETE"]),
+    item=st.sampled_from(["book", "pen", "ink"]),
+    quantity=st.integers(min_value=0, max_value=5),
     # Few uniquifiers and few times: siblings overlap, and ties in time
     # are broken by uniquifier, ties in both by position.
-    "uniquifier": st.sampled_from([f"u{i}" for i in range(8)]),
-    "time": st.sampled_from([0.0, 1.0, 1.5, 2.0]),
-})
-sibling_sets = st.lists(st.lists(wire_entries, max_size=8), max_size=4)
+    uniquifier=st.sampled_from([f"u{i}" for i in range(8)]),
+    time=st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+)
+sibling_sets = st.lists(st.lists(blob_entries, max_size=8), max_size=4)
 
 
 def _reference_merge(siblings):
     seen = {}
     for sibling in siblings:
         for entry in sibling:
-            seen.setdefault(entry["uniquifier"], entry)
+            seen.setdefault(entry.uniquifier, entry)
     return list(seen.values())
 
 
 def _reference_apply(blob, op):
-    if any(entry["uniquifier"] == op.uniquifier for entry in blob):
+    if any(entry.uniquifier == op.uniquifier for entry in blob):
         return list(blob)
-    return list(blob) + [op.to_wire()]
+    return list(blob) + [op]
 
 
-def _reference_materialize(ops):
+def _reference_view(blob):
     cart = {}
-    for op in sorted(ops, key=lambda op: (op.time, op.uniquifier)):
+    for op in sorted(blob, key=lambda op: (op.time, op.uniquifier)):
         if op.kind == "ADD":
             cart[op.item] = cart.get(op.item, 0) + op.quantity
         elif op.kind == "CHANGE":
@@ -102,29 +103,27 @@ def _reference_materialize(ops):
     return {item: qty for item, qty in cart.items() if qty > 0}
 
 
-def _reference_view(blob):
-    return _reference_materialize(CartOp(**entry) for entry in blob)
+def _ids(entries):
+    return [id(entry) for entry in entries]
 
 
 @given(sibling_sets)
 @settings(max_examples=150)
 def test_merge_matches_the_setdefault_union(siblings):
     merged = OpCartStrategy().merge(siblings)
-    expected = _reference_merge(siblings)
-    assert merged == expected
-    assert [id(entry) for entry in merged] == [id(entry) for entry in expected]
+    assert _ids(merged) == _ids(_reference_merge(siblings))
 
 
-@given(st.lists(wire_entries, max_size=8), cart_ops, st.sampled_from(range(8)))
+@given(st.lists(blob_entries, max_size=8), cart_ops, st.sampled_from(range(8)))
 @settings(max_examples=150)
 def test_apply_matches_the_any_scan(blob, op, collide_with):
     strategy = OpCartStrategy()
     clash = CartOp(op.kind, op.item, op.quantity, f"u{collide_with}", op.time)
     for candidate in (op, clash):
-        before = list(blob)
+        before = _ids(blob)
         applied = strategy.apply(blob, candidate)
-        assert applied == _reference_apply(blob, candidate)
-        assert applied is not blob and blob == before
+        assert _ids(applied) == _ids(_reference_apply(blob, candidate))
+        assert applied is not blob and _ids(blob) == before
 
 
 @given(sibling_sets)
@@ -135,6 +134,9 @@ def test_view_matches_materialize_over_rebuilt_ops(siblings):
         view = strategy.view(blob)
         assert view == _reference_view(blob)
         assert list(view) == list(_reference_view(blob))  # same item order
-        ops = [CartOp(**entry) for entry in blob]
-        assert materialize(ops) == view
-        assert list(materialize(iter(ops))) == list(view)
+        rebuilt = [
+            CartOp(op.kind, op.item, op.quantity, op.uniquifier, op.time)
+            for op in blob
+        ]
+        assert materialize(rebuilt) == view
+        assert list(materialize(iter(rebuilt))) == list(view)
