@@ -70,8 +70,8 @@ def run_sweep():
     return rows
 
 
-def test_a03_workflow_duplication(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_a03_workflow_duplication():
+    rows = run_sweep()
     table = Table(
         "A3  40 purchase orders, 50% retried at the other replica",
         ["knowledge exchange", "physical executions", "logical executions",
@@ -79,7 +79,7 @@ def test_a03_workflow_duplication(benchmark, show):
     )
     for row in rows:
         table.add_row(*row)
-    show(table)
+    table.print()
     by_label = {row[0]: row for row in rows}
     # Shape: logical executions are identical everywhere (the uniquifier
     # guarantee); physical waste grows as the replicas talk less.

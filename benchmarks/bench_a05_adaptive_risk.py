@@ -75,8 +75,8 @@ def run_sweep():
     return rows
 
 
-def test_a05_adaptive_risk(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_a05_adaptive_risk():
+    rows = run_sweep()
     table = Table(
         "A5  Fixed vs adaptive coordination threshold (apology target 2%)",
         ["environment", "policy", "apology rate", "mean latency ms",
@@ -84,7 +84,7 @@ def test_a05_adaptive_risk(benchmark, show):
     )
     for row in rows:
         table.add_row(*row)
-    show(table)
+    table.print()
     results = {(row[0], row[1]): row for row in rows}
     calm_fixed = results[("calm world", "fixed $1000")]
     risky_fixed = results[("risky world", "fixed $1000")]

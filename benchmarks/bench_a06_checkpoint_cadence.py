@@ -53,8 +53,8 @@ def run_sweep():
     return rows
 
 
-def test_a06_checkpoint_cadence(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_a06_checkpoint_cadence():
+    rows = run_sweep()
     table = Table(
         "A6  Checkpoint cadence: clean-run cost vs work redone on takeover",
         ["cadence", "clean run ms", "checkpoints", "steps redone after crash",
@@ -62,7 +62,7 @@ def test_a06_checkpoint_cadence(benchmark, show):
     )
     for row in rows:
         table.add_row(*row)
-    show(table)
+    table.print()
     by_label = {row[0]: row for row in rows}
     # Shape: sync is slowest but redoes least; looser cadences are faster
     # and redo more. Everything completes regardless — idempotence.

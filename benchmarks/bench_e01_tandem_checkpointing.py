@@ -41,8 +41,8 @@ def run_sweep():
     return rows
 
 
-def test_e01_tandem_checkpointing(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e01_tandem_checkpointing():
+    rows = run_sweep()
     table = Table(
         "E1  Tandem DP1 (sync per-WRITE checkpoint) vs DP2 (log-combined)",
         ["writes/txn", "DP1 write ms", "DP2 write ms", "write speedup",
@@ -58,7 +58,7 @@ def test_e01_tandem_checkpointing(benchmark, show):
             dp2["messages_per_txn"],
             ratio(dp1["messages_per_txn"], dp2["messages_per_txn"]),
         )
-    show(table)
+    table.print()
     # Shape: DP2 wins on WRITE latency (≥1.5x) and on messages, and the
     # message savings grow with writes per transaction.
     for _w, dp1, dp2 in rows:

@@ -45,8 +45,8 @@ def run_sweep():
     return results
 
 
-def test_e02_group_commit(benchmark, show):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e02_group_commit():
+    results = run_sweep()
     table = Table(
         "E2  Group commit latency vs offered load (disk 5ms)",
         ["load", "bus timer", "mean ms", "p99 ms", "riders/bus"],
@@ -59,7 +59,7 @@ def test_e02_group_commit(benchmark, show):
             point["p99_ms"],
             point["riders_per_bus"],
         )
-    show(table)
+    table.print()
     # Shape: idle → car wins; overloaded → bus wins big.
     assert results[("idle (100ms)", None)]["mean_ms"] < results[("idle (100ms)", 0.002)]["mean_ms"]
     assert results[("overloaded (1ms)", 0.002)]["mean_ms"] < results[("overloaded (1ms)", None)]["mean_ms"] / 2

@@ -53,15 +53,15 @@ def run_sweep():
     return rows
 
 
-def test_e04_log_shipping(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e04_log_shipping():
+    rows = run_sweep()
     table = Table(
         "E4  Log shipping: commit latency vs committed work lost at takeover",
         ["mode", "commit latency ms", "avg committed txns lost", "avg acked"],
     )
     for label, commit_ms, lost, acked in rows:
         table.add_row(label, commit_ms, lost, acked)
-    show(table)
+    table.print()
     by_label = {row[0]: row for row in rows}
     # Shape: sync never loses but pays the WAN on every commit; async loss
     # grows with the shipping interval.

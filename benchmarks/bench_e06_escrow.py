@@ -75,8 +75,8 @@ def run_sweep():
     return rows
 
 
-def test_e06_escrow(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e06_escrow():
+    rows = run_sweep()
     table = Table(
         "E6  Makespan of a hot-account workload (10ms think time per txn)",
         ["mix", "concurrency", "escrow s", "exclusive s", "escrow speedup"],
@@ -84,7 +84,7 @@ def test_e06_escrow(benchmark, show):
     for mix, concurrency, escrow_time, exclusive_time in rows:
         table.add_row(mix, concurrency, escrow_time, exclusive_time,
                       ratio(exclusive_time, escrow_time))
-    show(table)
+    table.print()
     by_key = {(mix, c): (e, x) for mix, c, e, x in rows}
     # Shape: at concurrency 64 escrow crushes exclusive; READs erode the
     # advantage.

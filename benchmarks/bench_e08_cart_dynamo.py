@@ -89,15 +89,15 @@ def run_all():
     }
 
 
-def test_e08_cart_dynamo(benchmark, show):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e08_cart_dynamo():
+    results = run_all()
     table = Table(
         "E8  Cart anomalies across 12 shared carts with concurrent sessions",
         ["strategy", "items lost/shorted", "deleted items resurrected"],
     )
     for name, counts in results.items():
         table.add_row(name, counts["lost_adds"], counts["resurrections"])
-    show(table)
+    table.print()
     # Shape: op-centric is clean; materialized resurrects deletes but
     # keeps adds; LWW loses adds.
     assert results["op-centric"]["lost_adds"] == 0

@@ -103,8 +103,8 @@ def run_all(seeds=(0, 1, 2)):
     }
 
 
-def test_e14_split_brain(benchmark, show):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e14_split_brain():
+    results = run_all()
     rows = results["policies"]
 
     table = Table(
@@ -121,7 +121,7 @@ def test_e14_split_brain(benchmark, show):
             row["false_convictions"], round(row["detect_latency"], 3),
             row["violations"],
         )
-    show(table)
+    table.print()
 
     tradeoff = results["tradeoff"]
     ttable = Table(
@@ -136,7 +136,7 @@ def test_e14_split_brain(benchmark, show):
             else round(row["detect_latency"], 3),
             round(row["false_rate"], 2),
         )
-    show(ttable)
+    ttable.print()
 
     unfenced, fenced = rows["unfenced"], rows["fenced"]
     # The §5.1 hazard: unfenced takeover loses acked updates; the epoch

@@ -9,14 +9,9 @@ length, not the total log — double the history and the rejoin bill
 barely moves, while the no-snapshot path pays for every record ever
 written.
 
-Run under pytest-benchmark for the table, or standalone to write the CI
-report artifact::
-
-    PYTHONPATH=src python benchmarks/bench_e15_snapshot_recovery.py --out e15-report.json
+Run with ``pytest benchmarks/bench_e15_snapshot_recovery.py -s`` to print
+the tables.
 """
-
-import argparse
-import json
 
 from repro.analysis import Table
 from repro.logship import LogShippingSystem
@@ -107,11 +102,9 @@ def _check_shapes(cadence_rows, scaling_rows):
     assert snap_growth < 1.5, snap_growth
 
 
-def test_e15_snapshot_recovery(benchmark, show):
-    cadence_rows, scaling_rows = benchmark.pedantic(
-        lambda: (run_cadence_sweep(), run_scaling_sweep()),
-        rounds=1, iterations=1,
-    )
+def test_e15_snapshot_recovery():
+    cadence_rows = run_cadence_sweep()
+    scaling_rows = run_scaling_sweep()
     table = Table(
         "E15  Snapshot + tail recovery: checkpoint cadence vs rejoin cost",
         ["cadence s", "snapshots", "covered lsn", "tail replayed",
@@ -124,7 +117,7 @@ def test_e15_snapshot_recovery(benchmark, show):
             row["tail_replayed"], round(row["recovery_ms"], 2),
             row["reshipped"],
         )
-    show(table)
+    table.print()
     scaling = Table(
         "E15b Recovery cost scales with the tail, not the log",
         ["total txns", "snap tail", "snap recovery ms",
@@ -136,34 +129,5 @@ def test_e15_snapshot_recovery(benchmark, show):
             round(row["snap_recovery_ms"], 2),
             row["full_tail"], round(row["full_recovery_ms"], 2),
         )
-    show(scaling)
+    scaling.print()
     _check_shapes(cadence_rows, scaling_rows)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="e15-report.json",
-                        help="where to write the JSON report")
-    args = parser.parse_args(argv)
-    cadence_rows = run_cadence_sweep()
-    scaling_rows = run_scaling_sweep()
-    _check_shapes(cadence_rows, scaling_rows)
-    report = {
-        "experiment": "E15",
-        "title": "Snapshot + tail recovery",
-        "cadence_sweep": cadence_rows,
-        "scaling_sweep": scaling_rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"E15 report written to {args.out}")
-    for row in cadence_rows:
-        cadence = "none" if row["cadence"] is None else f"{row['cadence']:g}s"
-        print(f"  cadence {cadence:>6}: {row['snapshots_taken']:3.0f} snapshots, "
-              f"tail {row['tail_replayed']:3d}, "
-              f"recovery {row['recovery_ms']:7.2f} ms")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,14 +8,9 @@ hash space the joiner's vnodes capture), the moved *share* of the store
 stays flat as the keyspace grows, and the transfer is always a small
 fraction of the ``n * keys`` a naive full re-replication would ship.
 
-Run under pytest-benchmark for the table, or standalone to write the CI
-report artifact::
-
-    PYTHONPATH=src python benchmarks/bench_e16_ring_rebalance.py --out e16-report.json
+Run with ``pytest benchmarks/bench_e16_ring_rebalance.py -s`` to print the
+table.
 """
-
-import argparse
-import json
 
 from repro.analysis import Table
 from repro.dynamo.cluster import DynamoCluster
@@ -84,8 +79,8 @@ def _check_shapes(rows):
     assert max(shares) <= 1.4 * min(shares), shares
 
 
-def test_e16_ring_rebalance(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e16_ring_rebalance():
+    rows = run_sweep()
     table = Table(
         "E16  Elastic rebalance: versions moved track the moved arcs",
         ["keys", "moved arcs", "gained share", "predicted join",
@@ -99,32 +94,5 @@ def test_e16_ring_rebalance(benchmark, show):
             round(row["join_moved"] / row["keys"], 3),
             row["decom_moved"], row["total_replicas"],
         )
-    show(table)
+    table.print()
     _check_shapes(rows)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="e16-report.json",
-                        help="where to write the JSON report")
-    args = parser.parse_args(argv)
-    rows = run_sweep()
-    _check_shapes(rows)
-    report = {
-        "experiment": "E16",
-        "title": "Elastic ring rebalance cost",
-        "sweep": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"E16 report written to {args.out}")
-    for row in rows:
-        print(f"  keys {row['keys']:4d}: join moved {row['join_moved']:4d} "
-              f"(predicted {row['predicted_join']:6.1f}), "
-              f"decom moved {row['decom_moved']:4d}, "
-              f"replicas {row['total_replicas']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,8 +17,6 @@ detector axis moves detection latency (phi convicts faster than the
 fixed timeout), never correctness.
 """
 
-import argparse
-import json
 
 from repro.analysis import Table
 from repro.chaos.game_day import GameDayScenario
@@ -102,8 +100,8 @@ def _check_claims(rows):
             < cells[("fenced", "fixed")]["detect_latency"])
 
 
-def test_e17_game_day(benchmark, show):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e17_game_day():
+    rows = run_sweep()
     table = Table(
         "E17  Geo game day: detector x fencing under WAN cut + retry "
         "storm + slow disk (3 DCs, 100+ procs)",
@@ -120,38 +118,5 @@ def test_e17_game_day(benchmark, show):
             else round(row["detect_latency"], 3),
             row["endpoints"],
         )
-    show(table)
+    table.print()
     _check_claims(rows)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="e17-report.json",
-                        help="where to write the JSON report")
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="seeds per cell (0..N-1)")
-    args = parser.parse_args(argv)
-    rows = run_sweep(seeds=tuple(range(args.seeds)))
-    _check_claims(rows)
-    report = {
-        "experiment": "E17",
-        "title": "Geo-scale game day: detector x fencing under compound "
-                 "multi-DC faults",
-        "sweep": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"E17 report written to {args.out}")
-    for row in rows:
-        latency = ("-" if row["detect_latency"] is None
-                   else f"{row['detect_latency']:.3f}s")
-        print(f"  {row['policy']:8s} {row['detector']:5s}: "
-              f"violations {row['violations']:.1f}, "
-              f"lost updates {row['lost_updates']:.1f}, "
-              f"stale rejected {row['stale_rejected']:.1f}, "
-              f"detect {latency}, endpoints {row['endpoints']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

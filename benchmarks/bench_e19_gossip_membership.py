@@ -19,14 +19,10 @@ Two measured claims about epidemically disseminated liveness:
    (the member always returns). Either way, no verdict sticks: the
    returning member's incarnation bump clears it everywhere.
 
-Run under pytest-benchmark for the tables, or standalone to write the
-CI report artifact::
-
-    PYTHONPATH=src python benchmarks/bench_e19_gossip_membership.py --out e19-report.json
+Run with ``pytest benchmarks/bench_e19_gossip_membership.py -s`` to print
+the tables.
 """
 
-import argparse
-import json
 import math
 
 from repro.analysis import Table
@@ -259,8 +255,8 @@ def run_sweep():
 # Entrypoints
 
 
-def test_e19_gossip_membership(benchmark, show):
-    dis_rows, flap = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e19_gossip_membership():
+    dis_rows, flap = run_sweep()
     table = Table(
         "E19  Rumor dissemination: claim (period·log2(n)/log2(1+f)) vs measured",
         ["n", "fanout", "predicted (s)", "measured (s)", "ratio"],
@@ -270,7 +266,7 @@ def test_e19_gossip_membership(benchmark, show):
             row["n"], row["fanout"], f"{row['predicted_s']:.3f}",
             f"{row['measured_s']:.3f}", f"{row['ratio']:.2f}",
         )
-    show(table)
+    table.print()
     flap_table = Table(
         "E19  Flapping member: false-dead verdicts vs flap off-time "
         f"(suspicion timeout {_SUSPICION_TIMEOUT}s)",
@@ -283,38 +279,5 @@ def test_e19_gossip_membership(benchmark, show):
             round(row["dead_verdicts"], 1), row["false_dead_per_cycle"],
             round(row["refutations"], 1), row["stuck_verdicts"],
         )
-    show(flap_table)
+    flap_table.print()
     check_claims(dis_rows, flap)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="e19-report.json",
-                        help="where to write the JSON report")
-    args = parser.parse_args(argv)
-    dis_rows, flap = run_sweep()
-    check_claims(dis_rows, flap)
-    report = {
-        "experiment": "E19",
-        "title": "Gossip membership dissemination and flapping",
-        "dissemination": dis_rows,
-        "flap": flap,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"E19 report written to {args.out}")
-    for row in dis_rows:
-        print(f"  n={row['n']:3d} fanout={row['fanout']}: "
-              f"measured {row['measured_s']:.3f}s "
-              f"predicted {row['predicted_s']:.3f}s "
-              f"(ratio {row['ratio']:.2f})")
-    for row in flap:
-        print(f"  flap off={row['off_s']:.1f}s: "
-              f"false-dead/cycle {row['false_dead_per_cycle']:.2f} "
-              f"refutations {row['refutations']:.1f} "
-              f"stuck {row['stuck_verdicts']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -111,11 +111,7 @@ class LogshipFailover:
         self.monitor = Endpoint(system.network, self.monitor_name)
         self.monitor.register("HEARTBEAT", self._handle_heartbeat)
         self.monitor.start()
-        self.emitter = HeartbeatEmitter(
-            system.primary.endpoint,
-            self.monitor_name,
-            epoch_of=lambda: system.primary.epoch,
-        )
+        self.emitter = HeartbeatEmitter(system.primary.endpoint, self.monitor_name)
         self.controller = FailoverController(
             self.sim,
             self.detector,

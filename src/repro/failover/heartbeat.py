@@ -10,28 +10,22 @@ ambiguity the detector has to act on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator
 
 from repro.net.rpc import Endpoint
 from repro.sim.events import Timeout
 
 
 class HeartbeatEmitter:
-    """Casts ``HEARTBEAT {node, seq, epoch}`` every :attr:`interval`."""
+    """Casts ``HEARTBEAT {node, seq}`` every :attr:`interval`."""
 
     interval = 0.25
 
-    def __init__(
-        self,
-        endpoint: Endpoint,
-        monitor: str,
-        epoch_of: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def __init__(self, endpoint: Endpoint, monitor: str) -> None:
         self.sim = endpoint.sim
         self.endpoint = endpoint
         self.monitor = monitor
         self.node = endpoint.name
-        self.epoch_of = epoch_of
         self._proc = None
         self._seq = 0
 
@@ -50,12 +44,6 @@ class HeartbeatEmitter:
             yield Timeout(self.interval)
             self._seq += 1
             self.endpoint.cast(
-                self.monitor,
-                "HEARTBEAT",
-                {
-                    "node": self.node,
-                    "seq": self._seq,
-                    "epoch": self.epoch_of() if self.epoch_of else 0,
-                },
+                self.monitor, "HEARTBEAT", {"node": self.node, "seq": self._seq}
             )
             self.sim.metrics.inc("failover.heartbeats_sent")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
+from repro.errors import SimulationError
+
 
 class Counter:
     """A monotonically adjustable named count."""
@@ -71,6 +73,8 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Exact percentile by linear interpolation; ``q`` in [0, 100]."""
+        if not 0 <= q <= 100:
+            raise SimulationError(f"percentile q={q!r} is outside [0, 100]")
         if not self.values:
             return math.nan
         data = sorted(self.values)

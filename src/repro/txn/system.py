@@ -645,11 +645,8 @@ class MixedTxnSystem:
     def _start_emitter(self) -> None:
         if self._emitter is not None:
             self._emitter.stop()
-        leader = self.replicas[self.serving]
         self._emitter = HeartbeatEmitter(
-            leader.endpoint,
-            self.monitor_name,
-            epoch_of=lambda: leader.epoch,
+            self.replicas[self.serving].endpoint, self.monitor_name
         )
         self._emitter.start()
 

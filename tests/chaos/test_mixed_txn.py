@@ -95,19 +95,6 @@ def test_different_seeds_tell_different_stories():
 
 
 # ----------------------------------------------------------------------
-# The E18 claim (CI chaos-smoke runs this under -m slow)
-
-
-@pytest.mark.slow
-def test_e18_claim_weak_beats_strong_priced_in_apologies():
-    """The full sweep: in-partition goodput favors the guesses at every
-    mix and cut, and the apology rate is the bill."""
-    from benchmarks.bench_e18_mixed_txn import _check_claims, run_sweep
-
-    _check_claims(run_sweep())
-
-
-# ----------------------------------------------------------------------
 # Config validation
 
 

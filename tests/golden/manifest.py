@@ -192,26 +192,14 @@ def _example(name):
         str(REPO / "examples" / f"{name}.py"))["main"]())}
 
 
-class _CallThrough:
-    """The ``benchmark`` fixture without pytest: one call, untimed."""
-
-    @staticmethod
-    def pedantic(target, args=(), kwargs=None, **_rounds):
-        return target(*args, **(kwargs or {}))
-
-
 def _table(experiment_id):
-    """What the bench prints under ``pytest -s``: each table ``show``n by
-    ``Table.print``, as ``benchmarks/conftest.py`` shows it. The bench is
-    looked up here, not through ``by_id``, which no root calls."""
+    """What the bench prints under ``pytest -s``: each ``test_*`` prints its
+    tables with ``Table.print``. The bench is looked up here, not through
+    ``by_id``, which no root calls."""
     bench = next(e.bench for e in EXPERIMENTS if e.id == experiment_id)
     module = importlib.import_module(bench.removesuffix(".py").replace("/", "."))
-    shown = []
-    for name, test in vars(module).items():
-        if name.startswith("test_"):
-            test(benchmark=_CallThrough(),
-                 show=lambda table: shown.append(_printed(table.print)))
-    return {"tables": "".join(shown)}
+    tests = [test for name, test in vars(module).items() if name.startswith("test_")]
+    return {"tables": "".join(map(_printed, tests))}
 
 
 def _cli(_name):

@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.metrics import Histogram
 
@@ -39,6 +42,15 @@ def test_histogram_percentile_interpolates():
     hist.observe(0.0)
     hist.observe(10.0)
     assert hist.percentile(50) == 5.0
+
+
+@pytest.mark.parametrize("q", [150, -5])
+def test_histogram_percentile_rejects_q_outside_0_to_100(q):
+    hist = Histogram("h")
+    hist.observe(1.0)
+    hist.observe(2.0)
+    with pytest.raises(SimulationError, match=f"q={q!r}"):
+        hist.percentile(q)
 
 
 def test_histogram_empty_is_nan():

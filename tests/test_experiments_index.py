@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -58,6 +59,19 @@ def test_benches_on_disk_are_all_indexed():
         for p in (REPO_ROOT / "benchmarks").glob("bench_*.py")
     }
     assert on_disk == indexed
+
+
+def test_every_bench_test_takes_no_parameters():
+    """The manifest's ``table/<id>`` entries call each bench's ``test_*``
+    as it is, with no fixtures."""
+    for experiment in EXPERIMENTS:
+        module = importlib.import_module(
+            experiment.bench.removesuffix(".py").replace("/", "."))
+        tests = {name: test for name, test in vars(module).items()
+                 if name.startswith("test_")}
+        assert tests, experiment.bench
+        for name, test in tests.items():
+            assert not inspect.signature(test).parameters, (experiment.bench, name)
 
 
 # ----------------------------------------------------------------------
