@@ -52,11 +52,7 @@ from repro.errors import (
     StaleEpochError,
     TimeoutError_,
 )
-from repro.failover import (
-    FixedTimeoutDetector,
-    LogshipFailover,
-    PhiAccrualDetector,
-)
+from repro.failover import FixedTimeoutDetector, PhiAccrualDetector
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import ExponentialLatency, FixedLatency
 from repro.net.network import LinkConfig
@@ -215,14 +211,11 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         topology.place("east", "dc-east")
         topology.place_all(("west", "lsclient"), "dc-west")
 
-        failover = LogshipFailover(
-            system,
+        topology.place("failover.monitor", "dc-west")
+        self._failover = system.start_failover(
             fenced=(self.policy == "fenced"),
             detector=self._make_detector(sim, system),
         )
-        self._failover = failover
-        topology.place(failover.monitor_name, "dc-west")
-        failover.start()
         self._stage(system)
 
         # Quorum writers live in the third DC: the scripted cut severs

@@ -125,13 +125,12 @@ class RetryStormScenario(Scenario):
         )
 
     def _restart_server(self) -> None:
-        """A crash kills the endpoint (which fail-fasts every in-flight
-        handler) and abandons the serialization lock — in-memory state
-        dies with the process, so the restart gets a fresh lock and a new
-        incarnation number (the scenario's at-most-once claims are
-        per-incarnation, exactly like the volatile dedup cache)."""
+        """A crash kills the endpoint, which fail-fasts every in-flight
+        handler: the lock holder releases on its way out and the queued
+        ones are skipped. The restart gets a new incarnation number (the
+        scenario's at-most-once claims are per-incarnation, exactly like
+        the volatile dedup cache)."""
         self._incarnation += 1
-        self._lock = Lock(self._sim, name="retrystorm.server")
         self._server.restart()
 
     def invariants(self, monitor: InvariantMonitor) -> None:
@@ -162,8 +161,7 @@ class RetryStormScenario(Scenario):
     def _handle_work(self, endpoint: Endpoint, msg: Any) -> Generator:
         sim = self._sim
         self._peak_inflight = max(self._peak_inflight, endpoint.inflight_handlers)
-        lock = self._lock
-        yield lock.acquire()
+        yield self._lock.acquire()
         try:
             if self.policy == "resilient" and expired(sim, msg.payload):
                 # Late shed: admitted before its deadline, reached the
@@ -181,8 +179,7 @@ class RetryStormScenario(Scenario):
             sim.metrics.inc("chaos.retrystorm.executed")
             return {"value": value}
         finally:
-            if lock is self._lock:  # a crash may have replaced the lock
-                lock.release()
+            self._lock.release()
 
     def _degraded_work(self, _endpoint: Endpoint, _msg: Any) -> Optional[Dict[str, Any]]:
         """Creek-style degraded read: the last computed value as a stale

@@ -37,7 +37,7 @@ from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import Scenario, pacing
 from repro.chaos.invariants import InvariantMonitor
 from repro.errors import StaleEpochError, TimeoutError_
-from repro.failover import FixedTimeoutDetector, LogshipFailover
+from repro.failover import FixedTimeoutDetector
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
 from repro.net.network import NetFault
@@ -180,16 +180,13 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
             wan_latency=FixedLatency(0.01),
             sim=sim,
         )
-        failover = LogshipFailover(
-            system,
+        self._failover = system.start_failover(
             fenced=(self.policy == "fenced"),
             detector=FixedTimeoutDetector(
                 sim, [system.serving], timeout=self.detect_timeout
             ),
             poll_interval=self.poll_interval,
         )
-        self._failover = failover
-        failover.start()
         self._stage(system)
 
         if self.heartbeat_loss > 0.0:
@@ -198,7 +195,7 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
             # convicts a perfectly healthy primary.
             system.network.inject_fault(NetFault(
                 loss_probability=self.heartbeat_loss,
-                src="east", dst=failover.monitor_name,
+                src="east", dst="failover.monitor",
             ))
 
         if self.partition_start is not None:

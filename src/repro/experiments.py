@@ -10,10 +10,7 @@ test suite checks the index stays consistent with the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-from repro.analysis.tables import Table
-from repro.errors import SimulationError
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -196,24 +193,3 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
 )
 
-
-def by_id(experiment_id: str) -> Experiment:
-    for experiment in EXPERIMENTS:
-        if experiment.id == experiment_id:
-            return experiment
-    raise SimulationError(f"unknown experiment {experiment_id!r}")
-
-
-def index() -> Dict[str, Experiment]:
-    return {experiment.id: experiment for experiment in EXPERIMENTS}
-
-
-def summary_table() -> Table:
-    """The DESIGN.md experiment index as a Table."""
-    table = Table(
-        "Building on Quicksand — experiment index",
-        ["id", "title", "bench"],
-    )
-    for experiment in EXPERIMENTS:
-        table.add_row(experiment.id, experiment.title, experiment.bench)
-    return table

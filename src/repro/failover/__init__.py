@@ -1,4 +1,4 @@
-"""Failure detection, leases, and fenced takeover (§2–3).
+"""Failure detection and fenced takeover (§2–3).
 
 The paper's takeover story rests on an uncomfortable fact: a backup
 **cannot distinguish a dead primary from a slow one**. Everything in
@@ -15,18 +15,11 @@ away:
   inter-arrival distribution). A conviction is a guess; when a convicted
   node later speaks, the detector records the contradiction — the
   measured false-takeover rate of experiment E14.
-- :class:`Lease` / :class:`LeaseManager` — sim-time leases whose grants
-  mint monotonically increasing **epoch (fencing) tokens**. The token,
-  not the conviction, is what makes a wrong guess safe: apply paths
-  reject traffic from older epochs.
-- :class:`FailoverController` — promotes the successor when the detector
-  convicts the primary, granting it a fresh lease and handing the epoch
-  to the promotion callback.
-- :class:`LogshipFailover` — the wired-up stack for
-  :class:`~repro.logship.system.LogShippingSystem`: heartbeats from the
-  serving site, a monitor endpoint on the backup side, automatic
-  ``take_over`` on conviction (fenced or, for the E14 ablation,
-  unfenced).
+- :class:`FailoverController` — the whole stack: monitor, emitters,
+  detector, and a monotonically increasing **epoch (fencing) token** per
+  regime; a conviction of the primary promotes the successor under a
+  fresh one. The token, not the conviction, is what makes a wrong guess
+  safe: apply paths reject traffic from older epochs.
 
 Everything is deterministic on sim time: no detector process draws
 RNG, and none of it exists unless explicitly installed — default runs
@@ -39,16 +32,12 @@ from repro.failover.detector import (
     PhiAccrualDetector,
 )
 from repro.failover.heartbeat import HeartbeatEmitter
-from repro.failover.lease import Lease, LeaseManager
-from repro.failover.controller import FailoverController, LogshipFailover
+from repro.failover.controller import FailoverController
 
 __all__ = [
     "FailureDetector",
     "FixedTimeoutDetector",
     "PhiAccrualDetector",
     "HeartbeatEmitter",
-    "Lease",
-    "LeaseManager",
     "FailoverController",
-    "LogshipFailover",
 ]

@@ -24,6 +24,12 @@ import itertools
 from typing import Any, Dict, Generator, List, Optional, Set
 
 from repro.errors import CrashedError, SimulationError, TimeoutError_
+from repro.failover import (
+    FailoverController,
+    FailureDetector,
+    FixedTimeoutDetector,
+    HeartbeatEmitter,
+)
 from repro.net.latency import ExponentialLatency, FixedLatency, LatencyModel
 from repro.net.network import LinkConfig, Network
 from repro.net.rpc import Endpoint, RpcError
@@ -254,6 +260,34 @@ class LogShippingSystem:
         (called once when a failover stack installs itself)."""
         self.epoch = max(self.epoch, epoch)
         self.primary.epoch = max(self.primary.epoch, epoch)
+
+    def start_failover(
+        self,
+        *,
+        fenced: bool = True,
+        detector: Optional[FailureDetector] = None,
+        poll_interval: Optional[float] = None,
+    ) -> FailoverController:
+        """Start automatic failover: the serving site (epoch 1)
+        heartbeats to ``failover.monitor``; a conviction calls
+        :meth:`take_over` under a fresh epoch. ``fenced=False`` is the
+        E14 ablation: the new regime takes no epoch protection, so a
+        deposed-but-alive primary's resurrection ships straight in."""
+        interval = HeartbeatEmitter.interval
+        controller = FailoverController(
+            self.network,
+            detector or FixedTimeoutDetector(
+                self.sim, [self.serving], timeout=4.0 * interval
+            ),
+            "failover.monitor",
+            primary_of=lambda: self.serving,
+            successor_of=self._peer,
+            promote=lambda _node, epoch: self.take_over(fenced=fenced, epoch=epoch),
+        )
+        self.adopt_epoch(controller.grant(self.serving))
+        controller.heartbeat_from(self.primary.endpoint)
+        controller.start(interval / 2.0 if poll_interval is None else poll_interval)
+        return controller
 
     def fail_over(self) -> Dict[str, Any]:
         """God-mode fail-over, kept for experiments that *want* omniscient

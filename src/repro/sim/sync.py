@@ -13,10 +13,21 @@ compose with ``AllOf`` and with process interrupts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
+
+
+def _next_waiter(waiters: Deque[Event]) -> Optional[Event]:
+    """Pop the oldest event still waited on. An interrupted process
+    leaves its event's callback list, and an item or the lock handed to
+    that event would be lost."""
+    while waiters:
+        event = waiters.popleft()
+        if event._callbacks:
+            return event
+    return None
 
 
 class Mailbox:
@@ -30,8 +41,9 @@ class Mailbox:
 
     def put(self, item: Any) -> None:
         """Deposit an item; wakes one waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().trigger(item)
+        getter = _next_waiter(self._getters)
+        if getter is not None:
+            getter.trigger(item)
         else:
             self._items.append(item)
 
@@ -87,8 +99,9 @@ class Lock:
         """Free the lock; hands it straight to the next waiter if any."""
         if not self.locked:
             raise SimulationError(f"release() of idle lock {self.name!r}")
-        if self._waiters:
-            self._waiters.popleft().trigger(self)
+        waiter = _next_waiter(self._waiters)
+        if waiter is not None:
+            waiter.trigger(self)
         else:
             self.locked = False
 

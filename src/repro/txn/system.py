@@ -14,9 +14,9 @@ Quicksand": every operation is either
 
 The total order is minted by a **fenced leader**: leadership rides the
 :mod:`repro.failover` stack (heartbeats → detector → controller →
-:class:`~repro.failover.lease.LeaseManager` epochs), and every ordering
-batch carries its regime's epoch so a deposed-but-alive leader's batches
-bounce (``txn.stale_batches_rejected``) instead of forking history.
+epochs), and every ordering batch carries its regime's epoch so a
+deposed-but-alive leader's batches bounce
+(``txn.stale_batches_rejected``) instead of forking history.
 Within a regime the log rules are Raft-shaped, restated in quicksand
 terms:
 
@@ -51,8 +51,6 @@ from repro.core.operation import Operation
 from repro.errors import CrashedError, SimulationError, TimeoutError_
 from repro.failover.controller import FailoverController
 from repro.failover.detector import FailureDetector, FixedTimeoutDetector
-from repro.failover.heartbeat import HeartbeatEmitter
-from repro.failover.lease import Lease, LeaseManager
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.patterns import OP_STRONG, OP_WEAK, classify_operation_space
@@ -576,8 +574,6 @@ class MixedTxnSystem:
     replica_names = ("txn0", "txn1", "txn2")
     detect_timeout = 1.0
     poll_interval = 0.1
-    lease_duration = 5.0
-    monitor_name = "txn.monitor"
 
     def __init__(
         self, sim: Simulator, machine: TxnMachine, apology_pool: Any = None
@@ -598,70 +594,50 @@ class MixedTxnSystem:
         }
         self.serving = self.names[0]
 
-        # --- Failover stack: heartbeats from the leader to a monitor,
+        # --- Failover stack: every leader heartbeats to a monitor, a
         # conviction promotes the ring successor under a fresh epoch.
-        self.leases = LeaseManager(sim, name="txn.leases")
         self.detector: FailureDetector = FixedTimeoutDetector(
             sim, [self.serving], timeout=self.detect_timeout, name="txn.detector"
         )
         self.detector.on_contradiction(
             lambda node, _at: self.detector.pardon(node)
         )
-        self.monitor = Endpoint(self.network, self.monitor_name)
-        self.monitor.register("HEARTBEAT", self._handle_heartbeat)
         self.controller = FailoverController(
-            sim,
+            self.network,
             self.detector,
+            "txn.monitor",
             primary_of=lambda: self.serving,
             successor_of=self._successor,
             promote=self._promote,
-            leases=self.leases,
-            lease_duration=self.lease_duration,
             name="txn.failover",
         )
-        self._emitter: Optional[HeartbeatEmitter] = None
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         for replica in self.replicas.values():
             replica.start()
-        self.monitor.start()
-        lease = self.leases.grant(self.serving, self.lease_duration)
-        self.replicas[self.serving].begin_leadership(lease.epoch)
+        self._promote(self.serving, self.controller.grant(self.serving))
         for replica in self.replicas.values():
             replica.leader_hint = self.serving
-        self._start_emitter()
-        self.detector.start(self.poll_interval)
+        self.controller.start(self.poll_interval)
 
     def stop(self) -> None:
-        if self._emitter is not None:
-            self._emitter.stop()
-        self.detector.stop()
-        self.monitor.stop("stopped")
+        self.controller.stop()
         for replica in self.replicas.values():
             replica.stop()
-
-    def _start_emitter(self) -> None:
-        if self._emitter is not None:
-            self._emitter.stop()
-        self._emitter = HeartbeatEmitter(
-            self.replicas[self.serving].endpoint, self.monitor_name
-        )
-        self._emitter.start()
-
-    def _handle_heartbeat(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
-        self.detector.heartbeat(msg.payload["node"])
-        return {}
 
     def _successor(self, node: str) -> str:
         index = self.names.index(node)
         return self.names[(index + 1) % len(self.names)]
 
-    def _promote(self, new_primary: str, lease: Lease) -> None:
+    def _promote(self, new_primary: str, epoch: int) -> None:
+        # A deposed leader keeps heartbeating: only its own silence, seen
+        # from the monitor's side, may convict it, and its heartbeats
+        # after a heal are what refute a wrong conviction.
         self.serving = new_primary
-        self.replicas[new_primary].begin_leadership(lease.epoch)
-        self._start_emitter()
+        self.replicas[new_primary].begin_leadership(epoch)
+        self.controller.heartbeat_from(self.replicas[new_primary].endpoint)
 
     # ------------------------------------------------------------------
     # Client + inspection surface
@@ -671,7 +647,7 @@ class MixedTxnSystem:
 
     @property
     def epoch(self) -> int:
-        return self.leases.epoch
+        return self.controller.epoch
 
     def converged(self) -> bool:
         """Do all replicas agree on the committed fold? (Quiesce-time

@@ -5,12 +5,9 @@ vs unfenced difference is visible at the replica state level."""
 import pytest
 
 from repro.errors import StaleEpochError
-from repro.failover import (
-    FailoverController,
-    FixedTimeoutDetector,
-    LogshipFailover,
-)
+from repro.failover import FailoverController, FixedTimeoutDetector
 from repro.logship import LogShippingSystem, ShipMode
+from repro.net import Network
 from repro.net.latency import FixedLatency
 from repro.sim import Simulator
 
@@ -23,8 +20,7 @@ def build(fenced=True, seed=0):
         wan_latency=FixedLatency(0.01),
         sim=sim,
     )
-    failover = LogshipFailover(
-        system,
+    failover = system.start_failover(
         fenced=fenced,
         detector=FixedTimeoutDetector(sim, [system.serving], timeout=1.0),
         poll_interval=0.1,
@@ -45,15 +41,16 @@ def test_generic_controller_promotes_on_primary_conviction():
     detector = FixedTimeoutDetector(sim, ["a"], timeout=0.5)
     promoted = []
     controller = FailoverController(
-        sim,
+        Network(sim),
         detector,
+        "monitor",
         primary_of=lambda: "a",
         successor_of=lambda node: "b",
-        promote=lambda node, lease: promoted.append((node, lease.epoch)),
+        promote=lambda node, epoch: promoted.append((node, epoch)),
     )
-    detector.start(poll_interval=0.1)
+    controller.start(poll_interval=0.1)
     sim.run(until=1.0)
-    detector.stop()
+    controller.stop()
     assert promoted == [("b", 1)]
     assert controller.takeovers == 1
     assert sim.metrics.counter("failover.auto_takeovers").value == 1
@@ -63,27 +60,27 @@ def test_generic_controller_ignores_nonprimary_convictions():
     sim = Simulator(seed=0)
     detector = FixedTimeoutDetector(sim, ["b"], timeout=0.5)
     promoted = []
-    FailoverController(
-        sim,
+    controller = FailoverController(
+        Network(sim),
         detector,
+        "monitor",
         primary_of=lambda: "a",          # the convicted node is NOT primary
         successor_of=lambda node: "b",
-        promote=lambda node, lease: promoted.append(node),
+        promote=lambda node, epoch: promoted.append(node),
     )
-    detector.start(poll_interval=0.1)
+    controller.start(poll_interval=0.1)
     sim.run(until=1.0)
-    detector.stop()
+    controller.stop()
     assert promoted == []
     assert sim.metrics.counter("failover.nonprimary_convictions").value == 1
 
 
 def test_auto_takeover_on_partitioned_primary():
     sim, system, failover = build(fenced=True)
-    failover.start()
     sim.spawn(system.submit({"k": 1}))
     sim.run(until=2.0)
     assert system.serving == "east"
-    assert system.epoch == 1            # the incumbent regime holds a lease
+    assert system.epoch == 1            # the incumbent's regime is epoch 1
 
     cut(system)
     sim.run(until=6.0)
@@ -101,7 +98,6 @@ def test_auto_takeover_on_partitioned_primary():
 
 def test_fenced_takeover_bounces_the_deposed_tail():
     sim, system, failover = build(fenced=True)
-    failover.start()
     sim.spawn(system.submit({"k": 1}))
     sim.run(until=2.0)
     cut(system)
@@ -123,7 +119,6 @@ def test_fenced_takeover_bounces_the_deposed_tail():
 
 def test_unfenced_takeover_lets_the_resurrection_through():
     sim, system, failover = build(fenced=False)
-    failover.start()
     sim.spawn(system.submit({"k": 1}))
     sim.run(until=2.0)
     cut(system)
@@ -143,7 +138,6 @@ def test_unfenced_takeover_lets_the_resurrection_through():
 
 def test_fenced_deposed_primary_rejects_new_commits():
     sim, system, failover = build(fenced=True)
-    failover.start()
     sim.run(until=2.0)
     cut(system)
     # A stale write gives east an unshipped tail; after the heal its
@@ -198,7 +192,6 @@ def test_take_over_of_live_primary_counts_in_doubt_not_lost():
 def test_stack_is_deterministic():
     def run_once():
         sim, system, failover = build(fenced=True, seed=7)
-        failover.start()
         sim.spawn(system.submit({"k": 1}))
         sim.run(until=2.0)
         cut(system)

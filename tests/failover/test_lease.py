@@ -1,68 +1,22 @@
-"""Leases and the monotonic epoch: the token totally orders regimes."""
+"""The monotonic epoch the controller grants: the token totally orders
+regimes (the ``failover.leases_granted`` counter counts the grants)."""
 
-import pytest
-
-from repro.errors import SimulationError, StaleEpochError
-from repro.failover import Lease, LeaseManager
+from repro.failover import FailoverController, FixedTimeoutDetector
+from repro.net import Network
 from repro.sim import Simulator
 
 
 def test_epoch_bumps_on_every_grant():
     sim = Simulator(seed=0)
-    leases = LeaseManager(sim)
-    first = leases.grant("east", duration=2.0)
-    second = leases.grant("west", duration=2.0)
-    regrant = leases.grant("west", duration=2.0)
-    assert (first.epoch, second.epoch, regrant.epoch) == (1, 2, 3)
-    assert leases.epoch == 3
-    assert leases.current is regrant
+    controller = FailoverController(
+        Network(sim),
+        FixedTimeoutDetector(sim, ["east"]),
+        "monitor",
+        primary_of=lambda: "east",
+        successor_of=lambda node: "west",
+        promote=lambda node, epoch: None,
+    )
+    grants = [controller.grant(holder) for holder in ("east", "west", "west")]
+    assert grants == [1, 2, 3]               # a re-grant bumps it too
+    assert controller.epoch == 3
     assert sim.metrics.counter("failover.leases_granted").value == 3
-
-
-def test_lease_expires_in_sim_time():
-    sim = Simulator(seed=0)
-    leases = LeaseManager(sim)
-    lease = leases.grant("east", duration=2.0)
-    assert lease.valid(sim.now)
-    assert lease.remaining(sim.now) == pytest.approx(2.0)
-    sim.run(until=1.5)
-    assert lease.valid(sim.now) and not leases.expired()
-    sim.run(until=2.5)
-    assert not lease.valid(sim.now)
-    assert leases.expired()
-    assert lease.remaining(sim.now) == 0.0
-
-
-def test_renew_extends_current_regime():
-    sim = Simulator(seed=0)
-    leases = LeaseManager(sim)
-    lease = leases.grant("east", duration=2.0)
-    sim.run(until=1.0)
-    renewed = leases.renew(lease)
-    assert renewed.epoch == lease.epoch          # same regime, no bump
-    assert renewed.expires_at == pytest.approx(3.0)
-    assert leases.current is renewed
-
-
-def test_renew_of_stale_epoch_raises():
-    sim = Simulator(seed=0)
-    leases = LeaseManager(sim)
-    old = leases.grant("east", duration=2.0)
-    leases.grant("west", duration=2.0)           # new regime deposes east
-    with pytest.raises(StaleEpochError) as excinfo:
-        leases.renew(old)
-    assert excinfo.value.epoch == 1
-    assert excinfo.value.current == 2
-
-
-def test_bad_duration_rejected():
-    sim = Simulator(seed=0)
-    leases = LeaseManager(sim)
-    with pytest.raises(SimulationError):
-        leases.grant("east", duration=0.0)
-
-
-def test_lease_is_immutable():
-    lease = Lease(holder="east", epoch=1, granted_at=0.0, duration=1.0)
-    with pytest.raises(AttributeError):
-        lease.epoch = 5

@@ -194,8 +194,7 @@ def _example(name):
 
 def _table(experiment_id):
     """What the bench prints under ``pytest -s``: each ``test_*`` prints its
-    tables with ``Table.print``. The bench is looked up here, not through
-    ``by_id``, which no root calls."""
+    tables with ``Table.print``."""
     bench = next(e.bench for e in EXPERIMENTS if e.id == experiment_id)
     module = importlib.import_module(bench.removesuffix(".py").replace("/", "."))
     tests = [test for name, test in vars(module).items() if name.startswith("test_")]

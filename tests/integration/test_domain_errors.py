@@ -7,7 +7,6 @@ import pytest
 from repro.core import Replica, TypeRegistry, gossip_every
 from repro.dynamo import DynamoCluster
 from repro.errors import SimulationError
-from repro.failover import LogshipFailover
 from repro.gossip import GossipNode
 from repro.logship import LogShippingSystem
 from repro.net import Network
@@ -24,7 +23,7 @@ def _timed_gossip(**kwargs):
 
 
 def _failover(**kwargs):
-    LogshipFailover(LogShippingSystem(), **kwargs).start()
+    LogShippingSystem().start_failover(**kwargs)
 
 
 @pytest.mark.parametrize(

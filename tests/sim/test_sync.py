@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Lock, Mailbox, Simulator, Timeout
+from repro.storage import Disk
 
 
 def test_mailbox_put_then_get():
@@ -134,3 +135,45 @@ def test_lock_locked_property():
     sim.spawn(holder())
     sim.run()
     assert not lock.locked
+
+
+def test_release_skips_an_interrupted_waiter():
+    """Three writers on one disk: the second queues for the arm and is
+    interrupted while it waits. The first's release must not hand the
+    arm to the dead waiter, or the arm stays held by nobody and the
+    third write never completes."""
+    sim = Simulator()
+    disk = Disk(sim)
+    done = []
+
+    def writer(tag):
+        yield from disk.write(tag, tag)
+        done.append((tag, sim.now))
+
+    sim.spawn(writer("first"))
+    second = sim.spawn(writer("second"))
+    sim.schedule(0.001, second.interrupt, "crash")
+    sim.schedule(0.1, sim.spawn, writer("third"))
+    sim.run()
+    assert [tag for tag, _ in done] == ["first", "third"]
+    assert done[1][1] == pytest.approx(0.1 + Disk.service_time + Disk.per_item_time)
+    assert not disk._arm.locked and disk._arm.queue_depth == 0
+
+
+def test_put_skips_an_interrupted_getter():
+    """An item put after a getter was interrupted goes to the next live
+    getter, or stays queued: it is never handed to the dead one."""
+    sim = Simulator()
+    box = Mailbox(sim)
+    got = []
+
+    def consumer():
+        got.append((yield box.get()))
+
+    dead = sim.spawn(consumer())
+    sim.schedule(1.0, dead.interrupt, "crash")
+    sim.schedule(2.0, box.put, "x")
+    sim.schedule(3.0, sim.spawn, consumer())
+    sim.run()
+    assert got == ["x"]
+    assert len(box) == 0

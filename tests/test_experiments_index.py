@@ -5,10 +5,7 @@ import importlib
 import inspect
 import pathlib
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.experiments import EXPERIMENTS, by_id, index, summary_table
+from repro.experiments import EXPERIMENTS
 from tests.reach.roots import CLI, SRC, import_roots
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,18 +34,6 @@ def test_every_module_imports():
 def test_every_claim_cites_a_section():
     for experiment in EXPERIMENTS:
         assert "§" in experiment.claim, experiment.id
-
-
-def test_lookup():
-    assert by_id("E1").title.startswith("Tandem")
-    assert "E7" in index()
-    with pytest.raises(SimulationError):
-        by_id("E99")
-
-
-def test_summary_table_renders():
-    text = summary_table().render()
-    assert "E12" in text and "A6" in text
 
 
 def test_benches_on_disk_are_all_indexed():

@@ -121,6 +121,10 @@ def test_fenced_takeover_rejects_deposed_leader():
     system.network.heal()
     sim.run(until=12.0)
     assert not system.replicas["txn0"].leading   # stepped down
+    # The deposed leader kept heartbeating: its first one after the heal
+    # refutes the conviction, and the pardon lets it be watched afresh.
+    assert sim.metrics.counter("failover.false_convictions").value == 1
+    assert not system.detector.convicted("txn0")
     assert stale.stabilized                      # re-routed and committed
     assert system.converged()
     assert all(not r.prefix_violation for r in system.replicas.values())
