@@ -30,9 +30,7 @@ deterministic per seed; tradeoff curve monotone both ways.
 from repro.analysis import Table
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.splitbrain import SplitBrainScenario
-from repro.failover import HeartbeatEmitter
-
-HEARTBEAT = HeartbeatEmitter.interval
+from repro.failover import HEARTBEAT_INTERVAL as HEARTBEAT
 
 
 def run_policy_point(policy, seed):

@@ -154,12 +154,12 @@ def run_flap(off, seed, n=6, period=_PERIOD, cycles=6, up=1.0):
         yield Timeout(_WARMUP)
         for _ in range(cycles):
             yield Timeout(up)
-            # Down: the endpoint dies and so does the gossip loop — a
-            # crashed member spreads no rumors and suspects nobody.
-            gossips[flapper].stop()
+            # Down: the endpoint dies and so does the gossip loop that
+            # lives on it — a crashed member spreads no rumors and
+            # suspects nobody. The restart resumes the loop.
+            gossips[flapper].endpoint.stop()
             yield Timeout(off)
             gossips[flapper].endpoint.restart()
-            gossips[flapper].run(horizon)
 
     sim.spawn(_flap(), name="e19.flap")
     sim.run(until=horizon)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosTargets
-from repro.chaos.harness import AckedWrites, Scenario, pacing
+from repro.chaos.harness import AckedWrites, Scenario
 from repro.chaos.invariants import InvariantMonitor, escrow_non_negative
 from repro.chaos.plan import (
     ChaosPlan,
@@ -57,7 +57,7 @@ from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import ExponentialLatency, FixedLatency
 from repro.net.network import LinkConfig
 from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
-from repro.sim.scheduler import Simulator
+from repro.sim import Simulator, pacing
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ trace are unreachable the moment ``run()`` returns, and already freed.
 :class:`Scenario` owns that sequence; a concrete scenario fills in five
 hooks (``build``, ``invariants``, ``drive``, ``quiesce``, ``finish``) and
 its sampling bounds. Beside it: :class:`Crashable`, the idempotent
-crash/restart adapter every chaos target goes through; :func:`pacing`,
-the seeded think times of a workload loop; and :class:`AckedWrites`, the
-"no acked write lost" oracle for a Dynamo ring.
+crash/restart adapter every chaos target goes through; and
+:class:`AckedWrites`, the "no acked write lost" oracle for a Dynamo
+ring. Workload loops pace themselves with :func:`repro.sim.pacing`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.chaos.plan import ChaosPlan, ChaosSpec
 from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
 from repro.errors import CrashedError, SimulationError, TimeoutError_
 from repro.net.rpc import RpcError
-from repro.sim.events import Timeout
+from repro.sim.events import pacing
 from repro.sim.scheduler import Simulator
 
 
@@ -206,19 +206,6 @@ class Scenario:
         """After the final check: stop perpetual processes and publish
         per-run results on the scenario as plain values, nothing that
         reaches the world (optional)."""
-
-
-def pacing(
-    sim: Simulator, rng: Any, interval: float, spread: float, until: float
-) -> Generator[Timeout, None, None]:
-    """Seeded think times for a workload loop — ``for pause in
-    pacing(...): yield pause`` — each ``interval`` × (1 ± ``spread``),
-    ending when the next pause would cross ``until``."""
-    while True:
-        delay = interval * rng.uniform(1 - spread, 1 + spread)
-        if sim.now + delay > until:
-            return
-        yield Timeout(delay)
 
 
 # ----------------------------------------------------------------------

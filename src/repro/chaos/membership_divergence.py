@@ -89,32 +89,17 @@ class MembershipDivergenceScenario(Scenario):
         self._views_converged_at: Optional[float] = None
         self._stuck: List[Tuple[str, str, str]] = []
 
-        targets = {name: self._gossiping_node(name) for name in cluster.nodes}
+        # A crashed node serves nothing and *computes* nothing: its gossip
+        # loop dies with its endpoint (a corpse spreads no rumors).
+        targets = {
+            name: Crashable(lambda _cause, n=node: n.crash(), node.restart)
+            for name, node in cluster.nodes.items()
+        }
         for client in (self._writer, self._zipf_client):
             targets[client.name] = Crashable(
                 client.endpoint.stop, client.endpoint.restart
             )
         return ChaosTargets(sim, network=cluster.network, nodes=targets)
-
-    def _gossiping_node(self, name: str) -> Crashable:
-        """A crashed node serves nothing and *computes* nothing — its
-        membership gossip loop stops with it (a corpse spreads no rumors,
-        and suspects nobody)."""
-        cluster = self._cluster
-        gossip = cluster.membership_gossips[name]
-
-        def go_dark(_cause: str) -> None:
-            cluster.crash(name)
-            gossip.stop()
-
-        def rejoin() -> None:
-            cluster.restart(name)
-            # Resumes only if the horizon is still ahead; the quiesce-time
-            # restarts from engine.restore() fall through (the scenario
-            # drives convergence rounds explicitly then).
-            gossip.run(self.horizon)
-
-        return Crashable(go_dark, rejoin)
 
     def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register(

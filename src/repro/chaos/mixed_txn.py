@@ -36,12 +36,12 @@ import itertools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.chaos.engine import ChaosTargets
-from repro.chaos.harness import Scenario, pacing
+from repro.chaos.harness import Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.core.operation import Operation
 from repro.errors import SimulationError
 from repro.resources import FungiblePool
-from repro.sim.scheduler import Simulator
+from repro.sim import Simulator, pacing
 from repro.txn import MixedTxnSystem, ResourceMachine
 
 

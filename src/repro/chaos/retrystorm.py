@@ -32,7 +32,7 @@ import itertools
 from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 from repro.chaos.engine import ChaosTargets
-from repro.chaos.harness import Crashable, Scenario, pacing
+from repro.chaos.harness import Crashable, Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.errors import BreakerOpenError, CrashedError, TimeoutError_
 from repro.net.latency import FixedLatency
@@ -44,7 +44,7 @@ from repro.resilience import (
     RetryPolicy,
     expired,
 )
-from repro.sim.events import Timeout
+from repro.sim.events import Timeout, pacing
 from repro.sim.scheduler import Simulator
 from repro.sim.sync import Lock
 

@@ -20,7 +20,7 @@ from repro.bank.account import build_account_registry, overdraft_rule
 from repro.cart.service import CartService
 from repro.cart.strategies import LwwCartStrategy, OpCartStrategy
 from repro.chaos.engine import ChaosTargets
-from repro.chaos.harness import PUT_ERRORS, Crashable, Scenario, pacing
+from repro.chaos.harness import PUT_ERRORS, Crashable, Scenario
 from repro.chaos.invariants import (
     InvariantMonitor,
     balance_matches_entries,
@@ -35,7 +35,7 @@ from repro.core.rules import RuleEngine
 from repro.dynamo.cluster import DynamoCluster
 from repro.errors import RuleViolation
 from repro.gossip.cluster import GossipCluster
-from repro.sim.scheduler import Simulator
+from repro.sim import Simulator, pacing
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +118,7 @@ class BankClearingScenario(Scenario):
         replica = gnode.replica
 
         def recover() -> None:
-            gnode.restart(until=self.horizon)
+            gnode.restart()
             if self.policy != "amnesiac-restart":
                 return
             # The bug: recovery "restores" the opening balance with a fresh

@@ -34,14 +34,14 @@ import itertools
 from typing import Any, Dict, Generator, Optional
 
 from repro.chaos.engine import ChaosTargets
-from repro.chaos.harness import Scenario, pacing
+from repro.chaos.harness import Scenario
 from repro.chaos.invariants import InvariantMonitor
 from repro.errors import StaleEpochError, TimeoutError_
 from repro.failover import FixedTimeoutDetector
 from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import FixedLatency
 from repro.net.network import NetFault
-from repro.sim.scheduler import Simulator
+from repro.sim import Simulator, pacing
 
 
 class DeposedPrimaryDrama:

@@ -63,7 +63,7 @@ from repro.errors import (
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
-from repro.sim.events import Timeout
+from repro.sim.events import pacing
 from repro.sim.scheduler import Simulator
 
 ALIVE = "alive"
@@ -388,13 +388,11 @@ class MembershipGossip:
         self.sim = view.sim
         self.period = period
         self.fanout = fanout
-        self._owns_endpoint = endpoint is None
         if endpoint is None:
             endpoint = Endpoint(network, view.owner)
             endpoint.start()
         self.endpoint = endpoint
         self.endpoint.register("MSHIP", self._handle_gossip)
-        self._proc = None
         self._round = 0
         self.rounds_attempted = 0
         self.rounds_failed = 0
@@ -480,30 +478,18 @@ class MembershipGossip:
             self.sim.metrics.inc("membership.full_syncs")
         return accepted
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: float = math.inf) -> None:
         """Start the periodic loop (jittered like the op-gossip loop so
-        rounds desynchronize across nodes)."""
-        if self._proc is not None and self._proc.alive:
-            return
-        self._proc = self.sim.spawn(
-            self._loop(until), name=f"mship:{self.view.owner}"
-        )
+        rounds desynchronize across nodes) on the node's endpoint: a
+        crashed member spreads no rumors and suspects nobody, and its
+        restart resumes the loop."""
+        self.endpoint.spawn("mship", lambda: self._loop(until))
 
-    def _loop(self, until: Optional[float]) -> Generator[Any, Any, None]:
+    def _loop(self, until: float) -> Generator[Any, Any, None]:
         rng = self.sim.rng.stream(f"mship.loop.{self.view.owner}")
-        while True:
-            delay = self.period * rng.uniform(0.75, 1.25)
-            if until is not None and self.sim.now + delay > until:
-                return
-            yield Timeout(delay)
+        for pause in pacing(self.sim, rng, self.period, 0.25, until):
+            yield pause
             yield from self.round_once()
-
-    def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.interrupt("stopped")
-            self._proc = None
-        if self._owns_endpoint:
-            self.endpoint.stop("stopped")
 
 
 def views_converged(views: Sequence[MembershipView]) -> bool:

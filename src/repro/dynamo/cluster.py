@@ -30,6 +30,7 @@ gives each node a local, possibly-stale ``MembershipView``. Only the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -148,7 +149,6 @@ class DynamoCluster:
         if snapshot_cadence is not None:
             for node in self.nodes.values():
                 node.enable_snapshots(snapshot_cadence)
-                node.snapshotter.start()
         self.ring = HashRing(list(self.nodes), vnodes=16)
         # Ring position of every stored key a scan has met, one memo for
         # all nodes. Filled by the scans, never by store_version: traffic
@@ -214,7 +214,7 @@ class DynamoCluster:
         )
         return gossip
 
-    def start_membership_gossip(self, until: Optional[float] = None) -> None:
+    def start_membership_gossip(self, until: float = math.inf) -> None:
         if not self.membership_gossips:
             raise SimulationError("attach_gossip_membership first")
         for gossip in self.membership_gossips.values():
@@ -562,7 +562,6 @@ class DynamoCluster:
         node = DynamoNode(self.sim, self.network, node_name)
         if self.snapshot_cadence is not None:
             node.enable_snapshots(self.snapshot_cadence)
-            node.snapshotter.start()
         self._register_merkle_handlers(node)
         self.nodes[node_name] = node
         before = self.ring.clone()
@@ -650,8 +649,6 @@ class DynamoCluster:
             # from older reshapes — push anything the current owners lack.
             stats["leftover_pushes"] = yield from self._drain_leftovers(node)
         node.endpoint.stop("decommissioned")
-        if node.snapshotter is not None:
-            node.snapshotter.stop()
         del self.nodes[node_name]
         self.sim.metrics.inc(
             "dynamo.rebalance_versions_moved",

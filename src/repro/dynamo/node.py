@@ -119,7 +119,8 @@ class DynamoNode:
         the local mutation counter. A cold-crashed node seeds its rejoin
         from the latest snapshot; Merkle anti-entropy closes what the
         checkpoint missed — instead of resyncing the whole keyspace.
-        Each checkpoint prunes all but the two newest chains."""
+        Each checkpoint prunes all but the two newest chains. The loop
+        runs on the node's endpoint, so a crash stops it."""
         if self.snapshotter is None:
             self.snapshots = SnapshotStore(
                 self.sim, Disk(self.sim, name=f"{self.name}.snapdisk"),
@@ -130,6 +131,7 @@ class DynamoNode:
                 cadence=cadence, name=self.name, cursor=lambda: self.op_seq,
                 keep_chains=2,
             )
+            self.endpoint.spawn("snapshot", self.snapshotter.run)
         return self.snapshotter
 
     def _snapshot_capture(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -161,8 +163,6 @@ class DynamoNode:
         self.store = {}
         self.hints = []
         self.op_seq = 0
-        if self.snapshotter is not None:
-            self.snapshotter.stop()
         self.endpoint.stop("crash")
         self.sim.metrics.inc(f"dynamo.{self.name}.cold_crashes")
         self.sim.trace.emit(self.name, "cold_crash", versions_lost=lost)
@@ -186,8 +186,6 @@ class DynamoNode:
         # next checkpoint would look like a regression.
         self.op_seq = max(self.op_seq, snapshot_seq)
         self.endpoint.restart()
-        if self.snapshotter is not None:
-            self.snapshotter.start()
         duration = self.sim.now - start
         self.sim.metrics.observe(f"dynamo.{self.name}.recovery_time_s", duration)
         self.sim.metrics.inc("dynamo.rejoin_seeded_versions", seeded)

@@ -5,9 +5,9 @@ The paper's takeover story rests on an uncomfortable fact: a backup
 this package flows from taking that seriously instead of modelling it
 away:
 
-- :class:`HeartbeatEmitter` — a per-node process that casts periodic
-  heartbeats over the (partitionable, lossy) fabric. Silence is the
-  only failure signal anyone gets.
+- :func:`heartbeats` — a node's loop, on its own endpoint, that casts
+  periodic heartbeats over the (partitionable, lossy) fabric. Silence
+  is the only failure signal anyone gets.
 - :class:`FailureDetector` — accrues suspicion from *observed heartbeat
   gaps*, never from registry truth. Two variants:
   :class:`FixedTimeoutDetector` (suspicion = gap / timeout) and
@@ -15,7 +15,7 @@ away:
   inter-arrival distribution). A conviction is a guess; when a convicted
   node later speaks, the detector records the contradiction — the
   measured false-takeover rate of experiment E14.
-- :class:`FailoverController` — the whole stack: monitor, emitters,
+- :class:`FailoverController` — the whole stack: monitor, heartbeats,
   detector, and a monotonically increasing **epoch (fencing) token** per
   regime; a conviction of the primary promotes the successor under a
   fresh one. The token, not the conviction, is what makes a wrong guess
@@ -31,13 +31,17 @@ from repro.failover.detector import (
     FixedTimeoutDetector,
     PhiAccrualDetector,
 )
-from repro.failover.heartbeat import HeartbeatEmitter
-from repro.failover.controller import FailoverController
+from repro.failover.controller import (
+    HEARTBEAT_INTERVAL,
+    FailoverController,
+    heartbeats,
+)
 
 __all__ = [
     "FailureDetector",
     "FixedTimeoutDetector",
     "PhiAccrualDetector",
-    "HeartbeatEmitter",
+    "HEARTBEAT_INTERVAL",
+    "heartbeats",
     "FailoverController",
 ]

@@ -3,8 +3,12 @@
 :class:`FailoverController` is the whole stack, and owns no system
 knowledge beyond three callables (who is primary, who succeeds them, how
 to promote). It owns the monitor endpoint (placed on the backup side of
-any partition), the heartbeat emitters and the detector's lifecycle, and
-mints the monotonic **epoch** (fencing token) of every regime.
+any partition), on which the detector's poll loop runs, starts each
+watched node's :func:`heartbeats` on that node's endpoint, and mints the
+monotonic **epoch** (fencing token) of every regime. Nothing consults
+liveness truth: a partitioned node's heartbeats are dropped by the
+network, a crashed node's endpoint ended them — either way the monitor
+just stops hearing from it, the §2 ambiguity the detector acts on.
 
 Note what the controller does **not** do: it never crashes the old
 primary. It cannot — under the very partition that caused the
@@ -15,12 +19,26 @@ from the new primary's side alone.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Generator
 
 from repro.failover.detector import FailureDetector
-from repro.failover.heartbeat import HeartbeatEmitter
 from repro.net.network import Network
 from repro.net.rpc import Endpoint
+from repro.sim.events import Timeout
+
+#: Seconds between two heartbeats.
+HEARTBEAT_INTERVAL = 0.25
+
+
+def heartbeats(endpoint: Endpoint, monitor: str) -> Generator[Any, Any, None]:
+    """A node's loop: cast ``HEARTBEAT {node, seq}`` to ``monitor``
+    every :data:`HEARTBEAT_INTERVAL`."""
+    seq = 0
+    while True:
+        yield Timeout(HEARTBEAT_INTERVAL)
+        seq += 1
+        endpoint.cast(monitor, "HEARTBEAT", {"node": endpoint.name, "seq": seq})
+        endpoint.sim.metrics.inc("failover.heartbeats_sent")
 
 
 class FailoverController:
@@ -47,7 +65,7 @@ class FailoverController:
         self.takeovers = 0
         self.monitor = Endpoint(network, monitor)
         self.monitor.register("HEARTBEAT", self._handle_heartbeat)
-        self._emitters: Dict[str, HeartbeatEmitter] = {}
+        self._heartbeating: Dict[str, Endpoint] = {}
         detector.on_convict(self._handle_conviction)
 
     def grant(self, holder: str) -> int:
@@ -60,20 +78,24 @@ class FailoverController:
 
     def heartbeat_from(self, endpoint: Endpoint) -> None:
         """Have ``endpoint``'s node heartbeat to the monitor until
-        :meth:`stop` (one emitter per node)."""
-        if endpoint.name not in self._emitters:
-            emitter = HeartbeatEmitter(endpoint, self.monitor.name)
-            self._emitters[endpoint.name] = emitter
-            emitter.start()
+        :meth:`stop` (one loop per node, on its endpoint)."""
+        if endpoint.name not in self._heartbeating:
+            self._heartbeating[endpoint.name] = endpoint
+            endpoint.spawn(
+                "heartbeat", lambda: heartbeats(endpoint, self.monitor.name)
+            )
 
     def start(self, poll_interval: float) -> None:
         self.monitor.start()
-        self.detector.start(poll_interval)
+        self.monitor.spawn(
+            "poll", lambda: self.detector.poll_loop(poll_interval)
+        )
 
     def stop(self) -> None:
-        for emitter in self._emitters.values():
-            emitter.stop()
-        self.detector.stop()
+        """End the heartbeats (of nodes that may well be alive) and the
+        monitor, so the event heap can drain."""
+        for endpoint in self._heartbeating.values():
+            endpoint.end("heartbeat", "stopped")
         self.monitor.stop("stopped")
 
     def _handle_heartbeat(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:

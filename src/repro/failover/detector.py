@@ -47,7 +47,6 @@ class FailureDetector:
         self._contradicted: Dict[str, bool] = {}
         self._on_convict: List[Observer] = []
         self._on_contradiction: List[Observer] = []
-        self._proc = None
 
     # ------------------------------------------------------------------
     # Observations
@@ -118,26 +117,19 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # The poll loop
 
-    def start(self, poll_interval: float = 0.1) -> None:
-        """Begin watching: every ``poll_interval`` sim-seconds, evaluate
-        suspicion for each watched node and convict at ``>= 1.0``."""
+    def poll_loop(self, poll_interval: float) -> Generator[Any, Any, None]:
+        """The watch, to spawn on the monitor's endpoint: every
+        ``poll_interval`` sim-seconds, evaluate suspicion for each
+        watched node and convict at ``>= 1.0``. The interval is checked,
+        and the watched nodes' silence clocks started, at the call."""
         if poll_interval <= 0:
             raise SimulationError(f"bad poll interval {poll_interval}")
         now = self.sim.now
         for node in self.nodes:
             self._watch_start.setdefault(node, now)
-        if self._proc is not None and self._proc.alive:
-            return
-        self._proc = self.sim.spawn(
-            self._poll_loop(poll_interval), name=f"{self.name}.poll"
-        )
+        return self._polls(poll_interval)
 
-    def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.interrupt("stopped")
-            self._proc = None
-
-    def _poll_loop(self, poll_interval: float) -> Generator[Any, Any, None]:
+    def _polls(self, poll_interval: float) -> Generator[Any, Any, None]:
         while True:
             yield Timeout(poll_interval)
             for node in list(self.nodes):

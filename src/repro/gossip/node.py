@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Sequence
+from typing import Any, Dict, Generator, Sequence
 
 from repro.core.replica import Replica
 from repro.errors import SimulationError, TimeoutError_
 from repro.net.network import Network
 from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
-from repro.sim.events import Timeout
+from repro.sim.events import pacing
 
 #: One retry on a short timer, no backoff: gossip rounds are periodic
 #: anyway, so the loop itself is the backoff. Matches the historic
@@ -38,7 +38,6 @@ class GossipNode:
         self.endpoint.register("DIGEST", self._handle_digest)
         self.endpoint.register("OPS", self._handle_ops)
         self.endpoint.start()
-        self._loop_proc = None
         self.rounds_attempted = 0
         self.rounds_failed = 0
 
@@ -80,20 +79,15 @@ class GossipNode:
         return moved
 
     def run(self, until: float) -> None:
-        """Start the periodic loop (random peer each round) until the
-        simulated deadline. Unreachable peers are skipped — disconnection
-        is normal life, not an error."""
-        self._loop_proc = self.sim.spawn(
-            self._loop(until), name=f"gossip:{self.replica.name}"
-        )
+        """Start the periodic loop (random peer each round) on the
+        node's endpoint until the simulated deadline. Unreachable peers
+        are skipped — disconnection is normal life, not an error."""
+        self.endpoint.spawn("gossip", lambda: self._loop(until))
 
     def _loop(self, until: float) -> Generator[Any, Any, None]:
         rng = self.sim.rng.stream(f"gossip:{self.replica.name}")
-        while True:
-            delay = self.period * rng.uniform(0.75, 1.25)
-            if self.sim.now + delay > until:
-                return
-            yield Timeout(delay)
+        for pause in pacing(self.sim, rng, self.period, 0.25, until):
+            yield pause
             if not self.peers:
                 continue
             peer = rng.choice(self.peers)
@@ -105,14 +99,10 @@ class GossipNode:
 
     def crash(self, cause: str = "crash") -> None:
         """Fail fast: the replica object survives (its op set models the
-        durable log); the serving endpoint and loop die."""
-        if self._loop_proc is not None:
-            self._loop_proc.interrupt(cause)
+        durable log); the serving endpoint and its loop die."""
         self.endpoint.stop(cause)
         self.sim.trace.emit(self.replica.name, "gossip.crash", cause=str(cause))
 
-    def restart(self, until: Optional[float] = None) -> None:
+    def restart(self) -> None:
         self.endpoint.restart()
         self.sim.trace.emit(self.replica.name, "gossip.restart")
-        if until is not None:
-            self.run(until)

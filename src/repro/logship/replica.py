@@ -169,7 +169,8 @@ class DatabaseReplica:
         """Checkpoint this site's applied state every ``cadence`` seconds.
 
         Snapshots land on their own disk (a separate device, so checkpoint
-        IO never queues behind the log arm). The caller starts the loop.
+        IO never queues behind the log arm). The loop runs on this site's
+        endpoint, so a crash stops it and a restart resumes it.
         """
         if self.snapshotter is None:
             snap_disk = Disk(self.sim, name=f"{self.name}.snapdisk")
@@ -178,6 +179,7 @@ class DatabaseReplica:
                 self.sim, self.wal, self._snapshot_capture, self.snapshots,
                 cadence=cadence, name=self.name,
             )
+            self.endpoint.spawn("snapshot", self.snapshotter.run)
         return self.snapshotter
 
     def _snapshot_capture(self) -> Any:
@@ -204,8 +206,6 @@ class DatabaseReplica:
         self.wal.lose_volatile()
         self._staged.clear()
         self.crashed = True
-        if self.snapshotter is not None:
-            self.snapshotter.stop()
         self.endpoint.stop("crash")
 
     def restart(self) -> None:
@@ -249,8 +249,6 @@ class DatabaseReplica:
         self.last_write_time = dict(meta.get("last_write_time", {}))
         self.crashed = False
         self.endpoint.restart()
-        if self.snapshotter is not None:
-            self.snapshotter.start()
         duration = self.sim.now - start
         self.sim.metrics.observe(f"logship.{self.name}.recovery_time_s", duration)
         self.sim.metrics.observe(

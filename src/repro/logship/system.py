@@ -28,7 +28,7 @@ from repro.failover import (
     FailoverController,
     FailureDetector,
     FixedTimeoutDetector,
-    HeartbeatEmitter,
+    HEARTBEAT_INTERVAL,
 )
 from repro.net.latency import ExponentialLatency, FixedLatency, LatencyModel
 from repro.net.network import LinkConfig, Network
@@ -93,7 +93,6 @@ class LogShippingSystem:
         self._ship_locks = {
             name: Lock(self.sim, name=f"ship.{name}") for name in self.sites
         }
-        self._shipper_procs: Dict[str, Any] = {name: None for name in self.sites}
         self._work_available = {
             name: self.sim.event(f"logship.work.{name}") for name in self.sites
         }
@@ -106,9 +105,8 @@ class LogShippingSystem:
         if snapshot_cadence is not None:
             for replica in self.sites.values():
                 replica.enable_snapshots(snapshot_cadence)
-                replica.snapshotter.start()
         if self.mode is ShipMode.ASYNC:
-            self._start_shipper()
+            self._start_shipper(self.serving)
 
     # ------------------------------------------------------------------
     # Roles
@@ -172,14 +170,8 @@ class LogShippingSystem:
     # ------------------------------------------------------------------
     # Shipping
 
-    def _start_shipper(self, site: Optional[str] = None) -> None:
-        site = site or self.serving
-        proc = self._shipper_procs.get(site)
-        if proc is not None and proc.alive:
-            return
-        self._shipper_procs[site] = self.sim.spawn(
-            self._ship_loop(site), name=f"shipper:{site}"
-        )
+    def _start_shipper(self, site: str) -> None:
+        self.sites[site].endpoint.spawn("shipper", lambda: self._ship_loop(site))
 
     def _kick_shipper(self, site: Optional[str] = None) -> None:
         """Tell a site's shipper there is unshipped work (event-driven so
@@ -189,6 +181,10 @@ class LogShippingSystem:
             self._work_available[site].trigger(None)
 
     def _ship_loop(self, site: str) -> Generator[Any, Any, None]:
+        """The site's shipper, on its endpoint: one that a restart
+        respawns after the site lost the serving role returns."""
+        if site != self.serving:
+            return
         replica = self.sites[site]
         while True:
             if replica.deposed:
@@ -273,7 +269,7 @@ class LogShippingSystem:
         :meth:`take_over` under a fresh epoch. ``fenced=False`` is the
         E14 ablation: the new regime takes no epoch protection, so a
         deposed-but-alive primary's resurrection ships straight in."""
-        interval = HeartbeatEmitter.interval
+        interval = HEARTBEAT_INTERVAL
         controller = FailoverController(
             self.network,
             detector or FixedTimeoutDetector(
@@ -294,10 +290,6 @@ class LogShippingSystem:
         failure injection: crash the serving site (a forced conviction
         that happens to be correct by construction), then promote."""
         old_name = self.serving
-        proc = self._shipper_procs.get(old_name)
-        if proc is not None:
-            proc.interrupt("failover")
-            self._shipper_procs[old_name] = None
         self.sites[old_name].crash()
         return self.take_over(fenced=True)
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     BreakerOpenError,
@@ -72,6 +72,9 @@ from repro.sim.process import Process
 from repro.sim.scheduler import register_fresh_run_hook
 
 _uniq_counter = itertools.count(1)
+
+#: A background loop: called for a fresh generator at every (re)spawn.
+Loop = Callable[[], Generator[Any, Any, Any]]
 
 #: How a call that names no policy retries.
 _DEFAULT_POLICY = RetryPolicy()
@@ -110,7 +113,15 @@ class RpcError(Exception):
 
 
 class Endpoint:
-    """A named network endpoint that can serve requests and place calls."""
+    """A named network endpoint that can serve requests and place calls.
+
+    It also owns its node's background loops, which live and die with it
+    (§2.2's fail-fast): :meth:`spawn` runs at most one per name, and a
+    loop that returns is forgotten; :meth:`stop` interrupts the running
+    ones and :meth:`restart` spawns them again, so a loop that belongs to
+    a regime (a leadership term, a serving role) checks on entry that its
+    regime still holds; :meth:`end` interrupts one loop for good.
+    """
 
     def __init__(self, network: Network, name: str, dedup: bool = False) -> None:
         self.network = network
@@ -139,6 +150,10 @@ class Endpoint:
         self._held: Optional[List[Message]] = []
         self._breakers: Optional[BreakerBoard] = None
         self._admission: Optional[AdmissionControl] = None
+        #: Background loops by name, with their processes.
+        self._loops: Dict[str, Tuple[Loop, Process]] = {}
+        #: The loops stop() interrupted, for restart() to spawn again.
+        self._stopped_loops: Dict[str, Loop] = {}
         network.attach(name, self._receive)
 
     # ------------------------------------------------------------------
@@ -215,18 +230,44 @@ class Endpoint:
             self._serving = True
             self.sim.schedule(0.0, self._go_live, self._generation)
 
+    def spawn(self, name: str, loop: Loop) -> None:
+        """Run ``loop()`` now as background loop ``name``; a no-op while
+        a loop of that name is running."""
+        entry = self._loops.get(name)
+        if entry is not None and entry[1].alive:
+            return
+        self._loops[name] = (
+            loop, Process(self.sim, loop(), ("%s:%s", self.name, name))
+        )
+
+    def end(self, name: str, cause: Any) -> None:
+        """Interrupt loop ``name`` and forget it: no restart brings it
+        back."""
+        self._stopped_loops.pop(name, None)
+        entry = self._loops.pop(name, None)
+        if entry is not None:
+            entry[1].interrupt(cause)
+
     def stop(self, cause: Any = "stopped") -> None:
         """Crash/stop the endpoint: detach from the network, kill every
-        in-flight generator handler (fail-fast — a dead node must not
-        finish work or send replies; a plain handler whose step is already
-        queued still runs, the detached fabric drops its reply, and it
-        records nothing in the dedup cache), fail outstanding client
-        calls, and forget all volatile state including the dedup cache."""
+        background loop and in-flight generator handler (fail-fast — a
+        dead node must not compute, finish work or send replies; a plain
+        handler whose step is already queued still runs, the detached
+        fabric drops its reply, and it records nothing in the dedup
+        cache), fail outstanding client calls, and forget all volatile
+        state including the dedup cache. Loops are interrupted first, in
+        the order their names were first spawned, then handlers in
+        dispatch order, so none of them sees its own calls fail."""
         self._serving = False
         self._generation += 1
         self._stop_cause = cause
         self._held = []
         self._queued = 0
+        loops, self._loops = self._loops, {}
+        for name, (loop, proc) in loops.items():
+            if proc.alive:
+                self._stopped_loops[name] = loop
+                proc.interrupt(cause)
         handler_procs, self._handler_procs = self._handler_procs, {}
         for proc in handler_procs.values():
             proc.interrupt(cause)
@@ -241,7 +282,8 @@ class Endpoint:
 
     def restart(self) -> None:
         """Rejoin the network and serve again, from the next kernel step
-        on. Idempotent while serving (mirrors :meth:`start`)."""
+        on, and spawn again the loops :meth:`stop` interrupted, in their
+        order. Idempotent while serving (mirrors :meth:`start`)."""
         if not self.network.is_attached(self.name):
             # Also reached still serving, after a network-side-only
             # detach: in-flight handlers carry on (the generation is
@@ -250,6 +292,9 @@ class Endpoint:
             self.network.attach(self.name, self._receive)
             self._serving = False
         self.start()
+        stopped, self._stopped_loops = self._stopped_loops, {}
+        for name, loop in stopped.items():
+            self.spawn(name, loop)
 
     def _go_live(self, generation: int) -> None:
         """The start step: hand over what arrived before it."""

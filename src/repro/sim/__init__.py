@@ -13,13 +13,14 @@ Public surface:
 - :class:`Process` — a running generator; yield effects to wait.
 - :class:`Event` — a one-shot waitable; also the return channel for values.
 - Effects: :class:`Timeout`, :class:`AllOf` (plus yielding an
-  :class:`Event` or :class:`Process` directly).
+  :class:`Event` or :class:`Process` directly); :func:`pacing`, the
+  jittered pauses of a periodic loop.
 - :class:`RngRegistry` — named, seeded random streams.
 - :mod:`repro.sim.metrics` — counters, histograms, time series.
 - :mod:`repro.sim.trace` — structured trace log.
 """
 
-from repro.sim.events import Event, Timeout, AllOf
+from repro.sim.events import Event, Timeout, AllOf, pacing
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.random import RngRegistry
@@ -35,6 +36,7 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
+    "pacing",
     "RngRegistry",
     "Counter",
     "Histogram",

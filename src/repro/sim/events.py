@@ -24,7 +24,7 @@ formats one: a name may be given as a ``(template, *args)`` tuple, which
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -164,3 +164,16 @@ class AllOf:
                 raise SimulationError(f"cannot wait on {item!r}")
             resolved.append(event)
         return resolved
+
+
+def pacing(
+    sim: Any, rng: Any, interval: float, spread: float, until: float
+) -> Generator[Timeout, None, None]:
+    """Seeded pauses for a periodic loop — ``for pause in pacing(...):
+    yield pause`` — each ``interval`` × (1 ± ``spread``), ending when the
+    next pause would cross ``until`` (``math.inf``: never)."""
+    while True:
+        delay = interval * rng.uniform(1 - spread, 1 + spread)
+        if sim.now + delay > until:
+            return
+        yield Timeout(delay)

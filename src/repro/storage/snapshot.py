@@ -340,7 +340,6 @@ class Snapshotter:
         self.cadence = cadence
         self.keep_chains = keep_chains
         self.name = name
-        self._proc: Optional[Any] = None
         self._dirty = False
         self._wake = sim.event(f"snapshot.wake.{name}")
 
@@ -381,16 +380,6 @@ class Snapshotter:
                 yield self._wake
             yield Timeout(self.cadence)
             yield from self.take()
-
-    def start(self) -> Any:
-        if self._proc is None or not self._proc.alive:
-            self._proc = self.sim.spawn(self.run(), name=f"snapshot.{self.name}")
-        return self._proc
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.alive:
-            self._proc.interrupt("snapshotter stopped")
-        self._proc = None
 
 
 # ----------------------------------------------------------------------

@@ -85,8 +85,6 @@ class DiskProcessPair:
             endpoint.start()
             self._endpoints[endpoint_name] = endpoint
         # DP2 group-commit machinery (lives with the serving side).
-        self._ship_scheduled = False
-        self._ship_proc = None
         self._ship_waiters: List[Tuple[int, Any]] = []
         self.aborted_on_takeover: List[int] = []
 
@@ -268,17 +266,16 @@ class DiskProcessPair:
             return
         waiter = self.sim.event(name=f"{self.name}.ship@{target_lsn}")
         self._ship_waiters.append((target_lsn, waiter))
-        if not self._ship_scheduled:
-            self._ship_scheduled = True
-            self._ship_proc = self.sim.spawn(
-                self._ship_loop(endpoint), name=f"{self.name}.ship"
-            )
+        endpoint.spawn("ship", lambda: self._ship_loop(endpoint))
         yield waiter
 
     def _ship_loop(self, endpoint: Endpoint) -> Generator[Any, Any, None]:
         """The city bus: wait for the timer, sweep up the whole buffer,
         carry it to the backup and the ADP in one trip; repeat while riders
-        are still waiting."""
+        are still waiting. It runs on the serving side's endpoint; one
+        that a restart respawns after a takeover returns at once."""
+        if endpoint.name != self.current:
+            return
         state = self._states[endpoint.name]
         while True:
             yield Timeout(self.config.group_commit_timer)
@@ -318,7 +315,6 @@ class DiskProcessPair:
                     still_waiting.append((target_lsn, waiter))
             self._ship_waiters = still_waiting
             if not self._ship_waiters and not state.log_buffer:
-                self._ship_scheduled = False
                 return
 
     # ------------------------------------------------------------------
@@ -332,9 +328,6 @@ class DiskProcessPair:
         old = self.current
         lost_records = len(self._states[old].log_buffer)
         self._endpoints[old].stop("crash")
-        if self._ship_proc is not None:
-            self._ship_proc.interrupt("crash")
-        self._ship_scheduled = False
         self._ship_waiters = []
         aborted: List[int] = []
         if self.config.mode is DPMode.DP2:

@@ -157,25 +157,19 @@ class TxnReplica:
 
         self.prefix_violation = False  # latched by safety checks; the
         # strong-order invariant reads it — never expected to trip.
-        self._forward_proc = None
-        self._lead_proc = None
+        #: The epoch this replica leads under, until stop(): a lead loop
+        #: that a restart respawns after its regime ended returns.
+        self._regime: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     def start(self) -> None:
         self.endpoint.start()
-        if self._forward_proc is None or not self._forward_proc.alive:
-            self._forward_proc = self.sim.spawn(
-                self._forward_loop(), name=f"txn:{self.name}.forward"
-            )
+        self.endpoint.spawn("forward", self._forward_loop)
 
     def stop(self) -> None:
-        for proc in (self._forward_proc, self._lead_proc):
-            if proc is not None and proc.alive:
-                proc.interrupt("stopped")
-        self._forward_proc = None
-        self._lead_proc = None
+        self._regime = None
         self.leading = False
         self.endpoint.stop("stopped")
 
@@ -395,12 +389,10 @@ class TxnReplica:
 
     def begin_leadership(self, epoch: int) -> None:
         """Take over the minting role under a freshly-granted epoch."""
-        if self._lead_proc is not None and self._lead_proc.alive:
-            self._lead_proc.interrupt("superseded")
+        self.endpoint.end("lead", "superseded")
         self.epoch = max(self.epoch, epoch)
-        self._lead_proc = self.sim.spawn(
-            self._lead(epoch), name=f"txn:{self.name}.lead.e{epoch}"
-        )
+        self._regime = epoch
+        self.endpoint.spawn("lead", lambda: self._lead(epoch))
 
     def _best_log(
         self, responses: Dict[str, Dict[str, Any]]
@@ -446,6 +438,8 @@ class TxnReplica:
             self._advance_commit(min(commit, len(self.log)))
 
     def _lead(self, epoch: int) -> Generator[Any, Any, None]:
+        if self._regime != epoch or self.epoch != epoch:
+            return  # respawned by a restart after its regime ended
         self.leading = True
         self._synced = False
         self.leader_hint = self.name

@@ -127,3 +127,28 @@ def test_decommissioning_from_a_gossiping_ring_is_a_domain_error():
     with pytest.raises(SimulationError, match="cannot decommission 'node3': gossip"):
         cluster.sim.run_process(cluster.decommission("node3"))
     assert cluster.alive("node3") and "node3" in cluster.views
+
+
+def test_a_warm_crashed_node_checkpoints_only_once_restarted():
+    """A crash stops a node's checkpoint loop with its endpoint (a
+    corpse writes no snapshots); the restart resumes it."""
+    cluster = DynamoCluster(
+        num_nodes=4, n=3, r=2, w=2, seed=3, snapshot_cadence=1.0
+    )
+    sim, node0 = cluster.sim, cluster.nodes["node0"]
+    installs = sim.metrics.histogram("snapshot.node0.tail_at_install")
+    client = cluster.client("c0")
+
+    def writes():
+        for i in range(20):
+            yield from client.put(f"k{i}", i)
+
+    sim.spawn(writes())
+    while not node0.snapshotter._dirty:
+        sim.run(max_steps=1)
+    cluster.crash("node0")
+    sim.run(until=sim.now + 5.0)
+    assert installs.count == 0
+    cluster.restart("node0")
+    sim.run(until=sim.now + 5.0)
+    assert installs.count == 1

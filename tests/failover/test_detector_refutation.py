@@ -7,7 +7,7 @@ once, no matter how many heartbeats the 'corpse' sends afterwards."""
 import pytest
 
 from repro.cluster.gossip_membership import ALIVE, DEAD, SUSPECT, MembershipView
-from repro.failover import FixedTimeoutDetector, HeartbeatEmitter
+from repro.failover import FixedTimeoutDetector, heartbeats
 from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig, Network
 from repro.net.rpc import Endpoint
@@ -27,11 +27,10 @@ def make_watched_node(seed=0, timeout=1.0, suspicion_timeout=3.0):
         lambda _ep, msg: (detector.heartbeat(msg.payload["node"]), {})[1],
     )
     monitor.start()
+    monitor.spawn("poll", lambda: detector.poll_loop(poll_interval=0.1))
     node = Endpoint(network, "n1")
     node.start()
-    emitter = HeartbeatEmitter(node, "monitor")
-    emitter.start()
-    detector.start(poll_interval=0.1)
+    node.spawn("heartbeat", lambda: heartbeats(node, "monitor"))
     return sim, network, detector, view
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.failover import (
     FixedTimeoutDetector,
-    HeartbeatEmitter,
     PhiAccrualDetector,
+    heartbeats,
 )
 from repro.net.latency import FixedLatency
 from repro.net.network import LinkConfig, Network
@@ -23,13 +23,22 @@ def make_fabric(seed=0):
 
 
 def wire_monitor(sim, network, detector, name="monitor"):
+    """A monitor endpoint feeding ``detector``, with its poll loop."""
     monitor = Endpoint(network, name)
     monitor.register(
         "HEARTBEAT",
         lambda _ep, msg: (detector.heartbeat(msg.payload["node"]), {})[1],
     )
     monitor.start()
+    monitor.spawn("poll", lambda: detector.poll_loop(poll_interval=0.1))
     return monitor
+
+
+def heartbeating_node(network, name="n1"):
+    node = Endpoint(network, name)
+    node.start()
+    node.spawn("heartbeat", lambda: heartbeats(node, "monitor"))
+    return node
 
 
 def test_emitter_casts_on_schedule():
@@ -40,12 +49,10 @@ def test_emitter_casts_on_schedule():
         "HEARTBEAT", lambda _ep, msg: (seen.append(msg.payload), {})[1]
     )
     monitor.start()
-    node = Endpoint(network, "n1")
-    node.start()
-    emitter = HeartbeatEmitter(node, "monitor")
-    emitter.start()
+    node = heartbeating_node(network)
     sim.run(until=1.3)
-    emitter.stop()
+    node.end("heartbeat", "stopped")
+    sim.run(until=3.0)
     assert [beat["seq"] for beat in seen] == [1, 2, 3, 4, 5]
     assert all(beat["node"] == "n1" for beat in seen)
 
@@ -54,11 +61,7 @@ def test_fixed_timeout_convicts_silent_node():
     sim, network = make_fabric()
     detector = FixedTimeoutDetector(sim, ["n1"], timeout=1.0)
     wire_monitor(sim, network, detector)
-    node = Endpoint(network, "n1")
-    node.start()
-    emitter = HeartbeatEmitter(node, "monitor")
-    emitter.start()
-    detector.start(poll_interval=0.1)
+    heartbeating_node(network)
     sim.run(until=3.0)
     assert not detector.convicted("n1")
     network.detach("n1")  # crash: heartbeats stop arriving
@@ -73,11 +76,7 @@ def test_conviction_of_live_node_is_contradicted_on_next_heartbeat():
     sim, network = make_fabric()
     detector = FixedTimeoutDetector(sim, ["n1"], timeout=1.0)
     wire_monitor(sim, network, detector)
-    node = Endpoint(network, "n1")
-    node.start()
-    emitter = HeartbeatEmitter(node, "monitor")
-    emitter.start()
-    detector.start(poll_interval=0.1)
+    heartbeating_node(network)
     sim.run(until=2.0)
     network.partition([{"n1"}, {"monitor"}])  # alive, just unreachable
     sim.run(until=5.0)
@@ -94,7 +93,7 @@ def test_conviction_of_live_node_is_contradicted_on_next_heartbeat():
 def test_pardon_allows_reconviction():
     sim, network = make_fabric()
     detector = FixedTimeoutDetector(sim, ["n1"], timeout=0.5)
-    detector.start(poll_interval=0.1)
+    wire_monitor(sim, network, detector)
     sim.run(until=1.0)
     assert detector.convicted("n1")  # never heard from at all
     detector.pardon("n1")
@@ -107,12 +106,12 @@ def test_pardon_allows_reconviction():
 
 
 def test_observers_fire_on_convict_and_contradiction():
-    sim, _network = make_fabric()
+    sim, network = make_fabric()
     detector = FixedTimeoutDetector(sim, ["n1"], timeout=0.5)
     events = []
     detector.on_convict(lambda node, at: events.append(("convict", node, at)))
     detector.on_contradiction(lambda node, at: events.append(("contra", node, at)))
-    detector.start(poll_interval=0.1)
+    wire_monitor(sim, network, detector)
     sim.run(until=1.0)
     detector.heartbeat("n1")
     assert [e[0] for e in events] == ["convict", "contra"]
@@ -136,9 +135,9 @@ def test_phi_accrual_tracks_interarrival_distribution():
 
 
 def test_phi_accrual_bootstraps_like_fixed_timeout():
-    sim, _network = make_fabric()
+    sim, network = make_fabric()
     detector = PhiAccrualDetector(sim, ["n1"])
-    detector.start(poll_interval=0.1)
+    wire_monitor(sim, network, detector)
     # One sample is below min_samples: the fixed rule applies.
     detector.heartbeat("n1")
     sim.run(until=2.0)
@@ -150,11 +149,7 @@ def test_detector_is_deterministic():
         sim, network = make_fabric(seed=11)
         detector = PhiAccrualDetector(sim, ["n1"])
         wire_monitor(sim, network, detector)
-        node = Endpoint(network, "n1")
-        node.start()
-        emitter = HeartbeatEmitter(node, "monitor")
-        emitter.start()
-        detector.start(poll_interval=0.1)
+        heartbeating_node(network)
         sim.run(until=4.0)
         network.detach("n1")
         sim.run(until=10.0)
@@ -169,4 +164,4 @@ def test_bad_parameters_rejected():
         FixedTimeoutDetector(sim, ["n1"], timeout=0.0)
     detector = FixedTimeoutDetector(sim, ["n1"])
     with pytest.raises(SimulationError):
-        detector.start(poll_interval=0.0)
+        detector.poll_loop(poll_interval=0.0)

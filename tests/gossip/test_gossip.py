@@ -42,13 +42,13 @@ def test_partition_blocks_then_heals():
     cluster.sim.schedule_at(10.0, cluster.network.heal)
     for index, name in enumerate(cluster.nodes):
         cluster.submit(name, add(index + 1))
-    run(cluster, until=8.0)
+    # Gossip on past the heal.
+    for node in cluster.nodes.values():
+        node.run(until=30.0)
+    cluster.sim.run(until=8.0)
     assert not cluster.converged()
     isolated = cluster.replica("g2")
     assert isolated.state["total"] == 3  # its own op only
-    # Keep gossiping past the heal.
-    for node in cluster.nodes.values():
-        node.run(until=30.0)
     cluster.sim.run(until=30.0)
     assert cluster.converged()
     assert all(state["total"] == 6 for state in cluster.states())
@@ -57,12 +57,13 @@ def test_partition_blocks_then_heals():
 def test_crashed_node_catches_up_after_restart():
     cluster = GossipCluster(counter_registry(), num_replicas=3, period=0.5, seed=7)
     cluster.submit("g0", add(5))
+    for node in cluster.nodes.values():
+        node.run(until=20.0)
     cluster.node("g2").crash()
-    run(cluster, until=5.0)
+    cluster.sim.run(until=5.0)
     assert cluster.replica("g2").state.get("total", 0) == 0
-    cluster.node("g2").restart(until=20.0)
-    for name in ("g0", "g1"):
-        cluster.node(name).run(until=20.0)
+    # The restart resumes the loop the crash stopped.
+    cluster.node("g2").restart()
     cluster.sim.run(until=20.0)
     assert cluster.converged()
     assert cluster.replica("g2").state["total"] == 5

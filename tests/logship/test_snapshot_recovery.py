@@ -126,3 +126,24 @@ def test_recovery_time_scales_with_tail_not_log():
     # Flat within 50% despite 2x the log (pure tail replay + snapshot load;
     # the snapshot chain is bounded by compaction).
     assert times[1] < times[0] * 1.5
+
+
+def test_a_warm_restarted_site_checkpoints_again():
+    """The crash ends a site's checkpoint loop with its endpoint, and a
+    warm restart resumes it: the writes east replays after
+    ``recover_orphans`` land in a new checkpoint."""
+    system = LogShippingSystem(snapshot_cadence=0.5, seed=1)
+    installs = system.sim.metrics.histogram("snapshot.east.tail_at_install")
+
+    def job():
+        yield from run_workload(system, 5)
+        system.fail_over()
+        system.recover_orphans()
+        restarted_with = installs.count
+        yield from run_workload(system, 5)
+        yield Timeout(3.0)
+        return restarted_with
+
+    restarted_with = system.sim.run_process(job())
+    assert system.serving == "west" and not system.backup.crashed
+    assert installs.count > restarted_with

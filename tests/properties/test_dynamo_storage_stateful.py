@@ -135,7 +135,7 @@ def _checkpointed_node():
     """A node whose checkpoint covers three keys, one with two siblings."""
     sim = Simulator()
     node = DynamoNode(sim, Network(sim), "n0")
-    node.enable_snapshots(cadence=0.5).start()
+    node.enable_snapshots(cadence=0.5)
     for i, key in enumerate(KEYS):
         node.store_version(key, VersionedValue(i, VectorClock({"a": 1})))
     node.store_version("k0", VersionedValue(9, VectorClock({"b": 1})))

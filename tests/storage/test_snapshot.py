@@ -218,7 +218,7 @@ def test_snapshotter_loop_takes_periodic_snapshots():
         return dict(live), {}
 
     snapper = Snapshotter(sim, wal, capture, store, cadence=0.5)
-    snapper.start()
+    sim.spawn(snapper.run(), name="snapshotter")
 
     def run():
         for i in range(4):
@@ -230,7 +230,6 @@ def test_snapshotter_loop_takes_periodic_snapshots():
         yield Timeout(1.0)
 
     sim.run_process(run())
-    snapper.stop()
     assert sim.metrics.counters()["snapshot.snap.installed"] >= 3
     assert store.peek_materialize().state == {"x": 3}
 
@@ -240,7 +239,7 @@ def test_idle_snapshotter_drains():
     (no snapshot-every-cadence-forever polling)."""
     sim, wal, store = make_stack()
     snapper = Snapshotter(sim, wal, lambda: ({}, {}), store, cadence=0.5)
-    snapper.start()
+    sim.spawn(snapper.run(), name="snapshotter")
     sim.run()  # returns: nothing marked dirty, so nothing is scheduled
     assert sim.metrics.counters().get("snapshot.snap.installed", 0) == 0
 

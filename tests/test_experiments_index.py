@@ -126,6 +126,42 @@ def _reached_from(roots):
     return seen
 
 
+def _kept_spawn_handles(path):
+    """Lines where ``path`` keeps a process handle: a ``.spawn(...)``
+    result assigned to ``self.<attr>`` or ``self.<attr>[...]``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "spawn"
+        ):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                yield node.lineno
+
+
+def test_background_loops_are_owned_by_their_endpoint():
+    """A node's loops live and die with its endpoint
+    (``Endpoint.spawn``), so no other class keeps a process handle for
+    one — a kept handle is a crash path that has to remember it."""
+    kept = [
+        f"{path.relative_to(SRC / 'repro')}:{line}"
+        for path in sorted(SRC.glob("repro/**/*.py"))
+        if path != SRC / "repro" / "net" / "rpc.py"
+        for line in _kept_spawn_handles(path)
+    ]
+    assert not kept, f"process handles kept outside Endpoint: {kept}"
+
+
 def test_every_module_is_reached_from_something_that_runs():
     """Walk imports from everything that *runs* the system — the indexed
     benches, ``bench/``, the examples and the chaos CLI. A module none
