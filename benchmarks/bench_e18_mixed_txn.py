@@ -13,8 +13,9 @@ with the partition length and measures, inside the partition window:
   is cut: the minority side cannot commit at all, the majority pays the
   takeover);
 - and the price: the apology rate — the share of guesses that the agreed
-  post-heal order contradicted, each one a structured, compensated
-  :class:`~repro.txn.apology.TxnApology`.
+  post-heal order contradicted, each one settled wrong in the system's
+  :class:`~repro.core.guesses.Ledger` and answered by one structured
+  :class:`~repro.core.guesses.Apology`.
 
 Run with ``pytest benchmarks/bench_e18_mixed_txn.py -s`` to print the table.
 """

@@ -6,8 +6,9 @@ against its own knowledge (the guess). Big checks trigger the §5.5
 coordination: merge knowledge from every other replica before
 deciding — the synchronous checkpoint, paid for in the experiment by a
 latency charge per consulted replica. Overdrafts discovered when the
-replicas finally talk become apologies handled by the automated
-overdraft-fee handler.
+replicas finally talk are settled in the order the bank saw the checks:
+each check whose own debit overdraws earns one apology, which the
+automated overdraft-fee handler answers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.bank.account import (
 )
 from repro.bank.check import Check
 from repro.core.antientropy import converged, sync_all, sync_replicas
-from repro.core.guesses import Apology, ApologyQueue
+from repro.core.guesses import Apology, Ledger
 from repro.core.operation import Operation
 from repro.core.replica import Replica
 from repro.core.risk import ThresholdRiskPolicy
@@ -54,8 +55,10 @@ class ReplicatedBank:
             if coordination_threshold is not None
             else None
         )
-        self.apologies = ApologyQueue()
-        self.apologies.register_handler("overdraft", self._overdraft_handler)
+        self.ledger = Ledger()
+        self.ledger.register_handler("overdraft", self._overdraft_handler)
+        #: How many ops this bank has minted (see :meth:`operation`).
+        self._presented = 0
         self.replicas: Dict[str, Replica] = {}
         for i in range(self.num_replicas):
             name = f"branch{i}"
@@ -63,10 +66,9 @@ class ReplicatedBank:
                 name,
                 self.registry,
                 rules=RuleEngine([overdraft_rule()]),
-                apologies=self.apologies,
+                ledger=self.ledger,
             )
         self.coordinations = 0
-        self._fee_seq = 0
         if initial_deposit > 0:
             opening = Operation(
                 "DEPOSIT", {"amount": initial_deposit},
@@ -82,17 +84,23 @@ class ReplicatedBank:
             raise SimulationError(f"unknown branch {name!r}")
         return self.replicas[name]
 
+    def operation(self, op_type: str, args: dict, uniquifier: Optional[str],
+                  origin: str) -> Operation:
+        """A new op on the account, stamped with the bank's next
+        presentation: the canonical order is the order the bank saw the
+        work in (after the opening deposit, stamped 0)."""
+        self._presented += 1
+        return Operation(op_type, args, uniquifier=uniquifier, origin=origin,
+                         ingress_time=float(self._presented))
+
     def clear_check(self, branch: str, check: Check) -> ClearOutcome:
         """Present a check at one branch; the branch decides on whatever
         knowledge it has (possibly coordinated first, if the amount says
         so)."""
         replica = self.replica(branch)
-        op = Operation(
-            "CLEAR_CHECK",
-            {"amount": check.amount, "payee": check.payee},
-            uniquifier=check.uniquifier,
-            origin=branch,
-            ingress_time=0.0,
+        op = self.operation(
+            "CLEAR_CHECK", {"amount": check.amount, "payee": check.payee},
+            check.uniquifier, branch,
         )
         if self.risk_policy is not None and self.risk_policy.requires_coordination(op):
             self._coordinate(replica)
@@ -104,9 +112,8 @@ class ReplicatedBank:
 
     def deposit(self, branch: str, amount: float, uniquifier: Optional[str] = None,
                 hold: bool = False) -> bool:
-        op = Operation(
-            "DEPOSIT", {"amount": amount, "hold": hold},
-            uniquifier=uniquifier, origin=branch, ingress_time=0.0,
+        op = self.operation(
+            "DEPOSIT", {"amount": amount, "hold": hold}, uniquifier, branch
         )
         return self.replica(branch).submit(op)
 
@@ -132,21 +139,20 @@ class ReplicatedBank:
     # ------------------------------------------------------------------
     # Apology code
 
-    def _overdraft_handler(self, apology: Apology) -> bool:
-        """Automated apology: charge the overdraft fee at the replica that
-        detected the mess. Idempotent per detected violation."""
-        replica = self.replicas.get(apology.replica)
+    def _overdraft_handler(self, apology: Apology) -> Optional[str]:
+        """Automated apology: charge the overdraft fee at the branch that
+        cleared the overdrawing op. One fee per apology, and the ledger
+        emits one apology per op."""
+        replica = self.replicas.get(apology.origin)
         if replica is None:
-            return False
-        self._fee_seq += 1
-        fee_op = Operation(
-            "FEE", {"amount": self.overdraft_fee, "reason": apology.detail},
-            uniquifier=f"overdraft-fee-{apology.op_uniquifier}-{self._fee_seq}",
-            origin=replica.name, ingress_time=0.0,
+            return None
+        fee_op = self.operation(
+            "FEE", {"amount": self.overdraft_fee, "reason": apology.actual},
+            f"overdraft-fee-{apology.uniquifier}", replica.name,
         )
         replica.ops.add(fee_op)
         replica.state = self.registry.apply(replica.state, fee_op)
-        return True
+        return "fee"
 
     # ------------------------------------------------------------------
     # Inspection
@@ -158,4 +164,4 @@ class ReplicatedBank:
         return available_of(self.replica(branch).state)
 
     def overdraft_count(self) -> int:
-        return sum(1 for a in self.apologies.all if a.rule == "overdraft")
+        return sum(1 for a in self.ledger.apologies if a.rule == "overdraft")

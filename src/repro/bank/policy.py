@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.bank.check import Check
 from repro.bank.clearing import ReplicatedBank
-from repro.core.operation import Operation
+from repro.core.guesses import ACCEPTED
 from repro.errors import SimulationError
 
 
@@ -25,7 +25,6 @@ class CustomerStanding(str, enum.Enum):
 @dataclass
 class _PendingDeposit:
     check: Check
-    standing: CustomerStanding
     held: bool
 
 
@@ -48,31 +47,26 @@ class DepositDesk:
         self.bank.deposit(
             self.branch, check.amount, uniquifier=deposit_id, hold=held
         )
-        replica = self.bank.replica(self.branch)
-        replica.guesses.record(
-            deposit_id,
-            basis=f"deposited on {standing.value} standing, hold={held}",
-        )
-        self._pending[deposit_id] = _PendingDeposit(check, standing, held)
+        self._pending[deposit_id] = _PendingDeposit(check, held)
         return deposit_id
 
     def resolve(self, deposit_id: str, bounced: bool) -> Optional[str]:
         """The drawee bank answered. On a bounce: debit the amount plus
-        the bounce fee (the §6.2 "$130"). On clearance: release any hold.
+        the bounce fee (the §6.2 "$130"); the deposit was a wrong guess and
+        earns its one apology, which no handler takes (a person tells the
+        customer). On clearance: confirm the guess and release any hold.
         Returns the uniquifier of the correcting operation, if any."""
         if deposit_id not in self._pending:
             raise SimulationError(f"unknown deposit {deposit_id!r}")
         pending = self._pending.pop(deposit_id)
         replica = self.bank.replica(self.branch)
         if bounced:
-            replica.guesses.refute(deposit_id)
-            debit = Operation(
+            self.bank.ledger.settle(deposit_id, "bounced", "bounce")
+            debit = self.bank.operation(
                 "BOUNCE_DEBIT",
                 {"amount": pending.check.amount + self.bounce_fee,
                  "check": pending.check.uniquifier},
-                uniquifier=f"bounce-{deposit_id}",
-                origin=self.branch,
-                ingress_time=0.0,
+                f"bounce-{deposit_id}", self.branch,
             )
             # A bounce is never refused: integrate directly (the money is
             # owed whether or not it overdraws — that is the customer's
@@ -81,17 +75,15 @@ class DepositDesk:
             if pending.held:
                 self._release(replica, pending, deposit_id)
             return debit.uniquifier
-        replica.guesses.confirm(deposit_id)
+        self.bank.ledger.settle(deposit_id, ACCEPTED, "bounce")
         if pending.held:
             return self._release(replica, pending, deposit_id)
         return None
 
     def _release(self, replica, pending: _PendingDeposit, deposit_id: str) -> str:
-        release = Operation(
+        release = self.bank.operation(
             "RELEASE_HOLD", {"amount": pending.check.amount},
-            uniquifier=f"release-{deposit_id}",
-            origin=self.branch,
-            ingress_time=0.0,
+            f"release-{deposit_id}", self.branch,
         )
         replica.integrate([release])
         return release.uniquifier

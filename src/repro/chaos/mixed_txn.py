@@ -11,17 +11,17 @@ fulfillment pool.
 
 Three invariants, continuously checked:
 
-- **apology-pairs-reorder** — the set of apologized uniquifiers equals
-  the set of reordered guesses, always (no silent retractions, no
-  apologies for nothing);
+- **apology-pairs-reorder** — the system ledger's ``unpaired()`` is
+  empty, always: every reordered guess has exactly one apology (no
+  silent retractions, no double apologies);
 - **escrow-conservation** (quiesce) — after stabilization every
   replica's stable state grants at most its capacity, all replicas agree
   on *which* uniquifiers hold units, that set matches what the clients'
   final results imply, and the §7.4 fulfillment pool mirrors it exactly
   (guess-time allocations, apology-time releases/re-reserves);
 - **strong-order-preserved** — committed prefixes only ever extend, no
-  replica latches a prefix violation, and no strong op ever appears
-  among the reordered or apologized.
+  replica latches a prefix violation, and no strong op is ever a guess
+  (so none can be reordered or apologized for).
 
 The weak ops (RESERVE / CANCEL / RESTOCK) ride the guess fast path; the
 strong ops (SET_CAPACITY on a reserve-free side category) need the total
@@ -199,17 +199,9 @@ class MixedTxnScenario(Scenario):
     # Invariants
 
     def _check_apology_pairing(self) -> Optional[str]:
-        apologized = self._system.apology_uniquifiers()
-        reordered = self._system.reordered_uniquifiers()
-        if apologized != reordered:
-            orphans = sorted(apologized ^ reordered)
-            return f"apology/reorder sets differ: {orphans[:6]}"
-        counters = self._sim.metrics.counters()
-        if counters.get("txn.apologies", 0) != counters.get("txn.reordered", 0):
-            return (
-                f"apologies={counters.get('txn.apologies', 0)} "
-                f"reordered={counters.get('txn.reordered', 0)}"
-            )
+        unpaired = self._system.ledger.unpaired()
+        if unpaired:
+            return f"guesses without exactly one apology: {unpaired[:6]}"
         return None
 
     def _check_strong_order(self) -> Optional[str]:
@@ -222,11 +214,9 @@ class MixedTxnScenario(Scenario):
             if committed[: len(seen)] != seen:
                 return f"{name} rewrote its committed order"
             self._committed_seen[name] = committed
-        touched = self._strong_uniqs & (
-            system.reordered_uniquifiers() | system.apology_uniquifiers()
-        )
-        if touched:
-            return f"strong ops reordered/apologized: {sorted(touched)[:4]}"
+        guessed = [u for u in self._strong_uniqs if u in system.ledger.guesses]
+        if guessed:
+            return f"strong ops acked as guesses: {sorted(guessed)[:4]}"
         return None
 
     def _check_escrow(self) -> Optional[str]:

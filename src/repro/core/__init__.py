@@ -15,8 +15,9 @@ Pieces:
   local submission (guesses) and remote integration.
 - :mod:`repro.core.antientropy` — replica synchronization schedules.
 - :mod:`repro.core.properties` — the ACID 2.0 property checker.
-- :mod:`repro.core.guesses` — memories/guesses/apologies bookkeeping
-  (§5.7) and the apology queue with automated + human handlers (§5.6).
+- :mod:`repro.core.guesses` — the memories/guesses/apologies ledger
+  (§5.7): one apology per wrong guess, routed to automated handlers,
+  else a human (§5.6).
 - :mod:`repro.core.rules` — business rules with local (probabilistic) or
   coordinated (synchronous) enforcement (§5.2, §5.8).
 - :mod:`repro.core.risk` — per-operation risk policies: the $10,000 check
@@ -29,7 +30,7 @@ from repro.core.oplog import OpSet
 from repro.core.replica import Replica
 from repro.core.antientropy import sync_replicas, gossip_every
 from repro.core.properties import Acid2Report, check_acid2
-from repro.core.guesses import Guess, GuessLedger, Apology, ApologyQueue
+from repro.core.guesses import Apology, Guess, Ledger
 from repro.core.rules import BusinessRule, Enforcement, RuleEngine
 from repro.core.risk import AdaptiveRiskPolicy, RiskPolicy, ThresholdRiskPolicy
 from repro.core.escrow import EscrowAccount, ExclusiveAccount
@@ -46,10 +47,9 @@ __all__ = [
     "gossip_every",
     "Acid2Report",
     "check_acid2",
-    "Guess",
-    "GuessLedger",
     "Apology",
-    "ApologyQueue",
+    "Guess",
+    "Ledger",
     "BusinessRule",
     "Enforcement",
     "RuleEngine",

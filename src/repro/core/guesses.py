@@ -1,118 +1,101 @@
-"""Memories, guesses, and apologies (§5.7).
+"""Memories, guesses, and apologies (§5.6–§5.7).
 
 "Any time an application takes an action based upon local information, it
-may be wrong... When a mistake is made, you apologize." The ledger tracks
-every guess and its eventual fate; the apology queue routes mistakes to
-business-specific handler code first and to a human when no handler
-matches (§5.6's two-step model).
+may be wrong... When a mistake is made, you apologize." One
+:class:`Ledger` per system records every guess when it is acked and
+settles it once the truth is known: a right guess is confirmed, a wrong
+one earns exactly one apology, keyed by its uniquifier. The apology goes
+to business-specific handler code for its rule first and to a human when
+no handler takes it (§5.6's two-step model).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
+
+#: What a replica tells the client whose work it accepted at ingress.
+ACCEPTED = "accepted"
 
 
 @dataclass
 class Guess:
-    """One action taken on local knowledge."""
+    """One action taken on local knowledge, and what the client was told."""
 
-    key: str
-    basis: str
+    told: Any
+    origin: str
     outcome: str = field(default="open", init=False)  # open | confirmed | wrong
-
-    @property
-    def settled(self) -> bool:
-        return self.outcome != "open"
-
-
-class GuessLedger:
-    """Per-replica record of guesses and their outcomes."""
-
-    def __init__(self) -> None:
-        self._guesses: Dict[str, Guess] = {}
-
-    def record(self, key: str, basis: str) -> Guess:
-        guess = Guess(key=key, basis=basis)
-        self._guesses[key] = guess
-        return guess
-
-    def confirm(self, key: str) -> None:
-        if key in self._guesses:
-            self._guesses[key].outcome = "confirmed"
-
-    def refute(self, key: str) -> None:
-        if key in self._guesses:
-            self._guesses[key].outcome = "wrong"
-
-    def get(self, key: str) -> Optional[Guess]:
-        return self._guesses.get(key)
-
-    def counts(self) -> Dict[str, int]:
-        tally = {"open": 0, "confirmed": 0, "wrong": 0}
-        for guess in self._guesses.values():
-            tally[guess.outcome] += 1
-        return tally
-
-    def __len__(self) -> int:
-        return len(self._guesses)
 
 
 @dataclass
 class Apology:
-    """One detected mistake that the business must answer for."""
+    """One wrong guess, fully accounted: who was told what, what is now
+    true, and what was done about it."""
 
     rule: str
-    op_uniquifier: str
-    detail: str
-    replica: str = ""
-    time: float = 0.0
-    resolution: str = field(default="pending", init=False)  # pending | automated | human
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Apology rule={self.rule} op={self.op_uniquifier} {self.resolution}>"
+    uniquifier: str
+    told: Any
+    actual: Any
+    origin: str
+    #: The handler's compensating action, or "human".
+    resolution: str = field(default="pending", init=False)
 
 
-class ApologyQueue:
-    """Routes apologies: automated handler by rule name, else a human.
+#: Apology code for one rule: returns the name of the compensation it
+#: executed, or None to escalate to a human (§5.7's "cases beyond its
+#: design").
+Handler = Callable[[Apology], Optional[str]]
 
-    §5.6: "1. Send the problem to a human... 2. If that's too expensive,
-    write some business specific software to reduce the probability that a
-    human needs to be involved."
-    """
+
+class Ledger:
+    """Every guess a system acked, and the apologies its wrong ones earned."""
 
     def __init__(self) -> None:
-        self._handlers: Dict[str, Callable[[Apology], bool]] = {}
-        self.resolved_automated: List[Apology] = []
-        self.human_queue: List[Apology] = []
-        self.all: List[Apology] = []
+        self.guesses: Dict[str, Guess] = {}
+        self.apologies: List[Apology] = []
+        self.human: List[Apology] = []
+        self._handlers: Dict[str, Handler] = {}
 
-    def register_handler(self, rule: str, handler: Callable[[Apology], bool]) -> None:
-        """Install apology code for one rule. The handler returns True if
-        it dealt with the mistake, False to escalate to a human anyway."""
+    def register_handler(self, rule: str, handler: Handler) -> None:
+        """Install apology code for one rule."""
         self._handlers[rule] = handler
 
-    def enqueue(self, apology: Apology) -> None:
-        self.all.append(apology)
-        handler = self._handlers.get(apology.rule)
-        if handler is not None and handler(apology):
-            apology.resolution = "automated"
-            self.resolved_automated.append(apology)
+    def guess(self, uniquifier: str, told: Any, origin: str) -> None:
+        """Record an acked guess; the first record of a uniquifier stands."""
+        if uniquifier not in self.guesses:
+            self.guesses[uniquifier] = Guess(told, origin)
+
+    def settle(self, uniquifier: str, actual: Any, rule: str) -> Optional[Apology]:
+        """Meet a guess with the truth: confirm it, or apologize under
+        ``rule``. Returns the apology, or None when there is nothing (new)
+        to apologize for: no such guess, a right one, or one already
+        apologized for."""
+        guess = self.guesses.get(uniquifier)
+        if guess is None or guess.outcome == "wrong":
+            return None
+        if actual == guess.told:
+            guess.outcome = "confirmed"
+            return None
+        guess.outcome = "wrong"
+        apology = Apology(rule, uniquifier, guess.told, actual, guess.origin)
+        self.apologies.append(apology)
+        handler = self._handlers.get(rule)
+        action = handler(apology) if handler is not None else None
+        if action:
+            apology.resolution = action
         else:
             apology.resolution = "human"
-            self.human_queue.append(apology)
+            self.human.append(apology)
+        return apology
 
-    @property
-    def total(self) -> int:
-        return len(self.all)
-
-    @property
-    def human_interventions(self) -> int:
-        return len(self.human_queue)
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "total": self.total,
-            "automated": len(self.resolved_automated),
-            "human": self.human_interventions,
-        }
+    def unpaired(self) -> List[str]:
+        """Uniquifiers that break "one wrong guess, one apology": each
+        wrong guess without exactly one apology, each uniquifier
+        apologized for more than once, and each apology that answers no
+        wrong guess."""
+        wrong = {u for u, guess in self.guesses.items() if guess.outcome == "wrong"}
+        emitted = Counter(apology.uniquifier for apology in self.apologies)
+        broken = {u for u in wrong if emitted[u] != 1}
+        broken.update(u for u, n in emitted.items() if n > 1 or u not in wrong)
+        return sorted(broken)

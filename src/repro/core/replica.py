@@ -4,8 +4,8 @@
 treatment — business rules are checked against *local* knowledge only
 (that's the guess), the op joins the memories, and state moves forward.
 ``integrate`` is how remote work arrives; rule violations discovered
-during integration are the "Oh, crap!" moments (§5.7) and are routed to
-the apology queue rather than rejected — the work already happened
+during integration are the "Oh, crap!" moments (§5.7). They are settled
+in the ledger rather than rejected — the work already happened
 somewhere else.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.core.guesses import Apology, ApologyQueue, GuessLedger
+from repro.core.guesses import ACCEPTED, Apology, Ledger
 from repro.core.operation import Operation, TypeRegistry
 from repro.core.oplog import OpSet
 from repro.core.rules import RuleEngine
@@ -27,14 +27,13 @@ class Replica:
         name: str,
         registry: TypeRegistry,
         rules: Optional[RuleEngine] = None,
-        apologies: Optional[ApologyQueue] = None,
+        ledger: Optional[Ledger] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
         self.registry = registry
         self.rules = rules
-        self.apologies = apologies if apologies is not None else ApologyQueue()
-        self.guesses = GuessLedger()
+        self.ledger = ledger if ledger is not None else Ledger()
         self.ops = OpSet()
         self.state = registry.initial_state()
         self._clock = clock or (lambda: 0.0)
@@ -62,36 +61,41 @@ class Replica:
             self.rules.check_submit(prospective, op)  # may raise RuleViolation
         self.ops.add(op)
         self.state = prospective
-        self.guesses.record(
-            op.uniquifier,
-            basis=f"local state of {self.name} at t={op.ingress_time:.6g}",
-        )
+        self.ledger.guess(op.uniquifier, ACCEPTED, self.name)
         return True
 
     def integrate(self, ops: Iterable[Operation]) -> List[Apology]:
         """Merge remote operations; returns the apologies generated.
 
         Integration never rejects work — it already happened. Rules are
-        re-evaluated on the post-merge state, and violations become
-        apologies (§5.6).
+        re-evaluated on the post-merge state; when one is violated, the
+        merged knowledge is settled in the canonical order (§5.6).
         """
-        new_apologies: List[Apology] = []
+        violated = False
         for op in ops:
             if not self.ops.add(op):
                 continue
             self.state = self.registry.apply(self.state, op)
-            if self.rules is not None:
-                for violation in self.rules.check_integrated(self.state, op):
-                    apology = Apology(
-                        rule=violation.rule,
-                        op_uniquifier=op.uniquifier,
-                        detail=violation.detail,
-                        replica=self.name,
-                        time=self._clock(),
-                    )
-                    self.apologies.enqueue(apology)
-                    new_apologies.append(apology)
-        return new_apologies
+            if self.rules is not None and self.rules.check_integrated(self.state, op):
+                violated = True
+        return self._settle() if violated else []
+
+    def _settle(self) -> List[Apology]:
+        """Replay every known op in the canonical order, the order the
+        work was presented in, and apologize once for each op whose own
+        step breaks a rule. Every op was accepted somewhere on local
+        knowledge, so each is a guess, whichever replica acked it; the
+        arrival order would blame whichever op happened to arrive last."""
+        apologies: List[Apology] = []
+        state = self.registry.initial_state()
+        for op in self.ops.canonical_order():
+            state = self.registry.apply(state, op)
+            for violation in self.rules.check_integrated(state, op):
+                self.ledger.guess(op.uniquifier, ACCEPTED, op.origin)
+                apology = self.ledger.settle(op.uniquifier, violation.detail, violation.rule)
+                if apology is not None:
+                    apologies.append(apology)
+        return apologies
 
     # ------------------------------------------------------------------
 

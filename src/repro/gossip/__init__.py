@@ -16,7 +16,8 @@ Protocol (per round, initiator → peer):
 
 The reply and the push carry the operations themselves, by reference.
 Both sides integrate through their replicas, so business rules fire and
-apologies queue exactly as in the direct-merge model.
+wrong guesses settle in the cluster's one ledger, exactly as in the
+direct-merge model.
 """
 
 from repro.gossip.node import GossipNode

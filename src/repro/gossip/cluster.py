@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.antientropy import converged
-from repro.core.guesses import ApologyQueue
+from repro.core.guesses import Ledger
 from repro.core.operation import Operation, TypeRegistry
 from repro.core.replica import Replica
 from repro.core.rules import RuleEngine
@@ -38,7 +38,7 @@ class GossipCluster:
             default_link=LinkConfig(latency=FixedLatency(self.message_latency)),
         )
         self.registry = registry
-        self.apologies = ApologyQueue()
+        self.ledger = Ledger()
         names = [f"g{i}" for i in range(num_replicas)]
         self.nodes: Dict[str, GossipNode] = {}
         for name in names:
@@ -46,7 +46,7 @@ class GossipCluster:
                 name,
                 registry,
                 rules=rules_factory() if rules_factory else None,
-                apologies=self.apologies,
+                ledger=self.ledger,
                 clock=lambda: self.sim.now,
             )
             self.nodes[name] = GossipNode(

@@ -232,7 +232,11 @@ class Endpoint:
 
     def spawn(self, name: str, loop: Loop) -> None:
         """Run ``loop()`` now as background loop ``name``; a no-op while
-        a loop of that name is running."""
+        a loop of that name is running. On a stopped endpoint the loop
+        waits for :meth:`restart`, like the loops :meth:`stop` ended."""
+        if self._generation and not self._serving:
+            self._stopped_loops[name] = loop
+            return
         entry = self._loops.get(name)
         if entry is not None and entry[1].alive:
             return

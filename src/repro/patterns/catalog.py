@@ -139,7 +139,7 @@ CATALOG: Tuple[Pattern, ...] = (
         ),
         requires=("mergeable-state",),
         provides=("bounded-human-cost",),
-        implemented_by="repro.core.guesses (GuessLedger, ApologyQueue)",
+        implemented_by="repro.core.guesses (Ledger)",
     ),
 )
 

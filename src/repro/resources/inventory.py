@@ -10,6 +10,10 @@ it has seen. The grant limit blends two postures:
   globally. Disconnected siblings believing the same thing jointly
   oversell; the shortfall surfaces at reconciliation as apologies.
 
+Every grant is a guess in the system's :class:`~repro.core.guesses.Ledger`;
+:meth:`InventorySystem.sync_all` settles them in the canonical order, and
+each grant past capacity earns one apology, for a human to make good.
+
 The limit is the linear blend; §7.1: "You can dynamically slide between
 these positions... and adjust the probabilities and possibilities."
 """
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.core.antientropy import sync_all, sync_replicas
+from repro.core.guesses import Ledger
 from repro.core.operation import Operation
 from repro.core.oplog import OpSet
 from repro.errors import SimulationError
@@ -64,6 +69,7 @@ class InventorySystem:
         self.quota = capacity / len(replica_names)
         self.declined = 0
         self.granted = 0
+        self.ledger = Ledger()
 
     # ------------------------------------------------------------------
 
@@ -81,6 +87,7 @@ class InventorySystem:
                 )
             )
             self.granted += 1
+            self.ledger.guess(uniquifier, AllocationOutcome.GRANTED, replica_name)
             return AllocationOutcome.GRANTED
         self.declined += 1
         return AllocationOutcome.DECLINED
@@ -108,8 +115,18 @@ class InventorySystem:
         sync_replicas(self._replica(a_name), self._replica(b_name))
 
     def sync_all(self) -> None:
+        """Converge every replica, then settle every grant in the
+        canonical order: the first ``capacity`` units are confirmed, each
+        one past it was oversold."""
         replicas = list(self.replicas.values())
         sync_all(replicas, rounds=len(replicas))
+        reserved = 0.0
+        for op in self.global_ops().canonical_order():
+            reserved += op.args["quantity"]
+            fits = reserved <= self.capacity
+            self.ledger.settle(
+                op.uniquifier, AllocationOutcome.GRANTED if fits else "oversold", "oversell"
+            )
 
     # ------------------------------------------------------------------
     # Accounting

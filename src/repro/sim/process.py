@@ -28,6 +28,7 @@ The wait protocol allocates nothing per ``yield``:
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Generator, List, Optional
 
 from repro.errors import InterruptError, SimulationError
@@ -104,11 +105,16 @@ class Process:
         """Throw :class:`InterruptError` into the process (fail-fast crash).
 
         No-op on a finished process. The throw happens immediately (same
-        simulated time, next kernel step).
+        simulated time, next kernel step). A process that has not taken
+        its first step never runs: that queued step throws instead.
         """
         if self.done._callbacks is None:
             return
         self._abandon_wait()
+        if inspect.getgeneratorstate(self.gen) == inspect.GEN_CREATED:
+            self.gen.close()
+            self.gen = _stillborn(InterruptError(cause))
+            return
         self.sim.schedule(0.0, _throw, self, InterruptError(cause))
 
     # ------------------------------------------------------------------
@@ -201,6 +207,12 @@ def _wake(proc: Process, epoch: int, value: Any) -> None:
     """A Timeout elapsed; stale if the process was interrupted meanwhile."""
     if proc._epoch == epoch:
         proc._resume(value, None)
+
+
+def _stillborn(exc: BaseException) -> Generator[Any, Any, Any]:
+    """The body of a process interrupted before its first step."""
+    raise exc
+    yield  # pragma: no cover - makes this a generator
 
 
 def _throw(proc: Process, exc: BaseException) -> None:

@@ -7,8 +7,10 @@ Quicksand": every operation is either
   speculative state and acked as a *guess* (``txn.guesses``); the agreed
   total order may later disagree, in which case the origin rolls its
   tentative suffix back, re-executes, and — when the re-execution changes
-  an already-acked result — mints an apology
-  (:mod:`repro.txn.apology`); or
+  an already-acked result — settles the guess wrong in the system's
+  :class:`~repro.core.guesses.Ledger`, which emits its one apology (a
+  retracted grant releases the fulfillment pool's unit, an upgraded
+  decline re-reserves one: §7.4's cheap apology, executed); or
 - **strong** — acked only once it holds a position in the total order
   that a majority has durably accepted; a strong ack is never reordered.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core.guesses import Apology, Ledger
 from repro.core.operation import Operation
 from repro.errors import CrashedError, SimulationError, TimeoutError_
 from repro.failover.controller import FailoverController
@@ -57,14 +60,14 @@ from repro.patterns import OP_STRONG, OP_WEAK, classify_operation_space
 from repro.resilience import RetryPolicy
 from repro.sim.events import Timeout
 from repro.sim.scheduler import Simulator
-from repro.txn.apology import ApologyBook
 from repro.txn.machine import TxnMachine, sample_resource_ops
-
-_MISSING = object()
 
 #: Errors a replication/pull RPC can die of without implicating the
 #: protocol: silence, remote crash-restart, an endpoint mid-stop.
 _RPC_FAILURES = (TimeoutError_, RpcError, CrashedError, SimulationError)
+
+#: The ledger rule a weak op's changed result is settled under.
+REORDER = "reorder"
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,6 @@ class TxnReplica:
         #: Own client ops, kept until *committed* — survives any rollback
         #: of the tentative suffix (re-forwarded until ordered for good).
         self.outbox: Dict[str, Operation] = {}
-        self.guesses: Dict[str, Any] = {}          # uniquifier -> told
-        self.reordered: Dict[str, Tuple[Any, Any]] = {}  # -> (told, actual)
         self.waiters: Dict[str, Any] = {}          # uniquifier -> Event
         self.tickets: Dict[str, TxnTicket] = {}
 
@@ -198,7 +199,7 @@ class TxnReplica:
         self.tickets[op.uniquifier] = ticket
         if klass == OP_WEAK:
             guess = self.machine.apply(self.spec_state, op)
-            self.guesses[op.uniquifier] = guess
+            self.system.ledger.guess(op.uniquifier, guess, self.name)
             ticket.guess = guess
             self.sim.metrics.inc("txn.guesses")
             self.sim.trace.emit(
@@ -242,16 +243,9 @@ class TxnReplica:
             self.sim.metrics.observe(
                 "txn.stabilize_latency_s", self.sim.now - op.ingress_time
             )
-            told = self.guesses.get(op.uniquifier, _MISSING)
-            if told is not _MISSING and actual != told:
-                self.reordered[op.uniquifier] = (told, actual)
-                self.sim.metrics.inc("txn.reordered")
-                self.sim.trace.emit(
-                    self.name, "txn.reordered", op=op.uniquifier,
-                    op_type=op.op_type,
-                )
-                self.system.book.emit(op, told, actual, origin=self.name)
-            if told is _MISSING:
+            if op.uniquifier in self.system.ledger.guesses:
+                self._settle(op, actual)
+            else:
                 self.sim.metrics.observe(
                     "txn.strong_latency_s", self.sim.now - op.ingress_time
                 )
@@ -259,6 +253,20 @@ class TxnReplica:
             if waiter is not None and not waiter.triggered:
                 waiter.trigger(actual)
         self.commit = new_commit
+
+    def _settle(self, op: Operation, actual: Any) -> None:
+        apology = self.system.ledger.settle(op.uniquifier, actual, REORDER)
+        if apology is None:
+            return
+        self.sim.metrics.inc("txn.reordered")
+        self.sim.trace.emit(
+            self.name, "txn.reordered", op=op.uniquifier, op_type=op.op_type,
+        )
+        self.sim.metrics.inc("txn.apologies")
+        self.sim.trace.emit(
+            "txn", "apology", op=op.uniquifier, op_type=op.op_type,
+            action=apology.resolution,
+        )
 
     def committed_uniquifiers(self) -> List[str]:
         """The committed order, as the invariants read it."""
@@ -580,7 +588,12 @@ class MixedTxnSystem:
         )
         self.classes = self.profile.op_classes()
 
-        self.book = ApologyBook(sim, pool=apology_pool)
+        #: The fulfillment-side pool (real seats, real rooms) that acked
+        #: grants were taken from; apologies compensate against it.
+        self.apology_pool = apology_pool
+        self.ledger = Ledger()
+        if apology_pool is not None:
+            self.ledger.register_handler(REORDER, self._compensate)
         self.quorum = len(self.replica_names) // 2 + 1
         self.names = list(self.replica_names)
         self.replicas: Dict[str, TxnReplica] = {
@@ -649,11 +662,19 @@ class MixedTxnSystem:
         states = [r.stable_state for r in self.replicas.values()]
         return all(state == states[0] for state in states[1:])
 
-    def apology_uniquifiers(self) -> set:
-        return self.book.uniquifiers()
-
-    def reordered_uniquifiers(self) -> set:
-        out: set = set()
-        for replica in self.replicas.values():
-            out.update(replica.reordered)
-        return out
+    def _compensate(self, apology: Apology) -> Optional[str]:
+        """Apology code for a changed ``{"ok": ...}`` result."""
+        told, actual = apology.told, apology.actual
+        if not (isinstance(told, dict) and isinstance(actual, dict)
+                and "ok" in told and "ok" in actual):
+            return None
+        if told["ok"] and not actual["ok"]:
+            # Over-grant: the unit was promised but the agreed order
+            # says no — give the fungible unit back (§7.4).
+            self.apology_pool.release(apology.uniquifier)
+            return "release"
+        if not told["ok"] and actual["ok"]:
+            # Good-news apology: the decline was wrong; re-reserve.
+            self.apology_pool.allocate(apology.uniquifier)
+            return "re-reserve"
+        return None

@@ -42,7 +42,7 @@ def test_bounce_refutes_the_guess():
     bank, desk = make_desk()
     deposit_id = desk.deposit_check(brother_in_law_check(), CustomerStanding.GOOD)
     desk.resolve(deposit_id, bounced=True)
-    assert bank.replica("branch0").guesses.get(deposit_id).outcome == "wrong"
+    assert bank.ledger.guesses[deposit_id].outcome == "wrong"
 
 
 def test_clearance_confirms_and_releases_hold():
@@ -50,7 +50,7 @@ def test_clearance_confirms_and_releases_hold():
     deposit_id = desk.deposit_check(brother_in_law_check(), CustomerStanding.RISKY)
     desk.resolve(deposit_id, bounced=False)
     assert bank.available("branch0") == 1100.0
-    assert bank.replica("branch0").guesses.get(deposit_id).outcome == "confirmed"
+    assert bank.ledger.guesses[deposit_id].outcome == "confirmed"
 
 
 def test_bounce_on_risky_also_releases_hold():
@@ -73,6 +73,21 @@ def test_good_standing_exposes_bank_to_overdraft():
     # account so the automated apology handler added the $30 overdraft fee.
     assert bank.balances()["branch0"] == 10.0 + 100.0 - 105.0 - 130.0 - 30.0
     assert bank.overdraft_count() >= 1
+
+
+def test_bounced_good_deposit_pairs_its_guess_with_one_apology():
+    bank, desk = make_desk(initial=10.0)
+    deposit_id = desk.deposit_check(brother_in_law_check(100.0), CustomerStanding.GOOD)
+    bank.clear_check("branch0", Check("fnb", "acct1", 1, "shop", 105.0))
+    desk.resolve(deposit_id, bounced=True)
+    assert bank.ledger.guesses[deposit_id].outcome == "wrong"
+    bounce = [a for a in bank.ledger.apologies if a.uniquifier == deposit_id]
+    assert [(a.rule, a.actual, a.resolution) for a in bounce] == [
+        ("bounce", "bounced", "human")
+    ]
+    # The overdraft the bounce debit caused is a separate, automated one.
+    assert bank.overdraft_count() == 1
+    assert bank.ledger.unpaired() == []
 
 
 def test_unknown_deposit_rejected():

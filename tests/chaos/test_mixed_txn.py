@@ -11,7 +11,7 @@ import pytest
 
 from repro.chaos.mixed_txn import MixedTxnScenario
 from repro.chaos.plan import ChaosPlan
-from repro.chaos.runner import ChaosRunner
+from repro.chaos.runner import SMOKE_ROWS, ChaosRunner
 from repro.errors import SimulationError
 
 # The smoke-gate shape: short horizon, partition mid-stream, enough
@@ -52,6 +52,27 @@ def test_minority_cut_is_clean_without_a_takeover():
     assert counters["txn.apologies"] == counters["txn.reordered"]
     # The leader kept its quorum and the monitor: one regime, no fence.
     assert counters["txn.regimes"] == 1
+
+
+def test_leader_smoke_row_leaves_no_guess_unpaired():
+    """The smoke gate's own run at seed 0: every wrong guess in the
+    system's ledger has exactly one apology."""
+    row = next(row for row in SMOKE_ROWS if row.label == "mixed_txn_leader")
+    scenario = row.build()
+    systems = []
+    build = scenario.build
+
+    def keeping(sim):
+        targets = build(sim)
+        systems.append(scenario._system)
+        return targets
+
+    scenario.build = keeping
+    report = scenario.run(0, scenario.spec(**dict(row.spec_overrides)).sample(0))
+    assert report.violations == ()
+    ledger = systems[0].ledger
+    assert ledger.apologies
+    assert ledger.unpaired() == []
 
 
 def test_sweep_stays_clean_across_seeds():

@@ -51,7 +51,7 @@ def test_submit_records_guess(counter_registry):
     replica = make_replica(counter_registry)
     op = add_op(1)
     replica.submit(op)
-    assert replica.guesses.get(op.uniquifier) is not None
+    assert replica.ledger.guesses[op.uniquifier].origin == replica.name
 
 
 def test_local_rule_refuses_at_ingress(counter_registry):
@@ -71,7 +71,7 @@ def test_integration_never_refuses_but_apologizes(counter_registry):
     apologies = sync_replicas(a, b)
     assert len(apologies) >= 1
     assert a.state["total"] == b.state["total"] == 16
-    assert a.apologies.total + b.apologies.total == len(apologies)
+    assert len(a.ledger.apologies) + len(b.ledger.apologies) == len(apologies)
 
 
 def test_integrate_dedups(counter_registry):

@@ -72,6 +72,22 @@ def test_crashed_node_catches_up_after_restart():
     assert failed >= 1
 
 
+def test_a_node_crashed_before_its_loop_starts_gossips_after_restart():
+    """The loop started on a crashed node waits for the restart."""
+    cluster = GossipCluster(counter_registry(), num_replicas=3, period=0.5, seed=7)
+    cluster.submit("g0", add(5))
+    g2 = cluster.node("g2")
+    g2.crash()
+    for node in cluster.nodes.values():
+        node.run(until=20.0)
+    cluster.sim.run(until=5.0)
+    assert g2.rounds_attempted == 0
+    g2.restart()
+    cluster.sim.run(until=20.0)
+    assert g2.rounds_attempted > 0
+    assert cluster.replica("g2").state["total"] == 5
+
+
 def test_rules_fire_over_the_network():
     """The E5 scenario on the real fabric: locally-legal work merges into
     a violation, surfacing as apologies through the shared queue."""
@@ -91,7 +107,7 @@ def test_rules_fire_over_the_network():
     cluster.submit("g1", add(8, at=0.0))
     run(cluster, until=10.0)
     assert cluster.converged()
-    assert cluster.apologies.total >= 1
+    assert len(cluster.ledger.apologies) >= 1
     assert all(state["total"] == 16 for state in cluster.states())
 
 

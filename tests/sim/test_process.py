@@ -154,6 +154,25 @@ def test_interrupt_cancels_stale_timeout():
     assert proc.done.triggered
 
 
+def test_interrupt_before_the_first_step_runs_nothing():
+    """A process interrupted in the step that spawned it dies of the
+    interrupt without running any of its body (fail-fast: a crashed node
+    draws no random number and sends nothing)."""
+    sim = Simulator()
+    ran = []
+
+    def victim():
+        ran.append("first segment")
+        yield Timeout(1.0)
+
+    proc = sim.spawn(victim())
+    proc.interrupt("crash")
+    sim.run()
+    assert ran == []
+    assert isinstance(proc.done.exception, InterruptError)
+    assert proc.done.exception.cause == "crash"
+
+
 def test_interrupt_finished_process_is_noop():
     sim = Simulator()
 

@@ -1,47 +1,52 @@
-"""Executable apologies: compensation wiring and dedup."""
+"""Executable apologies: the txn system's ledger, its pool-wired handler,
+and dedup."""
 
-from repro.core.operation import Operation
 from repro.resources import FungiblePool
 from repro.sim.scheduler import Simulator
-from repro.txn import ApologyBook
+from repro.txn import MixedTxnSystem, ResourceMachine
+from repro.txn.system import REORDER
 
 
-def _op(uniq, kind="RESERVE", **args):
-    return Operation(kind, args, uniquifier=uniq, origin="txn0")
+def _ledger(pool=None):
+    system = MixedTxnSystem(
+        Simulator(seed=1), ResourceMachine({"seats": 2}), apology_pool=pool
+    )
+    return system.ledger
+
+
+def _reordered(ledger, uniq, told, actual):
+    ledger.guess(uniq, told, "txn0")
+    return ledger.settle(uniq, actual, REORDER)
 
 
 def test_retracted_grant_releases_the_unit():
-    sim = Simulator(seed=1)
     pool = FungiblePool("seats", 2)
     pool.allocate("a")
-    book = ApologyBook(sim, pool=pool)
-    apology = book.emit(_op("a"), told={"ok": True}, actual={"ok": False})
-    assert apology.action == "release"
+    ledger = _ledger(pool)
+    apology = _reordered(ledger, "a", told={"ok": True}, actual={"ok": False})
+    assert apology.resolution == "release"
     assert pool.holder_of("a") is None
-    assert sim.metrics.counters()["txn.apologies"] == 1
+    assert ledger.human == []
 
 
 def test_upgraded_decline_re_reserves():
-    sim = Simulator(seed=1)
     pool = FungiblePool("seats", 2)
-    book = ApologyBook(sim, pool=pool)
-    apology = book.emit(_op("a"), told={"ok": False}, actual={"ok": True})
-    assert apology.action == "re-reserve"
+    ledger = _ledger(pool)
+    apology = _reordered(ledger, "a", told={"ok": False}, actual={"ok": True})
+    assert apology.resolution == "re-reserve"
     assert pool.holder_of("a") is not None
 
 
 def test_unhandled_apology_lands_on_the_human_ledger():
-    sim = Simulator(seed=1)
-    book = ApologyBook(sim)
-    apology = book.emit(_op("x", kind="SHIP"), told=1, actual=2)
-    assert apology.action == "human"
-    assert [a.uniquifier for a in book.human] == ["x"]
-    assert book.counts() == {"human": 1}
+    ledger = _ledger(FungiblePool("seats", 2))
+    apology = _reordered(ledger, "x", told=1, actual=2)
+    assert apology.resolution == "human"
+    assert [a.uniquifier for a in ledger.human] == ["x"]
 
 
 def test_same_uniquifier_apologized_once():
-    sim = Simulator(seed=1)
-    book = ApologyBook(sim)
-    assert book.emit(_op("x"), told=1, actual=2) is not None
-    assert book.emit(_op("x"), told=1, actual=2) is None
-    assert book.total == 1
+    ledger = _ledger()
+    assert _reordered(ledger, "x", told=1, actual=2) is not None
+    assert ledger.settle("x", 2, REORDER) is None
+    assert len(ledger.apologies) == 1
+    assert ledger.unpaired() == []

@@ -82,9 +82,10 @@ def test_partitioned_guess_reorders_into_apology():
     sim.run(until=8.0)
     assert lonely.stabilized
     assert lonely.done.value == {"ok": False}    # the truth
-    assert system.reordered_uniquifiers() == {"w"}
-    assert system.apology_uniquifiers() == {"w"}
-    assert system.book.entries[0].action == "release"
+    assert [g for g, guess in system.ledger.guesses.items()
+            if guess.outcome == "wrong"] == ["w"]
+    [apology] = system.ledger.apologies
+    assert (apology.uniquifier, apology.resolution) == ("w", "release")
     assert fulfillment.holder_of("w") is None    # compensation executed
     counters = sim.metrics.counters()
     assert counters["txn.reordered"] == 1
@@ -129,7 +130,7 @@ def test_fenced_takeover_rejects_deposed_leader():
     assert system.converged()
     assert all(not r.prefix_violation for r in system.replicas.values())
     # A committed strong ack was never reordered.
-    assert "cap" not in system.reordered_uniquifiers()
+    assert "cap" not in system.ledger.guesses
     system.stop()
 
 
@@ -156,7 +157,7 @@ def test_deposed_leader_batches_bounce_off_the_fence():
     assert system.replicas["txn1"]._synced
     assert system.converged()
     # The old regime's committed write survived the regime change.
-    assert "live" not in system.reordered_uniquifiers()
+    assert system.ledger.guesses["live"].outcome != "wrong"
     assert all(not r.prefix_violation for r in system.replicas.values())
     system.stop()
 
