@@ -340,9 +340,12 @@ class DynamoCluster:
 
         def handle_sync(endpoint, msg):
             serving = self.nodes[endpoint.name]
-            _kept, integrated = self._integrate(serving, msg.payload["versions"])
-            # Our versions of the same arcs, what we just took included.
-            reply = self._wire(serving, msg.payload["arcs"])
+            shipped = msg.payload["versions"]
+            _kept, integrated = self._integrate(serving, shipped)
+            # Our versions of the same arcs, less those the initiator sent.
+            sent = {(entry["key"], entry["version"].clock) for entry in shipped}
+            reply = [entry for entry in self._wire(serving, msg.payload["arcs"])
+                     if (entry["key"], entry["version"].clock) not in sent]
             return {"versions": reply, "integrated": integrated}
 
         node.endpoint.register("DIGESTS", handle_digests)

@@ -5,6 +5,7 @@ either can replay the peer's shipped log. Serving-side commit writes the
 transaction's records and a COMMIT record to the local WAL and flushes;
 replay-side SHIP applies records in order and remembers applied
 transactions by uniquifier, which is what makes re-shipping idempotent.
+A batch is taken only if it picks up at or before the replay cursor.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class DatabaseReplica:
         self.endpoint.register("SHIP", self._handle_ship)
         self.endpoint.register("GET", self._handle_get)
         self.endpoint.register("FENCE", self._handle_fence)
-        self.endpoint.register("CATCHUP", self._handle_catchup)
         self.endpoint.start()
 
     # ------------------------------------------------------------------
@@ -118,12 +118,16 @@ class DatabaseReplica:
                 records=len(msg.payload["records"]),
             )
             return {"fenced": True, "epoch": self.fenced_below}
-        for record in msg.payload["records"]:
-            self.replay_record(record)
-            self.applied_peer_lsn = max(self.applied_peer_lsn, record["lsn"])
-        self.sim.metrics.inc(f"logship.{self.name}.ship_batches")
-        return {"applied_through": msg.payload["records"][-1]["lsn"]
-                if msg.payload["records"] else 0}
+        records = msg.payload["records"]
+        if msg.payload["after"] <= self.applied_peer_lsn:
+            # It extends our replay. A batch that picks up past our cursor
+            # (a restart lost what an earlier batch carried) is refused:
+            # the reply says where to resume.
+            for record in records:
+                self.replay_record(record)
+            self.applied_peer_lsn = max(self.applied_peer_lsn, records[-1]["lsn"])
+            self.sim.metrics.inc(f"logship.{self.name}.ship_batches")
+        return {"applied_through": self.applied_peer_lsn}
 
     def replay_record(self, record: Dict[str, Any]) -> None:
         """Apply one shipped record via the shared WRITE-stage/COMMIT-apply
@@ -146,21 +150,6 @@ class DatabaseReplica:
     def _handle_fence(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
         self.fence(msg.payload["epoch"])
         return {"epoch": self.fenced_below}
-
-    def _handle_catchup(self, _ep: Endpoint, msg: Any) -> Dict[str, Any]:
-        """A rejoining peer recovered a snapshot that had applied our log
-        through ``from_lsn``; rewind the shipping cursor so the regular
-        ship loop re-sends only the tail past it. Overlap is harmless —
-        replay is idempotent by txn uniquifier."""
-        from_lsn = msg.payload["from_lsn"]
-        rewound = max(0, self.shipped_lsn - from_lsn)
-        self.shipped_lsn = min(self.shipped_lsn, from_lsn)
-        if rewound:
-            self.sim.metrics.inc(f"logship.{self.name}.catchup_rewinds")
-            self.sim.trace.emit(
-                self.name, "ship.catchup", from_lsn=from_lsn, rewound=rewound
-            )
-        return {"shipped_lsn": self.shipped_lsn}
 
     # ------------------------------------------------------------------
     # Snapshots (asynchronous checkpoints over the WAL)

@@ -7,7 +7,10 @@ This is the §4 example plus the §5.1 aftermath:
   committed-but-unshipped tail.
 - **sync** (the "unacceptable delay" alternative): commit additionally
   ships through its own LSN and waits for the remote ack before the
-  client hears anything. Nothing is ever lost; every commit pays the WAN.
+  client hears anything. Nothing is ever lost; every commit pays the WAN,
+  and one whose peer never answers acks degraded after all of SHIP_POLICY.
+  No site asks the fabric about its peer: a SHIP goes unanswered, or the
+  returning peer announces itself (CATCHUP).
 
 After a fail-over, the old primary may come back with orphaned
 transactions "dawdling in the belly of the failed system". The recovery
@@ -96,17 +99,15 @@ class LogShippingSystem:
         self._work_available = {
             name: self.sim.event(f"logship.work.{name}") for name in self.sites
         }
-        self._peer_back = {
-            name: self.sim.event(f"logship.peer_back.{name}") for name in self.sites
-        }
         self._txn_ids = itertools.count(1)
         self.client = Endpoint(self.network, "lsclient")
         self.client.start()
-        if snapshot_cadence is not None:
-            for replica in self.sites.values():
+        for replica in self.sites.values():
+            replica.endpoint.register("CATCHUP", self._handle_catchup)
+            if snapshot_cadence is not None:
                 replica.enable_snapshots(snapshot_cadence)
         if self.mode is ShipMode.ASYNC:
-            self._start_shipper(self.serving)
+            self._start_shipper(self.serving, peer_convicted=False)
 
     # ------------------------------------------------------------------
     # Roles
@@ -149,11 +150,13 @@ class LogShippingSystem:
         replica = self._site(site)
         yield from replica.commit_transaction(txn_id, writes)
         if self.mode is ShipMode.SYNC:
-            shipped = yield from self._ship_once(site)
+            try:
+                shipped = yield from self._ship_once(site)
+            except (TimeoutError_, RpcError):
+                shipped = None
             if shipped is None:
-                # SYNC's promise is "nothing acked is unshipped" — when the
-                # peer is unreachable (or we are fenced) we just broke it.
-                # Historically this degradation was silent; now it counts.
+                # SYNC's promise is "nothing acked is unshipped": when the
+                # peer never answered or we are fenced, we just broke it.
                 self.sim.metrics.inc("logship.sync_degraded")
                 self.sim.trace.emit("logship", "sync_degraded", site=site)
         else:
@@ -170,83 +173,101 @@ class LogShippingSystem:
     # ------------------------------------------------------------------
     # Shipping
 
-    def _start_shipper(self, site: str) -> None:
-        self.sites[site].endpoint.spawn("shipper", lambda: self._ship_loop(site))
+    def _start_shipper(self, site: str, peer_convicted: bool) -> None:
+        self.sites[site].endpoint.spawn(
+            "shipper", lambda: self._ship_loop(site, peer_convicted)
+        )
 
-    def _kick_shipper(self, site: Optional[str] = None) -> None:
+    def _kick_shipper(self, site: str) -> None:
         """Tell a site's shipper there is unshipped work (event-driven so
         an idle system's event heap drains)."""
-        site = site or self.serving
         if not self._work_available[site].triggered:
             self._work_available[site].trigger(None)
 
-    def _ship_loop(self, site: str) -> Generator[Any, Any, None]:
+    def _ship_loop(self, site: str, peer_convicted: bool) -> Generator[Any, Any, None]:
         """The site's shipper, on its endpoint: one that a restart
-        respawns after the site lost the serving role returns."""
+        respawns after the site lost the serving role returns. After a
+        SHIP unanswered through SHIP_POLICY it keeps the records and
+        tries again every ``ship_interval``, so a healed partition or a
+        restarted peer gets the tail; a site that took over from its peer
+        (``peer_convicted``) waits for the next commit or a CATCHUP."""
         if site != self.serving:
             return
         replica = self.sites[site]
-        while True:
-            if replica.deposed:
-                # Fenced out: a newer regime owns the pair. Stop shipping.
-                return
-            if not self.network.is_attached(self._peer(site)):
-                # The peer is down: nothing to do until it returns.
-                self._peer_back[site] = self.sim.event(f"logship.peer_back.{site}")
-                yield self._peer_back[site]
+        while not replica.deposed:
             if not replica.unshipped_records():
                 self._work_available[site] = self.sim.event(f"logship.work.{site}")
                 yield self._work_available[site]
             yield Timeout(self.ship_interval)
+            # Commits from here on are new work, whatever this ship does.
+            self._work_available[site] = self.sim.event(f"logship.work.{site}")
             try:
                 yield from self._ship_once(site)
             except CrashedError:
                 return
             except (TimeoutError_, RpcError):
-                # Peer attached but unreachable (a partition, not a crash):
-                # keep the records and keep trying.
                 self.sim.metrics.inc("logship.ship_failures")
+                if peer_convicted:
+                    yield self._work_available[site]
 
     def _ship_once(self, site: Optional[str] = None) -> Generator[Any, Any, Optional[int]]:
-        """Ship the durable-but-unshipped tail to the peer and advance the
-        cursor on ack. Serialized per site: one batch in flight.
+        """Ship the durable-but-unshipped tail to the peer. Serialized per
+        site: one batch in flight. The cursor moves only to where the
+        peer's reply says its replay stands; a batch that picks up past
+        that cursor is refused, and the tail goes again from there.
 
-        Returns the record count shipped, ``0`` when there was nothing to
-        ship, or ``None`` when shipping was *degraded*: records pending
-        but the peer detached, or the batch bounced off a fence.
+        Returns the record count the peer took, ``0`` when there was
+        nothing to ship, or ``None`` when the batch bounced off a fence;
+        raises :class:`TimeoutError_` when the peer never answered.
         """
         site = site or self.serving
         yield self._ship_locks[site].acquire()
         try:
             replica = self.sites[site]
-            records = replica.unshipped_records()
-            if not records:
-                return 0
-            peer = self._peer(site)
-            if not self.network.is_attached(peer):
-                return None
-            reply = yield from replica.endpoint.call(
-                peer,
-                "SHIP",
-                {"records": records, "epoch": replica.epoch},
-                policy=SHIP_POLICY,
-            )
-            if reply.get("fenced"):
-                # The peer belongs to a newer regime; our records are from
-                # a deposed one and were not applied.
-                replica.fence(reply["epoch"])
-                self.sim.metrics.inc("logship.stale_epoch_rejected", len(records))
-                self.sim.trace.emit(
-                    "logship", "ship.fenced",
-                    site=site, epoch=replica.epoch,
-                    fenced_below=reply["epoch"], records=len(records),
+            while records := replica.unshipped_records():
+                reply = yield from replica.endpoint.call(
+                    self._peer(site), "SHIP",
+                    {"records": records, "after": replica.shipped_lsn,
+                     "epoch": replica.epoch},
+                    policy=SHIP_POLICY,
                 )
-                return None
-            replica.shipped_lsn = records[-1]["lsn"]
-            self.sim.metrics.inc("logship.shipped_records", len(records))
-            return len(records)
+                if reply.get("fenced"):
+                    # The peer belongs to a newer regime; our records are
+                    # from a deposed one and were not applied.
+                    replica.fence(reply["epoch"])
+                    self.sim.metrics.inc("logship.stale_epoch_rejected", len(records))
+                    self.sim.trace.emit(
+                        "logship", "ship.fenced",
+                        site=site, epoch=replica.epoch,
+                        fenced_below=reply["epoch"], records=len(records),
+                    )
+                    return None
+                replica.shipped_lsn = reply["applied_through"]
+                if replica.shipped_lsn >= records[-1]["lsn"]:
+                    self.sim.metrics.inc("logship.shipped_records", len(records))
+                    return len(records)
+            return 0
         finally:
             self._ship_locks[site].release()
+
+    def _handle_catchup(self, endpoint: Endpoint, msg: Any) -> Dict[str, Any]:
+        """A returning peer announces how far it holds our log. Rewind
+        the shipping cursor there (overlap is harmless: replay is
+        idempotent by txn uniquifier) and restart the shipper unconvicted:
+        it may be waiting out a SHIP aimed at the peer while it was down."""
+        replica = self.sites[endpoint.name]
+        from_lsn = msg.payload["from_lsn"]
+        rewound = max(0, replica.shipped_lsn - from_lsn)
+        replica.shipped_lsn = min(replica.shipped_lsn, from_lsn)
+        if rewound:
+            self.sim.metrics.inc(f"logship.{replica.name}.catchup_rewinds")
+            self.sim.trace.emit(
+                replica.name, "ship.catchup", from_lsn=from_lsn, rewound=rewound
+            )
+        if self.mode is ShipMode.ASYNC:
+            endpoint.end("shipper", "peer back")
+            self._start_shipper(replica.name, peer_convicted=False)
+        return {"shipped_lsn": replica.shipped_lsn}
 
     # ------------------------------------------------------------------
     # Fail-over and resurrection
@@ -315,7 +336,6 @@ class LogShippingSystem:
         old = self.sites[old_name]
         new_name = self._peer(old_name)
         new = self.sites[new_name]
-        crashed = old.crashed
         self.serving = new_name
         self.failover_time = self.sim.now
         new_epoch = (
@@ -326,14 +346,13 @@ class LogShippingSystem:
         new.epoch = new_epoch
         if fenced:
             new.fence(new_epoch)
-            if not crashed and self.network.is_attached(old_name):
-                # Best-effort courtesy: tell the deposed side it lost. The
-                # cast is dropped under the very partition that caused the
-                # conviction — apply-side rejection is the real guarantee.
-                new.endpoint.cast(old_name, "FENCE", {"epoch": new_epoch})
+            # Best-effort courtesy: tell the deposed side it lost. A dead
+            # side, or the very partition behind the conviction, drops the
+            # cast; apply-side rejection is the real guarantee.
+            new.endpoint.cast(old_name, "FENCE", {"epoch": new_epoch})
         in_doubt = sorted(old.committed_local - new.applied_txns)
         self.sim.metrics.inc("logship.takeovers")
-        if crashed:
+        if old.crashed:
             self.sim.metrics.inc("logship.lost_commits", len(in_doubt))
         else:
             self.sim.metrics.inc("logship.in_doubt_commits", len(in_doubt))
@@ -349,7 +368,7 @@ class LogShippingSystem:
             "logship", "takeover", new_primary=self.serving, lost=len(in_doubt),
         )
         if self.mode is ShipMode.ASYNC:
-            self._start_shipper(new_name)
+            self._start_shipper(new_name, peer_convicted=True)
         return {
             "lost_txns": in_doubt,
             "new_primary": self.serving,
@@ -357,9 +376,10 @@ class LogShippingSystem:
         }
 
     def rejoin(self, site: Optional[str] = None) -> Generator[Any, Any, Dict[str, Any]]:
-        """Cold-restart a crashed site from snapshot + WAL tail, then have
-        the serving peer re-ship only the records past the snapshot's
-        applied-peer cursor (a CATCHUP rewind + the regular ship loop).
+        """Cold-restart a crashed site from snapshot + WAL tail, then
+        announce it to the serving peer with a CATCHUP from the site's own
+        endpoint: the peer re-ships only the records past the snapshot's
+        applied-peer cursor (a rewind + a restart of its ship loop).
 
         This is the tail-recovery rejoin the §3 checkpoint arc promises:
         without a snapshot the site replays its whole log and the peer
@@ -372,12 +392,9 @@ class LogShippingSystem:
         start = self.sim.now
         replica.fence(self.epoch)  # it must not serve under its old epoch
         local = yield from replica.cold_restart()
-        if not self._peer_back[self.serving].triggered:
-            self._peer_back[self.serving].trigger(None)
-        reply = yield from self.client.call(
+        reply = yield from replica.endpoint.call(
             self.serving, "CATCHUP", {"from_lsn": local["applied_peer_lsn"]}
         )
-        self._kick_shipper(self.serving)
         duration = self.sim.now - start
         self.sim.metrics.observe("logship.rejoin.time_s", duration)
         self.sim.metrics.observe(
@@ -408,9 +425,9 @@ class LogShippingSystem:
         # deposed it, and must not ack a write under its old epoch.
         dead.fence(self.epoch)
         dead.restart()
-        if not self._peer_back[self.serving].triggered:
-            self._peer_back[self.serving].trigger(None)
-        self._kick_shipper(self.serving)
+        dead.endpoint.cast(
+            self.serving, "CATCHUP", {"from_lsn": dead.applied_peer_lsn}
+        )
         serving = self.primary
         orphan_txns = sorted(dead.committed_local - serving.applied_txns)
         clobbered: List[Any] = []

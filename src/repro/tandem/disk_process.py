@@ -66,13 +66,15 @@ class DiskProcessPair:
         config: TandemConfig,
     ) -> None:
         self.sim = sim
-        self.network = network
         self.registry = registry
         self.name = name
         self.config = config
         self.primary_name = f"{name}.p"
         self.backup_name = f"{name}.b"
         self.current = self.primary_name
+        #: Cleared by a takeover, the only thing that takes a side down:
+        #: NonStop's CPU-down notice, so no side asks the fabric.
+        self.backup_alive = True
         self._lsn_counter = itertools.count(1)
         self._states: Dict[str, _DPState] = {
             self.primary_name: _DPState(),
@@ -115,10 +117,6 @@ class DiskProcessPair:
             raise SimulationError(f"{endpoint.name} is the primary of {self.name}")
         return self._states[endpoint.name]
 
-    @property
-    def backup_alive(self) -> bool:
-        return self.network.is_attached(self._peer_of(self.current))
-
     def state(self, which: Optional[str] = None) -> _DPState:
         """The serving side's state (or a named side's, for tests)."""
         return self._states[which or self.current]
@@ -138,13 +136,9 @@ class DiskProcessPair:
         if self.config.mode is DPMode.DP1:
             # Synchronous checkpoint: the 1984 rule — the app must not see
             # the ack until the backup knows the write.
-            if self.backup_alive:
-                yield from endpoint.call(
-                    self._peer_of(endpoint.name),
-                    "CHECKPOINT",
-                    {"txn": txn_id, "key": key, "value": value},
-                    policy=self.config.call_policy(),
-                )
+            yield from self._checkpoint(
+                endpoint, "CHECKPOINT", {"txn": txn_id, "key": key, "value": value}
+            )
             self.sim.metrics.inc(f"tandem.{self.name}.checkpoints")
         else:
             state.log_buffer.append(
@@ -192,11 +186,7 @@ class DiskProcessPair:
         writes = state.pending.pop(txn_id, {})
         state.committed.update(writes)
         if self.config.mode is DPMode.DP1:
-            if self.backup_alive:
-                yield from endpoint.call(
-                    self._peer_of(endpoint.name), "CP_APPLY", {"txn": txn_id},
-                    policy=self.config.call_policy(),
-                )
+            yield from self._checkpoint(endpoint, "CP_APPLY", {"txn": txn_id})
         else:
             state.log_buffer.append(
                 {"lsn": next(self._lsn_counter), "kind": "APPLY", "txn": txn_id}
@@ -208,16 +198,23 @@ class DiskProcessPair:
         txn_id = msg.payload["txn"]
         state.pending.pop(txn_id, None)
         if self.config.mode is DPMode.DP1:
-            if self.backup_alive:
-                yield from endpoint.call(
-                    self._peer_of(endpoint.name), "CP_ABORT", {"txn": txn_id},
-                    policy=self.config.call_policy(),
-                )
+            yield from self._checkpoint(endpoint, "CP_ABORT", {"txn": txn_id})
         else:
             state.log_buffer.append(
                 {"lsn": next(self._lsn_counter), "kind": "ABORT", "txn": txn_id}
             )
         return {}
+
+    def _checkpoint(
+        self, endpoint: Endpoint, kind: str, payload: Dict[str, Any]
+    ) -> Generator[Any, Any, None]:
+        """Carry a change (DP1) or a log batch (DP2) to the backup, while
+        there is one."""
+        if self.backup_alive:
+            yield from endpoint.call(
+                self._peer_of(endpoint.name), kind, payload,
+                policy=self.config.call_policy(),
+            )
 
     # ------------------------------------------------------------------
     # Backup-side handlers
@@ -290,19 +287,12 @@ class DiskProcessPair:
                             policy=self.config.call_policy(),
                         ),
                         name=f"{self.name}.ship.adp",
-                    )
+                    ),
+                    self.sim.spawn(
+                        self._checkpoint(endpoint, "SHIP", {"records": batch}),
+                        name=f"{self.name}.ship.backup",
+                    ),
                 ]
-                if self.backup_alive:
-                    legs.append(
-                        self.sim.spawn(
-                            endpoint.call(
-                                self._peer_of(endpoint.name), "SHIP",
-                                {"records": batch},
-                                policy=self.config.call_policy(),
-                            ),
-                            name=f"{self.name}.ship.backup",
-                        )
-                    )
                 yield AllOf(legs)
                 state.shipped_lsn = max(state.shipped_lsn, last_lsn)
                 self.sim.metrics.inc(f"tandem.{self.name}.ships")
@@ -328,6 +318,7 @@ class DiskProcessPair:
         old = self.current
         lost_records = len(self._states[old].log_buffer)
         self._endpoints[old].stop("crash")
+        self.backup_alive = False
         self._ship_waiters = []
         aborted: List[int] = []
         if self.config.mode is DPMode.DP2:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import StaleEpochError
 from repro.logship import LogShippingSystem, ShipMode
+from repro.logship.system import SHIP_POLICY
 from repro.net.latency import FixedLatency
 from repro.sim import Timeout
 
@@ -90,16 +91,22 @@ def test_current_epoch_traffic_passes_the_fence():
 def test_sync_degrades_loudly_when_peer_unreachable():
     system = make_system(mode=ShipMode.SYNC)
     sim = system.sim
+    budget = SHIP_POLICY.max_attempts * SHIP_POLICY.timeout
 
     def job():
         yield from system.submit({"k": 1})
         system.network.detach("west")
         yield Timeout(0.01)
+        start = sim.now
         yield from system.submit({"k": 2})
+        return sim.now - start
 
-    sim.run_process(job(), until=10.0)
+    took = sim.run_process(job(), until=budget + 5.0)
     # Both commits acked — but the second one's SYNC promise is broken,
     # and that now shows up in the metrics instead of passing silently.
+    # Nothing told east that west was gone: the commit waited out every
+    # SHIP attempt to learn it, the "unacceptable delay" made visible.
+    assert took >= budget
     assert sim.metrics.counter("logship.acked_commits").value == 2
     assert sim.metrics.counter("logship.sync_degraded").value == 1
     assert "txn-2" not in system.sites["west"].applied_txns

@@ -162,6 +162,28 @@ def test_background_loops_are_owned_by_their_endpoint():
     assert not kept, f"process handles kept outside Endpoint: {kept}"
 
 
+#: Packages that may ask the fabric whether a node is up: the fabric
+#: itself and the chaos driver that breaks it. ``repro.dynamo`` still
+#: peeks (ROADMAP item 5); its allowance goes when that item lands.
+MAY_READ_THE_FABRIC = ("net", "chaos", "dynamo")
+
+
+def test_no_protocol_reads_the_fabrics_ground_truth():
+    """§2: a node cannot tell a slow peer from a dead one, so no
+    protocol calls ``is_attached(...)`` or ``.reachable(...)``: it learns
+    of a peer from its own traffic."""
+    peeks = [
+        f"{path.relative_to(SRC / 'repro')}:{node.lineno}"
+        for path in sorted(SRC.glob("repro/**/*.py"))
+        if path.relative_to(SRC / "repro").parts[0] not in MAY_READ_THE_FABRIC
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("is_attached", "reachable")
+    ]
+    assert not peeks, f"fabric reads outside net/chaos/dynamo: {peeks}"
+
+
 def test_every_module_is_reached_from_something_that_runs():
     """Walk imports from everything that *runs* the system — the indexed
     benches, ``bench/``, the examples and the chaos CLI. A module none
