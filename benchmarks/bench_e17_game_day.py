@@ -94,7 +94,7 @@ def _check_claims(rows):
         assert fenced["stale_rejected"] > 0   # the fence actually fenced
         # ...and unfenced loses post-takeover acks on every seed.
         assert unfenced["lost_updates"] > 0
-        assert unfenced["violated"] == ["no-lost-update"]
+        assert unfenced["violated"] == ["acked-is-durable"]
     # The detector axis moves latency, not correctness.
     assert (cells[("fenced", "phi")]["detect_latency"]
             < cells[("fenced", "fixed")]["detect_latency"])

@@ -20,9 +20,10 @@ the fault engines *together*:
 The sweep axes are the failover guesses-and-apologies knobs: failure
 detector (``fixed`` timeout vs ``phi`` accrual) × fencing policy
 (``fenced`` vs ``unfenced``). The full invariant suite watches every
-run: epoch monotonicity and no-lost-update on the log-ship pair, no
-acked write lost and reconvergence on the ring, and escrow conservation
-on the account the writers debit. Fenced configurations must come out
+run: epoch monotonicity on the log-ship pair, acked-is-durable over
+both the log-ship pair's post-takeover acks and the ring's acked puts,
+reconvergence on the ring, and escrow conservation on the account the
+writers debit. Fenced configurations must come out
 clean; the unfenced ablation loses the post-takeover acks when the
 healed east ships its stale tail — the §5.1 lost update, at WAN scale.
 """
@@ -34,6 +35,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Scenario
+from repro.chaos.history import FAILED, OK, UNKNOWN, acked_is_durable, lost_acks
 from repro.chaos.invariants import InvariantMonitor, escrow_non_negative
 from repro.chaos.plan import (
     ChaosPlan,
@@ -57,7 +59,7 @@ from repro.logship import LogShippingSystem, ShipMode
 from repro.net.latency import ExponentialLatency, FixedLatency
 from repro.net.network import LinkConfig
 from repro.net.topology import Site, Topology, TopologyNetwork, WanLink
-from repro.sim import Simulator, pacing
+from repro.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -224,10 +226,7 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         # not about the plan.
         self._writers = [cluster.client(f"gd-writer{i}") for i in (1, 2)]
         topology.place_all((w.name for w in self._writers), "dc-south")
-        self._writes = AckedWrites(
-            cluster, "chaos.gameday", lost="missing from the ring",
-            unconverged="owners never agreed after repair rounds",
-        )
+        self._writes = AckedWrites(cluster, "chaos.gameday", converge=True)
 
         escrow = EscrowAccount(sim, self.escrow_initial, name="gameday.escrow")
         self._escrow = escrow
@@ -246,12 +245,11 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
         monitor.register("epoch-monotonic", self._check_epoch_monotonic)
         monitor.register("escrow-conserved", self._check_escrow_conserved)
         monitor.register("escrow-bounds", escrow_non_negative(self._escrow))
-        monitor.register("no-lost-update", self._check_no_lost_update,
-                         when="quiesce")
-        self._writes.invariants(monitor)
+        monitor.register("acked-is-durable", self._check_durable, when="quiesce")
+        monitor.register("ring-reconverges", self._writes.reconverged, when="quiesce")
 
     def drive(self, sim: Simulator) -> None:
-        sim.spawn(self._informed_writer(), name="chaos.gameday.informed")
+        sim.spawn(self._informed_writer(self.cut_end), name="chaos.gameday.informed")
         sim.spawn(self._stale_writer(), name="chaos.gameday.stale")
         for writer in self._writers:
             # Unique-key puts from the third DC, keyed per writer.
@@ -275,11 +273,6 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
 
     def finish(self, sim: Simulator) -> None:
         self.converged_at = self._writes.converged_at
-        self.lost_acked_writes = len(self._writes.lost)
-        if self._writes.lost:
-            sim.metrics.inc(
-                "chaos.gameday.lost_acked_writes", len(self._writes.lost)
-            )
         convicted_at = self._failover.detector.conviction_time("east")
         self.detection_latency = (
             convicted_at - self.cut_start if convicted_at is not None else None
@@ -297,35 +290,33 @@ class GameDayScenario(DeposedPrimaryDrama, Scenario):
     # ------------------------------------------------------------------
     # Log-ship writers (the split-brain pattern, now under a WAN cut)
 
-    def _informed_writer(self) -> Generator[Any, Any, None]:
-        """Always reaches the currently serving site; every write debits
-        the escrow account (reserve -> submit -> commit, abort on
-        failure), so escrow conservation rides the same fault timeline.
-        Stops at the heal so quiesce checks its last acked values."""
-        sim = self._sim
-        system = self._system
-        escrow = self._escrow
-        rng = sim.rng.stream("chaos.gameday.informed")
-        for pause in pacing(sim, rng, self.write_interval, 0.5, self.cut_end):
-            yield pause
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"v{seq}"
-            txn = f"gd-esc-{seq}"
-            yield from escrow.reserve(txn, -1.0)
-            try:
-                yield from system.submit({key: value})
-            except (StaleEpochError, TimeoutError_, CrashedError):
-                escrow.abort(txn)
-                sim.metrics.inc("chaos.gameday.informed_failures")
-                continue
-            escrow.commit(txn)
-            self._escrow_committed += -1.0
-            sim.metrics.inc("chaos.gameday.informed_acks")
-            if system.failover_time is not None:
-                self._post_acks[key] = value
+    def _submit(self, seq: int, writes: Dict[str, str]) -> Generator:
+        """Every informed write debits the escrow account (reserve ->
+        submit -> commit, abort on failure), so escrow conservation rides
+        the same fault timeline."""
+        txn = f"gd-esc-{seq}"
+        yield from self._escrow.reserve(txn, -1.0)
+        try:
+            yield from self._system.submit(writes)
+        except (StaleEpochError, TimeoutError_, CrashedError) as error:
+            self._escrow.abort(txn)
+            self._sim.metrics.inc("chaos.gameday.informed_failures")
+            return FAILED if isinstance(error, StaleEpochError) else UNKNOWN
+        self._escrow.commit(txn)
+        self._escrow_committed += -1.0
+        return OK
 
     # ------------------------------------------------------------------
     # Invariants
+
+    def _check_durable(self) -> Optional[str]:
+        """Acked-is-durable over the log-ship pair and the ring alike,
+        publishing how many acks each lost."""
+        ring = lost_acks(self._writes.history, self._writes.held())
+        self.lost_acked_writes = len(ring)
+        if ring:
+            self._sim.metrics.inc("chaos.gameday.lost_acked_writes", len(ring))
+        return acked_is_durable(self._lost_updates() + ring)
 
     def _check_escrow_conserved(self) -> Optional[str]:
         """The account's committed value equals the opening balance plus

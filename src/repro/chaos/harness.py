@@ -16,17 +16,23 @@ trace are unreachable the moment ``run()`` returns, and already freed.
 hooks (``build``, ``invariants``, ``drive``, ``quiesce``, ``finish``) and
 its sampling bounds. Beside it: :class:`Crashable`, the idempotent
 crash/restart adapter every chaos target goes through; and
-:class:`AckedWrites`, the "no acked write lost" oracle for a Dynamo
-ring. Workload loops pace themselves with :func:`repro.sim.pacing`.
+:class:`AckedWrites`, the unique-key writers and repair loop of a Dynamo
+ring. Workload loops pace themselves with :func:`repro.sim.pacing` and
+record what their clients were told in a
+:class:`~repro.chaos.history.History`, which the one acked-write checker
+judges.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.chaos.engine import ChaosEngine, ChaosTargets
+from repro.chaos.history import (
+    OK, PUT, UNKNOWN, Held, History, acked_is_durable, lost_acks,
+)
 from repro.chaos.invariants import InvariantMonitor, Violation
 from repro.chaos.plan import ChaosPlan, ChaosSpec
 from repro.dynamo.cluster import DynamoCluster, QuorumUnavailable
@@ -209,7 +215,7 @@ class Scenario:
 
 
 # ----------------------------------------------------------------------
-# The acked-write oracle for a Dynamo ring
+# Acked writes on a Dynamo ring
 
 #: What a Dynamo client call raises when the write was *not* acknowledged.
 PUT_ERRORS = (
@@ -218,28 +224,21 @@ PUT_ERRORS = (
 
 
 class AckedWrites:
-    """Unique-key writers, repair-until-converged, and the
-    ``no-acked-write-lost`` / ``ring-reconverges`` audit for one ring.
-
-    ``metrics`` prefixes the counters and the ``time_to_converged``
-    histogram (``chaos.rejoin`` → ``chaos.rejoin.acked_puts``). ``lost``
-    words the violation detail, which is part of its ``signature``, so
-    each scenario keeps its own. ``unconverged`` words the
-    ``ring-reconverges`` detail; left None, the scenario makes no such
-    claim: it is not registered and :meth:`repair` runs every round.
-    """
+    """Unique-key writers recording into :attr:`history`, and the
+    quiesce-time repair loop. ``metrics`` prefixes the counters and the
+    ``time_to_converged`` histogram (``chaos.rejoin.acked_puts``). With
+    ``converge`` the scenario claims the ring re-converges: the repair
+    stops at the first converged round, and :meth:`reconverged` judges
+    it; without, every round runs."""
 
     def __init__(
-        self, cluster: DynamoCluster, metrics: str, lost: str,
-        unconverged: Optional[str] = None,
+        self, cluster: DynamoCluster, metrics: str, converge: bool = False,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.metrics = metrics
-        self.lost_detail = lost
-        self.unconverged = unconverged
-        self.acked: Dict[str, int] = {}
-        self.lost: List[Tuple[str, int]] = []
+        self.converge = converge
+        self.history = History(self.sim)
         self.converged_at: Optional[float] = None
 
     def spawn_writer(
@@ -249,7 +248,7 @@ class AckedWrites:
         """Start process ``name`` (also its rng stream): unique-key puts
         ``<key_prefix>w<n>`` until ``horizon``. Every acknowledged write
         is its own fact, so 'lost' has no merge ambiguity to hide behind."""
-        sim = self.sim
+        sim, history = self.sim, self.history
 
         def puts() -> Generator[Any, Any, None]:
             rng = sim.rng.stream(name)
@@ -257,63 +256,55 @@ class AckedWrites:
             for pause in pacing(sim, rng, interval, 0.3, horizon):
                 yield pause
                 seq += 1
-                key, value = f"{key_prefix}w{seq}", seq
+                op = history.invoke(client.name, PUT, f"{key_prefix}w{seq}", seq)
                 try:
-                    yield from client.put(key, value)
+                    yield from client.put(op.key, seq)
                 except PUT_ERRORS:
+                    history.complete(op, UNKNOWN)
                     sim.metrics.inc(f"{self.metrics}.failed_puts")
                     continue
-                self.acked[key] = value
+                history.complete(op, OK)
                 sim.metrics.inc(f"{self.metrics}.acked_puts")
 
         sim.spawn(puts(), name=name)
 
-    def invariants(self, monitor: InvariantMonitor) -> None:
-        monitor.register(
-            "no-acked-write-lost",
-            lambda: (
-                f"{len(self.lost)} acked writes {self.lost_detail}, "
-                f"first: {self.lost[:5]}"
-                if self.lost else None
-            ),
-            when="quiesce",
-        )
-        if self.unconverged is not None:
-            monitor.register(
-                "ring-reconverges",
-                lambda: (
-                    None if self.converged_at is not None else self.unconverged
-                ),
-                when="quiesce",
-            )
+    def held(self) -> Held:
+        """The ring as it stands: key -> every value a live node holds
+        (a value only a crashed node has is not held)."""
+        cluster = self.cluster
+        live = [n for n in cluster.nodes.values() if cluster.alive(n.name)]
+        return lambda key: {
+            v.value for node in live for v in node.versions_of(key)
+        }
+
+    def durable(self) -> Optional[str]:
+        return acked_is_durable(lost_acks(self.history, self.held()))
+
+    def reconverged(self) -> Optional[str]:
+        if self.converged_at is None:
+            return "owners never agreed after repair rounds"
+        return None
 
     def repair(
         self, rounds: int, repair_round: Callable[[], Generator],
         since: Optional[float] = None,
     ) -> None:
-        """Quiesce-time repair, then the audit: up to ``rounds`` of hinted
-        handoff + ``repair_round`` (the cluster's Merkle or full
-        anti-entropy round) until every acked key's *current* owners
-        agree, timing convergence from ``since`` (default: now). Leaves
-        ``lost`` holding the acked writes whose value no live node has."""
+        """Quiesce-time repair: up to ``rounds`` of hinted handoff +
+        ``repair_round`` (the cluster's Merkle or full anti-entropy
+        round), until every acked key's *current* owners agree if the
+        scenario claims they will, timing convergence from ``since``
+        (default: now)."""
         sim, cluster = self.sim, self.cluster
         since = sim.now if since is None else since
         for _ in range(rounds):
             sim.run_process(cluster.run_handoff_round())
             sim.run_process(repair_round())
-            if self.unconverged is not None and all(
-                cluster.converged_on(key) for key in self.acked
+            if self.converge and all(
+                cluster.converged_on(op.key)
+                for op in self.history.ops if op.outcome == OK
             ):
                 self.converged_at = sim.now
                 sim.metrics.observe(
                     f"{self.metrics}.time_to_converged", sim.now - since
                 )
                 break
-        live = [n for n in cluster.nodes.values() if cluster.alive(n.name)]
-        self.lost = [
-            (key, value)
-            for key, value in self.acked.items()
-            if not any(
-                v.value == value for node in live for v in node.versions_of(key)
-            )
-        ]

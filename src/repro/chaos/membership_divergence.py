@@ -14,10 +14,10 @@ them, then heals the world and checks three claims:
   at quiesce ends ``alive`` in every view — a suspicion or death verdict
   planted during the chaos is always outbid by the member's own
   incarnation bump once the rumors can travel;
-- **no acked write lost while views disagree**: every PUT acknowledged
-  under divergent routing (stale views steering writes to fallback
-  nodes, hinted handoff carrying them) is readable somewhere after the
-  heal + repair rounds.
+- **no acked write lost while views disagree** (acked-is-durable): every
+  PUT acknowledged under divergent routing (stale views steering writes
+  to fallback nodes, hinted handoff carrying them) is held by a live
+  node after the heal + repair rounds.
 """
 
 from __future__ import annotations
@@ -83,9 +83,7 @@ class MembershipDivergenceScenario(Scenario):
         # Unique-key puts routed by one node's (possibly stale) view —
         # every ack is a durability promise made while the truth was in
         # dispute. No ring-reconverges claim: the repair rounds all run.
-        self._writes = AckedWrites(
-            cluster, "chaos.mship", lost="unreadable after heal"
-        )
+        self._writes = AckedWrites(cluster, "chaos.mship")
         self._views_converged_at: Optional[float] = None
         self._stuck: List[Tuple[str, str, str]] = []
 
@@ -120,7 +118,7 @@ class MembershipDivergenceScenario(Scenario):
             ),
             when="quiesce",
         )
-        self._writes.invariants(monitor)
+        monitor.register("acked-is-durable", self._writes.durable, when="quiesce")
 
     def drive(self, sim: Simulator) -> None:
         zipf_keys = ZipfKeyGenerator(

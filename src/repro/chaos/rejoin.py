@@ -11,8 +11,9 @@ losses, which is what makes the invariant sound — with N=3 and W=2,
 every acked write has two homes, and only one node's memory is ever in
 flames at a time.
 
-Invariants: **no acked write lost** after quiesce (every acknowledged
-put's value is readable from the converged ring), and **the ring
+Invariants: **acked-is-durable** after quiesce (every put the writer's
+recorded history shows acknowledged is held by a live node of the
+converged ring), and **the ring
 re-converges** — with ``time_to_converged`` measured from quiesce start.
 """
 
@@ -75,10 +76,7 @@ class RejoinScenario(Scenario):
         )
         self._cluster = cluster
         self._client = cluster.client("writer")
-        self._writes = AckedWrites(
-            cluster, "chaos.rejoin", lost="missing from the ring",
-            unconverged="owners never agreed after repair rounds",
-        )
+        self._writes = AckedWrites(cluster, "chaos.rejoin", converge=True)
         # Node targets cold-crash and spawn their own rejoin (it takes
         # disk time), so even a hand-written plan with crash episodes
         # exercises the cold path: crash loses the store, restart seeds
@@ -95,7 +93,8 @@ class RejoinScenario(Scenario):
         return ChaosTargets(sim, network=cluster.network, nodes=targets)
 
     def invariants(self, monitor: InvariantMonitor) -> None:
-        self._writes.invariants(monitor)
+        monitor.register("acked-is-durable", self._writes.durable, when="quiesce")
+        monitor.register("ring-reconverges", self._writes.reconverged, when="quiesce")
 
     def drive(self, sim: Simulator) -> None:
         self._writes.spawn_writer(

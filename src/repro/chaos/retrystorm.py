@@ -29,10 +29,14 @@ runner checks the former, experiment E13 measures the latter
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Optional
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import Crashable, Scenario
+from repro.chaos.history import (
+    ADD, FAILED, OK, UNKNOWN, History, Op, acked_is_durable, at_most_one_effect,
+    lost_acks,
+)
 from repro.chaos.invariants import InvariantMonitor
 from repro.errors import BreakerOpenError, CrashedError, TimeoutError_
 from repro.net.latency import FixedLatency
@@ -89,9 +93,7 @@ class RetryStormScenario(Scenario):
 
         self._lock = Lock(sim, name="retrystorm.server")
         self._incarnation = 0
-        self._executions: list = []            # (incarnation, uniquifier)
-        self._executed_uniqs: Set[str] = set()
-        self._acked_uniqs: Set[str] = set()    # real (non-degraded) acks
+        self._history = History(sim)
         self._last_value: Optional[int] = None
         self._peak_inflight = 0
         self._req_counter = itertools.count(1)
@@ -134,8 +136,13 @@ class RetryStormScenario(Scenario):
         self._server.restart()
 
     def invariants(self, monitor: InvariantMonitor) -> None:
-        monitor.register("acked-implies-executed", self._check_acked_executed)
-        monitor.register("at-most-once-per-incarnation", self._check_at_most_once)
+        monitor.register("acked-is-durable", self._check_durable, when="quiesce")
+        # A crash wipes the dedup cache, so the scope is the incarnation:
+        # across incarnations duplicates are the paper's point, not a bug.
+        effects = self._history.effects
+        monitor.register(
+            "at-most-one-effect", lambda: at_most_one_effect(effects)
+        )
         if self.policy == "resilient":
             monitor.register("bounded-inflight", self._check_bounded_inflight)
 
@@ -173,8 +180,7 @@ class RetryStormScenario(Scenario):
             yield Timeout(self.service_time * factor)
             value = msg.payload["item"] * 2
             uniquifier = msg.payload["uniquifier"]
-            self._executions.append((self._incarnation, uniquifier))
-            self._executed_uniqs.add(uniquifier)
+            self._history.effect(uniquifier, self._incarnation)
             self._last_value = value
             sim.metrics.inc("chaos.retrystorm.executed")
             return {"value": value}
@@ -206,20 +212,20 @@ class RetryStormScenario(Scenario):
         mints a fresh uniquifier — timed-out work stays queued AND gets
         resubmitted, so offered load multiplies exactly under overload."""
         for reissue in range(self.naive_reissues):
-            payload = {
-                "item": req_no,
-                "uniquifier": f"req-{req_no}-try{reissue}",
-            }
+            uniquifier = f"req-{req_no}-try{reissue}"
+            payload = {"item": req_no, "uniquifier": uniquifier}
             sim.metrics.inc("chaos.retrystorm.issued")
             if reissue:
                 sim.metrics.inc("chaos.retrystorm.reissues")
+            op = self._history.invoke(client.name, ADD, "server", uniquifier)
             try:
                 reply = yield from client.call(
                     "server", "WORK", payload, policy=self._naive_policy,
                 )
             except (TimeoutError_, RpcError, CrashedError):
+                self._history.complete(op, UNKNOWN)
                 continue
-            self._record_success(sim, reply, payload["uniquifier"])
+            self._record_success(sim, reply, op)
             return
         sim.metrics.inc("chaos.retrystorm.give_ups")
 
@@ -227,54 +233,46 @@ class RetryStormScenario(Scenario):
         """One call per logical request: a stable uniquifier (wire
         retries are dedup territory), backoff + jitter, an overall
         deadline, and the breaker deciding whether to talk at all."""
-        payload = {"item": req_no, "uniquifier": f"req-{req_no}"}
+        uniquifier = f"req-{req_no}"
+        payload = {"item": req_no, "uniquifier": uniquifier}
         sim.metrics.inc("chaos.retrystorm.issued")
+        op = self._history.invoke(client.name, ADD, "server", uniquifier)
         try:
             reply = yield from client.call(
                 "server", "WORK", payload, policy=self._resilient_policy,
             )
         except BreakerOpenError:
+            self._history.complete(op, FAILED)
             sim.metrics.inc("chaos.retrystorm.breaker_give_ups")
             return
         except (TimeoutError_, RpcError, CrashedError):
+            self._history.complete(op, UNKNOWN)
             sim.metrics.inc("chaos.retrystorm.give_ups")
             return
         if reply.get("shed"):
+            self._history.complete(op, FAILED)
             sim.metrics.inc("chaos.retrystorm.give_ups")
             return
-        self._record_success(sim, reply, payload["uniquifier"])
+        self._record_success(sim, reply, op)
 
-    def _record_success(self, sim: Simulator, reply: Dict[str, Any], uniquifier: str) -> None:
+    def _record_success(self, sim: Simulator, reply: Dict[str, Any], op: Op) -> None:
+        # A degraded reply is a stale guess: the request itself did not run.
+        degraded = reply.get("degraded")
+        self._history.complete(op, FAILED if degraded else OK)
         sim.metrics.inc("chaos.retrystorm.ok")
-        if reply.get("degraded"):
+        if degraded:
             sim.metrics.inc("chaos.retrystorm.ok_degraded")
-        else:
-            self._acked_uniqs.add(uniquifier)
         if self.slow_start <= sim.now <= self.slow_end:
             sim.metrics.inc("chaos.retrystorm.ok_window")
 
     # ------------------------------------------------------------------
     # Invariants
 
-    def _check_acked_executed(self) -> Optional[str]:
-        """Every non-degraded success the clients counted corresponds to
-        work the server actually executed (no phantom acks)."""
-        phantom = self._acked_uniqs - self._executed_uniqs
-        if phantom:
-            return f"{len(phantom)} acked but never executed (e.g. {sorted(phantom)[0]})"
-        return None
-
-    def _check_at_most_once(self) -> Optional[str]:
-        """Within one server incarnation the §2.1 discipline (dedup cache
-        + in-flight parking) executes each uniquifier at most once. A
-        crash wipes the cache, so *across* incarnations duplicates are
-        expected — that is the paper's point, not a bug."""
-        seen: Set[Tuple[int, str]] = set()
-        for entry in self._executions:
-            if entry in seen:
-                return f"uniquifier {entry[1]!r} executed twice in incarnation {entry[0]}"
-            seen.add(entry)
-        return None
+    def _check_durable(self) -> Optional[str]:
+        """Every request a client was acked is in the set the server
+        executed (no phantom acks)."""
+        executed = {uniquifier for uniquifier, _ in self._history.effects}
+        return acked_is_durable(lost_acks(self._history, lambda _server: executed))
 
     def _check_bounded_inflight(self) -> Optional[str]:
         """Admission control holds the watermark: the server never serves

@@ -14,18 +14,19 @@ the ``run(seed, plan)`` template they fill in):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Sequence, Tuple
 
 from repro.bank.account import build_account_registry, overdraft_rule
 from repro.cart.service import CartService
 from repro.cart.strategies import LwwCartStrategy, OpCartStrategy
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import PUT_ERRORS, Crashable, Scenario
+from repro.chaos.history import (
+    ADD, OK, UNKNOWN, History, acked_is_durable, at_most_one_effect, lost_acks,
+)
 from repro.chaos.invariants import (
     InvariantMonitor,
     balance_matches_entries,
-    no_duplicate_debits,
-    no_lost_cart_adds,
     no_money_created,
     replicas_converge,
 )
@@ -40,6 +41,15 @@ from repro.sim import Simulator, pacing
 
 # ----------------------------------------------------------------------
 # Bank clearing over the gossip fabric
+
+
+def debits(replicas: Sequence[Any]) -> Iterator[Tuple[int, str]]:
+    """Each replica's check debits as effects: the check number is the
+    uniquifier, the replica its scope (§2.1, §6.2)."""
+    for replica in replicas:
+        for op in replica.ops:
+            if op.op_type == "CLEAR_CHECK":
+                yield op.args["check_no"], replica.name
 
 
 class BankClearingScenario(Scenario):
@@ -99,7 +109,9 @@ class BankClearingScenario(Scenario):
             "conservation-of-money",
             no_money_created(replicas, lambda: self._deposits_total),
         )
-        monitor.register("no-duplicate-debit", no_duplicate_debits(replicas))
+        monitor.register(
+            "at-most-one-effect", lambda: at_most_one_effect(debits(replicas))
+        )
         monitor.register("convergence", replicas_converge(replicas), when="quiesce")
 
     def drive(self, sim: Simulator) -> None:
@@ -240,7 +252,7 @@ class CartDynamoScenario(Scenario):
             CartService(cluster, strategy, client=cluster.client(device))
             for device in self.client_names()
         ]
-        self._acked: Dict[str, int] = {}
+        self._history = History(sim)
         self._final_view: Dict[str, int] = {}
 
         targets = {
@@ -256,14 +268,16 @@ class CartDynamoScenario(Scenario):
 
     def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register(
-            "no-lost-cart-adds",
-            no_lost_cart_adds(lambda: dict(self._acked), lambda: self._final_view),
+            "acked-is-durable",
+            lambda: acked_is_durable(
+                lost_acks(self._history, lambda _cart: self._final_view)
+            ),
             when="quiesce",
         )
 
     def drive(self, sim: Simulator) -> None:
         sim.spawn(
-            self._workload(sim, self._shoppers, self._acked),
+            self._workload(sim, self._shoppers, self._history),
             name="chaos.cart.workload",
         )
 
@@ -274,7 +288,7 @@ class CartDynamoScenario(Scenario):
         self._final_view = sim.run_process(self._shoppers[0].view(self.cart_key))
 
     def _workload(
-        self, sim: Simulator, shoppers: List[CartService], acked: Dict[str, int]
+        self, sim: Simulator, shoppers: List[CartService], history: History
     ) -> Generator:
         rng = sim.rng.stream("chaos.cart.workload")
         item_no = 0
@@ -283,12 +297,14 @@ class CartDynamoScenario(Scenario):
             item_no += 1
             item = f"item{item_no}"
             cart = shoppers[item_no % len(shoppers)]
+            op = history.invoke(cart.client.name, ADD, self.cart_key, item)
             try:
                 yield from cart.add(self.cart_key, item)
             except PUT_ERRORS:
                 # Not acknowledged: the shopper saw the failure, so losing
                 # this add would be an acceptable apology.
+                history.complete(op, UNKNOWN)
                 sim.metrics.inc("chaos.cart.failed_adds")
                 continue
-            acked[item] = acked.get(item, 0) + 1
+            history.complete(op, OK)
             sim.metrics.inc("chaos.cart.acked_adds")

@@ -20,7 +20,7 @@ What happens next is the policy under test:
 - ``policy="unfenced"`` — same conviction, same promotion, no fence.
   The healed shipper replays the deposed regime's tail straight into the
   new primary, clobbering post-takeover writes with older data: the
-  **lost updates** the no-lost-update invariant latches.
+  **lost updates** the acked-is-durable rule latches.
 
 Either way the conviction itself was *wrong* — the primary was alive all
 along — and the detector records the contradiction when the first
@@ -35,6 +35,9 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import Scenario
+from repro.chaos.history import (
+    FAILED, OK, PUT, UNKNOWN, History, Lost, Op, acked_is_durable, lost_acks,
+)
 from repro.chaos.invariants import InvariantMonitor
 from repro.errors import StaleEpochError, TimeoutError_
 from repro.failover import FixedTimeoutDetector
@@ -46,11 +49,11 @@ from repro.sim import Simulator, pacing
 
 class DeposedPrimaryDrama:
     """The deposed-primary half of the story, shared with the game day
-    (which stages it under a WAN cut): a writer bound to the old primary
-    and the two invariants that judge what its writes did. The host
-    scenario supplies ``metrics`` (its counter prefix), ``num_keys``,
-    ``write_interval`` and ``horizon``, and calls :meth:`_stage` from
-    ``build`` once the system exists."""
+    (which stages it under a WAN cut): an informed writer, a writer bound
+    to the old primary, the history both record, and what judges their
+    writes. The host scenario supplies ``metrics`` (its counter prefix),
+    ``num_keys``, ``write_interval`` and ``horizon``, and calls
+    :meth:`_stage` from ``build`` once the system exists."""
 
     metrics: str
     #: Post-takeover acks found overwritten at quiesce (0 until a run).
@@ -58,14 +61,35 @@ class DeposedPrimaryDrama:
 
     def _stage(self, system: LogShippingSystem) -> None:
         self._system = system
-        #: key -> last value acked by the *current regime* after takeover.
-        self._post_acks: Dict[str, str] = {}
+        self._history = History(self._sim)
         self._last_epoch = system.epoch
         self._writer_seq = itertools.count(1)
         self.lost_updates = 0
 
     def _key(self, seq: int) -> str:
         return f"k{seq % self.num_keys}"
+
+    def _informed_writer(self, stop_at: float) -> Generator[Any, Any, None]:
+        """A client that always reaches the *currently serving* site (it
+        learns about takeovers instantly — the best case). Stops at
+        ``stop_at``, the heal, so its last acked values are what quiesce
+        must still find."""
+        sim, history = self._sim, self._history
+        rng = sim.rng.stream(f"{self.metrics}.informed")
+        for pause in pacing(sim, rng, self.write_interval, 0.5, stop_at):
+            yield pause
+            seq = next(self._writer_seq)
+            key, value = self._key(seq), f"v{seq}"
+            op = history.invoke("informed", PUT, key, value)
+            outcome = yield from self._submit(seq, {key: value})
+            history.complete(op, outcome)
+            if outcome == OK:
+                sim.metrics.inc(f"{self.metrics}.informed_acks")
+
+    def _submit(self, _seq: int, writes: Dict[str, str]) -> Generator:
+        """One informed write at the serving site, and what it was told."""
+        yield from self._system.submit(writes)
+        return OK
 
     def _stale_writer(self) -> Generator[Any, Any, None]:
         """A client bound to east — it keeps writing there through the
@@ -74,26 +98,29 @@ class DeposedPrimaryDrama:
         over to the serving site; without fencing it is never told at
         all."""
         sim = self._sim
-        system = self._system
+        system, history = self._system, self._history
         rng = sim.rng.stream(f"{self.metrics}.stale")
         deposed = False
         for pause in pacing(sim, rng, self.write_interval, 0.5, self.horizon):
             yield pause
             seq = next(self._writer_seq)
             key, value = self._key(seq), f"s{seq}"
+            op = history.invoke("stale" if deposed else "stale@east", PUT, key, value)
             if deposed:
                 yield from system.submit({key: value})
-                if system.failover_time is not None:
-                    self._post_acks[key] = value
+                history.complete(op, OK)
                 continue
             try:
                 yield from system.submit_to("east", {key: value})
             except StaleEpochError:
+                history.complete(op, FAILED)
                 deposed = True
                 sim.metrics.inc(f"{self.metrics}.stale_rejected")
                 continue
             except TimeoutError_:
+                history.complete(op, UNKNOWN)
                 continue
+            history.complete(op, OK)
             if system.failover_time is not None:
                 # East acked a write after it was deposed — the client
                 # walks away believing it committed.
@@ -108,26 +135,24 @@ class DeposedPrimaryDrama:
         self._last_epoch = epoch
         return None
 
-    def _check_no_lost_update(self) -> Optional[str]:
-        """Every write acked by the post-takeover regime must still hold
-        its value at the serving primary once everything settles. A
-        deposed primary's resurrected tail overwriting one is the §5.1
-        lost update this scenario exists to catch."""
+    def _counted(self, op: Op) -> bool:
+        """The serving regime owes durability to what it acked after the
+        takeover; acks from before (async shipping's loss window, §4) or
+        from the deposed east (the wrong guess) may be lost."""
+        takeover = self._system.failover_time
+        return takeover is not None and op.completed >= takeover and (
+            op.client != "stale@east"
+        )
+
+    def _lost_updates(self) -> Lost:
+        """The counted acks the serving primary no longer holds: the §5.1
+        lost updates a deposed primary's resurrected tail causes."""
         state = self._system.primary.state
-        lost = [
-            (key, value, state.get(key))
-            for key, value in sorted(self._post_acks.items())
-            if state.get(key) != value
-        ]
+        lost = lost_acks(self._history, lambda key: (state.get(key),), self._counted)
         if lost:
             self.lost_updates = len(lost)
             self._sim.metrics.inc(f"{self.metrics}.lost_updates", len(lost))
-            key, value, found = lost[0]
-            return (
-                f"{len(lost)} acked writes lost (e.g. {key}={value!r} "
-                f"overwritten by {found!r})"
-            )
-        return None
+        return lost
 
 
 class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
@@ -205,11 +230,17 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
 
     def invariants(self, monitor: InvariantMonitor) -> None:
         monitor.register("epoch-monotonic", self._check_epoch_monotonic)
-        monitor.register("no-lost-update", self._check_no_lost_update,
-                         when="quiesce")
+        monitor.register(
+            "acked-is-durable", lambda: acked_is_durable(self._lost_updates()),
+            when="quiesce",
+        )
 
     def drive(self, sim: Simulator) -> None:
-        sim.spawn(self._informed_writer(), name="chaos.splitbrain.informed")
+        stop_at = (
+            self.partition_end if self.partition_start is not None
+            else self.horizon
+        )
+        sim.spawn(self._informed_writer(stop_at), name="chaos.splitbrain.informed")
         sim.spawn(self._stale_writer(), name="chaos.splitbrain.stale")
 
     def quiesce(self, sim: Simulator) -> None:
@@ -236,25 +267,3 @@ class SplitBrainScenario(DeposedPrimaryDrama, Scenario):
             {"west", "lsclient", "failover.monitor"},
         ])
 
-    # ------------------------------------------------------------------
-    # Writers
-
-    def _informed_writer(self) -> Generator[Any, Any, None]:
-        """A client that always reaches the *currently serving* site (it
-        learns about takeovers instantly — the best case). Stops at the
-        heal so its last acked values are what quiesce must still find."""
-        sim = self._sim
-        system = self._system
-        rng = sim.rng.stream("chaos.splitbrain.informed")
-        stop_at = (
-            self.partition_end if self.partition_start is not None
-            else self.horizon
-        )
-        for pause in pacing(sim, rng, self.write_interval, 0.5, stop_at):
-            yield pause
-            seq = next(self._writer_seq)
-            key, value = self._key(seq), f"v{seq}"
-            yield from system.submit({key: value})
-            sim.metrics.inc("chaos.splitbrain.informed_acks")
-            if system.failover_time is not None:
-                self._post_acks[key] = value

@@ -314,7 +314,10 @@ class DiskProcessPair:
         """Fail-fast crash of the serving side; promote the peer.
 
         Returns the transactions aborted by the takeover (empty for DP1).
+        A pair whose backup already crashed has no side left to promote.
         """
+        if not self.backup_alive:
+            raise SimulationError(f"{self.name}: no live backup to take over")
         old = self.current
         lost_records = len(self._states[old].log_buffer)
         self._endpoints[old].stop("crash")

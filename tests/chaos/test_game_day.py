@@ -66,7 +66,7 @@ def test_fenced_phi_sweep_is_clean():
 def test_unfenced_loses_post_takeover_writes():
     scenario = small(policy="unfenced")
     report = scenario.run(0, scenario.spec().sample(0))
-    assert [v.invariant for v in report.violations] == ["no-lost-update"]
+    assert [v.invariant for v in report.violations] == ["acked-is-durable"]
     assert scenario.lost_updates > 0
     # The fenced twin on the same plan survives, bouncing the stale tail.
     fenced = small(policy="fenced")

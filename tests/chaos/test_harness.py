@@ -1,6 +1,6 @@
 """The scenario harness: Crashable, the Scenario template's hook order,
 a run's world living exactly as long as the run, the acked-write
-oracle, and the smoke table's row order."""
+writers and repair loop, and the smoke table's row order."""
 
 import gc
 import json
@@ -10,6 +10,7 @@ import pytest
 
 from repro.chaos.engine import ChaosTargets
 from repro.chaos.harness import AckedWrites, Crashable, Scenario
+from repro.chaos.history import OK, PUT, lost_acks
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan, CrashEpisode
 from repro.chaos.runner import SMOKE_ROWS, smoke
@@ -176,40 +177,42 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(enabled, boom):
 
 def _ring_with_acked_write():
     cluster = DynamoCluster(num_nodes=3, seed=11)
-    writes = AckedWrites(
-        cluster, "chaos.test", lost="gone", unconverged="never agreed"
-    )
+    writes = AckedWrites(cluster, "chaos.test", converge=True)
     writes.spawn_writer(cluster.client("writer"), "chaos.test.writer", 0.1, 0.3)
     cluster.sim.run(until=1.0)
-    assert writes.acked and cluster.sim.metrics.counters()[
-        "chaos.test.acked_puts"] == len(writes.acked)
+    acked = [op for op in writes.history.ops if op.outcome == OK]
+    assert acked and cluster.sim.metrics.counters()[
+        "chaos.test.acked_puts"] == len(acked)
+    assert all(op.kind == PUT and op.client == "writer" for op in acked)
     monitor = InvariantMonitor(cluster.sim)
-    writes.invariants(monitor)
+    monitor.register("acked-is-durable", writes.durable, when="quiesce")
+    monitor.register("ring-reconverges", writes.reconverged, when="quiesce")
     return cluster, writes, monitor
 
 
 def test_acked_write_audit_flags_value_held_only_by_a_dead_node():
     cluster, writes, monitor = _ring_with_acked_write()
-    key, value = next(iter(writes.acked.items()))
-    holders = [n for n in cluster.nodes.values() if n.versions_of(key)]
+    op = next(op for op in writes.history.ops if op.outcome == OK)
+    holders = [n for n in cluster.nodes.values() if n.versions_of(op.key)]
     # Every other holder loses its store (a cold crash, and back with no
     # checkpoint), so the value lives on one node only; that node dies.
     for node in holders[1:]:
         cluster.cold_crash(node.name)
         cluster.sim.run_process(cluster.cold_restart(node.name))
-        assert not node.versions_of(key)
+        assert not node.versions_of(op.key)
     cluster.crash(holders[0].name)
     writes.repair(2, cluster.run_merkle_round)
-    assert (key, value) in writes.lost
+    lost = lost_acks(writes.history, writes.held())
+    assert (op, set()) in lost
     found = {v.invariant: v.detail for v in monitor.check_now("quiesce")}
-    assert found["no-acked-write-lost"].startswith(
-        f"{len(writes.lost)} acked writes gone, first: [")
+    assert found["acked-is-durable"].startswith(f"{len(lost)} acked writes lost, first: ")
 
     # Nothing is lost once the holder is back: presence is judged on
     # live nodes only, and repair re-replicates the value.
     cluster.restart(holders[0].name)
     writes.repair(2, cluster.run_merkle_round)
-    assert writes.lost == [] and writes.converged_at is not None
+    assert lost_acks(writes.history, writes.held()) == []
+    assert writes.converged_at is not None
     # Both repairs converged (empty live frontiers agree too — which is
     # why "lost" is audited separately), each timing itself once.
     histogram = cluster.sim.metrics.histograms()["chaos.test.time_to_converged"]
@@ -219,16 +222,16 @@ def test_acked_write_audit_flags_value_held_only_by_a_dead_node():
 def test_ring_reconverges_fires_when_the_rounds_run_out():
     cluster, writes, monitor = _ring_with_acked_write()
     writes.repair(0, cluster.run_merkle_round)
-    assert writes.converged_at is None and writes.lost == []
+    assert writes.converged_at is None
     found = {v.invariant: v.detail for v in monitor.check_now("quiesce")}
-    assert found == {"ring-reconverges": "never agreed"}
+    assert found == {
+        "ring-reconverges": "owners never agreed after repair rounds"
+    }
 
 
 def test_no_reconvergence_claim_means_every_round_runs():
     cluster = DynamoCluster(num_nodes=3, seed=11)
-    writes = AckedWrites(cluster, "chaos.test", lost="gone")
-    monitor = InvariantMonitor(cluster.sim)
-    writes.invariants(monitor)
+    writes = AckedWrites(cluster, "chaos.test")
     rounds = []
 
     def counted_round():
@@ -237,7 +240,6 @@ def test_no_reconvergence_claim_means_every_round_runs():
 
     writes.repair(3, counted_round)
     assert len(rounds) == 3 and writes.converged_at is None
-    assert monitor.check_now("quiesce") == []  # ring-reconverges not registered
 
 
 def test_smoke_table_rows_are_pinned():

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.chaos.history import (
+    ADD, OK, History, acked_is_durable, at_most_one_effect, lost_acks,
+)
 from repro.chaos.invariants import (
     InvariantMonitor,
     Violation,
     _states_equivalent,
     balance_matches_entries,
     escrow_non_negative,
-    no_duplicate_debits,
-    no_lost_cart_adds,
     no_money_created,
     replicas_converge,
 )
+from repro.chaos.scenarios import debits
 from repro.bank.account import build_account_registry
 from repro.core.escrow import EscrowAccount
 from repro.core.operation import Operation
@@ -33,7 +35,7 @@ def test_cadence_checks_run_on_schedule():
     monitor.start(period=1.0, until=5.0)
     sim.run(until=10.0)
     assert calls == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert monitor.ok
+    assert monitor.violations == []
 
 
 def test_violation_is_latched_and_recorded_with_context():
@@ -52,7 +54,7 @@ def test_violation_is_latched_and_recorded_with_context():
     assert violation.time == 1.0
     assert violation.phase == "cadence"
     assert any("context-marker" in line for line in violation.context)
-    assert not monitor.ok
+    assert monitor.violations
     assert sim.metrics.counter("chaos.violation.always-broken").value == 1
 
 
@@ -62,7 +64,7 @@ def test_quiesce_only_invariants_skip_cadence():
     monitor.register("final-only", lambda: "broken at the end", when="quiesce")
     monitor.start(period=1.0, until=3.0)
     sim.run(until=5.0)
-    assert monitor.ok
+    assert monitor.violations == []
     found = monitor.check_now("quiesce")
     assert [v.invariant for v in found] == ["final-only"]
     assert found[0].phase == "quiesce"
@@ -133,11 +135,13 @@ def test_no_duplicate_debits_keys_on_check_number():
         op("check:2", "CLEAR_CHECK", amount=20.0, check_no=2),
     ]
     replicas[0].integrate(ops)
-    check = no_duplicate_debits(replicas)
-    assert check() is None
+    replicas[1].integrate(ops)  # one debit per replica is no duplicate
+    assert at_most_one_effect(debits(replicas)) is None
     # the same physical check under a second uniquifier = double debit
     replicas[0].integrate([op("check:1@b2", "CLEAR_CHECK", amount=10.0, check_no=1)])
-    assert "debited twice" in check()
+    assert at_most_one_effect(debits(replicas)) == (
+        "uniquifier 1 took effect twice in 'r0'"
+    )
 
 
 def test_replicas_converge_detects_missing_ops():
@@ -169,7 +173,11 @@ def test_escrow_non_negative():
 
 
 def test_no_lost_cart_adds():
-    acked = {"book": 1, "pen": 1}
+    history = History(Simulator(seed=0))
+    for item in ("book", "pen"):
+        history.complete(history.invoke("phone", ADD, "cart", item), OK)
     view = {"book": 1, "pen": 1, "extra": 3}
-    assert no_lost_cart_adds(lambda: acked, lambda: view)() is None
-    assert "pen" in no_lost_cart_adds(lambda: acked, lambda: {"book": 1})()
+    assert lost_acks(history, lambda _cart: view) == []
+    assert acked_is_durable(lost_acks(history, lambda _cart: {"book": 1})) == (
+        "1 acked writes lost, first: cart lacks 'pen'"
+    )

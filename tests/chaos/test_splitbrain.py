@@ -2,7 +2,7 @@
 
 Fast tests pin the scenario's correctness properties: the fenced policy
 stays invariant-clean under the partition, the unfenced ablation is
-*caught* by the no-lost-update invariant, runs are bit-identical under a
+*caught* by the acked-is-durable rule, runs are bit-identical under a
 shared seed, and sweeps fan out without changing a byte. The
 ``slow``-marked test reproduces the E14 claim shape end to end.
 """
@@ -41,7 +41,7 @@ def test_fenced_run_is_clean():
 def test_unfenced_run_is_caught_by_the_invariant():
     scenario, report = run_split("unfenced", seed=0)
     assert report.violations != ()
-    assert any(v.invariant == "no-lost-update" for v in report.violations)
+    assert any(v.invariant == "acked-is-durable" for v in report.violations)
     counters = report.counters
     assert counters["chaos.splitbrain.lost_updates"] > 0
     assert counters.get("logship.stale_epoch_rejected", 0.0) == 0

@@ -7,7 +7,7 @@ counters and trace sequences; different seeds actually diverge.
 
 from repro.bank.account import build_account_registry, overdraft_rule
 from repro.cart import CartService, OpCartStrategy
-from repro.chaos import BankClearingScenario
+from repro.chaos.scenarios import BankClearingScenario
 from repro.core.operation import Operation
 from repro.core.rules import RuleEngine
 from repro.dynamo import DynamoCluster

@@ -8,7 +8,7 @@ pair — but never a committed one.
 
 import pytest
 
-from repro.errors import TransactionAborted
+from repro.errors import SimulationError, TransactionAborted
 from repro.tandem import DPMode, TandemConfig, TandemSystem, TxnStatus
 
 
@@ -161,3 +161,17 @@ def test_committed_never_lost_invariant():
 
         system.sim.run_process(job())
         assert system.committed_durable()
+
+
+@pytest.mark.parametrize("mode", [DPMode.DP1, DPMode.DP2], ids=["dp1", "dp2"])
+def test_second_crash_without_a_live_backup_is_refused(mode):
+    """The first crash promoted the backup and left the pair with no
+    backup; a second crash has no side to promote, and must not promote
+    the side the first crash stopped."""
+    system = TandemSystem(TandemConfig(mode=mode), seed=1)
+    pair = system.pair("dp0")
+    system.crash_primary("dp0")
+    survivor = pair.current
+    with pytest.raises(SimulationError, match="no live backup"):
+        system.crash_primary("dp0")
+    assert pair.current == survivor
