@@ -253,7 +253,7 @@ class MembershipView:
         self._budget[name] = self._fresh_budget()
         self.sim.metrics.inc("membership.changes")
         if new == SUSPECT:
-            self._schedule_expiry(name, incarnation, entry.version)
+            self._schedule_expiry(name, entry.version)
         if new == DEAD:
             self.sim.metrics.inc("membership.dead_declared")
         for observer in self._on_change:
@@ -286,28 +286,22 @@ class MembershipView:
         self.sim.metrics.inc("membership.suspicions_cleared")
         return self.apply(name, ALIVE, entry.incarnation + 1)
 
-    def _schedule_expiry(self, name: str, incarnation: int, version: int) -> None:
-        self.sim.schedule(
-            self.suspicion_timeout, self._maybe_expire, name, incarnation, version
-        )
+    def _schedule_expiry(self, name: str, version: int) -> None:
+        self.sim.schedule(self.suspicion_timeout, self._maybe_expire, name, version)
 
-    def _maybe_expire(self, name: str, incarnation: int, version: int) -> None:
+    def _maybe_expire(self, name: str, version: int) -> None:
         """The suspicion timer fired: declare death only if the entry is
         *exactly* as it was when suspected — any refutation, clearance,
-        or superseding rumor moved the version and cancels the verdict."""
+        or superseding rumor stamped a newer view-wide version and
+        cancels the verdict."""
         entry = self._entries.get(name)
-        if (
-            entry is None
-            or entry.status != SUSPECT
-            or entry.incarnation != incarnation
-            or entry.version != version
-        ):
+        if entry is None or entry.status != SUSPECT or entry.version != version:
             return
         self.sim.trace.emit(
             self.owner, "membership.declare_dead",
-            node=name, incarnation=incarnation,
+            node=name, incarnation=entry.incarnation,
         )
-        self.apply(name, DEAD, incarnation)
+        self.apply(name, DEAD, entry.incarnation)
 
     # ------------------------------------------------------------------
     # Wire form

@@ -8,13 +8,11 @@ owners are unreachable the write lands on fallback nodes with a hint —
 availability over consistency, always accept the PUT.
 
 Versions travel by reference: a PUT's targets share the one
-``VersionedValue`` the client built, a GET reply is a replica's stored
-frontier tuple, a SYNC_ARCS entry is ``{"key": …, "version": …}``, and
-every receiver stores the object it was sent.
+``VersionedValue`` the client built, and every receiver stores the
+object it was sent.
 
-A Merkle round pairs every two live nodes: one DIGESTS call compares the
-digests of the ring arcs both own (cached per node, :mod:`.merkle`), and
-one SYNC_ARCS ships both sides' versions of the arcs that differ.
+Replication is the nodes' own protocol (:mod:`.node`): the cluster
+lists each pair's shared arcs and drives the rounds.
 
 The ring is elastic: :meth:`DynamoCluster.join` splices a new node in
 and bootstraps exactly the key ranges it now owns from their previous
@@ -24,11 +22,14 @@ their new owners before it departs. Both reshape the ring first, and
 every hinted-handoff and intended-owner check consults the *current*
 ring — so an acked write is never stranded mid-reshape.
 
-Every *routing* decision — a client's preference walk, an anti-entropy
-push, a Merkle pairing — asks the observer's own view, then the fabric:
+Every *routing* decision asks the observer's own view:
 :data:`NO_OPINION` until :meth:`DynamoCluster.attach_gossip_membership`
-gives each node a local, possibly-stale ``MembershipView``. Only the
-*driver* reads ground truth (:meth:`DynamoCluster.alive`).
+gives each node a local, possibly-stale ``MembershipView``. Repair by
+exchange (Merkle rounds, join and decommission transfers, the straggler
+sweep) learns of a dead peer from its own traffic. A client's preference
+walk, hint delivery and the push round (which also peeks at its peers'
+stores) still ask the fabric; the driver reads ground truth through
+:meth:`DynamoCluster.alive`.
 """
 
 from __future__ import annotations
@@ -46,14 +47,9 @@ from repro.net.rpc import Endpoint, RpcError
 from repro.resilience import RetryPolicy
 from repro.sim.events import Event
 from repro.sim.scheduler import Simulator
-from repro.dynamo.merkle import ArcIndex
-from repro.dynamo.node import _PEER_ERRORS, DynamoNode
+from repro.dynamo.node import _PEER_ERRORS, REPLICATION_POLICY, DynamoNode
 from repro.dynamo.ring import Arc, HashRing, RingPositions, moved_ranges
 from repro.dynamo.versions import Frontier, VectorClock, VersionedValue, prune_dominated
-
-#: Node-to-node replication traffic (anti-entropy pushes, Merkle sync):
-#: one retry on a half-second timer — the historic fixed discipline.
-REPLICATION_POLICY = RetryPolicy(max_attempts=2, timeout=0.5)
 
 #: Client scatter/gather traffic: the quorum machinery is the real retry
 #: layer, so each leg gets one fast retry and gives up (sloppy quorum
@@ -131,18 +127,20 @@ class DynamoCluster:
         self.n, self.r, self.w = n, r, w
         self.hinted_handoff = hinted_handoff
         self.snapshot_cadence = snapshot_cadence
-        self.nodes: Dict[str, DynamoNode] = {
-            f"node{i}": DynamoNode(self.sim, self.network, f"node{i}")
-            for i in range(num_nodes)
-        }
-        if snapshot_cadence is not None:
-            for node in self.nodes.values():
-                node.enable_snapshots(snapshot_cadence)
-        self.ring = HashRing(list(self.nodes), vnodes=16)
+        names = [f"node{i}" for i in range(num_nodes)]
+        self.ring = HashRing(names, vnodes=16)
         # Ring position of every stored key a scan has met, one memo for
         # all nodes. Filled by the scans, never by store_version: traffic
         # that is never scanned must not pay for an index it never reads.
         self._positions = RingPositions()
+        self.nodes: Dict[str, DynamoNode] = {
+            name: DynamoNode(self.sim, self.network, name, self.ring,
+                             self._positions, n)
+            for name in names
+        }
+        if snapshot_cadence is not None:
+            for node in self.nodes.values():
+                node.enable_snapshots(snapshot_cadence)
         # (a, b) -> the arcs both own, for the current ring state.
         self._pair_arcs: Dict[Tuple[str, str], List[Arc]] = {}
         # Gossip-driven membership (opt-in via attach_gossip_membership):
@@ -153,8 +151,6 @@ class DynamoCluster:
         self.membership_gossips: Dict[str, MembershipGossip] = {}
         self._gossip_settings: Dict[str, Any] = {}
         self._client_ids = itertools.count(1)
-        for node in self.nodes.values():
-            self._register_merkle_handlers(node)
 
     def client(
         self, name: Optional[str] = None, view_of: Optional[str] = None
@@ -225,7 +221,7 @@ class DynamoCluster:
 
     def alive(self, node_name: str) -> bool:
         """Ground truth, for the driver only (experiments, the harness,
-        hint delivery): the node exists and its endpoint is on the
+        the push round): the node exists and its endpoint is on the
         fabric — however it was crashed. Routing asks a view instead."""
         return node_name in self.nodes and self.network.is_attached(node_name)
 
@@ -257,7 +253,7 @@ class DynamoCluster:
         delivered. Experiments call this after partitions heal."""
         total = 0
         for node in self.nodes.values():
-            if self.alive(node.name) and node.hints:
+            if node.endpoint.serving and node.hints:
                 delivered = yield from node.deliver_hints()
                 total += delivered
         return total
@@ -284,7 +280,7 @@ class DynamoCluster:
             try:
                 for key, versions in list(node.store.items()):
                     clocks = [version.clock.counters for version in versions]
-                    for owner in self._owners(key):
+                    for owner in node.owners(key):
                         verdict = pushable.get(owner)
                         if verdict is None:
                             # The pusher's own view may say this owner is
@@ -333,37 +329,12 @@ class DynamoCluster:
     # ------------------------------------------------------------------
     # Merkle-digest anti-entropy (per-arc, message-efficient)
 
-    def _register_merkle_handlers(self, node: DynamoNode) -> None:
-        def handle_digests(endpoint, msg):
-            index = self._index(self.nodes[endpoint.name])
-            return {"digests": index.digests_of(msg.payload["arcs"])}
-
-        def handle_sync(endpoint, msg):
-            serving = self.nodes[endpoint.name]
-            shipped = msg.payload["versions"]
-            _kept, integrated = self._integrate(serving, shipped)
-            # Our versions of the same arcs, less those the initiator sent.
-            sent = {(entry["key"], entry["version"].clock) for entry in shipped}
-            reply = [entry for entry in self._wire(serving, msg.payload["arcs"])
-                     if (entry["key"], entry["version"].clock) not in sent]
-            return {"versions": reply, "integrated": integrated}
-
-        node.endpoint.register("DIGESTS", handle_digests)
-        node.endpoint.register("SYNC_ARCS", handle_sync)
-
-    def _index(self, node: DynamoNode) -> ArcIndex:
-        """``node``'s per-arc digests, built at its first exchange."""
-        if node.index is None:
-            node.index = ArcIndex(node.store, self.ring, self._positions)
-        return node.index
-
     def _reshaped(self) -> None:
         """The ring changed: pair scopes are listed afresh, and every
         built index forgets the digests of arcs that are gone."""
         self._pair_arcs.clear()
         for node in self.nodes.values():
-            if node.index is not None:
-                node.index.reshaped()
+            node.reshaped()
 
     def _shared_arcs(self, a_name: str, b_name: str) -> List[Arc]:
         """The arcs both nodes (``a_name < b_name``) are intended owners
@@ -375,127 +346,33 @@ class DynamoCluster:
                     self._pair_arcs.setdefault(pair, []).append(arc)
         return self._pair_arcs.get((a_name, b_name), [])
 
-    def _wire(self, node: DynamoNode, scopes: Sequence[Arc]) -> List[Dict[str, Any]]:
-        """The SYNC_ARCS payload: one ``{"key", "version"}`` entry per
-        version ``node`` stores on ``scopes``, the version itself."""
-        index, store = self._index(node), node.store
-        return [
-            {"key": key, "version": version}
-            for start, end in scopes for key in index.keys_in(start, end)
-            for version in store[key]
-        ]
-
-    def _integrate(
-        self, node: DynamoNode, entries: Sequence[Dict[str, Any]]
-    ) -> Tuple[int, int]:
-        """Store the entries whose key ``node`` owns under the *current*
-        ring (a reshape mid-flight must not plant data on a node that just
-        lost the range). Returns (entries stored, those not yet covered)."""
-        kept = fresh = 0
-        for entry in entries:
-            key = entry["key"]
-            if node.name not in self._owners(key):
-                continue
-            version = entry["version"]
-            kept += 1
-            if not self._holds(node, key, version.clock):
-                fresh += 1
-            node.store_version(key, version)
-        return kept, fresh
-
-    @staticmethod
-    def _holds(node: DynamoNode, key: str, clock: Any) -> bool:
-        """Whether ``node`` already covers a version (some stored clock
-        descends it) — re-shipping it moves no new information."""
-        return any(v.clock.descends(clock) for v in node.versions_of(key))
-
-    def _owners(self, key: str) -> List[str]:
-        """A stored key's strict top-N owners under the current ring,
-        from its memoised position — no hashing, no ring walk."""
-        return self.ring.owners_at(self._positions[key], self.n)
-
-    def _exchange(
-        self, node: DynamoNode, peer: str, arcs: Sequence[Arc],
-    ) -> Generator[Any, Any, Dict[str, Any]]:
-        """One digest-first Merkle exchange with ``peer`` over ``arcs``
-        (the ring arcs both own, or a transfer's moved ranges), the pair
-        primitive under anti-entropy rounds and range transfers alike: one
-        DIGESTS call carrying the arcs, then, if any digest differs, one
-        SYNC_ARCS that ships our versions of every divergent arc and
-        integrates the peer's reply. A peer (or our own endpoint) failing
-        ends it — counted, not raised.
-
-        Returns raw facts for the caller to report as it sees fit:
-        messages answered, entries ``shipped``, reply entries ``kept``
-        and how many of those were ``fresh`` (not already covered here),
-        shipped entries the peer ``integrated`` as new, ``peer_failed``.
-        """
-        facts = {"digest_msgs": 0, "sync_msgs": 0, "shipped": 0, "kept": 0,
-                 "fresh": 0, "integrated": 0, "peer_failed": False}
-        if not arcs:
-            return facts
-        try:
-            reply = yield from node.endpoint.call(
-                peer, "DIGESTS", {"arcs": arcs}, policy=REPLICATION_POLICY,
-            )
-        except _PEER_ERRORS + (SimulationError,):
-            return self._peer_failed(facts)
-        facts["digest_msgs"] += 1
-        mine = self._index(node).digests_of(arcs)
-        divergent = [
-            arc for arc, ours, theirs in zip(arcs, mine, reply["digests"])
-            if ours != theirs
-        ]
-        if not divergent:
-            return facts
-        payload = self._wire(node, divergent)
-        try:
-            sync_reply = yield from node.endpoint.call(
-                peer, "SYNC_ARCS", {"arcs": divergent, "versions": payload},
-                policy=REPLICATION_POLICY,
-            )
-        except _PEER_ERRORS + (SimulationError,):
-            return self._peer_failed(facts)
-        facts["sync_msgs"] += 1
-        facts["shipped"] += len(payload)
-        facts["integrated"] += sync_reply["integrated"]
-        facts["kept"], facts["fresh"] = self._integrate(node, sync_reply["versions"])
-        return facts
-
-    def _peer_failed(self, facts: Dict[str, Any]) -> Dict[str, Any]:
-        facts["peer_failed"] = True
-        self.sim.metrics.inc("dynamo.anti_entropy_errors")
-        return facts
-
     def run_merkle_round(self) -> Generator[Any, Any, Dict[str, int]]:
-        """One digest-first anti-entropy pass over every live node pair.
+        """One digest-first anti-entropy pass over every node pair.
 
         Returns message accounting: digest exchanges vs sync payloads —
         once converged, a round costs only the digest messages.
         ``versions_moved`` counts wire entries, both directions."""
         stats = {"digest_msgs": 0, "sync_msgs": 0, "versions_moved": 0}
         names = sorted(self.nodes)
-        # Same per-round isolation as run_anti_entropy_round: once a peer
-        # times out (a soft cut reachable() cannot see), skip its other
-        # pairings this round instead of paying the timeout N more times.
-        # A failing pair must not abort the round: the rest still sync.
+        members = dict(self.nodes)  # one that leaves mid-round stops serving
+        # A silent peer is skipped for the rest of the round once its
+        # initiator has had an answer; before that, the initiator may be
+        # the one cut off, so it pays its timeouts and blames no one.
         unresponsive: set = set()
         for i, a_name in enumerate(names):
+            node = members[a_name]
+            answered = False
             for b_name in names[i + 1:]:
                 if a_name in unresponsive or b_name in unresponsive:
                     continue
-                if not self.alive(a_name):
-                    continue
-                # The initiator judges its peer by its own local view,
-                # then by whether the fabric can carry the exchange.
+                # The initiator judges its peer by its own local view.
                 if not self._usable_by(a_name, b_name):
                     continue
-                if not self.network.reachable(a_name, b_name):
-                    continue
-                facts = yield from self._exchange(
-                    self.nodes[a_name], b_name, self._shared_arcs(a_name, b_name)
+                facts = yield from node.exchange(
+                    b_name, self._shared_arcs(a_name, b_name)
                 )
-                if facts["peer_failed"]:
+                answered = answered or facts["digest_msgs"] > 0
+                if facts["peer_failed"] and answered:
                     unresponsive.add(b_name)
                 stats["digest_msgs"] += facts["digest_msgs"]
                 stats["sync_msgs"] += facts["sync_msgs"]
@@ -541,10 +418,10 @@ class DynamoCluster:
             )
         if node_name in self.nodes:
             raise SimulationError(f"node {node_name!r} already in the cluster")
-        node = DynamoNode(self.sim, self.network, node_name)
+        node = DynamoNode(self.sim, self.network, node_name, self.ring,
+                          self._positions, self.n)
         if self.snapshot_cadence is not None:
             node.enable_snapshots(self.snapshot_cadence)
-        self._register_merkle_handlers(node)
         self.nodes[node_name] = node
         before = self.ring.clone()
         self.ring.add_node(node_name)
@@ -555,10 +432,10 @@ class DynamoCluster:
             node_name, "ring.join", moved_ranges=len(moved),
             nodes=len(self.nodes),
         )
-        # Pull each gained arc from every previous owner still reachable
-        # (the first source ships the bulk; Merkle digests make the rest
-        # near-free once the range agrees).
-        pulls: Dict[str, List[Tuple[int, int]]] = {}
+        # Pull each gained arc from every previous owner (the first source
+        # ships the bulk; Merkle digests make the rest near-free once the
+        # range agrees). A source that does not answer is counted, once.
+        pulls: Dict[str, List[Arc]] = {}
         for arc in moved:
             if node_name not in arc.gained:
                 continue
@@ -569,13 +446,7 @@ class DynamoCluster:
         stats = {"moved_ranges": len(moved), "versions_moved": 0,
                  "digest_msgs": 0, "sync_msgs": 0}
         for source, ranges in pulls.items():
-            if not self.alive(source):
-                continue
-            if not self.network.reachable(node_name, source):
-                continue
-            sync = yield from self._range_sync(node, source, ranges)
-            for field_name in ("versions_moved", "digest_msgs", "sync_msgs"):
-                stats[field_name] += sync[field_name]
+            yield from self._transfer(node, source, ranges, stats)
         self.sim.metrics.inc(
             "dynamo.rebalance_versions_moved", stats["versions_moved"]
         )
@@ -587,10 +458,12 @@ class DynamoCluster:
         The ring drops the node *before* the drain, so new
         writes route to the arcs' successor owners while the leaver
         ships what it holds: hints first, then a range-scoped Merkle
-        push of every arc that gained an owner, then a sweep for any
-        straggler versions whose current owners lack them. A dead node
-        can be decommissioned too — its arcs' data survives on the other
-        W-1 replicas and anti-entropy heals the copy count.
+        push of every arc that gained an owner, then a straggler sweep:
+        one exchange with each current owner over the arcs that hold the
+        leaver's keys. A peer that fails to answer the push is skipped by
+        the sweep. A dead node can be decommissioned too — its arcs' data
+        survives on the other W-1 replicas and anti-entropy heals the
+        copy count.
         """
         if self.membership_gossips:
             raise SimulationError(
@@ -612,26 +485,25 @@ class DynamoCluster:
         )
         stats = {"moved_ranges": len(moved), "versions_moved": 0,
                  "digest_msgs": 0, "sync_msgs": 0, "leftover_pushes": 0}
-        if self.alive(node_name):
+        if node.endpoint.serving:
             yield from node.deliver_hints()
-            pushes: Dict[str, List[Tuple[int, int]]] = {}
+            pushes: Dict[str, List[Arc]] = {}
             for arc in moved:
                 if node_name not in arc.old_owners:
                     continue
                 for dest in arc.gained:
                     if dest in self.nodes:
                         pushes.setdefault(dest, []).append((arc.start, arc.end))
+            unresponsive = set()
             for dest, ranges in pushes.items():
-                if not self.alive(dest):
-                    continue
-                if not self.network.reachable(node_name, dest):
-                    continue
-                sync = yield from self._range_sync(node, dest, ranges)
-                for field_name in ("versions_moved", "digest_msgs", "sync_msgs"):
-                    stats[field_name] += sync[field_name]
+                if (yield from self._transfer(node, dest, ranges, stats)):
+                    unresponsive.add(dest)
             # Straggler sweep: hints that would not deliver, stale copies
-            # from older reshapes — push anything the current owners lack.
-            stats["leftover_pushes"] = yield from self._drain_leftovers(node)
+            # from older reshapes — whatever a current owner lacks.
+            for owner, arcs in node.leftover_arcs().items():
+                if owner not in unresponsive:
+                    facts = yield from node.exchange(owner, arcs)
+                    stats["leftover_pushes"] += facts["integrated"]
         node.endpoint.stop("decommissioned")
         del self.nodes[node_name]
         self.sim.metrics.inc(
@@ -640,56 +512,18 @@ class DynamoCluster:
         )
         return stats
 
-    def _drain_leftovers(self, node: DynamoNode) -> Generator[Any, Any, int]:
-        """Push any version the leaver holds that its key's current
-        owners lack — the long tail a range transfer can miss."""
-        pushed = 0
-        for key, versions in list(node.store.items()):
-            for owner in self._owners(key):
-                if owner not in self.nodes:
-                    continue
-                if not self.network.reachable(node.name, owner):
-                    continue
-                peer_clocks = {
-                    v.clock for v in self.nodes[owner].versions_of(key)
-                }
-                try:
-                    for version in versions:
-                        if any(pc.descends(version.clock) for pc in peer_clocks):
-                            continue
-                        yield from node.endpoint.call(
-                            owner, "PUT", {"key": key, "version": version},
-                            policy=REPLICATION_POLICY,
-                        )
-                        pushed += 1
-                except _PEER_ERRORS + (SimulationError,):
-                    self.sim.metrics.inc("dynamo.anti_entropy_errors")
-        return pushed
-
-    def _range_sync(
-        self,
-        node: DynamoNode,
-        peer: str,
-        ranges: Sequence[Tuple[int, int]],
-    ) -> Generator[Any, Any, Dict[str, int]]:
-        """One range-scoped Merkle exchange with ``peer``: the same
-        DIGESTS/SYNC_ARCS verbs anti-entropy uses, with the moved ranges
-        for arcs. Both sides end up holding the ranges' frontier (each
-        stores only what it owns under the current ring)."""
-        # A one-off transfer keeps no index it had to build: an index is
-        # held only by nodes that run pair exchanges, which reuse it.
-        unindexed = [n for n in (node, self.nodes[peer]) if n.index is None]
-        facts = yield from self._exchange(node, peer, ranges)
-        for unused in unindexed:
-            unused.index = None
-        return {
-            # Count versions that changed someone's state, not wire
-            # payloads: syncing the same arc with a second source ships
-            # bytes but moves no new information.
-            "versions_moved": facts["integrated"] + facts["fresh"],
-            "digest_msgs": facts["digest_msgs"],
-            "sync_msgs": facts["sync_msgs"],
-        }
+    def _transfer(
+        self, node: DynamoNode, peer: str, ranges: Sequence[Arc],
+        stats: Dict[str, int],
+    ) -> Generator[Any, Any, bool]:
+        """A join's pull or a decommission's push: one exchange over
+        ``ranges``, added to ``stats``. Returns whether the peer failed."""
+        facts = yield from node.transfer(peer, ranges)
+        # Versions that changed someone's state, not wire payloads.
+        stats["versions_moved"] += facts["integrated"] + facts["fresh"]
+        stats["digest_msgs"] += facts["digest_msgs"]
+        stats["sync_msgs"] += facts["sync_msgs"]
+        return facts["peer_failed"]
 
 
 class DynamoClient:

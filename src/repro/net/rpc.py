@@ -179,6 +179,13 @@ class Endpoint:
         return self._breakers.for_dst(dst).state.value
 
     @property
+    def serving(self) -> bool:
+        """Whether this endpoint serves and may place calls, from
+        :meth:`start` or :meth:`restart` until :meth:`stop`: what a node
+        knows of itself, not what the fabric knows of it."""
+        return self._serving
+
+    @property
     def inflight_handlers(self) -> int:
         """Requests dispatched to a handler that has not finished."""
         return self._queued + len(self._handler_procs)

@@ -28,6 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dynamo import VectorClock, VersionedValue
 from repro.dynamo.node import DynamoNode
+from repro.dynamo.ring import HashRing, RingPositions
 from repro.dynamo.versions import prune_dominated
 from repro.net import Network
 from repro.sim import Simulator
@@ -44,7 +45,7 @@ class DynamoStorageMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         sim = Simulator()
-        self.node = DynamoNode(sim, Network(sim), "n0")
+        self.node = DynamoNode(sim, Network(sim), "n0", HashRing(["n0"]), RingPositions(), 1)
         self.model = {}
         self.stores = 0
         self.reads = []  # (read, what the model held when it was taken)
@@ -134,7 +135,7 @@ TestDynamoStorageMachine.settings = settings(
 def _checkpointed_node():
     """A node whose checkpoint covers three keys, one with two siblings."""
     sim = Simulator()
-    node = DynamoNode(sim, Network(sim), "n0")
+    node = DynamoNode(sim, Network(sim), "n0", HashRing(["n0"]), RingPositions(), 1)
     node.enable_snapshots(cadence=0.5)
     for i, key in enumerate(KEYS):
         node.store_version(key, VersionedValue(i, VectorClock({"a": 1})))

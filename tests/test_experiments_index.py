@@ -164,7 +164,8 @@ def test_background_loops_are_owned_by_their_endpoint():
 
 #: Packages that may ask the fabric whether a node is up: the fabric
 #: itself and the chaos driver that breaks it. ``repro.dynamo`` still
-#: peeks (ROADMAP item 5); its allowance goes when that item lands.
+#: peeks in a client's preference walk, hint delivery and the push round
+#: (ROADMAP item 5); its allowance goes when that item lands.
 MAY_READ_THE_FABRIC = ("net", "chaos", "dynamo")
 
 
